@@ -1,14 +1,15 @@
 # Development targets for the FragVisor reproduction. `make check` is the
 # pre-commit gate: formatting, vet, build, the full test suite under the
-# race detector, and a one-iteration benchmark smoke pass.
+# race detector, a one-iteration benchmark smoke pass, and a one-pass perf
+# snapshot. Every determinism check (parallel sweeps and chaos searches
+# byte-identical to sequential, traced runs, replayed artifacts) is a Go
+# test, so `go test ./...` is the single determinism gate.
 
 GO ?= go
 
-.PHONY: check check-race fmt vet build test race bench-smoke trace-smoke \
-	bench-json perf-smoke sweep-smoke balloon-smoke topo-smoke netstorm-smoke \
-	chaos-smoke
+.PHONY: check check-race fmt vet build test race bench-smoke bench-json perf-smoke
 
-check: fmt vet build race bench-smoke perf-smoke sweep-smoke balloon-smoke topo-smoke netstorm-smoke chaos-smoke
+check: fmt vet build race bench-smoke perf-smoke
 	@echo "check: all gates passed"
 
 fmt:
@@ -49,85 +50,3 @@ bench-json:
 # fails if the soak heap is not steady.
 perf-smoke:
 	$(GO) run ./cmd/fragperf -quick -out /tmp/fragperf-smoke.json
-
-# Runs one traced experiment end to end and validates the emitted Chrome
-# trace file; fragtrace exits non-zero if the critical-path categories do
-# not sum to the total or the JSON is malformed.
-trace-smoke:
-	$(GO) run ./cmd/fragtrace -experiment fig4 -scale 0.005 -out /tmp/fragtrace-smoke.json
-
-# Determinism-under-concurrency gate: the same >=16-run fragsweep grid
-# (2 experiments x 8 seeds) run sequentially and across the worker pool
-# must produce byte-identical JSON. -parallel changes wall time, never
-# bytes.
-sweep-smoke:
-	$(GO) run ./cmd/fragsweep -scales 0.02 -seeds 8 -runs -json -parallel 1 > /tmp/fragsweep-seq.json
-	$(GO) run ./cmd/fragsweep -scales 0.02 -seeds 8 -runs -json > /tmp/fragsweep-par.json
-	cmp /tmp/fragsweep-seq.json /tmp/fragsweep-par.json
-	@echo "sweep-smoke: parallel output byte-identical to sequential"
-
-# Three-way reclaim-policy gate: the consolidate/evict/resize soak grid
-# (3 experiments x 6 seeds = 18 runs) must be byte-identical across
-# worker counts, and the appended policy-comparison table must carry one
-# row per policy.
-balloon-smoke:
-	$(GO) run ./cmd/fragsweep -experiments fleetsoak,fleetsoak-evict,fleetsoak-resize \
-		-scales 0.02 -seeds 6 -json -parallel 1 > /tmp/balloon-seq.json
-	$(GO) run ./cmd/fragsweep -experiments fleetsoak,fleetsoak-evict,fleetsoak-resize \
-		-scales 0.02 -seeds 6 -json > /tmp/balloon-par.json
-	cmp /tmp/balloon-seq.json /tmp/balloon-par.json
-	grep -q '"consolidate"' /tmp/balloon-par.json
-	grep -q '"evict"' /tmp/balloon-par.json
-	grep -q '"resize"' /tmp/balloon-par.json
-	@echo "balloon-smoke: three-policy grid byte-identical; all policy rows present"
-
-# Topology gate, two halves. Flat equivalence: figures run through the
-# flat topo.Fabric must be byte-identical to the legacy netsim fabric —
-# text tables and the traced Chrome JSON alike. Tree determinism: the
-# fleettopo oversubscribed-spine sweep must be byte-identical across
-# worker counts.
-topo-smoke:
-	$(GO) run ./cmd/fragbench -fig fig4 -scale 0.01 > /tmp/topo-legacy.txt
-	$(GO) run ./cmd/fragbench -fig fig14 -scale 0.01 >> /tmp/topo-legacy.txt
-	$(GO) run ./cmd/fragbench -fig fig4 -scale 0.01 -topo flat > /tmp/topo-flat.txt
-	$(GO) run ./cmd/fragbench -fig fig14 -scale 0.01 -topo flat >> /tmp/topo-flat.txt
-	cmp /tmp/topo-legacy.txt /tmp/topo-flat.txt
-	$(GO) run ./cmd/fragtrace -experiment fig4 -scale 0.005 -out /tmp/topo-trace-legacy.json
-	$(GO) run ./cmd/fragtrace -experiment fig4 -scale 0.005 -topo flat -out /tmp/topo-trace-flat.json
-	cmp /tmp/topo-trace-legacy.json /tmp/topo-trace-flat.json
-	$(GO) run ./cmd/fragsweep -experiments fleettopo -scales 0.05 -seeds 6 -runs -json -parallel 1 > /tmp/topo-seq.json
-	$(GO) run ./cmd/fragsweep -experiments fleettopo -scales 0.05 -seeds 6 -runs -json > /tmp/topo-par.json
-	cmp /tmp/topo-seq.json /tmp/topo-par.json
-	@echo "topo-smoke: flat topology byte-identical to netsim; tree sweep deterministic under -parallel"
-
-# Reliable-transport / fault-domain gate. The netstorm experiment (drop
-# storms and a ToR-uplink cut against the data plane, a probe-visible
-# storm plus a host-link cut/heal against all three fleet reclaim
-# policies) must complete — the fault schedules once deadlocked blocking
-# senders — be byte-identical run-to-run and across sweep workers, and
-# actually exercise the typed-unreachable path (nonzero unreachable
-# probes in the fleet rows, recorded deaths in the cut rows).
-netstorm-smoke:
-	$(GO) run ./cmd/fragbench -fig netstorm -scale 0.02 > /tmp/netstorm-a.txt
-	$(GO) run ./cmd/fragbench -fig netstorm -scale 0.02 > /tmp/netstorm-b.txt
-	cmp /tmp/netstorm-a.txt /tmp/netstorm-b.txt
-	grep -q 'vm-tor-cut' /tmp/netstorm-a.txt
-	awk '$$1 == "fleet-storm" && $$10 == 0.000 { exit 1 }' /tmp/netstorm-a.txt
-	$(GO) run ./cmd/fragsweep -experiments netstorm -scales 0.02 -seeds 4 -runs -json -parallel 1 > /tmp/netstorm-seq.json
-	$(GO) run ./cmd/fragsweep -experiments netstorm -scales 0.02 -seeds 4 -runs -json > /tmp/netstorm-par.json
-	cmp /tmp/netstorm-seq.json /tmp/netstorm-par.json
-	@echo "netstorm-smoke: storm/cut recovery deterministic; unreachable path exercised"
-
-# Chaos gate, two halves. Clean search: a bounded ~64-episode search
-# over seed code must come back with zero violations, byte-identical
-# across worker counts (-parallel changes wall time, never bytes).
-# Seeded bug: with a fixed historical bug re-introduced behind its test
-# hook, the search must find it (non-zero exit), shrink it, and export
-# an artifact that -replay re-executes byte-identically.
-chaos-smoke:
-	$(GO) run ./cmd/fragchaos -episodes 64 -seed 1 -json /tmp/chaos-seq.json -parallel 1
-	$(GO) run ./cmd/fragchaos -episodes 64 -seed 1 -json /tmp/chaos-par.json
-	cmp /tmp/chaos-seq.json /tmp/chaos-par.json
-	! $(GO) run ./cmd/fragchaos -episodes 12 -seed 2 -no-dedup -artifact /tmp/chaos-repro.json > /dev/null 2>&1
-	$(GO) run ./cmd/fragchaos -replay /tmp/chaos-repro.json
-	@echo "chaos-smoke: clean search deterministic; seeded bug found, shrunk, replayed byte-identically"

@@ -442,7 +442,7 @@ func benchLinkContention(n int) {
 // protocol overhead the reliable layer adds under fault injection.
 func benchReliableSend(n int) {
 	env := sim.NewEnv()
-	fab := netsim.New(env, "bench", 1500*sim.Nanosecond, 56)
+	fab := topo.FlatSpec().Build(env, "bench", 56, 1500*sim.Nanosecond)
 	fab.SetFilter(passFilter{})
 	tr := reliable.New(env, fab, reliable.DefaultParams())
 	env.Spawn("sender", func(p *sim.Proc) {
@@ -461,7 +461,7 @@ func benchReliableSend(n int) {
 // slowdown under drop storms.
 func benchRetryStorm(n int) {
 	env := sim.NewEnv()
-	fab := netsim.New(env, "bench", 1500*sim.Nanosecond, 56)
+	fab := topo.FlatSpec().Build(env, "bench", 56, 1500*sim.Nanosecond)
 	f := &dropEveryOther{}
 	fab.SetFilter(f)
 	p := reliable.DefaultParams()
@@ -480,7 +480,7 @@ func benchRetryStorm(n int) {
 // benchChaosEpisode measures one full chaos episode per op — cluster
 // and VM construction, a generated fault schedule applied to the
 // recovery workload, and the whole oracle registry judging quiescence —
-// the unit cost that sizes a chaos search (cmd/fragchaos, chaos-smoke).
+// the unit cost that sizes a chaos search (cmd/fragchaos).
 func benchChaosEpisode(n int) {
 	ep := chaos.Generate(chaos.Config{Episodes: 1, Seed: 1,
 		Workloads: []string{chaos.WorkloadVM}})[0]

@@ -33,7 +33,7 @@ func main() {
 	out := flag.String("out", "trace.json", "Chrome trace-event output file")
 	scale := flag.Float64("scale", 0.01, "workload scale (1.0 = paper scale)")
 	seed := flag.Int64("seed", 42, "deterministic seed")
-	topoFlag := flag.String("topo", "", "fabric topology: flat or tree:RxN@O (empty = legacy netsim fabric)")
+	topoFlag := flag.String("topo", "", "fabric topology: flat (the default) or tree:RxN@O")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
@@ -97,8 +97,8 @@ func writeTrace(sess *trace.Session, path string) error {
 }
 
 // validateTrace re-reads the emitted file and checks it is a well-formed
-// trace-event JSON object with at least one event — the check `make
-// trace-smoke` relies on.
+// trace-event JSON object with at least one event, so a malformed
+// export fails the run.
 func validateTrace(path string) (int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

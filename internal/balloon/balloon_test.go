@@ -7,8 +7,8 @@ import (
 	"repro/internal/guest"
 	"repro/internal/mem"
 	"repro/internal/msg"
-	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // instantNotifier delivers wakeups instantly and pins vCPU i on node i%n.
@@ -23,7 +23,7 @@ func (f *instantNotifier) NodeOf(vcpu int) int { return vcpu % f.n }
 // heapBytes, NUMA aware so the balloon addresses per-node arenas.
 func newTestGuest(nNodes int, heapBytes int64) (*sim.Env, *guest.Kernel) {
 	env := sim.NewEnv()
-	fabric := netsim.New(env, "fabric", 1500*sim.Nanosecond, 56)
+	fabric := topo.FlatSpec().Build(env, "fabric", 56, 1500*sim.Nanosecond)
 	layer := msg.NewLayer(env, fabric, msg.DefaultParams())
 	nodes := make([]int, nNodes)
 	for i := range nodes {

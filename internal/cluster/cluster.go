@@ -11,7 +11,6 @@ package cluster
 import (
 	"fmt"
 
-	"repro/internal/netsim"
 	"repro/internal/reliable"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -33,11 +32,10 @@ type Params struct {
 	EthLat       sim.Time // client network one-way latency
 	SSDBps       float64  // SSD sequential bandwidth, bytes/second
 
-	// Topo selects the inter-hypervisor fabric model: nil keeps the
-	// legacy flat netsim.Net; a topology spec compiles a topo.Fabric
-	// with FabricGbps/FabricLat as the host-link parameters. The client
-	// Ethernet always stays flat — load generators sit outside the
-	// datacenter tree.
+	// Topo selects the inter-hypervisor fabric topology, compiled with
+	// FabricGbps/FabricLat as the host-link parameters; nil means flat
+	// (one switch, egress-only contention). The client Ethernet is
+	// always flat — load generators sit outside the datacenter tree.
 	Topo *topo.Spec
 }
 
@@ -67,8 +65,8 @@ type Node struct {
 type Cluster struct {
 	Env    *sim.Env
 	Nodes  []*Node
-	Fabric netsim.Fabric // inter-hypervisor network (InfiniBand)
-	Client *netsim.Net   // client-facing network (1 GbE)
+	Fabric *topo.Fabric // inter-hypervisor network (InfiniBand)
+	Client *topo.Fabric // client-facing network (1 GbE)
 	// Reliable is the shared ack/retransmit transport over Fabric for
 	// blocking bulk senders (checkpoint chunks, fleet probes). With no
 	// fault filter installed it degenerates to a raw fabric send, so
@@ -85,19 +83,18 @@ func New(env *sim.Env, n int, p Params) *Cluster {
 	if p.CPUHz <= 0 || p.CoresPerNode <= 0 {
 		panic("cluster: invalid CPU parameters")
 	}
-	var fabric netsim.Fabric
-	if p.Topo != nil {
-		if max := p.Topo.Nodes(); max != 0 && n > max {
-			panic(fmt.Sprintf("cluster: %d nodes do not fit the %s topology", n, p.Topo))
-		}
-		fabric = p.Topo.Build(env, "fabric", p.FabricGbps, p.FabricLat)
-	} else {
-		fabric = netsim.New(env, "fabric", p.FabricLat, p.FabricGbps)
+	spec := p.Topo
+	if spec == nil {
+		spec = topo.FlatSpec()
 	}
+	if max := spec.Nodes(); max != 0 && n > max {
+		panic(fmt.Sprintf("cluster: %d nodes do not fit the %s topology", n, spec))
+	}
+	fabric := spec.Build(env, "fabric", p.FabricGbps, p.FabricLat)
 	c := &Cluster{
 		Env:      env,
 		Fabric:   fabric,
-		Client:   netsim.New(env, "client", p.EthLat, p.EthGbps),
+		Client:   topo.FlatSpec().Build(env, "client", p.EthGbps, p.EthLat),
 		Reliable: reliable.New(env, fabric, reliable.DefaultParams()),
 		Params:   p,
 	}

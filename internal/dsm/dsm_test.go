@@ -6,15 +6,15 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/msg"
-	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // newTestDSM builds a DSM over n nodes (fabric ids 0..n-1) with FragVisor
 // default parameters.
 func newTestDSM(n int, p Params) (*sim.Env, *DSM) {
 	env := sim.NewEnv()
-	fabric := netsim.New(env, "fabric", 1500*sim.Nanosecond, 56)
+	fabric := topo.FlatSpec().Build(env, "fabric", 56, 1500*sim.Nanosecond)
 	layer := msg.NewLayer(env, fabric, msg.DefaultParams())
 	nodes := make([]int, n)
 	for i := range nodes {

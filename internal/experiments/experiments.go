@@ -42,9 +42,8 @@ type Options struct {
 	// so per-node fabric traffic can be reported after the run.
 	Acct *Traffic
 	// Topo, when non-nil, selects the inter-hypervisor fabric topology
-	// for every cluster the experiment builds (nil = the legacy flat
-	// netsim fabric; topo.FlatSpec() takes the topology code path with
-	// byte-identical results — the topo-smoke gate).
+	// for every cluster the experiment builds (nil = flat, the same
+	// fabric topo.FlatSpec() builds).
 	Topo *topo.Spec
 }
 

@@ -265,3 +265,39 @@ func TestFleetSoakResizeShape(t *testing.T) {
 		t.Errorf("slowdown_mean = %.3f, want >= 1.0", s)
 	}
 }
+
+// TestNetStormShape: the storm and cut scenarios actually exercise the
+// fault path — the ToR-cut row is present and records deaths, and every
+// fleet-storm row sees probes fail with a typed unreachable error.
+func TestNetStormShape(t *testing.T) {
+	tab, err := Run("netstorm", QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := func(name string) int {
+		for i, h := range tab.Headers {
+			if h == name {
+				return i
+			}
+		}
+		t.Fatalf("no %q column in %v", name, tab.Headers)
+		return -1
+	}
+	deaths, unreachable := col("deaths"), col("unreachable")
+	if d := cell(t, rowByName(t, tab.Rows, "vm-tor-cut"), deaths); d == 0 {
+		t.Error("vm-tor-cut recorded no deaths")
+	}
+	storms := 0
+	for _, row := range tab.Rows {
+		if row[0] != "fleet-storm" {
+			continue
+		}
+		storms++
+		if u := cell(t, row, unreachable); u == 0 {
+			t.Errorf("fleet-storm %s: no unreachable probes", row[1])
+		}
+	}
+	if storms == 0 {
+		t.Error("no fleet-storm rows")
+	}
+}

@@ -47,7 +47,7 @@ func FleetTopo(o Options) *metrics.Table {
 		vm := hypervisor.New(hypervisor.FragVisorConfig(c,
 			hypervisor.SpreadPlacement(nodes, len(nodes)), guestMem))
 		elapsed := workload.SharingLoop(vm, workload.TrueSharing, iters)
-		return elapsed, c.Fabric.(*topo.Fabric)
+		return elapsed, c.Fabric
 	}
 	local, _ := run("rack-local", []int{0, 1})
 	cross, fab := run("cross-spine", []int{0, 2})

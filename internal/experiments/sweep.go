@@ -16,8 +16,8 @@ type SweepSpec struct {
 	Scales      []float64
 	Seeds       []int64
 	Parallel    int
-	// Topo applies a fabric topology to every grid point (nil = flat
-	// netsim fabric). Specs are pure shape descriptions, safe to share
+	// Topo applies a fabric topology to every grid point (nil = the
+	// flat default). Specs are pure shape descriptions, safe to share
 	// across the worker pool — each point compiles its own link graph.
 	Topo *topo.Spec
 }

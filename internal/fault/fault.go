@@ -138,8 +138,8 @@ type Event struct {
 	// toward the spine), "torR-down" (spine toward rack R). Undirected
 	// domains expand to both directions: "nX" (host X's up+down links),
 	// "torR" (rack R's spine uplink+downlink), and "spine" (every rack's
-	// uplink and downlink — the whole core). On a flat or legacy fabric
-	// only the host domains exist; ToR/spine domains expand to nothing.
+	// uplink and downlink — the whole core). On a flat fabric only the
+	// host domains exist; ToR/spine domains expand to nothing.
 	Link string
 }
 

@@ -6,10 +6,10 @@
 //
 // The injector keeps its own canonical directed link names ("nX-up",
 // "torR-down", ...) derived from the cluster's topo.Spec instead of the
-// fabric's internal graph: the fault model must also work on the legacy
-// flat netsim fabric, which has no link objects at all. On flat fabrics
-// a message's route is simply sender-up + receiver-down, so host-level
-// domains behave identically across all three fabric models.
+// fabric's internal graph: a flat fabric has only per-sender egress
+// links and no receiver downlinks to name. On flat fabrics a message's
+// route is simply sender-up + receiver-down, so host-level domains
+// behave identically on flat and tree topologies.
 package fault
 
 import (
@@ -23,7 +23,7 @@ import (
 // linkNames precomputes the canonical directed names for a cluster shape
 // so per-message route evaluation never formats strings.
 type linkNames struct {
-	spec    *topo.Spec // nil = legacy flat fabric
+	spec    *topo.Spec // nil = the flat default
 	nodes   int        // addressable cluster nodes (external hosts excluded)
 	up      []string   // nX-up
 	down    []string   // nX-down

@@ -39,8 +39,8 @@ type Scenario struct {
 	VCPUs    int
 	MemBytes int64
 
-	// Topo selects the fabric model (cluster.Params.Topo): nil keeps the
-	// legacy flat netsim fabric; a tree spec routes DSM and checkpoint
+	// Topo selects the fabric topology (cluster.Params.Topo): nil is the
+	// flat default; a tree spec routes DSM and checkpoint
 	// traffic over racks and a spine, which is what link-level fault
 	// domains (CutLink "tor1", ...) act on.
 	Topo *topo.Spec

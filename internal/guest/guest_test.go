@@ -7,8 +7,8 @@ import (
 	"repro/internal/dsm"
 	"repro/internal/mem"
 	"repro/internal/msg"
-	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // fakeNotifier delivers wakeups instantly and pins every vCPU i on node
@@ -27,7 +27,7 @@ func (f *fakeNotifier) NodeOf(vcpu int) int { return vcpu % f.n }
 // newTestKernel builds a kernel over nNodes nodes with nVCPU vCPUs.
 func newTestKernel(nNodes, nVCPU int, cfg Config) (*sim.Env, *dsm.DSM, *Kernel, *fakeNotifier) {
 	env := sim.NewEnv()
-	fabric := netsim.New(env, "fabric", 1500*sim.Nanosecond, 56)
+	fabric := topo.FlatSpec().Build(env, "fabric", 56, 1500*sim.Nanosecond)
 	layer := msg.NewLayer(env, fabric, msg.DefaultParams())
 	nodes := make([]int, nNodes)
 	for i := range nodes {

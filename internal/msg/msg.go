@@ -118,8 +118,8 @@ type serviceKey struct {
 	service string
 }
 
-// NewLayer returns a messaging layer over the given fabric — a flat
-// netsim.Net or a topology-aware topo.Fabric.
+// NewLayer returns a messaging layer over the given fabric, flat or
+// tree.
 func NewLayer(env *sim.Env, net netsim.Fabric, p Params) *Layer {
 	return &Layer{
 		env:      env,

@@ -3,12 +3,12 @@ package msg
 import (
 	"testing"
 
-	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 func newTestLayer(env *sim.Env) *Layer {
-	fabric := netsim.New(env, "fabric", 1500*sim.Nanosecond, 56)
+	fabric := topo.FlatSpec().Build(env, "fabric", 56, 1500*sim.Nanosecond)
 	return NewLayer(env, fabric, DefaultParams())
 }
 

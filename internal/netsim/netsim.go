@@ -1,24 +1,19 @@
-// Package netsim models the cluster interconnects as store-and-forward
-// message fabrics with per-endpoint egress serialization.
+// Package netsim is the message-fabric contract: the Fabric interface
+// every layer above the interconnect programs against, the fault
+// Filter and its Outcome verdicts, the fabric-wide Stats, and the
+// bug-reintroduction TestHooks.
 //
-// A Net connects integer-addressed endpoints (cluster nodes, plus external
-// hosts such as load generators). Sending a message occupies the sender's
-// NIC for size/bandwidth seconds (FIFO — concurrent sends from one endpoint
-// queue behind each other), then the message propagates for the fabric's
-// one-way latency and is delivered via a callback at the receiver.
-//
-// Two instances model the paper's testbed: a 56 Gbps InfiniBand fabric
-// between hypervisor instances and a 1 Gbps Ethernet network toward
-// clients/load generators.
+// A fabric connects integer-addressed endpoints (cluster nodes, plus
+// external hosts such as load generators). Sending a message occupies
+// the links on its path for size/bandwidth seconds each, FIFO, then the
+// message propagates and is delivered via a callback at the receiver.
+// The one implementation is internal/topo.Fabric; a cluster builds two
+// flat instances of it by default to model the paper's testbed, a
+// 56 Gbps InfiniBand fabric between hypervisor instances and a 1 Gbps
+// Ethernet network toward clients and load generators.
 package netsim
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/sim"
-	"repro/internal/trace"
-)
+import "repro/internal/sim"
 
 // Outcome is a fault filter's verdict on one message: deliver normally,
 // drop it, or deliver it late.
@@ -34,12 +29,9 @@ type Filter interface {
 	Outcome(from, to, size int) Outcome
 }
 
-// Fabric is the message-fabric interface shared by the flat Net below and
-// the topology-aware internal/topo.Fabric: everything the messaging layer,
-// the DSM cost model, checkpointing, fault injection, and the per-node
-// traffic reports need from an interconnect. The flat Net is the reference
-// semantics — a topology implementation restricted to one switch must be
-// byte-identical to it.
+// Fabric is the message-fabric interface: everything the messaging
+// layer, the DSM cost model, checkpointing, fault injection, and the
+// per-node traffic reports need from an interconnect.
 type Fabric interface {
 	// Name returns the fabric's diagnostic name.
 	Name() string
@@ -81,191 +73,10 @@ type Fabric interface {
 	EndpointSent(id int) (msgs, bytes int64)
 }
 
-// Net is a message fabric. Construct with New.
-type Net struct {
-	env     *sim.Env
-	name    string
-	latency sim.Time
-	bps     float64 // bytes per second
-	nics    map[int]*nic
-	stats   Stats
-	filter  Filter
-	hooks   TestHooks
-	tr      *trace.Tracer
-	nicSpan string // interned span name for NIC occupancy intervals
-}
-
-var _ Fabric = (*Net)(nil)
-
-// nic tracks when an endpoint's egress link is next free.
-type nic struct {
-	nextFree sim.Time
-	sent     int64
-	bytes    int64
-}
-
 // Stats aggregates fabric-wide traffic counters.
 type Stats struct {
 	Messages int64
 	Bytes    int64
 	Dropped  int64 // messages discarded by the fault filter
 	Delayed  int64 // messages delivered late by the fault filter
-}
-
-// New returns a fabric with the given one-way latency and bandwidth in
-// gigabits per second.
-func New(env *sim.Env, name string, latency sim.Time, gbps float64) *Net {
-	if gbps <= 0 {
-		panic(fmt.Sprintf("netsim: bandwidth %v Gbps must be positive", gbps))
-	}
-	if latency < 0 {
-		panic(fmt.Sprintf("netsim: latency %v must be non-negative", latency))
-	}
-	n := &Net{
-		env:     env,
-		name:    name,
-		latency: latency,
-		bps:     gbps * 1e9 / 8,
-		nics:    make(map[int]*nic),
-		tr:      trace.FromEnv(env),
-	}
-	n.nicSpan = n.tr.Key("nic", name)
-	return n
-}
-
-// Name returns the fabric's diagnostic name.
-func (n *Net) Name() string { return n.name }
-
-// Latency returns the fabric's one-way propagation latency.
-func (n *Net) Latency() sim.Time { return n.latency }
-
-// TxTime returns the serialization time for a message of the given size.
-func (n *Net) TxTime(size int) sim.Time {
-	if size < 0 {
-		panic("netsim: negative message size")
-	}
-	return sim.FromSeconds(float64(size) / n.bps)
-}
-
-// PathTime returns the uncontended one-way delivery time between two
-// endpoints: the flat fabric's single shared-switch hop.
-func (n *Net) PathTime(from, to int, size int) sim.Time {
-	return n.TxTime(size) + n.latency
-}
-
-// SetFilter installs (or, with nil, removes) the fabric's fault filter.
-func (n *Net) SetFilter(f Filter) { n.filter = f }
-
-// Filter returns the installed fault filter, or nil.
-func (n *Net) Filter() Filter { return n.filter }
-
-// Send transmits size bytes from one endpoint to another and invokes
-// deliver at the receiver once the message arrives. deliver may be nil for
-// fire-and-forget accounting. Send returns the delivery time.
-//
-// When a fault filter is installed it rules on every message after the
-// sender's NIC time has been charged (the sender cannot know the fabric
-// lost its frame): dropped messages never invoke deliver, delayed ones
-// arrive late.
-func (n *Net) Send(from, to int, size int, deliver func()) sim.Time {
-	return n.SendCtx(0, from, to, size, deliver)
-}
-
-// SendCtx is Send with a causal tracing parent: when the fabric's
-// environment is traced, the sender-NIC occupancy interval [start, done]
-// is recorded as a network span under the given parent. Span 0 (and an
-// untraced environment) make it identical to Send.
-func (n *Net) SendCtx(span int64, from, to int, size int, deliver func()) sim.Time {
-	arrive, _ := n.send(span, from, to, size, deliver)
-	return arrive
-}
-
-// send is the SendCtx body, additionally reporting whether the message
-// survived the fault filter. Dropped messages never schedule deliver.
-func (n *Net) send(span int64, from, to int, size int, deliver func()) (sim.Time, bool) {
-	now := n.env.Now()
-	egress := n.nic(from)
-	start := egress.nextFree
-	if start < now {
-		start = now
-	}
-	done := start + n.TxTime(size)
-	egress.nextFree = done
-	egress.sent++
-	egress.bytes += int64(size)
-	if n.tr != nil {
-		n.tr.Complete(span, trace.CatNet, from, n.nicSpan, start, done)
-	}
-	n.stats.Messages++
-	n.stats.Bytes += int64(size)
-	arrive := done + n.latency
-	if n.filter != nil {
-		o := n.filter.Outcome(from, to, size)
-		if o.Drop {
-			n.stats.Dropped++
-			return arrive, false
-		}
-		if o.Delay > 0 {
-			n.stats.Delayed++
-			arrive += o.Delay
-		}
-	}
-	if deliver != nil {
-		// Pooled: fabric deliveries are never cancelled (drops are decided
-		// above, before scheduling), so no Timer handle is needed.
-		n.env.DeferAt(arrive, deliver)
-	}
-	return arrive, true
-}
-
-// SendAndWait transmits like Send but blocks the calling process until the
-// message resolves, reporting whether it was delivered. A fault-filter drop
-// still wakes the sender at the would-be arrival time — the NIC was charged
-// and the frame is simply gone — so a blocking send can never wedge a proc
-// for the rest of the run.
-func (n *Net) SendAndWait(p *sim.Proc, from, to int, size int) bool {
-	ev := n.env.NewEvent()
-	arrive, delivered := n.send(0, from, to, size, ev.Fire)
-	if !delivered && !n.hooks.WedgeOnDrop {
-		n.env.DeferAt(arrive, ev.Fire)
-	}
-	p.Wait(ev)
-	return delivered
-}
-
-// Stats returns a copy of the fabric-wide counters.
-func (n *Net) Stats() Stats { return n.stats }
-
-// Endpoints returns the ids of every endpoint that has a NIC record, in
-// ascending order — the iteration domain for per-node traffic reports.
-func (n *Net) Endpoints() []int {
-	ids := make([]int, 0, len(n.nics))
-	for id := range n.nics {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// EndpointSent returns the number of messages and bytes sent by an endpoint.
-// A pure read: an id that never sent reports zeros without inserting a NIC
-// record, so probing cannot grow Endpoints().
-func (n *Net) EndpointSent(id int) (msgs, bytes int64) {
-	if n.hooks.PhantomEndpoints {
-		e := n.nic(id)
-		return e.sent, e.bytes
-	}
-	if e, ok := n.nics[id]; ok {
-		return e.sent, e.bytes
-	}
-	return 0, 0
-}
-
-func (n *Net) nic(id int) *nic {
-	e, ok := n.nics[id]
-	if !ok {
-		e = &nic{}
-		n.nics[id] = e
-	}
-	return e
 }

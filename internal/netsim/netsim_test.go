@@ -1,14 +1,35 @@
-package netsim
+package netsim_test
+
+// Contract tests for the netsim.Fabric interface, run against its one
+// implementation, topo.Fabric. Tests that hold for every topology run
+// over both shapes; the rest pin the flat default the cluster builds.
 
 import (
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
+
+// shapes lists the topologies the shape-independent contract tests run
+// over: the flat default and a 2×2 tree under a 4:1 spine.
+var shapes = []struct {
+	name string
+	spec *topo.Spec
+}{
+	{"flat", topo.FlatSpec()},
+	{"tree", topo.TreeSpec(2, 2, 4)},
+}
+
+// flat builds the single-switch fabric every cluster uses by default.
+func flat(env *sim.Env, gbps float64, lat sim.Time) *topo.Fabric {
+	return topo.FlatSpec().Build(env, "ib", gbps, lat)
+}
 
 func TestTxTime(t *testing.T) {
 	env := sim.NewEnv()
-	n := New(env, "ib", 1500*sim.Nanosecond, 56) // 56 Gbps = 7e9 B/s
+	n := flat(env, 56, 1500*sim.Nanosecond) // 56 Gbps = 7e9 B/s
 	got := n.TxTime(7000)
 	want := sim.Microsecond // 7000 B / 7e9 B/s = 1 us
 	if got != want {
@@ -18,7 +39,7 @@ func TestTxTime(t *testing.T) {
 
 func TestSendDelivery(t *testing.T) {
 	env := sim.NewEnv()
-	n := New(env, "ib", 1000*sim.Nanosecond, 8) // 1e9 B/s
+	n := flat(env, 8, 1000*sim.Nanosecond) // 1e9 B/s
 	var delivered sim.Time
 	n.Send(0, 1, 1000, func() { delivered = env.Now() })
 	env.Run()
@@ -30,7 +51,7 @@ func TestSendDelivery(t *testing.T) {
 
 func TestEgressSerialization(t *testing.T) {
 	env := sim.NewEnv()
-	n := New(env, "ib", 0, 8) // 1e9 B/s, zero latency isolates the NIC
+	n := flat(env, 8, 0) // 1e9 B/s, zero latency isolates the NIC
 	var first, second sim.Time
 	n.Send(0, 1, 1000, func() { first = env.Now() })
 	n.Send(0, 2, 1000, func() { second = env.Now() })
@@ -46,7 +67,7 @@ func TestEgressSerialization(t *testing.T) {
 
 func TestIndependentEgress(t *testing.T) {
 	env := sim.NewEnv()
-	n := New(env, "ib", 0, 8)
+	n := flat(env, 8, 0)
 	var a, b sim.Time
 	n.Send(0, 2, 1000, func() { a = env.Now() })
 	n.Send(1, 2, 1000, func() { b = env.Now() })
@@ -59,7 +80,7 @@ func TestIndependentEgress(t *testing.T) {
 
 func TestSendAndWait(t *testing.T) {
 	env := sim.NewEnv()
-	n := New(env, "eth", 100*sim.Microsecond, 1)
+	n := flat(env, 1, 100*sim.Microsecond)
 	var done sim.Time
 	env.Spawn("sender", func(p *sim.Proc) {
 		n.SendAndWait(p, 0, 1, 125000) // 125 kB at 125e6 B/s = 1 ms
@@ -76,51 +97,59 @@ func TestSendAndWait(t *testing.T) {
 // drops must still wake at the would-be arrival time and report false —
 // an Any→Any drop storm can cost time, never a wedged proc.
 func TestSendAndWaitDropResolves(t *testing.T) {
-	env := sim.NewEnv()
-	n := New(env, "eth", 100*sim.Microsecond, 1)
-	n.SetFilter(&scriptFilter{outcomes: []Outcome{
-		{Drop: true}, {Drop: true}, {Drop: true}, {},
-	}})
-	var results []bool
-	var times []sim.Time
-	env.Spawn("sender", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			results = append(results, n.SendAndWait(p, 0, 1, 125000))
-			times = append(times, p.Now())
-		}
-	})
-	env.Run()
-	if live := env.LiveProcs(); len(live) != 0 {
-		t.Fatalf("drop storm wedged the sender: %v", live)
-	}
-	want := []bool{false, false, false, true}
-	for i, r := range results {
-		if r != want[i] {
-			t.Fatalf("send %d delivered=%v, want %v", i, r, want[i])
-		}
-	}
-	// Each send (dropped or not) costs serialization + latency: the
-	// sender wakes at the would-be arrival time, 1.1 ms per message.
-	for i, at := range times {
-		if want := sim.Time(i+1) * (sim.Millisecond + 100*sim.Microsecond); at != want {
-			t.Fatalf("send %d resolved at %v, want %v", i, at, want)
-		}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			n := sh.spec.Build(env, "eth", 1, 100*sim.Microsecond)
+			n.SetFilter(&scriptFilter{outcomes: []netsim.Outcome{
+				{Drop: true}, {Drop: true}, {Drop: true}, {},
+			}})
+			var results []bool
+			var times []sim.Time
+			env.Spawn("sender", func(p *sim.Proc) {
+				for i := 0; i < 4; i++ {
+					results = append(results, n.SendAndWait(p, 0, 2, 125000))
+					times = append(times, p.Now())
+				}
+			})
+			env.Run()
+			if live := env.LiveProcs(); len(live) != 0 {
+				t.Fatalf("drop storm wedged the sender: %v", live)
+			}
+			want := []bool{false, false, false, true}
+			for i, r := range results {
+				if r != want[i] {
+					t.Fatalf("send %d delivered=%v, want %v", i, r, want[i])
+				}
+			}
+			// Each send (dropped or not) costs its uncontended path time:
+			// the sender wakes at the would-be arrival time.
+			for i, at := range times {
+				if want := sim.Time(i+1) * n.PathTime(0, 2, 125000); at != want {
+					t.Fatalf("send %d resolved at %v, want %v", i, at, want)
+				}
+			}
+		})
 	}
 }
 
 // TestEndpointSentPureRead: probing an endpoint that never sent must
-// report zeros without manufacturing a NIC record — a monitoring read
-// that grows Endpoints() corrupts per-node traffic reports.
+// report zeros without manufacturing an endpoint record — a monitoring
+// read that grows Endpoints() corrupts per-node traffic reports.
 func TestEndpointSentPureRead(t *testing.T) {
-	env := sim.NewEnv()
-	n := New(env, "ib", 0, 56)
-	n.Send(0, 1, 100, nil)
-	env.Run()
-	if msgs, bytes := n.EndpointSent(42); msgs != 0 || bytes != 0 {
-		t.Fatalf("phantom endpoint reported %d msgs %d bytes", msgs, bytes)
-	}
-	if eps := n.Endpoints(); len(eps) != 1 || eps[0] != 0 {
-		t.Fatalf("probing EndpointSent(42) grew Endpoints() to %v", eps)
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			n := sh.spec.Build(env, "ib", 56, 0)
+			n.Send(0, 1, 100, nil)
+			env.Run()
+			if msgs, bytes := n.EndpointSent(3); msgs != 0 || bytes != 0 {
+				t.Fatalf("phantom endpoint reported %d msgs %d bytes", msgs, bytes)
+			}
+			if eps := n.Endpoints(); len(eps) != 1 || eps[0] != 0 {
+				t.Fatalf("probing EndpointSent(3) grew Endpoints() to %v", eps)
+			}
+		})
 	}
 }
 
@@ -128,7 +157,7 @@ func TestEndpointSentPureRead(t *testing.T) {
 // plus the fabric latency, and matches an uncontended delivery exactly.
 func TestPathTimeFlat(t *testing.T) {
 	env := sim.NewEnv()
-	n := New(env, "ib", 1500*sim.Nanosecond, 56)
+	n := flat(env, 56, 1500*sim.Nanosecond)
 	if got, want := n.PathTime(0, 1, 7000), n.TxTime(7000)+n.Latency(); got != want {
 		t.Fatalf("PathTime = %v, want %v", got, want)
 	}
@@ -142,7 +171,7 @@ func TestPathTimeFlat(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	env := sim.NewEnv()
-	n := New(env, "ib", 0, 56)
+	n := flat(env, 56, 0)
 	n.Send(0, 1, 100, nil)
 	n.Send(0, 1, 200, nil)
 	n.Send(1, 0, 50, nil)
@@ -160,13 +189,13 @@ func TestStats(t *testing.T) {
 // scriptFilter rules per message index: a table of outcomes applied in
 // offer order.
 type scriptFilter struct {
-	outcomes []Outcome
+	outcomes []netsim.Outcome
 	next     int
 }
 
-func (f *scriptFilter) Outcome(from, to, size int) Outcome {
+func (f *scriptFilter) Outcome(from, to, size int) netsim.Outcome {
 	if f.next >= len(f.outcomes) {
-		return Outcome{}
+		return netsim.Outcome{}
 	}
 	o := f.outcomes[f.next]
 	f.next++
@@ -181,25 +210,25 @@ func (f *scriptFilter) Outcome(from, to, size int) Outcome {
 func TestFilterAccounting(t *testing.T) {
 	cases := []struct {
 		name     string
-		outcomes []Outcome
-		want     Stats
+		outcomes []netsim.Outcome
+		want     netsim.Stats
 		delivers int
 	}{
-		{"all-deliver", []Outcome{{}, {}, {}},
-			Stats{Messages: 3, Bytes: 600}, 3},
-		{"all-dropped", []Outcome{{Drop: true}, {Drop: true}, {Drop: true}},
-			Stats{Messages: 3, Bytes: 600, Dropped: 3}, 0},
-		{"all-delayed", []Outcome{{Delay: sim.Microsecond}, {Delay: sim.Microsecond}, {Delay: sim.Microsecond}},
-			Stats{Messages: 3, Bytes: 600, Delayed: 3}, 3},
-		{"mixed", []Outcome{{Drop: true}, {Delay: sim.Microsecond}, {}},
-			Stats{Messages: 3, Bytes: 600, Dropped: 1, Delayed: 1}, 2},
-		{"drop-and-delay-verdicts-drop-wins", []Outcome{{Drop: true, Delay: sim.Microsecond}},
-			Stats{Messages: 1, Bytes: 200, Dropped: 1}, 0},
+		{"all-deliver", []netsim.Outcome{{}, {}, {}},
+			netsim.Stats{Messages: 3, Bytes: 600}, 3},
+		{"all-dropped", []netsim.Outcome{{Drop: true}, {Drop: true}, {Drop: true}},
+			netsim.Stats{Messages: 3, Bytes: 600, Dropped: 3}, 0},
+		{"all-delayed", []netsim.Outcome{{Delay: sim.Microsecond}, {Delay: sim.Microsecond}, {Delay: sim.Microsecond}},
+			netsim.Stats{Messages: 3, Bytes: 600, Delayed: 3}, 3},
+		{"mixed", []netsim.Outcome{{Drop: true}, {Delay: sim.Microsecond}, {}},
+			netsim.Stats{Messages: 3, Bytes: 600, Dropped: 1, Delayed: 1}, 2},
+		{"drop-and-delay-verdicts-drop-wins", []netsim.Outcome{{Drop: true, Delay: sim.Microsecond}},
+			netsim.Stats{Messages: 1, Bytes: 200, Dropped: 1}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			env := sim.NewEnv()
-			n := New(env, "ib", 0, 56)
+			n := flat(env, 56, 0)
 			n.SetFilter(&scriptFilter{outcomes: tc.outcomes})
 			delivered := 0
 			for i := 0; i < len(tc.outcomes); i++ {
@@ -227,8 +256,8 @@ func TestFilterAccounting(t *testing.T) {
 // sender's NIC at the undelayed time.
 func TestFilterDelayedArrival(t *testing.T) {
 	env := sim.NewEnv()
-	n := New(env, "ib", 0, 8) // 1e9 B/s: 1000 B = 1 us serialization
-	n.SetFilter(&scriptFilter{outcomes: []Outcome{{Delay: 5 * sim.Microsecond}}})
+	n := flat(env, 8, 0) // 1e9 B/s: 1000 B = 1 us serialization
+	n.SetFilter(&scriptFilter{outcomes: []netsim.Outcome{{Delay: 5 * sim.Microsecond}}})
 	var first, second sim.Time
 	n.Send(0, 1, 1000, func() { first = env.Now() })
 	n.Send(0, 1, 1000, func() { second = env.Now() })
@@ -244,9 +273,10 @@ func TestFilterDelayedArrival(t *testing.T) {
 func TestInvalidParams(t *testing.T) {
 	env := sim.NewEnv()
 	for _, fn := range []func(){
-		func() { New(env, "x", 0, 0) },
-		func() { New(env, "x", -1, 1) },
-		func() { New(env, "x", 0, 1).TxTime(-1) },
+		func() { flat(env, 0, 0) },
+		func() { flat(env, 1, -1) },
+		func() { flat(env, 1, 0).TxTime(-1) },
+		func() { flat(env, 1, 0).PathTime(0, 1, -1) },
 	} {
 		func() {
 			defer func() {
@@ -256,5 +286,60 @@ func TestInvalidParams(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestWedgeOnDropHook: with the hook set, a dropped blocking send never
+// resolves — the sender proc stays parked (the historical bug). Without
+// it, the sender resumes at the would-be arrival time with false.
+func TestWedgeOnDropHook(t *testing.T) {
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			for _, wedge := range []bool{false, true} {
+				env := sim.NewEnv()
+				n := sh.spec.Build(env, "ib", 56, sim.Microsecond)
+				n.SetFilter(&scriptFilter{outcomes: []netsim.Outcome{{Drop: true}}})
+				n.SetTestHooks(netsim.TestHooks{WedgeOnDrop: wedge})
+				resumed := false
+				env.Spawn("sender", func(p *sim.Proc) {
+					if n.SendAndWait(p, 0, 1, 100) {
+						t.Error("dropped send reported delivered")
+					}
+					resumed = true
+				})
+				env.Run()
+				if resumed == wedge {
+					t.Fatalf("wedge=%v: sender resumed=%v", wedge, resumed)
+				}
+			}
+		})
+	}
+}
+
+// TestPhantomEndpointsHook: with the hook set, probing a silent
+// endpoint allocates its endpoint record and grows Endpoints() — the
+// historical accounting bug. Without it, probes are pure reads.
+func TestPhantomEndpointsHook(t *testing.T) {
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			n := sh.spec.Build(env, "ib", 56, 0)
+			n.Send(0, 1, 100, nil)
+			env.Run()
+
+			if msgs, _ := n.EndpointSent(3); msgs != 0 {
+				t.Fatalf("silent endpoint reports %d msgs", msgs)
+			}
+			if eps := n.Endpoints(); len(eps) != 1 {
+				t.Fatalf("pure-read probe grew Endpoints() to %v", eps)
+			}
+
+			n.SetTestHooks(netsim.TestHooks{PhantomEndpoints: true})
+			n.EndpointSent(3)
+			eps := n.Endpoints()
+			if len(eps) != 2 || eps[1] != 3 {
+				t.Fatalf("hooked probe produced Endpoints() = %v, want phantom id 3", eps)
+			}
+		})
 	}
 }

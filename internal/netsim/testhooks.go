@@ -12,12 +12,8 @@ type TestHooks struct {
 	// watchdog turns into a typed StallError).
 	WedgeOnDrop bool
 	// PhantomEndpoints re-introduces the pre-fix EndpointSent behavior:
-	// probing an endpoint that never sent allocates a NIC record, so
+	// probing an endpoint that never sent allocates an endpoint record, so
 	// reads grow Endpoints() with zero-traffic phantoms and fabric
 	// accounting reports break.
 	PhantomEndpoints bool
 }
-
-// SetTestHooks installs (or, with the zero value, clears) the fabric's
-// bug-reintroduction hooks.
-func (n *Net) SetTestHooks(h TestHooks) { n.hooks = h }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // fastParams keeps unit-test RTOs tight so retries resolve in simulated
@@ -38,8 +39,8 @@ func (s *scriptFilter) Outcome(from, to, size int) netsim.Outcome {
 	return s.fn(from, to, size)
 }
 
-func newFabric(env *sim.Env) *netsim.Net {
-	return netsim.New(env, "test", 5*sim.Microsecond, 56)
+func newFabric(env *sim.Env) *topo.Fabric {
+	return topo.FlatSpec().Build(env, "test", 56, 5*sim.Microsecond)
 }
 
 // TestZeroFaultFastPath: with no fault filter installed, Send is one

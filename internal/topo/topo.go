@@ -1,18 +1,18 @@
-// Package topo models a multi-tier datacenter topology — node → NIC →
-// top-of-rack switch → spine — compiled into a link graph over the DES
-// core. Where internal/netsim charges only the sender's egress NIC, a
-// topo.Fabric makes every message occupy every link on its path: each hop
-// is store-and-forward with a FIFO queue per link, so shared links (a
-// rack's spine uplink, a receiver's downlink) resolve contention
+// Package topo is the repository's message fabric: the one implementation
+// of the netsim.Fabric contract. A topology — node → NIC → top-of-rack
+// switch → spine — is compiled into a link graph over the DES core, and
+// every message occupies every link on its path: each hop is
+// store-and-forward with a FIFO queue per link, so shared links (a rack's
+// spine uplink, a receiver's downlink) resolve contention
 // deterministically, in offer order.
 //
 // Two topology kinds are supported:
 //
-//   - Flat: one implicit full-bisection switch. The path of every message
-//     is exactly one link — the sender's egress NIC — so a flat fabric is
-//     byte-identical to netsim.Net (same delivery times, same stats, same
-//     trace spans). Experiments can therefore switch to the topology code
-//     path without perturbing a single figure.
+//   - Flat: one implicit full-bisection switch, and the default for every
+//     cluster interconnect (the paper's InfiniBand fabric and the client
+//     Ethernet). The path of every message is exactly one link — the
+//     sender's egress NIC — so concurrent sends from one endpoint queue
+//     behind each other while different senders never contend.
 //   - Tree: racks of nodes under top-of-rack switches joined by a spine.
 //     Host links carry the fabric's nominal bandwidth; each ToR uplink
 //     carries NodesPerRack×host/Oversub — a 4:1 oversubscribed spine makes
@@ -21,8 +21,7 @@
 //
 // Receiver-side (ingress) serialization exists only on the tree path: N
 // senders converging on one receiver queue on its downlink. The flat path
-// deliberately keeps netsim's egress-only model so legacy figures stay
-// byte-identical.
+// is egress-only, which is the model every paper figure was calibrated on.
 //
 // Beyond the send interface (netsim.Fabric), the package exposes a
 // distance/congestion oracle: Spec.Distance/PathLatency/PathGbps are pure
@@ -46,8 +45,8 @@ import (
 // spec can be compiled against any host-link bandwidth/latency (taken
 // from cluster.Params at Build time).
 type Spec struct {
-	// Flat selects the single-switch equivalence topology; the tree
-	// fields are ignored.
+	// Flat selects the single-switch topology; the tree fields are
+	// ignored.
 	Flat bool
 
 	// Racks and NodesPerRack shape the tree: node ids are assigned
@@ -63,8 +62,8 @@ type Spec struct {
 	SpineLat sim.Time
 }
 
-// FlatSpec returns the single-switch topology: byte-identical to
-// netsim.Net when compiled.
+// FlatSpec returns the single-switch topology every cluster fabric uses
+// unless a tree is asked for.
 func FlatSpec() *Spec { return &Spec{Flat: true} }
 
 // TreeSpec returns a two-tier tree of racks×nodesPerRack nodes under an
@@ -87,10 +86,10 @@ func (s *Spec) validate() {
 	}
 }
 
-// ParseSpec parses a CLI topology argument: "" (nil spec — the legacy
-// flat netsim fabric), "flat" (single-switch topo path), or
-// "tree:RxN@O" for R racks of N nodes under an O:1 oversubscribed spine
-// (e.g. "tree:2x4@4").
+// ParseSpec parses a CLI topology argument: "" (nil spec, which a
+// cluster builds as the flat default), "flat" (the same single-switch
+// fabric, named explicitly), or "tree:RxN@O" for R racks of N nodes
+// under an O:1 oversubscribed spine (e.g. "tree:2x4@4").
 func ParseSpec(s string) (*Spec, error) {
 	switch {
 	case s == "":
@@ -212,7 +211,8 @@ type Fabric struct {
 	// Tree links, indexed by node (up/down) and rack (torUp/torDown).
 	up, down       []*link
 	torUp, torDown []*link
-	// Flat egress links, created lazily per endpoint like netsim's NICs.
+	// Flat egress links, created lazily per endpoint: any integer id,
+	// including external hosts, is addressable.
 	flat map[int]*link
 
 	links  []*link // every link, construction order (LinkStats order)
@@ -229,16 +229,15 @@ func (f *Fabric) SetTestHooks(h netsim.TestHooks) { f.hooks = h }
 
 var _ netsim.Fabric = (*Fabric)(nil)
 
-// endpoint tracks per-sender counters, mirroring netsim's NIC records.
+// endpoint tracks per-sender counters.
 type endpoint struct {
 	sent  int64
 	bytes int64
 }
 
 // Build compiles the spec into a live fabric over the environment. Host
-// (node↔switch) links carry hostGbps/hostLat — the same parameters
-// netsim.New would take — so a cluster can compile its Params against
-// any topology.
+// (node↔switch) links carry hostGbps/hostLat, so a cluster can compile
+// its Params against any topology.
 func (s *Spec) Build(env *sim.Env, name string, hostGbps float64, hostLat sim.Time) *Fabric {
 	if hostGbps <= 0 {
 		panic(fmt.Sprintf("topo: bandwidth %v Gbps must be positive", hostGbps))
@@ -289,7 +288,7 @@ func (f *Fabric) Name() string { return f.name }
 func (f *Fabric) Spec() *Spec { s := f.spec; return &s }
 
 // Latency returns the minimum one-way path latency: the host-link
-// latency on a flat fabric (netsim equivalence), twice it within a rack.
+// latency on a flat fabric, twice it within a rack.
 // Protocol cost models use it as their base RTT estimate.
 func (f *Fabric) Latency() sim.Time {
 	if f.spec.Flat {
@@ -319,8 +318,9 @@ func (f *Fabric) Distance(from, to int) int { return f.spec.Distance(from, to) }
 // the (from, to) path — the realized one-way latency of an uncontended
 // zero-byte message. Symmetric and additive along the path.
 func (f *Fabric) PathLatency(from, to int) sim.Time {
+	var buf hops
 	var total sim.Time
-	for _, l := range f.route(from, to) {
+	for _, l := range f.route(&buf, from, to) {
 		total += l.lat
 	}
 	return total
@@ -335,8 +335,9 @@ func (f *Fabric) PathTime(from, to int, size int) sim.Time {
 	if size < 0 {
 		panic("topo: negative message size")
 	}
+	var buf hops
 	var t sim.Time
-	for _, l := range f.route(from, to) {
+	for _, l := range f.route(&buf, from, to) {
 		t += sim.FromSeconds(float64(size)/l.bps) + l.lat
 	}
 	return t
@@ -346,8 +347,9 @@ func (f *Fabric) PathTime(from, to int, size int) sim.Time {
 // gigabits per second: the host rate within a rack, the oversubscribed
 // uplink rate across the spine.
 func (f *Fabric) PathGbps(from, to int) float64 {
+	var buf hops
 	min := 0.0
-	for _, l := range f.route(from, to) {
+	for _, l := range f.route(&buf, from, to) {
 		if min == 0 || l.bps < min {
 			min = l.bps
 		}
@@ -355,30 +357,39 @@ func (f *Fabric) PathGbps(from, to int) float64 {
 	return min * 8 / 1e9
 }
 
-// route returns the links a (from, to) message occupies, in traversal
-// order. Flat fabrics use exactly the sender's egress NIC (netsim
-// equivalence); trees hairpin same-rack traffic at the ToR and cross the
-// spine otherwise. Same-node tree messages still hairpin — callers that
-// want free local delivery short-circuit above the fabric, as msg does.
-func (f *Fabric) route(from, to int) []*link {
+// hops holds one route: no path is longer than the four links of a
+// cross-spine tree route.
+type hops [4]*link
+
+// route fills buf with the links a (from, to) message occupies, in
+// traversal order, and returns the filled prefix. The caller owns buf,
+// so routing allocates nothing on the per-message path. Flat fabrics
+// use exactly the sender's egress NIC; trees hairpin same-rack traffic
+// at the ToR and cross the spine otherwise. Same-node tree messages
+// still hairpin — callers that want free local delivery short-circuit
+// above the fabric, as msg does.
+func (f *Fabric) route(buf *hops, from, to int) []*link {
 	if f.spec.Flat {
-		return []*link{f.flatLink(from)}
+		buf[0] = f.flatLink(from)
+		return buf[:1]
 	}
 	rf, rt := f.spec.Rack(from), f.spec.Rack(to)
 	if rf == rt {
-		return []*link{f.up[from], f.down[to]}
+		buf[0], buf[1] = f.up[from], f.down[to]
+		return buf[:2]
 	}
-	return []*link{f.up[from], f.torUp[rf], f.torDown[rt], f.down[to]}
+	buf[0], buf[1], buf[2], buf[3] = f.up[from], f.torUp[rf], f.torDown[rt], f.down[to]
+	return buf[:4]
 }
 
 // flatLink lazily creates the per-endpoint egress link of the flat
-// topology, mirroring netsim's NIC map (any integer id, including
-// external hosts, is addressable).
+// topology.
 func (f *Fabric) flatLink(id int) *link {
 	l, ok := f.flat[id]
 	if !ok {
-		// The span name matches netsim.Net's NIC occupancy span so a
-		// traced flat-topology run exports byte-identical events.
+		// Every egress link of a flat fabric records its occupancy under
+		// the fabric's one "nic/<name>" span (tid = node), which the
+		// golden trace in internal/trace/testdata pins.
 		l = &link{name: fmt.Sprintf("n%d-egress", id), node: id,
 			bps: f.hostBps, lat: f.hostLat, span: f.tr.Key("nic", f.name)}
 		f.flat[id] = l
@@ -402,9 +413,10 @@ func (f *Fabric) Send(from, to int, size int, deliver func()) sim.Time {
 // serializing at max(t, link.nextFree) — FIFO behind everything the link
 // already accepted — occupies the link for size/bandwidth, then
 // propagates for the link's latency toward the next hop
-// (store-and-forward). The fault filter, as in netsim, rules once per
-// message after the path has been charged: the sender cannot know the
-// fabric lost its frame.
+// (store-and-forward). The fault filter rules once per message after the
+// path has been charged: the sender cannot know the fabric lost its
+// frame. Dropped messages never invoke deliver; delayed ones arrive
+// late.
 func (f *Fabric) SendCtx(span int64, from, to int, size int, deliver func()) sim.Time {
 	arrive, _ := f.send(span, from, to, size, deliver)
 	return arrive
@@ -413,8 +425,9 @@ func (f *Fabric) SendCtx(span int64, from, to int, size int, deliver func()) sim
 // send is the SendCtx body, additionally reporting whether the message
 // survived the fault filter. Dropped messages never schedule deliver.
 func (f *Fabric) send(span int64, from, to int, size int, deliver func()) (sim.Time, bool) {
+	var buf hops
 	t := f.env.Now()
-	for _, l := range f.route(from, to) {
+	for _, l := range f.route(&buf, from, to) {
 		start := l.nextFree
 		if start < t {
 			start = t

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -185,47 +184,24 @@ func TestPathTimeStoreAndForward(t *testing.T) {
 	}
 }
 
-// TestSendAndWaitDropResolvesTree: same deadlock regression as the flat
-// fabric — a dropped frame on a tree route must wake the blocked sender
-// at the would-be arrival time with delivered=false.
-func TestSendAndWaitDropResolvesTree(t *testing.T) {
-	env := sim.NewEnv()
-	f := TreeSpec(2, 2, 4).Build(env, "t", 56, 1500*sim.Nanosecond)
-	f.SetFilter(dropAll{})
-	var delivered bool
-	var at sim.Time
-	env.Spawn("sender", func(p *sim.Proc) {
-		delivered = f.SendAndWait(p, 0, 2, 4096)
-		at = p.Now()
-	})
-	env.Run()
-	if live := env.LiveProcs(); len(live) != 0 {
-		t.Fatalf("dropped send wedged the sender: %v", live)
-	}
-	if delivered {
-		t.Fatal("dropped send reported delivered")
-	}
-	if want := f.PathTime(0, 2, 4096); at != want {
-		t.Fatalf("sender woke at %v, want would-be arrival %v", at, want)
-	}
-}
-
-type dropAll struct{}
-
-func (dropAll) Outcome(from, to, size int) netsim.Outcome { return netsim.Outcome{Drop: true} }
-
-// TestEndpointSentPureReadTree mirrors the flat fabric's contract:
-// probing a silent endpoint reports zeros and cannot grow Endpoints().
-func TestEndpointSentPureReadTree(t *testing.T) {
-	env := sim.NewEnv()
-	f := TreeSpec(2, 2, 4).Build(env, "t", 56, 1500*sim.Nanosecond)
-	f.Send(0, 1, 100, nil)
-	env.Run()
-	if msgs, bytes := f.EndpointSent(3); msgs != 0 || bytes != 0 {
-		t.Fatalf("phantom endpoint reported %d msgs %d bytes", msgs, bytes)
-	}
-	if eps := f.Endpoints(); len(eps) != 1 || eps[0] != 0 {
-		t.Fatalf("probing EndpointSent(3) grew Endpoints() to %v", eps)
+// TestSendAllocatesNothing: the per-message path — routing, charging
+// every link, endpoint and fabric accounting — runs without a heap
+// allocation on both topology kinds once the endpoints exist.
+func TestSendAllocatesNothing(t *testing.T) {
+	for _, spec := range []*Spec{FlatSpec(), TreeSpec(2, 2, 4)} {
+		env := sim.NewEnv()
+		f := spec.Build(env, "t", 56, 1500*sim.Nanosecond)
+		for from := 0; from < 4; from++ {
+			f.Send(from, (from+2)%4, 4096, nil) // create every endpoint
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			f.Send(i%4, (i+2)%4, 4096, nil)
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Send allocates %v times per message, want 0", spec, allocs)
+		}
 	}
 }
 

@@ -216,7 +216,7 @@ func (dev *device) kickSize(n int) int {
 // NetDev is a delegated virtio-net device bridged to an external network.
 type NetDev struct {
 	device
-	ext     *netsim.Net
+	ext     netsim.Fabric
 	extAddr int // the owner host's address on the external network
 	rx      []*sim.Queue[rxPacket]
 	clients map[int]*sim.Queue[txWire]
@@ -224,7 +224,7 @@ type NetDev struct {
 
 // NewNet creates a virtio-net device whose physical NIC (on the owner
 // node) connects to the external network ext at address extAddr.
-func NewNet(env *sim.Env, d *dsm.DSM, layer *msg.Layer, vm *vcpu.Manager, layout *mem.Layout, ext *netsim.Net, extAddr int, params Params, cfg Config) *NetDev {
+func NewNet(env *sim.Env, d *dsm.DSM, layer *msg.Layer, vm *vcpu.Manager, layout *mem.Layout, ext netsim.Fabric, extAddr int, params Params, cfg Config) *NetDev {
 	nd := &NetDev{
 		device:  *newDevice("vnet", env, d, layer, vm, layout, params, cfg),
 		ext:     ext,

@@ -139,13 +139,6 @@ func TestSmokeCmdFragtrace(t *testing.T) {
 	}
 }
 
-func TestSmokeCmdFragsched(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping go-run smoke test in -short mode")
-	}
-	runSmoke(t, "./cmd/fragsched", "-scale", "0.02")
-}
-
 func TestSmokeExamples(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping go-run smoke tests in -short mode")
