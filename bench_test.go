@@ -62,6 +62,7 @@ func BenchmarkVCPUMigration(b *testing.B) {
 	tb := fragvisor.NewTestbed(2)
 	vm := tb.NewFragVisorVM(2, 4<<30)
 	var last fragvisor.Time
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tb.Env.Spawn("migrate", func(p *fragvisor.Proc) {
@@ -88,8 +89,10 @@ func BenchmarkDSMFault(b *testing.B) {
 	tb.Run()
 }
 
-// The remaining benchmarks isolate the DES core's primitive costs; the
-// same workloads back cmd/fragperf's JSON snapshot (make bench-json).
+// The remaining benchmarks isolate the DES core's primitive costs. The
+// balloon, fabric, transport and chaos micros live beside their packages
+// (internal/balloon, internal/topo, internal/reliable, internal/chaos);
+// `go test -run=NONE -bench=. ./...` runs them all.
 
 // BenchmarkEventDispatch measures one heap push + pop + callback per op
 // via a single self-rescheduling deferred event.
@@ -139,6 +142,25 @@ func BenchmarkQueueChurn(b *testing.B) {
 			p.Sleep(1)
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkMutexHandoff measures FIFO lock transfer between two
+// contending procs: one Lock+Unlock per op.
+func BenchmarkMutexHandoff(b *testing.B) {
+	e := sim.NewEnv()
+	m := e.NewMutex()
+	worker := func(p *sim.Proc) {
+		for i := 0; i < b.N/2; i++ {
+			m.Lock(p)
+			p.Sleep(1)
+			m.Unlock()
+		}
+	}
+	e.Spawn("a", worker)
+	e.Spawn("b", worker)
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()

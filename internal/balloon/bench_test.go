@@ -18,6 +18,7 @@ func BenchmarkBalloonInflate(b *testing.B) {
 			drv.Deflate(p, 0, 0, took)
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	env.Run()
 }
@@ -26,6 +27,7 @@ func BenchmarkBalloonInflate(b *testing.B) {
 // cost, which is paid on every guest allocation and free.
 func BenchmarkWSSUpdate(b *testing.B) {
 	e := NewEstimator(0.2)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Observe(int64(i & 0xfff))
 	}
