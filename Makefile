@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: check check-race fmt vet build test race bench-smoke perfbench
+.PHONY: check fmt vet build test race bench-smoke perfbench
 
 check: fmt vet build race bench-smoke perfbench
 	@echo "check: all gates passed"
@@ -31,10 +31,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Uncached full-suite race pass; the dedicated CI race job runs this.
-check-race:
-	$(GO) test -race -count=1 ./...
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

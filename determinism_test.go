@@ -26,7 +26,8 @@ import (
 // recorded before those changes landed.
 
 // TestFigureTablesDeterministic runs fig4 and fig14 twice at the same
-// seed and demands byte-identical text and JSON renderings.
+// seed and demands byte-identical text and JSON renderings; fig14's must
+// also match its golden files.
 func TestFigureTablesDeterministic(t *testing.T) {
 	for _, fig := range []string{"fig4", "fig14"} {
 		fig := fig
@@ -57,7 +58,26 @@ func TestFigureTablesDeterministic(t *testing.T) {
 			if !bytes.Equal(aj, bj) {
 				t.Fatalf("%s: same seed produced different JSON", fig)
 			}
+			if fig == "fig14" {
+				matchGolden(t, a.String(), "fig14_small.txt")
+				matchGolden(t, string(aj), "fig14_small.json")
+			}
 		})
+	}
+}
+
+// matchGolden compares a rendering byte for byte against a file in
+// internal/experiments/testdata. The fig14 goldens pin the paper's
+// timeline: the t≈222 s veto, the t≈470 s partial fill, the handback.
+func matchGolden(t *testing.T, got, name string) {
+	t.Helper()
+	golden := filepath.Join("internal", "experiments", "testdata", name)
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("output differs from %s:\n--- got\n%s\n--- want\n%s", golden, got, want)
 	}
 }
 

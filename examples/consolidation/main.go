@@ -1,8 +1,8 @@
-// Consolidation: scheduler-driven mobility and fault tolerance. A
-// FragBFF scheduler manages a fragmented cluster; when capacity frees up
-// it consolidates a live Aggregate VM one vCPU migration at a time, and a
-// distributed checkpoint protects the VM against a predicted node
-// failure — the §6.4/§7.3 mechanisms end to end.
+// Consolidation: scheduler-driven mobility and fault tolerance. The fleet
+// control plane, running FragBFF, manages a fragmented cluster; when
+// capacity frees up it consolidates a live Aggregate VM one vCPU
+// migration at a time, and a distributed checkpoint protects the VM
+// against a predicted node failure — the §6.4/§7.3 mechanisms end to end.
 package main
 
 import (
@@ -14,8 +14,8 @@ import (
 func main() {
 	// The Fig-14 scenario at 1/10 time scale: a crafted trace that
 	// fragments the cluster, forces an Aggregate-VM placement, and then
-	// frees capacity step by step until FragBFF fully consolidates the
-	// VM and hands it back to the plain BFF scheduler.
+	// frees capacity step by step until the fleet's FragBFF pass fully
+	// consolidates the VM and hands it back to plain best fit.
 	tab, err := fragvisor.RunExperiment("fig14", 0.1, 42)
 	if err != nil {
 		panic(err)

@@ -13,8 +13,9 @@
 //     GiantVM (the prior-art distributed hypervisor baseline), and
 //     Overcommit (a single-node VM time-sharing k pCPUs).
 //   - The paper's workloads (NPB, LEMP, OpenLambda, DSM microbenchmarks),
-//     the FragBFF scheduler, distributed checkpoint/restart, and the
-//     experiment runners that regenerate every evaluation figure.
+//     distributed checkpoint/restart, and the experiment runners that
+//     regenerate every evaluation figure, including Fig 14's FragBFF
+//     scheduling trace.
 //
 // A minimal session:
 //
@@ -34,7 +35,6 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/metrics"
 	"repro/internal/overcommit"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/vcpu"
 	"repro/internal/workload"
@@ -155,15 +155,6 @@ func Checkpoint(p *Proc, vm *VM, node int) *CheckpointImage {
 // Restore reloads a checkpoint image into the VM.
 func Restore(p *Proc, vm *VM, img *CheckpointImage) Time {
 	return checkpoint.Restore(p, vm, img)
-}
-
-// Scheduler re-exports the FragBFF scheduler for orchestration scenarios.
-type Scheduler = sched.Scheduler
-
-// NewFragBFF creates a FragBFF scheduler (fragmentation-minimizing
-// policy) managing nodes of cpus CPUs each, in the testbed's environment.
-func (tb *Testbed) NewFragBFF(nodes, cpus int) *Scheduler {
-	return sched.New(tb.Env, sched.Config{Nodes: nodes, CPUsPerNode: cpus, Policy: sched.MinFrag})
 }
 
 // ExperimentNames lists the reproducible paper figures.

@@ -78,11 +78,3 @@ func TestRunExperimentAPI(t *testing.T) {
 		t.Fatal("unknown experiment did not error")
 	}
 }
-
-func TestFragBFFFacade(t *testing.T) {
-	tb := fragvisor.NewTestbed(4)
-	s := tb.NewFragBFF(4, 12)
-	if s == nil || len(s.Free()) != 4 {
-		t.Fatal("scheduler misbuilt")
-	}
-}

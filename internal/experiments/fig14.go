@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
+	"repro/internal/fleet"
 	"repro/internal/hypervisor"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -16,8 +16,9 @@ func init() { register("fig14", Fig14) }
 
 // Fig14 reproduces the scheduling-driven migration experiment (§7.3,
 // Figure 14): a 4-node cluster with 12 CPUs per node for VMs, FragBFF in
-// its fragmentation-minimizing configuration, and a 4-vCPU Aggregate VM
-// serving web requests while the scheduler's decisions migrate its vCPUs.
+// its fragmentation-minimizing configuration (the fleet control plane,
+// internal/fleet), and a 4-vCPU Aggregate VM serving web requests while
+// the scheduler's decisions migrate its vCPUs.
 // The crafted trace reproduces the paper's timeline: the VM is released
 // fragmented 2+2 across two nodes (t≈155 s); capacity freeing at t≈222 s
 // does NOT trigger consolidation (it would worsen cluster fragmentation);
@@ -40,11 +41,17 @@ func Fig14(o Options) *metrics.Table {
 	params := o.params()
 	params.CoresPerNode = 12
 	clus := o.observe("fig14", cluster.New(env, 4, params))
-	s := sched.New(env, sched.Config{Nodes: 4, CPUsPerNode: 12, Policy: sched.MinFrag})
 
 	const targetID = 100
 	end := ts(700)
-	reqs := []sched.VMReq{
+	// FragBFF is the fleet control plane with ample memory (1 GiB per vCPU
+	// against 64 GiB nodes), no rebalance tick and no heartbeat: placement
+	// and consolidation run only when VMs arrive and depart.
+	f := fleet.New(env, fleet.Config{
+		Nodes: 4, CPUsPerNode: 12, MemPerNode: 64 << 30,
+		Policy: sched.MinFrag, Horizon: end,
+	})
+	reqs := []fleet.Request{
 		// Fillers shaping the paper's fragment timeline.
 		{ID: 1, VCPUs: 8, Arrival: ts(1), Duration: end},          // node0 base load
 		{ID: 2, VCPUs: 1, Arrival: ts(2), Duration: ts(621)},      // node0, frees at ~623
@@ -57,7 +64,10 @@ func Fig14(o Options) *metrics.Table {
 		{ID: 8, VCPUs: 4, Arrival: ts(230), Duration: ts(398)},    // absorbs node1's freed CPUs until ~628
 		{ID: 200, VCPUs: 12, Arrival: ts(630), Duration: ts(60)},  // large VM enabled by consolidation
 	}
-	s.Submit(reqs)
+	for i := range reqs {
+		reqs[i].MemBytes = int64(reqs[i].VCPUs) << 30
+	}
+	f.Submit(reqs)
 
 	// pCPU allocator for the target VM: high indices, so the synthetic
 	// fillers conceptually occupy the low ones.
@@ -70,7 +80,7 @@ func Fig14(o Options) *metrics.Table {
 	var vm *hypervisor.VM
 	var latencies, latTimes []sim.Time
 
-	s.OnMigrate = func(p *sim.Proc, vmID, from, to, n int) {
+	f.OnMigrate = func(p *sim.Proc, vmID, from, to, n int) {
 		if vmID != targetID || vm == nil {
 			return
 		}
@@ -83,15 +93,14 @@ func Fig14(o Options) *metrics.Table {
 		}
 		nextPCPU[from] -= moved
 	}
-	// Materialize and serve the target VM just after the scheduler
-	// places it.
+	// Materialize and serve the target VM just after the fleet places it.
 	env.At(ts(156), func() {
-		pl := s.PlacementOf(targetID)
+		pl := f.PlacementOf(targetID)
 		if pl == nil {
 			panic("experiments: target VM was not placed at t=155")
 		}
 		var pins []hypervisor.Pin
-		for _, n := range placementNodes(pl) {
+		for _, n := range pl.Nodes() {
 			for i := 0; i < pl[n]; i++ {
 				pins = append(pins, hypervisor.Pin{Node: n, PCPU: takePCPU(n)})
 			}
@@ -108,12 +117,12 @@ func Fig14(o Options) *metrics.Table {
 	for w := 0; w < windows; w++ {
 		w := w
 		env.At(sim.Time(w+1)*per-1, func() {
-			if pl := s.PlacementOf(targetID); pl != nil {
+			if pl := f.PlacementOf(targetID); pl != nil {
 				placementLog[w] = placementString(pl)
 			} else {
 				placementLog[w] = "-"
 			}
-			freeLog[w] = fmt.Sprintf("%v", s.Free())
+			freeLog[w] = fmt.Sprintf("%v", f.FreeCPU())
 		})
 	}
 
@@ -142,28 +151,19 @@ func Fig14(o Options) *metrics.Table {
 		c, m := vm.VCPUs.Migrations()
 		t.AddNote("live vCPU migrations: %d, mean latency %v (paper: 86 us avg, 38 us register dump)", c, m)
 	}
+	fst := f.Stats()
 	t.AddNote("scheduler: %d migrations, %d aggregate placements, %d handbacks, %d delayed",
-		s.Stats().Migrations, s.Stats().Aggregate, s.Stats().Handbacks, s.Stats().Delayed)
+		fst.Migrations, fst.Gangs, fst.Handbacks, fst.Queued)
 	if st := metrics.Summarize(latencies); st.N > 0 {
 		t.AddNote("request latency: n=%d mean=%v p95=%v — lowest while consolidated", st.N, st.Mean, st.P95)
 	}
 	return t
 }
 
-// placementNodes returns a placement's nodes sorted.
-func placementNodes(pl sched.Placement) []int {
-	var out []int
-	for n := range pl {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // placementString renders a placement as node:count pairs, sorted.
 func placementString(pl sched.Placement) string {
 	out := ""
-	for _, n := range placementNodes(pl) {
+	for _, n := range pl.Nodes() {
 		if out != "" {
 			out += " "
 		}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -12,108 +10,20 @@ import (
 func init() { register("fleet", FleetScenario) }
 
 // FleetScenario drives the fleet control plane (§7.3 taken to its
-// conclusion: a long-running cluster orchestrator built on FragBFF) and
-// checks two claims.
-//
-// First, Fig 14 is a special case: with ample memory, no faults and no
-// reclaims, running the paper's Fig 14 arrival trace through the fleet's
-// gang-admission/borrow-lease machinery yields the same placement
-// timeline for the Aggregate VM as the raw FragBFF scheduler — the table
-// shows both side by side per window.
-//
-// Second, reclaim-vs-evict: on a 3-node scenario where a lender node
-// reclaims its lent capacity, the consolidating control plane resolves
-// the reclaim with a vCPU migration and zero evictions, while the
-// capacity-identical evict-policy baseline kills the borrower (the notes
-// report both runs from the same trace).
+// conclusion: a long-running cluster orchestrator built on FragBFF) through
+// reclaim-vs-evict: on a 3-node scenario where a lender node reclaims its
+// lent capacity, the consolidating control plane resolves the reclaim with
+// a vCPU migration and zero evictions, while the capacity-identical
+// evict-policy baseline kills the borrower. One row per reclaim policy,
+// both from the same trace.
 func FleetScenario(o Options) *metrics.Table {
 	ts := func(seconds float64) sim.Time { return sim.FromSeconds(seconds * o.Scale * 10) }
-	end := ts(700)
-	const targetID = 100
-
-	// The Fig 14 arrival trace (see fig14.go for the timeline it shapes).
-	reqs := []sched.VMReq{
-		{ID: 1, VCPUs: 8, Arrival: ts(1), Duration: end},
-		{ID: 2, VCPUs: 1, Arrival: ts(2), Duration: ts(621)},
-		{ID: 3, VCPUs: 1, Arrival: ts(3), Duration: ts(467)},
-		{ID: 4, VCPUs: 6, Arrival: ts(4), Duration: ts(616)},
-		{ID: 5, VCPUs: 4, Arrival: ts(5), Duration: ts(217)},
-		{ID: 6, VCPUs: 12, Arrival: ts(6), Duration: end},
-		{ID: 7, VCPUs: 12, Arrival: ts(7), Duration: end},
-		{ID: targetID, VCPUs: 4, Arrival: ts(155), Duration: end},
-		{ID: 8, VCPUs: 4, Arrival: ts(230), Duration: ts(398)},
-		{ID: 200, VCPUs: 12, Arrival: ts(630), Duration: ts(60)},
+	t := metrics.NewTable("Fleet control plane: reclaim-vs-evict",
+		"policy", "reclaims", "migrations", "evictions")
+	for _, pol := range []fleet.ReclaimPolicy{fleet.ReclaimConsolidate, fleet.ReclaimEvict} {
+		st := runReclaimScenario(o, pol, ts)
+		t.AddRow(pol.String(), st.Reclaims, st.Migrations, st.Evictions)
 	}
-
-	// Baseline: the raw FragBFF scheduler.
-	sEnv := o.newEnv("fleet/sched-baseline")
-	s := sched.New(sEnv, sched.Config{Nodes: 4, CPUsPerNode: 12, Policy: sched.MinFrag})
-	s.Submit(reqs)
-
-	// The fleet control plane on an identical cluster with ample memory
-	// (1 GiB per vCPU against 64 GiB nodes), no rebalance tick, no faults:
-	// the conditions under which it must reduce to FragBFF.
-	fEnv := o.newEnv("fleet/control-plane")
-	f := fleet.New(fEnv, fleet.Config{
-		Nodes: 4, CPUsPerNode: 12, MemPerNode: 64 << 30,
-		Policy: sched.MinFrag, Horizon: end,
-	})
-	freqs := make([]fleet.Request, len(reqs))
-	for i, r := range reqs {
-		freqs[i] = fleet.Request{
-			ID: r.ID, VCPUs: r.VCPUs, MemBytes: int64(r.VCPUs) << 30,
-			Arrival: r.Arrival, Duration: r.Duration,
-		}
-	}
-	f.Submit(freqs)
-
-	const windows = 10
-	per := end / windows
-	type sample struct {
-		schedPl, fleetPl string
-		snap             fleet.Snapshot
-	}
-	samples := make([]sample, windows)
-	for w := 0; w < windows; w++ {
-		w := w
-		sEnv.At(sim.Time(w+1)*per-1, func() {
-			samples[w].schedPl = placementOrDash(s.PlacementOf(targetID))
-		})
-		fEnv.At(sim.Time(w+1)*per-1, func() {
-			samples[w].fleetPl = placementOrDash(f.PlacementOf(targetID))
-			samples[w].snap = f.Snapshot()
-		})
-	}
-	sEnv.RunUntil(end)
-	sEnv.Stop()
-	fEnv.RunUntil(end)
-	fEnv.Stop()
-	f.Verify()
-
-	t := metrics.NewTable("Fleet control plane: Fig 14 as a special case, then reclaim-vs-evict",
-		"window", "fleet-placement", "sched-placement", "match", "util", "frags", "leases", "queue")
-	matches := 0
-	for w := 0; w < windows; w++ {
-		sm := samples[w]
-		match := "no"
-		if sm.fleetPl == sm.schedPl {
-			match = "yes"
-			matches++
-		}
-		lo, hi := sim.Time(w)*per, sim.Time(w+1)*per
-		t.AddRow(fmt.Sprintf("%v..%v", lo, hi), sm.fleetPl, sm.schedPl, match,
-			sm.snap.Utilization, sm.snap.Frags, sm.snap.Leases, sm.snap.QueueLen)
-	}
-	fst := f.Stats()
-	t.AddNote("fleet matches FragBFF in %d/%d windows; fleet: %d admitted, %d gangs, %d leases, %d migrations, %d handbacks",
-		matches, windows, fst.Admitted, fst.Gangs, fst.Leases, fst.Migrations, fst.Handbacks)
-
-	// Reclaim-vs-evict from one shared trace: node 1 reclaims its lease at
-	// t=ts(300); only the policy differs between the runs.
-	cons := runReclaimScenario(o, fleet.ReclaimConsolidate, ts)
-	evic := runReclaimScenario(o, fleet.ReclaimEvict, ts)
-	t.AddNote("reclaim-vs-evict (same 3-node trace): consolidate -> %d reclaim(s), %d migration(s), %d eviction(s); evict baseline -> %d eviction(s)",
-		cons.Reclaims, cons.Migrations, cons.Evictions, evic.Evictions)
 	t.AddNote("paper's argument: the lender gets its capacity back either way; only the evict baseline kills the borrower")
 	return t
 }
@@ -122,8 +32,7 @@ func FleetScenario(o Options) *metrics.Table {
 // full, a 4-vCPU VM gang-placed 2+2 with a borrow lease on node 1, an
 // early departure opening room on node 2, then node 1 reclaims.
 func runReclaimScenario(o Options, pol fleet.ReclaimPolicy, ts func(float64) sim.Time) fleet.Stats {
-	env := o.newEnv("fleet/reclaim-" + map[fleet.ReclaimPolicy]string{
-		fleet.ReclaimConsolidate: "consolidate", fleet.ReclaimEvict: "evict"}[pol])
+	env := o.newEnv("fleet/reclaim-" + pol.String())
 	f := fleet.New(env, fleet.Config{
 		Nodes: 3, CPUsPerNode: 8, MemPerNode: 32 << 30,
 		Policy: sched.MinFrag, Reclaim: pol, Horizon: ts(400),
@@ -139,12 +48,4 @@ func runReclaimScenario(o Options, pol fleet.ReclaimPolicy, ts func(float64) sim
 	env.Stop()
 	f.Verify()
 	return f.Stats()
-}
-
-// placementOrDash renders a placement, "-" when absent.
-func placementOrDash(pl sched.Placement) string {
-	if pl == nil {
-		return "-"
-	}
-	return placementString(pl)
 }

@@ -164,7 +164,7 @@ func (f *Fleet) replaceLost(vmID, deadNode, k int) (sched.Placement, bool) {
 	if !ok {
 		return nil, false
 	}
-	for _, dst := range placementNodes(target) {
+	for _, dst := range target.Nodes() {
 		c := target[dst]
 		if f.down[dst] || f.freeCPU[dst] < c || f.freeMem[dst] < int64(c)*mpc {
 			panic(fmt.Sprintf("fleet: restart placement of VM %d went stale", vmID))
@@ -266,7 +266,7 @@ func (b *binding) markDead(node int) {
 // live migration.
 func (b *binding) repinLost(deadNode int, target sched.Placement) {
 	var dsts []int
-	for _, n := range placementNodes(target) {
+	for _, n := range target.Nodes() {
 		for i := 0; i < target[n]; i++ {
 			dsts = append(dsts, n)
 		}

@@ -4,22 +4,28 @@
 // is borrowed from other nodes and later *reclaimed* by migrating the
 // borrower's vCPUs, never by killing it.
 //
-// The fleet owns four concerns the one-shot sched replayer does not:
+// The fleet is the repository's one scheduler: the paper's FragBFF (§6.5)
+// run over time on books that track both CPUs and memory; Fig 14 runs on
+// it. Its concerns:
 //
 //   - Gang admission. An arriving VM asks for vCPUs AND guest memory; the
 //     fleet places it on one node (best fit) or all-or-nothing across
 //     fragments of several nodes (an Aggregate VM). Requests that cannot
 //     be satisfied wait in a priority queue (Critical > Standard > Batch)
 //     whose length and waiting times are the backpressure signal.
+//   - Consolidation. Every capacity change (a departure, a reclaim)
+//     replays FragBFF's consolidation pass (sched.ConsolidationMoves)
+//     over the multi-node VMs, and a VM that lands on one node is handed
+//     back to plain best fit. OnMigrate or Bind executes each planned
+//     move on a live Aggregate VM.
 //   - Borrow leases. Every non-home fragment of an Aggregate VM is a
 //     first-class lease of the lender node's capacity. The lender can
 //     reclaim: under ReclaimConsolidate the borrower's vCPUs migrate to
 //     other capacity (the paper's core claim — zero evictions); under
 //     ReclaimEvict (the baseline every other cluster manager implements)
 //     the borrower dies.
-//   - Background rebalancing. A periodic tick replays FragBFF's
-//     consolidation pass (sched.ConsolidationMoves, the same pure
-//     decision procedure) over the whole fleet to shrink fragmentation.
+//   - Background rebalancing. An optional periodic tick runs the same
+//     consolidation pass over the whole fleet to shrink fragmentation.
 //   - Failure handling. A heartbeat tick watches the fault injector's
 //     liveness; when a node dies, fragments hosted there are re-placed on
 //     survivors, and VMs bound to a live Aggregate VM are restarted from
@@ -27,11 +33,9 @@
 //
 // Everything runs on the deterministic DES core: the same (config, trace,
 // seed) triple replays bit-identically, including the event log, which
-// tests compare across runs. Placement decisions reuse internal/sched's
-// pure helpers (BestFit, FragPlacement, ConsolidationMoves), so the fleet
-// is FragBFF with memory, leases, and time — given ample memory, no
-// faults and no reclaims it reproduces Fig 14's trace exactly (the
-// "fleet" experiment asserts this).
+// tests compare across runs. Every placement decision is one of
+// internal/sched's pure functions (BestFit, FragPlacement,
+// ConsolidationMoves) applied to the fleet's books.
 package fleet
 
 import (
@@ -154,8 +158,9 @@ type Config struct {
 	// reclaims (consolidating or evicting the borrowers per Reclaim) and
 	// the request is placed there.
 	AutoReclaim bool
-	// RebalanceEvery runs the consolidation pass periodically (0 = only
-	// on departures, exactly sched's behavior).
+	// RebalanceEvery runs the consolidation pass periodically as well
+	// (0 = only on capacity changes, FragBFF's behavior and Fig 14's
+	// setting).
 	RebalanceEvery sim.Time
 	// HeartbeatEvery polls node liveness against Fault (0 = no failure
 	// detection).
@@ -457,7 +462,7 @@ func (f *Fleet) Submit(reqs []Request) {
 		for i := range empty {
 			empty[i] = f.effCap(f.cfg.CPUsPerNode, f.cfg.MemPerNode, r.memPerCPU())
 		}
-		if _, ok := sched.FragPlacement(empty, r.VCPUs, f.cfg.Policy); !ok {
+		if _, ok := sched.FragPlacement(empty, r.VCPUs, f.cfg.Policy, nil, nil); !ok {
 			panic(fmt.Sprintf("fleet: request %d (%d vCPUs, %d B) is unsatisfiable even on an empty fleet", r.ID, r.VCPUs, r.MemBytes))
 		}
 		f.env.At(r.Arrival, func() { f.arrive(r) })
@@ -526,11 +531,11 @@ func (f *Fleet) enqueue(r Request) {
 // false when the request must wait.
 func (f *Fleet) tryAdmit(r Request) bool {
 	eff := f.effective(r.memPerCPU())
-	if node, ok := sched.BestFitTopo(eff, r.VCPUs, f.cfg.Distance, nil); ok {
+	if node, ok := sched.BestFit(eff, r.VCPUs, f.cfg.Distance, nil); ok {
 		f.commit(r, sched.Placement{node: r.VCPUs}, "admit")
 		return true
 	}
-	if pl, ok := sched.FragPlacementTopo(eff, r.VCPUs, f.cfg.Policy, f.cfg.Distance, nil); ok {
+	if pl, ok := sched.FragPlacement(eff, r.VCPUs, f.cfg.Policy, f.cfg.Distance, nil); ok {
 		f.commit(r, pl, "gang")
 		return true
 	}
@@ -546,7 +551,7 @@ func (f *Fleet) commit(r Request, pl sched.Placement, kind string) {
 		panic(fmt.Sprintf("fleet: VM %d admitted twice", r.ID))
 	}
 	mpc := r.memPerCPU()
-	for _, n := range placementNodes(pl) {
+	for _, n := range pl.Nodes() {
 		c := pl[n]
 		if f.down[n] || f.freeCPU[n] < c || f.freeMem[n] < int64(c)*mpc {
 			panic(fmt.Sprintf("fleet: overcommitting node %d for VM %d", n, r.ID))
@@ -565,7 +570,7 @@ func (f *Fleet) commit(r Request, pl sched.Placement, kind string) {
 	f.stats.Admitted++
 	if len(pl) == 1 {
 		f.stats.SingleNode++
-		f.log(kind, r.ID, -1, placementNodes(pl)[0], r.VCPUs, -1)
+		f.log(kind, r.ID, -1, pl.Nodes()[0], r.VCPUs, -1)
 	} else {
 		f.stats.Gangs++
 		if pl.Span(f.cfg.Distance) <= 2 {
@@ -616,7 +621,7 @@ func (f *Fleet) release(vmID int) {
 		panic(fmt.Sprintf("fleet: release of unknown VM %d", vmID))
 	}
 	mpc := f.reqs[vmID].memPerCPU()
-	for _, n := range placementNodes(pl) {
+	for _, n := range pl.Nodes() {
 		if !f.down[n] {
 			f.freeCPU[n] += pl[n]
 			f.freeMem[n] += int64(pl[n]) * mpc
@@ -682,7 +687,7 @@ func (f *Fleet) consolidateAll() []liveMove {
 	for _, id := range ids {
 		pl := f.placements[id]
 		eff := f.effective(f.reqs[id].memPerCPU())
-		moves := sched.ConsolidationMovesTopo(eff, f.cfg.CPUsPerNode, pl, f.cfg.Policy, f.cfg.Distance)
+		moves := sched.ConsolidationMoves(eff, f.cfg.CPUsPerNode, pl, f.cfg.Policy, f.cfg.Distance)
 		for _, m := range moves {
 			if !f.moveAccounting(id, m.From, m.To, m.N) {
 				break
@@ -692,7 +697,7 @@ func (f *Fleet) consolidateAll() []liveMove {
 		f.syncLeases(id)
 		if len(f.placements[id]) == 1 {
 			f.stats.Handbacks++
-			f.log("handback", id, -1, placementNodes(f.placements[id])[0], 0, -1)
+			f.log("handback", id, -1, f.placements[id].Nodes()[0], 0, -1)
 		}
 	}
 	return work
@@ -775,21 +780,11 @@ func (f *Fleet) reschedule(every sim.Time, tick func()) *sim.Timer {
 	return f.env.After(every, tick)
 }
 
-// placementNodes returns the placement's node ids, sorted.
-func placementNodes(pl sched.Placement) []int {
-	out := make([]int, 0, len(pl))
-	for n := range pl {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // homeOf picks a placement's home fragment: the largest, lowest node id
 // on ties. Every other fragment is borrowed capacity under a lease.
 func homeOf(pl sched.Placement) int {
 	best, bestC := -1, -1
-	for _, n := range placementNodes(pl) {
+	for _, n := range pl.Nodes() {
 		if pl[n] > bestC {
 			best, bestC = n, pl[n]
 		}
@@ -805,28 +800,39 @@ func homeOf(pl sched.Placement) int {
 // VerifyReport (verify.go) for the same checks as typed data.
 func (f *Fleet) Verify() { f.verify() }
 
-// GenerateBurst synthesizes n VM arrivals over the window: sizes from the
-// paper's Azure-like distribution (via sched.GenerateBurst), memory at
-// memPerCPU per vCPU, and priorities drawn 1/5 Critical, 3/10 Batch, the
-// rest Standard.
+// GenerateBurst synthesizes n VM arrivals following the paper's setup:
+// sizes drawn from an Azure-like small-VM-heavy distribution [45],
+// durations from a heavy-tailed distribution scaled down by 100x, arrivals
+// uniform over the window, memory at memPerCPU per vCPU, and priorities
+// drawn 1/5 Critical, 3/10 Batch, the rest Standard. The draw order
+// (every size/duration/arrival first, then the priorities in arrival
+// order) is part of every seeded workload built on it.
 func GenerateBurst(rng *rand.Rand, n int, window sim.Time, memPerCPU int64) []Request {
-	base := sched.GenerateBurst(rng, n, window)
-	out := make([]Request, len(base))
-	for i, r := range base {
-		pri := Standard
+	sizes := []int{1, 1, 1, 2, 2, 2, 4, 4, 8, 12}
+	out := make([]Request, n)
+	for i := range out {
+		dur := 20*sim.Second + sim.FromSeconds(rng.ExpFloat64()*80)
+		if dur > 600*sim.Second {
+			dur = 600 * sim.Second
+		}
+		vcpus := sizes[rng.Intn(len(sizes))]
+		out[i] = Request{
+			ID:       i + 1,
+			VCPUs:    vcpus,
+			MemBytes: int64(vcpus) * memPerCPU,
+			Arrival:  sim.Time(rng.Int63n(int64(window))),
+			Duration: dur,
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Arrival < out[j].Arrival })
+	for i := range out {
 		switch d := rng.Intn(10); {
 		case d < 2:
-			pri = Critical
+			out[i].Priority = Critical
 		case d < 5:
-			pri = Batch
-		}
-		out[i] = Request{
-			ID:       r.ID,
-			VCPUs:    r.VCPUs,
-			MemBytes: int64(r.VCPUs) * memPerCPU,
-			Priority: pri,
-			Arrival:  r.Arrival,
-			Duration: r.Duration,
+			out[i].Priority = Batch
+		default:
+			out[i].Priority = Standard
 		}
 	}
 	return out

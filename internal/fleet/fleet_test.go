@@ -62,6 +62,88 @@ func TestGangPlacementGrantsLeases(t *testing.T) {
 	f.Verify()
 }
 
+func TestConsolidationOnDeparture(t *testing.T) {
+	env, f := newFleet(t, Config{Nodes: 2, CPUsPerNode: 4, MemPerNode: 8 * gig, Policy: sched.MinNodes})
+	f.Submit([]Request{
+		{ID: 1, VCPUs: 3, MemBytes: gig, Arrival: 0, Duration: 5 * sim.Second},  // node 0
+		{ID: 2, VCPUs: 3, MemBytes: gig, Arrival: 0, Duration: 60 * sim.Second}, // node 1
+		{ID: 3, VCPUs: 2, MemBytes: gig, Arrival: 1, Duration: 60 * sim.Second}, // gang 1+1
+	})
+	env.Run()
+	// When VM1 departs (t=5s), its node has 3 free CPUs: VM3's node-1
+	// vCPU must consolidate there, and VM3 is handed back to best fit.
+	var migrated, handedBack bool
+	for _, e := range f.Events() {
+		switch {
+		case e.Kind == "migrate" && e.VM == 3 && e.T == 5*sim.Second:
+			migrated = e.From == 1 && e.To == 0 && e.N == 1
+		case e.Kind == "handback" && e.VM == 3:
+			handedBack = migrated && e.To == 0
+		}
+	}
+	if !migrated || !handedBack {
+		t.Fatalf("missing migrate 1->0 then handback for VM3 at VM1's departure (migrate=%v handback=%v): %+v",
+			migrated, handedBack, f.Events())
+	}
+	if st := f.Stats(); st.Migrations != 1 || st.Handbacks != 1 {
+		t.Fatalf("stats = %+v, want 1 migration and 1 handback", st)
+	}
+	f.Verify()
+}
+
+func TestFragBFFPlacesMoreThanBFFAlone(t *testing.T) {
+	// The reason FragBFF exists: on a fragmented cluster it places VMs
+	// plain BFF must delay.
+	env, f := newFleet(t, Config{Nodes: 4, CPUsPerNode: 12, MemPerNode: 64 * gig, Policy: sched.MinFrag})
+	f.Submit(GenerateBurst(rand.New(rand.NewSource(7)), 100, 30*sim.Second, gig))
+	env.Run()
+	st := f.Stats()
+	if st.Gangs == 0 {
+		t.Fatal("burst produced no gang placements — trace too easy")
+	}
+	if st.Admitted != 100 {
+		t.Fatalf("admitted %d of 100", st.Admitted)
+	}
+	f.Verify()
+}
+
+func TestGenerateBurstShape(t *testing.T) {
+	reqs := GenerateBurst(rand.New(rand.NewSource(1)), 200, 60*sim.Second, gig)
+	if len(reqs) != 200 {
+		t.Fatalf("got %d requests", len(reqs))
+	}
+	small := 0
+	for i, r := range reqs {
+		if r.VCPUs < 1 || r.VCPUs > 12 || r.Duration <= 0 || r.MemBytes != int64(r.VCPUs)*gig ||
+			r.Priority < Batch || r.Priority > Critical {
+			t.Fatalf("bad request %+v", r)
+		}
+		if r.VCPUs <= 2 {
+			small++
+		}
+		if i > 0 && reqs[i].Arrival < reqs[i-1].Arrival {
+			t.Fatal("arrivals not sorted")
+		}
+	}
+	// Azure-like: most VMs are small.
+	if small < 80 {
+		t.Fatalf("only %d/200 small VMs", small)
+	}
+}
+
+func TestInvalidConfigPanics(t *testing.T) {
+	for _, cfg := range []Config{{}, {Nodes: 2, CPUsPerNode: 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("config %+v did not panic", cfg)
+				}
+			}()
+			New(sim.NewEnv(), cfg)
+		}()
+	}
+}
+
 func TestMemoryConstrainedPlacement(t *testing.T) {
 	// Plenty of CPUs but memory forces fragmentation: an 8-vCPU/8-GiB
 	// request cannot fit one node's 4 GiB.

@@ -90,7 +90,7 @@ func (f *Fleet) syncLeases(vmID int) {
 		l.MemBytes = int64(pl[l.Node]) * f.reqs[vmID].memPerCPU()
 		covered[l.Node] = true
 	}
-	for _, n := range placementNodes(pl) {
+	for _, n := range pl.Nodes() {
 		if n == h || covered[n] {
 			continue
 		}
@@ -219,7 +219,7 @@ func (f *Fleet) relocate(vmID, src int) ([]liveMove, bool) {
 		return nil, false
 	}
 	var work []liveMove
-	for _, dst := range placementNodes(target) {
+	for _, dst := range target.Nodes() {
 		if !f.moveAccounting(vmID, src, dst, target[dst]) {
 			panic(fmt.Sprintf("fleet: planned relocation of VM %d from node %d went stale", vmID, src))
 		}
@@ -228,7 +228,7 @@ func (f *Fleet) relocate(vmID, src int) ([]liveMove, bool) {
 	f.syncLeases(vmID)
 	if len(f.placements[vmID]) == 1 {
 		f.stats.Handbacks++
-		f.log("handback", vmID, -1, placementNodes(f.placements[vmID])[0], 0, -1)
+		f.log("handback", vmID, -1, f.placements[vmID].Nodes()[0], 0, -1)
 	}
 	return work, true
 }
@@ -241,16 +241,16 @@ func (f *Fleet) relocate(vmID, src int) ([]liveMove, bool) {
 func (f *Fleet) placeFragment(eff []int, pl sched.Placement, src, k int) (sched.Placement, bool) {
 	own := make([]int, len(eff))
 	var near []int
-	for _, n := range placementNodes(pl) {
+	for _, n := range pl.Nodes() {
 		if n != src {
 			own[n] = eff[n]
 			near = append(near, n)
 		}
 	}
-	if target, ok := sched.FragPlacementTopo(own, k, f.cfg.Policy, f.cfg.Distance, nil); ok {
+	if target, ok := sched.FragPlacement(own, k, f.cfg.Policy, f.cfg.Distance, nil); ok {
 		return target, true
 	}
-	return sched.FragPlacementTopo(eff, k, f.cfg.Policy, f.cfg.Distance, near)
+	return sched.FragPlacement(eff, k, f.cfg.Policy, f.cfg.Distance, near)
 }
 
 // reclaimFor is admission-driven reclaim: if some lender node could host
@@ -355,7 +355,7 @@ func (f *Fleet) relocateAllFrom(node int) (relocationPlan, bool) {
 		if !ok {
 			return relocationPlan{}, false
 		}
-		for _, dst := range placementNodes(target) {
+		for _, dst := range target.Nodes() {
 			scratchCPU[dst] -= target[dst]
 			scratchMem[dst] -= int64(target[dst]) * mpc
 		}
@@ -363,7 +363,7 @@ func (f *Fleet) relocateAllFrom(node int) (relocationPlan, bool) {
 	}
 	var out relocationPlan
 	for _, p := range plans {
-		for _, dst := range placementNodes(p.target) {
+		for _, dst := range p.target.Nodes() {
 			if !f.moveAccounting(p.l.VM, node, dst, p.target[dst]) {
 				panic(fmt.Sprintf("fleet: atomic relocation plan for node %d went stale", node))
 			}
@@ -372,7 +372,7 @@ func (f *Fleet) relocateAllFrom(node int) (relocationPlan, bool) {
 		f.syncLeases(p.l.VM)
 		if len(f.placements[p.l.VM]) == 1 {
 			f.stats.Handbacks++
-			f.log("handback", p.l.VM, -1, placementNodes(f.placements[p.l.VM])[0], 0, -1)
+			f.log("handback", p.l.VM, -1, f.placements[p.l.VM].Nodes()[0], 0, -1)
 		}
 		out.done = append(out.done, p.l)
 	}

@@ -72,9 +72,11 @@ func TestQuickFleetInvariants(t *testing.T) {
 	}
 }
 
-// TestQuickSchedPlacementsFitCapacity checks the extracted pure placement
-// helpers directly: BestFit and FragPlacement never hand out more than a
-// node has free, and a gang placement covers the request exactly.
+// TestQuickSchedPlacementsFitCapacity checks the pure placement functions
+// the fleet decides with: BestFit picks a fitting node that no other
+// fitting node beats on leftover capacity, FragPlacement never hands out
+// more than a node has free, and a gang placement covers the request
+// exactly.
 func TestQuickSchedPlacementsFitCapacity(t *testing.T) {
 	prop := func(seed int64, nn uint8, need uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -86,13 +88,18 @@ func TestQuickSchedPlacementsFitCapacity(t *testing.T) {
 			total += free[i]
 		}
 		k := 1 + int(need%16)
-		if n, ok := sched.BestFit(free, k); ok {
-			if free[n] < k {
-				t.Errorf("BestFit(%v, %d) picked node %d with only %d free", free, k, n, free[n])
+		n, ok := sched.BestFit(free, k, nil, nil)
+		if ok && free[n] < k {
+			t.Errorf("BestFit(%v, %d) picked node %d with only %d free", free, k, n, free[n])
+			return false
+		}
+		for m, f := range free {
+			if f >= k && (!ok || f < free[n]) {
+				t.Errorf("BestFit(%v, %d) = %d (ok=%v), but node %d fits tighter", free, k, n, ok, m)
 				return false
 			}
 		}
-		pl, ok := sched.FragPlacement(free, k, sched.MinFrag)
+		pl, ok := sched.FragPlacement(free, k, sched.MinFrag, nil, nil)
 		if ok != (total >= k) {
 			t.Errorf("FragPlacement(%v, %d) ok=%v, want %v", free, k, ok, total >= k)
 			return false

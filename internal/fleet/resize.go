@@ -149,7 +149,7 @@ func (f *Fleet) deflateVM(vmID int) {
 			continue
 		}
 		f.accrueWork(vmID)
-		for _, dst := range placementNodes(target) {
+		for _, dst := range target.Nodes() {
 			c := target[dst]
 			if f.down[dst] || f.freeCPU[dst] < c || f.freeMem[dst] < int64(c)*mpc {
 				panic(fmt.Sprintf("fleet: deflation placement of VM %d went stale", vmID))

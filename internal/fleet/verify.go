@@ -76,7 +76,7 @@ func (f *Fleet) VerifyReport() []Violation {
 	ids := sortedVMs(f.placements)
 	for _, id := range ids {
 		mpc := f.reqs[id].memPerCPU()
-		for _, n := range placementNodes(f.placements[id]) {
+		for _, n := range f.placements[id].Nodes() {
 			usedCPU[n] += f.placements[id][n]
 			usedMem[n] += int64(f.placements[id][n]) * mpc
 		}
@@ -110,7 +110,7 @@ func (f *Fleet) VerifyReport() []Violation {
 	}
 	for _, id := range ids {
 		var resident int64
-		for _, n := range placementNodes(f.placements[id]) {
+		for _, n := range f.placements[id].Nodes() {
 			resident += int64(f.placements[id][n])
 		}
 		if resident+f.ballooned.Ballooned(id) != int64(f.reqs[id].VCPUs) {
@@ -142,7 +142,7 @@ func (f *Fleet) VerifyReport() []Violation {
 		}
 	}
 	for _, id := range ids {
-		for _, n := range placementNodes(f.placements[id]) {
+		for _, n := range f.placements[id].Nodes() {
 			if n != f.home[id] && active[key{id, n}] == nil {
 				vs.add(VFragmentNoLease, n, id, -1, "fragment of VM %d on node %d has no lease", id, n)
 			}

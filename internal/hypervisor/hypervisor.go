@@ -10,8 +10,8 @@
 // devices. All other slices are companions; after boot every slice is a
 // peer. Consolidation — migrating vCPUs onto fewer nodes as resources free
 // up — is the mobility feature that distinguishes a resource-borrowing
-// hypervisor from earlier distributed VMs, and is exercised by the FragBFF
-// scheduler in package sched.
+// hypervisor from earlier distributed VMs, and is exercised by FragBFF
+// consolidation in the fleet control plane (package fleet).
 //
 // Baselines are expressed as configuration profiles of the same machinery:
 // GiantVM (user-space DSM, no multiqueue, no DSM-bypass, vanilla guest, no

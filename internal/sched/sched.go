@@ -1,35 +1,33 @@
-// Package sched implements the paper's cluster scheduling layer (§6.5):
-// a Best-Fit-First (BFF) VM scheduler extended with FragBFF, the policy
-// that turns placement failures into Aggregate-VM placements over
-// fragmented capacity and consolidates Aggregate VMs by triggering vCPU
-// migrations as resources free up.
+// Package sched holds the paper's cluster scheduling decisions (§6.5) as
+// pure functions over capacity vectors: Best-Fit-First (BFF) placement
+// and FragBFF, the policy that turns placement failures into Aggregate-VM
+// placements over fragmented capacity and consolidates Aggregate VMs by
+// planning vCPU migrations as resources free up.
 //
 // FragBFF behaves as the paper describes:
 //
-//   - When BFF cannot fit a VM on any single node, FragBFF searches for a
-//     set of nodes whose fragments jointly satisfy the request, under one
-//     of two policies: MinNodes (fewest nodes, largest fragments first) or
-//     MinFrag (consume the smallest fragments first, minimizing overall
-//     cluster fragmentation). If even the fragments do not suffice, the
-//     request is delayed.
-//   - Whenever a VM departs, FragBFF re-examines running Aggregate VMs and
-//     migrates vCPUs between their slices when that either empties a slice
+//   - When BFF cannot fit a VM on any single node, FragPlacement searches
+//     for a set of nodes whose fragments jointly satisfy the request,
+//     under one of two policies: MinNodes (fewest nodes, largest fragments
+//     first) or MinFrag (consume the smallest fragments first, minimizing
+//     overall cluster fragmentation). If even the fragments do not
+//     suffice, the caller delays the request.
+//   - Whenever capacity frees up, ConsolidationMoves plans vCPU migrations
+//     between an Aggregate VM's slices when that either empties a slice
 //     (fewer nodes) or completely fills a fragment (less fragmentation).
-//   - When an Aggregate VM ends up on a single node it is handed back to
-//     the plain BFF scheduler.
+//   - An Aggregate VM that ends up on a single node is handed back to
+//     plain BFF.
 //
-// The scheduler operates on CPU counts; the experiments couple it to a
-// live Aggregate VM through the OnMigrate hook, which issues the real
-// FragVisor vCPU migrations behind each decision (Fig 14).
+// Nothing here holds state or time: the fleet control plane
+// (internal/fleet) owns the cluster's books, the event loop, and the live
+// migrations behind each decision (Fig 14 runs on it). An optional
+// topology oracle (DistanceFunc, topo.go) breaks the ties the capacity
+// policy leaves open.
 package sched
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
-
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Policy selects FragBFF's placement/consolidation objective.
@@ -56,19 +54,11 @@ func (p Policy) String() string {
 	}
 }
 
-// VMReq is one VM arrival.
-type VMReq struct {
-	ID       int
-	VCPUs    int
-	Arrival  sim.Time
-	Duration sim.Time
-}
-
 // Placement maps node id to the number of the VM's vCPUs hosted there.
 type Placement map[int]int
 
-// nodes returns the placement's node ids, sorted.
-func (pl Placement) nodes() []int {
+// Nodes returns the placement's node ids, sorted.
+func (pl Placement) Nodes() []int {
 	out := make([]int, 0, len(pl))
 	for n := range pl {
 		out = append(out, n)
@@ -77,194 +67,38 @@ func (pl Placement) nodes() []int {
 	return out
 }
 
-// Event records one scheduling decision, for traces and tests.
-type Event struct {
-	T    sim.Time
-	Kind string // place | aggregate | delay | start-delayed | migrate | handback | finish
-	VM   int
-	From int // migrate: source node (else -1)
-	To   int // migrate: destination node (else -1)
-	N    int // vCPUs involved
-}
-
-// Config sizes the managed cluster.
-type Config struct {
-	Nodes       int
-	CPUsPerNode int
-	Policy      Policy
-	// Distance, when set, is the topology oracle (topo.Spec.Distance):
-	// placement and consolidation prefer nearby nodes wherever the
-	// capacity policy leaves a tie. Nil keeps the flat decision
-	// procedure bit for bit.
-	Distance DistanceFunc
-}
-
-// Stats summarizes a run.
-type Stats struct {
-	Placed          int // single-node placements (incl. delayed starts)
-	Aggregate       int // fragmented (Aggregate VM) placements
-	Delayed         int // requests that had to wait
-	Migrations      int // vCPU migrations triggered
-	Handbacks       int // Aggregate VMs consolidated to one node
-	StrandedSamples int
-}
-
-// Scheduler is a BFF + FragBFF cluster scheduler. Construct with New.
-type Scheduler struct {
-	env  *sim.Env
-	cfg  Config
-	free []int
-	tr   *trace.Tracer
-
-	placements map[int]Placement
-	durations  map[int]sim.Time
-	waiting    []VMReq
-	events     []Event
-	stats      Stats
-
-	// OnMigrate, when set, is invoked for every consolidation decision
-	// so a live Aggregate VM can execute the migration. It runs inside a
-	// scheduler process.
-	OnMigrate func(p *sim.Proc, vmID, from, to, n int)
-	// OnChange, when set, is invoked after every state change (for
-	// trace recording).
-	OnChange func()
-}
-
-// New creates a scheduler over an idle cluster.
-func New(env *sim.Env, cfg Config) *Scheduler {
-	if cfg.Nodes <= 0 || cfg.CPUsPerNode <= 0 {
-		panic("sched: config needs nodes and CPUs")
-	}
-	s := &Scheduler{
-		env:        env,
-		cfg:        cfg,
-		tr:         trace.FromEnv(env),
-		free:       make([]int, cfg.Nodes),
-		placements: make(map[int]Placement),
-		durations:  make(map[int]sim.Time),
-	}
-	for i := range s.free {
-		s.free[i] = cfg.CPUsPerNode
-	}
-	return s
-}
-
-// Free returns a copy of the per-node free-CPU vector.
-func (s *Scheduler) Free() []int { return append([]int(nil), s.free...) }
-
-// PlacementOf returns a copy of a VM's current placement (nil if absent).
-func (s *Scheduler) PlacementOf(vmID int) Placement {
-	pl, ok := s.placements[vmID]
-	if !ok {
-		return nil
-	}
-	out := make(Placement, len(pl))
-	for n, c := range pl {
-		out[n] = c
-	}
-	return out
-}
-
-// Events returns the decision log.
-func (s *Scheduler) Events() []Event { return append([]Event(nil), s.events...) }
-
-// Stats returns run statistics.
-func (s *Scheduler) Stats() Stats { return s.stats }
-
-// Stranded returns the total free CPUs on partially-occupied nodes — the
-// fragmented capacity a single-node scheduler cannot use for a VM larger
-// than the largest fragment.
-func (s *Scheduler) Stranded() int {
-	total := 0
-	for _, f := range s.free {
-		if f > 0 && f < s.cfg.CPUsPerNode {
-			total += f
-		}
-	}
-	return total
-}
-
-func (s *Scheduler) log(kind string, vm, from, to, n int) {
-	s.events = append(s.events, Event{T: s.env.Now(), Kind: kind, VM: vm, From: from, To: to, N: n})
-	if s.tr != nil {
-		node := to
-		if node < 0 {
-			node = 0
-		}
-		s.tr.Instant(0, trace.CatSched, node, s.tr.Key("sched", kind))
-	}
-	if s.OnChange != nil {
-		s.OnChange()
-	}
-}
-
-// Submit schedules the arrival of every request. Call before Env.Run.
-func (s *Scheduler) Submit(reqs []VMReq) {
-	for _, r := range reqs {
-		r := r
-		if r.VCPUs <= 0 || r.VCPUs > s.cfg.Nodes*s.cfg.CPUsPerNode {
-			panic(fmt.Sprintf("sched: request %d for %d vCPUs is unsatisfiable", r.ID, r.VCPUs))
-		}
-		s.env.At(r.Arrival, func() { s.arrive(r) })
-	}
-}
-
-func (s *Scheduler) arrive(r VMReq) {
-	if s.place(r) {
-		return
-	}
-	s.stats.Delayed++
-	s.waiting = append(s.waiting, r)
-	s.log("delay", r.ID, -1, -1, r.VCPUs)
-}
-
-// place tries BFF then FragBFF. It returns false when the request must be
-// delayed.
-func (s *Scheduler) place(r VMReq) bool {
-	if node, ok := s.bestFit(r.VCPUs); ok {
-		s.commit(r, Placement{node: r.VCPUs})
-		s.log("place", r.ID, -1, node, r.VCPUs)
-		return true
-	}
-	if pl, ok := s.fragPlacement(r.VCPUs); ok {
-		s.commit(r, pl)
-		s.stats.Aggregate++
-		s.log("aggregate", r.ID, -1, -1, r.VCPUs)
-		return true
-	}
-	return false
-}
-
-// bestFit returns the node whose free capacity fits the request most
-// tightly.
-func (s *Scheduler) bestFit(need int) (int, bool) {
-	return BestFitTopo(s.free, need, s.cfg.Distance, nil)
-}
-
 // BestFit returns the index into free whose capacity fits the request most
-// tightly, preferring the lowest index on ties. It is a pure function over
-// the free-capacity vector, shared with the fleet control plane.
-func BestFit(free []int, need int) (int, bool) {
-	best, bestLeft := -1, 1<<30
+// tightly. Among equally tight fits it prefers the node closest (summed
+// distance) to the anchor set near — typically the nodes already hosting
+// the VM's other fragments — and then the lowest index. With dist == nil
+// (or no anchors) only tightness and index decide.
+func BestFit(free []int, need int, dist DistanceFunc, near []int) (int, bool) {
+	best, bestLeft, bestDist := -1, 1<<30, 1<<30
 	for n, f := range free {
-		if f >= need && f-need < bestLeft {
-			best, bestLeft = n, f-need
+		if f < need {
+			continue
+		}
+		left, d := f-need, distTo(dist, n, near)
+		if left < bestLeft || (left == bestLeft && d < bestDist) {
+			best, bestLeft, bestDist = n, left, d
 		}
 	}
 	return best, best >= 0
 }
 
-// fragPlacement gathers fragments under the configured policy.
-func (s *Scheduler) fragPlacement(need int) (Placement, bool) {
-	return FragPlacementTopo(s.free, need, s.cfg.Policy, s.cfg.Distance, nil)
-}
-
 // FragPlacement gathers fragments of the free-capacity vector into an
 // all-or-nothing multi-node placement under the given policy. It returns
 // false (and no placement) when the fragments jointly cannot satisfy the
-// request — gang semantics. Pure; shared with the fleet control plane.
-func FragPlacement(free []int, need int, pol Policy) (Placement, bool) {
+// request — gang semantics.
+//
+// Fragments are consumed greedily in policy order (MinNodes: biggest
+// first; MinFrag: smallest first), but each pick after the first prefers
+// the fragment closest to the set already chosen, falling back to policy
+// order on ties. The anchor set near seeds the chosen set (admission
+// passes nil; borrowing passes the gang's existing nodes so new fragments
+// cluster around them). With dist == nil every candidate scores 0 and the
+// picks follow policy order exactly.
+func FragPlacement(free []int, need int, pol Policy, dist DistanceFunc, near []int) (Placement, bool) {
 	type frag struct{ node, free int }
 	var frags []frag
 	total := 0
@@ -279,7 +113,6 @@ func FragPlacement(free []int, need int, pol Policy) (Placement, bool) {
 	}
 	switch pol {
 	case MinNodes:
-		// Fewest nodes: biggest fragments first.
 		sort.Slice(frags, func(i, j int) bool {
 			if frags[i].free != frags[j].free {
 				return frags[i].free > frags[j].free
@@ -287,7 +120,6 @@ func FragPlacement(free []int, need int, pol Policy) (Placement, bool) {
 			return frags[i].node < frags[j].node
 		})
 	case MinFrag:
-		// Eat the smallest fragments first to eliminate them.
 		sort.Slice(frags, func(i, j int) bool {
 			if frags[i].free != frags[j].free {
 				return frags[i].free < frags[j].free
@@ -295,95 +127,35 @@ func FragPlacement(free []int, need int, pol Policy) (Placement, bool) {
 			return frags[i].node < frags[j].node
 		})
 	}
+	chosen := append([]int(nil), near...)
 	pl := Placement{}
-	for _, f := range frags {
-		if need == 0 {
-			break
+	for need > 0 {
+		// Pick the policy-earliest fragment among those closest to the
+		// chosen set; the first pick with no anchors scores everything 0
+		// and therefore takes the policy-first fragment.
+		pick, pickDist := -1, 1<<30
+		for i, f := range frags {
+			if f.free == 0 {
+				continue
+			}
+			if d := distTo(dist, f.node, chosen); d < pickDist {
+				pick, pickDist = i, d
+			}
 		}
+		if pick < 0 {
+			return nil, false
+		}
+		f := frags[pick]
 		take := f.free
 		if take > need {
 			take = need
 		}
 		pl[f.node] = take
 		need -= take
+		chosen = append(chosen, f.node)
+		frags[pick].free = 0
 	}
-	return pl, need == 0
-}
-
-// commit applies a placement and schedules the departure.
-func (s *Scheduler) commit(r VMReq, pl Placement) {
-	for n, c := range pl {
-		if s.free[n] < c {
-			panic(fmt.Sprintf("sched: overcommitting node %d", n))
-		}
-		s.free[n] -= c
-	}
-	s.placements[r.ID] = pl
-	s.durations[r.ID] = r.Duration
-	s.stats.Placed++
-	s.env.After(r.Duration, func() { s.depart(r.ID) })
-}
-
-func (s *Scheduler) depart(vmID int) {
-	pl, ok := s.placements[vmID]
-	if !ok {
-		panic(fmt.Sprintf("sched: departure of unknown VM %d", vmID))
-	}
-	for n, c := range pl {
-		s.free[n] += c
-	}
-	delete(s.placements, vmID)
-	delete(s.durations, vmID)
-	s.log("finish", vmID, -1, -1, 0)
-
-	// Freed capacity: start delayed requests first (oldest first), then
-	// consolidate Aggregate VMs onto the freed capacity.
-	still := s.waiting[:0]
-	for _, r := range s.waiting {
-		if s.place(r) {
-			s.log("start-delayed", r.ID, -1, -1, r.VCPUs)
-		} else {
-			still = append(still, r)
-		}
-	}
-	s.waiting = append([]VMReq(nil), still...)
-	s.consolidate()
-}
-
-// consolidate migrates vCPUs of Aggregate VMs between their slices when a
-// move empties a slice (always useful) or — under MinFrag — completely
-// fills a destination fragment. Runs in a scheduler process so migrations
-// can drive a live VM.
-func (s *Scheduler) consolidate() {
-	var ids []int
-	for id, pl := range s.placements {
-		if len(pl) > 1 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	if len(ids) == 0 {
-		return
-	}
-	s.env.Spawn("fragbff-consolidate", func(p *sim.Proc) {
-		for _, id := range ids {
-			s.consolidateVM(p, id)
-		}
-	})
-}
-
-func (s *Scheduler) consolidateVM(p *sim.Proc, vmID int) {
-	pl, ok := s.placements[vmID]
-	if !ok {
-		return // departed meanwhile
-	}
-	for _, m := range ConsolidationMovesTopo(s.free, s.cfg.CPUsPerNode, pl, s.cfg.Policy, s.cfg.Distance) {
-		s.migrate(p, vmID, pl, m.From, m.To, m.N)
-	}
-	if len(pl) == 1 {
-		s.stats.Handbacks++
-		s.log("handback", vmID, -1, pl.nodes()[0], 0)
-	}
+	return pl, true
 }
 
 // Move is one planned vCPU transfer between two slices of a placement.
@@ -392,12 +164,17 @@ type Move struct {
 }
 
 // ConsolidationMoves plans the FragBFF consolidation pass for one
-// multi-node placement: the ordered vCPU moves the scheduler would issue
-// given the cluster's free-capacity vector and per-node capacity. It is a
-// pure function — the inputs are not mutated — so the fleet control plane
-// reuses the exact decision procedure (including the MinFrag
-// fragmentation veto, the paper's t=222 decision) on its own accounting.
-func ConsolidationMoves(free []int, cap int, placement Placement, pol Policy) []Move {
+// multi-node placement: the ordered vCPU moves to issue given the
+// cluster's free-capacity vector and per-node capacity, including the
+// MinFrag fragmentation veto (the paper's t=222 decision). The inputs are
+// not mutated.
+//
+// When several destinations are otherwise equally attractive, vCPUs
+// migrate to the node nearest their source — migration traffic (state
+// transfer, then DSM re-warming) is cheapest within the rack. The
+// distance key ranks strictly after the policy's capacity keys and is
+// skipped when dist == nil.
+func ConsolidationMoves(free []int, cap int, placement Placement, pol Policy, dist DistanceFunc) []Move {
 	free = append([]int(nil), free...)
 	pl := make(Placement, len(placement))
 	for n, c := range placement {
@@ -406,7 +183,7 @@ func ConsolidationMoves(free []int, cap int, placement Placement, pol Policy) []
 	var moves []Move
 	for changed := true; changed; {
 		changed = false
-		nodes := pl.nodes()
+		nodes := pl.Nodes()
 		// Try to empty the smallest slice into peers.
 		sort.Slice(nodes, func(i, j int) bool {
 			if pl[nodes[i]] != pl[nodes[j]] {
@@ -420,9 +197,9 @@ func ConsolidationMoves(free []int, cap int, placement Placement, pol Policy) []
 			}
 			// Destinations: peers with free capacity. Prefer filling
 			// tighter fragments (MinFrag) or the fullest slice
-			// (MinNodes).
+			// (MinNodes), then the nearest node.
 			var dsts []int
-			for _, d := range pl.nodes() {
+			for _, d := range pl.Nodes() {
 				if d != src && free[d] > 0 {
 					dsts = append(dsts, d)
 				}
@@ -435,6 +212,11 @@ func ConsolidationMoves(free []int, cap int, placement Placement, pol Policy) []
 				} else {
 					if pl[dsts[i]] != pl[dsts[j]] {
 						return pl[dsts[i]] > pl[dsts[j]]
+					}
+				}
+				if dist != nil {
+					if di, dj := dist(src, dsts[i]), dist(src, dsts[j]); di != dj {
+						return di < dj
 					}
 				}
 				return dsts[i] < dsts[j]
@@ -509,47 +291,4 @@ func FragCountAfter(free []int, cap, src, dst, n int) int {
 		}
 	}
 	return count
-}
-
-// migrate moves n vCPUs of a VM between nodes, updating accounting and
-// invoking the live-migration hook.
-func (s *Scheduler) migrate(p *sim.Proc, vmID int, pl Placement, from, to, n int) {
-	if s.free[to] < n || pl[from] < n {
-		panic("sched: invalid migration")
-	}
-	s.free[to] -= n
-	s.free[from] += n
-	pl[from] -= n
-	pl[to] += n
-	if pl[from] == 0 {
-		delete(pl, from)
-	}
-	s.stats.Migrations += n
-	if s.OnMigrate != nil {
-		s.OnMigrate(p, vmID, from, to, n)
-	}
-	s.log("migrate", vmID, from, to, n)
-}
-
-// GenerateBurst synthesizes n VM arrivals following the paper's setup:
-// sizes drawn from an Azure-like small-VM-heavy distribution [45] and
-// durations from a heavy-tailed distribution scaled down by 100x, arriving
-// uniformly over the given window.
-func GenerateBurst(rng *rand.Rand, n int, window sim.Time) []VMReq {
-	sizes := []int{1, 1, 1, 2, 2, 2, 4, 4, 8, 12}
-	reqs := make([]VMReq, n)
-	for i := range reqs {
-		dur := 20*sim.Second + sim.FromSeconds(rng.ExpFloat64()*80)
-		if dur > 600*sim.Second {
-			dur = 600 * sim.Second
-		}
-		reqs[i] = VMReq{
-			ID:       i + 1,
-			VCPUs:    sizes[rng.Intn(len(sizes))],
-			Arrival:  sim.Time(rng.Int63n(int64(window))),
-			Duration: dur,
-		}
-	}
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
-	return reqs
 }

@@ -2,227 +2,120 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/sim"
 )
 
-func newSched(nodes, cpus int, pol Policy) (*sim.Env, *Scheduler) {
-	env := sim.NewEnv()
-	return env, New(env, Config{Nodes: nodes, CPUsPerNode: cpus, Policy: pol})
-}
-
 func TestBFFBestFit(t *testing.T) {
-	env, s := newSched(3, 12, MinFrag)
-	// Pre-load: node0 has 4 free, node1 has 6 free, node2 has 12 free.
-	s.Submit([]VMReq{
-		{ID: 1, VCPUs: 8, Arrival: 0, Duration: sim.Second},
-		{ID: 2, VCPUs: 6, Arrival: 0, Duration: sim.Second},
-		{ID: 3, VCPUs: 4, Arrival: 1, Duration: sim.Second}, // best fit: node0 (4 left)
-	})
-	env.RunUntil(2)
-	pl := s.PlacementOf(3)
-	if len(pl) != 1 || pl[0] != 4 {
-		t.Fatalf("placement of VM3 = %v, want all on node 0", pl)
+	// node0 has 4 free, node1 has 6 free, node2 has 12 free: a 4-vCPU VM
+	// fits node0 exactly.
+	if n, ok := BestFit([]int{4, 6, 12}, 4, nil, nil); !ok || n != 0 {
+		t.Fatalf("BestFit picked %d (ok=%v), want node 0", n, ok)
 	}
 }
 
 func TestFragmentedPlacement(t *testing.T) {
-	env, s := newSched(2, 4, MinNodes)
-	s.Submit([]VMReq{
-		{ID: 1, VCPUs: 3, Arrival: 0, Duration: 10 * sim.Second},
-		{ID: 2, VCPUs: 3, Arrival: 0, Duration: 10 * sim.Second},
-		// 2 CPUs total remain, 1 per node: only an Aggregate VM fits.
-		{ID: 3, VCPUs: 2, Arrival: 1, Duration: 10 * sim.Second},
-	})
-	env.RunUntil(2)
-	pl := s.PlacementOf(3)
-	if len(pl) != 2 || pl[0] != 1 || pl[1] != 1 {
-		t.Fatalf("placement of VM3 = %v, want 1+1 across nodes", pl)
+	// 2 CPUs total remain, 1 per node: only an Aggregate VM fits.
+	free := []int{1, 1}
+	if n, ok := BestFit(free, 2, nil, nil); ok {
+		t.Fatalf("BestFit placed on node %d despite no node fitting", n)
 	}
-	if s.Stats().Aggregate != 1 {
-		t.Fatalf("aggregate placements = %d", s.Stats().Aggregate)
+	pl, ok := FragPlacement(free, 2, MinNodes, nil, nil)
+	if !ok || !reflect.DeepEqual(pl, Placement{0: 1, 1: 1}) {
+		t.Fatalf("placement = %v (ok=%v), want 1+1 across nodes", pl, ok)
 	}
 }
 
 func TestDelayWhenNoCapacity(t *testing.T) {
-	env, s := newSched(1, 4, MinFrag)
-	s.Submit([]VMReq{
-		{ID: 1, VCPUs: 4, Arrival: 0, Duration: 5 * sim.Second},
-		{ID: 2, VCPUs: 2, Arrival: 1, Duration: 5 * sim.Second},
-	})
-	env.RunUntil(2)
-	if s.PlacementOf(2) != nil {
-		t.Fatal("VM2 placed despite full cluster")
-	}
-	if s.Stats().Delayed != 1 {
-		t.Fatalf("delayed = %d", s.Stats().Delayed)
-	}
-	env.Run()
-	// After VM1 departs, VM2 starts.
-	found := false
-	for _, e := range s.Events() {
-		if e.Kind == "start-delayed" && e.VM == 2 {
-			found = true
+	// A full cluster, and one whose fragments sum short of the request:
+	// neither BFF nor FragBFF places, so the caller must delay.
+	for _, free := range [][]int{{0}, {1, 0, 0}} {
+		if _, ok := BestFit(free, 2, nil, nil); ok {
+			t.Fatalf("BestFit(%v, 2) placed", free)
 		}
-	}
-	if !found {
-		t.Fatal("delayed VM2 never started")
-	}
-}
-
-func TestConsolidationOnDeparture(t *testing.T) {
-	env, s := newSched(2, 4, MinNodes)
-	var migrations []Event
-	s.Submit([]VMReq{
-		{ID: 1, VCPUs: 3, Arrival: 0, Duration: 5 * sim.Second},  // node A
-		{ID: 2, VCPUs: 3, Arrival: 0, Duration: 60 * sim.Second}, // node B
-		{ID: 3, VCPUs: 2, Arrival: 1, Duration: 60 * sim.Second}, // aggregate 1+1
-	})
-	env.Run()
-	for _, e := range s.Events() {
-		if e.Kind == "migrate" {
-			migrations = append(migrations, e)
+		if pl, ok := FragPlacement(free, 2, MinFrag, nil, nil); ok || pl != nil {
+			t.Fatalf("FragPlacement(%v, 2) = %v (ok=%v), want refusal", free, pl, ok)
 		}
-	}
-	// When VM1 departs (t=5s), its node has 3 free CPUs: VM3's remote
-	// vCPU must consolidate there.
-	if len(migrations) == 0 {
-		t.Fatal("no consolidation migration happened")
-	}
-	pl := s.PlacementOf(3)
-	if pl != nil && len(pl) != 1 {
-		t.Fatalf("VM3 still fragmented: %v", pl)
-	}
-	if s.Stats().Handbacks == 0 {
-		t.Fatal("consolidated VM not handed back to BFF")
 	}
 }
 
 func TestMinFragFillsFragmentsPartially(t *testing.T) {
-	// The paper's t=470 scenario: full consolidation impossible, but
-	// MinFrag still moves vCPUs to fill a fragment completely.
-	env, s := newSched(2, 4, MinFrag)
-	s.Submit([]VMReq{
-		{ID: 1, VCPUs: 3, Arrival: 0, Duration: 100 * sim.Second}, // node A: 1 free
-		{ID: 2, VCPUs: 1, Arrival: 0, Duration: 5 * sim.Second},   // node A: 0 free
-		{ID: 3, VCPUs: 4, Arrival: 1, Duration: 100 * sim.Second}, // aggregate: can't fit whole
-	})
-	env.RunUntil(10 * sim.Second)
-	// VM3 was placed 1 on node A... actually 0 free there; it goes 4 on
-	// node B? Node B had 4 free: best fit places it there singly. Make
-	// the check structural instead: after VM2 departs, any aggregate VM
-	// with a slice movable into a now-exactly-fitting fragment moved.
-	for _, e := range s.Events() {
-		if e.Kind == "migrate" && e.N <= 0 {
-			t.Fatalf("bad migration event %+v", e)
-		}
+	// The paper's t=470 scenario: a 1-CPU fragment opens on node 0 of a
+	// 12-CPU cluster while the Aggregate VM runs 2+2. Full consolidation
+	// is impossible, but MinFrag still moves one vCPU to fill the
+	// fragment completely; MinNodes only moves when a slice empties.
+	free := []int{1, 0, 0, 0}
+	pl := Placement{0: 2, 1: 2}
+	if got := ConsolidationMoves(free, 12, pl, MinFrag, nil); !reflect.DeepEqual(got, []Move{{From: 1, To: 0, N: 1}}) {
+		t.Fatalf("MinFrag moves = %v, want one vCPU 1->0", got)
+	}
+	if got := ConsolidationMoves(free, 12, pl, MinNodes, nil); len(got) != 0 {
+		t.Fatalf("MinNodes moves = %v, want none", got)
 	}
 }
 
+// TestSchedulerNeverOvercommits replays random consolidation plans move
+// by move: no move takes more than its source slice holds or its
+// destination has free, the VM keeps every vCPU, and under MinFrag no
+// move increases the cluster's fragment count.
 func TestSchedulerNeverOvercommits(t *testing.T) {
+	const cap = 8
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		env, s := newSched(4, 12, Policy(rng.Intn(2)))
-		ok := true
-		s.OnChange = func() {
-			used := map[int]int{}
-			for _, id := range sortedVMs(s) {
-				for n, c := range s.placements[id] {
-					used[n] += c
-				}
-			}
-			for n, f := range s.free {
-				if f < 0 || used[n]+f != s.cfg.CPUsPerNode {
-					ok = false
-				}
+		pol := Policy(rng.Intn(2))
+		nodes := 2 + rng.Intn(6)
+		free := make([]int, nodes)
+		pl := Placement{}
+		total := 0
+		for n := range free {
+			free[n] = rng.Intn(cap + 1)
+			if c := rng.Intn(cap - free[n] + 1); c > 0 && rng.Intn(2) == 0 {
+				pl[n] = c
+				total += c
 			}
 		}
-		s.Submit(GenerateBurst(rng, 60, 60*sim.Second))
-		env.Run()
-		return ok && len(s.placements) == 0
+		for _, m := range ConsolidationMoves(free, cap, pl, pol, nil) {
+			if m.N <= 0 || pl[m.From] < m.N || free[m.To] < m.N || pl[m.To] == 0 {
+				t.Errorf("seed %d: move %+v invalid against free %v placement %v", seed, m, free, pl)
+				return false
+			}
+			if pol == MinFrag && FragCountAfter(free, cap, m.From, m.To, m.N) > FragCount(free, cap) {
+				t.Errorf("seed %d: MinFrag move %+v fragments the cluster", seed, m)
+				return false
+			}
+			free[m.To] -= m.N
+			free[m.From] += m.N
+			pl[m.From] -= m.N
+			pl[m.To] += m.N
+			if pl[m.From] == 0 {
+				delete(pl, m.From)
+			}
+		}
+		sum := 0
+		for _, c := range pl {
+			sum += c
+		}
+		return sum == total
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func sortedVMs(s *Scheduler) []int {
-	var ids []int
-	for id := range s.placements {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
-func TestFragBFFPlacesMoreThanBFFAlone(t *testing.T) {
-	// The reason FragBFF exists: on a fragmented cluster it places VMs
-	// plain BFF must delay.
-	rng := rand.New(rand.NewSource(7))
-	reqs := GenerateBurst(rng, 100, 30*sim.Second)
-	env, s := newSched(4, 12, MinFrag)
-	s.Submit(reqs)
-	env.Run()
-	st := s.Stats()
-	if st.Aggregate == 0 {
-		t.Fatal("burst produced no aggregate placements — trace too easy")
-	}
-	if st.Placed != 100 {
-		t.Fatalf("placed %d of 100", st.Placed)
-	}
-}
-
 func TestPoliciesDiffer(t *testing.T) {
-	// MinNodes must produce placements on no more nodes than MinFrag
-	// for the same fragmented state.
-	span := func(pol Policy) int {
-		env, s := newSched(4, 4, pol)
-		s.Submit([]VMReq{
-			{ID: 1, VCPUs: 3, Arrival: 0, Duration: 100 * sim.Second},
-			{ID: 2, VCPUs: 3, Arrival: 0, Duration: 100 * sim.Second},
-			{ID: 3, VCPUs: 2, Arrival: 0, Duration: 100 * sim.Second},
-			{ID: 4, VCPUs: 3, Arrival: 0, Duration: 100 * sim.Second},
-			// Free: likely fragments across nodes; this one aggregates.
-			{ID: 5, VCPUs: 4, Arrival: 1, Duration: 100 * sim.Second},
-		})
-		env.RunUntil(2)
-		return len(s.PlacementOf(5))
+	// The same fragmented state: MinNodes takes the biggest fragments
+	// (3 nodes), MinFrag eats the small ones first (all 4 nodes).
+	free := []int{1, 1, 2, 1}
+	mn, ok1 := FragPlacement(free, 4, MinNodes, nil, nil)
+	mf, ok2 := FragPlacement(free, 4, MinFrag, nil, nil)
+	if !ok1 || !ok2 {
+		t.Fatalf("placements failed: MinNodes ok=%v MinFrag ok=%v", ok1, ok2)
 	}
-	if mn, mf := span(MinNodes), span(MinFrag); mn > mf {
-		t.Fatalf("MinNodes spans %d nodes, MinFrag %d — policy inverted", mn, mf)
+	if !reflect.DeepEqual(mn, Placement{0: 1, 1: 1, 2: 2}) || !reflect.DeepEqual(mf, Placement{0: 1, 1: 1, 2: 1, 3: 1}) {
+		t.Fatalf("MinNodes %v, MinFrag %v", mn, mf)
 	}
-}
-
-func TestGenerateBurstShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	reqs := GenerateBurst(rng, 200, 60*sim.Second)
-	if len(reqs) != 200 {
-		t.Fatalf("got %d requests", len(reqs))
+	if len(mn) >= len(mf) {
+		t.Fatalf("MinNodes spans %d nodes, MinFrag %d — policy inverted", len(mn), len(mf))
 	}
-	small := 0
-	for i, r := range reqs {
-		if r.VCPUs < 1 || r.VCPUs > 12 || r.Duration <= 0 {
-			t.Fatalf("bad request %+v", r)
-		}
-		if r.VCPUs <= 2 {
-			small++
-		}
-		if i > 0 && reqs[i].Arrival < reqs[i-1].Arrival {
-			t.Fatal("arrivals not sorted")
-		}
-	}
-	// Azure-like: most VMs are small.
-	if small < 80 {
-		t.Fatalf("only %d/200 small VMs", small)
-	}
-}
-
-func TestInvalidConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad config did not panic")
-		}
-	}()
-	New(sim.NewEnv(), Config{})
 }

@@ -1,13 +1,10 @@
-// Topology-aware placement: the BFF/FragBFF decision procedures extended
-// with a network-distance cost term. Every function here degrades exactly
-// to its flat counterpart when the distance oracle is nil — the
-// topology term only ever breaks ties the flat policies leave open, so
-// flat-cluster decision logs (Fig 14, the fleet event log) stay
-// byte-identical.
+// Topology-aware placement: the network-distance term BestFit,
+// FragPlacement and ConsolidationMoves consult. The term only ever breaks
+// ties the capacity policy leaves open, so with a nil oracle the decisions
+// are purely capacity-driven and flat-cluster decision logs (Fig 14, the
+// fleet event log) stay byte-identical.
 
 package sched
-
-import "sort"
 
 // DistanceFunc is the topology oracle placement consults: the number of
 // network links between two nodes (0 same node, 2 same rack, 4 across
@@ -29,180 +26,6 @@ func distTo(dist DistanceFunc, node int, anchors []int) int {
 	return total
 }
 
-// BestFitTopo is BestFit with a locality term: among equally tight fits,
-// prefer the node closest (summed distance) to the anchor set `near` —
-// typically the nodes already hosting the VM's other fragments — and
-// break remaining ties by lowest index. With dist == nil (or no
-// anchors) it is exactly BestFit.
-func BestFitTopo(free []int, need int, dist DistanceFunc, near []int) (int, bool) {
-	best, bestLeft, bestDist := -1, 1<<30, 1<<30
-	for n, f := range free {
-		if f < need {
-			continue
-		}
-		left, d := f-need, distTo(dist, n, near)
-		if left < bestLeft || (left == bestLeft && d < bestDist) {
-			best, bestLeft, bestDist = n, left, d
-		}
-	}
-	return best, best >= 0
-}
-
-// FragPlacementTopo is FragPlacement with a locality term: fragments are
-// still consumed greedily under the capacity policy (MinNodes: biggest
-// first; MinFrag: smallest first), but each pick after the first prefers
-// the fragment closest to the set already chosen, falling back to policy
-// order on ties. The anchor set `near` seeds the chosen set (admission
-// passes nil; borrowing passes the gang's existing nodes so new
-// fragments cluster around them). With dist == nil the distance of every
-// candidate is 0 and the picks follow policy order exactly — the
-// placement is byte-identical to FragPlacement.
-func FragPlacementTopo(free []int, need int, pol Policy, dist DistanceFunc, near []int) (Placement, bool) {
-	type frag struct{ node, free int }
-	var frags []frag
-	total := 0
-	for n, f := range free {
-		if f > 0 {
-			frags = append(frags, frag{n, f})
-			total += f
-		}
-	}
-	if total < need {
-		return nil, false
-	}
-	switch pol {
-	case MinNodes:
-		sort.Slice(frags, func(i, j int) bool {
-			if frags[i].free != frags[j].free {
-				return frags[i].free > frags[j].free
-			}
-			return frags[i].node < frags[j].node
-		})
-	case MinFrag:
-		sort.Slice(frags, func(i, j int) bool {
-			if frags[i].free != frags[j].free {
-				return frags[i].free < frags[j].free
-			}
-			return frags[i].node < frags[j].node
-		})
-	}
-	chosen := append([]int(nil), near...)
-	pl := Placement{}
-	for need > 0 {
-		// Pick the policy-earliest fragment among those closest to the
-		// chosen set; the first pick with no anchors scores everything 0
-		// and therefore takes the policy-first fragment.
-		pick, pickDist := -1, 1<<30
-		for i, f := range frags {
-			if f.free == 0 {
-				continue
-			}
-			if d := distTo(dist, f.node, chosen); d < pickDist {
-				pick, pickDist = i, d
-			}
-		}
-		if pick < 0 {
-			return nil, false
-		}
-		f := frags[pick]
-		take := f.free
-		if take > need {
-			take = need
-		}
-		pl[f.node] = take
-		need -= take
-		chosen = append(chosen, f.node)
-		frags[pick].free = 0
-	}
-	return pl, true
-}
-
-// ConsolidationMovesTopo is ConsolidationMoves with a locality term in
-// the destination ordering: when several destinations are otherwise
-// equally attractive, vCPUs migrate to the node nearest their source —
-// migration traffic (state transfer, then DSM re-warming) is cheapest
-// within the rack. The distance key ranks strictly after the policy's
-// capacity keys, so with dist == nil the move list is byte-identical to
-// ConsolidationMoves.
-func ConsolidationMovesTopo(free []int, cap int, placement Placement, pol Policy, dist DistanceFunc) []Move {
-	if dist == nil {
-		return ConsolidationMoves(free, cap, placement, pol)
-	}
-	free = append([]int(nil), free...)
-	pl := make(Placement, len(placement))
-	for n, c := range placement {
-		pl[n] = c
-	}
-	var moves []Move
-	for changed := true; changed; {
-		changed = false
-		nodes := pl.nodes()
-		sort.Slice(nodes, func(i, j int) bool {
-			if pl[nodes[i]] != pl[nodes[j]] {
-				return pl[nodes[i]] < pl[nodes[j]]
-			}
-			return nodes[i] < nodes[j]
-		})
-		for _, src := range nodes {
-			if len(pl) == 1 {
-				break
-			}
-			var dsts []int
-			for _, d := range pl.nodes() {
-				if d != src && free[d] > 0 {
-					dsts = append(dsts, d)
-				}
-			}
-			src := src
-			sort.Slice(dsts, func(i, j int) bool {
-				if pol == MinFrag {
-					if free[dsts[i]] != free[dsts[j]] {
-						return free[dsts[i]] < free[dsts[j]]
-					}
-				} else {
-					if pl[dsts[i]] != pl[dsts[j]] {
-						return pl[dsts[i]] > pl[dsts[j]]
-					}
-				}
-				if di, dj := dist(src, dsts[i]), dist(src, dsts[j]); di != dj {
-					return di < dj
-				}
-				return dsts[i] < dsts[j]
-			})
-			for _, dst := range dsts {
-				move := pl[src]
-				if move > free[dst] {
-					move = free[dst]
-				}
-				if move == 0 {
-					continue
-				}
-				empties := move == pl[src]
-				fills := move == free[dst] && pl[dst] >= pl[src]
-				if !empties && !(pol == MinFrag && fills) {
-					continue
-				}
-				if pol == MinFrag && FragCountAfter(free, cap, src, dst, move) > FragCount(free, cap) {
-					continue
-				}
-				free[dst] -= move
-				free[src] += move
-				pl[src] -= move
-				pl[dst] += move
-				if pl[src] == 0 {
-					delete(pl, src)
-				}
-				moves = append(moves, Move{From: src, To: dst, N: move})
-				changed = true
-				if pl[src] == 0 {
-					break
-				}
-			}
-		}
-	}
-	return moves
-}
-
 // Span returns the maximum pairwise distance of a placement's nodes — 0
 // for a single-node VM, ≤ 2 when every fragment shares a rack (or leaf
 // switch), 4 when the gang straddles the spine. With dist == nil it
@@ -211,7 +34,7 @@ func (pl Placement) Span(dist DistanceFunc) int {
 	if dist == nil {
 		return 0
 	}
-	nodes := pl.nodes()
+	nodes := pl.Nodes()
 	max := 0
 	for i, a := range nodes {
 		for _, b := range nodes[i+1:] {

@@ -21,40 +21,41 @@ func treeDist(a, b int) int {
 }
 
 // TestTopoNilDistEquivalence is the flat-equivalence contract of the
-// whole file: with a nil oracle — and, stronger, with any constant
-// oracle — every *Topo decision procedure returns exactly what its flat
-// counterpart returns, because the distance term only breaks ties the
-// capacity keys leave open.
+// distance term: a constant oracle — every pair equidistant — decides
+// exactly like a nil one, with or without anchors, because the distance
+// term only breaks ties the capacity keys leave open.
 func TestTopoNilDistEquivalence(t *testing.T) {
 	uniform := func(a, b int) int { return 2 }
-	prop := func(raw []uint8, need16 uint16) bool {
+	prop := func(raw []uint8, need16 uint16, anchorBits uint8) bool {
 		if len(raw) > 8 {
 			raw = raw[:8]
 		}
 		free := make([]int, len(raw))
+		var near []int
 		for i, v := range raw {
 			free[i] = int(v % 7)
+			if anchorBits&(1<<i) != 0 {
+				near = append(near, i)
+			}
 		}
 		need := int(need16 % 24)
 
-		for _, dist := range []DistanceFunc{nil, uniform} {
-			n1, ok1 := BestFit(free, need)
-			n2, ok2 := BestFitTopo(free, need, dist, nil)
-			if n1 != n2 || ok1 != ok2 {
+		n1, ok1 := BestFit(free, need, nil, near)
+		n2, ok2 := BestFit(free, need, uniform, near)
+		if n1 != n2 || ok1 != ok2 {
+			return false
+		}
+		for _, pol := range []Policy{MinFrag, MinNodes} {
+			p1, ok1 := FragPlacement(free, need, pol, nil, near)
+			p2, ok2 := FragPlacement(free, need, pol, uniform, near)
+			if ok1 != ok2 || !reflect.DeepEqual(p1, p2) {
 				return false
 			}
-			for _, pol := range []Policy{MinFrag, MinNodes} {
-				p1, ok1 := FragPlacement(free, need, pol)
-				p2, ok2 := FragPlacementTopo(free, need, pol, dist, nil)
-				if ok1 != ok2 || !reflect.DeepEqual(p1, p2) {
+			if ok1 {
+				m1 := ConsolidationMoves(free, 8, p1, pol, nil)
+				m2 := ConsolidationMoves(free, 8, p2, pol, uniform)
+				if !reflect.DeepEqual(m1, m2) {
 					return false
-				}
-				if ok1 {
-					m1 := ConsolidationMoves(free, 8, p1, pol)
-					m2 := ConsolidationMovesTopo(free, 8, p2, pol, dist)
-					if !reflect.DeepEqual(m1, m2) {
-						return false
-					}
 				}
 			}
 		}
@@ -65,32 +66,32 @@ func TestTopoNilDistEquivalence(t *testing.T) {
 	}
 }
 
-func TestBestFitTopoLocality(t *testing.T) {
+func TestBestFitLocality(t *testing.T) {
 	free := []int{2, 0, 2, 0}
 	// Blind: tie between nodes 0 and 2 goes to the lowest index.
-	if n, ok := BestFitTopo(free, 2, treeDist, nil); !ok || n != 0 {
+	if n, ok := BestFit(free, 2, treeDist, nil); !ok || n != 0 {
 		t.Errorf("no anchors: picked %d (ok=%v), want 0", n, ok)
 	}
 	// Anchored at node 2's rack: the tie now goes to the rack-local node.
-	if n, ok := BestFitTopo(free, 2, treeDist, []int{2}); !ok || n != 2 {
+	if n, ok := BestFit(free, 2, treeDist, []int{2}); !ok || n != 2 {
 		t.Errorf("anchored at 2: picked %d (ok=%v), want 2", n, ok)
 	}
 	// Capacity still dominates distance: only node 0 fits 2 vCPUs.
-	if n, ok := BestFitTopo([]int{2, 1, 1, 1}, 2, treeDist, []int{3}); !ok || n != 0 {
+	if n, ok := BestFit([]int{2, 1, 1, 1}, 2, treeDist, []int{3}); !ok || n != 0 {
 		t.Errorf("tight fit: picked %d (ok=%v), want 0", n, ok)
 	}
 }
 
-func TestFragPlacementTopoLocality(t *testing.T) {
+func TestFragPlacementLocality(t *testing.T) {
 	// Blind MinNodes takes the two biggest fragments: {0:3, 2:2}.
 	free := []int{3, 2, 3, 0}
-	blind, ok := FragPlacement(free, 5, MinNodes)
+	blind, ok := FragPlacement(free, 5, MinNodes, nil, nil)
 	if !ok || !reflect.DeepEqual(blind, Placement{0: 3, 2: 2}) {
 		t.Fatalf("blind placement = %v (ok=%v)", blind, ok)
 	}
 	// Topology-aware: after the policy-first pick (node 0), node 1 at
 	// distance 2 beats node 2 at distance 4 despite its smaller fragment.
-	aware, ok := FragPlacementTopo(free, 5, MinNodes, treeDist, nil)
+	aware, ok := FragPlacement(free, 5, MinNodes, treeDist, nil)
 	if !ok || !reflect.DeepEqual(aware, Placement{0: 3, 1: 2}) {
 		t.Fatalf("aware placement = %v (ok=%v)", aware, ok)
 	}
@@ -100,23 +101,23 @@ func TestFragPlacementTopoLocality(t *testing.T) {
 	}
 	// An anchor seeds the chosen set: borrowing for a gang living on
 	// node 3 clusters the new fragment in node 3's rack.
-	pl, ok := FragPlacementTopo([]int{2, 0, 2, 0}, 2, MinNodes, treeDist, []int{3})
+	pl, ok := FragPlacement([]int{2, 0, 2, 0}, 2, MinNodes, treeDist, []int{3})
 	if !ok || !reflect.DeepEqual(pl, Placement{2: 2}) {
 		t.Fatalf("anchored placement = %v (ok=%v), want {2:2}", pl, ok)
 	}
 }
 
-func TestConsolidationMovesTopoLocality(t *testing.T) {
+func TestConsolidationMovesLocality(t *testing.T) {
 	// Node 3's 1-vCPU slice can be emptied into node 1 or node 2 (equal
 	// occupancy, so MinNodes leaves the choice open). Blind takes the
 	// lower index; the oracle redirects the migration within the rack.
 	free := []int{4, 2, 2, 3}
 	placement := Placement{1: 2, 2: 2, 3: 1}
-	blind := ConsolidationMoves(free, 4, placement, MinNodes)
+	blind := ConsolidationMoves(free, 4, placement, MinNodes, nil)
 	if len(blind) == 0 || blind[0] != (Move{From: 3, To: 1, N: 1}) {
 		t.Fatalf("blind moves = %v, want first move 3->1", blind)
 	}
-	aware := ConsolidationMovesTopo(free, 4, placement, MinNodes, treeDist)
+	aware := ConsolidationMoves(free, 4, placement, MinNodes, treeDist)
 	if len(aware) == 0 || aware[0] != (Move{From: 3, To: 2, N: 1}) {
 		t.Fatalf("aware moves = %v, want first move 3->2 (rack-local)", aware)
 	}

@@ -128,7 +128,7 @@ func (b Breakdown) Sum() sim.Time {
 // that received time, with its share of the total.
 func (b Breakdown) Table(title string) *metrics.Table {
 	t := metrics.NewTable(title, "category", "time", "share")
-	order := []Category{CatCompute, CatDSM, CatNet, CatQueue, CatCheckpoint, CatMigrate, CatSched, CatFleet, CatBalloon, CatOther}
+	order := []Category{CatCompute, CatDSM, CatNet, CatQueue, CatCheckpoint, CatMigrate, CatFleet, CatBalloon, CatOther}
 	for _, cat := range order {
 		v := b.Cat[cat]
 		core := cat == CatCompute || cat == CatDSM || cat == CatNet || cat == CatQueue

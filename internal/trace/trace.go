@@ -50,7 +50,6 @@ const (
 	CatNet                        // message serialization + flight + handling
 	CatCheckpoint                 // checkpoint collect/persist/restore
 	CatMigrate                    // vCPU live migration
-	CatSched                      // consolidation scheduler decisions
 	CatFault                      // injected faults (instants)
 	CatFleet                      // fleet control plane: admit/lease/reclaim/rebalance
 	CatBalloon                    // balloon driver: inflate/deflate/reclaim stalls
@@ -61,7 +60,7 @@ const (
 
 var catNames = [numCategories]string{
 	"task", "compute", "dsm-wait", "network", "checkpoint",
-	"migrate", "sched", "fault", "fleet", "balloon", "queueing", "other",
+	"migrate", "fault", "fleet", "balloon", "queueing", "other",
 }
 
 func (c Category) String() string {
