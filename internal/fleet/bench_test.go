@@ -1,0 +1,18 @@
+package fleet
+
+import "testing"
+
+// BenchmarkSoakWorld measures one whole soak world per op — the seed-42,
+// 8-VM world TestSoakSteadyHeap samples, run until its departures drain:
+// admission, leases, reclaims, ~30k rebalance ticks and the verify scans
+// they trigger. It is the fleet control plane's unit cost.
+func BenchmarkSoakWorld(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		env, f := newSoak(42, 8)
+		env.Run()
+		if vs := f.VerifyReport(); len(vs) != 0 {
+			b.Fatalf("soak world violated: %v", vs)
+		}
+	}
+}

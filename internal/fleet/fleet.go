@@ -41,6 +41,7 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/balloon"
@@ -292,6 +293,11 @@ type Fleet struct {
 	stats   Stats
 	waits   []sim.Time
 
+	// verified is len(events) when verify last passed. Every write to the
+	// books appends an Event (see log), so a log that has not grown since
+	// means books that have not changed.
+	verified int
+
 	bound map[int]*binding
 
 	stopped          bool
@@ -432,6 +438,10 @@ func (f *Fleet) Snapshot() Snapshot {
 	return s
 }
 
+// log appends one Event to the decision log. Every write to the books
+// (free vectors, down, placements, home, the waiting queue, the lease
+// ledger, the balloon ledger) must append an Event in the same step:
+// verify skips its scan while the log length is unchanged.
 func (f *Fleet) log(kind string, vm, from, to, n, lease int) {
 	f.events = append(f.events, Event{T: f.env.Now(), Kind: kind, VM: vm, From: from, To: to, N: n, Lease: lease})
 	if f.tr != nil {
@@ -509,21 +519,26 @@ func (f *Fleet) enqueue(r Request) {
 		f.queuedAt[r.ID] = f.env.Now()
 		f.stats.Queued++
 	}
-	f.waiting = append(f.waiting, r)
-	sort.SliceStable(f.waiting, func(i, j int) bool {
-		a, b := f.waiting[i], f.waiting[j]
-		if a.Priority != b.Priority {
-			return a.Priority > b.Priority
-		}
-		if a.Arrival != b.Arrival {
-			return a.Arrival < b.Arrival
-		}
-		return a.ID < b.ID
-	})
+	// The queue is kept in order (priority desc, arrival asc, ID asc):
+	// insert after every request that does not rank behind r.
+	i := sort.Search(len(f.waiting), func(i int) bool { return queuedBefore(r, f.waiting[i]) })
+	f.waiting = slices.Insert(f.waiting, i, r)
 	if len(f.waiting) > f.stats.MaxQueue {
 		f.stats.MaxQueue = len(f.waiting)
 	}
 	f.log("queue", r.ID, -1, -1, r.VCPUs, -1)
+}
+
+// queuedBefore is the waiting queue's order: higher priority first, then
+// earlier arrival, then lower ID.
+func queuedBefore(a, b Request) bool {
+	if a.Priority != b.Priority {
+		return a.Priority > b.Priority
+	}
+	if a.Arrival != b.Arrival {
+		return a.Arrival < b.Arrival
+	}
+	return a.ID < b.ID
 }
 
 // tryAdmit gang-places a request: one node best-fit, then all-or-nothing
@@ -795,10 +810,16 @@ func homeOf(pl sched.Placement) int {
 // Verify checks every control-plane invariant and panics on the first
 // violation: per-node CPU/memory books balance against placements,
 // nothing exceeds capacity, balloon conservation holds, and the lease
-// ledger matches the fragments exactly (no double-booked lease). Tests
-// call it; internal mutations call it at every quiescent point. Use
-// VerifyReport (verify.go) for the same checks as typed data.
-func (f *Fleet) Verify() { f.verify() }
+// ledger matches the fragments exactly (no double-booked lease). Verify
+// always runs the full scan, whatever the books last looked like; the
+// fleet's own quiescent points call the memoized verify (verify.go),
+// which skips the scan while the event log has not grown. Use
+// VerifyReport for the same checks as typed data.
+func (f *Fleet) Verify() {
+	if vs := f.VerifyReport(); len(vs) > 0 {
+		panic(vs[0].Error())
+	}
+}
 
 // GenerateBurst synthesizes n VM arrivals following the paper's setup:
 // sizes drawn from an Azure-like small-VM-heavy distribution [45],

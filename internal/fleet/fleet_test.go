@@ -3,6 +3,7 @@ package fleet
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
@@ -176,6 +177,36 @@ func TestPriorityQueueOrdering(t *testing.T) {
 		t.Fatalf("queue stats = %+v", f.Stats())
 	}
 	f.Verify()
+}
+
+// TestEnqueueMatchesStableSort pushes random requests through enqueue and
+// checks the queue after every insert against a stable sort of the same
+// requests by (priority desc, arrival asc, ID asc). Few distinct
+// priorities and arrivals make ties on the first two keys common.
+func TestEnqueueMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		_, f := newFleet(t, Config{Nodes: 1, CPUsPerNode: 4, MemPerNode: 8 * gig, Policy: sched.MinFrag})
+		var ref []Request
+		for _, id := range rng.Perm(1 + rng.Intn(40)) {
+			r := Request{ID: id, VCPUs: 1, Priority: Class(rng.Intn(3)), Arrival: sim.Time(rng.Intn(4))}
+			f.enqueue(r)
+			ref = append(ref, r)
+			sort.SliceStable(ref, func(i, j int) bool {
+				a, b := ref[i], ref[j]
+				if a.Priority != b.Priority {
+					return a.Priority > b.Priority
+				}
+				if a.Arrival != b.Arrival {
+					return a.Arrival < b.Arrival
+				}
+				return a.ID < b.ID
+			})
+			if !reflect.DeepEqual(f.waiting, ref) {
+				t.Fatalf("trial %d: queue after enqueueing %+v\n got %+v\nwant %+v", trial, r, f.waiting, ref)
+			}
+		}
+	}
 }
 
 // reclaimTrace is the shared arrival trace for the reclaim-vs-evict

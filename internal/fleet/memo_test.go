@@ -1,0 +1,204 @@
+package fleet
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/fault"
+	"repro/internal/sched"
+	"repro/internal/sim"
+)
+
+// memoEvery is the sampling period of TestVerifyMemoIsSound, shorter
+// than every tick period it samples. memoTick is the tick period of its
+// small worlds: it does not divide a second, so a sample falls between
+// an owner reclaim (on a whole second) and the tick that follows it.
+const (
+	memoEvery = 700 * sim.Microsecond
+	memoTick  = 3 * sim.Millisecond
+)
+
+// booksPrint appends to fp a fingerprint of everything verify reads: the
+// free vectors, down, every placement in node order with its home and
+// ballooned vCPUs, the waiting IDs in queue order, and the lease
+// ledger's (ID, State, CPUs).
+func booksPrint(f *Fleet, fp []int64) []int64 {
+	for n := range f.freeCPU {
+		down := int64(0)
+		if f.down[n] {
+			down = 1
+		}
+		fp = append(fp, int64(f.freeCPU[n]), f.freeMem[n], down)
+	}
+	ids := sortedVMs(f.placements)
+	fp = append(fp, int64(len(ids)))
+	for _, id := range ids {
+		pl := f.placements[id]
+		fp = append(fp, int64(id), int64(f.home[id]), f.ballooned.Ballooned(id), int64(len(pl)))
+		for n := range f.freeCPU {
+			if c, ok := pl[n]; ok {
+				fp = append(fp, int64(n), int64(c))
+			}
+		}
+	}
+	fp = append(fp, int64(len(f.waiting)))
+	for _, r := range f.waiting {
+		fp = append(fp, int64(r.ID))
+	}
+	fp = append(fp, int64(len(f.leases)))
+	for _, l := range f.leases {
+		fp = append(fp, int64(l.ID), int64(l.State), int64(l.CPUs))
+	}
+	return fp
+}
+
+// memoCounts records how often each premise was actually exercised, so a
+// world that never holds still cannot pass vacuously.
+type memoCounts struct {
+	still    int // samples whose log had not grown since the previous one
+	memoHits int // log lengths at which verify would skip, scanned by (b)
+}
+
+// watchMemo samples the fleet every memoEvery of virtual time up to end
+// and checks, at every sample, the premises verify's memo rests on:
+//
+//	(a) when the log has not grown since the previous sample, the books
+//	    are unchanged;
+//	(b) when verify would skip (verified == len(events)), the full scan
+//	    finds nothing.
+func watchMemo(t *testing.T, env *sim.Env, f *Fleet, end sim.Time) *memoCounts {
+	t.Helper()
+	c := &memoCounts{}
+	prevLen := -1
+	var prevFP, fp []int64
+	var sample func()
+	sample = func() {
+		n := len(f.events)
+		fp = booksPrint(f, fp[:0])
+		still := n == prevLen
+		if still {
+			c.still++
+			if !slices.Equal(fp, prevFP) {
+				t.Errorf("t=%v: books changed while the event log stayed at %d entries", env.Now(), n)
+				return
+			}
+		}
+		prevLen, prevFP, fp = n, fp, prevFP
+		// Books equal to the previous sample's (a) scan as they did then,
+		// so (b) needs one scan per log length.
+		if f.verified == n && !still {
+			c.memoHits++
+			if vs := f.VerifyReport(); len(vs) > 0 {
+				t.Errorf("t=%v: verify memo hit on broken books: %v", env.Now(), vs)
+				return
+			}
+		}
+		if env.Now()+memoEvery <= end {
+			env.After(memoEvery, sample)
+		}
+	}
+	env.At(0, sample)
+	return c
+}
+
+// quietDeflates counts deflations that a tick made onto slices the VM
+// already held: the first entry logged at its instant, and not followed
+// by a lease. Only the deflate entry records such a write, so without
+// these a missing deflate entry would go unseen by (a).
+func quietDeflates(evs []Event) int {
+	n := 0
+	for i, e := range evs {
+		first := i == 0 || evs[i-1].T != e.T
+		leased := i+1 < len(evs) && evs[i+1].T == e.T && evs[i+1].Kind == "lease" && evs[i+1].VM == e.VM
+		if e.Kind == "deflate" && first && !leased {
+			n++
+		}
+	}
+	return n
+}
+
+// requireExercised fails a world whose samples never hit a premise.
+func requireExercised(t *testing.T, c *memoCounts) {
+	t.Helper()
+	if c.still == 0 || c.memoHits == 0 {
+		t.Fatalf("premises not exercised: %+v", *c)
+	}
+	t.Logf("%+v", *c)
+}
+
+// TestVerifyMemoIsSound proves verify's memo is sound: an unchanged event
+// log means unchanged books (every write to the books logs an Event), and
+// books the memo would not re-scan scan clean. It samples three kinds of
+// world: the fleet soak, small auto-reclaim fleets under each reclaim
+// policy with random owner reclaims, and a heartbeat fleet whose node
+// crashes and heals.
+func TestVerifyMemoIsSound(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("soak-seed%d", seed), func(t *testing.T) {
+			env, f := newSoak(seed, 8)
+			c := watchMemo(t, env, f, soakWindow)
+			env.Run()
+			f.Verify()
+			requireExercised(t, c)
+		})
+	}
+	for _, pol := range Policies() {
+		t.Run("reclaim-"+pol.String(), func(t *testing.T) {
+			// Seed 34 makes the resize world re-inflate a ballooned VM
+			// onto a slice it already holds (quietDeflates).
+			const nodes, horizon = 6, 60 * sim.Second
+			env := sim.NewEnv()
+			f := New(env, Config{
+				Nodes: nodes, CPUsPerNode: 8, MemPerNode: 32 * gig,
+				Policy: sched.MinFrag, AutoReclaim: true, Reclaim: pol,
+				RebalanceEvery: memoTick, Horizon: horizon,
+			})
+			rng := rand.New(rand.NewSource(34))
+			f.Submit(GenerateBurst(rng, 20, 40*sim.Second, 2*gig))
+			for i := 0; i < 12; i++ {
+				at := sim.Time(1+rng.Intn(50)) * sim.Second
+				node := rng.Intn(nodes)
+				env.At(at, func() { f.Reclaim(node) })
+			}
+			c := watchMemo(t, env, f, horizon)
+			env.Run()
+			f.Verify()
+			st := f.Stats()
+			if st.Reclaims+st.Evictions+st.ReclaimsDeferred == 0 {
+				t.Fatalf("no reclaim took effect: %+v", st)
+			}
+			if pol == ReclaimResize && quietDeflates(f.events) == 0 {
+				t.Fatal("no tick re-inflated a VM onto a slice it already held")
+			}
+			requireExercised(t, c)
+		})
+	}
+	t.Run("heartbeat", func(t *testing.T) {
+		const horizon = 40 * sim.Second
+		env := sim.NewEnv()
+		cl := cluster.NewDefault(env, 4)
+		inj := fault.New(cl)
+		cfg := ClusterConfig(cl, sched.MinFrag)
+		cfg.Fault = inj
+		cfg.HeartbeatEvery = 100 * sim.Millisecond
+		cfg.RebalanceEvery = memoTick
+		cfg.AutoReclaim = true
+		cfg.Horizon = horizon
+		f := New(env, cfg)
+		f.Submit(GenerateBurst(rand.New(rand.NewSource(5)), 24, 20*sim.Second, 2*gig))
+		var sch fault.Schedule
+		sch.Add(fault.Event{At: 8 * sim.Second, Kind: fault.CrashNode, Node: 1})
+		sch.Add(fault.Event{At: 16 * sim.Second, Kind: fault.HealNode, Node: 1})
+		inj.Apply(sch)
+		c := watchMemo(t, env, f, horizon)
+		env.Run()
+		f.Verify()
+		if st := f.Stats(); st.NodeFailures != 1 || st.Restarts+st.Requeues == 0 {
+			t.Fatalf("crash did not take effect: %+v", st)
+		}
+		requireExercised(t, c)
+	})
+}

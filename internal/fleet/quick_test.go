@@ -14,8 +14,9 @@ import (
 // reclaims through the control plane and checks, for every seed:
 //
 //   - no placement ever exceeds node capacity and no lease is ever
-//     double-booked (Verify panics mid-run otherwise — it runs at every
-//     quiescent point, not just at the end);
+//     double-booked (the fleet's verify panics mid-run otherwise — it
+//     scans at every quiescent point where the event log has grown,
+//     which is every state the books reach, not just the end);
 //   - the same seed produces the identical event log.
 func TestQuickFleetInvariants(t *testing.T) {
 	prop := func(seed int64, nn, rr uint8) bool {

@@ -3,7 +3,8 @@
 // instead of panicking, so the chaos engine can treat a broken book as
 // a first-class finding (attach it to an episode, shrink the schedule
 // that produced it, replay it). Verify keeps the old contract — panic
-// on the first violation — for tests and internal quiescent points.
+// on the first violation — for tests; the internal quiescent points use
+// verify, the same check memoized on the event log.
 package fleet
 
 import (
@@ -73,12 +74,11 @@ func (f *Fleet) VerifyReport() []Violation {
 	var vs violations
 	usedCPU := make([]int, f.cfg.Nodes)
 	usedMem := make([]int64, f.cfg.Nodes)
-	ids := sortedVMs(f.placements)
-	for _, id := range ids {
+	for id, pl := range f.placements {
 		mpc := f.reqs[id].memPerCPU()
-		for _, n := range f.placements[id].Nodes() {
-			usedCPU[n] += f.placements[id][n]
-			usedMem[n] += int64(f.placements[id][n]) * mpc
+		for n, c := range pl {
+			usedCPU[n] += c
+			usedMem[n] += int64(c) * mpc
 		}
 	}
 	for n := 0; n < f.cfg.Nodes; n++ {
@@ -108,11 +108,9 @@ func (f *Fleet) VerifyReport() []Violation {
 			vs.add(VBalloonLedger, -1, id, -1, "balloon ledger provisions VM %d which has no placement", id)
 		}
 	}
+	ids := sortedVMs(f.placements)
 	for _, id := range ids {
-		var resident int64
-		for _, n := range f.placements[id].Nodes() {
-			resident += int64(f.placements[id][n])
-		}
+		resident := f.residentCPU(id)
 		if resident+f.ballooned.Ballooned(id) != int64(f.reqs[id].VCPUs) {
 			vs.add(VBalloonBooks, -1, id, -1, "VM %d balloon books broken: resident %d + ballooned %d != provisioned %d",
 				id, resident, f.ballooned.Ballooned(id), f.reqs[id].VCPUs)
@@ -141,8 +139,18 @@ func (f *Fleet) VerifyReport() []Violation {
 			vs.add(VLeaseCPUMismatch, l.Node, l.VM, l.ID, "lease %d books %d vCPUs, fragment has %d", l.ID, l.CPUs, pl[l.Node])
 		}
 	}
+	var one [1]int
 	for _, id := range ids {
-		for _, n := range f.placements[id].Nodes() {
+		// Report in node order; a single-node placement needs no sort.
+		pl, nodes := f.placements[id], one[:0]
+		if len(pl) > 1 {
+			nodes = pl.Nodes()
+		} else {
+			for n := range pl {
+				nodes = append(nodes, n)
+			}
+		}
+		for _, n := range nodes {
 			if n != f.home[id] && active[key{id, n}] == nil {
 				vs.add(VFragmentNoLease, n, id, -1, "fragment of VM %d on node %d has no lease", id, n)
 			}
@@ -151,13 +159,17 @@ func (f *Fleet) VerifyReport() []Violation {
 	return vs
 }
 
-// verify is the internal panic wrapper: every quiescent-point check in
-// the fleet goes through here, preserving the fail-fast contract while
-// VerifyReport carries the same checks as data.
+// verify is the fleet's quiescent-point check: Verify, memoized on the
+// event log. Every write to the books logs an Event, so when the log has
+// not grown since the last passing scan the books are the ones that
+// passed, and the scan is skipped. Every state the books reach is still
+// verified; only a re-check of an identical state is not.
 func (f *Fleet) verify() {
-	if vs := f.VerifyReport(); len(vs) > 0 {
-		panic(vs[0].Error())
+	if len(f.events) == f.verified {
+		return
 	}
+	f.Verify()
+	f.verified = len(f.events)
 }
 
 // sortedVMs returns the placement table's VM ids in ascending order.
