@@ -4,8 +4,9 @@
 // priority queue ordered by (time, insertion sequence), which makes every
 // simulation run bit-identical for a given seed. Simulated activities are
 // written as ordinary sequential Go functions running in "processes"
-// (see Proc); the scheduler admits exactly one process at a time, so process
-// code never races even though each process is backed by a goroutine.
+// (see Proc); each process is backed by a runtime coroutine (iter.Pull), and
+// control passes between the event loop and one process at a time by
+// coroutine switch, so process code never races.
 //
 // The primitives offered are the classic discrete-event toolkit:
 //
@@ -28,10 +29,7 @@
 // the hot dispatch path allocates nothing.
 package sim
 
-import (
-	"fmt"
-	"runtime/debug"
-)
+import "fmt"
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
 // It doubles as a duration type; the arithmetic reads naturally either way.
@@ -206,7 +204,6 @@ type Env struct {
 	timerFree  []*Timer
 	workerFree []*worker
 	seq        uint64
-	yield      chan struct{}
 	current    *Proc
 	procErr    any
 	stopped    bool
@@ -236,7 +233,7 @@ func (e *Env) Trace() any { return e.trace }
 
 // NewEnv returns an empty simulation environment at time zero.
 func NewEnv() *Env {
-	return &Env{yield: make(chan struct{})}
+	return &Env{}
 }
 
 // Now returns the current virtual time.
@@ -430,54 +427,6 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// dispatch hands control of the event loop to p until p parks or finishes.
-// The dispatch on which p finishes also reaps it: once finished procs
-// outnumber live ones the process table is compacted (preserving spawn
-// order of survivors), so week-long fleet runs do not accumulate every
-// proc ever spawned and LiveProcs stays O(live). Reaping happens at this
-// single deterministic point in event execution, never from a finalizer or
-// background task, so it cannot perturb same-seed runs.
-func (e *Env) dispatch(p *Proc) {
-	if p.finished {
-		panic(fmt.Sprintf("sim: dispatch of finished proc %q", p.name))
-	}
-	if p.w == nil {
-		e.bind(p)
-	}
-	prev := e.current
-	e.current = p
-	p.w.resume <- struct{}{}
-	<-e.yield
-	e.current = prev
-	if p.finished {
-		e.finished++
-		e.progress++
-		if len(e.procs) >= procCompactMin && e.finished*2 > len(e.procs) {
-			e.compactProcs()
-		}
-	}
-}
-
-// bind attaches a worker — a pooled goroutine + resume channel — to a proc
-// about to run for the first time. Workers are recycled from finished
-// procs, so a simulation that churns through short-lived processes (one
-// per DSM fault handler, for instance) reuses a small set of goroutines
-// whose stacks are already grown instead of paying goroutine creation and
-// stack-growth copying on every spawn.
-func (e *Env) bind(p *Proc) {
-	var w *worker
-	if n := len(e.workerFree) - 1; n >= 0 {
-		w = e.workerFree[n]
-		e.workerFree[n] = nil
-		e.workerFree = e.workerFree[:n]
-	} else {
-		w = &worker{env: e, resume: make(chan struct{})}
-		go w.loop()
-	}
-	w.p = p
-	p.w = w
-}
-
 // compactProcs rebuilds the process table keeping only live procs, in
 // spawn order.
 func (e *Env) compactProcs() {
@@ -492,51 +441,6 @@ func (e *Env) compactProcs() {
 	}
 	e.procs = live
 	e.finished = 0
-}
-
-// worker is a pooled coroutine backing: one goroutine plus its rendezvous
-// channel, reused across the lifetimes of many Procs. The goroutine loops
-// forever, running one proc function per iteration and parking itself on
-// the environment's free list in between.
-type worker struct {
-	env    *Env
-	resume chan struct{}
-	p      *Proc // proc currently bound; nil while idle
-}
-
-// loop is the worker goroutine's body. Each iteration runs one proc to
-// completion; the hand-off discipline is identical to the old
-// one-goroutine-per-proc design (exactly one of {event loop, one worker}
-// runs at any instant, sequenced by the yield/resume channels), so process
-// code still never races. Returning the worker to the free list happens
-// before the final yield, while the event loop is still parked — no
-// concurrent mutation of environment state.
-func (w *worker) loop() {
-	for {
-		<-w.resume
-		p := w.p
-		w.run(p)
-		p.finished = true
-		if !p.done.Fired() {
-			p.done.Fire()
-		}
-		p.fn = nil
-		p.w = nil
-		w.p = nil
-		w.env.workerFree = append(w.env.workerFree, w)
-		w.env.yield <- struct{}{}
-	}
-}
-
-// run executes the proc function, converting a panic into the
-// environment's pending proc error (re-raised by Run).
-func (w *worker) run(p *Proc) {
-	defer func() {
-		if r := recover(); r != nil {
-			w.env.procErr = fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
-		}
-	}()
-	p.fn(p)
 }
 
 // Proc is a simulated process: a coroutine whose blocking operations
@@ -571,16 +475,6 @@ func (p *Proc) Now() Time { return p.env.now }
 
 // Done returns an event fired when the process function returns.
 func (p *Proc) Done() *Event { return p.done }
-
-// park returns control to the event loop until the proc is re-dispatched.
-func (p *Proc) park() {
-	if p.env.current != p {
-		panic(fmt.Sprintf("sim: proc %q parking while not current", p.name))
-	}
-	w := p.w
-	p.env.yield <- struct{}{}
-	<-w.resume
-}
 
 // Sleep suspends the process for d nanoseconds of virtual time.
 func (p *Proc) Sleep(d Time) {
