@@ -89,6 +89,23 @@ func BenchmarkDSMFault(b *testing.B) {
 	tb.Run()
 }
 
+// BenchmarkDSMFaultBytes is BenchmarkDSMFault with a Write of real bytes,
+// so every fault moves a materialized page: the path the chaos VM
+// workload and checkpoint restore take, where Touch moves zero pages.
+func BenchmarkDSMFaultBytes(b *testing.B) {
+	tb := fragvisor.NewTestbed(2)
+	vm := tb.NewFragVisorVM(2, 4<<30)
+	payload := []byte("dsm-fault-payload")
+	b.ReportAllocs()
+	b.ResetTimer()
+	tb.Env.Spawn("pingpong", func(p *fragvisor.Proc) {
+		for i := 0; i < b.N; i++ {
+			vm.DSM.Write(p, i%2, 12345, 0, payload)
+		}
+	})
+	tb.Run()
+}
+
 // The remaining benchmarks isolate the DES core's primitive costs. The
 // balloon, fabric, transport and chaos micros live beside their packages
 // (internal/balloon, internal/topo, internal/reliable, internal/chaos);

@@ -15,7 +15,12 @@
 //
 // The DSM is functional, not just a cost model: page contents are real
 // bytes that move with ownership, which lets tests state coherence
-// invariants ("a read observes the most recent write") directly.
+// invariants ("a read observes the most recent write") directly. A replica
+// whose buffer is nil is a zero page: its 4 KiB exist only once something
+// is written to it, so Touch-only sharing (most of the paper's workloads)
+// allocates and copies no page bytes. The elision is host-side only: a
+// zero page moving between nodes is charged a full page on the wire and
+// in BytesMoved, exactly like one carrying data.
 //
 // Two access granularities are offered. Read/Write/Touch run the full
 // per-page protocol and are used wherever sharing matters (microbenchmarks,
@@ -155,10 +160,32 @@ func (s *Stats) add(o Stats) {
 	s.Retries += o.Retries
 }
 
-// localPage is one node's replica of a guest page.
+// localPage is one node's replica of a guest page. A nil data is a zero
+// page: the buffer is materialized by writable on the first write, and a
+// transfer of a zero page is still charged as a full page.
 type localPage struct {
 	state State
-	data  []byte
+	data  []byte // nil, or exactly mem.PageSize bytes
+}
+
+// zeroPage is what a nil replica reads as. It is never written.
+var zeroPage [mem.PageSize]byte
+
+// writable returns the replica's buffer, materializing a zero page.
+func (lp *localPage) writable() []byte {
+	if lp.data == nil {
+		lp.data = make([]byte, mem.PageSize)
+	}
+	return lp.data
+}
+
+// contents returns the replica's bytes for reading, a zero page reading as
+// mem.PageSize zero bytes; it never materializes the buffer.
+func (lp *localPage) contents() []byte {
+	if lp.data == nil {
+		return zeroPage[:]
+	}
+	return lp.data
 }
 
 // dirEntry is the origin directory record for one explicitly-managed page.
@@ -190,7 +217,12 @@ type grantMsg struct {
 	id    uint64
 	page  mem.PageID
 	write bool
-	data  []byte // nil when the requester's existing copy remains valid
+	// carry says the grant moves the page's contents, which the wire and
+	// BytesMoved charge as a full page; it is false when the requester's
+	// existing copy remains valid. data is nil when carry is false, and
+	// also when the page moved is a zero page.
+	carry bool
+	data  []byte
 }
 
 // pendingFault is requester-side bookkeeping for one in-flight fault.
@@ -357,7 +389,7 @@ func (d *DSM) Write(p *sim.Proc, node int, pg mem.PageID, off int, data []byte) 
 		return
 	}
 	lp := d.ensure(p, node, pg, true)
-	copy(lp.data[off:], data)
+	copy(lp.writable()[off:], data)
 }
 
 // Touch performs an access for its coherence cost only, moving no payload
@@ -387,7 +419,7 @@ func (d *DSM) contextualWrite(p *sim.Proc, node int, pg mem.PageID, off int, dat
 	if data != nil {
 		for n := range e.copyset {
 			if lp, ok := d.local[n][pg]; ok && lp.state != Invalid {
-				copy(lp.data[off:], data)
+				copy(lp.writable()[off:], data)
 			}
 		}
 	}
@@ -399,7 +431,7 @@ func (d *DSM) contextualWrite(p *sim.Proc, node int, pg mem.PageID, off int, dat
 		lp.state = Shared
 		e.copyset[node] = true
 		if data != nil {
-			copy(lp.data[off:], data)
+			copy(lp.writable()[off:], data)
 		}
 		if olp, ok := d.local[e.owner][pg]; ok && olp.state == Exclusive {
 			olp.state = Shared
@@ -470,12 +502,13 @@ func (d *DSM) ensure(p *sim.Proc, node int, pg mem.PageID, write bool) *localPag
 }
 
 // page returns (lazily creating) the node's replica record for a page.
-// Origin replicas of never-seen pages start Exclusive and zero-filled:
-// the bootstrap slice initially backs the whole guest physical space.
+// A new record is a zero page (nil buffer) and allocates no page bytes.
+// Origin replicas of never-seen pages start Exclusive: the bootstrap slice
+// initially backs the whole guest physical space.
 func (d *DSM) page(node int, pg mem.PageID) *localPage {
 	lp, ok := d.local[node][pg]
 	if !ok {
-		lp = &localPage{state: Invalid, data: make([]byte, mem.PageSize)}
+		lp = &localPage{state: Invalid}
 		if node == d.origin {
 			if _, seen := d.dir[pg]; !seen {
 				lp.state = Exclusive
@@ -542,12 +575,14 @@ func (d *DSM) handleDir(m *msg.Message) {
 // sendGrant delivers the grant to the requester and waits for its ack,
 // re-sending on timeout in fault mode. A requester that dies before
 // acknowledging leaves directory state pointing at it; MarkDead reconciles.
-func (d *DSM) sendGrant(p *sim.Proc, req faultReq, data []byte) {
+// The caller sets only g's carry and data; a carried page costs
+// mem.PageSize on the wire even when data is nil.
+func (d *DSM) sendGrant(p *sim.Proc, req faultReq, g grantMsg) {
+	g.id, g.page, g.write = req.id, req.page, req.write
 	size := d.params.ReqBytes
-	if data != nil {
+	if g.carry {
 		size += mem.PageSize
 	}
-	g := grantMsg{id: req.id, page: req.page, write: req.write, data: data}
 	_, err := d.callNode(p, req.node, "grant", size, g)
 	_ = err // dead requester: give up; survivors proceed after MarkDead
 }
@@ -559,7 +594,7 @@ func (d *DSM) grantRead(p *sim.Proc, req faultReq) {
 	if e.copyset[req.node] {
 		// The requester already regained a copy (raced with an earlier
 		// grant from this node): nothing to transfer.
-		d.sendGrant(p, req, nil)
+		d.sendGrant(p, req, grantMsg{})
 		return
 	}
 	var data []byte
@@ -581,7 +616,7 @@ func (d *DSM) grantRead(p *sim.Proc, req faultReq) {
 	}
 	e.copyset[req.node] = true
 	d.reconcileOrigin(e, req.page)
-	d.sendGrant(p, req, data)
+	d.sendGrant(p, req, grantMsg{carry: true, data: data})
 }
 
 // grantWrite invalidates every other replica and transfers ownership (and,
@@ -589,7 +624,7 @@ func (d *DSM) grantRead(p *sim.Proc, req faultReq) {
 func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
 	e := d.entry(req.page)
 	hasCopy := e.copyset[req.node]
-	var data []byte
+	var g grantMsg // carry and data are set by whichever path fetches the bytes
 
 	// Invalidate all replicas except the requester's, in parallel. The
 	// owner's replica is fetched-and-invalidated so its bytes reach the
@@ -608,7 +643,7 @@ func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
 			// A dead replica holder needs no invalidation; if it owned the
 			// only copy, fall back to the origin's (stale) replica.
 			if n == e.owner && !hasCopy {
-				data = append([]byte(nil), d.page(d.origin, req.page).data...)
+				g.carry, g.data = true, append([]byte(nil), d.page(d.origin, req.page).data...)
 			}
 			continue
 		}
@@ -624,7 +659,7 @@ func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
 			if n == d.origin {
 				lp := d.page(d.origin, req.page)
 				if n == e.owner && !hasCopy {
-					data = append([]byte(nil), lp.data...)
+					g.carry, g.data = true, append([]byte(nil), lp.data...)
 				}
 				lp.state = Invalid
 				d.mustStats(d.origin).Invalidations++
@@ -633,11 +668,12 @@ func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
 			if n == e.owner && !hasCopy {
 				r, err := d.callNode(sub, n, "invfetch",
 					d.params.ReqBytes, fetchReq{page: req.page, invalidate: true})
+				g.carry = true
 				if err != nil {
-					data = append([]byte(nil), d.page(d.origin, req.page).data...)
+					g.data = append([]byte(nil), d.page(d.origin, req.page).data...)
 					return
 				}
-				data = r.Payload.([]byte)
+				g.data = r.Payload.([]byte)
 				return
 			}
 			// A holder that died mid-invalidation needs none: its replica
@@ -651,7 +687,7 @@ func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
 	e.owner = req.node
 	e.copyset = map[int]bool{req.node: true}
 	d.reconcileOrigin(e, req.page)
-	d.sendGrant(p, req, data)
+	d.sendGrant(p, req, g)
 }
 
 // handleOwner serves grant installations and fetch/invalidate requests at
@@ -673,8 +709,12 @@ func (d *DSM) handleOwner(m *msg.Message) {
 		}
 		delete(d.pending, g.id)
 		lp := d.page(m.To, g.page)
-		if g.data != nil {
-			copy(lp.data, g.data)
+		if g.carry {
+			if g.data == nil {
+				lp.data = nil
+			} else {
+				copy(lp.writable(), g.data)
+			}
 			pf.moved = mem.PageSize
 		}
 		if g.write {

@@ -250,15 +250,16 @@ func (d *DSM) ownedExplicit(node int) map[mem.PageID]bool {
 }
 
 // SnapshotOwned returns copies of the contents of every explicitly-managed
-// page the node owns. Bulk extents carry no materialized bytes; their
-// contribution to a checkpoint is counted by OwnedBytes. This is an
-// administrative accessor (no protocol cost): the checkpointing code
-// charges transfer and storage costs itself.
+// page the node owns, each a full page (a zero page copies as zeros). Bulk
+// extents carry no materialized bytes; their contribution to a checkpoint
+// is counted by OwnedBytes. This is an administrative accessor (no
+// protocol cost): the checkpointing code charges transfer and storage
+// costs itself.
 func (d *DSM) SnapshotOwned(node int) map[mem.PageID][]byte {
 	out := make(map[mem.PageID][]byte)
 	for pg := range d.ownedExplicit(node) {
 		if lp, ok := d.local[node][pg]; ok {
-			out[pg] = append([]byte(nil), lp.data...)
+			out[pg] = append([]byte(nil), lp.contents()...)
 		}
 	}
 	return out
@@ -283,10 +284,9 @@ func (d *DSM) RestorePage(p *sim.Proc, node int, pg mem.PageID, data []byte) {
 		}
 	}
 	lp := d.page(node, pg)
-	copy(lp.data, data)
-	for i := len(data); i < mem.PageSize; i++ {
-		lp.data[i] = 0
-	}
+	buf := lp.writable()
+	copy(buf, data)
+	clear(buf[len(data):])
 	lp.state = Exclusive
 	e.owner = node
 	e.copyset = map[int]bool{node: true}

@@ -20,6 +20,7 @@
 package dsm
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -179,7 +180,8 @@ func (d *DSM) MarkDead(node int) {
 //   - the directory owner is alive and holds a valid replica;
 //   - an Exclusive replica is the only valid replica;
 //   - every copyset member holds a valid replica, every non-member holds
-//     none, and all valid replicas carry identical bytes.
+//     none, and all valid replicas carry identical bytes (a zero page,
+//     whose buffer is nil, equals a buffer of zeros).
 //
 // It returns nil when coherent, or an error naming the first violation.
 // Run MarkDead for every crashed node first; a directory still pointing at
@@ -217,7 +219,7 @@ func (d *DSM) Validate() error {
 			if valid && lp.state == Exclusive && n != e.owner {
 				return fmt.Errorf("dsm: page %#x node %d exclusive but owner is %d", uint64(pg), n, e.owner)
 			}
-			if valid && string(lp.data) != string(ownerLP.data) {
+			if valid && !bytes.Equal(lp.contents(), ownerLP.contents()) {
 				return fmt.Errorf("dsm: page %#x replica at node %d diverges from owner %d", uint64(pg), n, e.owner)
 			}
 		}
