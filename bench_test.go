@@ -75,7 +75,9 @@ func BenchmarkVCPUMigration(b *testing.B) {
 }
 
 // BenchmarkDSMFault measures the simulator's cost per remote DSM write
-// fault — the engine's hottest path.
+// fault — the engine's hottest path. Select it with an anchored pattern,
+// -bench 'BenchmarkDSMFault$': unanchored, it also matches
+// BenchmarkFig04DSMFaultTraffic, a whole fig4 run per op.
 func BenchmarkDSMFault(b *testing.B) {
 	tb := fragvisor.NewTestbed(2)
 	vm := tb.NewFragVisorVM(2, 4<<30)
@@ -87,6 +89,36 @@ func BenchmarkDSMFault(b *testing.B) {
 		}
 	})
 	tb.Run()
+}
+
+// dsmFaultAllocBudget is what one remote write fault (BenchmarkDSMFault's
+// loop body) allocates: the fault's bookkeeping, the directory and
+// invalidation procs, and the messages, each message costing only itself.
+const dsmFaultAllocBudget = 19
+
+// TestDSMFaultAllocBudget pins BenchmarkDSMFault's allocs/op: a remote
+// write fault may allocate no more than dsmFaultAllocBudget objects.
+func TestDSMFaultAllocBudget(t *testing.T) {
+	tb := fragvisor.NewTestbed(2)
+	vm := tb.NewFragVisorVM(2, 4<<30)
+	faults := sim.NewQueue[int](tb.Env)
+	tb.Env.Spawn("pingpong", func(p *fragvisor.Proc) {
+		for {
+			vm.DSM.Touch(p, faults.Get(p), 12345, true)
+		}
+	})
+	touches := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		faults.Put(1 - touches%2) // start on node 1: the origin's first touch would hit
+		touches++
+		tb.Run()
+	})
+	if got := vm.DSM.TotalStats().WriteFaults; got != int64(touches) {
+		t.Fatalf("%d write faults over %d touches: not every touch faulted", got, touches)
+	}
+	if allocs > dsmFaultAllocBudget {
+		t.Errorf("a remote write fault allocates %v objects, budget %d", allocs, dsmFaultAllocBudget)
+	}
 }
 
 // BenchmarkDSMFaultBytes is BenchmarkDSMFault with a Write of real bytes,

@@ -194,7 +194,9 @@ type dirEntry struct {
 	copyset map[int]bool
 }
 
-// faultReq is the payload of a fault request to the directory.
+// faultReq is the payload of a fault request to the directory. It travels
+// by pointer and lives in the requester's pendingFault, so retransmissions
+// resend the same request; the directory only reads it.
 type faultReq struct {
 	id    uint64
 	page  mem.PageID
@@ -212,7 +214,8 @@ type fetchReq struct {
 // grantMsg carries the directory's answer to a fault back to the faulting
 // node. The requester installs it synchronously at delivery and
 // acknowledges; the directory holds the page lock until the ack, so a
-// replica can never be resurrected by a stale in-flight grant.
+// replica can never be resurrected by a stale in-flight grant. It travels
+// by pointer, so a re-sent grant is the same message.
 type grantMsg struct {
 	id    uint64
 	page  mem.PageID
@@ -227,6 +230,7 @@ type grantMsg struct {
 
 // pendingFault is requester-side bookkeeping for one in-flight fault.
 type pendingFault struct {
+	req   faultReq
 	ev    *sim.Event
 	moved int64 // payload bytes installed by the grant
 }
@@ -251,6 +255,7 @@ type DSM struct {
 	dirtyPage mem.PageID
 	service   string
 	dirSvc    string // service + ".dir", interned off the fault hot path
+	ownSvc    string // service + ".own", likewise
 	dirProc   string // service + ".dir.", prefix for directory proc names
 	invProc   string // service + ".inv.", prefix for invalidation proc names
 
@@ -291,6 +296,7 @@ func New(env *sim.Env, layer *msg.Layer, nodes []int, p Params) *DSM {
 	// depend only on construction order within one simulation.
 	d.service = fmt.Sprintf("dsm%d", layer.Instance("dsm"))
 	d.dirSvc = d.service + ".dir"
+	d.ownSvc = d.service + ".own"
 	d.dirProc = d.service + ".dir."
 	d.invProc = d.service + ".inv."
 	for i, n := range nodes {
@@ -303,7 +309,7 @@ func New(env *sim.Env, layer *msg.Layer, nodes []int, p Params) *DSM {
 	}
 	layer.Handle(d.origin, d.dirSvc, d.handleDir)
 	for _, n := range nodes {
-		layer.Handle(n, d.service+".own", d.handleOwner)
+		layer.Handle(n, d.ownSvc, d.handleOwner)
 	}
 	return d
 }
@@ -470,9 +476,9 @@ func (d *DSM) ensure(p *sim.Proc, node int, pg mem.PageID, write bool) *localPag
 	p.Sleep(d.params.FaultHandler + d.params.UserSpaceExtra)
 	d.nextFault++
 	id := d.nextFault
-	pf := &pendingFault{ev: d.env.NewEvent()}
+	pf := &pendingFault{req: faultReq{id: id, page: pg, node: node, write: write}, ev: d.env.NewEvent()}
 	d.pending[id] = pf
-	req := faultReq{id: id, page: pg, node: node, write: write}
+	req := &pf.req
 	d.layer.SendCtx(sp, node, d.origin, d.dirSvc, "fault", d.params.ReqBytes, req)
 	if d.params.Retry.Timeout <= 0 {
 		p.Wait(pf.ev)
@@ -547,7 +553,7 @@ func (d *DSM) lock(pg mem.PageID) *sim.Mutex {
 // grant, which is what makes the protocol race-free: no replica can be
 // resurrected by a grant that was in flight when ownership moved on.
 func (d *DSM) handleDir(m *msg.Message) {
-	req := m.Payload.(faultReq)
+	req := m.Payload.(*faultReq)
 	if d.seen[req.id] {
 		// Retransmission (or fault-injected duplicate) of a request
 		// already accepted: the grant path owns reply delivery.
@@ -577,7 +583,7 @@ func (d *DSM) handleDir(m *msg.Message) {
 // acknowledging leaves directory state pointing at it; MarkDead reconciles.
 // The caller sets only g's carry and data; a carried page costs
 // mem.PageSize on the wire even when data is nil.
-func (d *DSM) sendGrant(p *sim.Proc, req faultReq, g grantMsg) {
+func (d *DSM) sendGrant(p *sim.Proc, req *faultReq, g *grantMsg) {
 	g.id, g.page, g.write = req.id, req.page, req.write
 	size := d.params.ReqBytes
 	if g.carry {
@@ -589,12 +595,12 @@ func (d *DSM) sendGrant(p *sim.Proc, req faultReq, g grantMsg) {
 
 // grantRead adds the requester to the page's copyset, fetching the bytes
 // from the current owner.
-func (d *DSM) grantRead(p *sim.Proc, req faultReq) {
+func (d *DSM) grantRead(p *sim.Proc, req *faultReq) {
 	e := d.entry(req.page)
 	if e.copyset[req.node] {
 		// The requester already regained a copy (raced with an earlier
 		// grant from this node): nothing to transfer.
-		d.sendGrant(p, req, grantMsg{})
+		d.sendGrant(p, req, &grantMsg{})
 		return
 	}
 	var data []byte
@@ -616,15 +622,15 @@ func (d *DSM) grantRead(p *sim.Proc, req faultReq) {
 	}
 	e.copyset[req.node] = true
 	d.reconcileOrigin(e, req.page)
-	d.sendGrant(p, req, grantMsg{carry: true, data: data})
+	d.sendGrant(p, req, &grantMsg{carry: true, data: data})
 }
 
 // grantWrite invalidates every other replica and transfers ownership (and,
 // if the requester lacks a valid copy, the bytes) to the requester.
-func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
+func (d *DSM) grantWrite(p *sim.Proc, req *faultReq) {
 	e := d.entry(req.page)
 	hasCopy := e.copyset[req.node]
-	var g grantMsg // carry and data are set by whichever path fetches the bytes
+	g := &grantMsg{} // carry and data are set by whichever path fetches the bytes
 
 	// Invalidate all replicas except the requester's, in parallel. The
 	// owner's replica is fetched-and-invalidated so its bytes reach the
@@ -685,7 +691,8 @@ func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
 	p.WaitAll(waits...)
 
 	e.owner = req.node
-	e.copyset = map[int]bool{req.node: true}
+	clear(e.copyset)
+	e.copyset[req.node] = true
 	d.reconcileOrigin(e, req.page)
 	d.sendGrant(p, req, g)
 }
@@ -696,7 +703,7 @@ func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
 func (d *DSM) handleOwner(m *msg.Message) {
 	switch m.Kind {
 	case "grant":
-		g := m.Payload.(grantMsg)
+		g := m.Payload.(*grantMsg)
 		pf, ok := d.pending[g.id]
 		if !ok || !d.alive(m.To) {
 			// Either a re-sent grant for an already-installed id (the ack

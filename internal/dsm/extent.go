@@ -289,5 +289,6 @@ func (d *DSM) RestorePage(p *sim.Proc, node int, pg mem.PageID, data []byte) {
 	clear(buf[len(data):])
 	lp.state = Exclusive
 	e.owner = node
-	e.copyset = map[int]bool{node: true}
+	clear(e.copyset)
+	e.copyset[node] = true
 }

@@ -136,7 +136,7 @@ func TestZeroPageTransfersCostAFullPage(t *testing.T) {
 			end:   env.Now(),
 			stats: d.TotalStats(),
 			dir:   d.layer.Stats(d.dirSvc),
-			own:   d.layer.Stats(d.service + ".own"),
+			own:   d.layer.Stats(d.ownSvc),
 		}
 	}
 	zero, full := play(false), play(true)

@@ -13,6 +13,14 @@
 // blocks the calling process until the remote handler replies — the shape
 // of every request/response protocol built on top (page fetches, interrupt
 // acknowledgements, migration handshakes).
+//
+// A message schedules itself: the fabric only charges the path
+// (netsim.Fabric.Transmit), and the layer puts the *Message on a pooled
+// sim.Env.DeferArgAt timer at the arrival time, then on a DeferArg timer
+// for the handler latency, each running a static function of the message.
+// A reply carries its caller's reply event instead of a callback. So a
+// delivery allocates only its Message, and a Call round trip only the
+// request, the reply and the reply event.
 package msg
 
 import (
@@ -51,10 +59,11 @@ type Message struct {
 	Payload any
 
 	layer   *Layer
-	replyEv *sim.Event
+	replyEv *sim.Event // on a request: fired when its reply arrives
 	reply   *Message
-	dup     bool  // fault-injected duplicate delivery of an earlier message
-	span    int64 // tracing span covering this message's delivery
+	done    *sim.Event // on a reply: the request's replyEv, fired at delivery
+	dup     bool       // fault-injected duplicate delivery of an earlier message
+	span    int64      // tracing span covering this message's delivery
 }
 
 // SpanID returns the tracing span covering this message's delivery (0 when
@@ -83,15 +92,15 @@ func (m *Message) Reply(size int, payload any) {
 	if m.replyEv.Fired() || m.reply != nil {
 		panic(fmt.Sprintf("msg: duplicate Reply to %s/%s", m.Service, m.Kind))
 	}
-	ev := m.replyEv
+	l := m.layer
 	resp := &Message{
 		From: m.To, To: m.From,
-		Service: m.Service, Kind: m.Kind + ".reply",
-		Size: size, Payload: payload, layer: m.layer,
-		span: m.span,
+		Service: m.Service, Kind: l.replyKind(m.Kind),
+		Size: size, Payload: payload, layer: l,
+		done: m.replyEv, span: m.span,
 	}
 	m.reply = resp
-	m.layer.deliver(resp, func() { ev.Fire() })
+	l.deliver(resp)
 }
 
 // ServiceStats counts traffic for one service.
@@ -111,6 +120,7 @@ type Layer struct {
 	faults   FaultStats
 	tr       *trace.Tracer
 	services map[string]int
+	replies  map[string]string // kind -> kind + ".reply", interned
 }
 
 type serviceKey struct {
@@ -128,7 +138,19 @@ func NewLayer(env *sim.Env, net netsim.Fabric, p Params) *Layer {
 		handlers: make(map[serviceKey]Handler),
 		stats:    make(map[string]*ServiceStats),
 		tr:       trace.FromEnv(env),
+		replies:  make(map[string]string),
 	}
+}
+
+// replyKind returns kind + ".reply", built once per kind so replies do
+// not concatenate a string each.
+func (l *Layer) replyKind(kind string) string {
+	r, ok := l.replies[kind]
+	if !ok {
+		r = kind + ".reply"
+		l.replies[kind] = r
+	}
+	return r
 }
 
 // Instance returns a fresh 1-based sequence number for the named service
@@ -161,7 +183,7 @@ func (l *Layer) Send(from, to int, service, kind string, size int, payload any) 
 // span is created as a child of the given span. Send uses parent 0.
 func (l *Layer) SendCtx(span int64, from, to int, service, kind string, size int, payload any) {
 	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, span: span}
-	l.deliver(m, nil)
+	l.deliver(m)
 }
 
 // Call delivers a request and blocks the process until the handler replies.
@@ -169,15 +191,15 @@ func (l *Layer) SendCtx(span int64, from, to int, service, kind string, size int
 func (l *Layer) Call(p *sim.Proc, from, to int, service, kind string, size int, payload any) *Message {
 	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, span: p.Span()}
 	m.replyEv = l.env.NewEvent()
-	l.deliver(m, nil)
+	l.deliver(m)
 	p.Wait(m.replyEv)
 	return m.reply
 }
 
-// deliver routes a message through the fabric (or locally) and invokes the
-// destination handler after the receive-side processing cost. For replies,
-// onDelivered fires instead of a handler lookup.
-func (l *Layer) deliver(m *Message, onDelivered func()) {
+// deliver routes a message through the fabric (or locally) and, after
+// the receive-side processing cost, hands it to handle. The message is
+// its own timer argument, so the two hops allocate nothing.
+func (l *Layer) deliver(m *Message) {
 	st, ok := l.stats[m.Service]
 	if !ok {
 		st = &ServiceStats{}
@@ -192,22 +214,6 @@ func (l *Layer) deliver(m *Message, onDelivered func()) {
 		m.span = l.tr.Begin(m.span, trace.CatNet, m.To, l.tr.Key(m.Service, m.Kind))
 	}
 
-	handle := func() {
-		if onDelivered != nil {
-			onDelivered()
-		} else {
-			h, ok := l.handlers[serviceKey{m.To, m.Service}]
-			if !ok {
-				panic(fmt.Sprintf("msg: no handler for %s on node %d (kind %s)", m.Service, m.To, m.Kind))
-			}
-			h(m)
-		}
-		l.tr.End(m.span)
-	}
-	// Pooled fire-and-forget timers: delivery never cancels, so the two
-	// hops (fabric arrival, then handler latency) allocate no Timer.
-	receive := func() { l.env.Defer(l.params.HandlerLat, handle) }
-
 	var verdict MsgOutcome
 	if l.filter != nil {
 		verdict = l.filter.MsgOutcome(m.From, m.To, m.Service, m.Kind)
@@ -220,21 +226,24 @@ func (l *Layer) deliver(m *Message, onDelivered func()) {
 			l.faults.Dropped++
 			return
 		}
-		l.env.Defer(0, receive)
+		l.env.DeferArg(0, receive, m)
 		return
 	}
 	// Cross-node drop/delay faults are ruled on by the fabric's own
-	// filter inside net.Send; the messaging layer adds duplication, which
+	// filter inside Transmit; the messaging layer adds duplication, which
 	// must be applied here so the duplicate can be delivered as a marked
-	// Message whose Reply is discarded.
-	l.net.SendCtx(m.span, m.From, m.To, m.Size+l.params.HeaderBytes, receive)
+	// Message whose Reply is discarded. The arrival timer is scheduled
+	// straight after the path is charged, as the fabric's own Send does.
+	if at, ok := l.net.Transmit(m.span, m.From, m.To, m.Size+l.params.HeaderBytes); ok {
+		l.env.DeferArgAt(at, receive, m)
+	}
 	if verdict.Duplicate {
 		l.faults.Duplicated++
 		clone := *m
 		clone.dup = true
 		l.net.Send(m.From, m.To, m.Size+l.params.HeaderBytes, func() {
 			l.env.Defer(l.params.HandlerLat, func() {
-				if onDelivered != nil {
+				if clone.done != nil {
 					// Duplicate replies are dropped at the requester:
 					// the original already completed the call.
 					l.faults.DupRepliesDropped++
@@ -246,6 +255,30 @@ func (l *Layer) deliver(m *Message, onDelivered func()) {
 			})
 		})
 	}
+}
+
+// receive runs when a message reaches its destination node: it charges
+// the receive-side processing cost before handle.
+func receive(a any) {
+	m := a.(*Message)
+	m.layer.env.DeferArg(m.layer.params.HandlerLat, handle, m)
+}
+
+// handle completes a delivery: a reply fires its caller's reply event,
+// anything else runs the destination service's handler.
+func handle(a any) {
+	m := a.(*Message)
+	l := m.layer
+	if m.done != nil {
+		m.done.Fire()
+	} else {
+		h, ok := l.handlers[serviceKey{m.To, m.Service}]
+		if !ok {
+			panic(fmt.Sprintf("msg: no handler for %s on node %d (kind %s)", m.Service, m.To, m.Kind))
+		}
+		h(m)
+	}
+	l.tr.End(m.span)
 }
 
 // Stats returns the traffic counters for a service (zeroes if unused).

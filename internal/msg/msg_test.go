@@ -160,3 +160,60 @@ func TestManyConcurrentCalls(t *testing.T) {
 		t.Fatalf("served=%d done=%d", served, done)
 	}
 }
+
+// TestDeliveryAllocatesOnlyTheMessage: a message schedules itself on
+// pooled timers, so once the endpoints, stats and timer pool are warm a
+// cross-node Send allocates only its Message, and a Call round trip only
+// the request, its reply event and the reply.
+func TestDeliveryAllocatesOnlyTheMessage(t *testing.T) {
+	env := sim.NewEnv()
+	l := newTestLayer(env)
+	l.Handle(1, "svc", func(m *Message) {
+		if m.Kind == "req" {
+			m.Reply(8, nil)
+		}
+	})
+	send := testing.AllocsPerRun(1000, func() {
+		l.Send(0, 1, "svc", "note", 16, nil)
+		env.Run()
+	})
+	if send != 1 {
+		t.Errorf("cross-node Send allocates %v times, want 1 (the Message)", send)
+	}
+	// One long-lived caller makes a Call per queued item, so round trips
+	// run one at a time without a Spawn each.
+	q := sim.NewQueue[struct{}](env)
+	env.Spawn("caller", func(p *sim.Proc) {
+		for {
+			q.Get(p)
+			l.Call(p, 0, 1, "svc", "req", 16, nil)
+		}
+	})
+	call := testing.AllocsPerRun(1000, func() {
+		q.Put(struct{}{})
+		env.Run()
+	})
+	if call > 3 {
+		t.Errorf("Call round trip allocates %v times, want at most 3", call)
+	}
+	if got := l.Stats("svc").Messages; got != 1001+2*1001 {
+		t.Errorf("delivered %d messages, want %d", got, 1001+2*1001)
+	}
+}
+
+// BenchmarkMsgCall measures one cross-node Call round trip: request and
+// reply through the fabric, handler latency at both ends, and the wake
+// of the blocked caller.
+func BenchmarkMsgCall(b *testing.B) {
+	env := sim.NewEnv()
+	l := newTestLayer(env)
+	l.Handle(1, "svc", func(m *Message) { m.Reply(8, nil) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Spawn("caller", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			l.Call(p, 0, 1, "svc", "req", 16, nil)
+		}
+	})
+	env.Run()
+}

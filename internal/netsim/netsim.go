@@ -54,9 +54,15 @@ type Fabric interface {
 	// reliable transport keys its zero-fault fast path on this: no filter
 	// means nothing can be lost, so no acks need to be charged.
 	Filter() Filter
+	// Transmit charges the path for size bytes under a causal tracing
+	// parent span and returns the arrival time and whether the fault
+	// filter let the message through. It schedules nothing: a caller
+	// that schedules its own delivery (the messaging layer does, without
+	// a closure) does so at the returned time.
+	Transmit(span int64, from, to int, size int) (arrive sim.Time, delivered bool)
 	// Send transmits size bytes and invokes deliver at arrival time;
 	// deliver may be nil for fire-and-forget accounting. Returns the
-	// delivery time.
+	// delivery time. It is Transmit plus the scheduling of deliver.
 	Send(from, to int, size int, deliver func()) sim.Time
 	// SendCtx is Send with a causal tracing parent span.
 	SendCtx(span int64, from, to int, size int, deliver func()) sim.Time

@@ -27,9 +27,20 @@
 // once they outnumber live ones, finished processes are reaped from the
 // process table, and internal wake-up timers are pooled on a free list so
 // the hot dispatch path allocates nothing.
+//
+// Fire-and-forget timers come in two pooled forms: Defer/DeferAt run a
+// func(), and DeferArg/DeferArgAt run a static func(any) on an argument
+// the timer carries. The second form is for callers that schedule the
+// same step for many objects (the messaging layer schedules each
+// *Message's arrival and handling this way): a top-level function plus
+// a pointer argument allocates nothing, where a closure over the object
+// would allocate on every call.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
 // It doubles as a duration type; the arithmetic reads naturally either way.
@@ -75,16 +86,19 @@ const (
 
 // Timer is a scheduled callback. It can be cancelled before it fires.
 //
-// Internally a timer carries a callback (fn), a process to wake (proc), or
-// a timeout check (proc+ev); the non-callback forms let the hot wake-up and
-// RPC-timeout paths skip closure allocation entirely. Timers created by the
-// core's own primitives are pooled on the environment's free list once they
-// retire; timers returned by At/After are not, because the caller may hold
-// the reference indefinitely.
+// Internally a timer carries a callback (fn), a static callback and its
+// argument (afn+arg), a process to wake (proc), or a timeout check
+// (proc+ev); the non-closure forms let the hot wake-up, message-delivery
+// and RPC-timeout paths skip closure allocation entirely. Timers created
+// by the core's own primitives are pooled on the environment's free list
+// once they retire; timers returned by At/After are not, because the
+// caller may hold the reference indefinitely.
 type Timer struct {
 	at     Time
 	seq    uint64
 	fn     func()
+	afn    func(any) // static callback, run on arg (DeferArg)
+	arg    any
 	proc   *Proc  // wake-up target; nil for callback timers
 	ev     *Event // with proc: wake only if proc still waits on ev (WaitTimeout)
 	env    *Env
@@ -269,7 +283,7 @@ func (e *Env) wake(p *Proc) { e.schedule(e.now, p, nil, true) }
 // free list; others just drop their references so a caller-held Timer does
 // not pin its callback.
 func (e *Env) recycle(t *Timer) {
-	t.fn, t.proc, t.ev = nil, nil, nil
+	t.fn, t.afn, t.arg, t.proc, t.ev = nil, nil, nil, nil, nil
 	if t.pooled {
 		e.timerFree = append(e.timerFree, t)
 	}
@@ -331,6 +345,28 @@ func (e *Env) DeferAt(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: DeferAt(%v) is in the past (now %v)", t, e.now))
 	}
 	e.schedule(t, nil, fn, true)
+}
+
+// DeferArg is Defer for a static callback: fn(arg) runs d nanoseconds
+// from now on a pooled timer. When fn is a top-level function and arg a
+// pointer, scheduling allocates nothing, which is what lets a hot path
+// schedule per-object steps without building a closure per object.
+func (e *Env) DeferArg(d Time, fn func(any), arg any) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: DeferArg(%v) with negative delay", d))
+	}
+	tm := e.schedule(e.now+d, nil, nil, true)
+	tm.afn, tm.arg = fn, arg
+}
+
+// DeferArgAt is DeferArg at an absolute virtual time, which must not be
+// in the past.
+func (e *Env) DeferArgAt(t Time, fn func(any), arg any) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: DeferArgAt(%v) is in the past (now %v)", t, e.now))
+	}
+	tm := e.schedule(t, nil, nil, true)
+	tm.afn, tm.arg = fn, arg
 }
 
 // Stop makes Run return after the current event completes. Pending events
@@ -397,6 +433,8 @@ func (e *Env) RunUntil(deadline Time) {
 			}
 		case next.proc != nil:
 			e.dispatch(next.proc)
+		case next.afn != nil:
+			next.afn(next.arg)
 		default:
 			next.fn()
 		}
@@ -420,7 +458,6 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 		name: name,
 		fn:   fn,
 	}
-	p.done = e.NewEvent()
 	e.spawned++
 	e.procs = append(e.procs, p)
 	e.wake(p)
@@ -451,7 +488,7 @@ type Proc struct {
 	name     string
 	w        *worker
 	fn       func(*Proc)
-	done     *Event
+	done     *Event // created by the first Done call
 	finished bool
 	span     int64
 }
@@ -473,8 +510,15 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
-// Done returns an event fired when the process function returns.
-func (p *Proc) Done() *Event { return p.done }
+// Done returns an event fired when the process function returns. The
+// event is created on first use, since most procs are never waited on;
+// for a proc that already finished it is returned already fired.
+func (p *Proc) Done() *Event {
+	if p.done == nil {
+		p.done = &Event{env: p.env, fired: p.finished}
+	}
+	return p.done
+}
 
 // Sleep suspends the process for d nanoseconds of virtual time.
 func (p *Proc) Sleep(d Time) {
@@ -552,13 +596,27 @@ func (p *Proc) WaitTimeout(ev *Event, d Time) bool {
 //
 // The first waiter is stored inline: the overwhelmingly common case — an
 // RPC reply event with exactly one blocked caller — allocates no waiter
-// list at all.
+// list at all. Everything rarer (further waiters, OnFire callbacks) lives
+// behind one pointer, so an Event is 32 bytes.
 type Event struct {
 	env   *Env
+	w0    *Proc     // first waiter (nil when no waiters)
+	ext   *eventExt // further waiters and callbacks; nil when none
 	fired bool
-	w0    *Proc   // first waiter (nil when no waiters)
-	more  []*Proc // additional waiters, in arrival order
-	cbs   []func()
+}
+
+// eventExt holds an Event's rarely used lists.
+type eventExt struct {
+	more []*Proc // waiters after w0, in arrival order
+	cbs  []func()
+}
+
+// extra returns the event's overflow lists, creating them on first use.
+func (ev *Event) extra() *eventExt {
+	if ev.ext == nil {
+		ev.ext = &eventExt{}
+	}
+	return ev.ext
 }
 
 // NewEvent returns an unfired event bound to the environment.
@@ -573,30 +631,26 @@ func (ev *Event) addWaiter(p *Proc) {
 	if ev.w0 == nil {
 		ev.w0 = p
 	} else {
-		ev.more = append(ev.more, p)
+		x := ev.extra()
+		x.more = append(x.more, p)
 	}
 }
 
 // removeWaiter deletes p from the waiter list, preserving arrival order of
 // the rest, and reports whether p was waiting.
 func (ev *Event) removeWaiter(p *Proc) bool {
+	x := ev.ext
 	if ev.w0 == p {
-		if n := len(ev.more); n > 0 {
-			ev.w0 = ev.more[0]
-			copy(ev.more, ev.more[1:])
-			ev.more[n-1] = nil
-			ev.more = ev.more[:n-1]
-		} else {
-			ev.w0 = nil
+		ev.w0 = nil
+		if x != nil && len(x.more) > 0 {
+			ev.w0 = x.more[0]
+			x.more = slices.Delete(x.more, 0, 1)
 		}
 		return true
 	}
-	for i, w := range ev.more {
-		if w == p {
-			n := len(ev.more)
-			copy(ev.more[i:], ev.more[i+1:])
-			ev.more[n-1] = nil
-			ev.more = ev.more[:n-1]
+	if x != nil {
+		if i := slices.Index(x.more, p); i >= 0 {
+			x.more = slices.Delete(x.more, i, i+1)
 			return true
 		}
 	}
@@ -614,14 +668,17 @@ func (ev *Event) Fire() {
 		ev.env.wake(ev.w0)
 		ev.w0 = nil
 	}
-	for _, w := range ev.more {
+	x := ev.ext
+	if x == nil {
+		return
+	}
+	ev.ext = nil
+	for _, w := range x.more {
 		ev.env.wake(w)
 	}
-	ev.more = nil
-	for _, cb := range ev.cbs {
+	for _, cb := range x.cbs {
 		ev.env.schedule(ev.env.now, nil, cb, true)
 	}
-	ev.cbs = nil
 }
 
 // OnFire registers fn to run (as an event-loop callback) when the event
@@ -631,7 +688,8 @@ func (ev *Event) OnFire(fn func()) {
 		ev.env.schedule(ev.env.now, nil, fn, true)
 		return
 	}
-	ev.cbs = append(ev.cbs, fn)
+	x := ev.extra()
+	x.cbs = append(x.cbs, fn)
 }
 
 // Mutex is a FIFO-fair lock for processes. The zero value is not usable;

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 func TestTimeString(t *testing.T) {
@@ -351,5 +352,118 @@ func TestDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
+	}
+}
+
+func TestDoneAfterFinishIsFired(t *testing.T) {
+	e := NewEnv()
+	p1 := e.Spawn("worker", func(p *Proc) { p.Sleep(5) })
+	e.Run()
+	done := p1.Done()
+	if !done.Fired() {
+		t.Fatal("Done of a finished proc is not fired")
+	}
+	var at Time = -1
+	e.Spawn("joiner", func(p *Proc) {
+		p.Sleep(3)
+		p.Wait(done) // already fired: no block
+		at = p.Now()
+	})
+	e.Run()
+	if at != 8 {
+		t.Fatalf("joiner resumed at %v, want 8", at)
+	}
+	if live := e.LiveProcs(); len(live) != 0 {
+		t.Fatalf("live procs %v, want none", live)
+	}
+}
+
+func TestDoneBeforeFinishWakesWaitersThenCallbacks(t *testing.T) {
+	e := NewEnv()
+	var log []string
+	p1 := e.Spawn("worker", func(p *Proc) { p.Sleep(10) })
+	done := p1.Done()
+	if done.Fired() {
+		t.Fatal("Done of a running proc is already fired")
+	}
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("w%d", i)
+		e.Spawn(name, func(p *Proc) {
+			p.Wait(done)
+			log = append(log, fmt.Sprintf("%s@%v", name, p.Now()))
+		})
+		done.OnFire(func() { log = append(log, fmt.Sprintf("cb%d@%v", i, e.Now())) })
+	}
+	e.Run()
+	want := []string{"w0@10ns", "w1@10ns", "w2@10ns", "cb0@10ns", "cb1@10ns", "cb2@10ns"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("wake order %v, want %v", log, want)
+	}
+}
+
+// TestWaitTimeoutExpiryKeepsOtherWaitersInOrder: whichever of three
+// waiters times out, the other two are still woken in wait order.
+func TestWaitTimeoutExpiryKeepsOtherWaitersInOrder(t *testing.T) {
+	for timeout := 0; timeout < 3; timeout++ {
+		e := NewEnv()
+		ev := e.NewEvent()
+		var log []string
+		for i := 0; i < 3; i++ {
+			e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
+				if i == timeout {
+					if p.WaitTimeout(ev, 5) {
+						t.Errorf("w%d: event reported fired before its timeout", i)
+					}
+				} else {
+					p.Wait(ev)
+				}
+				log = append(log, fmt.Sprintf("w%d@%v", i, p.Now()))
+			})
+		}
+		e.At(10, ev.Fire)
+		e.Run()
+		var want []string
+		want = append(want, fmt.Sprintf("w%d@5ns", timeout))
+		for i := 0; i < 3; i++ {
+			if i != timeout {
+				want = append(want, fmt.Sprintf("w%d@10ns", i))
+			}
+		}
+		if fmt.Sprint(log) != fmt.Sprint(want) {
+			t.Errorf("w%d times out: wake order %v, want %v", timeout, log, want)
+		}
+	}
+}
+
+// TestDeferArg: static-callback timers run in (time, seq) order with
+// every other timer form and, once the pool is warm, allocate nothing.
+func TestDeferArg(t *testing.T) {
+	e := NewEnv()
+	var log []string
+	note := func(a any) { log = append(log, *a.(*string)) }
+	x, y, z := "x", "y", "z"
+	e.DeferArgAt(5, note, &x)
+	e.Defer(5, func() { log = append(log, "fn") })
+	e.DeferArg(5, note, &y)
+	e.DeferArg(1, note, &z)
+	e.Run()
+	if want := "[z x fn y]"; fmt.Sprint(log) != want {
+		t.Fatalf("order %v, want %s", log, want)
+	}
+	var n int
+	count := func(a any) { n += *a.(*int) }
+	one := 1
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.DeferArg(1, count, &one)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("DeferArg allocates %v times, want 0", allocs)
+	}
+	if n != 1001 {
+		t.Errorf("callback ran %d times, want 1001", n)
+	}
+	if size, want := unsafe.Sizeof(Event{}), 4*unsafe.Sizeof(uintptr(0)); size != want {
+		t.Errorf("Event is %d bytes, want %d (three pointers and a flag)", size, want)
 	}
 }

@@ -85,7 +85,7 @@ func (w *worker) loop(yield func(struct{}) bool) {
 		p := w.p
 		w.run(p)
 		p.finished = true
-		if !p.done.Fired() {
+		if p.done != nil && !p.done.fired {
 			p.done.Fire()
 		}
 		p.fn = nil

@@ -405,9 +405,21 @@ func (f *Fabric) Send(from, to int, size int, deliver func()) sim.Time {
 	return f.SendCtx(0, from, to, size, deliver)
 }
 
-// SendCtx is Send with a causal tracing parent: when traced, every
-// link's occupancy interval is recorded as a network span under the
-// given parent — one span per hop, named after the link.
+// SendCtx is Send with a causal tracing parent (see Transmit). Dropped
+// messages never invoke deliver; delayed ones arrive late.
+func (f *Fabric) SendCtx(span int64, from, to int, size int, deliver func()) sim.Time {
+	arrive, delivered := f.Transmit(span, from, to, size)
+	if delivered && deliver != nil {
+		f.env.DeferAt(arrive, deliver)
+	}
+	return arrive
+}
+
+// Transmit charges the path for size bytes from one endpoint to another
+// and returns the arrival time and whether the message survived the
+// fault filter, scheduling nothing: the caller schedules the delivery.
+// When traced, every link's occupancy interval is recorded as a network
+// span under the given parent — one span per hop, named after the link.
 //
 // Contention semantics: the message reaches link i at time t; it starts
 // serializing at max(t, link.nextFree) — FIFO behind everything the link
@@ -415,16 +427,9 @@ func (f *Fabric) Send(from, to int, size int, deliver func()) sim.Time {
 // propagates for the link's latency toward the next hop
 // (store-and-forward). The fault filter rules once per message after the
 // path has been charged: the sender cannot know the fabric lost its
-// frame. Dropped messages never invoke deliver; delayed ones arrive
-// late.
-func (f *Fabric) SendCtx(span int64, from, to int, size int, deliver func()) sim.Time {
-	arrive, _ := f.send(span, from, to, size, deliver)
-	return arrive
-}
-
-// send is the SendCtx body, additionally reporting whether the message
-// survived the fault filter. Dropped messages never schedule deliver.
-func (f *Fabric) send(span int64, from, to int, size int, deliver func()) (sim.Time, bool) {
+// frame. A delay verdict is included in the arrival time; for a drop,
+// the arrival time is when the frame would have arrived.
+func (f *Fabric) Transmit(span int64, from, to int, size int) (arrive sim.Time, delivered bool) {
 	var buf hops
 	t := f.env.Now()
 	for _, l := range f.route(&buf, from, to) {
@@ -447,7 +452,7 @@ func (f *Fabric) send(span int64, from, to int, size int, deliver func()) (sim.T
 	ep.bytes += int64(size)
 	f.stats.Messages++
 	f.stats.Bytes += int64(size)
-	arrive := t
+	arrive = t
 	if f.filter != nil {
 		o := f.filter.Outcome(from, to, size)
 		if o.Drop {
@@ -459,9 +464,6 @@ func (f *Fabric) send(span int64, from, to int, size int, deliver func()) (sim.T
 			arrive += o.Delay
 		}
 	}
-	if deliver != nil {
-		f.env.DeferAt(arrive, deliver)
-	}
 	return arrive, true
 }
 
@@ -472,8 +474,8 @@ func (f *Fabric) send(span int64, from, to int, size int, deliver func()) (sim.T
 // wedge a proc for the rest of the run.
 func (f *Fabric) SendAndWait(p *sim.Proc, from, to int, size int) bool {
 	ev := f.env.NewEvent()
-	arrive, delivered := f.send(0, from, to, size, ev.Fire)
-	if !delivered && !f.hooks.WedgeOnDrop {
+	arrive, delivered := f.Transmit(0, from, to, size)
+	if delivered || !f.hooks.WedgeOnDrop {
 		f.env.DeferAt(arrive, ev.Fire)
 	}
 	p.Wait(ev)
