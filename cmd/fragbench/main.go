@@ -8,22 +8,25 @@
 //	fragbench -fig fig12 -scale 1  # full paper scale
 //	fragbench -fig fig4 -scale 0.01 -trace fig4.json
 //	fragbench -fig fig8 -json      # machine-readable tables
-//	fragbench -fig fleetsoak -seeds 8 -parallel 4
 //
 // With -trace, every simulation the selected experiments build is traced,
 // a critical-path breakdown and per-node traffic table are appended to
-// the output, and one combined Chrome trace-event file is written (use a
-// single -fig and a small -scale; see cmd/fragtrace for the dedicated
-// tool). With -seeds N > 1, each selected experiment runs N times at
-// consecutive seeds across -parallel workers (0 = GOMAXPROCS) and the
-// table reports per-metric statistics across the runs instead of one
-// run's values (see cmd/fragsweep for the full grid tool; -trace does
-// not combine with -seeds). Run "fragbench -list" for the available
-// experiment ids.
+// the output, and one combined Chrome trace-event file is written (load
+// it at ui.perfetto.dev or chrome://tracing). Use a single -fig and a
+// small -scale: tracing records one span per message and per DSM fault,
+// so paper-scale traces run to hundreds of megabytes. The run exits 1 if
+// the critical-path categories do not partition the total or the written
+// file does not re-read as trace-event JSON with at least one event.
+// Same seed, same scale, same trace bytes.
+//
+// Seed sweeps (statistics over many seeds) are cmd/fragsweep's job:
+// "fragsweep -experiments fig8 -scales 0.1 -seed 42 -seeds 8". Run
+// "fragbench -list" for the available experiment ids.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -32,7 +35,6 @@ import (
 	"repro/fragvisor"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/sweep"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -44,8 +46,6 @@ func main() {
 	traceOut := flag.String("trace", "", "write a combined Chrome trace-event file and append critical-path + traffic tables")
 	jsonOut := flag.Bool("json", false, "emit results as a JSON array instead of text tables")
 	topoFlag := flag.String("topo", "", "fabric topology: flat (the default single switch) or tree:RxN@O (R racks x N nodes, O:1 oversubscribed spine)")
-	seeds := flag.Int("seeds", 1, "run each experiment at N consecutive seeds and report statistics across runs")
-	parallel := flag.Int("parallel", 0, "worker goroutines for -seeds sweeps (0 = GOMAXPROCS)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
@@ -66,10 +66,6 @@ func main() {
 		o.Topo = spec
 	}
 	if *traceOut != "" {
-		if *seeds > 1 {
-			fmt.Fprintln(os.Stderr, "fragbench: -trace does not combine with -seeds (the trace session is one run's causality)")
-			os.Exit(2)
-		}
 		o.Trace = trace.NewSession()
 		o.Acct = experiments.NewTraffic()
 	}
@@ -78,49 +74,43 @@ func main() {
 		Table      *metrics.Table `json:"table"`
 	}
 	var results []result
-	emit := func(name string, tab *metrics.Table) {
+	for _, name := range names {
+		tab, err := experiments.Run(name, o)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			if errors.Is(err, experiments.ErrScale) {
+				os.Exit(2)
+			}
+			os.Exit(1)
+		}
 		if *jsonOut {
 			results = append(results, result{name, tab})
-			return
+			continue
 		}
 		fmt.Printf("[%s]\n", name)
 		tab.Fprint(os.Stdout)
 		fmt.Println()
 	}
-	if *seeds > 1 {
-		// Multi-seed mode: each experiment becomes a distribution over N
-		// consecutive seeds, fanned across the sweep engine's worker pool.
-		res, err := experiments.RunSweep(experiments.SweepSpec{
-			Experiments: names,
-			Scales:      []float64{*scale},
-			Seeds:       sweep.Seeds(*seed, *seeds),
-			Parallel:    *parallel,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+	if *traceOut != "" {
+		bd := o.Trace.CriticalPath()
+		if got, want := bd.Sum(), bd.Total; got != want {
+			fmt.Fprintf(os.Stderr, "fragbench: critical-path categories sum to %v, want %v\n", got, want)
 			os.Exit(1)
 		}
-		for i, g := range res.Groups {
-			emit(g.Experiment, res.Tables()[i])
+		crit, traffic := bd.Table("Critical path"), o.Acct.Table()
+		if *jsonOut {
+			results = append(results, result{"critical-path", crit}, result{"traffic", traffic})
+		} else {
+			crit.Fprint(os.Stdout)
+			fmt.Println()
+			traffic.Fprint(os.Stdout)
 		}
 	}
-	for _, name := range names {
-		if *seeds > 1 {
-			break
-		}
-		tab, err := experiments.Run(name, o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		emit(name, tab)
-	}
+	// In -json mode stdout carries only the JSON array; the trace status
+	// line goes to stderr so the output stays parseable.
+	status := os.Stdout
 	if *jsonOut {
-		if *traceOut != "" {
-			results = append(results,
-				result{"critical-path", o.Trace.CriticalPath().Table("Critical path")},
-				result{"traffic", o.Acct.Table()})
-		}
+		status = os.Stderr
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
@@ -131,22 +121,46 @@ func main() {
 	if *traceOut == "" {
 		return
 	}
-	if !*jsonOut {
-		o.Trace.CriticalPath().Table("Critical path").Fprint(os.Stdout)
-		fmt.Println()
-		o.Acct.Table().Fprint(os.Stdout)
-	}
-	f, err := os.Create(*traceOut)
-	if err == nil {
-		err = o.Trace.WriteChrome(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
+	if err := writeTrace(o.Trace, *traceOut); err != nil {
 		fmt.Fprintln(os.Stderr, "fragbench:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("trace: %d spans written to %s (open in ui.perfetto.dev)\n",
+	if err := validateTrace(*traceOut); err != nil {
+		fmt.Fprintln(os.Stderr, "fragbench: invalid trace:", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(status, "trace: %d spans written to %s (open in ui.perfetto.dev)\n",
 		o.Trace.SpanCount(), *traceOut)
+}
+
+func writeTrace(sess *trace.Session, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := sess.WriteChrome(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// validateTrace re-reads the emitted file and checks it is a well-formed
+// trace-event JSON object with at least one event, so a malformed
+// export fails the run.
+func validateTrace(path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return err
+	}
+	if len(doc.TraceEvents) == 0 {
+		return fmt.Errorf("%s contains no trace events", path)
+	}
+	return nil
 }

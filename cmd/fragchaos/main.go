@@ -11,6 +11,7 @@
 //	fragchaos -parallel 1                      # sequential; identical output
 //	fragchaos -workloads vm-recovery           # one workload family only
 //	fragchaos -json report.json                # full machine-readable report
+//	fragchaos -json -                          # report on stdout, summary on stderr
 //	fragchaos -no-dedup -artifact repro.json   # re-introduce a fixed bug, export the repro
 //	fragchaos -replay repro.json               # re-execute an artifact byte-identically
 //
@@ -82,8 +83,14 @@ func main() {
 		}
 	}
 
+	// With the JSON report on stdout, the human-readable lines go to
+	// stderr so stdout stays parseable.
+	text := os.Stdout
+	if *jsonOut == "-" {
+		text = os.Stderr
+	}
 	rep := chaos.Search(cfg)
-	fmt.Print(rep.Summary())
+	fmt.Fprint(text, rep.Summary())
 
 	if *jsonOut != "" {
 		if err := writeFile(*jsonOut, rep.JSON()); err != nil {
@@ -101,7 +108,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fragchaos: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("artifact: %s (%s, %d -> %d elements)\n",
+		fmt.Fprintf(text, "artifact: %s (%s, %d -> %d elements)\n",
 			*artifactOut, art.Oracle, art.OriginalEvents, art.Episode.Size())
 	}
 	if len(rep.Findings) > 0 {

@@ -42,7 +42,6 @@ func main() {
 	sample := flag.Float64("sample", 10, "timeline sampling period, seconds")
 	seed := flag.Int64("seed", 42, "deterministic seed")
 	policy := flag.String("policy", "minfrag", "placement policy: minfrag or minnodes")
-	evict := flag.Bool("evict", false, "shorthand for -reclaim evict")
 	reclaim := flag.String("reclaim", "consolidate", "reclaim policy: consolidate, evict, or resize")
 	autoReclaim := flag.Bool("auto-reclaim", true, "reclaim leases to admit otherwise-unplaceable requests")
 	rebalance := flag.Float64("rebalance", 10, "consolidation tick period, seconds (0 disables)")
@@ -94,9 +93,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "fragfleet: unknown reclaim policy %q\n", *reclaim)
 		os.Exit(1)
-	}
-	if *evict {
-		cfg.Reclaim = fleet.ReclaimEvict
 	}
 	if *crash != "" {
 		cfg.Fault = fault.New(clus)

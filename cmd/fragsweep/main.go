@@ -22,6 +22,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -72,6 +73,9 @@ func main() {
 	res, err := experiments.RunSweep(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fragsweep:", err)
+		if errors.Is(err, experiments.ErrScale) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 

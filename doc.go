@@ -6,7 +6,7 @@
 //
 // The public API lives in package repro/fragvisor; the benchmarks in this
 // package (bench_test.go) regenerate each figure. Every experiment can
-// also run under the causal tracer (internal/trace, cmd/fragtrace),
+// also run under the causal tracer (internal/trace, fragbench -trace),
 // which attributes end-to-end time to compute / DSM wait / network /
 // queueing and exports Chrome trace-event files. See README.md,
 // DESIGN.md, and EXPERIMENTS.md.

@@ -13,7 +13,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/cluster"
@@ -34,9 +36,8 @@ type Options struct {
 	Seed  int64
 	// Trace, when non-nil, attaches every simulation environment the
 	// experiment builds to the session, so one run yields one coherent
-	// causal trace across all compared systems (cmd/fragtrace, and
-	// cmd/fragbench -trace, set it). Nil runs are untraced and pay no
-	// tracing cost.
+	// causal trace across all compared systems (cmd/fragbench -trace
+	// sets it). Nil runs are untraced and pay no tracing cost.
 	Trace *trace.Session
 	// Acct, when non-nil, registers every cluster the experiment builds,
 	// so per-node fabric traffic can be reported after the run.
@@ -53,11 +54,15 @@ func DefaultOptions() Options { return Options{Scale: 0.1, Seed: 42} }
 // QuickOptions is used by unit tests and -short benchmarks.
 func QuickOptions() Options { return Options{Scale: 0.02, Seed: 42} }
 
-func (o Options) check() Options {
-	if o.Scale <= 0 {
-		panic("experiments: scale must be positive")
+// ErrScale is wrapped by the error Run and RunSweep return for a
+// workload scale that is not a finite number above zero.
+var ErrScale = errors.New("experiments: scale must be finite and > 0")
+
+func checkScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("%w, got %v", ErrScale, scale)
 	}
-	return o
+	return nil
 }
 
 // guestMem is the guest RAM given to workload VMs.
@@ -179,5 +184,8 @@ func Run(name string, o Options) (*metrics.Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
-	return r(o.check()), nil
+	if err := checkScale(o.Scale); err != nil {
+		return nil, err
+	}
+	return r(o), nil
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -29,6 +31,23 @@ func TestAllExperimentsRun(t *testing.T) {
 func TestUnknownExperiment(t *testing.T) {
 	if _, err := Run("fig99", QuickOptions()); err == nil {
 		t.Fatal("unknown experiment did not error")
+	}
+}
+
+// TestBadScaleIsAnError: a scale that is not finite and positive comes
+// back as an ErrScale error from Run and RunSweep instead of a panic or
+// a table of meaningless numbers.
+func TestBadScaleIsAnError(t *testing.T) {
+	for _, sc := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		t.Run(strconv.FormatFloat(sc, 'g', -1, 64), func(t *testing.T) {
+			if _, err := Run("fig4", Options{Scale: sc, Seed: 42}); !errors.Is(err, ErrScale) {
+				t.Errorf("Run: err = %v, want ErrScale", err)
+			}
+			_, err := RunSweep(SweepSpec{Experiments: []string{"fig4"}, Scales: []float64{0.02, sc}})
+			if !errors.Is(err, ErrScale) {
+				t.Errorf("RunSweep: err = %v, want ErrScale", err)
+			}
+		})
 	}
 }
 

@@ -43,7 +43,7 @@ func (r *SweepResult) Tables() []*metrics.Table {
 // RunSweep fans the grid out over the sweep engine. Every grid point
 // runs the experiment in a fresh sim.Env with its own Options — tracing
 // and traffic accounting stay off because their sessions are shared
-// mutable state (trace a single run with cmd/fragtrace instead). The
+// mutable state (trace a single run with cmd/fragbench -trace). The
 // per-run outputs and the aggregation are independent of worker count
 // and completion order; the determinism-under-concurrency suite in
 // internal/sweep asserts byte-identity against sequential runs.
@@ -60,6 +60,11 @@ func RunSweep(s SweepSpec) (*SweepResult, error) {
 	for _, name := range s.Experiments {
 		if _, ok := registry[name]; !ok {
 			return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
+		}
+	}
+	for _, sc := range s.Scales {
+		if err := checkScale(sc); err != nil {
+			return nil, err
 		}
 	}
 	spec := sweep.Spec{Experiments: s.Experiments, Scales: s.Scales, Seeds: s.Seeds}

@@ -7,6 +7,7 @@ package repro
 
 import (
 	"encoding/json"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -15,9 +16,21 @@ import (
 
 func runSmoke(t *testing.T, pkg string, args ...string) string {
 	t.Helper()
+	return smoke(t, (*exec.Cmd).CombinedOutput, pkg, args...)
+}
+
+// runSmokeStdout is runSmoke for commands whose stdout must parse on its
+// own (-json modes): stderr is left out of the returned output.
+func runSmokeStdout(t *testing.T, pkg string, args ...string) string {
+	t.Helper()
+	return smoke(t, (*exec.Cmd).Output, pkg, args...)
+}
+
+func smoke(t *testing.T, run func(*exec.Cmd) ([]byte, error), pkg string, args ...string) string {
+	t.Helper()
 	cmd := exec.Command("go", append([]string{"run", pkg}, args...)...)
 	cmd.Dir = "."
-	out, err := cmd.CombinedOutput()
+	out, err := run(cmd)
 	if err != nil {
 		t.Fatalf("go run %s %v failed: %v\noutput:\n%s", pkg, args, err, out)
 	}
@@ -61,6 +74,48 @@ func TestSmokeCmdFragbench(t *testing.T) {
 	}
 	if len(results) != 1 || results[0].Experiment != "fleet" || len(results[0].Table.Rows) == 0 {
 		t.Fatalf("fragbench -json output unexpected: %+v", results)
+	}
+}
+
+// TestSmokeCmdFragtrace covers the tracing front end, fragbench -trace.
+func TestSmokeCmdFragtrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping go-run smoke test in -short mode")
+	}
+	// -trace appends the critical-path and traffic tables and writes a
+	// trace file that re-reads with at least one event.
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
+	out := runSmoke(t, "./cmd/fragbench", "-fig", "fig4", "-scale", "0.005", "-trace", tracePath)
+	for _, want := range []string{"Critical path", "dsm-wait", "partition the total exactly", "ui.perfetto.dev"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("fragbench -trace output lacks %q:\n%s", want, out)
+		}
+	}
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil || len(doc.TraceEvents) == 0 {
+		t.Fatalf("fragbench -trace file: %d events, err %v", len(doc.TraceEvents), err)
+	}
+	// -json -trace: stdout alone is the JSON array, with the critical
+	// path and traffic tables as entries.
+	out = runSmokeStdout(t, "./cmd/fragbench", "-fig", "fig4", "-scale", "0.005", "-json", "-trace", tracePath)
+	var results []struct {
+		Experiment string `json:"experiment"`
+	}
+	if err := json.Unmarshal([]byte(out), &results); err != nil {
+		t.Fatalf("fragbench -json -trace stdout is not valid JSON: %v\n%s", err, out)
+	}
+	got := map[string]bool{}
+	for _, r := range results {
+		got[r.Experiment] = true
+	}
+	if !got["fig4"] || !got["critical-path"] || !got["traffic"] {
+		t.Fatalf("fragbench -json -trace entries = %v, want fig4, critical-path and traffic", got)
 	}
 }
 
@@ -125,17 +180,21 @@ func TestSmokeCmdFragfleet(t *testing.T) {
 	}
 }
 
-func TestSmokeCmdFragtrace(t *testing.T) {
+func TestSmokeCmdFragchaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping go-run smoke test in -short mode")
 	}
-	out := runSmoke(t, "./cmd/fragtrace",
-		"-experiment", "fig4", "-scale", "0.005",
-		"-out", filepath.Join(t.TempDir(), "trace.json"))
-	for _, want := range []string{"Critical path", "dsm-wait", "partition the total exactly", "ui.perfetto.dev"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fragtrace output lacks %q:\n%s", want, out)
-		}
+	// With the report on stdout, stdout alone must parse as the report.
+	out := runSmokeStdout(t, "./cmd/fragchaos", "-episodes", "4", "-json", "-")
+	var rep struct {
+		Episodes int               `json:"episodes"`
+		Outcomes []json.RawMessage `json:"outcomes"`
+	}
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatalf("fragchaos -json - stdout is not valid JSON: %v\n%s", err, out)
+	}
+	if rep.Episodes != 4 || len(rep.Outcomes) != 4 {
+		t.Fatalf("fragchaos report: %d episodes, %d outcomes, want 4 and 4", rep.Episodes, len(rep.Outcomes))
 	}
 }
 
