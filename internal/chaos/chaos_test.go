@@ -2,9 +2,11 @@ package chaos
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/golden"
 )
 
 // TestGenerateDeterministic: the episode list is a pure function of the
@@ -81,7 +83,8 @@ func TestCleanSearchFindsNothing(t *testing.T) {
 }
 
 // TestSearchDeterministicAcrossParallelism: the report is a pure
-// function of the config — worker count changes wall time only.
+// function of the config — worker count changes wall time only — and
+// matches testdata/nodedup_seed5.json.
 func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 	cfg := Config{Episodes: 10, Seed: 5, Hooks: Hooks{NoDedup: true}}
 	cfg.Parallel = 1
@@ -91,6 +94,7 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("report differs between -parallel 1 and 4:\n--- seq\n%s\n--- par\n%s", seq, par)
 	}
+	golden.Check(t, filepath.Join("testdata", "nodedup_seed5.json"), seq)
 }
 
 // TestNoDedupBugFoundAndShrunk seeds the PR 9 dedup bug back in and

@@ -51,8 +51,9 @@ type Options struct {
 // DefaultOptions runs at 1/10 of paper scale.
 func DefaultOptions() Options { return Options{Scale: 0.1, Seed: 42} }
 
-// QuickOptions is used by unit tests and -short benchmarks.
-func QuickOptions() Options { return Options{Scale: 0.02, Seed: 42} }
+// QuickOptions is the scale of the testdata goldens and the -short
+// benchmarks.
+func QuickOptions() Options { return Options{Scale: 0.01, Seed: 42} }
 
 // ErrScale is wrapped by the error Run and RunSweep return for a
 // workload scale that is not a finite number above zero.

@@ -3,28 +3,65 @@ package experiments
 import (
 	"errors"
 	"math"
+	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/golden"
+	"repro/internal/metrics"
 )
 
-// TestAllExperimentsRun executes every registered experiment at quick
-// scale and checks each produces a populated table.
+// quickRuns caches each experiment's QuickOptions table, so one test
+// binary runs every experiment at most once: TestAllExperimentsRun and
+// the shape tests share the same run.
+var quickRuns sync.Map // name -> func() (*metrics.Table, error)
+
+// quick returns the experiment's table at QuickOptions, running it on
+// first use.
+func quick(t *testing.T, name string) *metrics.Table {
+	t.Helper()
+	run, _ := quickRuns.LoadOrStore(name, sync.OnceValues(func() (*metrics.Table, error) {
+		return Run(name, QuickOptions())
+	}))
+	tab, err := run.(func() (*metrics.Table, error))()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// TestAllExperimentsRun is the determinism gate for every figure and
+// table: each experiment runs once at QuickOptions, and its text and JSON
+// renderings must match testdata/<name>.{txt,json} byte for byte. Every
+// golden file must belong to an experiment. The fig14 goldens pin the
+// paper's timeline: the t≈222 s veto, the t≈470 s partial fill, the
+// handback.
 func TestAllExperimentsRun(t *testing.T) {
+	owned := map[string]bool{}
 	for _, name := range Names() {
-		name := name
+		txt := filepath.Join("testdata", name+".txt")
+		js := filepath.Join("testdata", name+".json")
+		owned[txt], owned[js] = true, true
 		t.Run(name, func(t *testing.T) {
-			tab, err := Run(name, QuickOptions())
+			tab := quick(t, name)
+			golden.Check(t, txt, []byte(tab.String()))
+			b, err := tab.MarshalJSON()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(tab.Rows) == 0 {
-				t.Fatal("empty table")
-			}
-			if tab.String() == "" {
-				t.Fatal("empty rendering")
-			}
+			golden.Check(t, js, b)
 		})
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !owned[f] {
+			t.Errorf("golden %s belongs to no experiment; delete it", f)
+		}
 	}
 }
 
@@ -62,7 +99,7 @@ func cell(t *testing.T, row []string, i int) float64 {
 
 // TestFig4Shape: sharing cost grows with node count; false == true.
 func TestFig4Shape(t *testing.T) {
-	tab, _ := Run("fig4", QuickOptions())
+	tab := quick(t, "fig4")
 	var prev float64
 	for _, row := range tab.Rows {
 		f, tr := cell(t, row, 2), cell(t, row, 3)
@@ -81,7 +118,7 @@ func TestFig4Shape(t *testing.T) {
 
 // TestFig5Shape: FragVisor no-sharing >> max-sharing; overcommit flat.
 func TestFig5Shape(t *testing.T) {
-	tab, _ := Run("fig5", QuickOptions())
+	tab := quick(t, "fig5")
 	first, last := tab.Rows[0], tab.Rows[len(tab.Rows)-1]
 	if cell(t, first, 1) < 3*cell(t, last, 1) {
 		t.Errorf("fragvisor ops: no-sharing %s not >> max-sharing %s", first[1], last[1])
@@ -94,7 +131,7 @@ func TestFig5Shape(t *testing.T) {
 
 // TestFig7Shape: local >= bypass > raw DSM.
 func TestFig7Shape(t *testing.T) {
-	tab, _ := Run("fig7", QuickOptions())
+	tab := quick(t, "fig7")
 	local := cell(t, tab.Rows[0], 1)
 	dsm := cell(t, tab.Rows[1], 1)
 	bypass := cell(t, tab.Rows[2], 1)
@@ -105,7 +142,7 @@ func TestFig7Shape(t *testing.T) {
 
 // TestFig8Shape: EP near-linear at 4 vCPUs, IS clearly below it.
 func TestFig8Shape(t *testing.T) {
-	tab, _ := Run("fig8", QuickOptions())
+	tab := quick(t, "fig8")
 	var ep4, is4 float64
 	for _, row := range tab.Rows {
 		if row[0] == "EP" && row[1] == "4" {
@@ -125,7 +162,7 @@ func TestFig8Shape(t *testing.T) {
 
 // TestFig9Shape: FragVisor faster than GiantVM for every kernel/size.
 func TestFig9Shape(t *testing.T) {
-	tab, _ := Run("fig9", QuickOptions())
+	tab := quick(t, "fig9")
 	for _, row := range tab.Rows {
 		for i := 1; i <= 3; i++ {
 			if r := cell(t, row, i); r < 1.0 {
@@ -137,7 +174,7 @@ func TestFig9Shape(t *testing.T) {
 
 // TestFig10Shape: the optimized guest never loses to vanilla.
 func TestFig10Shape(t *testing.T) {
-	tab, _ := Run("fig10", QuickOptions())
+	tab := quick(t, "fig10")
 	for _, row := range tab.Rows {
 		if r := cell(t, row, 3); r < 0.95 {
 			t.Errorf("%s: optimized/vanilla = %.2f < 1", row[0], r)
@@ -147,7 +184,7 @@ func TestFig10Shape(t *testing.T) {
 
 // TestFig11Shape: checkpoint overhead vs single-node stays <= ~10%.
 func TestFig11Shape(t *testing.T) {
-	tab, _ := Run("fig11", QuickOptions())
+	tab := quick(t, "fig11")
 	for _, row := range tab.Rows {
 		pct := strings.TrimSuffix(row[4], "%")
 		v, err := strconv.ParseFloat(pct, 64)
@@ -163,7 +200,7 @@ func TestFig11Shape(t *testing.T) {
 // TestFig12Shape: FragVisor loses at 25 ms and wins at 500 ms vs both
 // baselines.
 func TestFig12Shape(t *testing.T) {
-	tab, _ := Run("fig12", QuickOptions())
+	tab := quick(t, "fig12")
 	for _, row := range tab.Rows {
 		frag := cell(t, row, 2)
 		ratioGiant := cell(t, row, 4)
@@ -193,7 +230,7 @@ func TestFig12Shape(t *testing.T) {
 
 // TestFig13Shape: FragVisor beats GiantVM on totals at every size.
 func TestFig13Shape(t *testing.T) {
-	tab, _ := Run("fig13", QuickOptions())
+	tab := quick(t, "fig13")
 	totals := map[string]map[string]float64{}
 	for _, row := range tab.Rows {
 		if totals[row[0]] == nil {
@@ -212,7 +249,7 @@ func TestFig13Shape(t *testing.T) {
 // TestFig14Shape: the trace must contain migrations, a handback, and
 // latency samples.
 func TestFig14Shape(t *testing.T) {
-	tab, _ := Run("fig14", QuickOptions())
+	tab := quick(t, "fig14")
 	notes := strings.Join(tab.Notes, "\n")
 	if !strings.Contains(notes, "handbacks") {
 		t.Fatalf("notes missing scheduler stats: %s", notes)
@@ -240,10 +277,7 @@ func rowByName(t *testing.T, rows [][]string, name string) []string {
 // TestReduceShape: the reduce baseline's acceptance shape — squeezing a
 // VM above its working set is ~free, squeezing below it degrades.
 func TestReduceShape(t *testing.T) {
-	tab, err := Run("reduce", QuickOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quick(t, "reduce")
 	// columns: config, wall_ms, slowdown, stalls, stall_ms, wss_pages, ballooned_pages
 	above := rowByName(t, tab.Rows, "ballooned-above-ws")
 	below := rowByName(t, tab.Rows, "ballooned-below-ws")
@@ -267,10 +301,7 @@ func TestReduceShape(t *testing.T) {
 // TestFleetSoakResizeShape: the resize soak admits work without
 // evictions and reports balloon activity plus a mean slowdown >= 1.
 func TestFleetSoakResizeShape(t *testing.T) {
-	tab, err := Run("fleetsoak-resize", QuickOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quick(t, "fleetsoak-resize")
 	stat := func(name string) float64 {
 		return cell(t, rowByName(t, tab.Rows, name), 1)
 	}
@@ -289,10 +320,7 @@ func TestFleetSoakResizeShape(t *testing.T) {
 // fault path — the ToR-cut row is present and records deaths, and every
 // fleet-storm row sees probes fail with a typed unreachable error.
 func TestNetStormShape(t *testing.T) {
-	tab, err := Run("netstorm", QuickOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quick(t, "netstorm")
 	col := func(name string) int {
 		for i, h := range tab.Headers {
 			if h == name {

@@ -1,13 +1,16 @@
 package fleet
 
 import (
+	"encoding/json"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/golden"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -396,21 +399,29 @@ func TestLinkCutNodeDownAndRejoin(t *testing.T) {
 	f.Verify()
 }
 
+// TestSameSeedIdenticalEventLog pins the structured event log of a
+// 60-VM auto-reclaim burst, one event per line of
+// testdata/burst_events.json.
 func TestSameSeedIdenticalEventLog(t *testing.T) {
-	run := func() []Event {
-		env := sim.NewEnv()
-		f := New(env, Config{
-			Nodes: 4, CPUsPerNode: 8, MemPerNode: 32 * gig,
-			Policy: sched.MinFrag, AutoReclaim: true,
-			RebalanceEvery: 5 * sim.Second, Horizon: 120 * sim.Second,
-		})
-		f.Submit(GenerateBurst(rand.New(rand.NewSource(7)), 60, 60*sim.Second, 2*gig))
-		env.RunUntil(120 * sim.Second)
-		f.Verify()
-		return f.Events()
+	env := sim.NewEnv()
+	f := New(env, Config{
+		Nodes: 4, CPUsPerNode: 8, MemPerNode: 32 * gig,
+		Policy: sched.MinFrag, AutoReclaim: true,
+		RebalanceEvery: 5 * sim.Second, Horizon: 120 * sim.Second,
+	})
+	f.Submit(GenerateBurst(rand.New(rand.NewSource(7)), 60, 60*sim.Second, 2*gig))
+	env.RunUntil(120 * sim.Second)
+	f.Verify()
+	b := []byte("[")
+	for i, e := range f.Events() {
+		if i > 0 {
+			b = append(b, ",\n "...)
+		}
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = append(b, line...)
 	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed produced different event logs: %d vs %d events", len(a), len(b))
-	}
+	golden.Check(t, filepath.Join("testdata", "burst_events.json"), append(b, "]\n"...))
 }

@@ -2,19 +2,16 @@ package trace_test
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/golden"
 	"repro/internal/hypervisor"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-var update = flag.Bool("update", false, "rewrite golden trace files")
 
 // smallTrace runs a tiny two-node false-sharing scenario with tracing on
 // and returns the Chrome export plus the session for further checks. The
@@ -39,29 +36,13 @@ func smallTrace(t *testing.T) ([]byte, *trace.Session) {
 // TestChromeExportGolden pins the exact bytes of the export for a fixed
 // scenario. A diff here means either span creation order or the exporter's
 // formatting changed — both are part of the determinism contract. Run
-// `go test ./internal/trace -run Golden -update` to accept an intentional
-// change.
+// `make golden` to accept an intentional change.
 func TestChromeExportGolden(t *testing.T) {
 	got, sess := smallTrace(t)
 	if sess.SpanCount() == 0 {
 		t.Fatal("scenario recorded no spans")
 	}
-
-	golden := filepath.Join("testdata", "fig4_small.trace.json")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("trace export differs from %s (%d vs %d bytes); "+
-			"rerun with -update if the change is intentional",
-			golden, len(got), len(want))
-	}
+	golden.Check(t, filepath.Join("testdata", "fig4_small.trace.json"), got)
 }
 
 // TestSameRunTwiceIsByteIdentical rebuilds the scenario from scratch in the

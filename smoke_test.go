@@ -2,65 +2,70 @@ package repro
 
 // Smoke tests for every runnable artifact in the repository: each cmd/
 // binary and examples/ program must build, run a deliberately tiny
-// configuration to completion, exit 0, and print something. They guard
+// configuration to completion, exit 0, and print exactly the stdout
+// recorded in testdata/smoke (rewrite with `make golden`). They guard
 // the public entry points the package tests never execute.
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/golden"
 )
 
-func runSmoke(t *testing.T, pkg string, args ...string) string {
+// runSmoke runs `go run pkg args...` and returns its stdout, which must
+// match testdata/smoke/<name>.
+func runSmoke(t *testing.T, name, pkg string, args ...string) string {
 	t.Helper()
-	return smoke(t, (*exec.Cmd).CombinedOutput, pkg, args...)
+	out := smoke(t, pkg, args...)
+	golden.Check(t, filepath.Join("testdata", "smoke", name), out)
+	return string(out)
 }
 
-// runSmokeStdout is runSmoke for commands whose stdout must parse on its
-// own (-json modes): stderr is left out of the returned output.
-func runSmokeStdout(t *testing.T, pkg string, args ...string) string {
-	t.Helper()
-	return smoke(t, (*exec.Cmd).Output, pkg, args...)
-}
-
-func smoke(t *testing.T, run func(*exec.Cmd) ([]byte, error), pkg string, args ...string) string {
+// smoke runs `go run pkg args...` and returns its stdout. Stderr is shown
+// only on failure, so -json modes are checked to print nothing else on
+// stdout.
+func smoke(t *testing.T, pkg string, args ...string) []byte {
 	t.Helper()
 	cmd := exec.Command("go", append([]string{"run", pkg}, args...)...)
-	cmd.Dir = "."
-	out, err := run(cmd)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go run %s %v failed: %v\noutput:\n%s", pkg, args, err, out)
+		t.Fatalf("go run %s %v failed: %v\nstdout:\n%s\nstderr:\n%s", pkg, args, err, out, stderr.Bytes())
 	}
 	if len(out) == 0 {
-		t.Fatalf("go run %s %v produced no output", pkg, args)
+		t.Fatalf("go run %s %v printed nothing on stdout", pkg, args)
 	}
-	return string(out)
+	return out
 }
 
 func TestSmokeCmdFragsim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping go-run smoke test in -short mode")
 	}
-	runSmoke(t, "./cmd/fragsim", "-workload", "EP", "-scale", "0.01", "-vcpus", "2")
+	runSmoke(t, "fragsim.txt", "./cmd/fragsim", "-workload", "EP", "-scale", "0.01", "-vcpus", "2")
 }
 
 func TestSmokeCmdFragbench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping go-run smoke test in -short mode")
 	}
-	runSmoke(t, "./cmd/fragbench", "-fig", "fig4", "-scale", "0.02")
+	runSmoke(t, "fragbench_fig4.txt", "./cmd/fragbench", "-fig", "fig4", "-scale", "0.02")
 	// The listing must include the fault-recovery and fleet experiments.
-	out := runSmoke(t, "./cmd/fragbench", "-list")
+	out := runSmoke(t, "fragbench_list.txt", "./cmd/fragbench", "-list")
 	for _, want := range []string{"recovery", "fleet"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fragbench -list output lacks %q:\n%s", want, out)
 		}
 	}
 	// -json emits machine-readable tables.
-	out = runSmoke(t, "./cmd/fragbench", "-fig", "fleet", "-scale", "0.02", "-json")
+	out = runSmoke(t, "fragbench_fleet.json", "./cmd/fragbench", "-fig", "fleet", "-scale", "0.02", "-json")
 	var results []struct {
 		Experiment string `json:"experiment"`
 		Table      struct {
@@ -85,7 +90,10 @@ func TestSmokeCmdFragtrace(t *testing.T) {
 	// -trace appends the critical-path and traffic tables and writes a
 	// trace file that re-reads with at least one event.
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
-	out := runSmoke(t, "./cmd/fragbench", "-fig", "fig4", "-scale", "0.005", "-trace", tracePath)
+	raw := smoke(t, "./cmd/fragbench", "-fig", "fig4", "-scale", "0.005", "-trace", tracePath)
+	golden.Check(t, filepath.Join("testdata", "smoke", "fragbench_trace.txt"),
+		bytes.ReplaceAll(raw, []byte(tracePath), []byte("trace.json")))
+	out := string(raw)
 	for _, want := range []string{"Critical path", "dsm-wait", "partition the total exactly", "ui.perfetto.dev"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fragbench -trace output lacks %q:\n%s", want, out)
@@ -103,7 +111,7 @@ func TestSmokeCmdFragtrace(t *testing.T) {
 	}
 	// -json -trace: stdout alone is the JSON array, with the critical
 	// path and traffic tables as entries.
-	out = runSmokeStdout(t, "./cmd/fragbench", "-fig", "fig4", "-scale", "0.005", "-json", "-trace", tracePath)
+	out = runSmoke(t, "fragbench_trace.json", "./cmd/fragbench", "-fig", "fig4", "-scale", "0.005", "-json", "-trace", tracePath)
 	var results []struct {
 		Experiment string `json:"experiment"`
 	}
@@ -123,7 +131,7 @@ func TestSmokeCmdFragsweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping go-run smoke test in -short mode")
 	}
-	out := runSmoke(t, "./cmd/fragsweep", "-list")
+	out := runSmoke(t, "fragsweep_list.txt", "./cmd/fragsweep", "-list")
 	for _, want := range []string{"fleetsoak", "fleetsoak-evict", "fleetsoak-resize", "fleetchurn", "reduce"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fragsweep -list output lacks %q:\n%s", want, out)
@@ -134,8 +142,8 @@ func TestSmokeCmdFragsweep(t *testing.T) {
 	// stats entries plus the policy-comparison table, and be
 	// byte-identical between the two runs.
 	args := []string{"-scales", "0.02", "-seeds", "4", "-runs", "-json"}
-	seq := runSmoke(t, "./cmd/fragsweep", append(args, "-parallel", "1")...)
-	par := runSmoke(t, "./cmd/fragsweep", append(args, "-parallel", "4")...)
+	seq := runSmoke(t, "fragsweep_grid.json", "./cmd/fragsweep", append(args, "-parallel", "1")...)
+	par := runSmoke(t, "fragsweep_grid.json", "./cmd/fragsweep", append(args, "-parallel", "4")...)
 	if seq != par {
 		t.Fatal("fragsweep output differs between -parallel 1 and -parallel 4")
 	}
@@ -168,15 +176,11 @@ func TestSmokeCmdFragfleet(t *testing.T) {
 		t.Skip("skipping go-run smoke test in -short mode")
 	}
 	args := []string{"-nodes", "4", "-vms", "16", "-until", "60", "-reclaim-at", "2@30", "-crash", "1@45"}
-	out := runSmoke(t, "./cmd/fragfleet", args...)
+	out := runSmoke(t, "fragfleet.txt", "./cmd/fragfleet", args...)
 	for _, want := range []string{"Fleet timeline", "Fleet events", "Queue waits"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fragfleet output lacks %q:\n%s", want, out)
 		}
-	}
-	// Determinism acceptance: two same-seed runs are byte-identical.
-	if again := runSmoke(t, "./cmd/fragfleet", args...); again != out {
-		t.Fatal("fragfleet output differs between two same-seed runs")
 	}
 }
 
@@ -185,7 +189,7 @@ func TestSmokeCmdFragchaos(t *testing.T) {
 		t.Skip("skipping go-run smoke test in -short mode")
 	}
 	// With the report on stdout, stdout alone must parse as the report.
-	out := runSmokeStdout(t, "./cmd/fragchaos", "-episodes", "4", "-json", "-")
+	out := runSmoke(t, "fragchaos.json", "./cmd/fragchaos", "-episodes", "4", "-json", "-")
 	var rep struct {
 		Episodes int               `json:"episodes"`
 		Outcomes []json.RawMessage `json:"outcomes"`
@@ -211,7 +215,7 @@ func TestSmokeExamples(t *testing.T) {
 	} {
 		pkg := pkg
 		t.Run(pkg, func(t *testing.T) {
-			runSmoke(t, pkg)
+			runSmoke(t, "example_"+filepath.Base(pkg)+".txt", pkg)
 		})
 	}
 }
