@@ -17,7 +17,7 @@
 //     partitioned links, and drop/delay rules);
 //   - msg consults it for duplication and for same-node delivery on a
 //     crashed node, and surfaces losses as typed timeout errors through
-//     CallTimeout/CallRetry;
+//     CallTimeout;
 //   - dsm treats it as the liveness view when re-routing ownership
 //     requests away from dead nodes;
 //   - hypervisor heartbeats detect crashed slices through the message

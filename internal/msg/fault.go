@@ -1,9 +1,9 @@
-// Fault-path delivery: typed errors, RPC timeouts, and capped-backoff
-// retries. The happy-path API (Send/Call) treats the fabric as reliable —
-// a lost hypervisor message is a protocol bug. Under fault injection that
-// assumption is withdrawn: messages can be dropped, delayed, or
-// duplicated, and protocols that want to survive use CallTimeout or
-// CallRetry and handle the typed errors.
+// Fault-path delivery: typed errors, RPC timeouts, and the retry policy
+// callers apply around them. The happy-path API (Send/Call) treats the
+// fabric as reliable — a lost hypervisor message is a protocol bug. Under
+// fault injection that assumption is withdrawn: messages can be dropped,
+// delayed, or duplicated, and protocols that want to survive use
+// CallTimeout, retry per a RetryPolicy, and handle the typed errors.
 package msg
 
 import (
@@ -14,11 +14,11 @@ import (
 )
 
 // ErrTimeout is the sentinel for an RPC that received no reply in time.
-// Errors returned by CallTimeout/CallRetry wrap it; match with errors.Is.
+// Errors returned by CallTimeout wrap it; match with errors.Is.
 var ErrTimeout = errors.New("rpc timeout")
 
-// TimeoutError reports an RPC that exhausted its time (and, for CallRetry,
-// its attempts) without a reply.
+// TimeoutError reports an RPC that exhausted its time (and, for a
+// retrying caller, its attempts) without a reply.
 type TimeoutError struct {
 	To       int
 	Service  string
@@ -56,7 +56,6 @@ type FaultStats struct {
 	Duplicated        int64 // messages delivered twice
 	DupRepliesDropped int64 // replies to duplicates discarded
 	Timeouts          int64 // CallTimeout expiries
-	Retries           int64 // CallRetry re-sends
 }
 
 // SetFilter installs (or, with nil, removes) the layer's fault filter.
@@ -65,35 +64,25 @@ func (l *Layer) SetFilter(f Filter) { l.filter = f }
 // FaultStats returns a copy of the layer's fault-path counters.
 func (l *Layer) FaultStats() FaultStats { return l.faults }
 
-// RetryPolicy tunes CallRetry: per-attempt timeout plus capped exponential
-// backoff between attempts.
+// RetryPolicy tunes a retrying caller (the DSM's callNode): per-attempt
+// timeout plus capped exponential backoff between attempts. The caller
+// decides when to stop; the DSM retries until its fault view declares the
+// peer dead.
 type RetryPolicy struct {
 	Timeout    sim.Time // per-attempt reply deadline
-	Attempts   int      // total attempts (>= 1)
 	Backoff    sim.Time // sleep before the 2nd attempt; doubles per retry
 	MaxBackoff sim.Time // backoff cap (0 = uncapped)
 }
 
 // DefaultRetryPolicy suits intra-cluster RPCs riding a microsecond-scale
 // fabric: generous per-attempt timeouts relative to the ~10 us fault RTT,
-// five attempts, backoff doubling from 100 us capped at 2 ms.
+// backoff doubling from 100 us capped at 2 ms.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
 		Timeout:    2 * sim.Millisecond,
-		Attempts:   5,
 		Backoff:    100 * sim.Microsecond,
 		MaxBackoff: 2 * sim.Millisecond,
 	}
-}
-
-func (rp RetryPolicy) check() RetryPolicy {
-	if rp.Timeout <= 0 {
-		panic("msg: retry policy needs a positive timeout")
-	}
-	if rp.Attempts < 1 {
-		rp.Attempts = 1
-	}
-	return rp
 }
 
 // CallTimeout delivers a request like Call but gives up after the timeout,
@@ -113,31 +102,4 @@ func (l *Layer) CallTimeout(p *sim.Proc, from, to int, service, kind string, siz
 		return nil, &TimeoutError{To: to, Service: service, Kind: kind, Attempts: 1, Elapsed: timeout}
 	}
 	return m.reply, nil
-}
-
-// CallRetry delivers a request with at-least-once semantics: each attempt
-// waits Timeout for the reply, and failed attempts are re-sent after a
-// capped exponential backoff. It returns the first reply, or a
-// *TimeoutError once every attempt has expired.
-func (l *Layer) CallRetry(p *sim.Proc, from, to int, service, kind string, size int, payload any, rp RetryPolicy) (*Message, error) {
-	rp = rp.check()
-	start := p.Now()
-	backoff := rp.Backoff
-	for attempt := 1; ; attempt++ {
-		r, err := l.CallTimeout(p, from, to, service, kind, size, payload, rp.Timeout)
-		if err == nil {
-			return r, nil
-		}
-		if attempt >= rp.Attempts {
-			return nil, &TimeoutError{To: to, Service: service, Kind: kind, Attempts: attempt, Elapsed: p.Now() - start}
-		}
-		l.faults.Retries++
-		if backoff > 0 {
-			p.Sleep(backoff)
-			backoff *= 2
-			if rp.MaxBackoff > 0 && backoff > rp.MaxBackoff {
-				backoff = rp.MaxBackoff
-			}
-		}
-	}
 }
