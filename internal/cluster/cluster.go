@@ -180,6 +180,3 @@ func (d *Disk) Transfer(p *sim.Proc, n int64) {
 
 // TotalBytes returns the cumulative bytes transferred.
 func (d *Disk) TotalBytes() int64 { return d.bytes }
-
-// Bandwidth returns the disk's bandwidth in bytes per second.
-func (d *Disk) Bandwidth() float64 { return d.bps }

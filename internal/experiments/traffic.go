@@ -34,9 +34,6 @@ func (tr *Traffic) Register(label string, c *cluster.Cluster) {
 	tr.clusters = append(tr.clusters, trafficEntry{label: label, c: c})
 }
 
-// Clusters returns the number of registered clusters.
-func (tr *Traffic) Clusters() int { return len(tr.clusters) }
-
 func nodeLabel(id int) string {
 	if id < 0 {
 		return "client"

@@ -99,11 +99,8 @@ func (i *Injector) OnCrash(fn func(node int)) {
 	i.onCrash = append(i.onCrash, fn)
 }
 
-// Crashed reports whether a node is currently crashed.
-func (i *Injector) Crashed(node int) bool { return i.crashed[node] }
-
-// NodeAlive reports the inverse of Crashed; it satisfies the liveness-view
-// interfaces of dsm and checkpoint.
+// NodeAlive reports whether a node is not currently crashed; it satisfies
+// the liveness-view interfaces of dsm and checkpoint.
 func (i *Injector) NodeAlive(node int) bool { return !i.crashed[node] }
 
 // Partitioned reports whether the a–b link is currently cut.

@@ -365,9 +365,6 @@ func (f *Fleet) Stop() {
 // FreeCPU returns a copy of the per-node free-vCPU vector.
 func (f *Fleet) FreeCPU() []int { return append([]int(nil), f.freeCPU...) }
 
-// FreeMem returns a copy of the per-node free-memory vector.
-func (f *Fleet) FreeMem() []int64 { return append([]int64(nil), f.freeMem...) }
-
 // PlacementOf returns a copy of a VM's current placement (nil if absent).
 func (f *Fleet) PlacementOf(vmID int) sched.Placement {
 	pl, ok := f.placements[vmID]

@@ -9,7 +9,6 @@ package hypervisor
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -31,11 +30,6 @@ func (vm *VM) AliveNodes() []int {
 	}
 	return out
 }
-
-// FaultCounters returns the VM's recovery counters. When Config.Fault is
-// set these are the injector's counters, so fault activity and recovery
-// accounting render as one deterministic table.
-func (vm *VM) FaultCounters() *metrics.Counters { return vm.ctr }
 
 // MarkDead declares a slice failed: it is excluded from future heartbeats
 // and checkpoints, and the DSM re-homes everything it owned. The bootstrap

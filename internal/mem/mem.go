@@ -139,12 +139,5 @@ func (l *Layout) RegionOf(p PageID) (Region, bool) {
 // NumRegions returns the number of regions allocated so far.
 func (l *Layout) NumRegions() int { return len(l.regions) }
 
-// Regions returns all allocated regions in allocation order.
-func (l *Layout) Regions() []Region {
-	out := make([]Region, len(l.regions))
-	copy(out, l.regions)
-	return out
-}
-
 // TotalPages returns the number of pages allocated so far.
 func (l *Layout) TotalPages() int64 { return int64(l.next) }

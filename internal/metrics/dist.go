@@ -22,9 +22,6 @@ type Dist struct {
 // Add appends one sample.
 func (d *Dist) Add(v float64) { d.samples = append(d.samples, v) }
 
-// AddAll appends a batch of samples.
-func (d *Dist) AddAll(vs []float64) { d.samples = append(d.samples, vs...) }
-
 // Merge folds another distribution's samples into d. The operation is
 // multiset union, so it is commutative and associative up to the derived
 // statistics (the internal ordering may differ; the stats cannot).
@@ -36,9 +33,6 @@ func (d *Dist) Merge(o *Dist) {
 
 // N returns the sample count.
 func (d *Dist) N() int { return len(d.samples) }
-
-// Samples returns a copy of the samples in insertion order.
-func (d *Dist) Samples() []float64 { return append([]float64(nil), d.samples...) }
 
 // DistStats holds every derived statistic of a Dist. Two Dists with equal
 // sample multisets produce identical DistStats values.

@@ -41,9 +41,6 @@ func NewPS(e *Env, capacity float64) *PS {
 	return ps
 }
 
-// Capacity returns the resource capacity in work units per second.
-func (ps *PS) Capacity() float64 { return ps.capacity }
-
 // Load returns the number of active jobs plus the background weight,
 // rounded down.
 func (ps *PS) Load() int { return len(ps.jobs) + int(ps.background) }

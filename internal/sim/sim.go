@@ -532,13 +532,6 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// Yield reschedules the process at the current time, letting other events
-// at the same timestamp run first.
-func (p *Proc) Yield() {
-	p.env.wake(p)
-	p.park()
-}
-
 // Wait suspends the process until ev fires. If ev already fired, Wait
 // returns immediately.
 func (p *Proc) Wait(ev *Event) {

@@ -49,10 +49,6 @@ func (e *StallError) Error() string {
 // decision logged, a recovery step done).
 func (e *Env) MarkProgress() { e.progress++ }
 
-// Progress returns the cumulative progress count (proc completions plus
-// explicit marks).
-func (e *Env) Progress() uint64 { return e.progress }
-
 // Stalled returns the stall recorded by the watchdog, or nil. It stays
 // set after Run returns so harnesses can convert it into a typed
 // episode failure.

@@ -240,9 +240,6 @@ func (s *Session) Attach(env *sim.Env, label string) *Tracer {
 	return t
 }
 
-// Tracers returns the attached tracers in attach order.
-func (s *Session) Tracers() []*Tracer { return s.tracers }
-
 // SpanCount returns the total spans recorded across all tracers.
 func (s *Session) SpanCount() int {
 	n := 0
