@@ -33,11 +33,11 @@ func quick(t *testing.T, name string) *metrics.Table {
 }
 
 // TestAllExperimentsRun is the determinism gate for every figure and
-// table: each experiment runs once at QuickOptions, and its text and JSON
-// renderings must match testdata/<name>.{txt,json} byte for byte. Every
-// golden file must belong to an experiment. The fig14 goldens pin the
-// paper's timeline: the t≈222 s veto, the t≈470 s partial fill, the
-// handback.
+// table: each experiment runs once at QuickOptions, in parallel as
+// RunSweep runs them, and its text and JSON renderings must match
+// testdata/<name>.{txt,json} byte for byte. Every golden file must
+// belong to an experiment. The fig14 goldens pin the paper's timeline:
+// the t≈222 s veto, the t≈470 s partial fill, the handback.
 func TestAllExperimentsRun(t *testing.T) {
 	owned := map[string]bool{}
 	for _, name := range Names() {
@@ -45,6 +45,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		js := filepath.Join("testdata", name+".json")
 		owned[txt], owned[js] = true, true
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			tab := quick(t, name)
 			golden.Check(t, txt, []byte(tab.String()))
 			b, err := tab.MarshalJSON()
