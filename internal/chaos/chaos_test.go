@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -95,6 +96,30 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("report differs between -parallel 1 and 4:\n--- seq\n%s\n--- par\n%s", seq, par)
 	}
 	golden.Check(t, filepath.Join("testdata", "nodedup_seed5.json"), seq)
+}
+
+// TestFixedArtifactsReplayClean replays the checked-in artifacts of
+// bugs since fixed: each one tripped its oracle when it was found, and
+// each must now run with no violation at all.
+//
+//   - quorum_seed2_ep16.json: `fragchaos -episodes 64 -seed 2` episode
+//     16, shrunk to one tor1 cut. The even split left no node with
+//     quorum, node 0 included, so the fleet saw every node down and its
+//     heartbeat was the only proc left running.
+func TestFixedArtifactsReplayClean(t *testing.T) {
+	for _, name := range []string{"quorum_seed2_ep16.json"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := ArtifactFromJSON(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, vs, _ := art.Replay(); len(vs) != 0 {
+			t.Errorf("%s replays with violations: %v", name, vs)
+		}
+	}
 }
 
 // TestNoDedupBugFoundAndShrunk seeds the PR 9 dedup bug back in and

@@ -152,10 +152,14 @@ func (i *Injector) Reachable(a, b int) bool {
 // itself plus every live peer in [0, nodes) it can exchange messages
 // with — must be a strict majority of the live nodes, the node's own
 // vote included (a two-of-three cluster that loses one node to a link
-// cut keeps quorum; the isolated node, alone, does not). A crashed node
-// is down; a fully partitioned or link-cut node is down even though its
-// host never crashed — exactly what a quorum of heartbeat peers would
-// conclude.
+// cut keeps quorum; the isolated node, alone, does not). An exact half
+// is broken toward node 0, the controller's host: the half that holds
+// or reaches node 0 stays up and the other half is down. Without the
+// tie-break an even split (a rack cut off in a two-rack tree) would
+// leave no side with quorum and the controller would see every node,
+// its own included, as down. A crashed node is down; a fully
+// partitioned or link-cut node is down even though its host never
+// crashed — exactly what a quorum of heartbeat peers would conclude.
 func (i *Injector) NodeUp(node, nodes int) bool {
 	if i.crashed[node] {
 		return false
@@ -170,7 +174,7 @@ func (i *Injector) NodeUp(node, nodes int) bool {
 			reach++
 		}
 	}
-	return reach*2 > live
+	return reach*2 > live || (reach*2 == live && (node == 0 || i.Reachable(node, 0)))
 }
 
 // Up is the nil-tolerant form of NodeUp: with no injector every node is

@@ -172,6 +172,25 @@ func TestNodeUpQuorumView(t *testing.T) {
 	}
 }
 
+// TestNodeUpEvenSplitKeepsNodeZerosHalf: cutting one rack of a
+// two-rack tree splits the live nodes exactly in half. Neither side has
+// a strict majority, so the tie goes to the side holding node 0: racks
+// are {0,1} and {2,3}, and only the second is down.
+func TestNodeUpEvenSplitKeepsNodeZerosHalf(t *testing.T) {
+	env := sim.NewEnv()
+	inj := New(treeCluster(env, 4))
+	var s Schedule
+	s.Add(Event{At: sim.Millisecond, Kind: CutLink, Link: "tor1"})
+	inj.Apply(s)
+	env.Run()
+
+	for n, want := range []bool{true, true, false, false} {
+		if got := inj.NodeUp(n, 4); got != want {
+			t.Errorf("NodeUp(%d) = %v under a tor1 cut, want %v", n, got, want)
+		}
+	}
+}
+
 // TestScheduleStringLinkEvents: link events render in the stable,
 // golden-comparable schedule format.
 func TestScheduleStringLinkEvents(t *testing.T) {
