@@ -6,6 +6,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -64,6 +65,15 @@ func (f *Fleet) Leases() []Lease {
 	return out
 }
 
+// The ledger f.leases is append-only history: every lease ever granted,
+// released ones included. f.live indexes the outstanding ones — every
+// lease not yet released, in grant order — so the scans that skip
+// released leases cost what the live books hold, not what the history
+// holds. It has exactly two writers, each changing it in the same step
+// as its Event (which keeps verify's memo sound): the grant in
+// syncLeases appends, releaseLease removes. VerifyReport checks it
+// against the ledger (VLeaseIndex).
+
 // syncLeases reconciles the lease ledger with a VM's placement: the home
 // fragment (sticky; re-elected only when it disappears) carries no lease,
 // every other fragment exactly one.
@@ -77,21 +87,30 @@ func (f *Fleet) syncLeases(vmID int) {
 		h = homeOf(pl)
 		f.home[vmID] = h
 	}
-	covered := map[int]bool{}
-	for _, l := range f.leases {
-		if l.VM != vmID || l.State == LeaseReleased {
+	// Releases shrink live, so the stale leases are gathered first and
+	// released afterwards, still in grant order.
+	var buf [4]*Lease
+	stale, covered := buf[:0], 0
+	for _, l := range f.live {
+		if l.VM != vmID {
 			continue
 		}
 		if pl[l.Node] == 0 || l.Node == h {
-			f.releaseLease(l)
+			stale = append(stale, l)
 			continue
 		}
 		l.CPUs = pl[l.Node]
 		l.MemBytes = int64(pl[l.Node]) * f.reqs[vmID].memPerCPU()
-		covered[l.Node] = true
+		covered++
+	}
+	for _, l := range stale {
+		f.releaseLease(l)
+	}
+	if covered == len(pl)-1 {
+		return // every non-home fragment has its lease
 	}
 	for _, n := range pl.Nodes() {
-		if n == h || covered[n] {
+		if n == h || f.leaseOn(vmID, n) != nil {
 			continue
 		}
 		l := &Lease{
@@ -105,22 +124,39 @@ func (f *Fleet) syncLeases(vmID int) {
 		}
 		f.nextLease++
 		f.leases = append(f.leases, l)
+		f.live = append(f.live, l)
 		f.stats.Leases++
 		f.log("lease", vmID, -1, n, l.CPUs, l.ID)
 	}
 }
 
+// leaseOn returns the VM's outstanding lease on a node, or nil.
+func (f *Fleet) leaseOn(vmID, node int) *Lease {
+	for _, l := range f.live {
+		if l.VM == vmID && l.Node == node {
+			return l
+		}
+	}
+	return nil
+}
+
+// releaseLease returns a lease's capacity to its lender and drops it
+// from the outstanding list.
 func (f *Fleet) releaseLease(l *Lease) {
 	l.State = LeaseReleased
 	l.Released = f.env.Now()
+	if i := slices.Index(f.live, l); i >= 0 {
+		f.live = slices.Delete(f.live, i, i+1)
+	}
 	f.log("release", l.VM, -1, l.Node, l.CPUs, l.ID)
 }
 
-// activeLeasesOn returns the lender node's outstanding leases, grant order.
+// activeLeasesOn returns the lender node's outstanding leases, grant
+// order. The result is a copy, so callers may release while they walk it.
 func (f *Fleet) activeLeasesOn(node int) []*Lease {
 	var out []*Lease
-	for _, l := range f.leases {
-		if l.Node == node && l.State != LeaseReleased {
+	for _, l := range f.live {
+		if l.Node == node {
 			out = append(out, l)
 		}
 	}
@@ -129,9 +165,11 @@ func (f *Fleet) activeLeasesOn(node int) []*Lease {
 
 // lentOn sums the capacity a node has lent out through active leases.
 func (f *Fleet) lentOn(node int) (cpus int, mem int64) {
-	for _, l := range f.activeLeasesOn(node) {
-		cpus += l.CPUs
-		mem += l.MemBytes
+	for _, l := range f.live {
+		if l.Node == node {
+			cpus += l.CPUs
+			mem += l.MemBytes
+		}
 	}
 	return cpus, mem
 }
@@ -185,10 +223,20 @@ func (f *Fleet) Reclaim(node int) {
 	f.verify()
 }
 
-// retryReclaims re-attempts every lease stuck in LeaseReclaiming.
+// retryReclaims re-attempts every lease stuck in LeaseReclaiming, in
+// grant order. Each relocation may release leases and grant new ones, so
+// the stuck set is taken first and each lease re-checked when its turn
+// comes: one released meanwhile is skipped, and a new grant is active,
+// never stuck.
 func (f *Fleet) retryReclaims() []liveMove {
+	var stuck []*Lease
+	for _, l := range f.live {
+		if l.State == LeaseReclaiming {
+			stuck = append(stuck, l)
+		}
+	}
 	var work []liveMove
-	for _, l := range f.leases {
+	for _, l := range stuck {
 		if l.State != LeaseReclaiming {
 			continue
 		}

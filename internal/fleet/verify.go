@@ -40,6 +40,9 @@ const (
 	VLeaseCPUMismatch ViolationClass = "lease-cpu-mismatch"
 	// VFragmentNoLease: a borrowed fragment has no active lease.
 	VFragmentNoLease ViolationClass = "fragment-no-lease"
+	// VLeaseIndex: the outstanding-lease list is not exactly the
+	// ledger's unreleased leases in grant order.
+	VLeaseIndex ViolationClass = "lease-index"
 )
 
 // Violation is one broken invariant. Node, VM, and Lease identify the
@@ -117,13 +120,21 @@ func (f *Fleet) VerifyReport() []Violation {
 		}
 	}
 	// Lease ledger: exactly one active lease per non-home fragment,
-	// none anywhere else.
+	// none anywhere else. The scan walks the whole ledger, not the
+	// outstanding-lease list, so it is an oracle for that list too: the
+	// list must hold exactly the unreleased leases, in grant order.
 	type key struct{ vm, node int }
 	active := map[key]*Lease{}
+	outstanding, indexed := 0, true
 	for _, l := range f.leases {
 		if l.State == LeaseReleased {
 			continue
 		}
+		if indexed && (outstanding >= len(f.live) || f.live[outstanding] != l) {
+			indexed = false
+			vs.add(VLeaseIndex, l.Node, l.VM, l.ID, "outstanding lease %d is not entry %d of the live list", l.ID, outstanding)
+		}
+		outstanding++
 		k := key{l.VM, l.Node}
 		if active[k] != nil {
 			vs.add(VLeaseDoubleBook, l.Node, l.VM, l.ID, "leases %d and %d double-book VM %d on node %d",
@@ -138,6 +149,11 @@ func (f *Fleet) VerifyReport() []Violation {
 		if l.CPUs != pl[l.Node] {
 			vs.add(VLeaseCPUMismatch, l.Node, l.VM, l.ID, "lease %d books %d vCPUs, fragment has %d", l.ID, l.CPUs, pl[l.Node])
 		}
+	}
+	if indexed && outstanding != len(f.live) {
+		l := f.live[outstanding]
+		vs.add(VLeaseIndex, l.Node, l.VM, l.ID, "live list holds %d leases, the ledger %d outstanding; lease %d is extra",
+			len(f.live), outstanding, l.ID)
 	}
 	var one [1]int
 	for _, id := range ids {

@@ -29,7 +29,7 @@ func gangFleet(t *testing.T) *Fleet {
 // activeLease returns the fixture's single active lease.
 func activeLease(t *testing.T, f *Fleet) *Lease {
 	t.Helper()
-	for _, l := range f.leases {
+	for _, l := range f.live {
 		if l.State == LeaseActive {
 			return l
 		}
@@ -98,6 +98,7 @@ func TestViolationLeaseDoubleBook(t *testing.T) {
 	dup := *l
 	dup.ID = 99
 	f.leases = append(f.leases, &dup)
+	f.live = append(f.live, &dup)
 	v := wantOnly(t, f, VLeaseDoubleBook)
 	if v.VM != l.VM || v.Node != l.Node {
 		t.Fatalf("violation = %+v, want VM %d node %d", v, l.VM, l.Node)
@@ -106,7 +107,9 @@ func TestViolationLeaseDoubleBook(t *testing.T) {
 
 func TestViolationLeaseNoFragment(t *testing.T) {
 	f := gangFleet(t)
-	f.leases = append(f.leases, &Lease{ID: 99, VM: 42, Node: 0, CPUs: 1, State: LeaseActive})
+	l := &Lease{ID: 99, VM: 42, Node: 0, CPUs: 1, State: LeaseActive}
+	f.leases = append(f.leases, l)
+	f.live = append(f.live, l)
 	v := wantOnly(t, f, VLeaseNoFragment)
 	if v.Lease != 99 {
 		t.Fatalf("violation lease = %d, want 99", v.Lease)
@@ -122,10 +125,54 @@ func TestViolationLeaseCPUMismatch(t *testing.T) {
 func TestViolationFragmentNoLease(t *testing.T) {
 	f := gangFleet(t)
 	activeLease(t, f).State = LeaseReleased
+	f.live = f.live[:0]
 	v := wantOnly(t, f, VFragmentNoLease)
 	if v.VM != 3 {
 		t.Fatalf("violation VM = %d, want 3", v.VM)
 	}
+}
+
+// TestViolationLeaseIndex: the outstanding-lease list must be exactly
+// the ledger's unreleased leases in grant order. A lease released
+// behind the list's back, an outstanding lease missing from it, and a
+// reordered list are each reported once.
+func TestViolationLeaseIndex(t *testing.T) {
+	t.Run("released-but-listed", func(t *testing.T) {
+		f := gangFleet(t)
+		// A lease released without leaving the list: what a release
+		// that forgot the list would leave behind.
+		l := &Lease{ID: 99, VM: 42, Node: 0, CPUs: 1, State: LeaseReleased}
+		f.leases = append(f.leases, l)
+		f.live = append(f.live, l)
+		v := wantOnly(t, f, VLeaseIndex)
+		if v.Lease != l.ID || !strings.Contains(v.Msg, "extra") {
+			t.Fatalf("violation = %+v, want lease %d reported extra", v, l.ID)
+		}
+	})
+	t.Run("outstanding-but-unlisted", func(t *testing.T) {
+		f := gangFleet(t)
+		l := activeLease(t, f)
+		f.live = f.live[:0]
+		v := wantOnly(t, f, VLeaseIndex)
+		if v.Lease != l.ID {
+			t.Fatalf("violation lease = %d, want %d", v.Lease, l.ID)
+		}
+	})
+	t.Run("out-of-order", func(t *testing.T) {
+		f := gangFleet(t)
+		// A second outstanding lease, granted after the fixture's, on a
+		// VM the books do not know: listed before the first.
+		extra := &Lease{ID: 99, VM: 42, Node: 0, CPUs: 1, State: LeaseActive}
+		f.leases = append(f.leases, extra)
+		f.live = append([]*Lease{extra}, f.live...)
+		classes := map[ViolationClass]int{}
+		for _, v := range f.VerifyReport() {
+			classes[v.Class]++
+		}
+		if classes[VLeaseIndex] != 1 {
+			t.Fatalf("report classes %v, want one %s", classes, VLeaseIndex)
+		}
+	})
 }
 
 // TestVerifyPanicsOnFirstViolation: the panic wrapper keeps the old
