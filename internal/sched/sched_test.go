@@ -3,6 +3,7 @@ package sched
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -117,5 +118,141 @@ func TestPoliciesDiffer(t *testing.T) {
 	}
 	if len(mn) >= len(mf) {
 		t.Fatalf("MinNodes spans %d nodes, MinFrag %d — policy inverted", len(mn), len(mf))
+	}
+}
+
+// consolidationMovesRef is the map-based ConsolidationMoves the slice
+// planner replaced, kept verbatim as the equivalence oracle: it re-sorts
+// the placement's nodes from the map for every source slice.
+func consolidationMovesRef(free []int, cap int, placement Placement, pol Policy, dist DistanceFunc) []Move {
+	free = append([]int(nil), free...)
+	pl := make(Placement, len(placement))
+	for n, c := range placement {
+		pl[n] = c
+	}
+	var moves []Move
+	for changed := true; changed; {
+		changed = false
+		nodes := pl.Nodes()
+		// Try to empty the smallest slice into peers.
+		sort.Slice(nodes, func(i, j int) bool {
+			if pl[nodes[i]] != pl[nodes[j]] {
+				return pl[nodes[i]] < pl[nodes[j]]
+			}
+			return nodes[i] < nodes[j]
+		})
+		for _, src := range nodes {
+			if len(pl) == 1 {
+				break
+			}
+			// Destinations: peers with free capacity. Prefer filling
+			// tighter fragments (MinFrag) or the fullest slice
+			// (MinNodes), then the nearest node.
+			var dsts []int
+			for _, d := range pl.Nodes() {
+				if d != src && free[d] > 0 {
+					dsts = append(dsts, d)
+				}
+			}
+			sort.Slice(dsts, func(i, j int) bool {
+				if pol == MinFrag {
+					if free[dsts[i]] != free[dsts[j]] {
+						return free[dsts[i]] < free[dsts[j]]
+					}
+				} else {
+					if pl[dsts[i]] != pl[dsts[j]] {
+						return pl[dsts[i]] > pl[dsts[j]]
+					}
+				}
+				if dist != nil {
+					if di, dj := dist(src, dsts[i]), dist(src, dsts[j]); di != dj {
+						return di < dj
+					}
+				}
+				return dsts[i] < dsts[j]
+			})
+			for _, dst := range dsts {
+				move := pl[src]
+				if move > free[dst] {
+					move = free[dst]
+				}
+				if move == 0 {
+					continue
+				}
+				empties := move == pl[src]
+				// Partial moves are allowed under MinFrag when they
+				// fill the destination fragment completely, but only
+				// from a smaller slice into an equal-or-bigger one:
+				// that strictly increases the placement's sum of
+				// squares, so consolidation cannot oscillate.
+				fills := move == free[dst] && pl[dst] >= pl[src]
+				if !empties && !(pol == MinFrag && fills) {
+					continue
+				}
+				// Under MinFrag, even a slice-emptying move is vetoed
+				// when it would leave the cluster more fragmented —
+				// the paper's t=222 decision: consolidating now would
+				// split one usable 4-CPU fragment into two 2-CPU ones.
+				if pol == MinFrag && FragCountAfter(free, cap, src, dst, move) > FragCount(free, cap) {
+					continue
+				}
+				free[dst] -= move
+				free[src] += move
+				pl[src] -= move
+				pl[dst] += move
+				if pl[src] == 0 {
+					delete(pl, src)
+				}
+				moves = append(moves, Move{From: src, To: dst, N: move})
+				changed = true
+				if pl[src] == 0 {
+					break
+				}
+			}
+		}
+	}
+	return moves
+}
+
+// TestConsolidationMovesMatchesReference: the slice planner returns
+// exactly the reference's moves on seeded random cases — free vectors of
+// 1–9 nodes, placements of 1–6 fragments, both policies, with no
+// topology and with a tree distance.
+func TestConsolidationMovesMatchesReference(t *testing.T) {
+	const cases = 12000
+	rng := rand.New(rand.NewSource(21))
+	moved := 0
+	for c := 0; c < cases; c++ {
+		cap := 1 + rng.Intn(12)
+		nodes := 1 + rng.Intn(9)
+		frags := 1 + rng.Intn(min(nodes, 6))
+		free := make([]int, nodes)
+		pl := Placement{}
+		for _, n := range rng.Perm(nodes)[:frags] {
+			pl[n] = 1 + rng.Intn(cap)
+			free[n] = rng.Intn(cap - pl[n] + 1)
+		}
+		for n := range free {
+			if _, ok := pl[n]; !ok {
+				free[n] = rng.Intn(cap + 1)
+			}
+		}
+		pol := Policy(c % 2)
+		var dist DistanceFunc
+		if c%4 >= 2 {
+			dist = treeDist
+		}
+		want := consolidationMovesRef(free, cap, pl, pol, dist)
+		got := ConsolidationMoves(free, cap, pl, pol, dist)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d (free %v, cap %d, placement %v, %v, tree %v): moves %v, reference %v",
+				c, free, cap, pl, pol, dist != nil, got, want)
+		}
+		if len(want) > 0 {
+			moved++
+		}
+	}
+	if moved < cases/10 {
+		t.Fatalf("only %d of %d cases planned any move: the generator is too tame", moved, cases)
 	}
 }
