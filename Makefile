@@ -1,7 +1,8 @@
 # Development targets for the FragVisor reproduction. `make check` is the
 # pre-commit gate: formatting, vet, build, the full test suite under the
-# race detector, a one-iteration pass over every Go benchmark, and the
-# vet and tests of the nested perfbench module. Every determinism check is
+# race detector, the environment-lifecycle tests repeated under it, a
+# one-iteration pass over every Go benchmark, and the vet and tests of
+# the nested perfbench module. Every determinism check is
 # a Go test, so `go test ./...` is the single determinism gate: each
 # figure table, fleet event log, fault-run metrics, chaos report, trace
 # and CLI/example stdout is compared with a checked-in golden under its
@@ -13,9 +14,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-smoke perfbench golden
+.PHONY: check fmt vet build test race leak-race bench-smoke perfbench golden
 
-check: fmt vet build race bench-smoke perfbench
+check: fmt vet build race leak-race bench-smoke perfbench
 	@echo "check: all gates passed"
 
 fmt:
@@ -35,6 +36,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# leak-race repeats the sim.Env.Close tests and a parallel chaos search
+# and sweep ten times under the race detector: the pool's workers close
+# their episodes' environments concurrently, and the chaos package's
+# TestMain fails the run if any goroutine outlives them.
+leak-race:
+	$(GO) test -race -count=10 -run 'Close|WorkersAreReused|Goexit' ./internal/sim ./internal/trace
+	$(GO) test -race -count=10 -run 'TestSearchDeterministicAcrossParallelism|TestRepeatedParallelSweepIdentical' ./internal/chaos ./internal/sweep
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

@@ -60,6 +60,7 @@ func BenchmarkFig14SchedulerTrace(b *testing.B)      { runFigure(b, "fig14") }
 // simulated latency.
 func BenchmarkVCPUMigration(b *testing.B) {
 	tb := fragvisor.NewTestbed(2)
+	defer tb.Close()
 	vm := tb.NewFragVisorVM(2, 4<<30)
 	var last fragvisor.Time
 	b.ReportAllocs()
@@ -80,6 +81,7 @@ func BenchmarkVCPUMigration(b *testing.B) {
 // BenchmarkFig04DSMFaultTraffic, a whole fig4 run per op.
 func BenchmarkDSMFault(b *testing.B) {
 	tb := fragvisor.NewTestbed(2)
+	defer tb.Close()
 	vm := tb.NewFragVisorVM(2, 4<<30)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -100,6 +102,7 @@ const dsmFaultAllocBudget = 19
 // write fault may allocate no more than dsmFaultAllocBudget objects.
 func TestDSMFaultAllocBudget(t *testing.T) {
 	tb := fragvisor.NewTestbed(2)
+	defer tb.Close()
 	vm := tb.NewFragVisorVM(2, 4<<30)
 	faults := sim.NewQueue[int](tb.Env)
 	tb.Env.Spawn("pingpong", func(p *fragvisor.Proc) {
@@ -126,6 +129,7 @@ func TestDSMFaultAllocBudget(t *testing.T) {
 // workload and checkpoint restore take, where Touch moves zero pages.
 func BenchmarkDSMFaultBytes(b *testing.B) {
 	tb := fragvisor.NewTestbed(2)
+	defer tb.Close()
 	vm := tb.NewFragVisorVM(2, 4<<30)
 	payload := []byte("dsm-fault-payload")
 	b.ReportAllocs()
@@ -147,6 +151,7 @@ func BenchmarkDSMFaultBytes(b *testing.B) {
 // via a single self-rescheduling deferred event.
 func BenchmarkEventDispatch(b *testing.B) {
 	e := sim.NewEnv()
+	defer e.Close()
 	remaining := b.N
 	var tick func()
 	tick = func() {
@@ -165,6 +170,7 @@ func BenchmarkEventDispatch(b *testing.B) {
 // op on a single proc.
 func BenchmarkProcWake(b *testing.B) {
 	e := sim.NewEnv()
+	defer e.Close()
 	e.Spawn("sleeper", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(1)
@@ -179,6 +185,7 @@ func BenchmarkProcWake(b *testing.B) {
 // Put+Get pair per op.
 func BenchmarkQueueChurn(b *testing.B) {
 	e := sim.NewEnv()
+	defer e.Close()
 	q := sim.NewQueue[int](e)
 	e.Spawn("consumer", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
@@ -200,6 +207,7 @@ func BenchmarkQueueChurn(b *testing.B) {
 // contending procs: one Lock+Unlock per op.
 func BenchmarkMutexHandoff(b *testing.B) {
 	e := sim.NewEnv()
+	defer e.Close()
 	m := e.NewMutex()
 	worker := func(p *sim.Proc) {
 		for i := 0; i < b.N/2; i++ {
@@ -219,6 +227,7 @@ func BenchmarkMutexHandoff(b *testing.B) {
 // reply beats the deadline — the path that used to leak cancelled timers.
 func BenchmarkWaitTimeoutStorm(b *testing.B) {
 	e := sim.NewEnv()
+	defer e.Close()
 	e.Spawn("client", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			ev := e.NewEvent()
@@ -235,6 +244,7 @@ func BenchmarkWaitTimeoutStorm(b *testing.B) {
 // worker reuse and proc-table reaping: one spawn+finish per op.
 func BenchmarkSpawnChurn(b *testing.B) {
 	e := sim.NewEnv()
+	defer e.Close()
 	e.Spawn("driver", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			w := e.Spawn("w", func(p *sim.Proc) { p.Sleep(1) })

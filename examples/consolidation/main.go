@@ -25,6 +25,7 @@ func main() {
 	// Separately: checkpoint an Aggregate VM and restore it after
 	// evacuating a likely-to-fail node.
 	tb := fragvisor.NewTestbed(2)
+	defer tb.Close()
 	vm := tb.NewFragVisorVM(2, 8<<30)
 	fragvisor.RunNPB(vm, "UA", 0.05) // give the VM live state
 	tb.Env.Spawn("failover", func(p *fragvisor.Proc) {

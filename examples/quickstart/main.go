@@ -15,6 +15,7 @@ func main() {
 	// node has just one spare core: no single node can host a 4-vCPU VM,
 	// but together they can.
 	tb := fragvisor.NewTestbed(4)
+	defer tb.Close()
 	vm := tb.NewFragVisorVM(4, 8<<30)
 
 	tb.Env.Spawn("orchestrator", func(p *fragvisor.Proc) {

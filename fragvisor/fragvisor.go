@@ -20,6 +20,7 @@
 // A minimal session:
 //
 //	tb := fragvisor.NewTestbed(4)
+//	defer tb.Close()
 //	vm := tb.NewFragVisorVM(4, 8<<30) // 4 vCPUs borrowed from 4 nodes
 //	elapsed := fragvisor.RunNPB(vm, "EP", 0.1)
 //
@@ -113,6 +114,12 @@ func (tb *Testbed) NewOvercommitVM(nVCPU, k int, memBytes int64) *VM {
 
 // Run drives the simulation until no events remain.
 func (tb *Testbed) Run() { tb.Env.Run() }
+
+// Close ends the testbed's simulation: every process still parked is
+// stopped and its goroutine exits, so the testbed and its VMs can be
+// garbage-collected. Results already read stay valid; the testbed cannot
+// run again. Close is idempotent.
+func (tb *Testbed) Close() { tb.Env.Close() }
 
 // RunNPB runs one multi-process NAS Parallel Benchmark kernel (one serial
 // instance per vCPU) and returns the wall time. scale shrinks compute and

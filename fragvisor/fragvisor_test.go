@@ -9,6 +9,7 @@ import (
 
 func TestQuickstartFlow(t *testing.T) {
 	tb := fragvisor.NewTestbed(4)
+	defer tb.Close()
 	vm := tb.NewFragVisorVM(4, 8<<30)
 	tb.Env.Spawn("boot", func(p *fragvisor.Proc) { vm.Boot(p) })
 	tb.Run()
@@ -18,9 +19,16 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestProfilesDiffer(t *testing.T) {
-	frag := fragvisor.RunNPB(fragvisor.NewTestbed(4).NewFragVisorVM(4, 8<<30), "IS", 0.02)
-	giant := fragvisor.RunNPB(fragvisor.NewTestbed(4).NewGiantVM(4, 8<<30), "IS", 0.02)
-	oc := fragvisor.RunNPB(fragvisor.NewTestbed(1).NewOvercommitVM(4, 1, 8<<30), "IS", 0.02)
+	npb := func(tb *fragvisor.Testbed, vm *fragvisor.VM) fragvisor.Time {
+		defer tb.Close()
+		return fragvisor.RunNPB(vm, "IS", 0.02)
+	}
+	tb := fragvisor.NewTestbed(4)
+	frag := npb(tb, tb.NewFragVisorVM(4, 8<<30))
+	tb = fragvisor.NewTestbed(4)
+	giant := npb(tb, tb.NewGiantVM(4, 8<<30))
+	tb = fragvisor.NewTestbed(1)
+	oc := npb(tb, tb.NewOvercommitVM(4, 1, 8<<30))
 	if !(frag < giant && giant < oc) {
 		t.Fatalf("ordering wrong: frag=%v giant=%v overcommit=%v", frag, giant, oc)
 	}
@@ -35,6 +43,7 @@ func TestNPBKernels(t *testing.T) {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	tb := fragvisor.NewTestbed(2)
+	defer tb.Close()
 	vm := tb.NewFragVisorVM(2, 4<<30)
 	fragvisor.RunNPB(vm, "UA", 0.02)
 	var img *fragvisor.CheckpointImage
@@ -50,6 +59,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestMigrationAndConsolidation(t *testing.T) {
 	tb := fragvisor.NewTestbed(2)
+	defer tb.Close()
 	vm := tb.NewFragVisorVM(2, 4<<30)
 	tb.Env.Spawn("orchestrate", func(p *fragvisor.Proc) {
 		if d := vm.MigrateVCPU(p, 1, 0, 1); d < 50*fragvisor.Microsecond {

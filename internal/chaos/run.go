@@ -77,6 +77,7 @@ func runVM(ep Episode, hooks Hooks) []Violation {
 	rt.Drained = res.Stall == nil // env.Run ran the queue dry
 	rt.Rel = res.Reliable
 	rt.VM = res
+	defer res.Close() // after judge: the fabric oracle reads the world
 	return judge(rt)
 }
 
@@ -105,6 +106,7 @@ func fleetPolicy(workload string) fleet.ReclaimPolicy {
 func runFleet(ep Episode, hooks Hooks) []Violation {
 	const gig = int64(1) << 30
 	env := sim.NewEnv()
+	defer env.Close() // after judge: the oracles read the fabric and the fleet
 	spec := topo.TreeSpec(2, 2, 4)
 	params := cluster.DefaultParams()
 	params.Topo = spec

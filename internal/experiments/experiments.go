@@ -46,6 +46,21 @@ type Options struct {
 	// for every cluster the experiment builds (nil = flat, the same
 	// fabric topo.FlatSpec() builds).
 	Topo *topo.Spec
+
+	// envs records every environment newEnv builds during one Run call,
+	// so Run closes them all when the runner returns.
+	envs *envSet
+}
+
+// envSet is the environments one Run call built.
+type envSet []*sim.Env
+
+// close ends every recorded environment (sim.Env.Close), so the worker
+// goroutines of finished worlds exit instead of pinning them in memory.
+func (s *envSet) close() {
+	for _, env := range *s {
+		env.Close()
+	}
 }
 
 // DefaultOptions runs at 1/10 of paper scale.
@@ -70,11 +85,15 @@ func checkScale(scale float64) error {
 const guestMem = 16 << 30
 
 // newEnv builds the simulation environment for one compared system,
-// attaching it to the options' trace session when tracing is on. Tracers
-// must be installed before anything caches the environment's trace
-// context, so every builder goes through here first.
+// attaching it to the options' trace session when tracing is on and
+// recording it for Run to close. Tracers must be installed before
+// anything caches the environment's trace context, so every builder goes
+// through here first.
 func (o Options) newEnv(label string) *sim.Env {
 	env := sim.NewEnv()
+	if o.envs != nil {
+		*o.envs = append(*o.envs, env)
+	}
 	if o.Trace != nil {
 		o.Trace.Attach(env, label)
 	}
@@ -179,7 +198,9 @@ func Names() []string {
 	return out
 }
 
-// Run executes one experiment by id.
+// Run executes one experiment by id. Every environment the experiment
+// built is closed before Run returns, panics included; the table, the
+// trace session and the traffic accounting stay readable.
 func Run(name string, o Options) (*metrics.Table, error) {
 	r, ok := registry[name]
 	if !ok {
@@ -188,5 +209,7 @@ func Run(name string, o Options) (*metrics.Table, error) {
 	if err := checkScale(o.Scale); err != nil {
 		return nil, err
 	}
+	o.envs = new(envSet)
+	defer o.envs.close()
 	return r(o), nil
 }

@@ -34,10 +34,7 @@ func Fig14(o Options) *metrics.Table {
 	// default 0.1 scale maps to a 70 s run with identical structure).
 	ts := func(seconds float64) sim.Time { return sim.FromSeconds(seconds * o.Scale * 10) }
 
-	env := sim.NewEnv()
-	if o.Trace != nil {
-		o.Trace.Attach(env, "fig14/sched")
-	}
+	env := o.newEnv("fig14/sched")
 	params := o.params()
 	params.CoresPerNode = 12
 	clus := o.observe("fig14", cluster.New(env, 4, params))

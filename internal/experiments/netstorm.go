@@ -55,6 +55,7 @@ func NetStorm(o Options) *metrics.Table {
 			DatasetBytes: int64(64 << 20),
 			ExpectDeaths: expectDeaths,
 		})
+		res.Close()
 		if len(res.LiveProcs) > 0 {
 			panic("experiments: netstorm scenario deadlocked:\n" + res.Metrics())
 		}

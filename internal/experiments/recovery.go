@@ -31,6 +31,7 @@ func Recovery(o Options) *metrics.Table {
 			Checkpoint:   true,
 			DatasetBytes: int64(float64(mb<<20) * o.Scale),
 		})
+		res.Close()
 		if !res.Ok() || len(res.Recovered) != 1 {
 			panic("experiments: recovery scenario failed:\n" + res.Metrics())
 		}

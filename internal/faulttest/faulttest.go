@@ -144,7 +144,15 @@ type Result struct {
 	MsgFaults msg.FaultStats // messaging-layer fault stats
 	Reliable  reliable.Stats // ack/retransmit transport stats (checkpoint chunks)
 	Counters  string         // injector counters rendering
+
+	env *sim.Env // the run's world, kept open for hooks that read it
 }
+
+// Close ends the run's simulation environment (sim.Env.Close). Run leaves
+// it open so a caller can still read the world through the objects its
+// Scenario.Hook captured (the fabric, say); call Close once done with
+// them. The Result's own fields stay valid.
+func (r *Result) Close() { r.env.Close() }
 
 // Ok reports whether the run passed every built-in assertion.
 func (r *Result) Ok() bool {
@@ -186,9 +194,16 @@ func patternBytes(seed, i int64) []byte {
 // It owns the event loop: everything happens under one env.Run, and the
 // heartbeat is stopped once the workload and any expected recoveries are
 // done, so the queue drains and deadlocks are observable as LiveProcs.
+// The world stays open for the caller, who ends it with Result.Close.
 func Run(s Scenario) *Result {
 	s = s.withDefaults()
 	env := sim.NewEnv()
+	returned := false
+	defer func() {
+		if !returned { // a panic leaves no Result to close the world through
+			env.Close()
+		}
+	}()
 	params := cluster.DefaultParams()
 	params.Topo = s.Topo
 	c := cluster.New(env, s.Nodes, params)
@@ -206,7 +221,7 @@ func Run(s Scenario) *Result {
 	cfg.DSM.Retry = msg.DefaultRetryPolicy()
 	vm := hypervisor.New(cfg)
 
-	res := &Result{}
+	res := &Result{env: env}
 	expectedDeaths := s.ExpectDeaths
 	if expectedDeaths == 0 {
 		expectedDeaths = s.Schedule.Count(fault.CrashNode)
@@ -326,6 +341,7 @@ func Run(s Scenario) *Result {
 	res.MsgFaults = vm.Layer.FaultStats()
 	res.Reliable = c.Reliable.Stats()
 	res.Counters = inj.Counters().String()
+	returned = true
 	return res
 }
 

@@ -3,10 +3,12 @@ package faulttest
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/golden"
+	"repro/internal/leakcheck"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -15,6 +17,7 @@ import (
 // empty schedule — workload completes, memory intact, DSM coherent.
 func TestFaultFreeBaseline(t *testing.T) {
 	res := Run(Scenario{Seed: 1})
+	defer res.Close()
 	if !res.Ok() {
 		t.Fatalf("fault-free run failed:\n%s", res.Metrics())
 	}
@@ -35,6 +38,7 @@ func TestLenderCrashRecovery(t *testing.T) {
 	var sched fault.Schedule
 	sched.Add(fault.Event{At: 10 * sim.Millisecond, Kind: fault.CrashNode, Node: 2})
 	res := Run(Scenario{Seed: 7, Schedule: sched, Checkpoint: true})
+	defer res.Close()
 	if len(res.LiveProcs) != 0 {
 		t.Fatalf("deadlock: %v", res.LiveProcs)
 	}
@@ -63,6 +67,7 @@ func TestCrashWithoutCheckpointStaysCoherent(t *testing.T) {
 	var sched fault.Schedule
 	sched.Add(fault.Event{At: 8 * sim.Millisecond, Kind: fault.CrashNode, Node: 3})
 	res := Run(Scenario{Seed: 11, Schedule: sched})
+	defer res.Close()
 	if len(res.LiveProcs) != 0 {
 		t.Fatalf("deadlock: %v", res.LiveProcs)
 	}
@@ -90,6 +95,7 @@ func TestMessageFaultSchedules(t *testing.T) {
 				Degrades:   1,
 			})
 			res := Run(Scenario{Seed: seed, Schedule: sched, Checkpoint: true})
+			defer res.Close()
 			if len(res.LiveProcs) != 0 {
 				t.Fatalf("deadlock under schedule:\n%s\nprocs: %v", sched.String(), res.LiveProcs)
 			}
@@ -116,6 +122,7 @@ func TestRandomCrashSchedules(t *testing.T) {
 				Crashes:   1,
 			})
 			res := Run(Scenario{Seed: seed, Schedule: sched, Checkpoint: true})
+			defer res.Close()
 			if !res.Ok() {
 				t.Fatalf("failed under schedule:\n%s\nresult:\n%s", sched.String(), res.Metrics())
 			}
@@ -148,6 +155,7 @@ func TestTorCutRecovery(t *testing.T) {
 		DatasetBytes: 64 << 20,
 		ExpectDeaths: 2,
 	})
+	defer res.Close()
 	if !res.Ok() {
 		t.Fatalf("tor-cut run failed:\n%s", res.Metrics())
 	}
@@ -186,6 +194,7 @@ func TestConcurrentCrashesDetectedTogether(t *testing.T) {
 		Checkpoint:   true,
 		DatasetBytes: 4 << 20,
 	})
+	defer res.Close()
 	if !res.Ok() {
 		t.Fatalf("double-crash run failed:\n%s", res.Metrics())
 	}
@@ -214,6 +223,7 @@ func TestDropStormBlackoutRecovers(t *testing.T) {
 		DatasetBytes: 4 << 20,
 		ExpectDeaths: 3,
 	})
+	defer res.Close()
 	if len(res.LiveProcs) != 0 {
 		t.Fatalf("blackout storm wedged the stack: %v\n%s", res.LiveProcs, res.Metrics())
 	}
@@ -238,5 +248,25 @@ func TestDeterministicUnderFaults(t *testing.T) {
 		Crashes:    1,
 	})
 	res := Run(Scenario{Seed: 42, Schedule: sched, Checkpoint: true})
+	defer res.Close()
 	golden.Check(t, filepath.Join("testdata", "random42_metrics.txt"), []byte(res.Metrics()))
+}
+
+// TestPanickingRunClosesItsWorld: a run that panics (here an unknown
+// kernel, looked up by the driver proc after boot and the checkpoint)
+// returns no Result to close the world through, so Run closes it itself
+// and leaves no worker goroutine behind.
+func TestPanickingRunClosesItsWorld(t *testing.T) {
+	start := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a run with an unknown kernel did not panic")
+			}
+		}()
+		Run(Scenario{Seed: 1, Kernel: "no-such-kernel"})
+	}()
+	if n := leakcheck.Settle(start); n > start {
+		t.Fatalf("%d goroutines after the panicking run, %d before", n, start)
+	}
 }

@@ -28,6 +28,12 @@
 // process table, and internal wake-up timers are pooled on a free list so
 // the hot dispatch path allocates nothing.
 //
+// Each process runs on a pooled worker coroutine, one goroutine, which
+// lives until the environment is closed. The owner of an environment
+// calls Env.Close once it has read what it needs: Close unwinds every
+// parked process (running its deferred calls) and ends every worker, so
+// a finished world does not stay reachable from its goroutines.
+//
 // Fire-and-forget timers come in two pooled forms: Defer/DeferAt run a
 // func(), and DeferArg/DeferArgAt run a static func(any) on an argument
 // the timer carries. The second form is for callers that schedule the
@@ -221,6 +227,7 @@ type Env struct {
 	current    *Proc
 	procErr    any
 	stopped    bool
+	closed     bool
 	spawned    int
 	procs      []*Proc
 	finished   int // finished procs still sitting in procs
@@ -245,10 +252,16 @@ func (e *Env) SetTrace(t any) { e.trace = t }
 // Trace returns the context installed with SetTrace, or nil.
 func (e *Env) Trace() any { return e.trace }
 
-// NewEnv returns an empty simulation environment at time zero.
+// NewEnv returns an empty simulation environment at time zero. Its owner
+// calls Close once done with it, so the worker goroutines end.
 func NewEnv() *Env {
 	return &Env{}
 }
+
+// Closed reports whether Close has been called. Code that a deferred call
+// can reach while Close unwinds a parked proc checks it to record nothing
+// (see trace.Tracer.End).
+func (e *Env) Closed() bool { return e.closed }
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
@@ -408,6 +421,9 @@ func (e *Env) Run() { e.RunUntil(Time(1<<62 - 1)) }
 // to deadline if the simulation got that far. Events after the deadline stay
 // queued.
 func (e *Env) RunUntil(deadline Time) {
+	if e.closed {
+		panic("sim: Run after Close")
+	}
 	e.stopped = false
 	for !e.stopped && len(e.events) > 0 {
 		next := e.events[0]
@@ -453,6 +469,9 @@ func (e *Env) RunUntil(deadline Time) {
 // Spawn creates a process executing fn and schedules it to start at the
 // current virtual time. The name appears in diagnostics.
 func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
+	if e.closed {
+		panic(fmt.Sprintf("sim: Spawn(%q) after Close", name))
+	}
 	p := &Proc{
 		env:  e,
 		name: name,

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
 
 // TestProcGoexitEndsRun checks that a proc calling runtime.Goexit — what
@@ -36,7 +38,7 @@ func TestProcGoexitEndsRun(t *testing.T) {
 // TestWorkersAreReused pins worker pooling: a driver proc that spawns and
 // joins 1,000 short-lived children one after another needs one worker for
 // itself and one recycled across every child, so the run adds at most two
-// goroutines (workers never exit).
+// goroutines, and Close ends both.
 func TestWorkersAreReused(t *testing.T) {
 	const children = 1000
 	before := runtime.NumGoroutine()
@@ -55,5 +57,9 @@ func TestWorkersAreReused(t *testing.T) {
 	}
 	if added := runtime.NumGoroutine() - before; added > 2 {
 		t.Fatalf("%d sequential spawns added %d goroutines, want at most 2", children, added)
+	}
+	e.Close()
+	if n := leakcheck.Settle(before); n > before {
+		t.Fatalf("%d goroutines after Close, %d before the run", n, before)
 	}
 }

@@ -143,8 +143,11 @@ func (t *Tracer) Begin(parent SpanID, cat Category, node int, name string) SpanI
 
 // End closes an open span at the current time. End(0) is a no-op, so the
 // id returned by a nil tracer's Begin can be passed back unconditionally.
+// So is End on a closed environment: a deferred End that sim.Env.Close
+// runs while unwinding a parked proc leaves the span open, as it was
+// when the simulation stopped.
 func (t *Tracer) End(id SpanID) {
-	if t == nil || id == 0 {
+	if t == nil || id == 0 || t.env.Closed() {
 		return
 	}
 	t.spans[id-1].End = t.env.Now()

@@ -55,6 +55,24 @@ func TestBeginEndRecordsVirtualTime(t *testing.T) {
 	}
 }
 
+// TestCloseLeavesSpansOpen: closing an environment unwinds its parked
+// procs and runs their deferred End calls, but Close is not a simulated
+// event, so a span open when the run stopped stays open in the export.
+func TestCloseLeavesSpansOpen(t *testing.T) {
+	env := sim.NewEnv()
+	tr := trace.NewSession().Attach(env, "unit")
+	env.Spawn("w", func(p *sim.Proc) {
+		id := tr.Begin(0, trace.CatTask, 0, "parked")
+		defer tr.End(id)
+		p.Wait(env.NewEvent())
+	})
+	env.Run()
+	env.Close()
+	if sp := tr.Spans()[0]; sp.End != -1 {
+		t.Fatalf("span after Close = %+v, want it still open (End -1)", sp)
+	}
+}
+
 func TestKeyInternsNames(t *testing.T) {
 	sess := trace.NewSession()
 	tr := sess.Attach(sim.NewEnv(), "unit")
