@@ -94,9 +94,10 @@ func BenchmarkDSMFault(b *testing.B) {
 }
 
 // dsmFaultAllocBudget is what one remote write fault (BenchmarkDSMFault's
-// loop body) allocates: the fault's bookkeeping, the directory and
-// invalidation procs, and the messages, each message costing only itself.
-const dsmFaultAllocBudget = 19
+// loop body) allocates: the fault's bookkeeping (its grant rides in it),
+// the directory and invalidation procs, and the messages, each message
+// costing only itself.
+const dsmFaultAllocBudget = 12
 
 // TestDSMFaultAllocBudget pins BenchmarkDSMFault's allocs/op: a remote
 // write fault may allocate no more than dsmFaultAllocBudget objects.
@@ -121,6 +122,76 @@ func TestDSMFaultAllocBudget(t *testing.T) {
 	}
 	if allocs > dsmFaultAllocBudget {
 		t.Errorf("a remote write fault allocates %v objects, budget %d", allocs, dsmFaultAllocBudget)
+	}
+}
+
+// readCycle is one op of BenchmarkDSMFaultRead on a three-node VM whose
+// node 2 owns page 12345: node 1 read-faults, and the directory fetches
+// the page from node 2, downgrading it (grantRead's owner-fetch path);
+// then node 2 upgrades, invalidating node 1 so the next read faults again.
+func readCycle(p *fragvisor.Proc, vm *fragvisor.VM) {
+	vm.DSM.Touch(p, 1, 12345, false)
+	vm.DSM.Touch(p, 2, 12345, true)
+}
+
+// newReadBed returns a three-node VM whose node 2 owns page 12345.
+func newReadBed() (*fragvisor.Testbed, *fragvisor.VM) {
+	tb := fragvisor.NewTestbed(3)
+	vm := tb.NewFragVisorVM(3, 4<<30)
+	tb.Env.Spawn("claim", func(p *fragvisor.Proc) { vm.DSM.Touch(p, 2, 12345, true) })
+	tb.Run()
+	return tb, vm
+}
+
+// BenchmarkDSMFaultRead measures a remote read fault served by a node
+// other than the origin — request, directory proc, fetch from the owner,
+// grant — paired with the owner's upgrade that re-arms it (readCycle).
+// Select it with an anchored pattern, like BenchmarkDSMFault.
+func BenchmarkDSMFaultRead(b *testing.B) {
+	tb, vm := newReadBed()
+	defer tb.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	tb.Env.Spawn("readers", func(p *fragvisor.Proc) {
+		for i := 0; i < b.N; i++ {
+			readCycle(p, vm)
+		}
+	})
+	tb.Run()
+}
+
+// dsmFaultReadAllocBudget is what one readCycle allocates: a read fault
+// with its owner fetch and an upgrade fault with its invalidation.
+const dsmFaultReadAllocBudget = 25
+
+// TestDSMFaultReadAllocBudget pins BenchmarkDSMFaultRead's allocs/op.
+func TestDSMFaultReadAllocBudget(t *testing.T) {
+	tb, vm := newReadBed()
+	defer tb.Close()
+	claimed := vm.DSM.NodeStats(2)
+	cycles := sim.NewQueue[struct{}](tb.Env)
+	tb.Env.Spawn("readers", func(p *fragvisor.Proc) {
+		for {
+			cycles.Get(p)
+			readCycle(p, vm)
+		}
+	})
+	ops := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		cycles.Put(struct{}{})
+		ops++
+		tb.Run()
+	})
+	st1, st2 := vm.DSM.NodeStats(1), vm.DSM.NodeStats(2)
+	reads, upgrades := st1.ReadFaults, st2.WriteFaults-claimed.WriteFaults
+	if reads != int64(ops) || upgrades != int64(ops) {
+		t.Fatalf("%d read and %d write faults over %d cycles: not every access faulted", reads, upgrades, ops)
+	}
+	if moved := st2.BytesMoved - claimed.BytesMoved; moved != 0 || st1.BytesMoved != int64(ops)*4096 {
+		t.Fatalf("node 1 moved %d bytes, node 2 %d: the reads did not fetch from node 2", st1.BytesMoved, moved)
+	}
+	if allocs > dsmFaultReadAllocBudget {
+		t.Errorf("a read cycle allocates %v objects, budget %d", allocs, dsmFaultReadAllocBudget)
 	}
 }
 

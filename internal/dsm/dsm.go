@@ -48,6 +48,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/msg"
+	"repro/internal/reliable"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -188,27 +189,50 @@ func (lp *localPage) contents() []byte {
 	return lp.data
 }
 
-// dirEntry is the origin directory record for one explicitly-managed page.
-type dirEntry struct {
-	owner   int
-	copyset map[int]bool
+// pageRec is everything the DSM keeps about one explicitly-managed page,
+// reached by a single map lookup: the directory's view, the page lock, the
+// contextual tag and every node's replica. A record exists from a page's
+// first access (or MarkContextual); inDir and held say which views the
+// page has joined since.
+type pageRec struct {
+	page mem.PageID
+	// inDir says the origin directory tracks the page; owner and copyset
+	// mean nothing before. A page only the origin has touched has no
+	// directory entry: the bootstrap slice owns it implicitly.
+	inDir   bool
+	owner   int    // fabric node id
+	copyset uint32 // dense node indices holding valid replicas; the origin is bit 0
+
+	contextual bool // CPU-context memory, eligible for the piggyback path
+	// held marks the replicas that exist, by dense node index. A replica
+	// not held reads as Invalid and is materialized by replica on first
+	// use; state alone cannot tell an untouched origin replica (which
+	// starts Exclusive) from an invalidated one.
+	held  uint32
+	local []localPage // by dense node index
+
+	lk      *sim.Mutex // serializes directory grants; created on first use
+	dirName string     // "dsmN.dir.<page>", interned on first directory use
+	invName string     // "dsmN.inv.<page>", likewise
 }
 
-// faultReq is the payload of a fault request to the directory. It travels
-// by pointer and lives in the requester's pendingFault, so retransmissions
-// resend the same request; the directory only reads it.
-type faultReq struct {
-	id    uint64
-	page  mem.PageID
-	node  int
+// pendingFault is one fault in flight. It is the payload of the fault
+// request to the directory, by pointer, so retransmissions resend the same
+// request; the directory only reads its request fields. The directory
+// answers through grant, which points back here.
+type pendingFault struct {
+	id    uint64 // contiguous per requester; the directory dedups on it
+	rec   *pageRec
+	ni    int // requester's dense node index
 	write bool
-}
 
-// fetchReq asks a page's owner for its bytes, downgrading or invalidating
-// the owner's copy.
-type fetchReq struct {
-	page       mem.PageID
-	invalidate bool
+	ev *sim.Event
+	// over says the fault takes no grant any more: one was installed, or
+	// the requester gave up on a dead node. A grant arriving after is
+	// acknowledged and ignored.
+	over  bool
+	moved int64 // payload bytes installed by the grant
+	grant grantMsg
 }
 
 // grantMsg carries the directory's answer to a fault back to the faulting
@@ -217,9 +241,7 @@ type fetchReq struct {
 // replica can never be resurrected by a stale in-flight grant. It travels
 // by pointer, so a re-sent grant is the same message.
 type grantMsg struct {
-	id    uint64
-	page  mem.PageID
-	write bool
+	pf *pendingFault
 	// carry says the grant moves the page's contents, which the wire and
 	// BytesMoved charge as a full page; it is false when the requester's
 	// existing copy remains valid. data is nil when carry is false, and
@@ -228,43 +250,37 @@ type grantMsg struct {
 	data  []byte
 }
 
-// pendingFault is requester-side bookkeeping for one in-flight fault.
-type pendingFault struct {
-	req   faultReq
-	ev    *sim.Event
-	moved int64 // payload bytes installed by the grant
+// member is the DSM's state for one node, by dense index.
+type member struct {
+	stats     Stats
+	nextFault uint64 // id of the node's next fault request
+	// accepted is the directory's dedup window over the node's fault ids:
+	// O(faults in flight), however many the node has issued.
+	accepted reliable.Window
 }
 
 // DSM is one Aggregate VM's distributed shared memory instance.
 // Construct with New.
 type DSM struct {
-	env    *sim.Env
-	layer  *msg.Layer
-	nodes  []int
-	origin int
-	idx    map[int]int // fabric node id -> dense index
-	params Params
+	env     *sim.Env
+	layer   *msg.Layer
+	nodes   []int
+	origin  int
+	idx     []int // fabric node id -> dense index, -1 for non-members
+	members []member
+	params  Params
 
-	dir        map[mem.PageID]*dirEntry
-	locks      map[mem.PageID]*sim.Mutex
-	local      map[int]map[mem.PageID]*localPage
-	contextual map[mem.PageID]bool
-	extents    extentTable
-	stats      map[int]*Stats
+	pages   map[mem.PageID]*pageRec
+	extents extentTable
 
 	dirtyPage mem.PageID
 	service   string
 	dirSvc    string // service + ".dir", interned off the fault hot path
 	ownSvc    string // service + ".own", likewise
-	dirProc   string // service + ".dir.", prefix for directory proc names
-	invProc   string // service + ".inv.", prefix for invalidation proc names
 
-	nextFault uint64
-	pending   map[uint64]*pendingFault
-	seen      map[uint64]bool // fault ids the directory has accepted
-	fv        FaultView
-	excluded  map[int]bool // nodes fenced out by MarkDead (see fault.go)
-	tr        *trace.Tracer
+	fv       FaultView
+	excluded uint32 // dense indices fenced out by MarkDead (see fault.go)
+	tr       *trace.Tracer
 }
 
 // New creates a DSM spanning the given hypervisor instances. nodes[0] is
@@ -274,38 +290,36 @@ func New(env *sim.Env, layer *msg.Layer, nodes []int, p Params) *DSM {
 	if len(nodes) == 0 {
 		panic("dsm: no nodes")
 	}
+	if len(nodes) > 32 {
+		panic("dsm: more than 32 nodes in one DSM")
+	}
 	d := &DSM{
-		env:        env,
-		layer:      layer,
-		nodes:      append([]int(nil), nodes...),
-		origin:     nodes[0],
-		idx:        make(map[int]int, len(nodes)),
-		params:     p,
-		dir:        make(map[mem.PageID]*dirEntry),
-		locks:      make(map[mem.PageID]*sim.Mutex),
-		local:      make(map[int]map[mem.PageID]*localPage),
-		contextual: make(map[mem.PageID]bool),
-		stats:      make(map[int]*Stats),
-		dirtyPage:  mem.PageID(1) << 40,
-		pending:    make(map[uint64]*pendingFault),
-		seen:       make(map[uint64]bool),
-		excluded:   make(map[int]bool),
-		tr:         trace.FromEnv(env),
+		env:       env,
+		layer:     layer,
+		nodes:     append([]int(nil), nodes...),
+		origin:    nodes[0],
+		members:   make([]member, len(nodes)),
+		params:    p,
+		pages:     make(map[mem.PageID]*pageRec),
+		dirtyPage: mem.PageID(1) << 40,
+		tr:        trace.FromEnv(env),
 	}
 	// Instance numbers are per messaging layer, so service (and span) names
 	// depend only on construction order within one simulation.
 	d.service = fmt.Sprintf("dsm%d", layer.Instance("dsm"))
 	d.dirSvc = d.service + ".dir"
 	d.ownSvc = d.service + ".own"
-	d.dirProc = d.service + ".dir."
-	d.invProc = d.service + ".inv."
 	for i, n := range nodes {
-		if _, dup := d.idx[n]; dup {
+		if n < 0 {
+			panic(fmt.Sprintf("dsm: negative node %d", n))
+		}
+		for len(d.idx) <= n {
+			d.idx = append(d.idx, -1)
+		}
+		if d.idx[n] >= 0 {
 			panic(fmt.Sprintf("dsm: duplicate node %d", n))
 		}
 		d.idx[n] = i
-		d.local[n] = make(map[mem.PageID]*localPage)
-		d.stats[n] = &Stats{}
 	}
 	layer.Handle(d.origin, d.dirSvc, d.handleDir)
 	for _, n := range nodes {
@@ -330,56 +344,59 @@ func (d *DSM) NodeStats(node int) Stats { return *d.mustStats(node) }
 // TotalStats returns counters aggregated over all nodes.
 func (d *DSM) TotalStats() Stats {
 	var t Stats
-	for _, n := range d.nodes {
-		t.add(*d.stats[n])
+	for i := range d.members {
+		t.add(d.members[i].stats)
 	}
 	return t
 }
 
 // PageState reports a node's local state for an explicitly-managed page.
 func (d *DSM) PageState(node int, pg mem.PageID) State {
-	lp, ok := d.local[node][pg]
-	if !ok {
+	r, ok := d.pages[pg]
+	i := d.index(node)
+	if !ok || r.held&(1<<i) == 0 {
 		return Invalid
 	}
-	return lp.state
+	return r.local[i].state
 }
 
 // DirEntry exposes the directory record for tests: the owning node and the
 // sorted copyset. ok is false for pages never explicitly accessed.
 func (d *DSM) DirEntry(pg mem.PageID) (owner int, copyset []int, ok bool) {
-	e, found := d.dir[pg]
-	if !found {
+	r, found := d.pages[pg]
+	if !found || !r.inDir {
 		return 0, nil, false
 	}
-	for _, n := range d.nodes {
-		if e.copyset[n] {
+	for i, n := range d.nodes {
+		if r.copyset&(1<<i) != 0 {
 			copyset = append(copyset, n)
 		}
 	}
-	return e.owner, copyset, true
+	return r.owner, copyset, true
 }
 
 // MarkContextual tags a region's pages as CPU-context memory eligible for
 // the contextual-DSM piggyback optimization.
 func (d *DSM) MarkContextual(r mem.Region) {
 	for i := int64(0); i < r.Pages; i++ {
-		d.contextual[r.Page(i)] = true
+		d.rec(r.Page(i)).contextual = true
 	}
 }
 
-func (d *DSM) mustStats(node int) *Stats {
-	st, ok := d.stats[node]
-	if !ok {
+// index returns a member's dense index, panicking for non-members.
+func (d *DSM) index(node int) int {
+	if node < 0 || node >= len(d.idx) || d.idx[node] < 0 {
 		panic(fmt.Sprintf("dsm: node %d not part of this DSM", node))
 	}
-	return st
+	return d.idx[node]
 }
+
+func (d *DSM) mustStats(node int) *Stats { return &d.members[d.index(node)].stats }
 
 // Read returns a copy of the page's current contents at the node, running
 // the coherence protocol if the node lacks a valid replica.
 func (d *DSM) Read(p *sim.Proc, node int, pg mem.PageID) []byte {
-	lp := d.ensure(p, node, pg, false)
+	lp := d.ensure(p, node, d.rec(pg), false)
 	out := make([]byte, mem.PageSize)
 	copy(out, lp.data)
 	return out
@@ -391,56 +408,58 @@ func (d *DSM) Write(p *sim.Proc, node int, pg mem.PageID, off int, data []byte) 
 	if off < 0 || off+len(data) > mem.PageSize {
 		panic(fmt.Sprintf("dsm: write [%d,%d) outside page", off, off+len(data)))
 	}
-	if d.contextualWrite(p, node, pg, off, data) {
+	r := d.rec(pg)
+	if d.contextualWrite(p, node, r, off, data) {
 		return
 	}
-	lp := d.ensure(p, node, pg, true)
+	lp := d.ensure(p, node, r, true)
 	copy(lp.writable()[off:], data)
 }
 
 // Touch performs an access for its coherence cost only, moving no payload
 // bytes of the caller's.
 func (d *DSM) Touch(p *sim.Proc, node int, pg mem.PageID, write bool) {
-	if write && d.contextualWrite(p, node, pg, 0, nil) {
+	r := d.rec(pg)
+	if write && d.contextualWrite(p, node, r, 0, nil) {
 		return
 	}
-	d.ensure(p, node, pg, write)
+	d.ensure(p, node, r, write)
 }
 
 // contextualWrite applies the piggyback fast path for context pages:
 // every replica is updated in place at a fixed small cost, modelling the
 // update riding an IPI that is being sent anyway (e.g. TLB shootdown).
-func (d *DSM) contextualWrite(p *sim.Proc, node int, pg mem.PageID, off int, data []byte) bool {
-	if !d.params.ContextualPiggyback || !d.contextual[pg] {
+func (d *DSM) contextualWrite(p *sim.Proc, node int, r *pageRec, off int, data []byte) bool {
+	if !d.params.ContextualPiggyback || !r.contextual {
 		return false
 	}
 	if !d.alive(node) {
 		// A crashed slice must not update survivors' replicas in place.
 		return true
 	}
-	st := d.mustStats(node)
-	st.ContextualWrites++
+	ni := d.index(node)
+	d.members[ni].stats.ContextualWrites++
 	p.Sleep(d.params.ContextualWriteCost)
-	e := d.entry(pg)
+	d.entry(r)
 	if data != nil {
-		for n := range e.copyset {
-			if lp, ok := d.local[n][pg]; ok && lp.state != Invalid {
-				copy(lp.writable()[off:], data)
+		for i := range r.local {
+			if r.copyset&r.held&(1<<i) != 0 && r.local[i].state != Invalid {
+				copy(r.local[i].writable()[off:], data)
 			}
 		}
 	}
 	// Ensure the writer holds a copy so subsequent local reads hit. Once
 	// a second node holds the page the owner's replica is no longer
 	// Exclusive — downgrade it, or the directory state lies.
-	lp := d.page(node, pg)
+	lp := d.replica(r, ni)
 	if lp.state == Invalid {
 		lp.state = Shared
-		e.copyset[node] = true
+		r.copyset |= 1 << ni
 		if data != nil {
 			copy(lp.writable()[off:], data)
 		}
-		if olp, ok := d.local[e.owner][pg]; ok && olp.state == Exclusive {
-			olp.state = Shared
+		if oi := d.index(r.owner); r.held&(1<<oi) != 0 && r.local[oi].state == Exclusive {
+			r.local[oi].state = Shared
 		}
 	}
 	return true
@@ -448,9 +467,11 @@ func (d *DSM) contextualWrite(p *sim.Proc, node int, pg mem.PageID, off int, dat
 
 // ensure runs the coherence protocol until the node holds the page in at
 // least the required state, returning the local replica.
-func (d *DSM) ensure(p *sim.Proc, node int, pg mem.PageID, write bool) *localPage {
-	st := d.mustStats(node)
-	lp := d.page(node, pg)
+func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
+	ni := d.index(node)
+	m := &d.members[ni]
+	st := &m.stats
+	lp := d.replica(r, ni)
 	if lp.state == Exclusive || (!write && lp.state == Shared) {
 		st.LocalHits++
 		return lp
@@ -474,12 +495,9 @@ func (d *DSM) ensure(p *sim.Proc, node int, pg mem.PageID, write bool) *localPag
 		st.ReadFaults++
 	}
 	p.Sleep(d.params.FaultHandler + d.params.UserSpaceExtra)
-	d.nextFault++
-	id := d.nextFault
-	pf := &pendingFault{req: faultReq{id: id, page: pg, node: node, write: write}, ev: d.env.NewEvent()}
-	d.pending[id] = pf
-	req := &pf.req
-	d.layer.SendCtx(sp, node, d.origin, d.dirSvc, "fault", d.params.ReqBytes, req)
+	pf := &pendingFault{id: m.nextFault, rec: r, ni: ni, write: write, ev: d.env.NewEvent()}
+	m.nextFault++
+	d.layer.SendCtx(sp, node, d.origin, d.dirSvc, "fault", d.params.ReqBytes, pf)
 	if d.params.Retry.Timeout <= 0 {
 		p.Wait(pf.ev)
 	} else {
@@ -488,17 +506,17 @@ func (d *DSM) ensure(p *sim.Proc, node int, pg mem.PageID, write bool) *localPag
 		// can never double-apply.
 		for !p.WaitTimeout(pf.ev, d.params.Retry.Timeout) {
 			if !d.alive(node) {
-				delete(d.pending, id)
+				pf.over = true
 				d.tr.End(sp)
 				return lp
 			}
 			st.Retries++
-			d.layer.SendCtx(sp, node, d.origin, d.dirSvc, "fault", d.params.ReqBytes, req)
+			d.layer.SendCtx(sp, node, d.origin, d.dirSvc, "fault", d.params.ReqBytes, pf)
 		}
 	}
 	d.tr.End(sp)
 	st.BytesMoved += pf.moved
-	if write && d.params.DirtyBitTracking && pg != d.dirtyPage {
+	if write && d.params.DirtyBitTracking && r.page != d.dirtyPage {
 		// Hardware dirty-bit management writes the shared tracking
 		// structure, itself kept coherent by the DSM.
 		st.DirtyFaults++
@@ -507,42 +525,47 @@ func (d *DSM) ensure(p *sim.Proc, node int, pg mem.PageID, write bool) *localPag
 	return lp
 }
 
-// page returns (lazily creating) the node's replica record for a page.
-// A new record is a zero page (nil buffer) and allocates no page bytes.
-// Origin replicas of never-seen pages start Exclusive: the bootstrap slice
-// initially backs the whole guest physical space.
-func (d *DSM) page(node int, pg mem.PageID) *localPage {
-	lp, ok := d.local[node][pg]
+// rec returns (lazily creating) the page's record. A new record holds no
+// replica and no directory entry.
+func (d *DSM) rec(pg mem.PageID) *pageRec {
+	r, ok := d.pages[pg]
 	if !ok {
-		lp = &localPage{state: Invalid}
-		if node == d.origin {
-			if _, seen := d.dir[pg]; !seen {
-				lp.state = Exclusive
-			}
+		r = &pageRec{page: pg, local: make([]localPage, len(d.nodes))}
+		d.pages[pg] = r
+	}
+	return r
+}
+
+// replica returns (materializing) the replica of the node with dense
+// index i. A new replica is a zero page (nil buffer) and allocates no page
+// bytes. The origin's replica of a page the directory does not track yet
+// starts Exclusive: the bootstrap slice initially backs the whole guest
+// physical space.
+func (d *DSM) replica(r *pageRec, i int) *localPage {
+	lp := &r.local[i]
+	if r.held&(1<<i) == 0 {
+		r.held |= 1 << i
+		if i == 0 && !r.inDir {
+			lp.state = Exclusive
 		}
-		d.local[node][pg] = lp
 	}
 	return lp
 }
 
-// entry returns (lazily creating) the directory record for a page.
-func (d *DSM) entry(pg mem.PageID) *dirEntry {
-	e, ok := d.dir[pg]
-	if !ok {
-		d.page(d.origin, pg) // materialize the origin replica
-		e = &dirEntry{owner: d.origin, copyset: map[int]bool{d.origin: true}}
-		d.dir[pg] = e
+// entry enters the page into the directory if it is not there yet, owned
+// by the origin, whose replica it materializes first.
+func (d *DSM) entry(r *pageRec) {
+	if !r.inDir {
+		d.replica(r, 0)
+		r.inDir, r.owner, r.copyset = true, d.origin, 1
 	}
-	return e
 }
 
-func (d *DSM) lock(pg mem.PageID) *sim.Mutex {
-	lk, ok := d.locks[pg]
-	if !ok {
-		lk = d.env.NewMutex()
-		d.locks[pg] = lk
+func (d *DSM) lock(r *pageRec) *sim.Mutex {
+	if r.lk == nil {
+		r.lk = d.env.NewMutex()
 	}
-	return lk
+	return r.lk
 }
 
 // handleDir serves fault requests at the origin directory. Each request is
@@ -553,109 +576,118 @@ func (d *DSM) lock(pg mem.PageID) *sim.Mutex {
 // grant, which is what makes the protocol race-free: no replica can be
 // resurrected by a grant that was in flight when ownership moved on.
 func (d *DSM) handleDir(m *msg.Message) {
-	req := m.Payload.(*faultReq)
-	if d.seen[req.id] {
+	pf := m.Payload.(*pendingFault)
+	if !d.members[pf.ni].accepted.Admit(pf.id) {
 		// Retransmission (or fault-injected duplicate) of a request
 		// already accepted: the grant path owns reply delivery.
 		return
 	}
-	d.seen[req.id] = true
+	r := pf.rec
+	if r.dirName == "" {
+		s := strconv.Itoa(int(r.page))
+		r.dirName, r.invName = d.dirSvc+"."+s, d.service+".inv."+s
+	}
 	parent := m.SpanID()
-	d.env.Spawn(d.dirProc+strconv.Itoa(int(req.page)), func(p *sim.Proc) {
+	d.env.Spawn(r.dirName, func(p *sim.Proc) {
 		if d.tr != nil {
 			dsp := d.tr.Begin(parent, trace.CatDSM, d.origin, "dsm.dir")
 			p.SetSpan(dsp)
 			defer d.tr.End(dsp)
 		}
-		lk := d.lock(req.page)
+		lk := d.lock(pf.rec)
 		lk.Lock(p)
 		defer lk.Unlock()
-		if req.write {
-			d.grantWrite(p, req)
+		if pf.write {
+			d.grantWrite(p, pf)
 		} else {
-			d.grantRead(p, req)
+			d.grantRead(p, pf)
 		}
 	})
 }
 
-// sendGrant delivers the grant to the requester and waits for its ack,
+// sendGrant delivers pf's grant to the requester and waits for its ack,
 // re-sending on timeout in fault mode. A requester that dies before
 // acknowledging leaves directory state pointing at it; MarkDead reconciles.
-// The caller sets only g's carry and data; a carried page costs
+// The caller sets only the grant's carry and data; a carried page costs
 // mem.PageSize on the wire even when data is nil.
-func (d *DSM) sendGrant(p *sim.Proc, req *faultReq, g *grantMsg) {
-	g.id, g.page, g.write = req.id, req.page, req.write
+func (d *DSM) sendGrant(p *sim.Proc, pf *pendingFault) {
+	g := &pf.grant
+	g.pf = pf
 	size := d.params.ReqBytes
 	if g.carry {
 		size += mem.PageSize
 	}
-	_, err := d.callNode(p, req.node, "grant", size, g)
+	_, err := d.callNode(p, d.nodes[pf.ni], "grant", size, g)
 	_ = err // dead requester: give up; survivors proceed after MarkDead
 }
 
 // grantRead adds the requester to the page's copyset, fetching the bytes
 // from the current owner.
-func (d *DSM) grantRead(p *sim.Proc, req *faultReq) {
-	e := d.entry(req.page)
-	if e.copyset[req.node] {
+func (d *DSM) grantRead(p *sim.Proc, pf *pendingFault) {
+	r := pf.rec
+	d.entry(r)
+	if r.copyset&(1<<pf.ni) != 0 {
 		// The requester already regained a copy (raced with an earlier
 		// grant from this node): nothing to transfer.
-		d.sendGrant(p, req, &grantMsg{})
+		d.sendGrant(p, pf)
 		return
 	}
 	var data []byte
-	if e.owner == d.origin {
-		lp := d.page(d.origin, req.page)
+	if r.owner == d.origin {
+		lp := d.replica(r, 0)
 		if lp.state == Exclusive {
 			lp.state = Shared
 		}
 		data = append([]byte(nil), lp.data...)
-	} else if !d.alive(e.owner) {
-		data = d.reclaim(e, req.page)
+	} else if !d.alive(r.owner) {
+		data = d.reclaim(r)
 	} else {
-		r, err := d.callNode(p, e.owner, "fetch", d.params.ReqBytes, fetchReq{page: req.page})
+		reply, err := d.callNode(p, r.owner, "fetch", d.params.ReqBytes, r)
 		if err != nil {
-			data = d.reclaim(e, req.page)
+			data = d.reclaim(r)
 		} else {
-			data = r.Payload.([]byte)
+			data = reply.Payload.([]byte)
 		}
 	}
-	e.copyset[req.node] = true
-	d.reconcileOrigin(e, req.page)
-	d.sendGrant(p, req, &grantMsg{carry: true, data: data})
+	r.copyset |= 1 << pf.ni
+	d.reconcileOrigin(r)
+	pf.grant.carry, pf.grant.data = true, data
+	d.sendGrant(p, pf)
 }
 
 // grantWrite invalidates every other replica and transfers ownership (and,
 // if the requester lacks a valid copy, the bytes) to the requester.
-func (d *DSM) grantWrite(p *sim.Proc, req *faultReq) {
-	e := d.entry(req.page)
-	hasCopy := e.copyset[req.node]
-	g := &grantMsg{} // carry and data are set by whichever path fetches the bytes
+func (d *DSM) grantWrite(p *sim.Proc, pf *pendingFault) {
+	r := pf.rec
+	d.entry(r)
+	hasCopy := r.copyset&(1<<pf.ni) != 0
+	g := &pf.grant // carry and data are set by whichever path fetches the bytes
 
 	// Invalidate all replicas except the requester's, in parallel. The
 	// owner's replica is fetched-and-invalidated so its bytes reach the
 	// new owner.
-	// Iterate nodes in the DSM's fixed order (not map order): the spawn
-	// order of invalidation processes feeds the event sequence, and trace
-	// output must be byte-identical across same-seed runs.
-	var waits []*sim.Event
+	// Iterate nodes in the DSM's fixed order: the spawn order of
+	// invalidation processes feeds the event sequence, and trace output
+	// must be byte-identical across same-seed runs.
+	var buf [8]*sim.Event
+	waits := buf[:0]
 	parent := p.Span()
-	for _, n := range d.nodes {
-		if n == req.node || !e.copyset[n] {
+	for i, n := range d.nodes {
+		if i == pf.ni || r.copyset&(1<<i) == 0 {
 			continue
 		}
 		n := n
 		if n != d.origin && !d.alive(n) {
 			// A dead replica holder needs no invalidation; if it owned the
 			// only copy, fall back to the origin's (stale) replica.
-			if n == e.owner && !hasCopy {
-				g.carry, g.data = true, append([]byte(nil), d.page(d.origin, req.page).data...)
+			if n == r.owner && !hasCopy {
+				g.carry, g.data = true, append([]byte(nil), d.replica(r, 0).data...)
 			}
 			continue
 		}
 		ev := d.env.NewEvent()
 		waits = append(waits, ev)
-		d.env.Spawn(d.invProc+strconv.Itoa(int(req.page)), func(sub *sim.Proc) {
+		d.env.Spawn(r.invName, func(sub *sim.Proc) {
 			if d.tr != nil {
 				isp := d.tr.Begin(parent, trace.CatDSM, d.origin, "dsm.inv")
 				sub.SetSpan(isp)
@@ -663,60 +695,57 @@ func (d *DSM) grantWrite(p *sim.Proc, req *faultReq) {
 			}
 			defer ev.Fire()
 			if n == d.origin {
-				lp := d.page(d.origin, req.page)
-				if n == e.owner && !hasCopy {
+				lp := d.replica(r, 0)
+				if n == r.owner && !hasCopy {
 					g.carry, g.data = true, append([]byte(nil), lp.data...)
 				}
 				lp.state = Invalid
-				d.mustStats(d.origin).Invalidations++
+				d.members[0].stats.Invalidations++
 				return
 			}
-			if n == e.owner && !hasCopy {
-				r, err := d.callNode(sub, n, "invfetch",
-					d.params.ReqBytes, fetchReq{page: req.page, invalidate: true})
+			if n == r.owner && !hasCopy {
+				reply, err := d.callNode(sub, n, "invfetch", d.params.ReqBytes, r)
 				g.carry = true
 				if err != nil {
-					g.data = append([]byte(nil), d.page(d.origin, req.page).data...)
+					g.data = append([]byte(nil), d.replica(r, 0).data...)
 					return
 				}
-				g.data = r.Payload.([]byte)
+				g.data = reply.Payload.([]byte)
 				return
 			}
 			// A holder that died mid-invalidation needs none: its replica
 			// is unreachable and MarkDead drops it from the copyset.
-			_, _ = d.callNode(sub, n, "inv",
-				d.params.ReqBytes, fetchReq{page: req.page, invalidate: true})
+			_, _ = d.callNode(sub, n, "inv", d.params.ReqBytes, r)
 		})
 	}
 	p.WaitAll(waits...)
 
-	e.owner = req.node
-	clear(e.copyset)
-	e.copyset[req.node] = true
-	d.reconcileOrigin(e, req.page)
-	d.sendGrant(p, req, g)
+	r.owner = d.nodes[pf.ni]
+	r.copyset = 1 << pf.ni
+	d.reconcileOrigin(r)
+	d.sendGrant(p, pf)
 }
 
 // handleOwner serves grant installations and fetch/invalidate requests at
 // replica holders. All run synchronously at message delivery, so a node's
-// replica state transitions exactly in fabric-delivery order.
+// replica state transitions exactly in fabric-delivery order. A fetch or
+// invalidation carries the page's record.
 func (d *DSM) handleOwner(m *msg.Message) {
-	switch m.Kind {
-	case "grant":
-		g := m.Payload.(*grantMsg)
-		pf, ok := d.pending[g.id]
-		if !ok || !d.alive(m.To) {
-			// Either a re-sent grant for an already-installed id (the ack
-			// was lost, or this is a fault-injected duplicate), or a grant
-			// reaching a node fenced out by MarkDead while the grant was
-			// in flight: acknowledge so the directory releases the page
-			// lock, but do not install — the directory state has moved on.
+	if m.Kind == "grant" {
+		pf := m.Payload.(*grantMsg).pf
+		if pf.over || !d.alive(m.To) {
+			// Either a re-sent grant for an already-installed fault (the
+			// ack was lost, or this is a fault-injected duplicate), or a
+			// grant reaching a node fenced out by MarkDead while the grant
+			// was in flight: acknowledge so the directory releases the
+			// page lock, but do not install — the directory state has
+			// moved on.
 			m.Reply(d.params.ReqBytes, nil)
 			return
 		}
-		delete(d.pending, g.id)
-		lp := d.page(m.To, g.page)
-		if g.carry {
+		pf.over = true
+		lp := d.replica(pf.rec, pf.ni)
+		if g := &pf.grant; g.carry {
 			if g.data == nil {
 				lp.data = nil
 			} else {
@@ -724,7 +753,7 @@ func (d *DSM) handleOwner(m *msg.Message) {
 			}
 			pf.moved = mem.PageSize
 		}
-		if g.write {
+		if pf.write {
 			lp.state = Exclusive
 		} else if lp.state == Invalid {
 			lp.state = Shared
@@ -733,8 +762,8 @@ func (d *DSM) handleOwner(m *msg.Message) {
 		m.Reply(d.params.ReqBytes, nil)
 		return
 	}
-	req := m.Payload.(fetchReq)
-	lp := d.page(m.To, req.page)
+	ni := d.index(m.To)
+	lp := d.replica(m.Payload.(*pageRec), ni)
 	switch m.Kind {
 	case "fetch":
 		if lp.state == Exclusive {
@@ -744,11 +773,11 @@ func (d *DSM) handleOwner(m *msg.Message) {
 	case "invfetch":
 		data := append([]byte(nil), lp.data...)
 		lp.state = Invalid
-		d.mustStats(m.To).Invalidations++
+		d.members[ni].stats.Invalidations++
 		m.Reply(mem.PageSize+d.params.ReqBytes, data)
 	case "inv":
 		lp.state = Invalid
-		d.mustStats(m.To).Invalidations++
+		d.members[ni].stats.Invalidations++
 		m.Reply(d.params.ReqBytes, nil)
 	default:
 		panic(fmt.Sprintf("dsm: unknown owner message kind %q", m.Kind))

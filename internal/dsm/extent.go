@@ -1,7 +1,6 @@
 package dsm
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/mem"
@@ -114,16 +113,7 @@ func (t *extentTable) ownedPages(owner int) int64 {
 }
 
 // bit returns the copyset bit for a node.
-func (d *DSM) bit(node int) uint32 {
-	i, ok := d.idx[node]
-	if !ok {
-		panic(fmt.Sprintf("dsm: node %d not part of this DSM", node))
-	}
-	if i >= 32 {
-		panic("dsm: more than 32 nodes in one DSM")
-	}
-	return 1 << uint(i)
-}
+func (d *DSM) bit(node int) uint32 { return 1 << d.index(node) }
 
 // remoteRTT estimates one request/response round trip carrying dataBytes of
 // payload, as seen by a bulk fault. Local (origin) faults skip the fabric.
@@ -222,31 +212,22 @@ func (d *DSM) DelegateRange(node int, start mem.PageID, pages int64) {
 // distributed checkpoint must collect from it.
 func (d *DSM) OwnedBytes(node int) int64 {
 	total := d.extents.ownedPages(node) * mem.PageSize
-	for pg := range d.ownedExplicit(node) {
-		_ = pg
-		total += mem.PageSize
+	for _, r := range d.pages {
+		if d.owns(r, node) {
+			total += mem.PageSize
+		}
 	}
 	return total
 }
 
-// ownedExplicit returns the set of explicitly-managed pages the node owns.
-// Pages only ever touched by the origin have no directory entry but are
-// origin-owned (the bootstrap slice backs all memory).
-func (d *DSM) ownedExplicit(node int) map[mem.PageID]bool {
-	owned := make(map[mem.PageID]bool)
-	for pg, e := range d.dir {
-		if e.owner == node {
-			owned[pg] = true
-		}
+// owns reports whether the node owns an explicitly-managed page. A page
+// the directory does not track is the origin's while the origin's
+// replica is Exclusive (the bootstrap slice backs all memory).
+func (d *DSM) owns(r *pageRec, node int) bool {
+	if r.inDir {
+		return r.owner == node
 	}
-	if node == d.origin {
-		for pg, lp := range d.local[node] {
-			if _, tracked := d.dir[pg]; !tracked && lp.state == Exclusive {
-				owned[pg] = true
-			}
-		}
-	}
-	return owned
+	return node == d.origin && r.held&1 != 0 && r.local[0].state == Exclusive
 }
 
 // SnapshotOwned returns copies of the contents of every explicitly-managed
@@ -257,9 +238,12 @@ func (d *DSM) ownedExplicit(node int) map[mem.PageID]bool {
 // costs itself.
 func (d *DSM) SnapshotOwned(node int) map[mem.PageID][]byte {
 	out := make(map[mem.PageID][]byte)
-	for pg := range d.ownedExplicit(node) {
-		if lp, ok := d.local[node][pg]; ok {
-			out[pg] = append([]byte(nil), lp.contents()...)
+	for pg, r := range d.pages {
+		if !d.owns(r, node) {
+			continue
+		}
+		if i := d.index(node); r.held&(1<<i) != 0 {
+			out[pg] = append([]byte(nil), r.local[i].contents()...)
 		}
 	}
 	return out
@@ -274,21 +258,22 @@ func (d *DSM) RestorePage(p *sim.Proc, node int, pg mem.PageID, data []byte) {
 	if len(data) > mem.PageSize {
 		panic("dsm: restore data larger than a page")
 	}
-	lk := d.lock(pg)
+	r := d.rec(pg)
+	lk := d.lock(r)
 	lk.Lock(p)
 	defer lk.Unlock()
-	e := d.entry(pg)
-	for n := range e.copyset {
-		if lp, ok := d.local[n][pg]; ok {
-			lp.state = Invalid
+	d.entry(r)
+	for i := range r.local {
+		if r.copyset&r.held&(1<<i) != 0 {
+			r.local[i].state = Invalid
 		}
 	}
-	lp := d.page(node, pg)
+	ni := d.index(node)
+	lp := d.replica(r, ni)
 	buf := lp.writable()
 	copy(buf, data)
 	clear(buf[len(data):])
 	lp.state = Exclusive
-	e.owner = node
-	clear(e.copyset)
-	e.copyset[node] = true
+	r.owner = node
+	r.copyset = 1 << ni
 }

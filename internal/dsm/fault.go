@@ -22,9 +22,9 @@ package dsm
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"sort"
 
-	"repro/internal/mem"
 	"repro/internal/msg"
 	"repro/internal/sim"
 )
@@ -44,7 +44,7 @@ func (d *DSM) SetFaultView(fv FaultView) { d.fv = fv }
 // declared-dead node is still running, but the membership decision is
 // final — it must not receive grants or mutate survivor state.
 func (d *DSM) alive(node int) bool {
-	if d.excluded[node] {
+	if d.excluded&(1<<d.index(node)) != 0 {
 		return false
 	}
 	return d.fv == nil || d.fv.NodeAlive(node)
@@ -70,7 +70,7 @@ func (d *DSM) callNode(p *sim.Proc, to int, kind string, size int, payload any) 
 		if err == nil {
 			return r, nil
 		}
-		d.mustStats(d.origin).Retries++
+		d.members[0].stats.Retries++
 		if backoff > 0 {
 			p.Sleep(backoff)
 			backoff *= 2
@@ -89,16 +89,16 @@ func (d *DSM) callNode(p *sim.Proc, to int, kind string, size int, payload any) 
 // fallback: once it has settled ownership, the origin's replica must
 // match the directory — invalid when the origin is outside the copyset,
 // at most Shared when it shares the page.
-func (d *DSM) reconcileOrigin(e *dirEntry, pg mem.PageID) {
-	lp, ok := d.local[d.origin][pg]
-	if !ok {
+func (d *DSM) reconcileOrigin(r *pageRec) {
+	if r.held&1 == 0 {
 		return
 	}
-	if !e.copyset[d.origin] {
+	lp := &r.local[0]
+	if r.copyset&1 == 0 {
 		lp.state = Invalid
 		return
 	}
-	if lp.state == Exclusive && (len(e.copyset) > 1 || e.owner != d.origin) {
+	if lp.state == Exclusive && (r.copyset != 1 || r.owner != d.origin) {
 		lp.state = Shared
 	}
 }
@@ -106,11 +106,11 @@ func (d *DSM) reconcileOrigin(e *dirEntry, pg mem.PageID) {
 // reclaim re-homes a page whose owner died before its bytes could be
 // fetched: the origin becomes the owner using its own (possibly stale)
 // replica. Checkpoint restore is what restores lost contents.
-func (d *DSM) reclaim(e *dirEntry, pg mem.PageID) []byte {
-	delete(e.copyset, e.owner)
-	e.owner = d.origin
-	e.copyset[d.origin] = true
-	lp := d.page(d.origin, pg)
+func (d *DSM) reclaim(r *pageRec) []byte {
+	r.copyset &^= 1 << d.index(r.owner)
+	r.owner = d.origin
+	r.copyset |= 1
+	lp := d.replica(r, 0)
 	if lp.state == Invalid {
 		lp.state = Shared
 	}
@@ -122,33 +122,40 @@ func (d *DSM) reclaim(e *dirEntry, pg mem.PageID) []byte {
 // surviving replica holder when one exists, else to the origin), and its
 // local replicas are invalidated. Call it once failure detection (the
 // hypervisor heartbeat) declares the node dead, before survivors resume.
+//
+// The directory forgets the node's parked fault ids — a dead node never
+// fills the gaps ahead of them — but keeps the rest of its window, so a
+// late retransmission of a fault it accepted in order stays a duplicate.
 func (d *DSM) MarkDead(node int) {
 	if node == d.origin {
 		panic("dsm: cannot mark the origin dead (the directory dies with it)")
 	}
-	d.excluded[node] = true
-	for pg, e := range d.dir {
-		delete(e.copyset, node)
-		if e.owner != node {
+	deadBit := d.bit(node)
+	ni := d.index(node)
+	d.excluded |= deadBit
+	d.members[ni].accepted.DropParked()
+	for _, r := range d.pages {
+		if r.held&deadBit != 0 {
+			r.local[ni].state = Invalid
+		}
+		if !r.inDir {
 			continue
 		}
-		e.owner = unclaimed
-		for _, n := range d.nodes { // deterministic iteration order
-			if e.copyset[n] {
-				e.owner = n
-				break
-			}
+		r.copyset &^= deadBit
+		if r.owner != node {
+			continue
 		}
-		if e.owner == unclaimed {
-			e.owner = d.origin
-			e.copyset[d.origin] = true
-			lp := d.page(d.origin, pg)
-			lp.state = Exclusive
+		if r.copyset != 0 {
+			// The first surviving holder in node order takes over.
+			r.owner = d.nodes[bits.TrailingZeros32(r.copyset)]
+			continue
 		}
+		r.owner = d.origin
+		r.copyset = 1
+		d.replica(r, 0).state = Exclusive
 	}
 	// Bulk extents: surviving replicas keep the data; sole-owner extents
 	// fall back to the origin (contents restored by checkpoint restart).
-	deadBit := d.bit(node)
 	for i := range d.extents.exts {
 		x := &d.extents.exts[i]
 		if x.owner == unclaimed {
@@ -169,9 +176,6 @@ func (d *DSM) MarkDead(node int) {
 			x.copies |= d.bit(d.origin)
 		}
 	}
-	for _, lp := range d.local[node] {
-		lp.state = Invalid
-	}
 }
 
 // Validate checks the coherence invariants over every explicitly-managed
@@ -187,44 +191,48 @@ func (d *DSM) MarkDead(node int) {
 // Run MarkDead for every crashed node first; a directory still pointing at
 // a dead owner is itself a violation.
 func (d *DSM) Validate() error {
-	pages := make([]mem.PageID, 0, len(d.dir))
-	for pg := range d.dir {
-		pages = append(pages, pg)
+	recs := make([]*pageRec, 0, len(d.pages))
+	for _, r := range d.pages {
+		if r.inDir {
+			recs = append(recs, r)
+		}
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	for _, pg := range pages {
-		e := d.dir[pg]
-		if !d.alive(e.owner) {
-			return fmt.Errorf("dsm: page %#x owned by dead node %d", uint64(pg), e.owner)
+	sort.Slice(recs, func(i, j int) bool { return recs[i].page < recs[j].page })
+	for _, r := range recs {
+		pg := r.page
+		if !d.alive(r.owner) {
+			return fmt.Errorf("dsm: page %#x owned by dead node %d", uint64(pg), r.owner)
 		}
-		if !e.copyset[e.owner] {
-			return fmt.Errorf("dsm: page %#x owner %d not in copyset", uint64(pg), e.owner)
+		oi := d.index(r.owner)
+		if r.copyset&(1<<oi) == 0 {
+			return fmt.Errorf("dsm: page %#x owner %d not in copyset", uint64(pg), r.owner)
 		}
-		ownerLP, ok := d.local[e.owner][pg]
-		if !ok || ownerLP.state == Invalid {
-			return fmt.Errorf("dsm: page %#x owner %d holds no valid replica", uint64(pg), e.owner)
+		ownerLP := &r.local[oi]
+		if r.held&(1<<oi) == 0 || ownerLP.state == Invalid {
+			return fmt.Errorf("dsm: page %#x owner %d holds no valid replica", uint64(pg), r.owner)
 		}
-		for _, n := range d.nodes {
+		for i, n := range d.nodes {
 			if !d.alive(n) {
 				continue
 			}
-			lp, has := d.local[n][pg]
-			valid := has && lp.state != Invalid
-			if e.copyset[n] && !valid {
+			lp := &r.local[i]
+			valid := r.held&(1<<i) != 0 && lp.state != Invalid
+			member := r.copyset&(1<<i) != 0
+			if member && !valid {
 				return fmt.Errorf("dsm: page %#x copyset member %d holds no valid replica", uint64(pg), n)
 			}
-			if !e.copyset[n] && valid {
+			if !member && valid {
 				return fmt.Errorf("dsm: page %#x node %d holds a replica outside the copyset (%v)", uint64(pg), n, lp.state)
 			}
-			if valid && lp.state == Exclusive && n != e.owner {
-				return fmt.Errorf("dsm: page %#x node %d exclusive but owner is %d", uint64(pg), n, e.owner)
+			if valid && lp.state == Exclusive && n != r.owner {
+				return fmt.Errorf("dsm: page %#x node %d exclusive but owner is %d", uint64(pg), n, r.owner)
 			}
 			if valid && !bytes.Equal(lp.contents(), ownerLP.contents()) {
-				return fmt.Errorf("dsm: page %#x replica at node %d diverges from owner %d", uint64(pg), n, e.owner)
+				return fmt.Errorf("dsm: page %#x replica at node %d diverges from owner %d", uint64(pg), n, r.owner)
 			}
 		}
-		if ownerLP.state == Exclusive && len(e.copyset) != 1 {
-			return fmt.Errorf("dsm: page %#x exclusive at %d with %d copyset members", uint64(pg), e.owner, len(e.copyset))
+		if ownerLP.state == Exclusive && r.copyset != 1<<oi {
+			return fmt.Errorf("dsm: page %#x exclusive at %d with %d copyset members", uint64(pg), r.owner, bits.OnesCount32(r.copyset))
 		}
 	}
 	return nil

@@ -10,6 +10,27 @@ import (
 	"repro/internal/sim"
 )
 
+// replicaOf returns the node's replica of the page through the page's record,
+// or nil when the replica was never materialized.
+func replicaOf(d *DSM, node int, pg mem.PageID) *localPage {
+	r, i := d.pages[pg], d.index(node)
+	if r == nil || r.held&(1<<i) == 0 {
+		return nil
+	}
+	return &r.local[i]
+}
+
+// eachReplica calls fn for every materialized replica of every page.
+func eachReplica(d *DSM, fn func(node int, pg mem.PageID, lp *localPage)) {
+	for pg, r := range d.pages {
+		for i, n := range d.nodes {
+			if r.held&(1<<i) != 0 {
+				fn(n, pg, &r.local[i])
+			}
+		}
+	}
+}
+
 // A nil replica is a zero page: Validate must read it as PageSize zeros,
 // equal to a materialized all-zero replica and unequal to one with any
 // byte set, and must not materialize it while comparing.
@@ -21,7 +42,7 @@ func TestValidateZeroPageEquivalence(t *testing.T) {
 		t.Fatalf("states = %v/%v, want shared/shared", s0, s1)
 	}
 	for _, full := range []int{0, 1} {
-		lp, zero := d.local[full][pg], d.local[1-full][pg]
+		lp, zero := replicaOf(d, full, pg), replicaOf(d, 1-full, pg)
 		if lp.data != nil || zero.data != nil {
 			t.Fatal("Touch-only replicas hold page bytes")
 		}
@@ -67,13 +88,11 @@ func TestTouchFaultsAllocateNoPageBytes(t *testing.T) {
 	if faults < 1000 {
 		t.Fatalf("only %d faults, want at least 1000", faults)
 	}
-	for n, pgs := range d.local {
-		for pg, lp := range pgs {
-			if lp.data != nil {
-				t.Errorf("node %d page %d holds page bytes after Touch-only faults", n, pg)
-			}
+	eachReplica(d, func(n int, pg mem.PageID, lp *localPage) {
+		if lp.data != nil {
+			t.Errorf("node %d page %d holds page bytes after Touch-only faults", n, pg)
 		}
-	}
+	})
 	if perFault := (after.TotalAlloc - before.TotalAlloc) / uint64(faults); perFault >= mem.PageSize {
 		t.Errorf("%d bytes allocated per fault, want < %d", perFault, mem.PageSize)
 	}
@@ -115,20 +134,18 @@ func TestZeroPageTransfersCostAFullPage(t *testing.T) {
 			}
 			p.WaitAll(done...)
 		})
-		for n, pgs := range d.local {
-			for pg, lp := range pgs {
-				if lp.state == Invalid {
-					continue
-				}
-				want := fill
-				if !prewrite {
-					want = nil
-				}
-				if !bytes.Equal(lp.data, want) {
-					t.Errorf("prewrite=%v: node %d page %d does not hold the written bytes", prewrite, n, pg)
-				}
+		eachReplica(d, func(n int, pg mem.PageID, lp *localPage) {
+			if lp.state == Invalid {
+				return
 			}
-		}
+			want := fill
+			if !prewrite {
+				want = nil
+			}
+			if !bytes.Equal(lp.data, want) {
+				t.Errorf("prewrite=%v: node %d page %d does not hold the written bytes", prewrite, n, pg)
+			}
+		})
 		if err := d.Validate(); err != nil {
 			t.Errorf("prewrite=%v: %v", prewrite, err)
 		}
@@ -162,7 +179,7 @@ func TestZeroPageGrantDropsStaleBytes(t *testing.T) {
 			t.Errorf("node 2 reads %q, want the origin's zero page", got[:5])
 		}
 	})
-	if lp := d.local[2][pg]; lp.data != nil {
+	if lp := replicaOf(d, 2, pg); lp.data != nil {
 		t.Error("node 2 kept a buffer after a zero-page grant")
 	}
 	if err := d.Validate(); err != nil {

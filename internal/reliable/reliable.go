@@ -130,29 +130,6 @@ type pendKey struct {
 	seq      uint64
 }
 
-// window is a receiver's per-flow dedup state: every seq < next has been
-// delivered; out-of-order fresh arrivals park in seen until the gap
-// closes. Blocking senders keep it O(1) in practice.
-type window struct {
-	next uint64
-	seen map[uint64]bool
-}
-
-func (w *window) admit(seq uint64) bool {
-	if seq < w.next || w.seen[seq] {
-		return false
-	}
-	if w.seen == nil {
-		w.seen = make(map[uint64]bool)
-	}
-	w.seen[seq] = true
-	for w.seen[w.next] {
-		delete(w.seen, w.next)
-		w.next++
-	}
-	return true
-}
-
 // Transport is a reliable blocking-send layer over one fabric.
 // Construct with New; not safe for use from multiple Envs.
 type Transport struct {
@@ -163,7 +140,7 @@ type Transport struct {
 	rng     uint64
 	nextSeq map[flowKey]uint64
 	pend    map[pendKey]*sim.Event
-	recvd   map[flowKey]*window
+	recvd   map[flowKey]*Window
 	handler map[int]Handler
 	stats   Stats
 	hooks   TestHooks
@@ -195,7 +172,7 @@ func New(env *sim.Env, fab netsim.Fabric, p Params) *Transport {
 		rng:     uint64(p.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 		nextSeq: make(map[flowKey]uint64),
 		pend:    make(map[pendKey]*sim.Event),
-		recvd:   make(map[flowKey]*window),
+		recvd:   make(map[flowKey]*Window),
 		handler: make(map[int]Handler),
 	}
 }
@@ -338,9 +315,9 @@ func (t *Transport) transmit(span int64, from, to, size int, seq uint64, payload
 // must re-ack or the sender would retry into a window that discards it.
 func (t *Transport) onData(span int64, from, to int, seq uint64, payload any) {
 	if t.recvd[flowKey{from, to}] == nil {
-		t.recvd[flowKey{from, to}] = &window{}
+		t.recvd[flowKey{from, to}] = &Window{}
 	}
-	if t.recvd[flowKey{from, to}].admit(seq) || t.hooks.NoDedup {
+	if t.recvd[flowKey{from, to}].Admit(seq) || t.hooks.NoDedup {
 		t.stats.Delivered++
 		if h := t.handler[to]; h != nil {
 			h(from, payload)
