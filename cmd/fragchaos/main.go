@@ -20,7 +20,7 @@
 // status: 0 for a clean search, 3 when the search found violations, 1
 // on usage or replay failure.
 //
-// The -wedge-on-drop, -phantom-endpoints and -no-dedup flags
+// The -phantom-endpoints and -no-dedup flags
 // re-introduce bugs this codebase actually had (and fixed) behind test
 // hooks; they exist so the engine can demonstrate end to end that the
 // search finds them, shrinks them, and replays them.
@@ -47,7 +47,6 @@ func main() {
 	artifactOut := flag.String("artifact", "", "write the first finding's replayable artifact to this path")
 	replay := flag.String("replay", "", "replay an artifact file instead of searching")
 	listWl := flag.Bool("list-workloads", false, "list workload names and exit")
-	wedge := flag.Bool("wedge-on-drop", false, "re-introduce the blocking-sender wedge (PR 9 bug)")
 	phantom := flag.Bool("phantom-endpoints", false, "re-introduce the endpoint-materializing read (PR 9 bug)")
 	noDedup := flag.Bool("no-dedup", false, "re-introduce the missing receive-side dedup (PR 9 bug)")
 	flag.Parse()
@@ -67,7 +66,7 @@ func main() {
 		Parallel:     *parallel,
 		MaxEvents:    *maxEvents,
 		ShrinkBudget: *shrinkBudget,
-		Hooks:        chaos.Hooks{WedgeOnDrop: *wedge, PhantomEndpoints: *phantom, NoDedup: *noDedup},
+		Hooks:        chaos.Hooks{PhantomEndpoints: *phantom, NoDedup: *noDedup},
 	}
 	if *workloads != "" {
 		cfg.Workloads = strings.Split(*workloads, ",")

@@ -30,9 +30,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/netsim"
 	"repro/internal/reliable"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // Workload names. The vm workload drives an Aggregate VM with
@@ -52,18 +52,17 @@ func AllWorkloads() []string {
 }
 
 // Hooks selects which fixed historical bugs to re-introduce in every
-// episode (netsim.TestHooks, reliable.TestHooks). The zero value — the
+// episode (topo.TestHooks, reliable.TestHooks). The zero value — the
 // production configuration — re-enables nothing; a search over seed
 // code must come back clean. Hooks exist so the engine can prove it
 // finds the bugs this codebase actually had.
 type Hooks struct {
-	WedgeOnDrop      bool `json:"wedge_on_drop,omitempty"`
 	PhantomEndpoints bool `json:"phantom_endpoints,omitempty"`
 	NoDedup          bool `json:"no_dedup,omitempty"`
 }
 
 // Any reports whether any bug is re-enabled.
-func (h Hooks) Any() bool { return h.WedgeOnDrop || h.PhantomEndpoints || h.NoDedup }
+func (h Hooks) Any() bool { return h.PhantomEndpoints || h.NoDedup }
 
 // install applies the hooks to a freshly built cluster's fabrics and
 // reliable transport.
@@ -71,7 +70,7 @@ func (h Hooks) install(c *cluster.Cluster) {
 	if !h.Any() {
 		return
 	}
-	fh := netsim.TestHooks{WedgeOnDrop: h.WedgeOnDrop, PhantomEndpoints: h.PhantomEndpoints}
+	fh := topo.TestHooks{PhantomEndpoints: h.PhantomEndpoints}
 	c.Fabric.SetTestHooks(fh)
 	c.Client.SetTestHooks(fh)
 	c.Reliable.SetTestHooks(reliable.TestHooks{NoDedup: h.NoDedup})

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/golden"
+	"repro/internal/sim"
 )
 
 // TestGenerateDeterministic: the episode list is a pure function of the
@@ -154,6 +155,10 @@ func TestNoDedupBugFoundAndShrunk(t *testing.T) {
 	if !bytes.Equal(art.JSON(), replayed.JSON()) {
 		t.Fatalf("replay is not byte-identical:\n--- original\n%s\n--- replayed\n%s", art.JSON(), replayed.JSON())
 	}
+	// The hook is live: without it the same episode keeps exactly-once.
+	if vs := Run(f.Shrunk, Hooks{}); hasOracle(vs, OracleExactlyOnce) {
+		t.Fatalf("shrunk episode violates exactly-once without NoDedup: %v", vs)
+	}
 }
 
 // TestPhantomEndpointsShrinksToEmpty: a bug the workload trips with no
@@ -171,33 +176,36 @@ func TestPhantomEndpointsShrinksToEmpty(t *testing.T) {
 		if f.Shrunk.Size() != 0 {
 			t.Fatalf("shrunk repro has %d elements, want 0 (bug needs no faults)", f.Shrunk.Size())
 		}
+		// The hook is live: without it the same episode's accounting holds.
+		if vs := Run(f.Shrunk, Hooks{}); hasOracle(vs, OracleFabric) {
+			t.Fatalf("shrunk episode violates fabric accounting without PhantomEndpoints: %v", vs)
+		}
 	}
 }
 
-// TestWedgeOnDropStallsAsProgressViolation: the PR 9 sender wedge under
-// a drop storm must surface as a typed progress violation (the
-// watchdog), not a hung test.
-func TestWedgeOnDropStallsAsProgressViolation(t *testing.T) {
-	eps := Generate(Config{Episodes: 48, Seed: 6, Workloads: []string{WorkloadVM}})
-	for _, ep := range eps {
-		if ep.Schedule.Count(fault.CrashNode) > 0 {
-			continue // keep the repro minimal: storms only
-		}
-		drops := false
-		for _, e := range ep.Schedule.Events {
-			if e.Kind.String() == "drop" {
-				drops = true
-			}
-		}
-		if !drops {
-			continue
-		}
-		vs := Run(ep, Hooks{WedgeOnDrop: true})
-		if hasOracle(vs, OracleProgress) {
-			return // found the stall
-		}
+// TestCheckProgress covers the progress oracle's three verdicts: a
+// watchdog stall is one violation carrying the stall, procs left blocked
+// on a drained queue are a deadlock, and a clean runtime passes.
+func TestCheckProgress(t *testing.T) {
+	stall := &sim.StallError{At: sim.Second, Window: 100 * sim.Millisecond, Procs: []string{"ckpt-restore-3"}}
+	cases := []struct {
+		name string
+		rt   Runtime
+		want []Violation
+	}{
+		{"stall", Runtime{Stall: stall, LiveProcs: []string{"ckpt-restore-3"}},
+			[]Violation{{OracleProgress, stall.Error()}}},
+		{"deadlock", Runtime{Drained: true, LiveProcs: []string{"a", "b"}},
+			[]Violation{{OracleProgress, "deadlock: 2 procs blocked with empty queue: [a b]"}}},
+		{"clean", Runtime{Drained: true}, nil},
 	}
-	t.Fatalf("no vm drop-storm episode stalled under WedgeOnDrop")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := checkProgress(&tc.rt); !slices.Equal(got, tc.want) {
+				t.Fatalf("checkProgress = %v, want %v", got, tc.want)
+			}
+		})
+	}
 }
 
 // TestArtifactRoundTrip: artifact JSON parses back to an identical

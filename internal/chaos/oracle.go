@@ -12,9 +12,9 @@ import (
 
 	"repro/internal/faulttest"
 	"repro/internal/fleet"
-	"repro/internal/netsim"
 	"repro/internal/reliable"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // Oracle names, in registry order.
@@ -59,7 +59,7 @@ type Runtime struct {
 	LiveProcs []string        // procs still blocked after the queue drained
 	Drained   bool            // the event queue ran dry (vm episodes without a stall)
 
-	Fabric netsim.Fabric  // the cluster fabric, for accounting probes
+	Fabric *topo.Fabric   // the cluster fabric, for accounting probes
 	Rel    reliable.Stats // reliable-transport counters at quiescence
 
 	VM    *faulttest.Result // vm episodes

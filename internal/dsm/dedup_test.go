@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/msg"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -44,13 +43,13 @@ func (s *scrambler) MsgOutcome(from, to int, service, kind string) msg.MsgOutcom
 	return msg.MsgOutcome{Duplicate: s.dup}
 }
 
-func (s *scrambler) Outcome(from, to, size int) netsim.Outcome {
+func (s *scrambler) Outcome(from, to, size int) topo.Outcome {
 	if s.frames == 0 || s.maxDelay <= 0 {
-		return netsim.Outcome{}
+		return topo.Outcome{}
 	}
 	s.frames--
 	s.rng = s.rng*6364136223846793005 + 1442695040888963407
-	return netsim.Outcome{Delay: sim.Time(s.rng>>33) % s.maxDelay}
+	return topo.Outcome{Delay: sim.Time(s.rng>>33) % s.maxDelay}
 }
 
 // newScrambledDSM builds an n-node DSM whose fault requests pass through

@@ -7,13 +7,13 @@
 // Faults are driven by a Schedule: a list of timestamped events — crash a
 // node, partition a link, drop/delay/duplicate the next K messages on an
 // endpoint pair, degrade a node's pCPUs or SSD — optionally healed later.
-// An Injector installed on the cluster's fabrics (netsim filter) and
+// An Injector installed on the cluster's fabrics (topo filter) and
 // messaging layers (msg filter) applies the schedule from the simulation's
 // own event queue, so a given (seed, schedule) pair replays bit-identically.
 //
 // The injector is the single source of truth for fault state:
 //
-//   - netsim consults it for every fabric message (crashed endpoints,
+//   - topo consults it for every fabric message (crashed endpoints,
 //     partitioned links, and drop/delay rules);
 //   - msg consults it for duplication and for same-node delivery on a
 //     crashed node, and surfaces losses as typed timeout errors through

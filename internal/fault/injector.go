@@ -6,8 +6,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/msg"
-	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -27,7 +27,7 @@ func (r *rule) matches(from, to int) bool {
 
 // Injector applies fault schedules to a simulated cluster. Construct with
 // New, then Apply one or more schedules. The injector implements
-// netsim.Filter (drop/delay verdicts for fabric traffic) and msg.Filter
+// topo.Filter (drop/delay verdicts for fabric traffic) and msg.Filter
 // (duplication, and same-node drops on crashed nodes).
 type Injector struct {
 	env *sim.Env
@@ -53,7 +53,6 @@ type Injector struct {
 	onCrash []func(node int)
 	ctr     *metrics.Counters
 	tr      *trace.Tracer
-	log     []Applied // applied events in fire order (json.go)
 }
 
 // New creates an injector for the cluster and installs it as the fault
@@ -130,7 +129,6 @@ func (i *Injector) Apply(s Schedule) {
 
 // fire applies one fault event now.
 func (i *Injector) fire(e Event) {
-	i.log = append(i.log, Applied{At: i.env.Now(), Event: e})
 	i.ctr.Inc("fault."+e.Kind.String(), 1)
 	if i.tr != nil {
 		i.tr.Instant(0, trace.CatFault, e.Node, i.tr.Key("fault", e.Kind.String()))
@@ -212,28 +210,28 @@ func take(rules []*rule, from, to int) *rule {
 	return nil
 }
 
-// Outcome implements netsim.Filter: crash and partition state silences
+// Outcome implements topo.Filter: crash and partition state silences
 // endpoints, cut links drop everything routed across them, and
 // drop/delay rules consume their next-K budgets in delivery order, which
 // keeps replays deterministic. Degraded links add their delay on top of
 // any delay rule.
-func (i *Injector) Outcome(from, to, size int) netsim.Outcome {
+func (i *Injector) Outcome(from, to, size int) topo.Outcome {
 	if i.crashed[from] || i.crashed[to] {
 		i.ctr.Inc("drop.crashed", 1)
-		return netsim.Outcome{Drop: true}
+		return topo.Outcome{Drop: true}
 	}
 	if i.parted[linkKey(from, to)] {
 		i.ctr.Inc("drop.partitioned", 1)
-		return netsim.Outcome{Drop: true}
+		return topo.Outcome{Drop: true}
 	}
 	cut, linkDelay := i.linkVerdict(from, to)
 	if cut {
 		i.ctr.Inc("drop.link-cut", 1)
-		return netsim.Outcome{Drop: true}
+		return topo.Outcome{Drop: true}
 	}
 	if r := take(i.dropRules, from, to); r != nil {
 		i.ctr.Inc("drop.rule", 1)
-		return netsim.Outcome{Drop: true}
+		return topo.Outcome{Drop: true}
 	}
 	var delay sim.Time
 	if r := take(i.delayRules, from, to); r != nil {
@@ -244,7 +242,7 @@ func (i *Injector) Outcome(from, to, size int) netsim.Outcome {
 		i.ctr.Inc("delay.link", 1)
 		delay += linkDelay
 	}
-	return netsim.Outcome{Delay: delay}
+	return topo.Outcome{Delay: delay}
 }
 
 // MsgOutcome implements msg.Filter: same-node deliveries on a crashed node

@@ -1,9 +1,8 @@
-// JSON export/import for fault schedules and injector event logs, so
-// chaos repro artifacts are shareable and diffable. Encoding is
-// deterministic: fixed field order, kinds rendered by name, times as
-// integer nanoseconds of virtual time. Unused per-kind fields are
-// omitted, which keeps diffs between two schedules focused on the
-// events that actually changed.
+// JSON export/import for fault schedules, so chaos repro artifacts are
+// shareable and diffable. Encoding is deterministic: fixed field order,
+// kinds rendered by name, times as integer nanoseconds of virtual time.
+// Unused per-kind fields are omitted, which keeps diffs between two
+// schedules focused on the events that actually changed.
 package fault
 
 import (
@@ -142,39 +141,4 @@ func ScheduleFromJSON(data []byte) (Schedule, error) {
 		return Schedule{}, fmt.Errorf("fault: bad schedule JSON: %w", err)
 	}
 	return Schedule{Events: evs}, nil
-}
-
-// Applied is one entry of the injector's event log: a fault event as it
-// actually fired, stamped with the simulation instant it was applied.
-type Applied struct {
-	At    sim.Time `json:"at"`
-	Event Event    `json:"event"`
-}
-
-// Log returns a copy of the applied-event log in fire order. Events
-// land here from fire(), so the log reflects what the injector really
-// did — including events applied by multiple Apply calls interleaved
-// in virtual-time order.
-func (i *Injector) Log() []Applied {
-	return append([]Applied(nil), i.log...)
-}
-
-// LogJSON exports the applied-event log as deterministic, indented
-// JSON, matching the Schedule encoding so the two are diffable against
-// each other.
-func (i *Injector) LogJSON() ([]byte, error) {
-	b, err := json.MarshalIndent(i.log, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// LogFromJSON imports an injector event log exported by LogJSON.
-func LogFromJSON(data []byte) ([]Applied, error) {
-	var log []Applied
-	if err := json.Unmarshal(data, &log); err != nil {
-		return nil, fmt.Errorf("fault: bad injector log JSON: %w", err)
-	}
-	return log, nil
 }

@@ -97,24 +97,3 @@ func TestScheduleJSONRejectsUnknownKind(t *testing.T) {
 		t.Fatal("bad endpoint accepted")
 	}
 }
-
-// TestLogJSONRoundTrip: the applied-event log exports and re-imports
-// exactly, independent of the Schedule path.
-func TestLogJSONRoundTrip(t *testing.T) {
-	log := []Applied{
-		{At: sim.Millisecond, Event: Event{At: sim.Millisecond, Kind: CrashNode, Node: 0}},
-		{At: 2 * sim.Millisecond, Event: Event{At: 2 * sim.Millisecond, Kind: DropMessages, From: Any, To: 2, Count: 5}},
-	}
-	i := &Injector{log: log}
-	b, err := i.LogJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := LogFromJSON(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, log) {
-		t.Fatalf("log round trip changed entries:\nwant %+v\ngot  %+v", log, got)
-	}
-}

@@ -84,7 +84,7 @@ type Scenario struct {
 
 	// Hook, when set, runs against the freshly built cluster before the
 	// VM boots — the chaos engine uses it to install bug-reintroduction
-	// test hooks (netsim.TestHooks, reliable.TestHooks) on the fabrics
+	// test hooks (topo.TestHooks, reliable.TestHooks) on the fabrics
 	// and transport.
 	Hook func(c *cluster.Cluster)
 

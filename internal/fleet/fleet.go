@@ -312,8 +312,6 @@ type Fleet struct {
 	// external live Aggregate VM can execute it (runs in a fleet process;
 	// see also Bind for the built-in integration).
 	OnMigrate func(p *sim.Proc, vmID, from, to, n int)
-	// OnEvict, when set, observes borrower evictions.
-	OnEvict func(vmID int)
 }
 
 // New creates a fleet over an idle cluster and arms its periodic ticks.

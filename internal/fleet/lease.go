@@ -439,7 +439,4 @@ func (f *Fleet) evictVM(vmID int) {
 	f.release(vmID)
 	f.stats.Evictions++
 	f.log("evict", vmID, -1, -1, 0, -1)
-	if f.OnEvict != nil {
-		f.OnEvict(vmID)
-	}
 }

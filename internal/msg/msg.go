@@ -15,7 +15,7 @@
 // acknowledgements, migration handshakes).
 //
 // A message schedules itself: the fabric only charges the path
-// (netsim.Fabric.Transmit), and the layer puts the *Message on a pooled
+// (topo.Fabric.Transmit), and the layer puts the *Message on a pooled
 // sim.Env.DeferArgAt timer at the arrival time, then on a DeferArg timer
 // for the handler latency, each running a static function of the message.
 // A reply carries its caller's reply event instead of a callback. So a
@@ -26,8 +26,8 @@ package msg
 import (
 	"fmt"
 
-	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -112,7 +112,7 @@ type ServiceStats struct {
 // Layer is the messaging layer over a fabric. Construct with NewLayer.
 type Layer struct {
 	env      *sim.Env
-	net      netsim.Fabric
+	net      *topo.Fabric
 	params   Params
 	handlers map[serviceKey]Handler
 	stats    map[string]*ServiceStats
@@ -130,7 +130,7 @@ type serviceKey struct {
 
 // NewLayer returns a messaging layer over the given fabric, flat or
 // tree.
-func NewLayer(env *sim.Env, net netsim.Fabric, p Params) *Layer {
+func NewLayer(env *sim.Env, net *topo.Fabric, p Params) *Layer {
 	return &Layer{
 		env:      env,
 		net:      net,
@@ -290,7 +290,7 @@ func (l *Layer) Stats(service string) ServiceStats {
 }
 
 // Net returns the underlying fabric.
-func (l *Layer) Net() netsim.Fabric { return l.net }
+func (l *Layer) Net() *topo.Fabric { return l.net }
 
 // Env returns the simulation environment.
 func (l *Layer) Env() *sim.Env { return l.env }

@@ -3,7 +3,6 @@ package reliable
 import (
 	"testing"
 
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -42,12 +41,12 @@ func BenchmarkReliableSend(b *testing.B) {
 // per op.
 func BenchmarkRetryStorm(b *testing.B) {
 	frames := 0
-	drop := &scriptFilter{fn: func(from, to, size int) netsim.Outcome {
+	drop := &scriptFilter{fn: func(from, to, size int) topo.Outcome {
 		if from == 0 && to == 1 {
 			frames++
-			return netsim.Outcome{Drop: frames%2 == 1}
+			return topo.Outcome{Drop: frames%2 == 1}
 		}
-		return netsim.Outcome{}
+		return topo.Outcome{}
 	}}
 	p := DefaultParams()
 	p.RTOSlack = 10 * sim.Microsecond // keep virtual time bounded

@@ -1,5 +1,5 @@
 // Package reliable is an ack/timeout/retransmit layer over a
-// netsim.Fabric: blocking sends that survive a lossy fabric instead of
+// topo.Fabric: blocking sends that survive a lossy fabric instead of
 // wedging the sending proc forever.
 //
 // The raw fabrics deliberately model a network that loses frames
@@ -31,8 +31,8 @@ import (
 	"fmt"
 
 	"repro/internal/msg"
-	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // ErrUnreachable is the sentinel for a send that exhausted its retries
@@ -134,7 +134,7 @@ type pendKey struct {
 // Construct with New; not safe for use from multiple Envs.
 type Transport struct {
 	env     *sim.Env
-	fab     netsim.Fabric
+	fab     *topo.Fabric
 	p       Params
 	filter  msg.Filter // injector view for DupMessages interop; may be nil
 	rng     uint64
@@ -164,7 +164,7 @@ func (t *Transport) SetTestHooks(h TestHooks) { t.hooks = h }
 // New returns a transport over the fabric. Handlers are registered per
 // receiving node with Handle; nodes without one still ack (the common
 // case for pure bulk transfers like checkpoint chunks).
-func New(env *sim.Env, fab netsim.Fabric, p Params) *Transport {
+func New(env *sim.Env, fab *topo.Fabric, p Params) *Transport {
 	return &Transport{
 		env:     env,
 		fab:     fab,

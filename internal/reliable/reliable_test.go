@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/msg"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -29,12 +28,12 @@ func fastParams() Params {
 // scriptFilter drops/delays fabric frames according to a scripted verdict
 // function; nil fn passes everything.
 type scriptFilter struct {
-	fn func(from, to, size int) netsim.Outcome
+	fn func(from, to, size int) topo.Outcome
 }
 
-func (s *scriptFilter) Outcome(from, to, size int) netsim.Outcome {
+func (s *scriptFilter) Outcome(from, to, size int) topo.Outcome {
 	if s.fn == nil {
-		return netsim.Outcome{}
+		return topo.Outcome{}
 	}
 	return s.fn(from, to, size)
 }
@@ -102,12 +101,12 @@ func TestRetransmitThroughLoss(t *testing.T) {
 	env := sim.NewEnv()
 	fab := newFabric(env)
 	drops := 2
-	fab.SetFilter(&scriptFilter{fn: func(from, to, size int) netsim.Outcome {
+	fab.SetFilter(&scriptFilter{fn: func(from, to, size int) topo.Outcome {
 		if from == 0 && to == 1 && drops > 0 {
 			drops--
-			return netsim.Outcome{Drop: true}
+			return topo.Outcome{Drop: true}
 		}
-		return netsim.Outcome{}
+		return topo.Outcome{}
 	}})
 	tr := New(env, fab, fastParams())
 	delivered := 0
@@ -135,12 +134,12 @@ func TestLostAckReAcks(t *testing.T) {
 	env := sim.NewEnv()
 	fab := newFabric(env)
 	ackDrops := 1
-	fab.SetFilter(&scriptFilter{fn: func(from, to, size int) netsim.Outcome {
+	fab.SetFilter(&scriptFilter{fn: func(from, to, size int) topo.Outcome {
 		if from == 1 && to == 0 && ackDrops > 0 { // reverse path: the ack
 			ackDrops--
-			return netsim.Outcome{Drop: true}
+			return topo.Outcome{Drop: true}
 		}
-		return netsim.Outcome{}
+		return topo.Outcome{}
 	}})
 	tr := New(env, fab, fastParams())
 	delivered := 0
@@ -166,8 +165,8 @@ func TestLostAckReAcks(t *testing.T) {
 func TestUnreachableAfterMaxAttempts(t *testing.T) {
 	env := sim.NewEnv()
 	fab := newFabric(env)
-	fab.SetFilter(&scriptFilter{fn: func(from, to, size int) netsim.Outcome {
-		return netsim.Outcome{Drop: true}
+	fab.SetFilter(&scriptFilter{fn: func(from, to, size int) topo.Outcome {
+		return topo.Outcome{Drop: true}
 	}})
 	p := fastParams()
 	p.MaxAttempts = 4
@@ -274,18 +273,18 @@ func TestQuickExactlyOnceInOrder(t *testing.T) {
 		fab := newFabric(env)
 		frng := &splitmix{s: f.Seed}
 		ruled := uint16(0)
-		fab.SetFilter(&scriptFilter{fn: func(from, to, size int) netsim.Outcome {
+		fab.SetFilter(&scriptFilter{fn: func(from, to, size int) topo.Outcome {
 			if ruled >= f.Window {
-				return netsim.Outcome{} // healed
+				return topo.Outcome{} // healed
 			}
 			ruled++
 			if frng.permille(f.DropPct) {
-				return netsim.Outcome{Drop: true}
+				return topo.Outcome{Drop: true}
 			}
 			if frng.permille(f.DelayPct) {
-				return netsim.Outcome{Delay: sim.Time(1+frng.next()%50) * sim.Microsecond}
+				return topo.Outcome{Delay: sim.Time(1+frng.next()%50) * sim.Microsecond}
 			}
-			return netsim.Outcome{}
+			return topo.Outcome{}
 		}})
 		p := fastParams()
 		p.MaxAttempts = 20
@@ -361,12 +360,12 @@ func TestDeterministicJitter(t *testing.T) {
 		env := sim.NewEnv()
 		fab := newFabric(env)
 		drops := 3
-		fab.SetFilter(&scriptFilter{fn: func(from, to, size int) netsim.Outcome {
+		fab.SetFilter(&scriptFilter{fn: func(from, to, size int) topo.Outcome {
 			if drops > 0 {
 				drops--
-				return netsim.Outcome{Drop: true}
+				return topo.Outcome{Drop: true}
 			}
-			return netsim.Outcome{}
+			return topo.Outcome{}
 		}})
 		p := fastParams()
 		p.Seed = seed
@@ -414,12 +413,12 @@ func TestNoDedupHookBreaksExactlyOnce(t *testing.T) {
 		env := sim.NewEnv()
 		fab := newFabric(env)
 		acksDropped := 0
-		fab.SetFilter(&scriptFilter{fn: func(from, to, size int) netsim.Outcome {
+		fab.SetFilter(&scriptFilter{fn: func(from, to, size int) topo.Outcome {
 			if from == 1 && to == 0 && acksDropped == 0 {
 				acksDropped++
-				return netsim.Outcome{Drop: true}
+				return topo.Outcome{Drop: true}
 			}
-			return netsim.Outcome{}
+			return topo.Outcome{}
 		}})
 		tr := New(env, fab, fastParams())
 		tr.SetTestHooks(TestHooks{NoDedup: noDedup})

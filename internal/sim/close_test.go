@@ -91,16 +91,21 @@ func TestCloseStopsParkedProcs(t *testing.T) {
 // proc that was live at the peak, and Close ends them all.
 func TestCloseStopsIdleWorkers(t *testing.T) {
 	noLeak(t)
-	start := runtime.NumGoroutine()
 	e := NewEnv()
 	for i := 0; i < 50; i++ {
 		e.Spawn("short", func(p *Proc) { p.Sleep(Time(i + 1)) })
 	}
 	e.Run()
-	if idle := runtime.NumGoroutine() - start; idle < 50 {
+	if idle := len(e.workerFree); idle != 50 {
 		t.Fatalf("%d pooled workers after the run, want 50", idle)
 	}
+	// Counted across Close, not from the test's start: a goroutine of an
+	// earlier test may still be exiting when this one begins.
+	before := runtime.NumGoroutine()
 	e.Close()
+	if ended := before - leakcheck.Settle(before-50); ended < 50 {
+		t.Fatalf("Close ended %d goroutines, want the 50 pooled workers", ended)
+	}
 }
 
 // TestCloseDropsNeverDispatchedProcs checks a proc spawned but never run:

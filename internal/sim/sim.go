@@ -604,26 +604,25 @@ func (p *Proc) WaitTimeout(ev *Event, d Time) bool {
 }
 
 // Event is a one-shot broadcast signal. Construct with Env.NewEvent. Firing
-// wakes all waiting processes (in wait order) and runs registered callbacks.
+// wakes all waiting processes, in wait order.
 //
 // The first waiter is stored inline: the overwhelmingly common case — an
 // RPC reply event with exactly one blocked caller — allocates no waiter
-// list at all. Everything rarer (further waiters, OnFire callbacks) lives
-// behind one pointer, so an Event is 32 bytes.
+// list at all. Further waiters live behind one pointer, so an Event is 32
+// bytes.
 type Event struct {
 	env   *Env
 	w0    *Proc     // first waiter (nil when no waiters)
-	ext   *eventExt // further waiters and callbacks; nil when none
+	ext   *eventExt // further waiters; nil when none
 	fired bool
 }
 
-// eventExt holds an Event's rarely used lists.
+// eventExt holds an Event's rarely used waiter overflow.
 type eventExt struct {
 	more []*Proc // waiters after w0, in arrival order
-	cbs  []func()
 }
 
-// extra returns the event's overflow lists, creating them on first use.
+// extra returns the event's waiter overflow, creating it on first use.
 func (ev *Event) extra() *eventExt {
 	if ev.ext == nil {
 		ev.ext = &eventExt{}
@@ -688,20 +687,6 @@ func (ev *Event) Fire() {
 	for _, w := range x.more {
 		ev.env.wake(w)
 	}
-	for _, cb := range x.cbs {
-		ev.env.schedule(ev.env.now, nil, cb, true)
-	}
-}
-
-// OnFire registers fn to run (as an event-loop callback) when the event
-// fires. If the event already fired, fn is scheduled immediately.
-func (ev *Event) OnFire(fn func()) {
-	if ev.fired {
-		ev.env.schedule(ev.env.now, nil, fn, true)
-		return
-	}
-	x := ev.extra()
-	x.cbs = append(x.cbs, fn)
 }
 
 // Mutex is a FIFO-fair lock for processes. The zero value is not usable;

@@ -182,20 +182,6 @@ func TestEventDoubleFirePanics(t *testing.T) {
 	ev.Fire()
 }
 
-func TestEventOnFire(t *testing.T) {
-	e := NewEnv()
-	ev := e.NewEvent()
-	calls := 0
-	ev.OnFire(func() { calls++ })
-	e.At(5, func() { ev.Fire() })
-	e.Run()
-	ev.OnFire(func() { calls++ }) // registered after fire: runs on next event cycle
-	e.Run()
-	if calls != 2 {
-		t.Fatalf("calls = %d, want 2", calls)
-	}
-}
-
 func TestWaitAll(t *testing.T) {
 	e := NewEnv()
 	a, b := e.NewEvent(), e.NewEvent()
@@ -378,7 +364,7 @@ func TestDoneAfterFinishIsFired(t *testing.T) {
 	}
 }
 
-func TestDoneBeforeFinishWakesWaitersThenCallbacks(t *testing.T) {
+func TestDoneBeforeFinishWakesWaitersInOrder(t *testing.T) {
 	e := NewEnv()
 	var log []string
 	p1 := e.Spawn("worker", func(p *Proc) { p.Sleep(10) })
@@ -392,10 +378,9 @@ func TestDoneBeforeFinishWakesWaitersThenCallbacks(t *testing.T) {
 			p.Wait(done)
 			log = append(log, fmt.Sprintf("%s@%v", name, p.Now()))
 		})
-		done.OnFire(func() { log = append(log, fmt.Sprintf("cb%d@%v", i, e.Now())) })
 	}
 	e.Run()
-	want := []string{"w0@10ns", "w1@10ns", "w2@10ns", "cb0@10ns", "cb1@10ns", "cb2@10ns"}
+	want := []string{"w0@10ns", "w1@10ns", "w2@10ns"}
 	if fmt.Sprint(log) != fmt.Sprint(want) {
 		t.Fatalf("wake order %v, want %v", log, want)
 	}

@@ -7,7 +7,7 @@ import (
 
 // wedgeShim recreates the PR 9 deadlock shape behind a test shim: a
 // blocking "send" whose completion event is never fired when the frame
-// is dropped (the pre-fix netsim.SendAndWait), under a periodic daemon
+// is dropped (the fabric's pre-fix blocking send), under a periodic daemon
 // timer that keeps the event queue alive forever — the combination that
 // used to hang the whole test binary.
 type wedgeShim struct {

@@ -1,13 +1,12 @@
-package netsim_test
+package topo_test
 
-// Contract tests for the netsim.Fabric interface, run against its one
-// implementation, topo.Fabric. Tests that hold for every topology run
-// over both shapes; the rest pin the flat default the cluster builds.
+// Fabric send-path tests through the package's exported surface. Tests
+// that hold for every topology run over both shapes; the rest pin the
+// flat default the cluster builds.
 
 import (
 	"testing"
 
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -78,61 +77,6 @@ func TestIndependentEgress(t *testing.T) {
 	}
 }
 
-func TestSendAndWait(t *testing.T) {
-	env := sim.NewEnv()
-	n := flat(env, 1, 100*sim.Microsecond)
-	var done sim.Time
-	env.Spawn("sender", func(p *sim.Proc) {
-		n.SendAndWait(p, 0, 1, 125000) // 125 kB at 125e6 B/s = 1 ms
-		done = p.Now()
-	})
-	env.Run()
-	if want := sim.Millisecond + 100*sim.Microsecond; done != want {
-		t.Fatalf("SendAndWait returned at %v, want %v", done, want)
-	}
-}
-
-// TestSendAndWaitDropResolves is the root-cause regression for the
-// fault-path deadlock: a blocking send whose frame the fault filter
-// drops must still wake at the would-be arrival time and report false —
-// an Any→Any drop storm can cost time, never a wedged proc.
-func TestSendAndWaitDropResolves(t *testing.T) {
-	for _, sh := range shapes {
-		t.Run(sh.name, func(t *testing.T) {
-			env := sim.NewEnv()
-			n := sh.spec.Build(env, "eth", 1, 100*sim.Microsecond)
-			n.SetFilter(&scriptFilter{outcomes: []netsim.Outcome{
-				{Drop: true}, {Drop: true}, {Drop: true}, {},
-			}})
-			var results []bool
-			var times []sim.Time
-			env.Spawn("sender", func(p *sim.Proc) {
-				for i := 0; i < 4; i++ {
-					results = append(results, n.SendAndWait(p, 0, 2, 125000))
-					times = append(times, p.Now())
-				}
-			})
-			env.Run()
-			if live := env.LiveProcs(); len(live) != 0 {
-				t.Fatalf("drop storm wedged the sender: %v", live)
-			}
-			want := []bool{false, false, false, true}
-			for i, r := range results {
-				if r != want[i] {
-					t.Fatalf("send %d delivered=%v, want %v", i, r, want[i])
-				}
-			}
-			// Each send (dropped or not) costs its uncontended path time:
-			// the sender wakes at the would-be arrival time.
-			for i, at := range times {
-				if want := sim.Time(i+1) * n.PathTime(0, 2, 125000); at != want {
-					t.Fatalf("send %d resolved at %v, want %v", i, at, want)
-				}
-			}
-		})
-	}
-}
-
 // TestEndpointSentPureRead: probing an endpoint that never sent must
 // report zeros without manufacturing an endpoint record — a monitoring
 // read that grows Endpoints() corrupts per-node traffic reports.
@@ -189,13 +133,13 @@ func TestStats(t *testing.T) {
 // scriptFilter rules per message index: a table of outcomes applied in
 // offer order.
 type scriptFilter struct {
-	outcomes []netsim.Outcome
+	outcomes []topo.Outcome
 	next     int
 }
 
-func (f *scriptFilter) Outcome(from, to, size int) netsim.Outcome {
+func (f *scriptFilter) Outcome(from, to, size int) topo.Outcome {
 	if f.next >= len(f.outcomes) {
-		return netsim.Outcome{}
+		return topo.Outcome{}
 	}
 	o := f.outcomes[f.next]
 	f.next++
@@ -210,20 +154,20 @@ func (f *scriptFilter) Outcome(from, to, size int) netsim.Outcome {
 func TestFilterAccounting(t *testing.T) {
 	cases := []struct {
 		name     string
-		outcomes []netsim.Outcome
-		want     netsim.Stats
+		outcomes []topo.Outcome
+		want     topo.Stats
 		delivers int
 	}{
-		{"all-deliver", []netsim.Outcome{{}, {}, {}},
-			netsim.Stats{Messages: 3, Bytes: 600}, 3},
-		{"all-dropped", []netsim.Outcome{{Drop: true}, {Drop: true}, {Drop: true}},
-			netsim.Stats{Messages: 3, Bytes: 600, Dropped: 3}, 0},
-		{"all-delayed", []netsim.Outcome{{Delay: sim.Microsecond}, {Delay: sim.Microsecond}, {Delay: sim.Microsecond}},
-			netsim.Stats{Messages: 3, Bytes: 600, Delayed: 3}, 3},
-		{"mixed", []netsim.Outcome{{Drop: true}, {Delay: sim.Microsecond}, {}},
-			netsim.Stats{Messages: 3, Bytes: 600, Dropped: 1, Delayed: 1}, 2},
-		{"drop-and-delay-verdicts-drop-wins", []netsim.Outcome{{Drop: true, Delay: sim.Microsecond}},
-			netsim.Stats{Messages: 1, Bytes: 200, Dropped: 1}, 0},
+		{"all-deliver", []topo.Outcome{{}, {}, {}},
+			topo.Stats{Messages: 3, Bytes: 600}, 3},
+		{"all-dropped", []topo.Outcome{{Drop: true}, {Drop: true}, {Drop: true}},
+			topo.Stats{Messages: 3, Bytes: 600, Dropped: 3}, 0},
+		{"all-delayed", []topo.Outcome{{Delay: sim.Microsecond}, {Delay: sim.Microsecond}, {Delay: sim.Microsecond}},
+			topo.Stats{Messages: 3, Bytes: 600, Delayed: 3}, 3},
+		{"mixed", []topo.Outcome{{Drop: true}, {Delay: sim.Microsecond}, {}},
+			topo.Stats{Messages: 3, Bytes: 600, Dropped: 1, Delayed: 1}, 2},
+		{"drop-and-delay-verdicts-drop-wins", []topo.Outcome{{Drop: true, Delay: sim.Microsecond}},
+			topo.Stats{Messages: 1, Bytes: 200, Dropped: 1}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -257,7 +201,7 @@ func TestFilterAccounting(t *testing.T) {
 func TestFilterDelayedArrival(t *testing.T) {
 	env := sim.NewEnv()
 	n := flat(env, 8, 0) // 1e9 B/s: 1000 B = 1 us serialization
-	n.SetFilter(&scriptFilter{outcomes: []netsim.Outcome{{Delay: 5 * sim.Microsecond}}})
+	n.SetFilter(&scriptFilter{outcomes: []topo.Outcome{{Delay: 5 * sim.Microsecond}}})
 	var first, second sim.Time
 	n.Send(0, 1, 1000, func() { first = env.Now() })
 	n.Send(0, 1, 1000, func() { second = env.Now() })
@@ -289,33 +233,6 @@ func TestInvalidParams(t *testing.T) {
 	}
 }
 
-// TestWedgeOnDropHook: with the hook set, a dropped blocking send never
-// resolves — the sender proc stays parked (the historical bug). Without
-// it, the sender resumes at the would-be arrival time with false.
-func TestWedgeOnDropHook(t *testing.T) {
-	for _, sh := range shapes {
-		t.Run(sh.name, func(t *testing.T) {
-			for _, wedge := range []bool{false, true} {
-				env := sim.NewEnv()
-				n := sh.spec.Build(env, "ib", 56, sim.Microsecond)
-				n.SetFilter(&scriptFilter{outcomes: []netsim.Outcome{{Drop: true}}})
-				n.SetTestHooks(netsim.TestHooks{WedgeOnDrop: wedge})
-				resumed := false
-				env.Spawn("sender", func(p *sim.Proc) {
-					if n.SendAndWait(p, 0, 1, 100) {
-						t.Error("dropped send reported delivered")
-					}
-					resumed = true
-				})
-				env.Run()
-				if resumed == wedge {
-					t.Fatalf("wedge=%v: sender resumed=%v", wedge, resumed)
-				}
-			}
-		})
-	}
-}
-
 // TestPhantomEndpointsHook: with the hook set, probing a silent
 // endpoint allocates its endpoint record and grows Endpoints() — the
 // historical accounting bug. Without it, probes are pure reads.
@@ -334,7 +251,7 @@ func TestPhantomEndpointsHook(t *testing.T) {
 				t.Fatalf("pure-read probe grew Endpoints() to %v", eps)
 			}
 
-			n.SetTestHooks(netsim.TestHooks{PhantomEndpoints: true})
+			n.SetTestHooks(topo.TestHooks{PhantomEndpoints: true})
 			n.EndpointSent(3)
 			eps := n.Endpoints()
 			if len(eps) != 2 || eps[1] != 3 {

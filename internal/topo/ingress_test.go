@@ -1,4 +1,4 @@
-package netsim_test
+package topo_test
 
 import (
 	"encoding/json"
@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -86,9 +85,9 @@ func TestFlatEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want struct {
-		Arrivals  []sim.Time   `json:"arrivals"`
-		Stats     netsim.Stats `json:"stats"`
-		Endpoints []int        `json:"endpoints"`
+		Arrivals  []sim.Time `json:"arrivals"`
+		Stats     topo.Stats `json:"stats"`
+		Endpoints []int      `json:"endpoints"`
 	}
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,14 @@
-// Package topo is the repository's message fabric: the one implementation
-// of the netsim.Fabric contract. A topology — node → NIC → top-of-rack
-// switch → spine — is compiled into a link graph over the DES core, and
-// every message occupies every link on its path: each hop is
-// store-and-forward with a FIFO queue per link, so shared links (a rack's
-// spine uplink, a receiver's downlink) resolve contention
-// deterministically, in offer order.
+// Package topo is the repository's message fabric. A fabric connects
+// integer-addressed endpoints (cluster nodes, plus external hosts such
+// as load generators); a cluster builds two flat instances by default to
+// model the paper's testbed, a 56 Gbps InfiniBand fabric between
+// hypervisor instances and a 1 Gbps Ethernet network toward clients and
+// load generators. A topology — node → NIC → top-of-rack switch → spine
+// — is compiled into a link graph over the DES core, and every message
+// occupies every link on its path: each hop is store-and-forward with a
+// FIFO queue per link, so shared links (a rack's spine uplink, a
+// receiver's downlink) resolve contention deterministically, in offer
+// order.
 //
 // Two topology kinds are supported:
 //
@@ -23,11 +27,11 @@
 // senders converging on one receiver queue on its downlink. The flat path
 // is egress-only, which is the model every paper figure was calibrated on.
 //
-// Beyond the send interface (netsim.Fabric), the package exposes a
-// distance/congestion oracle: Spec.Distance/PathLatency/PathGbps are pure
-// functions of the topology shape usable by placement layers without a
-// live fabric, and Fabric.LinkStats reports per-link occupancy for
-// utilization tables and tests.
+// Beyond sending, the package exposes Spec.Distance, a pure function of
+// the topology shape usable by placement layers without a live fabric,
+// and Fabric.LinkStats, per-link occupancy for utilization tables and
+// tests. A fault Filter (package fault) rules on every message, and
+// TestHooks re-introduce a fixed accounting bug for the chaos engine.
 package topo
 
 import (
@@ -36,10 +40,44 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
+
+// Outcome is a fault filter's verdict on one message: deliver normally,
+// drop it, or deliver it late.
+type Outcome struct {
+	Drop  bool
+	Delay sim.Time // extra propagation delay on top of the fabric latency
+}
+
+// Filter inspects every message offered to the fabric. Implemented by the
+// fault injector (package fault) to model node crashes, link partitions,
+// and lossy or slow links. A nil-filter fabric delivers everything.
+type Filter interface {
+	Outcome(from, to, size int) Outcome
+}
+
+// Stats aggregates fabric-wide traffic counters.
+type Stats struct {
+	Messages int64
+	Bytes    int64
+	Dropped  int64 // messages discarded by the fault filter
+	Delayed  int64 // messages delivered late by the fault filter
+}
+
+// TestHooks re-enable fixed historical bugs behind an explicit opt-in.
+// They exist for the chaos engine's self-validation: a search harness
+// that claims to find invariant violations must demonstrably find the
+// bugs this codebase actually had. Production code never sets hooks;
+// the zero value is the fixed behavior.
+type TestHooks struct {
+	// PhantomEndpoints re-introduces the pre-fix EndpointSent behavior:
+	// probing an endpoint that never sent allocates an endpoint record, so
+	// reads grow Endpoints() with zero-traffic phantoms and fabric
+	// accounting reports break.
+	PhantomEndpoints bool
+}
 
 // Spec describes a topology shape independent of link speeds: the same
 // spec can be compiled against any host-link bandwidth/latency (taken
@@ -199,8 +237,7 @@ func (l LinkStat) Utilization(elapsed sim.Time) float64 {
 	return l.Busy.Seconds() / elapsed.Seconds()
 }
 
-// Fabric is a topology-aware message fabric satisfying netsim.Fabric.
-// Construct with Spec.Build.
+// Fabric is a topology-aware message fabric. Construct with Spec.Build.
 type Fabric struct {
 	env     *sim.Env
 	name    string
@@ -217,17 +254,15 @@ type Fabric struct {
 
 	links  []*link // every link, construction order (LinkStats order)
 	eps    map[int]*endpoint
-	stats  netsim.Stats
-	filter netsim.Filter
-	hooks  netsim.TestHooks
+	stats  Stats
+	filter Filter
+	hooks  TestHooks
 	tr     *trace.Tracer
 }
 
 // SetTestHooks installs (or, with the zero value, clears) the fabric's
-// bug-reintroduction hooks — see netsim.TestHooks.
-func (f *Fabric) SetTestHooks(h netsim.TestHooks) { f.hooks = h }
-
-var _ netsim.Fabric = (*Fabric)(nil)
+// bug-reintroduction hooks.
+func (f *Fabric) SetTestHooks(h TestHooks) { f.hooks = h }
 
 // endpoint tracks per-sender counters.
 type endpoint struct {
@@ -281,12 +316,6 @@ func (s *Spec) Build(env *sim.Env, name string, hostGbps float64, hostLat sim.Ti
 	return f
 }
 
-// Name returns the fabric's diagnostic name.
-func (f *Fabric) Name() string { return f.name }
-
-// Spec returns the topology shape the fabric was compiled from.
-func (f *Fabric) Spec() *Spec { s := f.spec; return &s }
-
 // Latency returns the minimum one-way path latency: the host-link
 // latency on a flat fabric, twice it within a rack.
 // Protocol cost models use it as their base RTT estimate.
@@ -306,25 +335,12 @@ func (f *Fabric) TxTime(size int) sim.Time {
 }
 
 // SetFilter installs (or, with nil, removes) the fabric's fault filter.
-func (f *Fabric) SetFilter(flt netsim.Filter) { f.filter = flt }
+func (f *Fabric) SetFilter(flt Filter) { f.filter = flt }
 
-// Filter returns the installed fault filter, or nil.
-func (f *Fabric) Filter() netsim.Filter { return f.filter }
-
-// Distance returns the number of links on the (from, to) path.
-func (f *Fabric) Distance(from, to int) int { return f.spec.Distance(from, to) }
-
-// PathLatency returns the summed propagation latency of every link on
-// the (from, to) path — the realized one-way latency of an uncontended
-// zero-byte message. Symmetric and additive along the path.
-func (f *Fabric) PathLatency(from, to int) sim.Time {
-	var buf hops
-	var total sim.Time
-	for _, l := range f.route(&buf, from, to) {
-		total += l.lat
-	}
-	return total
-}
+// Filter returns the installed fault filter, or nil. The reliable
+// transport keys its zero-fault fast path on this: no filter means
+// nothing can be lost, so no acks need to be charged.
+func (f *Fabric) Filter() Filter { return f.filter }
 
 // PathTime returns the uncontended one-way delivery time for size bytes
 // from one endpoint to another: each link on the route charged at its
@@ -341,20 +357,6 @@ func (f *Fabric) PathTime(from, to int, size int) sim.Time {
 		t += sim.FromSeconds(float64(size)/l.bps) + l.lat
 	}
 	return t
-}
-
-// PathGbps returns the bottleneck bandwidth of the (from, to) path in
-// gigabits per second: the host rate within a rack, the oversubscribed
-// uplink rate across the spine.
-func (f *Fabric) PathGbps(from, to int) float64 {
-	var buf hops
-	min := 0.0
-	for _, l := range f.route(&buf, from, to) {
-		if min == 0 || l.bps < min {
-			min = l.bps
-		}
-	}
-	return min * 8 / 1e9
 }
 
 // hops holds one route: no path is longer than the four links of a
@@ -467,23 +469,8 @@ func (f *Fabric) Transmit(span int64, from, to int, size int) (arrive sim.Time, 
 	return arrive, true
 }
 
-// SendAndWait transmits like Send but blocks the calling process until
-// the message resolves, reporting whether it was delivered. A fault-filter
-// drop still wakes the sender at the would-be arrival time — the path was
-// charged and the frame is simply gone — so a blocking send can never
-// wedge a proc for the rest of the run.
-func (f *Fabric) SendAndWait(p *sim.Proc, from, to int, size int) bool {
-	ev := f.env.NewEvent()
-	arrive, delivered := f.Transmit(0, from, to, size)
-	if delivered || !f.hooks.WedgeOnDrop {
-		f.env.DeferAt(arrive, ev.Fire)
-	}
-	p.Wait(ev)
-	return delivered
-}
-
 // Stats returns a copy of the fabric-wide traffic counters.
-func (f *Fabric) Stats() netsim.Stats { return f.stats }
+func (f *Fabric) Stats() Stats { return f.stats }
 
 // Endpoints returns the ids of every endpoint that has sent, ascending.
 func (f *Fabric) Endpoints() []int {

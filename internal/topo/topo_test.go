@@ -2,7 +2,6 @@ package topo
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/sim"
 )
@@ -56,58 +55,6 @@ func TestDistance(t *testing.T) {
 		if d := tree.Distance(tc.a, tc.b); d != tc.want {
 			t.Errorf("tree Distance(%d,%d) = %d, want %d", tc.a, tc.b, d, tc.want)
 		}
-	}
-}
-
-// TestPathLatencyQuick is the testing/quick property of the tentpole's
-// oracle: over random tree shapes and node pairs, path latency is
-// symmetric and additive — it equals the host-link latency times the
-// number of host hops plus the spine latency times the number of spine
-// hops, which also makes it strictly monotonic in Distance.
-func TestPathLatencyQuick(t *testing.T) {
-	prop := func(racks, npr, a, b uint8, over uint8, spineNs uint16) bool {
-		r := int(racks)%4 + 1
-		n := int(npr)%4 + 1
-		spec := TreeSpec(r, n, float64(int(over)%8+1))
-		spec.SpineLat = sim.Time(spineNs) * sim.Nanosecond
-		hostLat := 1500 * sim.Nanosecond
-		spineLat := spec.SpineLat
-		if spineLat == 0 {
-			spineLat = hostLat
-		}
-		env := sim.NewEnv()
-		f := spec.Build(env, "t", 56, hostLat)
-		total := spec.Nodes()
-		x, y := int(a)%total, int(b)%total
-		lxy, lyx := f.PathLatency(x, y), f.PathLatency(y, x)
-		if lxy != lyx {
-			return false // symmetry
-		}
-		var want sim.Time
-		switch spec.Distance(x, y) {
-		case 0, 2:
-			// Same-node tree messages still hairpin at the ToR (see
-			// Fabric.route), so distance 0 prices like distance 2 here.
-			want = 2 * hostLat
-		case 4:
-			want = 2*hostLat + 2*spineLat
-		}
-		return lxy == want // additivity over the route's links
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPathGbpsOversubscription(t *testing.T) {
-	env := sim.NewEnv()
-	f := TreeSpec(2, 2, 4).Build(env, "t", 56, 1500*sim.Nanosecond)
-	if g := f.PathGbps(0, 1); g != 56 {
-		t.Errorf("rack-local path bandwidth = %v Gbps, want 56", g)
-	}
-	// ToR uplink: 2 nodes x 56 Gbps / 4 oversubscription = 28 Gbps.
-	if g := f.PathGbps(0, 2); g != 28 {
-		t.Errorf("cross-spine path bandwidth = %v Gbps, want 28", g)
 	}
 }
 

@@ -75,7 +75,7 @@ type Span struct {
 	ID      SpanID
 	Parent  SpanID // 0 for roots
 	Cat     Category
-	Node    int // cluster node id (netsim endpoint); -1 for external hosts
+	Node    int // cluster node id (fabric endpoint); -1 for external hosts
 	Name    string
 	Start   sim.Time
 	End     sim.Time // -1 while open; exporters clamp open spans
