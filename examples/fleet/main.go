@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/fleet"
@@ -65,7 +66,7 @@ func main() {
 		hcfg.MemoryNodes = []int{2}
 		vm = hypervisor.New(hcfg)
 		env.Spawn("bind", func(p *sim.Proc) {
-			f.Bind(p, borrowerID, vm, 0)
+			f.Bind(borrowerID, vm, checkpoint.Take(p, vm, 0))
 			fmt.Printf("t=%-9v bound live Aggregate VM, checkpointed to node 0; vCPUs on %v\n",
 				p.Now(), vcpuSpread(vm))
 		})

@@ -1,3 +1,24 @@
+// Package balloon models memory ballooning and dynamic resize — the
+// "reduce" arm of the paper's reduce/evict/borrow trichotomy.
+//
+// Ballooning is the canonical mechanism for reclaiming memory from a
+// running VM without migrating or killing it: a driver inside the guest
+// pins free pages and hands them back to the host (inflation), and
+// returns them when the host frees capacity up (deflation). The package
+// has two parts:
+//
+//   - Estimator: a peak/decay EWMA working-set estimator fed by the
+//     guest allocator's telemetry stream.
+//   - Driver: the per-VM balloon device. Inflation and deflation are
+//     guest-visible operations against internal/guest's node heaps,
+//     charged the same zone-lock + page-table-update costs an
+//     allocation pays; a VM ballooned below its working set pays a
+//     simulated reclaim/swap stall on every further allocation, so
+//     "reduce" has a measurable slowdown instead of being free.
+//
+// The reduce experiment drives a Driver against a live FragVisor guest;
+// internal/fleet's ReclaimPolicy ReclaimResize keeps its own per-VM
+// balloon books in vCPU quanta.
 package balloon
 
 import (

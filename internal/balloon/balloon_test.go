@@ -35,55 +35,6 @@ func newTestGuest(nNodes int, heapBytes int64) (*sim.Env, *guest.Kernel) {
 	return env, k
 }
 
-func TestLedgerConservation(t *testing.T) {
-	l := NewLedger()
-	l.Provision(1, 100)
-	l.Inflate(1, 40)
-	if got := l.Resident(1); got != 60 {
-		t.Fatalf("resident = %d, want 60", got)
-	}
-	if l.Resident(1)+l.Ballooned(1) != l.Provisioned(1) {
-		t.Fatal("resident + ballooned != provisioned")
-	}
-	l.Deflate(1, 40)
-	if l.Ballooned(1) != 0 || l.Resident(1) != 100 {
-		t.Fatalf("after full deflate: ballooned=%d resident=%d", l.Ballooned(1), l.Resident(1))
-	}
-	if err := l.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	prov, ball := l.Remove(1)
-	if prov != 100 || ball != 0 {
-		t.Fatalf("Remove = (%d, %d), want (100, 0)", prov, ball)
-	}
-	if l.Has(1) {
-		t.Fatal("vm still present after Remove")
-	}
-}
-
-func TestLedgerOverInflatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("inflating past provisioned should panic")
-		}
-	}()
-	l := NewLedger()
-	l.Provision(1, 10)
-	l.Inflate(1, 11)
-}
-
-func TestLedgerOverDeflatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("deflating past ballooned should panic")
-		}
-	}()
-	l := NewLedger()
-	l.Provision(1, 10)
-	l.Inflate(1, 5)
-	l.Deflate(1, 6)
-}
-
 func TestEstimatorPeakThenDecay(t *testing.T) {
 	e := NewEstimator(0.5)
 	e.Observe(100)

@@ -2,91 +2,58 @@ package balloon
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sim"
 )
 
-// TestQuickLedgerRoundTripConserves: any interleaving of inflates and
-// deflates conserves units bit-exactly — resident + ballooned equals
-// provisioned after every step, and a full deflate restores the VM.
-func TestQuickLedgerRoundTripConserves(t *testing.T) {
-	f := func(seed int64, steps uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		l := NewLedger()
-		const nVM = 4
-		for vm := 0; vm < nVM; vm++ {
-			l.Provision(vm, 1+rng.Int63n(1<<16))
-		}
-		for i := 0; i < int(steps); i++ {
-			vm := rng.Intn(nVM)
-			if rng.Intn(2) == 0 {
-				if room := l.Resident(vm); room > 0 {
-					l.Inflate(vm, rng.Int63n(room+1))
-				}
-			} else {
-				if b := l.Ballooned(vm); b > 0 {
-					l.Deflate(vm, rng.Int63n(b+1))
-				}
-			}
-			for v := 0; v < nVM; v++ {
-				if l.Resident(v)+l.Ballooned(v) != l.Provisioned(v) {
-					return false
-				}
-			}
-			if l.Verify() != nil {
-				return false
-			}
-		}
-		for vm := 0; vm < nVM; vm++ {
-			l.Deflate(vm, l.Ballooned(vm))
-			if l.Ballooned(vm) != 0 || l.Resident(vm) != l.Provisioned(vm) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickDeflateOrderInvariant: deflating a balloon in any order of
-// per-VM chunks lands every VM on the same final balance.
+// TestQuickDeflateOrderInvariant: deflating a driver's balloon in any
+// order of per-node chunks lands every arena on the same final balance,
+// with every pinned page back with the guest, and counts the same work.
 func TestQuickDeflateOrderInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		const nVM = 5
-		prov := make([]int64, nVM)
-		ball := make([]int64, nVM)
-		for vm := range prov {
-			prov[vm] = 1 + rng.Int63n(1<<12)
-			ball[vm] = rng.Int63n(prov[vm] + 1)
+		const nNodes = 3
+		pin := make([]int64, nNodes)
+		for n := range pin {
+			pin[n] = rng.Int63n(1 << 12)
 		}
-		// Split each VM's balloon into random-size chunks, then deflate
-		// them in two different orders.
+		// Split each node's balloon into random-size chunks, then
+		// deflate them in two different orders.
 		type chunk struct {
-			vm int
-			n  int64
+			node  int
+			pages int64
 		}
 		var chunks []chunk
-		for vm, b := range ball {
-			rest := b
-			for rest > 0 {
-				n := 1 + rng.Int63n(rest)
-				chunks = append(chunks, chunk{vm, n})
-				rest -= n
+		for n, b := range pin {
+			for rest := b; rest > 0; {
+				c := 1 + rng.Int63n(rest)
+				chunks = append(chunks, chunk{n, c})
+				rest -= c
 			}
 		}
-		build := func(order []int) *Ledger {
-			l := NewLedger()
-			for vm := range prov {
-				l.Provision(vm, prov[vm])
-				l.Inflate(vm, ball[vm])
+		run := func(order []int) ([]int64, Stats) {
+			env, k := newTestGuest(nNodes, 64<<20)
+			defer env.Close()
+			drv := NewDriver(env, k, DefaultCosts())
+			env.Spawn("driver", func(p *sim.Proc) {
+				for n, pages := range pin {
+					if took := drv.Inflate(p, n, n, pages); took != pages {
+						t.Errorf("node %d: inflate took %d of %d free pages", n, took, pages)
+					}
+				}
+				for _, i := range order {
+					drv.Deflate(p, chunks[i].node, chunks[i].node, chunks[i].pages)
+				}
+			})
+			env.Run()
+			left := make([]int64, nNodes)
+			for n := range left {
+				left[n] = k.BalloonedOn(n)
 			}
-			for _, i := range order {
-				l.Deflate(chunks[i].vm, chunks[i].n)
-			}
-			return l
+			return left, drv.Stats()
 		}
 		fwd := make([]int, len(chunks))
 		for i := range fwd {
@@ -94,13 +61,13 @@ func TestQuickDeflateOrderInvariant(t *testing.T) {
 		}
 		shuf := append([]int(nil), fwd...)
 		rng.Shuffle(len(shuf), func(i, j int) { shuf[i], shuf[j] = shuf[j], shuf[i] })
-		a, b := build(fwd), build(shuf)
-		for vm := range prov {
-			if a.Ballooned(vm) != b.Ballooned(vm) || a.Resident(vm) != b.Resident(vm) {
-				return false
-			}
+		la, sa := run(fwd)
+		lb, sb := run(shuf)
+		if !slices.Equal(la, make([]int64, nNodes)) || !slices.Equal(la, lb) {
+			return false
 		}
-		return a.TotalBallooned() == 0 && b.TotalBallooned() == 0
+		return sa.Deflations == sb.Deflations && sa.DeflatedPages == sb.DeflatedPages &&
+			sa.DeflatedPages == sa.InflatedPages
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

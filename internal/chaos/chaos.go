@@ -78,7 +78,7 @@ func (h Hooks) install(c *cluster.Cluster) {
 
 // Storm is a workload-side chaos element: a burst of short-lived VM
 // arrivals landing in a tight window at At, forcing the reclaim policy
-// (and, under fleet-resize, the balloon ledger) to absorb pressure
+// (and, under fleet-resize, the balloon) to absorb pressure
 // mid-run. Ignored by the vm workload.
 type Storm struct {
 	At   sim.Time `json:"at"`

@@ -66,31 +66,13 @@ func Fig14(o Options) *metrics.Table {
 	}
 	f.Submit(reqs)
 
-	// pCPU allocator for the target VM: high indices, so the synthetic
-	// fillers conceptually occupy the low ones.
-	nextPCPU := map[int]int{}
-	takePCPU := func(node int) int {
-		nextPCPU[node]++
-		return 12 - nextPCPU[node]
-	}
-
 	var vm *hypervisor.VM
 	var latencies, latTimes []sim.Time
 
-	f.OnMigrate = func(p *sim.Proc, vmID, from, to, n int) {
-		if vmID != targetID || vm == nil {
-			return
-		}
-		moved := 0
-		for id, node := range vm.VCPUNodes() {
-			if node == from && moved < n {
-				vm.MigrateVCPU(p, id, to, takePCPU(to))
-				moved++
-			}
-		}
-		nextPCPU[from] -= moved
-	}
-	// Materialize and serve the target VM just after the fleet places it.
+	// Materialize, bind and serve the target VM just after the fleet
+	// places it: from then on every committed move of its vCPUs is a
+	// live migration. Its pins take high pCPU indices, so the synthetic
+	// fillers conceptually occupy the low ones.
 	env.At(ts(156), func() {
 		pl := f.PlacementOf(targetID)
 		if pl == nil {
@@ -99,10 +81,11 @@ func Fig14(o Options) *metrics.Table {
 		var pins []hypervisor.Pin
 		for _, n := range pl.Nodes() {
 			for i := 0; i < pl[n]; i++ {
-				pins = append(pins, hypervisor.Pin{Node: n, PCPU: takePCPU(n)})
+				pins = append(pins, hypervisor.Pin{Node: n, PCPU: 11 - i})
 			}
 		}
 		vm = hypervisor.New(hypervisor.FragVisorConfig(clus, pins, guestMem))
+		f.Bind(targetID, vm, nil)
 		runWebService(vm, end, &latencies, &latTimes)
 	})
 

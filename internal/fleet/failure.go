@@ -35,15 +35,7 @@ func (f *Fleet) armHeartbeat() {
 		f.env.Spawn("fleet-heartbeat", f.probeLoop)
 		return
 	}
-	var tick func()
-	tick = func() {
-		if f.stopped {
-			return
-		}
-		f.heartbeat()
-		f.hbTimer = f.reschedule(f.cfg.HeartbeatEvery, tick)
-	}
-	f.hbTimer = f.env.After(f.cfg.HeartbeatEvery, tick)
+	f.every(f.cfg.HeartbeatEvery, f.heartbeat)
 }
 
 // heartbeat reconciles the fleet's node view with the injector's quorum
@@ -74,7 +66,7 @@ func (f *Fleet) probeLoop(p *sim.Proc) {
 	misses := make([]int, f.cfg.Nodes)
 	for {
 		p.Sleep(f.cfg.HeartbeatEvery)
-		if f.stopped || (f.cfg.Horizon > 0 && f.env.Now() > f.cfg.Horizon) {
+		if f.cfg.Horizon > 0 && f.env.Now() > f.cfg.Horizon {
 			return
 		}
 		for n := 0; n < f.cfg.Nodes; n++ {
@@ -110,35 +102,35 @@ func (f *Fleet) handleNodeDown(node int) {
 	f.log("node-down", -1, -1, node, 0, -1)
 
 	var victims []int
-	for id, pl := range f.placements {
-		if pl[node] > 0 {
+	for id, rec := range f.vms {
+		if rec.pl[node] > 0 {
 			victims = append(victims, id)
 		}
 	}
 	sort.Ints(victims)
 	for _, id := range victims {
-		pl := f.placements[id]
-		lost := pl[node]
-		mpc := f.reqs[id].memPerCPU()
+		rec := f.vms[id]
+		lost := rec.pl[node]
+		mpc := rec.req.memPerCPU()
 		// Bring work accrual current before the placement changes: the
 		// vCPUs lost with the node ran at full membership until now.
-		f.accrueWork(id)
+		f.accrueWork(rec)
 		// The fragment is gone with the node; keep the dead node's books
 		// whole so capacity is intact when it heals.
-		delete(pl, node)
+		delete(rec.pl, node)
 		f.freeCPU[node] += lost
 		f.freeMem[node] += int64(lost) * mpc
 
-		b := f.bound[id]
+		b := rec.bound
 		if b != nil {
 			b.markDead(node)
 		}
-		target, ok := f.replaceLost(id, node, lost)
+		target, ok := f.replaceLost(rec, node, lost)
 		if !ok {
 			if b != nil {
 				panic(fmt.Sprintf("fleet: bound VM %d lost node %d and no survivor capacity remains", id, node))
 			}
-			f.requeue(id)
+			f.requeue(rec)
 			continue
 		}
 		f.stats.Restarts++
@@ -156,24 +148,23 @@ func (f *Fleet) handleNodeDown(node int) {
 // replaceLost gang-places a lost fragment's k vCPUs on surviving
 // capacity, committing it into the VM's placement. It returns the
 // replacement fragment map.
-func (f *Fleet) replaceLost(vmID, deadNode, k int) (sched.Placement, bool) {
-	pl := f.placements[vmID]
-	mpc := f.reqs[vmID].memPerCPU()
+func (f *Fleet) replaceLost(rec *vmRec, deadNode, k int) (sched.Placement, bool) {
+	mpc := rec.req.memPerCPU()
 	eff := f.effective(mpc)
-	target, ok := f.placeFragment(eff, pl, deadNode, k)
+	target, ok := f.placeFragment(eff, rec.pl, deadNode, k)
 	if !ok {
 		return nil, false
 	}
 	for _, dst := range target.Nodes() {
 		c := target[dst]
 		if f.down[dst] || f.freeCPU[dst] < c || f.freeMem[dst] < int64(c)*mpc {
-			panic(fmt.Sprintf("fleet: restart placement of VM %d went stale", vmID))
+			panic(fmt.Sprintf("fleet: restart placement of VM %d went stale", rec.req.ID))
 		}
 		f.freeCPU[dst] -= c
 		f.freeMem[dst] -= int64(c) * mpc
-		pl[dst] += c
+		rec.pl[dst] += c
 	}
-	f.syncLeases(vmID)
+	f.syncLeases(rec)
 	return target, true
 }
 
@@ -181,24 +172,21 @@ func (f *Fleet) replaceLost(vmID, deadNode, k int) (sched.Placement, bool) {
 // whatever duration it had left. Under resize the remainder comes from
 // the exact work accounting (a ballooned VM got less done per second);
 // otherwise the armed deadline is the remainder.
-func (f *Fleet) requeue(vmID int) {
-	r := f.reqs[vmID]
-	hadDeadline := false
-	if need, ok := f.workNeeded[vmID]; ok && f.cfg.Reclaim == ReclaimResize {
-		f.accrueWork(vmID)
-		rem := need - f.workDone[vmID]
+func (f *Fleet) requeue(rec *vmRec) {
+	r := rec.req
+	timed := r.Duration > 0
+	if timed && f.cfg.Reclaim == ReclaimResize {
+		f.accrueWork(rec)
 		prov := int64(r.VCPUs)
-		r.Duration = sim.Time((rem + prov - 1) / prov)
-		hadDeadline = true
-	} else if end, ok := f.endAt[vmID]; ok {
-		r.Duration = end - f.env.Now()
-		hadDeadline = true
+		r.Duration = sim.Time((rec.workNeeded - rec.workDone + prov - 1) / prov)
+	} else if timed {
+		r.Duration = rec.endAt - f.env.Now()
 	}
 	r.Arrival = f.env.Now()
-	f.release(vmID)
+	f.release(r.ID)
 	f.stats.Requeues++
-	f.log("requeue", vmID, -1, -1, r.VCPUs, -1)
-	if hadDeadline && r.Duration <= 0 {
+	f.log("requeue", r.ID, -1, -1, r.VCPUs, -1)
+	if timed && r.Duration <= 0 {
 		return // it would have finished by now anyway
 	}
 	f.enqueue(r)
@@ -220,23 +208,24 @@ type binding struct {
 	nextPCPU map[int]int
 }
 
-// Bind attaches a live Aggregate VM to an admitted fleet VM and takes its
-// checkpoint onto ckptNode's disk (blocking p for the checkpoint). From
-// here on, every fleet decision about vmID drives the live VM: committed
+// Bind attaches a live Aggregate VM to an admitted fleet VM. From here
+// on, every fleet decision about vmID drives the live VM: committed
 // moves execute vCPU migrations, and a node failure restarts the lost
-// slices on the replacement placement and restores memory from the image.
-func (f *Fleet) Bind(p *sim.Proc, vmID int, live *hypervisor.VM, ckptNode int) {
-	if _, ok := f.placements[vmID]; !ok {
+// slices on the replacement placement and restores memory from img, a
+// checkpoint the caller took (checkpoint.Take). img may be nil only when
+// the fleet runs no failure detector.
+func (f *Fleet) Bind(vmID int, live *hypervisor.VM, img *checkpoint.Image) {
+	rec := f.vms[vmID]
+	if rec == nil {
 		panic(fmt.Sprintf("fleet: binding unknown VM %d", vmID))
 	}
-	if f.bound[vmID] != nil {
+	if rec.bound != nil {
 		panic(fmt.Sprintf("fleet: VM %d already bound", vmID))
 	}
-	f.bound[vmID] = &binding{
-		vm:       live,
-		img:      checkpoint.Take(p, live, ckptNode),
-		nextPCPU: map[int]int{},
+	if img == nil && f.cfg.Fault != nil && f.cfg.HeartbeatEvery > 0 {
+		panic(fmt.Sprintf("fleet: VM %d bound without a checkpoint under failure detection", vmID))
 	}
+	rec.bound = &binding{vm: live, img: img, nextPCPU: map[int]int{}}
 }
 
 // migrate executes one committed move on the live VM: n of its vCPUs

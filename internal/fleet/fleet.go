@@ -16,8 +16,8 @@
 //   - Consolidation. Every capacity change (a departure, a reclaim)
 //     replays FragBFF's consolidation pass (sched.ConsolidationMoves)
 //     over the multi-node VMs, and a VM that lands on one node is handed
-//     back to plain best fit. OnMigrate or Bind executes each planned
-//     move on a live Aggregate VM.
+//     back to plain best fit. Bind couples a live Aggregate VM to its
+//     fleet VM, and each planned move then executes on it.
 //   - Borrow leases. Every non-home fragment of an Aggregate VM is a
 //     first-class lease of the lender node's capacity. The lender can
 //     reclaim: under ReclaimConsolidate the borrower's vCPUs migrate to
@@ -44,7 +44,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/balloon"
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/reliable"
@@ -167,7 +166,7 @@ type Config struct {
 	// detection).
 	HeartbeatEvery sim.Time
 	// Horizon stops periodic ticks from rescheduling past this time so
-	// the event queue can drain (0 = tick until Stop is called).
+	// the event queue can drain (0 = tick for as long as the world runs).
 	Horizon sim.Time
 	// Fault, when set, is the liveness source for the heartbeat. The
 	// heartbeat judges nodes with the injector's quorum reachability
@@ -251,7 +250,7 @@ func (s Stats) MeanSlowdown() float64 {
 }
 
 // liveMove is deferred data-plane work: a vCPU migration the accounting
-// already committed, to be executed on bound/hooked live VMs.
+// already committed, to be executed on a bound live VM.
 type liveMove struct {
 	vm, from, to, n int
 }
@@ -266,24 +265,10 @@ type Fleet struct {
 	freeMem []int64
 	down    []bool
 
-	placements map[int]sched.Placement
-	reqs       map[int]Request
-	home       map[int]int
-	endAt      map[int]sim.Time
-	timers     map[int]*sim.Timer
-	queuedAt   map[int]sim.Time
-
-	// Balloon accounting (ReclaimResize). The ledger counts vCPU
-	// quanta — memory follows at each request's memPerCPU — so balloon
-	// conservation is CPU conservation. Work accounting turns resize
-	// into slowdown: a VM with resident r of p provisioned vCPUs
-	// progresses at rate r/p, and its departure timer is re-armed from
-	// the exact integer work remaining whenever r changes.
-	ballooned  *balloon.Ledger
-	startAt    map[int]sim.Time // admission commit time, for slowdown
-	workNeeded map[int]int64    // Duration x provisioned vCPUs (work units)
-	workDone   map[int]int64    // accrued elapsed x resident vCPUs
-	lastAccrue map[int]sim.Time // when workDone was last brought current
+	// vms holds one record per admitted VM; queuedAt keys requests by
+	// when they first waited, until they are admitted.
+	vms      map[int]*vmRec
+	queuedAt map[int]sim.Time
 
 	// leases is the append-only ledger of every lease ever granted;
 	// live holds the outstanding ones (not yet released), in grant
@@ -302,16 +287,31 @@ type Fleet struct {
 	// books appends an Event (see log), so a log that has not grown since
 	// means books that have not changed.
 	verified int
+}
 
-	bound map[int]*binding
+// vmRec is one admitted VM: its request, where it runs, its balloon and
+// work accounting, its departure, and its live binding.
+//
+// Balloon accounting (ReclaimResize) counts vCPU quanta — memory
+// follows at the request's memPerCPU — so balloon conservation is CPU
+// conservation: the placed vCPUs plus ballooned equal req.VCPUs. Work
+// accounting turns resize into slowdown: a VM with resident r of p
+// provisioned vCPUs progresses at rate r/p, and its departure timer is
+// re-armed from the exact integer work remaining whenever r changes.
+type vmRec struct {
+	req       Request
+	pl        sched.Placement
+	home      int
+	ballooned int64
 
-	stopped          bool
-	hbTimer, rbTimer *sim.Timer
+	startAt    sim.Time // admission commit time, for slowdown
+	lastAccrue sim.Time // when workDone was last brought current
+	workNeeded int64    // Duration x provisioned vCPUs (timed VMs only)
+	workDone   int64    // accrued elapsed x resident vCPUs
 
-	// OnMigrate, when set, runs for every committed vCPU move so an
-	// external live Aggregate VM can execute it (runs in a fleet process;
-	// see also Bind for the built-in integration).
-	OnMigrate func(p *sim.Proc, vmID, from, to, n int)
+	endAt sim.Time   // departure deadline (timed VMs only)
+	timer *sim.Timer // departure timer (timed VMs only)
+	bound *binding   // live Aggregate VM, or nil
 }
 
 // New creates a fleet over an idle cluster and arms its periodic ticks.
@@ -323,24 +323,14 @@ func New(env *sim.Env, cfg Config) *Fleet {
 		panic("fleet: config needs per-node memory")
 	}
 	f := &Fleet{
-		env:        env,
-		cfg:        cfg,
-		tr:         trace.FromEnv(env),
-		freeCPU:    make([]int, cfg.Nodes),
-		freeMem:    make([]int64, cfg.Nodes),
-		down:       make([]bool, cfg.Nodes),
-		placements: map[int]sched.Placement{},
-		reqs:       map[int]Request{},
-		home:       map[int]int{},
-		endAt:      map[int]sim.Time{},
-		timers:     map[int]*sim.Timer{},
-		queuedAt:   map[int]sim.Time{},
-		ballooned:  balloon.NewLedger(),
-		startAt:    map[int]sim.Time{},
-		workNeeded: map[int]int64{},
-		workDone:   map[int]int64{},
-		lastAccrue: map[int]sim.Time{},
-		bound:      map[int]*binding{},
+		env:      env,
+		cfg:      cfg,
+		tr:       trace.FromEnv(env),
+		freeCPU:  make([]int, cfg.Nodes),
+		freeMem:  make([]int64, cfg.Nodes),
+		down:     make([]bool, cfg.Nodes),
+		vms:      map[int]*vmRec{},
+		queuedAt: map[int]sim.Time{},
 	}
 	for i := range f.freeCPU {
 		f.freeCPU[i] = cfg.CPUsPerNode
@@ -351,31 +341,17 @@ func New(env *sim.Env, cfg Config) *Fleet {
 	return f
 }
 
-// Env returns the simulation environment the fleet runs in.
-func (f *Fleet) Env() *sim.Env { return f.env }
-
-// Stop cancels the periodic ticks so the event queue can drain.
-func (f *Fleet) Stop() {
-	f.stopped = true
-	if f.hbTimer != nil {
-		f.hbTimer.Cancel()
-	}
-	if f.rbTimer != nil {
-		f.rbTimer.Cancel()
-	}
-}
-
 // FreeCPU returns a copy of the per-node free-vCPU vector.
 func (f *Fleet) FreeCPU() []int { return append([]int(nil), f.freeCPU...) }
 
 // PlacementOf returns a copy of a VM's current placement (nil if absent).
 func (f *Fleet) PlacementOf(vmID int) sched.Placement {
-	pl, ok := f.placements[vmID]
-	if !ok {
+	rec := f.vms[vmID]
+	if rec == nil {
 		return nil
 	}
-	out := make(sched.Placement, len(pl))
-	for n, c := range pl {
+	out := make(sched.Placement, len(rec.pl))
+	for n, c := range rec.pl {
 		out[n] = c
 	}
 	return out
@@ -389,9 +365,6 @@ func (f *Fleet) Stats() Stats { return f.stats }
 
 // QueueWaits returns every completed queue wait, in admission order.
 func (f *Fleet) QueueWaits() []sim.Time { return append([]sim.Time(nil), f.waits...) }
-
-// QueueLen returns the number of requests currently waiting.
-func (f *Fleet) QueueLen() int { return len(f.waiting) }
 
 // Snapshot is a point-in-time fleet observation, for utilization and
 // fragmentation timelines.
@@ -414,7 +387,7 @@ func (f *Fleet) Snapshot() Snapshot {
 		T:        f.env.Now(),
 		FreeCPU:  f.FreeCPU(),
 		QueueLen: len(f.waiting),
-		Running:  len(f.placements),
+		Running:  len(f.vms),
 	}
 	for n := 0; n < f.cfg.Nodes; n++ {
 		if f.down[n] {
@@ -435,9 +408,10 @@ func (f *Fleet) Snapshot() Snapshot {
 }
 
 // log appends one Event to the decision log. Every write to the books
-// (free vectors, down, placements, home, the waiting queue, the lease
-// ledger, the balloon ledger) must append an Event in the same step:
-// verify skips its scan while the log length is unchanged.
+// (free vectors, down, the waiting queue, the lease ledger, and the
+// placement, home and balloon of a VM's record) must append an Event in
+// the same step: verify skips its scan while the log length is
+// unchanged.
 func (f *Fleet) log(kind string, vm, from, to, n, lease int) {
 	f.events = append(f.events, Event{T: f.env.Now(), Kind: kind, VM: vm, From: from, To: to, N: n, Lease: lease})
 	if f.tr != nil {
@@ -563,7 +537,7 @@ func (f *Fleet) tryAdmit(r Request) bool {
 
 // commit applies a gang placement atomically and schedules the departure.
 func (f *Fleet) commit(r Request, pl sched.Placement, kind string) {
-	if _, dup := f.placements[r.ID]; dup {
+	if f.vms[r.ID] != nil {
 		panic(fmt.Sprintf("fleet: VM %d admitted twice", r.ID))
 	}
 	mpc := r.memPerCPU()
@@ -575,11 +549,11 @@ func (f *Fleet) commit(r Request, pl sched.Placement, kind string) {
 		f.freeCPU[n] -= c
 		f.freeMem[n] -= int64(c) * mpc
 	}
-	f.placements[r.ID] = pl
-	f.reqs[r.ID] = r
-	f.home[r.ID] = homeOf(pl)
+	now := f.env.Now()
+	rec := &vmRec{req: r, pl: pl, home: homeOf(pl), startAt: now, lastAccrue: now}
+	f.vms[r.ID] = rec
 	if qa, ok := f.queuedAt[r.ID]; ok {
-		f.waits = append(f.waits, f.env.Now()-qa)
+		f.waits = append(f.waits, now-qa)
 		delete(f.queuedAt, r.ID)
 		f.log("dequeue", r.ID, -1, -1, r.VCPUs, -1)
 	}
@@ -596,16 +570,12 @@ func (f *Fleet) commit(r Request, pl sched.Placement, kind string) {
 		}
 		f.log(kind, r.ID, -1, -1, r.VCPUs, -1)
 	}
-	f.ballooned.Provision(r.ID, int64(r.VCPUs))
-	f.startAt[r.ID] = f.env.Now()
-	f.lastAccrue[r.ID] = f.env.Now()
 	if r.Duration > 0 {
-		f.workNeeded[r.ID] = int64(r.Duration) * int64(r.VCPUs)
-		f.workDone[r.ID] = 0
-		f.endAt[r.ID] = f.env.Now() + r.Duration
-		f.timers[r.ID] = f.env.After(r.Duration, func() { f.depart(r.ID) })
+		rec.workNeeded = int64(r.Duration) * int64(r.VCPUs)
+		rec.endAt = now + r.Duration
+		rec.timer = f.env.After(r.Duration, func() { f.depart(r.ID) })
 	}
-	f.syncLeases(r.ID)
+	f.syncLeases(rec)
 }
 
 func (f *Fleet) depart(vmID int) {
@@ -621,40 +591,31 @@ func (f *Fleet) depart(vmID int) {
 // running VM down, so their departures contribute exactly 1.0; resized
 // VMs stretch their work out and contribute > 1.0.
 func (f *Fleet) finishStats(vmID int) {
-	r, ok := f.reqs[vmID]
-	if !ok || r.Duration <= 0 {
+	rec := f.vms[vmID]
+	if rec == nil || rec.req.Duration <= 0 {
 		return
 	}
-	f.accrueWork(vmID)
+	f.accrueWork(rec)
 	f.stats.TimedFinishes++
-	f.stats.SlowdownSum += float64(f.env.Now()-f.startAt[vmID]) / float64(r.Duration)
+	f.stats.SlowdownSum += float64(f.env.Now()-rec.startAt) / float64(rec.req.Duration)
 }
 
 // release frees every resource a VM holds and drops its leases.
 func (f *Fleet) release(vmID int) {
-	pl, ok := f.placements[vmID]
-	if !ok {
+	rec := f.vms[vmID]
+	if rec == nil {
 		panic(fmt.Sprintf("fleet: release of unknown VM %d", vmID))
 	}
-	mpc := f.reqs[vmID].memPerCPU()
-	for _, n := range pl.Nodes() {
+	mpc := rec.req.memPerCPU()
+	for _, n := range rec.pl.Nodes() {
 		if !f.down[n] {
-			f.freeCPU[n] += pl[n]
-			f.freeMem[n] += int64(pl[n]) * mpc
+			f.freeCPU[n] += rec.pl[n]
+			f.freeMem[n] += int64(rec.pl[n]) * mpc
 		}
 	}
-	delete(f.placements, vmID)
-	delete(f.reqs, vmID)
-	delete(f.home, vmID)
-	delete(f.endAt, vmID)
-	f.ballooned.Remove(vmID)
-	delete(f.startAt, vmID)
-	delete(f.workNeeded, vmID)
-	delete(f.workDone, vmID)
-	delete(f.lastAccrue, vmID)
-	if tm, ok := f.timers[vmID]; ok {
-		tm.Cancel()
-		delete(f.timers, vmID)
+	delete(f.vms, vmID)
+	if rec.timer != nil {
+		rec.timer.Cancel()
 	}
 	// Releases shrink live: gather the VM's leases, then release them
 	// in grant order.
@@ -700,8 +661,8 @@ func (f *Fleet) drainQueue() {
 // a move never lands where the moved vCPUs' memory share cannot follow.
 func (f *Fleet) consolidateAll() []liveMove {
 	var ids []int
-	for id, pl := range f.placements {
-		if len(pl) > 1 {
+	for id, rec := range f.vms {
+		if len(rec.pl) > 1 {
 			ids = append(ids, id)
 		}
 	}
@@ -712,31 +673,36 @@ func (f *Fleet) consolidateAll() []liveMove {
 		eff = make([]int, f.cfg.Nodes)
 	}
 	for _, id := range ids {
-		pl := f.placements[id]
-		f.fillEffective(eff, f.reqs[id].memPerCPU())
-		moves := sched.ConsolidationMoves(eff, f.cfg.CPUsPerNode, pl, f.cfg.Policy, f.cfg.Distance)
+		rec := f.vms[id]
+		f.fillEffective(eff, rec.req.memPerCPU())
+		moves := sched.ConsolidationMoves(eff, f.cfg.CPUsPerNode, rec.pl, f.cfg.Policy, f.cfg.Distance)
 		for _, m := range moves {
-			if !f.moveAccounting(id, m.From, m.To, m.N) {
+			if !f.moveAccounting(rec, m.From, m.To, m.N) {
 				break
 			}
 			work = append(work, liveMove{id, m.From, m.To, m.N})
 		}
-		f.syncLeases(id)
-		if len(f.placements[id]) == 1 {
-			f.stats.Handbacks++
-			f.log("handback", id, -1, f.placements[id].Nodes()[0], 0, -1)
-		}
+		f.settle(rec)
 	}
 	return work
+}
+
+// settle re-syncs a VM's leases after its placement changed and, when
+// the VM now runs on one node, hands it back to plain best fit.
+func (f *Fleet) settle(rec *vmRec) {
+	f.syncLeases(rec)
+	if len(rec.pl) == 1 {
+		f.stats.Handbacks++
+		f.log("handback", rec.req.ID, -1, rec.pl.Nodes()[0], 0, -1)
+	}
 }
 
 // moveAccounting commits one vCPU move (CPU and memory share) in the
 // control plane's books. It refuses moves the current state no longer
 // supports and reports whether it applied.
-func (f *Fleet) moveAccounting(vmID, from, to, n int) bool {
-	pl := f.placements[vmID]
-	mpc := f.reqs[vmID].memPerCPU()
-	if pl == nil || pl[from] < n || f.down[to] ||
+func (f *Fleet) moveAccounting(rec *vmRec, from, to, n int) bool {
+	pl, mpc := rec.pl, rec.req.memPerCPU()
+	if pl[from] < n || f.down[to] ||
 		f.freeCPU[to] < n || f.freeMem[to] < int64(n)*mpc {
 		return false
 	}
@@ -752,27 +718,34 @@ func (f *Fleet) moveAccounting(vmID, from, to, n int) bool {
 		delete(pl, from)
 	}
 	f.stats.Migrations += n
-	f.log("migrate", vmID, from, to, n, -1)
+	f.log("migrate", rec.req.ID, from, to, n, -1)
 	return true
 }
 
-// runLive executes committed moves on live VMs (bound or hooked) in a
-// fleet process; the control plane's books are already up to date, the
-// data plane converges at real migration latency.
+// runLive executes the committed moves of bound VMs on their live
+// Aggregate VMs in a fleet process; the control plane's books are
+// already up to date, the data plane converges at real migration
+// latency.
 func (f *Fleet) runLive(work []liveMove) {
-	if len(work) == 0 || (f.OnMigrate == nil && len(f.bound) == 0) {
+	if !slices.ContainsFunc(work, func(w liveMove) bool { return f.bindingOf(w.vm) != nil }) {
 		return
 	}
 	f.env.Spawn("fleet-live", func(p *sim.Proc) {
 		for _, w := range work {
-			if b := f.bound[w.vm]; b != nil {
+			if b := f.bindingOf(w.vm); b != nil {
 				b.migrate(p, w.from, w.to, w.n)
-			}
-			if f.OnMigrate != nil {
-				f.OnMigrate(p, w.vm, w.from, w.to, w.n)
 			}
 		}
 	})
+}
+
+// bindingOf returns a VM's live binding, or nil when the VM is unbound
+// or gone.
+func (f *Fleet) bindingOf(vmID int) *binding {
+	if rec := f.vms[vmID]; rec != nil {
+		return rec.bound
+	}
+	return nil
 }
 
 // armRebalance schedules the periodic defragmentation tick.
@@ -780,11 +753,7 @@ func (f *Fleet) armRebalance() {
 	if f.cfg.RebalanceEvery <= 0 {
 		return
 	}
-	var tick func()
-	tick = func() {
-		if f.stopped {
-			return
-		}
+	f.every(f.cfg.RebalanceEvery, func() {
 		work := f.consolidateAll()
 		if len(work) > 0 {
 			f.stats.Rebalances++
@@ -794,17 +763,21 @@ func (f *Fleet) armRebalance() {
 		f.drainQueue()
 		f.deflateAll()
 		f.verify()
-		f.rbTimer = f.reschedule(f.cfg.RebalanceEvery, tick)
-	}
-	f.rbTimer = f.env.After(f.cfg.RebalanceEvery, tick)
+	})
 }
 
-// reschedule arms the next periodic tick unless it would pass the horizon.
-func (f *Fleet) reschedule(every sim.Time, tick func()) *sim.Timer {
-	if f.stopped || (f.cfg.Horizon > 0 && f.env.Now()+every > f.cfg.Horizon) {
-		return nil
+// every runs tick each period, first one period from now, and stops
+// rescheduling once the next run would pass the horizon.
+func (f *Fleet) every(period sim.Time, tick func()) {
+	var loop func()
+	loop = func() {
+		tick()
+		if f.cfg.Horizon > 0 && f.env.Now()+period > f.cfg.Horizon {
+			return
+		}
+		f.env.Defer(period, loop)
 	}
-	return f.env.After(every, tick)
+	f.env.Defer(period, loop)
 }
 
 // homeOf picks a placement's home fragment: the largest, lowest node id

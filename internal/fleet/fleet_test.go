@@ -344,6 +344,27 @@ func TestNodeFailureRestartsFragments(t *testing.T) {
 	f.Verify()
 }
 
+// TestBindNeedsImageUnderFailureDetection: a bound VM whose node dies
+// restores from its checkpoint, so a fleet with a failure detector
+// refuses a binding without one.
+func TestBindNeedsImageUnderFailureDetection(t *testing.T) {
+	env := sim.NewEnv()
+	c := cluster.NewDefault(env, 2)
+	cfg := ClusterConfig(c, sched.MinFrag)
+	cfg.Fault = fault.New(c)
+	cfg.HeartbeatEvery = 100 * sim.Millisecond
+	cfg.Horizon = sim.Second
+	f := New(env, cfg)
+	f.Submit([]Request{{ID: 1, VCPUs: 2, MemBytes: gig, Arrival: 0}})
+	env.RunUntil(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("binding without a checkpoint under failure detection should panic")
+		}
+	}()
+	f.Bind(1, nil, nil)
+}
+
 // TestLinkCutNodeDownAndRejoin is the partition-blindness regression:
 // a node whose host links are cut never crashes, but the quorum
 // reachability view must still declare it down — fragments restart on

@@ -77,16 +77,12 @@ func (f *Fleet) Leases() []Lease {
 // syncLeases reconciles the lease ledger with a VM's placement: the home
 // fragment (sticky; re-elected only when it disappears) carries no lease,
 // every other fragment exactly one.
-func (f *Fleet) syncLeases(vmID int) {
-	pl, ok := f.placements[vmID]
-	if !ok {
-		return
+func (f *Fleet) syncLeases(rec *vmRec) {
+	pl, vmID, mpc := rec.pl, rec.req.ID, rec.req.memPerCPU()
+	if pl[rec.home] == 0 {
+		rec.home = homeOf(pl)
 	}
-	h := f.home[vmID]
-	if pl[h] == 0 {
-		h = homeOf(pl)
-		f.home[vmID] = h
-	}
+	h := rec.home
 	// Releases shrink live, so the stale leases are gathered first and
 	// released afterwards, still in grant order.
 	var buf [4]*Lease
@@ -100,7 +96,7 @@ func (f *Fleet) syncLeases(vmID int) {
 			continue
 		}
 		l.CPUs = pl[l.Node]
-		l.MemBytes = int64(pl[l.Node]) * f.reqs[vmID].memPerCPU()
+		l.MemBytes = int64(pl[l.Node]) * mpc
 		covered++
 	}
 	for _, l := range stale {
@@ -118,7 +114,7 @@ func (f *Fleet) syncLeases(vmID int) {
 			VM:       vmID,
 			Node:     n,
 			CPUs:     pl[n],
-			MemBytes: int64(pl[n]) * f.reqs[vmID].memPerCPU(),
+			MemBytes: int64(pl[n]) * mpc,
 			State:    LeaseActive,
 			Granted:  f.env.Now(),
 		}
@@ -186,7 +182,7 @@ func (f *Fleet) Reclaim(node int) {
 	var work []liveMove
 	for _, l := range f.activeLeasesOn(node) {
 		pol := f.cfg.Reclaim
-		if pol == ReclaimResize && f.bound[l.VM] != nil {
+		if pol == ReclaimResize && f.vms[l.VM].bound != nil {
 			// A live Aggregate VM cannot shrink its vCPU set in place;
 			// fall back to consolidation for bound borrowers.
 			pol = ReclaimConsolidate
@@ -255,29 +251,24 @@ func (f *Fleet) retryReclaims() []liveMove {
 // VM's existing slices, then onto any other capacity (which may grant new
 // leases). All-or-nothing; reports whether it happened.
 func (f *Fleet) relocate(vmID, src int) ([]liveMove, bool) {
-	pl := f.placements[vmID]
-	if pl == nil || pl[src] == 0 {
+	rec := f.vms[vmID]
+	if rec == nil || rec.pl[src] == 0 {
 		return nil, true // fragment already gone
 	}
-	k := pl[src]
-	eff := f.effective(f.reqs[vmID].memPerCPU())
+	eff := f.effective(rec.req.memPerCPU())
 	eff[src] = 0
-	target, ok := f.placeFragment(eff, pl, src, k)
+	target, ok := f.placeFragment(eff, rec.pl, src, rec.pl[src])
 	if !ok {
 		return nil, false
 	}
 	var work []liveMove
 	for _, dst := range target.Nodes() {
-		if !f.moveAccounting(vmID, src, dst, target[dst]) {
+		if !f.moveAccounting(rec, src, dst, target[dst]) {
 			panic(fmt.Sprintf("fleet: planned relocation of VM %d from node %d went stale", vmID, src))
 		}
 		work = append(work, liveMove{vmID, src, dst, target[dst]})
 	}
-	f.syncLeases(vmID)
-	if len(f.placements[vmID]) == 1 {
-		f.stats.Handbacks++
-		f.log("handback", vmID, -1, f.placements[vmID].Nodes()[0], 0, -1)
-	}
+	f.settle(rec)
 	return work, true
 }
 
@@ -364,7 +355,7 @@ func (f *Fleet) reclaimFor(r Request) bool {
 // Aggregate VM.
 func (f *Fleet) anyBound(node int) bool {
 	for _, l := range f.activeLeasesOn(node) {
-		if f.bound[l.VM] != nil {
+		if f.vms[l.VM].bound != nil {
 			return true
 		}
 	}
@@ -386,20 +377,20 @@ func (f *Fleet) relocateAllFrom(node int) (relocationPlan, bool) {
 	leases := f.activeLeasesOn(node)
 	type planned struct {
 		l      *Lease
+		rec    *vmRec
 		target sched.Placement
 	}
 	var plans []planned
 	for _, l := range leases {
-		pl := f.placements[l.VM]
-		k := pl[node]
-		mpc := f.reqs[l.VM].memPerCPU()
+		rec := f.vms[l.VM]
+		mpc := rec.req.memPerCPU()
 		eff := make([]int, f.cfg.Nodes)
 		for i := range eff {
 			if !f.down[i] && i != node {
 				eff[i] = f.effCap(scratchCPU[i], scratchMem[i], mpc)
 			}
 		}
-		target, ok := f.placeFragment(eff, pl, node, k)
+		target, ok := f.placeFragment(eff, rec.pl, node, rec.pl[node])
 		if !ok {
 			return relocationPlan{}, false
 		}
@@ -407,21 +398,17 @@ func (f *Fleet) relocateAllFrom(node int) (relocationPlan, bool) {
 			scratchCPU[dst] -= target[dst]
 			scratchMem[dst] -= int64(target[dst]) * mpc
 		}
-		plans = append(plans, planned{l, target})
+		plans = append(plans, planned{l, rec, target})
 	}
 	var out relocationPlan
 	for _, p := range plans {
 		for _, dst := range p.target.Nodes() {
-			if !f.moveAccounting(p.l.VM, node, dst, p.target[dst]) {
+			if !f.moveAccounting(p.rec, node, dst, p.target[dst]) {
 				panic(fmt.Sprintf("fleet: atomic relocation plan for node %d went stale", node))
 			}
 			out.moves = append(out.moves, liveMove{p.l.VM, node, dst, p.target[dst]})
 		}
-		f.syncLeases(p.l.VM)
-		if len(f.placements[p.l.VM]) == 1 {
-			f.stats.Handbacks++
-			f.log("handback", p.l.VM, -1, f.placements[p.l.VM].Nodes()[0], 0, -1)
-		}
+		f.settle(p.rec)
 		out.done = append(out.done, p.l)
 	}
 	return out, true
@@ -430,10 +417,11 @@ func (f *Fleet) relocateAllFrom(node int) (relocationPlan, bool) {
 // evictVM kills a borrower: the baseline behavior the paper argues
 // against. Its resources return to the lenders; it is not re-queued.
 func (f *Fleet) evictVM(vmID int) {
-	if _, ok := f.placements[vmID]; !ok {
+	rec := f.vms[vmID]
+	if rec == nil {
 		return
 	}
-	if f.bound[vmID] != nil {
+	if rec.bound != nil {
 		panic(fmt.Sprintf("fleet: refusing to evict VM %d bound to a live Aggregate VM", vmID))
 	}
 	f.release(vmID)

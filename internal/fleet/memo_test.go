@@ -22,9 +22,10 @@ const (
 )
 
 // booksPrint appends to fp a fingerprint of everything verify reads: the
-// free vectors, down, every placement in node order with its home and
-// ballooned vCPUs, the waiting IDs in queue order, the lease ledger's
-// (ID, State, CPUs), and the outstanding-lease index's IDs in order.
+// free vectors, down, every VM record (its ID, provisioned vCPUs and
+// memory, home, ballooned vCPUs, and placement in node order), the
+// waiting IDs in queue order, the lease ledger's (ID, State, CPUs), and
+// the outstanding-lease index's IDs in order.
 func booksPrint(f *Fleet, fp []int64) []int64 {
 	for n := range f.freeCPU {
 		down := int64(0)
@@ -33,13 +34,14 @@ func booksPrint(f *Fleet, fp []int64) []int64 {
 		}
 		fp = append(fp, int64(f.freeCPU[n]), f.freeMem[n], down)
 	}
-	ids := sortedVMs(f.placements)
+	ids := sortedVMs(f.vms)
 	fp = append(fp, int64(len(ids)))
 	for _, id := range ids {
-		pl := f.placements[id]
-		fp = append(fp, int64(id), int64(f.home[id]), f.ballooned.Ballooned(id), int64(len(pl)))
+		rec := f.vms[id]
+		fp = append(fp, int64(id), int64(rec.req.VCPUs), rec.req.MemBytes,
+			int64(rec.home), rec.ballooned, int64(len(rec.pl)))
 		for n := range f.freeCPU {
-			if c, ok := pl[n]; ok {
+			if c, ok := rec.pl[n]; ok {
 				fp = append(fp, int64(n), int64(c))
 			}
 		}

@@ -17,9 +17,9 @@ import (
 )
 
 // residentCPU returns a VM's currently placed vCPUs.
-func (f *Fleet) residentCPU(vmID int) int64 {
+func (rec *vmRec) residentCPU() int64 {
 	var resident int64
-	for _, c := range f.placements[vmID] {
+	for _, c := range rec.pl {
 		resident += int64(c)
 	}
 	return resident
@@ -31,24 +31,18 @@ func (f *Fleet) residentCPU(vmID int) int64 {
 // any resident-size change, so each interval is charged at the rate that
 // actually held during it. Integer arithmetic throughout — two runs with
 // the same seed accrue bit-identically.
-func (f *Fleet) accrueWork(vmID int) {
-	last, ok := f.lastAccrue[vmID]
-	if !ok {
-		return
-	}
+func (f *Fleet) accrueWork(rec *vmRec) {
 	now := f.env.Now()
-	if now == last {
+	if now == rec.lastAccrue {
 		return
 	}
-	f.lastAccrue[vmID] = now
-	elapsed := int64(now - last)
-	prov := int64(f.reqs[vmID].VCPUs)
-	res := prov - f.ballooned.Ballooned(vmID)
-	if res < prov {
-		f.stats.BalloonedTime += sim.Time(elapsed * (prov - res))
+	elapsed := int64(now - rec.lastAccrue)
+	rec.lastAccrue = now
+	if rec.ballooned > 0 {
+		f.stats.BalloonedTime += sim.Time(elapsed * rec.ballooned)
 	}
-	if _, timed := f.workNeeded[vmID]; timed {
-		f.workDone[vmID] += elapsed * res
+	if rec.req.Duration > 0 {
+		rec.workDone += elapsed * (int64(rec.req.VCPUs) - rec.ballooned)
 	}
 }
 
@@ -56,26 +50,20 @@ func (f *Fleet) accrueWork(vmID int) {
 // still owes at its current resident size: delay = ceil(remaining /
 // resident). At full size this reduces to the original Duration timer.
 // Work must already be accrued to now.
-func (f *Fleet) rearmDeparture(vmID int) {
-	need, ok := f.workNeeded[vmID]
-	if !ok {
+func (f *Fleet) rearmDeparture(rec *vmRec) {
+	if rec.req.Duration <= 0 {
 		return
 	}
-	rem := need - f.workDone[vmID]
-	if rem < 0 {
-		rem = 0
-	}
-	res := f.residentCPU(vmID)
+	rem := max(rec.workNeeded-rec.workDone, 0)
+	res := rec.residentCPU()
 	if res <= 0 {
-		panic(fmt.Sprintf("fleet: VM %d resized to zero resident vCPUs", vmID))
+		panic(fmt.Sprintf("fleet: VM %d resized to zero resident vCPUs", rec.req.ID))
 	}
 	delay := sim.Time((rem + res - 1) / res)
-	if tm := f.timers[vmID]; tm != nil {
-		tm.Cancel()
-	}
-	f.endAt[vmID] = f.env.Now() + delay
-	id := vmID
-	f.timers[vmID] = f.env.After(delay, func() { f.depart(id) })
+	rec.timer.Cancel()
+	rec.endAt = f.env.Now() + delay
+	id := rec.req.ID
+	rec.timer = f.env.After(delay, func() { f.depart(id) })
 }
 
 // balloonLease resolves a reclaim by inflating the borrower's balloon:
@@ -83,25 +71,43 @@ func (f *Fleet) rearmDeparture(vmID int) {
 // VM shrinks. Never defers and never fails — that immediacy is the
 // policy's selling point; the slowdown is its price.
 func (f *Fleet) balloonLease(l *Lease) {
-	vmID, node := l.VM, l.Node
-	pl := f.placements[vmID]
-	k := pl[node]
+	rec, node := f.vms[l.VM], l.Node
+	k := rec.pl[node]
 	if k == 0 {
 		return
 	}
-	f.accrueWork(vmID)
-	mpc := f.reqs[vmID].memPerCPU()
+	f.accrueWork(rec)
+	mpc := rec.req.memPerCPU()
 	if !f.down[node] {
 		f.freeCPU[node] += k
 		f.freeMem[node] += int64(k) * mpc
 	}
-	delete(pl, node)
-	f.ballooned.Inflate(vmID, int64(k))
+	delete(rec.pl, node)
+	rec.inflate(int64(k))
 	f.stats.Inflations++
 	f.stats.InflatedVCPUs += k
-	f.log("inflate", vmID, node, -1, k, l.ID)
-	f.syncLeases(vmID) // releases the now-fragmentless lease
-	f.rearmDeparture(vmID)
+	f.log("inflate", l.VM, node, -1, k, l.ID)
+	f.syncLeases(rec) // releases the now-fragmentless lease
+	f.rearmDeparture(rec)
+}
+
+// inflate pins k of the VM's vCPUs into its balloon. The balloon can
+// never hold more than the VM was provisioned.
+func (rec *vmRec) inflate(k int64) {
+	if k < 0 || rec.ballooned+k > int64(rec.req.VCPUs) {
+		panic(fmt.Sprintf("fleet: inflating VM %d by %d exceeds provisioned %d (ballooned %d)",
+			rec.req.ID, k, rec.req.VCPUs, rec.ballooned))
+	}
+	rec.ballooned += k
+}
+
+// deflate returns k vCPUs from the VM's balloon. Deflating more than is
+// pinned panics.
+func (rec *vmRec) deflate(k int64) {
+	if k < 0 || k > rec.ballooned {
+		panic(fmt.Sprintf("fleet: deflating VM %d by %d exceeds ballooned %d", rec.req.ID, k, rec.ballooned))
+	}
+	rec.ballooned -= k
 }
 
 // deflateAll re-inflates resized VMs: every ballooned vCPU the current
@@ -115,14 +121,14 @@ func (f *Fleet) deflateAll() {
 		return
 	}
 	var ids []int
-	for id := range f.placements {
-		if f.ballooned.Ballooned(id) > 0 {
+	for id, rec := range f.vms {
+		if rec.ballooned > 0 {
 			ids = append(ids, id)
 		}
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		f.deflateVM(id)
+		f.deflateVM(f.vms[id])
 	}
 }
 
@@ -130,40 +136,35 @@ func (f *Fleet) deflateAll() {
 // all-or-nothing per attempt: try the full balloon first, then the
 // largest placeable remainder. Partial deflation is normal — the rest
 // stays ballooned until more capacity frees up.
-func (f *Fleet) deflateVM(vmID int) {
-	b := f.ballooned.Ballooned(vmID)
-	mpc := f.reqs[vmID].memPerCPU()
+func (f *Fleet) deflateVM(rec *vmRec) {
+	mpc := rec.req.memPerCPU()
 	eff := f.effective(mpc)
 	var room int64
 	for _, e := range eff {
 		room += int64(e)
 	}
-	k := b
-	if room < k {
-		k = room
-	}
-	pl := f.placements[vmID]
-	for ; k > 0; k-- {
+	pl := rec.pl
+	for k := min(rec.ballooned, room); k > 0; k-- {
 		target, ok := f.placeFragment(eff, pl, -1, int(k))
 		if !ok {
 			continue
 		}
-		f.accrueWork(vmID)
+		f.accrueWork(rec)
 		for _, dst := range target.Nodes() {
 			c := target[dst]
 			if f.down[dst] || f.freeCPU[dst] < c || f.freeMem[dst] < int64(c)*mpc {
-				panic(fmt.Sprintf("fleet: deflation placement of VM %d went stale", vmID))
+				panic(fmt.Sprintf("fleet: deflation placement of VM %d went stale", rec.req.ID))
 			}
 			f.freeCPU[dst] -= c
 			f.freeMem[dst] -= int64(c) * mpc
 			pl[dst] += c
 		}
-		f.ballooned.Deflate(vmID, k)
+		rec.deflate(k)
 		f.stats.Deflations++
 		f.stats.DeflatedVCPUs += int(k)
-		f.log("deflate", vmID, -1, -1, int(k), -1)
-		f.syncLeases(vmID)
-		f.rearmDeparture(vmID)
+		f.log("deflate", rec.req.ID, -1, -1, int(k), -1)
+		f.syncLeases(rec)
+		f.rearmDeparture(rec)
 		return
 	}
 }

@@ -10,8 +10,6 @@ package fleet
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/sched"
 )
 
 // ViolationClass names one conservation invariant of the fleet control
@@ -25,11 +23,8 @@ const (
 	VCPUBooks ViolationClass = "cpu-books"
 	// VMemBooks: a node's free+used memory does not equal its capacity.
 	VMemBooks ViolationClass = "mem-books"
-	// VBalloonLedger: the balloon ledger is internally inconsistent or
-	// holds a VM the placement table does not know.
-	VBalloonLedger ViolationClass = "balloon-ledger"
-	// VBalloonBooks: a VM's resident+ballooned vCPUs do not equal its
-	// provisioned size.
+	// VBalloonBooks: a VM's balloon lies outside [0, provisioned], or
+	// its resident+ballooned vCPUs do not equal its provisioned size.
 	VBalloonBooks ViolationClass = "balloon-books"
 	// VLeaseDoubleBook: two active leases cover the same (VM, node).
 	VLeaseDoubleBook ViolationClass = "lease-double-book"
@@ -77,9 +72,9 @@ func (f *Fleet) VerifyReport() []Violation {
 	var vs violations
 	usedCPU := make([]int, f.cfg.Nodes)
 	usedMem := make([]int64, f.cfg.Nodes)
-	for id, pl := range f.placements {
-		mpc := f.reqs[id].memPerCPU()
-		for n, c := range pl {
+	for _, rec := range f.vms {
+		mpc := rec.req.memPerCPU()
+		for n, c := range rec.pl {
 			usedCPU[n] += c
 			usedMem[n] += int64(c) * mpc
 		}
@@ -100,23 +95,20 @@ func (f *Fleet) VerifyReport() []Violation {
 				n, f.freeMem[n], usedMem[n], f.cfg.MemPerNode)
 		}
 	}
-	// Balloon conservation: the ledger must be internally consistent,
-	// cover exactly the placed VMs, and every VM's resident vCPUs plus
-	// its ballooned vCPUs must equal its provisioned size, bit-exactly.
-	if err := f.ballooned.Verify(); err != nil {
-		vs.add(VBalloonLedger, -1, -1, -1, "%v", err)
-	}
-	for _, id := range f.ballooned.VMs() {
-		if _, placed := f.placements[id]; !placed {
-			vs.add(VBalloonLedger, -1, id, -1, "balloon ledger provisions VM %d which has no placement", id)
-		}
-	}
-	ids := sortedVMs(f.placements)
+	// Balloon conservation: every VM's balloon lies in [0, provisioned],
+	// and its resident vCPUs plus its ballooned vCPUs equal its
+	// provisioned size, bit-exactly.
+	ids := sortedVMs(f.vms)
 	for _, id := range ids {
-		resident := f.residentCPU(id)
-		if resident+f.ballooned.Ballooned(id) != int64(f.reqs[id].VCPUs) {
+		rec := f.vms[id]
+		prov, resident := int64(rec.req.VCPUs), rec.residentCPU()
+		switch {
+		case rec.ballooned < 0 || rec.ballooned > prov:
+			vs.add(VBalloonBooks, -1, id, -1, "VM %d balloon out of range: ballooned %d not in [0, %d]",
+				id, rec.ballooned, prov)
+		case resident+rec.ballooned != prov:
 			vs.add(VBalloonBooks, -1, id, -1, "VM %d balloon books broken: resident %d + ballooned %d != provisioned %d",
-				id, resident, f.ballooned.Ballooned(id), f.reqs[id].VCPUs)
+				id, resident, rec.ballooned, prov)
 		}
 	}
 	// Lease ledger: exactly one active lease per non-home fragment,
@@ -141,13 +133,13 @@ func (f *Fleet) VerifyReport() []Violation {
 				active[k].ID, l.ID, l.VM, l.Node)
 		}
 		active[k] = l
-		pl := f.placements[l.VM]
-		if pl == nil || pl[l.Node] == 0 || f.home[l.VM] == l.Node {
+		rec := f.vms[l.VM]
+		if rec == nil || rec.pl[l.Node] == 0 || rec.home == l.Node {
 			vs.add(VLeaseNoFragment, l.Node, l.VM, l.ID, "lease %d covers no fragment (VM %d node %d)", l.ID, l.VM, l.Node)
 			continue
 		}
-		if l.CPUs != pl[l.Node] {
-			vs.add(VLeaseCPUMismatch, l.Node, l.VM, l.ID, "lease %d books %d vCPUs, fragment has %d", l.ID, l.CPUs, pl[l.Node])
+		if l.CPUs != rec.pl[l.Node] {
+			vs.add(VLeaseCPUMismatch, l.Node, l.VM, l.ID, "lease %d books %d vCPUs, fragment has %d", l.ID, l.CPUs, rec.pl[l.Node])
 		}
 	}
 	if indexed && outstanding != len(f.live) {
@@ -158,7 +150,8 @@ func (f *Fleet) VerifyReport() []Violation {
 	var one [1]int
 	for _, id := range ids {
 		// Report in node order; a single-node placement needs no sort.
-		pl, nodes := f.placements[id], one[:0]
+		rec := f.vms[id]
+		pl, nodes := rec.pl, one[:0]
 		if len(pl) > 1 {
 			nodes = pl.Nodes()
 		} else {
@@ -167,7 +160,7 @@ func (f *Fleet) VerifyReport() []Violation {
 			}
 		}
 		for _, n := range nodes {
-			if n != f.home[id] && active[key{id, n}] == nil {
+			if n != rec.home && active[key{id, n}] == nil {
 				vs.add(VFragmentNoLease, n, id, -1, "fragment of VM %d on node %d has no lease", id, n)
 			}
 		}
@@ -188,10 +181,10 @@ func (f *Fleet) verify() {
 	f.verified = len(f.events)
 }
 
-// sortedVMs returns the placement table's VM ids in ascending order.
-func sortedVMs(pl map[int]sched.Placement) []int {
-	ids := make([]int, 0, len(pl))
-	for id := range pl {
+// sortedVMs returns the admitted VMs' ids in ascending order.
+func sortedVMs(vms map[int]*vmRec) []int {
+	ids := make([]int, 0, len(vms))
+	for id := range vms {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)

@@ -72,24 +72,52 @@ func TestViolationMemBooks(t *testing.T) {
 	wantOnly(t, f, VMemBooks)
 }
 
-func TestViolationBalloonLedger(t *testing.T) {
-	f := gangFleet(t)
-	f.ballooned.Provision(999, 4) // ledger entry with no placement
-	v := wantOnly(t, f, VBalloonLedger)
-	if v.VM != 999 {
-		t.Fatalf("violation VM = %d, want 999", v.VM)
-	}
+// TestViolationBalloonBooks: a balloon outside [0, provisioned] and a
+// balloon that no longer matches the placement are each reported once.
+func TestViolationBalloonBooks(t *testing.T) {
+	t.Run("mismatch", func(t *testing.T) {
+		f := gangFleet(t)
+		// Inflate behind the fleet's back: the balloon stays in range
+		// but resident+ballooned no longer matches provisioned.
+		f.vms[3].inflate(1)
+		v := wantOnly(t, f, VBalloonBooks)
+		if v.VM != 3 || !strings.Contains(v.Msg, "books broken") {
+			t.Fatalf("violation = %+v, want VM 3 books broken", v)
+		}
+	})
+	t.Run("out-of-range", func(t *testing.T) {
+		f := gangFleet(t)
+		f.vms[3].ballooned = -1
+		v := wantOnly(t, f, VBalloonBooks)
+		if v.VM != 3 || !strings.Contains(v.Msg, "out of range") {
+			t.Fatalf("violation = %+v, want VM 3 out of range", v)
+		}
+	})
 }
 
-func TestViolationBalloonBooks(t *testing.T) {
+// TestBalloonOverInflatePanics: a VM's balloon never holds more than
+// the VM was provisioned.
+func TestBalloonOverInflatePanics(t *testing.T) {
 	f := gangFleet(t)
-	// Inflate behind the fleet's back: the ledger stays internally
-	// consistent but resident+ballooned no longer matches provisioned.
-	f.ballooned.Inflate(3, 1)
-	v := wantOnly(t, f, VBalloonBooks)
-	if v.VM != 3 {
-		t.Fatalf("violation VM = %d, want 3", v.VM)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("inflating past provisioned should panic")
+		}
+	}()
+	f.vms[3].inflate(3)
+}
+
+// TestBalloonOverDeflatePanics: deflating returns at most what the
+// balloon holds.
+func TestBalloonOverDeflatePanics(t *testing.T) {
+	f := gangFleet(t)
+	f.vms[3].inflate(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("deflating past ballooned should panic")
+		}
+	}()
+	f.vms[3].deflate(2)
 }
 
 func TestViolationLeaseDoubleBook(t *testing.T) {

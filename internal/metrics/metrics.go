@@ -119,48 +119,6 @@ func (t *Table) MarshalJSON() ([]byte, error) {
 	}{t.Title, t.Headers, rows, notes})
 }
 
-// Series is a time series of (t, value) samples for trace figures.
-type Series struct {
-	Name string
-	T    []sim.Time
-	V    []float64
-}
-
-// Add appends a sample.
-func (s *Series) Add(t sim.Time, v float64) {
-	s.T = append(s.T, t)
-	s.V = append(s.V, v)
-}
-
-// Len returns the sample count.
-func (s *Series) Len() int { return len(s.V) }
-
-// Mean returns the arithmetic mean of the values (0 if empty).
-func (s *Series) Mean() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.V {
-		sum += v
-	}
-	return sum / float64(len(s.V))
-}
-
-// Min returns the smallest value (0 if empty).
-func (s *Series) Min() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	min := s.V[0]
-	for _, v := range s.V[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
 // Summary holds order statistics over a set of duration samples.
 type Summary struct {
 	N                   int

@@ -24,20 +24,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add(1, 10)
-	s.Add(2, 20)
-	s.Add(3, 3)
-	if s.Len() != 3 || s.Mean() != 11 || s.Min() != 3 {
-		t.Fatalf("series: len=%d mean=%v min=%v", s.Len(), s.Mean(), s.Min())
-	}
-	var empty Series
-	if empty.Mean() != 0 || empty.Min() != 0 {
-		t.Fatal("empty series not zero")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	var samples []sim.Time
 	for i := 1; i <= 100; i++ {
