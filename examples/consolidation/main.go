@@ -12,11 +12,11 @@ import (
 )
 
 func main() {
-	// The Fig-14 scenario at 1/10 time scale: a crafted trace that
+	// The Fig-14 scenario at 1/50 time scale: a crafted trace that
 	// fragments the cluster, forces an Aggregate-VM placement, and then
 	// frees capacity step by step until the fleet's FragBFF pass fully
 	// consolidates the VM and hands it back to plain best fit.
-	tab, err := fragvisor.RunExperiment("fig14", 0.1, 42)
+	tab, err := fragvisor.RunExperiment("fig14", 0.02, 42)
 	if err != nil {
 		panic(err)
 	}

@@ -68,18 +68,21 @@ func TestGenerateRespectsGrammarSafety(t *testing.T) {
 
 // TestCleanSearchFindsNothing is the engine's false-positive gate: a
 // bounded search over seed code (no test hooks) must come back with
-// zero violations on every episode, across all workloads.
+// zero violations on every episode, across all workloads, for each of
+// root seeds 1 to 10.
 func TestCleanSearchFindsNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full clean search is the long pole; run without -short")
 	}
-	rep := Search(Config{Episodes: 64, Seed: 1})
-	if len(rep.Findings) != 0 {
-		t.Fatalf("clean search produced findings:\n%s", rep.Summary())
-	}
-	for i, vs := range rep.Outcomes {
-		if len(vs) != 0 {
-			t.Fatalf("episode %d violated: %v", i, vs)
+	for seed := int64(1); seed <= 10; seed++ {
+		rep := Search(Config{Episodes: 64, Seed: seed})
+		if len(rep.Findings) != 0 {
+			t.Fatalf("seed %d: clean search produced findings:\n%s", seed, rep.Summary())
+		}
+		for i, vs := range rep.Outcomes {
+			if len(vs) != 0 {
+				t.Fatalf("seed %d: episode %d violated: %v", seed, i, vs)
+			}
 		}
 	}
 }
@@ -107,8 +110,19 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 //     16, shrunk to one tor1 cut. The even split left no node with
 //     quorum, node 0 included, so the fleet saw every node down and its
 //     heartbeat was the only proc left running.
+//   - detector_seed9_ep1.json: `fragchaos -episodes 64 -seed 9` episode
+//     1, shrunk to two drop bursts and no crash. Four lost pings got
+//     node 1 declared dead; the heartbeat then ran that recovery inline
+//     and stopped pinging, while the restore and the DSM directory
+//     retried toward node 2 forever, since only the blocked heartbeat
+//     could declare it.
+//   - detector_seed7_ep53.json: `fragchaos -episodes 64 -seed 7` episode
+//     53, shrunk to a crash of node 2 plus a drop burst toward node 1.
+//     The same circular wait entered through a real crash: the heartbeat
+//     sat in node 2's restore, whose chunk for node 1 kept retrying
+//     through the drops, so node 1 could be declared by no one.
 func TestFixedArtifactsReplayClean(t *testing.T) {
-	for _, name := range []string{"quorum_seed2_ep16.json"} {
+	for _, name := range []string{"quorum_seed2_ep16.json", "detector_seed9_ep1.json", "detector_seed7_ep53.json"} {
 		raw, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)

@@ -32,6 +32,9 @@ import (
 // chunkBytes is the collection/persistence pipeline granularity.
 const chunkBytes = 16 << 20
 
+// segmentBytes bounds one transport send within a chunk (see sendChunk).
+const segmentBytes = 1 << 20
+
 // Image is a taken checkpoint: enough to restart the VM's memory image.
 type Image struct {
 	Node     int   // node whose disk holds the image
@@ -216,45 +219,44 @@ func Restore(p *sim.Proc, vm *hypervisor.VM, img *Image) sim.Time {
 }
 
 // sendChunk moves one collection/restore chunk over the cluster's
-// reliable transport (RDMA RC / TCP): frames lost to drop rules or
-// transient partitions are retransmitted by the transport's
-// ack/timeout/backoff state machine, and when a peer's crash is torn
-// down at the transport level the chunk is re-homed — a dead destination
-// falls back to the origin slice (mirroring MarkDead's re-homing of the
-// memory itself), while a dead source or a dead checkpoint node simply
-// stops transmitting, since the bytes it would have carried are already
-// lost or unwanted. A peer the transport declares unreachable
-// (ErrUnreachable after max retries) without being declared dead yet is
-// retried after a pause, so the liveness view gets a chance to catch up.
-// Returns the destination the chunk actually went to, so callers stick
-// to the re-homed peer.
+// reliable transport (RDMA RC / TCP) as segments of at most segmentBytes:
+// frames lost to drop rules or transient partitions are retransmitted by
+// the transport's ack/timeout/backoff state machine. Liveness is the VM's
+// declared view (vm.Alive), the only one a real host has: a chunk bound
+// for a slice declared dead is re-sent whole to the origin slice
+// (mirroring MarkDead's re-homing of the memory itself), while a dead
+// source simply stops transmitting, since the bytes it would have carried
+// are already lost. A peer the transport gives up on (ErrUnreachable
+// after max retries) without being declared dead yet is retried after a
+// pause, so the heartbeat gets a chance to declare it. Returns the
+// destination the chunk actually went to, so callers stick to the
+// re-homed peer.
+//
+// Segments keep a bulk transfer from holding a link for milliseconds at a
+// time: a heartbeat ping queued behind a whole 16 MiB chunk would wait
+// longer than its timeout, and a busy restore would get a live slice
+// declared dead.
 func sendChunk(p *sim.Proc, vm *hypervisor.VM, from, to int, size int) int {
 	rel := vm.Config().Cluster.Reliable
-	inj := vm.Config().Fault
 	tr := trace.FromEnv(vm.Env)
 	csp := tr.Begin(p.Span(), trace.CatCheckpoint, from, "ckpt.chunk")
 	defer tr.End(csp)
-	for {
-		if inj != nil {
-			if !inj.NodeAlive(to) {
-				if origin := vm.DSM.Origin(); to != origin {
-					to = origin
-					continue
-				}
-				return to // origin down: nobody left to deliver to
-			}
-			if !inj.NodeAlive(from) {
-				return to // dead source cannot transmit; data already lost
-			}
+	for sent := 0; sent < size; {
+		if !vm.Alive(to) {
+			// Whatever reached the dead slice is lost with it.
+			to, sent = vm.DSM.Origin(), 0
 		}
-		if from == to {
+		if !vm.Alive(from) || from == to {
 			return to
 		}
-		if rel.SendCtx(p, csp, from, to, size, nil) == nil {
-			return to
+		seg := min(size-sent, segmentBytes)
+		if rel.SendCtx(p, csp, from, to, seg, nil) == nil {
+			sent += seg
+			continue
 		}
 		// Unreachable: wait out a detection interval, then re-check the
-		// liveness view and retry (or re-home, once the peer is marked).
+		// declared view and retry (or re-home, once the peer is marked).
 		p.Sleep(5 * sim.Millisecond)
 	}
+	return to
 }

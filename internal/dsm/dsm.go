@@ -104,7 +104,7 @@ type Params struct {
 	ReqBytes int
 	// Retry enables the fault-tolerant protocol paths (see fault.go):
 	// fault requests and grants are re-sent on timeout, and calls to
-	// replica holders give up once the fault view declares them dead. The
+	// replica holders give up once MarkDead fences them out. The
 	// zero value keeps the happy-path reliable-fabric protocol.
 	Retry msg.RetryPolicy
 }
@@ -278,7 +278,6 @@ type DSM struct {
 	dirSvc    string // service + ".dir", interned off the fault hot path
 	ownSvc    string // service + ".own", likewise
 
-	fv       FaultView
 	excluded uint32 // dense indices fenced out by MarkDead (see fault.go)
 	tr       *trace.Tracer
 }

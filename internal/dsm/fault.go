@@ -1,5 +1,6 @@
 // Fault tolerance for the DSM protocol: liveness-aware retries, ownership
-// re-routing away from crashed nodes, and a coherence checker for tests.
+// re-routing away from declared-dead nodes, and a coherence checker for
+// tests.
 //
 // The happy-path protocol in dsm.go assumes a reliable fabric. Under fault
 // injection that assumption is withdrawn, and three mechanisms take over:
@@ -11,12 +12,16 @@
 //     held throughout), giving grant delivery at-least-once semantics; a
 //     requester acknowledges-and-ignores grants for already-satisfied ids.
 //   - Calls to replica holders (fetch/invalidate) retry until a reply
-//     arrives or the fault view declares the holder dead, at which point
-//     the directory falls back to the origin's replica and MarkDead
-//     reconciles ownership. Page contents lost with a dead exclusive
-//     owner are stale until checkpoint restore reinstalls them — exactly
-//     the window the paper's checkpoint/restart mechanism (§6.4) exists
-//     to close.
+//     arrives or MarkDead fences the holder out, at which point the
+//     directory falls back to the origin's replica. Page contents lost
+//     with a dead exclusive owner are stale until checkpoint restore
+//     reinstalls them — exactly the window the paper's checkpoint/restart
+//     mechanism (§6.4) exists to close.
+//
+// The protocol sees only what a real host could: a node is live until the
+// failure detector declares it dead. A crashed node that is not yet
+// declared looks like a slow one, and the retry loops wait for the
+// declaration.
 package dsm
 
 import (
@@ -29,31 +34,16 @@ import (
 	"repro/internal/sim"
 )
 
-// FaultView answers liveness queries. Implemented by *fault.Injector; a nil
-// view means every node is alive (the fault-free default).
-type FaultView interface {
-	NodeAlive(node int) bool
-}
-
-// SetFaultView installs the liveness view consulted by the retry paths.
-func (d *DSM) SetFaultView(fv FaultView) { d.fv = fv }
-
-// alive reports whether a node participates in the protocol: it must be
-// alive under the fault view and not fenced out by MarkDead. The fence
-// matters when failure detection misfires (e.g. a long partition): the
-// declared-dead node is still running, but the membership decision is
-// final — it must not receive grants or mutate survivor state.
-func (d *DSM) alive(node int) bool {
-	if d.excluded&(1<<d.index(node)) != 0 {
-		return false
-	}
-	return d.fv == nil || d.fv.NodeAlive(node)
-}
+// alive reports whether a node participates in the protocol: it is not
+// fenced out by MarkDead. The fence is final even when failure detection
+// misfires (e.g. a long partition): the declared-dead node may still be
+// running, but it must not receive grants or mutate survivor state.
+func (d *DSM) alive(node int) bool { return d.excluded&(1<<d.index(node)) == 0 }
 
 // callNode sends a request to another slice's handler. With no retry policy
-// it is a plain reliable Call. With one, it retries on timeout until the
-// destination is declared dead by the fault view — transient loss heals,
-// crash surfaces as an error.
+// it is a plain reliable Call. With one, it retries on timeout until
+// MarkDead fences the destination out — transient loss heals, a declared
+// death surfaces as an error.
 func (d *DSM) callNode(p *sim.Proc, to int, kind string, size int, payload any) (*msg.Message, error) {
 	if d.params.Retry.Timeout <= 0 {
 		return d.layer.Call(p, d.origin, to, d.ownSvc, kind, size, payload), nil
@@ -179,7 +169,7 @@ func (d *DSM) MarkDead(node int) {
 }
 
 // Validate checks the coherence invariants over every explicitly-managed
-// page, considering only nodes alive under the fault view:
+// page, considering only nodes MarkDead has not fenced out:
 //
 //   - the directory owner is alive and holds a valid replica;
 //   - an Exclusive replica is the only valid replica;
@@ -188,8 +178,9 @@ func (d *DSM) MarkDead(node int) {
 //     whose buffer is nil, equals a buffer of zeros).
 //
 // It returns nil when coherent, or an error naming the first violation.
-// Run MarkDead for every crashed node first; a directory still pointing at
-// a dead owner is itself a violation.
+// Validate sees only the declared view, so run MarkDead for every crashed
+// node first: an undeclared crashed node counts as live, and its replicas
+// are checked like any survivor's.
 func (d *DSM) Validate() error {
 	recs := make([]*pageRec, 0, len(d.pages))
 	for _, r := range d.pages {

@@ -7,12 +7,7 @@ import (
 	"repro/internal/sim"
 )
 
-// deadView is a fault view under which the listed nodes are dead.
-type deadView map[int]bool
-
-func (v deadView) NodeAlive(node int) bool { return !v[node] }
-
-// A fault issued by a node the fault view calls dead materializes that
+// A fault issued by a node MarkDead fenced out materializes that
 // node's replica and nothing else: the page gains no directory entry, and
 // the origin — whose replica of an untracked page would start Exclusive —
 // neither reports the page nor counts it as owned. The held mask, not the
@@ -20,7 +15,7 @@ func (v deadView) NodeAlive(node int) bool { return !v[node] }
 func TestDeadNodeFaultMaterializesOnlyItsReplica(t *testing.T) {
 	env, d := newTestDSM(3, DefaultParams())
 	defer env.Close()
-	d.SetFaultView(deadView{2: true})
+	d.MarkDead(2)
 	pg := mem.PageID(21)
 	bytesBefore, snapBefore := d.OwnedBytes(0), len(d.SnapshotOwned(0))
 	run(env, func(p *sim.Proc) {

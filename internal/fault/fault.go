@@ -18,10 +18,9 @@
 //   - msg consults it for duplication and for same-node delivery on a
 //     crashed node, and surfaces losses as typed timeout errors through
 //     CallTimeout;
-//   - dsm treats it as the liveness view when re-routing ownership
-//     requests away from dead nodes;
 //   - hypervisor heartbeats detect crashed slices through the message
-//     losses it induces, and checkpoint restart skips dead slices.
+//     losses it induces and declare them dead; dsm and checkpoint act on
+//     those declarations only, never on the injector's own crash state.
 //
 // Everything the injector does is counted in a metrics.Counters whose
 // rendering is deterministic, so fault activity itself is part of the

@@ -98,17 +98,13 @@ func (i *Injector) OnCrash(fn func(node int)) {
 	i.onCrash = append(i.onCrash, fn)
 }
 
-// NodeAlive reports whether a node is not currently crashed; it satisfies
-// the liveness-view interfaces of dsm and checkpoint.
+// NodeAlive reports whether a node is not currently crashed. It is the
+// injector's ground truth, for tests and oracles: the simulated system
+// learns of a crash only through its own failure detection.
 func (i *Injector) NodeAlive(node int) bool { return !i.crashed[node] }
 
 // Partitioned reports whether the a–b link is currently cut.
 func (i *Injector) Partitioned(a, b int) bool { return i.parted[linkKey(a, b)] }
-
-// Alive is a nil-tolerant liveness check: with no injector every node is
-// alive. It lets fault-aware packages (checkpoint, hypervisor) consult an
-// optional injector without branching on nil at every call site.
-func Alive(i *Injector, node int) bool { return i == nil || !i.crashed[node] }
 
 func linkKey(a, b int) [2]int {
 	if a > b {

@@ -76,10 +76,10 @@ type Scenario struct {
 	HeartbeatTimeout  sim.Time
 	HeartbeatOff      bool
 
-	// ExpectDeaths is how many heartbeat death declarations the driver
-	// waits for before stopping the detector. 0 derives it from the
-	// schedule's CrashNode count — link-cut schedules, whose deaths are
-	// not crashes, must set it explicitly.
+	// ExpectDeaths is how many recoveries the driver waits for at least
+	// before stopping the detector. It always waits for every node the
+	// schedule crashes to be declared dead and recovered; link-cut
+	// schedules, whose deaths are not crashes, set it explicitly.
 	ExpectDeaths int
 
 	// Hook, when set, runs against the freshly built cluster before the
@@ -222,10 +222,17 @@ func Run(s Scenario) *Result {
 	vm := hypervisor.New(cfg)
 
 	res := &Result{env: env}
-	expectedDeaths := s.ExpectDeaths
-	if expectedDeaths == 0 {
-		expectedDeaths = s.Schedule.Count(fault.CrashNode)
+	// The driver waits for a recovery of every crashed slice, and for at
+	// least ExpectDeaths recoveries in all. A count alone would not do: a
+	// drop burst can get a live slice declared dead too, and that false
+	// positive must not stand in for a crash nobody has declared yet.
+	unrecovered := map[int]bool{}
+	for _, e := range s.Schedule.Events {
+		if e.Kind == fault.CrashNode {
+			unrecovered[e.Node] = true
+		}
 	}
+	awaitRecovery := !s.HeartbeatOff && (len(unrecovered) > 0 || s.ExpectDeaths > 0)
 
 	env.Spawn("faulttest.driver", func(p *sim.Proc) {
 		vm.Boot(p)
@@ -266,12 +273,11 @@ func Run(s Scenario) *Result {
 			res.CheckpointTime = img.Duration
 		}
 
-		// Failure detector with checkpoint-restart recovery: the detector
-		// proc re-pins the dead slice's vCPUs onto survivors and rolls
-		// explicit guest pages back to the checkpoint image.
+		// Failure detector with checkpoint-restart recovery: the VM's
+		// recovery proc re-pins the dead slice's vCPUs onto survivors and
+		// rolls explicit guest pages back to the checkpoint image.
 		start := p.Now()
 		recoveredAll := env.NewEvent()
-		recoveries := 0
 		if !s.HeartbeatOff {
 			vm.StartHeartbeat(s.HeartbeatInterval, s.HeartbeatTimeout, func(hp *sim.Proc, node int) {
 				env.MarkProgress() // a death declaration is forward motion
@@ -283,8 +289,8 @@ func Run(s Scenario) *Result {
 				}
 				res.Recovered = append(res.Recovered, hp.Now()-start)
 				env.MarkProgress()
-				recoveries++
-				if recoveries == expectedDeaths {
+				delete(unrecovered, node)
+				if len(unrecovered) == 0 && len(res.Recovered) >= s.ExpectDeaths && !recoveredAll.Fired() {
 					recoveredAll.Fire()
 				}
 			})
@@ -304,7 +310,7 @@ func Run(s Scenario) *Result {
 			done = append(done, wp.Done())
 		}
 		p.WaitAll(done...)
-		if expectedDeaths > 0 && !s.HeartbeatOff {
+		if awaitRecovery {
 			p.Wait(recoveredAll)
 		}
 		vm.StopHeartbeat()

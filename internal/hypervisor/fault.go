@@ -56,18 +56,23 @@ func (vm *VM) MarkDead(node int) {
 
 // StartHeartbeat spawns the failure detector: the bootstrap slice pings
 // every companion slice each interval and declares a slice dead after
-// hbMissThreshold consecutive reply timeouts, invoking onFailure (which
-// may block — recovery runs in the detector's process). The detector loops
-// until StopHeartbeat, so a test that drives the event loop directly must
-// stop it or the simulation never drains.
+// hbMissThreshold consecutive reply timeouts. Each declared slice is
+// handed to a separate vm-recovery process, which runs onFailure (it may
+// block, e.g. in a checkpoint restore) for one slice at a time in
+// declaration order. The detector loops until StopHeartbeat, so a test
+// that drives the event loop directly must stop it or the simulation
+// never drains; the recovery process ends with it, once it has run every
+// callback already handed over.
+//
+// Detection never waits on a recovery. A restore can take longer than the
+// fault it recovers from, and the survivors' retry loops (DSM calls,
+// checkpoint chunks) end only when their peer is declared dead: a
+// detector blocked in a restore that itself waits on such a loop would
+// wait forever on a second lost slice.
 //
 // Detection is batched per tick: every live companion is pinged before any
-// newly-missing slice is declared and recovered. Recovery can block for a
-// long time (a checkpoint restore moves the whole image), and declaring
-// mid-loop would starve detection of the other slices lost to the same
-// event — a rack cut kills several at once, and a detector that recovers
-// the first before even probing the second may find the fault healed and
-// never declare it, deadlocking anything waiting on the full death count.
+// newly-missing slice is declared, so the slices lost to one event (a rack
+// cut kills several at once) are declared together.
 func (vm *VM) StartHeartbeat(interval, timeout sim.Time, onFailure func(p *sim.Proc, node int)) {
 	if interval <= 0 || timeout <= 0 {
 		panic("hypervisor: heartbeat needs a positive interval and timeout")
@@ -75,12 +80,20 @@ func (vm *VM) StartHeartbeat(interval, timeout sim.Time, onFailure func(p *sim.P
 	vm.hbStop = false
 	svc := vcpuService(vm)
 	boot := vm.nodes[0]
+	declared := sim.NewQueue[int](vm.Env) // declared slices; -1 ends recovery
+	vm.Env.Spawn("vm-recovery", func(p *sim.Proc) {
+		for n := declared.Get(p); n >= 0; n = declared.Get(p) {
+			if onFailure != nil {
+				onFailure(p, n)
+			}
+		}
+	})
 	vm.Env.Spawn("heartbeat", func(p *sim.Proc) {
 		misses := make(map[int]int)
 		for !vm.hbStop {
 			p.Sleep(interval)
 			if vm.hbStop {
-				return
+				break
 			}
 			var lost []int
 			for _, n := range vm.nodes[1:] {
@@ -97,20 +110,13 @@ func (vm *VM) StartHeartbeat(interval, timeout sim.Time, onFailure func(p *sim.P
 					misses[n] = 0
 				}
 			}
-			// Declare the whole batch before recovering any member: the
-			// survivors' view is settled first, so recovery (which may send
-			// to every alive slice) never targets a slice that is about to
-			// be declared dead.
 			for _, n := range lost {
 				vm.ctr.Inc("hb.declared_dead", 1)
 				vm.MarkDead(n)
-			}
-			for _, n := range lost {
-				if onFailure != nil {
-					onFailure(p, n)
-				}
+				declared.Put(n)
 			}
 		}
+		declared.Put(-1)
 	})
 }
 

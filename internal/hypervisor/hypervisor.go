@@ -75,8 +75,9 @@ type Config struct {
 	BootCost sim.Time // per-slice setup charged by Boot
 
 	// Fault, when set, wires the VM for fault injection: the injector
-	// filters the messaging layer, serves as the DSM's liveness view, and
-	// shares its counters with the VM's recovery accounting. A zero
+	// filters the messaging layer and shares its counters with the VM's
+	// recovery accounting. It is not a liveness view: the VM learns of a
+	// crash only through its heartbeat (StartHeartbeat). A zero
 	// DSM.Retry defaults to msg.DefaultRetryPolicy so lost protocol
 	// messages are retransmitted instead of deadlocking the VM.
 	Fault *fault.Injector
@@ -198,7 +199,6 @@ func New(cfg Config) *VM {
 	vm.DSM = dsm.New(env, layer, nodes, cfg.DSM)
 	if cfg.Fault != nil {
 		cfg.Fault.AttachLayer(layer)
-		vm.DSM.SetFaultView(cfg.Fault)
 		vm.ctr = cfg.Fault.Counters()
 	}
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/vcpu"
 )
@@ -159,5 +160,49 @@ func TestInvalidConfigsPanic(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestDetectionRunsDuringRecovery: the detector never waits on a
+// recovery. Node 1's callback blocks for 100ms (a long checkpoint
+// restore), and node 2 crashes while it blocks: node 2 must be declared
+// dead before node 1's callback returns, and both callbacks run in
+// declaration order. Stopping the heartbeat leaves no proc parked.
+func TestDetectionRunsDuringRecovery(t *testing.T) {
+	c := newCluster(3)
+	defer c.Env.Close()
+	inj := fault.New(c)
+	cfg := FragVisorConfig(c, SpreadPlacement([]int{0, 1, 2}, 3), 1<<30)
+	cfg.Fault = inj
+	vm := New(cfg)
+	var sched fault.Schedule
+	sched.Add(fault.Event{At: 5 * sim.Millisecond, Kind: fault.CrashNode, Node: 1})
+	sched.Add(fault.Event{At: 15 * sim.Millisecond, Kind: fault.CrashNode, Node: 2})
+
+	var recovered []int
+	declaredDuring := false
+	c.Env.Spawn("driver", func(p *sim.Proc) {
+		vm.Boot(p)
+		vm.StartHeartbeat(2*sim.Millisecond, sim.Millisecond, func(rp *sim.Proc, node int) {
+			recovered = append(recovered, node)
+			if node == 1 {
+				rp.Sleep(100 * sim.Millisecond)
+				declaredDuring = !vm.Alive(2)
+			}
+			if len(recovered) == 2 {
+				vm.StopHeartbeat()
+			}
+		})
+		inj.Apply(sched.Shifted(p.Now()))
+	})
+	c.Env.Run()
+	if !declaredDuring {
+		t.Error("node 2 was not declared dead while node 1's recovery blocked")
+	}
+	if len(recovered) != 2 || recovered[0] != 1 || recovered[1] != 2 {
+		t.Errorf("recoveries ran for %v, want [1 2]", recovered)
+	}
+	if live := c.Env.LiveProcs(); len(live) != 0 {
+		t.Errorf("procs left parked after StopHeartbeat: %v", live)
 	}
 }

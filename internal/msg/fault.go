@@ -66,8 +66,7 @@ func (l *Layer) FaultStats() FaultStats { return l.faults }
 
 // RetryPolicy tunes a retrying caller (the DSM's callNode): per-attempt
 // timeout plus capped exponential backoff between attempts. The caller
-// decides when to stop; the DSM retries until its fault view declares the
-// peer dead.
+// decides when to stop; the DSM retries until MarkDead fences the peer out.
 type RetryPolicy struct {
 	Timeout    sim.Time // per-attempt reply deadline
 	Backoff    sim.Time // sleep before the 2nd attempt; doubles per retry
