@@ -122,7 +122,6 @@ func runFleet(ep Episode, hooks Hooks) []Violation {
 	cfg.Fault = inj
 	cfg.HeartbeatEvery = fleetHeartbeat
 	cfg.Probe = c.Reliable
-	cfg.ProbeFrom = 0 // the controller's host: the grammar never crashes or cuts it
 	cfg.Distance = spec.Distance
 	f := fleet.New(env, cfg)
 

@@ -11,12 +11,12 @@ import (
 	"repro/internal/topo"
 )
 
-// scrambler is both the messaging layer's and the fabric's fault filter.
-// It delays every cross-node fault request to the directory by a
-// pseudo-random amount below maxDelay, so requests from one node overtake
-// each other, and with dup set it also delivers each one twice, the copy
-// delayed on its own — often past the original's grant. It counts the
-// grants the directory sends.
+// scrambler is the fabric's fault filter, and through its msg.Filter
+// method the messaging layer's too. It delays every cross-node fault
+// request to the directory by a pseudo-random amount below maxDelay, so
+// requests from one node overtake each other, and with dup set it also
+// delivers each one twice, the copy delayed on its own — often past the
+// original's grant. It counts the grants the directory sends.
 type scrambler struct {
 	dirSvc   string
 	dup      bool
@@ -65,7 +65,6 @@ func newScrambledDSM(n int, dup bool, maxDelay sim.Time) (*sim.Env, *DSM, *scram
 	d := New(env, layer, nodes, DefaultParams())
 	s := &scrambler{dirSvc: d.dirSvc, dup: dup, maxDelay: maxDelay, rng: 42}
 	fabric.SetFilter(s)
-	layer.SetFilter(s)
 	return env, d, s
 }
 

@@ -102,11 +102,6 @@ type Params struct {
 	DirtyBitTracking bool
 	// ReqBytes is the wire size of a fault request message.
 	ReqBytes int
-	// Retry enables the fault-tolerant protocol paths (see fault.go):
-	// fault requests and grants are re-sent on timeout, and calls to
-	// replica holders give up once MarkDead fences them out. The
-	// zero value keeps the happy-path reliable-fabric protocol.
-	Retry msg.RetryPolicy
 }
 
 // DefaultParams returns FragVisor's kernel-space DSM costs.
@@ -497,13 +492,13 @@ func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
 	pf := &pendingFault{id: m.nextFault, rec: r, ni: ni, write: write, ev: d.env.NewEvent()}
 	m.nextFault++
 	d.layer.SendCtx(sp, node, d.origin, d.dirSvc, "fault", d.params.ReqBytes, pf)
-	if d.params.Retry.Timeout <= 0 {
+	if !d.retries() {
 		p.Wait(pf.ev)
 	} else {
 		// Re-send on timeout to cover request loss; the directory
 		// deduplicates ids and re-sends grants itself, so a retransmission
 		// can never double-apply.
-		for !p.WaitTimeout(pf.ev, d.params.Retry.Timeout) {
+		for !p.WaitTimeout(pf.ev, retryTimeout) {
 			if !d.alive(node) {
 				pf.over = true
 				d.tr.End(sp)

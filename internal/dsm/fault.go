@@ -3,10 +3,11 @@
 // tests.
 //
 // The happy-path protocol in dsm.go assumes a reliable fabric. Under fault
-// injection that assumption is withdrawn, and three mechanisms take over:
+// injection — whenever the layer's fabric has a fault filter installed —
+// that assumption is withdrawn, and three mechanisms take over:
 //
 //   - Requesters re-send fault requests that receive no grant within
-//     Params.Retry.Timeout; the directory deduplicates request ids, so
+//     retryTimeout; the directory deduplicates request ids, so
 //     retransmissions cover request loss only and can never double-apply.
 //   - The directory re-sends grants until acknowledged (the page lock is
 //     held throughout), giving grant delivery at-least-once semantics; a
@@ -34,40 +35,49 @@ import (
 	"repro/internal/sim"
 )
 
+// Retry timing of the fault-tolerant paths, suited to intra-cluster RPCs
+// on a microsecond-scale fabric: a per-attempt timeout generous against
+// the ~10 us fault round trip, and a backoff between replica-call
+// attempts doubling from 100 us up to 2 ms.
+const (
+	retryTimeout    = 2 * sim.Millisecond
+	retryBackoff    = 100 * sim.Microsecond
+	retryMaxBackoff = 2 * sim.Millisecond
+)
+
+// retries reports whether the fault-tolerant paths are on: exactly when
+// the layer's fabric has a fault filter, checked per call as the
+// reliable transport does, so a DSM built before fault.New retries too.
+func (d *DSM) retries() bool { return d.layer.Net().Filter() != nil }
+
 // alive reports whether a node participates in the protocol: it is not
 // fenced out by MarkDead. The fence is final even when failure detection
 // misfires (e.g. a long partition): the declared-dead node may still be
 // running, but it must not receive grants or mutate survivor state.
 func (d *DSM) alive(node int) bool { return d.excluded&(1<<d.index(node)) == 0 }
 
-// callNode sends a request to another slice's handler. With no retry policy
-// it is a plain reliable Call. With one, it retries on timeout until
-// MarkDead fences the destination out — transient loss heals, a declared
-// death surfaces as an error.
+// callNode sends a request to another slice's handler. On a fault-free
+// fabric it is a plain reliable Call. On a faulted one it retries on
+// timeout until MarkDead fences the destination out — transient loss
+// heals, a declared death surfaces as an error.
 func (d *DSM) callNode(p *sim.Proc, to int, kind string, size int, payload any) (*msg.Message, error) {
-	if d.params.Retry.Timeout <= 0 {
+	if !d.retries() {
 		return d.layer.Call(p, d.origin, to, d.ownSvc, kind, size, payload), nil
 	}
-	rp := d.params.Retry
-	backoff := rp.Backoff
+	backoff := retryBackoff
 	start := p.Now()
 	for attempt := 1; ; attempt++ {
 		if !d.alive(to) {
 			return nil, &msg.TimeoutError{To: to, Service: d.ownSvc, Kind: kind,
 				Attempts: attempt - 1, Elapsed: p.Now() - start}
 		}
-		r, err := d.layer.CallTimeout(p, d.origin, to, d.ownSvc, kind, size, payload, rp.Timeout)
+		r, err := d.layer.CallTimeout(p, d.origin, to, d.ownSvc, kind, size, payload, retryTimeout)
 		if err == nil {
 			return r, nil
 		}
 		d.members[0].stats.Retries++
-		if backoff > 0 {
-			p.Sleep(backoff)
-			backoff *= 2
-			if rp.MaxBackoff > 0 && backoff > rp.MaxBackoff {
-				backoff = rp.MaxBackoff
-			}
-		}
+		p.Sleep(backoff)
+		backoff = min(2*backoff, retryMaxBackoff)
 	}
 }
 

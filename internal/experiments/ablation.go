@@ -80,14 +80,3 @@ func blkStreams(vm *hypervisor.VM, n int, o Options) sim.Time {
 	vm.Env.Run()
 	return vm.Env.Now()
 }
-
-// newFragVMWith builds a FragVisor VM with one configuration mutation.
-func newFragVMWith(o Options, n int, mutate func(*hypervisor.Config)) *hypervisor.VM {
-	vm := newFragVM(o, n)
-	cfg := vm.Config()
-	mutate(&cfg)
-	return hypervisor.New(cfg)
-}
-
-// Keep the vcpu import for the migration ablation's context type.
-var _ = vcpu.DefaultParams

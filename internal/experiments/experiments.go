@@ -124,14 +124,22 @@ func (o Options) newCluster(env *sim.Env, n int) *cluster.Cluster {
 
 // newFragVM builds a FragVisor Aggregate VM with one vCPU per node on a
 // fresh simulated cluster.
-func newFragVM(o Options, n int) *hypervisor.VM {
+func newFragVM(o Options, n int) *hypervisor.VM { return newFragVMWith(o, n, nil) }
+
+// newFragVMWith is newFragVM with the configuration mutated (a nil
+// mutate changes nothing) before the VM is built.
+func newFragVMWith(o Options, n int, mutate func(*hypervisor.Config)) *hypervisor.VM {
 	env := o.newEnv(fmt.Sprintf("fragvisor/%dnode", n))
 	c := o.observe("fragvisor", o.newCluster(env, n))
 	nodes := make([]int, n)
 	for i := range nodes {
 		nodes[i] = i
 	}
-	return hypervisor.New(hypervisor.FragVisorConfig(c, hypervisor.SpreadPlacement(nodes, n), guestMem))
+	cfg := hypervisor.FragVisorConfig(c, hypervisor.SpreadPlacement(nodes, n), guestMem)
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	return hypervisor.New(cfg)
 }
 
 // newFragVMVanillaGuest is FragVisor with the unpatched guest (Fig 10).

@@ -79,10 +79,13 @@ func Fig6(o Options) *metrics.Table {
 	if requests < 30 {
 		requests = 30
 	}
+	// Without DSM-bypass (FragVisorConfig enables it) the VM exposes the
+	// raw delegation path.
+	noBypass := func(c *hypervisor.Config) { c.DSMBypass = false }
 	for _, size := range []int{1 << 10, 16 << 10, 256 << 10, 1 << 20} {
-		local := staticServe(newFragVM(o, 2), 0, size, requests, false)
-		deleg := staticServe(newFragVM(o, 2), 1, size, requests, false)
-		bypass := staticServe(newFragVM(o, 2), 1, size, requests, true)
+		local := staticServe(newFragVMWith(o, 2, noBypass), 0, size, requests)
+		deleg := staticServe(newFragVMWith(o, 2, noBypass), 1, size, requests)
+		bypass := staticServe(newFragVM(o, 2), 1, size, requests)
 		t.AddRow(fmt.Sprintf("%dKB", size>>10), local, deleg, bypass, deleg/local)
 	}
 	t.AddNote("server on vCPU0 = local I/O (NIC on the bootstrap node); vCPU1 = delegated; %d requests, 10 connections", requests)
@@ -91,14 +94,7 @@ func Fig6(o Options) *metrics.Table {
 
 // staticServe runs a static web server on the given vCPU answering
 // fixed-size responses and returns the client-observed throughput.
-func staticServe(vm *hypervisor.VM, serverVCPU, respSize, requests int, bypass bool) float64 {
-	if !bypass {
-		// Rebuild the VM without DSM-bypass to expose the raw
-		// delegation path (FragVisorConfig enables bypass by default).
-		cfg := vm.Config()
-		cfg.DSMBypass = false
-		vm = hypervisor.New(cfg)
-	}
+func staticServe(vm *hypervisor.VM, serverVCPU, respSize, requests int) float64 {
 	env := vm.Env
 	vm.Run(serverVCPU, "nginx-static", func(ctx *vcpu.Ctx) {
 		for i := 0; i < requests; i++ {
@@ -141,10 +137,7 @@ func Fig7(o Options) *metrics.Table {
 		total = 64 << 20
 	}
 	bw := func(vcpuID int, bypass, write bool) float64 {
-		vm := newFragVM(o, 2)
-		cfg := vm.Config()
-		cfg.DSMBypass = bypass
-		vm = hypervisor.New(cfg)
+		vm := newFragVMWith(o, 2, func(c *hypervisor.Config) { c.DSMBypass = bypass })
 		var done sim.Time
 		vm.Run(vcpuID, "blk-stream", func(ctx *vcpu.Ctx) {
 			if write {

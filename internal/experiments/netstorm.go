@@ -126,7 +126,6 @@ func netstormFleet(o Options, spec *topo.Spec, pol fleet.ReclaimPolicy) (fleet.S
 	cfg.Fault = inj
 	cfg.HeartbeatEvery = 500 * sim.Millisecond
 	cfg.Probe = c.Reliable
-	cfg.ProbeFrom = 0 // the controller's host; rack 0
 	cfg.Distance = spec.Distance
 	f := fleet.New(env, cfg)
 

@@ -7,17 +7,22 @@
 // Faults are driven by a Schedule: a list of timestamped events — crash a
 // node, partition a link, drop/delay/duplicate the next K messages on an
 // endpoint pair, degrade a node's pCPUs or SSD — optionally healed later.
-// An Injector installed on the cluster's fabrics (topo filter) and
-// messaging layers (msg filter) applies the schedule from the simulation's
-// own event queue, so a given (seed, schedule) pair replays bit-identically.
+// An Injector applies the schedule from the simulation's own event queue,
+// so a given (seed, schedule) pair replays bit-identically.
 //
-// The injector is the single source of truth for fault state:
+// New installs the injector as the filter of the cluster's two fabrics,
+// and that is the only fault switch: every layer reaches a fabric, and
+// every layer takes its fault behavior from whether that fabric has a
+// filter.
 //
 //   - topo consults it for every fabric message (crashed endpoints,
 //     partitioned links, and drop/delay rules);
-//   - msg consults it for duplication and for same-node delivery on a
-//     crashed node, and surfaces losses as typed timeout errors through
+//   - msg and reliable consult it, through the optional msg.Filter
+//     method, for duplication and for same-node delivery on a crashed
+//     node; msg surfaces losses as typed timeout errors through
 //     CallTimeout;
+//   - dsm retries its protocol messages exactly when its fabric has a
+//     filter, and reliable leaves its zero-fault fast path;
 //   - hypervisor heartbeats detect crashed slices through the message
 //     losses it induces and declare them dead; dsm and checkpoint act on
 //     those declarations only, never on the injector's own crash state.

@@ -28,7 +28,9 @@ func (r *rule) matches(from, to int) bool {
 // Injector applies fault schedules to a simulated cluster. Construct with
 // New, then Apply one or more schedules. The injector implements
 // topo.Filter (drop/delay verdicts for fabric traffic) and msg.Filter
-// (duplication, and same-node drops on crashed nodes).
+// (duplication, and same-node drops on crashed nodes), which every
+// messaging layer and the reliable transport over a faulted fabric
+// consult.
 type Injector struct {
 	env *sim.Env
 	c   *cluster.Cluster
@@ -50,15 +52,15 @@ type Injector struct {
 	cpuDeg  map[int]float64 // injected background weight per node
 	diskDeg map[int]bool    // node SSDs currently degraded
 
-	onCrash []func(node int)
-	ctr     *metrics.Counters
-	tr      *trace.Tracer
+	ctr *metrics.Counters
+	tr  *trace.Tracer
 }
 
 // New creates an injector for the cluster and installs it as the fault
-// filter of both interconnects (fabric and client network). Messaging
-// layers are attached separately with AttachLayer, since they are created
-// per VM.
+// filter of both interconnects (fabric and client network). That is the
+// only fault switch: every messaging layer, reliable transport and DSM
+// built over a faulted fabric takes its fault behavior from the fabric's
+// filter, whether it was built before New or after.
 func New(c *cluster.Cluster) *Injector {
 	i := &Injector{
 		env:      c.Env,
@@ -75,28 +77,14 @@ func New(c *cluster.Cluster) *Injector {
 	}
 	c.Fabric.SetFilter(i)
 	c.Client.SetFilter(i)
-	// The reliable transport consults the injector for DupMessages rules
-	// on its data frames (fabric-level drops/delays apply regardless).
-	c.Reliable.SetFilter(i)
 	return i
 }
-
-// AttachLayer installs the injector as the fault filter of a messaging
-// layer, enabling duplication faults and crashed-node local-delivery drops
-// for that layer's traffic.
-func (i *Injector) AttachLayer(l *msg.Layer) { l.SetFilter(i) }
 
 // Env returns the simulation environment the injector schedules on.
 func (i *Injector) Env() *sim.Env { return i.env }
 
 // Counters returns the injector's deterministic fault counters.
 func (i *Injector) Counters() *metrics.Counters { return i.ctr }
-
-// OnCrash registers fn to run (as an event callback) whenever a node
-// crashes.
-func (i *Injector) OnCrash(fn func(node int)) {
-	i.onCrash = append(i.onCrash, fn)
-}
 
 // NodeAlive reports whether a node is not currently crashed. It is the
 // injector's ground truth, for tests and oracles: the simulated system
@@ -131,13 +119,7 @@ func (i *Injector) fire(e Event) {
 	}
 	switch e.Kind {
 	case CrashNode:
-		if i.crashed[e.Node] {
-			return
-		}
 		i.crashed[e.Node] = true
-		for _, fn := range i.onCrash {
-			fn(e.Node)
-		}
 	case HealNode:
 		delete(i.crashed, e.Node)
 	case Partition:

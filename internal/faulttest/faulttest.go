@@ -23,6 +23,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hypervisor"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/reliable"
 	"repro/internal/sim"
@@ -31,14 +32,22 @@ import (
 	"repro/internal/workload"
 )
 
-// Scenario configures one end-to-end run under a fault schedule. The
-// zero value is filled in by defaults (4 nodes, 4 vCPUs, IS at 1% scale,
-// 64 pattern pages, checkpointing on, 2 ms heartbeats).
-type Scenario struct {
-	Nodes    int
-	VCPUs    int
-	MemBytes int64
+// The fixed shape of every run: a VM of one vCPU on each of four nodes
+// with 8 GiB of guest RAM, patternPages guest pages planted with a
+// seeded pattern before the checkpoint and verified byte-for-byte after
+// the run, and a failure detector pinging every hbInterval with an
+// hbTimeout reply deadline.
+const (
+	nodeCount    = 4
+	guestMem     = 8 << 30
+	patternPages = 64
+	hbInterval   = 2 * sim.Millisecond
+	hbTimeout    = sim.Millisecond
+)
 
+// Scenario configures one end-to-end run under a fault schedule. The
+// zero value runs IS at 1% scale with no faults and no checkpoint.
+type Scenario struct {
 	// Topo selects the fabric topology (cluster.Params.Topo): nil is the
 	// flat default; a tree spec routes DSM and checkpoint
 	// traffic over racks and a spine, which is what link-level fault
@@ -55,10 +64,6 @@ type Scenario struct {
 	Schedule fault.Schedule
 	Seed     int64 // pattern-content seed
 
-	// PatternPages guest pages are filled with a seeded pattern before
-	// the checkpoint and verified byte-for-byte after the run.
-	PatternPages int64
-
 	// DatasetBytes bulk guest bytes are first-touched (spread across the
 	// slices) before the checkpoint, so the image — and therefore the
 	// recovery path — carries a dataset of that size.
@@ -69,12 +74,6 @@ type Scenario struct {
 	// vCPUs but re-homed memory keeps whatever stale bytes the origin
 	// held, so the pattern check is skipped if anything was declared dead.
 	Checkpoint bool
-
-	// HeartbeatInterval/HeartbeatTimeout arm the failure detector; an
-	// interval of 0 with HeartbeatOff leaves it disarmed.
-	HeartbeatInterval sim.Time
-	HeartbeatTimeout  sim.Time
-	HeartbeatOff      bool
 
 	// ExpectDeaths is how many recoveries the driver waits for at least
 	// before stopping the detector. It always waits for every node the
@@ -96,29 +95,11 @@ type Scenario struct {
 }
 
 func (s Scenario) withDefaults() Scenario {
-	if s.Nodes == 0 {
-		s.Nodes = 4
-	}
-	if s.VCPUs == 0 {
-		s.VCPUs = s.Nodes
-	}
-	if s.MemBytes == 0 {
-		s.MemBytes = 8 << 30
-	}
 	if s.Kernel == "" {
 		s.Kernel = "IS"
 	}
 	if s.Scale == 0 {
 		s.Scale = 0.01
-	}
-	if s.PatternPages == 0 {
-		s.PatternPages = 64
-	}
-	if s.HeartbeatInterval == 0 {
-		s.HeartbeatInterval = 2 * sim.Millisecond
-	}
-	if s.HeartbeatTimeout == 0 {
-		s.HeartbeatTimeout = sim.Millisecond
 	}
 	return s
 }
@@ -143,7 +124,7 @@ type Result struct {
 	DSM       dsm.Stats      // aggregate protocol stats
 	MsgFaults msg.FaultStats // messaging-layer fault stats
 	Reliable  reliable.Stats // ack/retransmit transport stats (checkpoint chunks)
-	Counters  string         // injector counters rendering
+	Counters  string         // injector and VM recovery counters rendering
 
 	env *sim.Env // the run's world, kept open for hooks that read it
 }
@@ -206,20 +187,17 @@ func Run(s Scenario) *Result {
 	}()
 	params := cluster.DefaultParams()
 	params.Topo = s.Topo
-	c := cluster.New(env, s.Nodes, params)
+	c := cluster.New(env, nodeCount, params)
 	inj := fault.New(c)
 	if s.Hook != nil {
 		s.Hook(c)
 	}
 
-	nodes := make([]int, s.Nodes)
+	nodes := make([]int, nodeCount)
 	for i := range nodes {
 		nodes[i] = i
 	}
-	cfg := hypervisor.FragVisorConfig(c, hypervisor.SpreadPlacement(nodes, s.VCPUs), s.MemBytes)
-	cfg.Fault = inj
-	cfg.DSM.Retry = msg.DefaultRetryPolicy()
-	vm := hypervisor.New(cfg)
+	vm := hypervisor.New(hypervisor.FragVisorConfig(c, hypervisor.SpreadPlacement(nodes, nodeCount), guestMem))
 
 	res := &Result{env: env}
 	// The driver waits for a recovery of every crashed slice, and for at
@@ -232,7 +210,7 @@ func Run(s Scenario) *Result {
 			unrecovered[e.Node] = true
 		}
 	}
-	awaitRecovery := !s.HeartbeatOff && (len(unrecovered) > 0 || s.ExpectDeaths > 0)
+	awaitRecovery := len(unrecovered) > 0 || s.ExpectDeaths > 0
 
 	env.Spawn("faulttest.driver", func(p *sim.Proc) {
 		vm.Boot(p)
@@ -240,9 +218,9 @@ func Run(s Scenario) *Result {
 		// Plant the pattern: pages are written from the slice that will
 		// own them, spread round-robin so lenders hold exclusive data
 		// that a crash genuinely endangers.
-		region := vm.Layout.Alloc("faulttest.pattern", s.PatternPages, mem.KindHeap)
+		region := vm.Layout.Alloc("faulttest.pattern", patternPages, mem.KindHeap)
 		vmNodes := vm.Nodes()
-		for i := int64(0); i < s.PatternPages; i++ {
+		for i := int64(0); i < patternPages; i++ {
 			writer := vmNodes[int(i)%len(vmNodes)]
 			vm.DSM.Write(p, writer, region.Page(i), 0, patternBytes(s.Seed, i))
 		}
@@ -278,23 +256,21 @@ func Run(s Scenario) *Result {
 		// rolls explicit guest pages back to the checkpoint image.
 		start := p.Now()
 		recoveredAll := env.NewEvent()
-		if !s.HeartbeatOff {
-			vm.StartHeartbeat(s.HeartbeatInterval, s.HeartbeatTimeout, func(hp *sim.Proc, node int) {
-				env.MarkProgress() // a death declaration is forward motion
-				res.Detected = append(res.Detected, hp.Now()-start)
-				res.DeadAt = append(res.DeadAt, node)
-				vm.RestartOnSurvivors()
-				if img != nil {
-					res.Restores = append(res.Restores, checkpoint.Restore(hp, vm, img))
-				}
-				res.Recovered = append(res.Recovered, hp.Now()-start)
-				env.MarkProgress()
-				delete(unrecovered, node)
-				if len(unrecovered) == 0 && len(res.Recovered) >= s.ExpectDeaths && !recoveredAll.Fired() {
-					recoveredAll.Fire()
-				}
-			})
-		}
+		vm.StartHeartbeat(hbInterval, hbTimeout, func(hp *sim.Proc, node int) {
+			env.MarkProgress() // a death declaration is forward motion
+			res.Detected = append(res.Detected, hp.Now()-start)
+			res.DeadAt = append(res.DeadAt, node)
+			vm.RestartOnSurvivors()
+			if img != nil {
+				res.Restores = append(res.Restores, checkpoint.Restore(hp, vm, img))
+			}
+			res.Recovered = append(res.Recovered, hp.Now()-start)
+			env.MarkProgress()
+			delete(unrecovered, node)
+			if len(unrecovered) == 0 && len(res.Recovered) >= s.ExpectDeaths && !recoveredAll.Fired() {
+				recoveredAll.Fire()
+			}
+		})
 
 		inj.Apply(s.Schedule.Shifted(start))
 
@@ -324,7 +300,7 @@ func Run(s Scenario) *Result {
 		if res.PatternChecked {
 			alive := vm.AliveNodes()
 			reader := alive[len(alive)-1]
-			for i := int64(0); i < s.PatternPages; i++ {
+			for i := int64(0); i < patternPages; i++ {
 				want := patternBytes(s.Seed, i)
 				got := vm.DSM.Read(p, reader, region.Page(i))
 				if !bytesEqual(got[:len(want)], want) {
@@ -346,7 +322,12 @@ func Run(s Scenario) *Result {
 	res.DSM = vm.DSM.TotalStats()
 	res.MsgFaults = vm.Layer.FaultStats()
 	res.Reliable = c.Reliable.Stats()
-	res.Counters = inj.Counters().String()
+	// The injector's counters and the VM's hb.*/recover.* counters share
+	// no name, so the merge renders each set unchanged.
+	ctr := metrics.NewCounters()
+	ctr.Merge(inj.Counters())
+	ctr.Merge(vm.Counters())
+	res.Counters = ctr.String()
 	returned = true
 	return res
 }

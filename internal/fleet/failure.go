@@ -18,10 +18,15 @@ import (
 // probeBytes is the size of one heartbeat probe message, and
 // probeMissThreshold the consecutive unreachable probes that declare a
 // node down on message evidence alone (mirroring the hypervisor
-// heartbeat's miss threshold).
+// heartbeat's miss threshold). probeFrom is the fabric endpoint the
+// controller probes from: node 0, which hosts the control plane. It must
+// be a real node id, since external endpoints are not routable on the
+// datacenter tree; probes to node 0 itself short-circuit locally and are
+// always answered.
 const (
 	probeBytes         = 128
 	probeMissThreshold = 2
+	probeFrom          = 0
 )
 
 // armHeartbeat starts failure detection against the fault injector: a
@@ -72,7 +77,7 @@ func (f *Fleet) probeLoop(p *sim.Proc) {
 		for n := 0; n < f.cfg.Nodes; n++ {
 			up := fault.Up(f.cfg.Fault, n, f.cfg.Nodes)
 			if up {
-				if f.cfg.Probe.Send(p, f.cfg.ProbeFrom, n, probeBytes) != nil {
+				if f.cfg.Probe.Send(p, probeFrom, n, probeBytes) != nil {
 					misses[n]++
 					f.stats.ProbeMisses++
 				} else {

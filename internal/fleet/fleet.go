@@ -174,18 +174,12 @@ type Config struct {
 	// detected and recovered like a crashed one.
 	Fault *fault.Injector
 	// Probe, when set alongside Fault, upgrades the heartbeat to real
-	// probe messages on the reliable transport: each tick probes every
-	// node the view considers up, and probeMissThreshold consecutive
-	// unreachable verdicts declare the node down on message evidence
-	// alone. Zero keeps the pure view-based heartbeat (and its timing)
-	// unchanged.
+	// probe messages on the reliable transport: each tick probes, from
+	// the control plane's node 0, every node the view considers up, and
+	// probeMissThreshold consecutive unreachable verdicts declare the
+	// node down on message evidence alone. Zero keeps the pure
+	// view-based heartbeat (and its timing) unchanged.
 	Probe *reliable.Transport
-	// ProbeFrom is the fabric endpoint the controller probes from —
-	// conventionally the node hosting the control plane (node 0). On a
-	// tree topology it must be a real node id (external endpoints are
-	// not routable on the datacenter tree); probes to ProbeFrom itself
-	// short-circuit locally and are always answered.
-	ProbeFrom int
 	// Distance, when set, is the topology oracle (topo.Spec.Distance):
 	// admission, borrowing, and consolidation prefer rack-local node
 	// sets wherever the capacity policy leaves a tie, and gangs are

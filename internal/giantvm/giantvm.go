@@ -41,8 +41,6 @@ func Config(c *cluster.Cluster, placement []hypervisor.Pin, memBytes int64) hype
 		Virtio:     virtio.DefaultParams(),
 		Multiqueue: false,
 		DSMBypass:  false,
-		NetOwner:   -1,
-		BlkOwner:   -1,
 		Mobility:   false,
 		BootCost:   5 * sim.Millisecond,
 	}

@@ -6,10 +6,10 @@
 // live migration), the guest kernel model, and delegated virtio devices.
 //
 // The first slice in a VM's placement is the bootstrap slice: it owns the
-// DSM directory, backs guest memory, and (by default) hosts the physical
-// devices. All other slices are companions; after boot every slice is a
-// peer. Consolidation — migrating vCPUs onto fewer nodes as resources free
-// up — is the mobility feature that distinguishes a resource-borrowing
+// DSM directory, backs guest memory, and hosts the physical devices. All
+// other slices are companions; after boot every slice is a peer.
+// Consolidation — migrating vCPUs onto fewer nodes as resources free up —
+// is the mobility feature that distinguishes a resource-borrowing
 // hypervisor from earlier distributed VMs, and is exercised by FragBFF
 // consolidation in the fleet control plane (package fleet).
 //
@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dsm"
-	"repro/internal/fault"
 	"repro/internal/guest"
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -46,9 +45,8 @@ type Pin struct {
 type Config struct {
 	Name      string
 	Cluster   *cluster.Cluster
-	Layer     *msg.Layer // shared messaging layer; created over the fabric if nil
-	Placement []Pin      // one entry per vCPU; Placement[0]'s node is the bootstrap slice
-	MemBytes  int64      // guest RAM (bounds the guest heap)
+	Placement []Pin // one entry per vCPU; Placement[0]'s node is the bootstrap slice
+	MemBytes  int64 // guest RAM (bounds the guest heap)
 	// MemoryNodes lists additional nodes contributing *memory-only* VM
 	// slices (§4: a slice may consist of just RAM). They join the DSM
 	// and the NUMA-aware guest spreads its arenas over them, but they
@@ -62,8 +60,6 @@ type Config struct {
 
 	Multiqueue bool
 	DSMBypass  bool
-	NetOwner   int // node with the physical NIC; -1 = bootstrap
-	BlkOwner   int // node with the SSD; -1 = bootstrap
 
 	// Mobility enables vCPU migration. GiantVM lacks it.
 	Mobility bool
@@ -73,19 +69,14 @@ type Config struct {
 	HelperThreads bool
 
 	BootCost sim.Time // per-slice setup charged by Boot
-
-	// Fault, when set, wires the VM for fault injection: the injector
-	// filters the messaging layer and shares its counters with the VM's
-	// recovery accounting. It is not a liveness view: the VM learns of a
-	// crash only through its heartbeat (StartHeartbeat). A zero
-	// DSM.Retry defaults to msg.DefaultRetryPolicy so lost protocol
-	// messages are retransmitted instead of deadlocking the VM.
-	Fault *fault.Injector
 }
 
 // FragVisorConfig returns the paper's FragVisor profile: kernel-space DSM
 // with contextual piggybacking, multiqueue + DSM-bypass virtio, the
-// optimized NUMA-aware guest, and full mobility.
+// optimized NUMA-aware guest, and full mobility. The bootstrap slice
+// hosts the physical NIC and SSD. The profile has no fault setting: a VM
+// on a cluster with a fault injector (fault.New) is wired for faults
+// through its fabric.
 func FragVisorConfig(c *cluster.Cluster, placement []Pin, memBytes int64) Config {
 	return Config{
 		Name:       "fragvisor",
@@ -98,8 +89,6 @@ func FragVisorConfig(c *cluster.Cluster, placement []Pin, memBytes int64) Config
 		Virtio:     virtio.DefaultParams(),
 		Multiqueue: true,
 		DSMBypass:  true,
-		NetOwner:   -1,
-		BlkOwner:   -1,
 		Mobility:   true,
 		BootCost:   2 * sim.Millisecond,
 	}
@@ -164,11 +153,7 @@ func New(cfg Config) *VM {
 		panic("hypervisor: config needs guest memory")
 	}
 	env := cfg.Cluster.Env
-	layer := cfg.Layer
-	if layer == nil {
-		layer = msg.NewLayer(env, cfg.Cluster.Fabric, msg.DefaultParams())
-		cfg.Layer = layer
-	}
+	layer := msg.NewLayer(env, cfg.Cluster.Fabric, msg.DefaultParams())
 
 	// Distinct slice nodes, bootstrap (vCPU0's node) first; memory-only
 	// slices follow the compute slices.
@@ -187,20 +172,9 @@ func New(cfg Config) *VM {
 		}
 	}
 
-	if cfg.Fault != nil && cfg.DSM.Retry.Timeout <= 0 {
-		// Fault injection without an explicit DSM retry policy would let
-		// one dropped protocol message block a vCPU forever (the fill
-		// wait has no timeout). Default to the standard policy; callers
-		// can still override with their own.
-		cfg.DSM.Retry = msg.DefaultRetryPolicy()
-	}
 	vm := &VM{Env: env, Layer: layer, Layout: &mem.Layout{}, cfg: cfg, nodes: nodes,
 		dead: make(map[int]bool), ctr: metrics.NewCounters(), tr: trace.FromEnv(env)}
 	vm.DSM = dsm.New(env, layer, nodes, cfg.DSM)
-	if cfg.Fault != nil {
-		cfg.Fault.AttachLayer(layer)
-		vm.ctr = cfg.Fault.Counters()
-	}
 
 	placement := make([]int, len(cfg.Placement))
 	pcpus := make([]*sim.PS, len(cfg.Placement))
@@ -212,20 +186,14 @@ func New(cfg Config) *VM {
 	vm.Kernel = guest.New(env, vm.DSM, vm.Layout, vm.VCPUs, len(cfg.Placement),
 		cfg.MemBytes, cfg.Guest, guest.DefaultCosts())
 
-	netOwner := cfg.NetOwner
-	if netOwner < 0 {
-		netOwner = nodes[0]
-	}
-	blkOwner := cfg.BlkOwner
-	if blkOwner < 0 {
-		blkOwner = nodes[0]
-	}
+	// The bootstrap slice owns the physical devices.
+	owner := nodes[0]
 	vm.Net = virtio.NewNet(env, vm.DSM, layer, vm.VCPUs, vm.Layout,
-		cfg.Cluster.Client, netOwner, cfg.Virtio,
-		virtio.Config{Owner: netOwner, Multiqueue: cfg.Multiqueue, Bypass: cfg.DSMBypass})
+		cfg.Cluster.Client, owner, cfg.Virtio,
+		virtio.Config{Owner: owner, Multiqueue: cfg.Multiqueue, Bypass: cfg.DSMBypass})
 	vm.Blk = virtio.NewBlk(env, vm.DSM, layer, vm.VCPUs, vm.Layout,
-		cfg.Cluster.Node(blkOwner).SSD, cfg.Virtio,
-		virtio.Config{Owner: blkOwner, Multiqueue: cfg.Multiqueue, Bypass: cfg.DSMBypass})
+		cfg.Cluster.Node(owner).SSD, cfg.Virtio,
+		virtio.Config{Owner: owner, Multiqueue: cfg.Multiqueue, Bypass: cfg.DSMBypass})
 
 	if cfg.HelperThreads {
 		for _, ps := range pcpus {
@@ -237,6 +205,10 @@ func New(cfg Config) *VM {
 
 // Config returns the VM's configuration.
 func (vm *VM) Config() Config { return vm.cfg }
+
+// Counters returns the VM's failure-detection and recovery counters
+// (hb.*, recover.*).
+func (vm *VM) Counters() *metrics.Counters { return vm.ctr }
 
 // Nodes returns the distinct slice nodes, bootstrap first.
 func (vm *VM) Nodes() []int { return append([]int(nil), vm.nodes...) }

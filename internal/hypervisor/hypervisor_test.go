@@ -1,10 +1,12 @@
 package hypervisor
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/vcpu"
 )
@@ -172,9 +174,7 @@ func TestDetectionRunsDuringRecovery(t *testing.T) {
 	c := newCluster(3)
 	defer c.Env.Close()
 	inj := fault.New(c)
-	cfg := FragVisorConfig(c, SpreadPlacement([]int{0, 1, 2}, 3), 1<<30)
-	cfg.Fault = inj
-	vm := New(cfg)
+	vm := New(FragVisorConfig(c, SpreadPlacement([]int{0, 1, 2}, 3), 1<<30))
 	var sched fault.Schedule
 	sched.Add(fault.Event{At: 5 * sim.Millisecond, Kind: fault.CrashNode, Node: 1})
 	sched.Add(fault.Event{At: 15 * sim.Millisecond, Kind: fault.CrashNode, Node: 2})
@@ -204,5 +204,53 @@ func TestDetectionRunsDuringRecovery(t *testing.T) {
 	}
 	if live := c.Env.LiveProcs(); len(live) != 0 {
 		t.Errorf("procs left parked after StopHeartbeat: %v", live)
+	}
+}
+
+// TestFaultedClusterWiresEveryVM: fault.New on the cluster is the only
+// fault switch. A VM built from the plain FragVisor profile on a faulted
+// cluster must retry its DSM protocol through an Any→Any drop burst and
+// see duplicated messages at its messaging layer, so every vCPU's writes
+// complete and the DSM stays coherent.
+func TestFaultedClusterWiresEveryVM(t *testing.T) {
+	c := newCluster(4)
+	defer c.Env.Close()
+	inj := fault.New(c)
+	vm := New(FragVisorConfig(c, SpreadPlacement([]int{0, 1, 2, 3}, 4), 1<<30))
+	region := vm.Layout.Alloc("shared", 4, mem.KindHeap)
+	c.Env.Spawn("driver", func(p *sim.Proc) {
+		vm.Boot(p)
+		var sched fault.Schedule
+		sched.Add(fault.Event{Kind: fault.DropMessages, From: fault.Any, To: fault.Any, Count: 20})
+		sched.Add(fault.Event{Kind: fault.DupMessages, From: fault.Any, To: fault.Any, Count: 20})
+		inj.Apply(sched.Shifted(p.Now()))
+		var done []*sim.Event
+		for i := 0; i < vm.NVCPU(); i++ {
+			w := vm.Run(i, fmt.Sprintf("writer%d", i), func(ctx *vcpu.Ctx) {
+				for k := 0; k < 40; k++ {
+					vm.DSM.Write(ctx.P, ctx.Node(), region.Page(int64(k%4)), 8*i, []byte{byte(k), byte(i)})
+					c.Env.MarkProgress()
+				}
+			})
+			done = append(done, w.Done())
+		}
+		p.WaitAll(done...)
+	})
+	c.Env.WatchProgress(100 * sim.Millisecond)
+	c.Env.Run()
+	if st := c.Env.Stalled(); st != nil {
+		t.Fatal(st)
+	}
+	if live := c.Env.LiveProcs(); len(live) != 0 {
+		t.Fatalf("procs left blocked: %v", live)
+	}
+	if r := vm.DSM.TotalStats().Retries; r == 0 {
+		t.Error("the DSM never retried through the drop burst")
+	}
+	if d := vm.Layer.FaultStats().Duplicated; d == 0 {
+		t.Error("the messaging layer saw no duplicated message")
+	}
+	if err := vm.DSM.Validate(); err != nil {
+		t.Error(err)
 	}
 }

@@ -1,9 +1,8 @@
-// Fault-path delivery: typed errors, RPC timeouts, and the retry policy
-// callers apply around them. The happy-path API (Send/Call) treats the
-// fabric as reliable — a lost hypervisor message is a protocol bug. Under
-// fault injection that assumption is withdrawn: messages can be dropped,
-// delayed, or duplicated, and protocols that want to survive use
-// CallTimeout, retry per a RetryPolicy, and handle the typed errors.
+// Fault-path delivery: typed errors and RPC timeouts. The happy-path API
+// (Send/Call) treats the fabric as reliable — a lost hypervisor message
+// is a protocol bug. Under fault injection that assumption is withdrawn:
+// messages can be dropped, delayed, or duplicated, and protocols that
+// want to survive use CallTimeout, retry, and handle the typed errors.
 package msg
 
 import (
@@ -44,8 +43,12 @@ type MsgOutcome struct {
 	Duplicate bool
 }
 
-// Filter inspects every message offered to the layer. Implemented by the
-// fault injector.
+// Filter is an optional method set of a fabric's fault filter
+// (topo.Filter): when the filter installed on a layer's fabric also
+// implements it, the layer asks it about every message offered, and the
+// reliable transport about every data frame. The fault injector
+// implements both, so installing it on the fabric is the only fault
+// switch a layer needs.
 type Filter interface {
 	MsgOutcome(from, to int, service, kind string) MsgOutcome
 }
@@ -58,31 +61,8 @@ type FaultStats struct {
 	Timeouts          int64 // CallTimeout expiries
 }
 
-// SetFilter installs (or, with nil, removes) the layer's fault filter.
-func (l *Layer) SetFilter(f Filter) { l.filter = f }
-
 // FaultStats returns a copy of the layer's fault-path counters.
 func (l *Layer) FaultStats() FaultStats { return l.faults }
-
-// RetryPolicy tunes a retrying caller (the DSM's callNode): per-attempt
-// timeout plus capped exponential backoff between attempts. The caller
-// decides when to stop; the DSM retries until MarkDead fences the peer out.
-type RetryPolicy struct {
-	Timeout    sim.Time // per-attempt reply deadline
-	Backoff    sim.Time // sleep before the 2nd attempt; doubles per retry
-	MaxBackoff sim.Time // backoff cap (0 = uncapped)
-}
-
-// DefaultRetryPolicy suits intra-cluster RPCs riding a microsecond-scale
-// fabric: generous per-attempt timeouts relative to the ~10 us fault RTT,
-// backoff doubling from 100 us capped at 2 ms.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		Timeout:    2 * sim.Millisecond,
-		Backoff:    100 * sim.Microsecond,
-		MaxBackoff: 2 * sim.Millisecond,
-	}
-}
 
 // CallTimeout delivers a request like Call but gives up after the timeout,
 // returning a *TimeoutError (matching ErrTimeout). A late reply to a

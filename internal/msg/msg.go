@@ -116,7 +116,6 @@ type Layer struct {
 	params   Params
 	handlers map[serviceKey]Handler
 	stats    map[string]*ServiceStats
-	filter   Filter
 	faults   FaultStats
 	tr       *trace.Tracer
 	services map[string]int
@@ -215,8 +214,8 @@ func (l *Layer) deliver(m *Message) {
 	}
 
 	var verdict MsgOutcome
-	if l.filter != nil {
-		verdict = l.filter.MsgOutcome(m.From, m.To, m.Service, m.Kind)
+	if f, ok := l.net.Filter().(Filter); ok {
+		verdict = f.MsgOutcome(m.From, m.To, m.Service, m.Kind)
 	}
 	if m.From == m.To {
 		// Same-node messages short-circuit the fabric but still pay the

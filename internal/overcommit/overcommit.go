@@ -34,8 +34,6 @@ func Config(c *cluster.Cluster, node, k, nVCPU int, memBytes int64) hypervisor.C
 		Virtio:     virtio.DefaultParams(),
 		Multiqueue: true,
 		DSMBypass:  false,
-		NetOwner:   -1,
-		BlkOwner:   -1,
 		Mobility:   true,
 		BootCost:   sim.Millisecond,
 	}

@@ -136,7 +136,6 @@ type Transport struct {
 	env     *sim.Env
 	fab     *topo.Fabric
 	p       Params
-	filter  msg.Filter // injector view for DupMessages interop; may be nil
 	rng     uint64
 	nextSeq map[flowKey]uint64
 	pend    map[pendKey]*sim.Event
@@ -176,12 +175,6 @@ func New(env *sim.Env, fab *topo.Fabric, p Params) *Transport {
 		handler: make(map[int]Handler),
 	}
 }
-
-// SetFilter installs the message-layer fault view (the injector) so
-// DupMessages rules addressed to the "reliable" service duplicate data
-// frames. The fabric-level filter — drops and delays — applies to the
-// transport's frames automatically, like any other fabric traffic.
-func (t *Transport) SetFilter(f msg.Filter) { t.filter = f }
 
 // Handle registers the delivery callback for a node.
 func (t *Transport) Handle(node int, h Handler) { t.handler[node] = h }
@@ -291,13 +284,14 @@ func (t *Transport) SendCtx(p *sim.Proc, span int64, from, to, size int, payload
 	}
 }
 
-// transmit puts one data frame on the fabric (two, when a DupMessages
-// rule fires). The fabric's own fault filter rules on each frame — drops
-// and delays land here like on any other traffic.
+// transmit puts one data frame on the fabric (two, when the fabric's
+// filter also implements msg.Filter and duplicates the frame, as the
+// injector's DupMessages rules do). The fabric's filter rules on each
+// frame too — drops and delays land here like on any other traffic.
 func (t *Transport) transmit(span int64, from, to, size int, seq uint64, payload any) {
 	copies := 1
-	if t.filter != nil {
-		if o := t.filter.MsgOutcome(from, to, "reliable", "data"); o.Duplicate {
+	if f, ok := t.fab.Filter().(msg.Filter); ok {
+		if o := f.MsgOutcome(from, to, "reliable", "data"); o.Duplicate {
 			copies = 2
 			t.stats.DupFrames++
 		}

@@ -26,9 +26,11 @@ func fastParams() Params {
 }
 
 // scriptFilter drops/delays fabric frames according to a scripted verdict
-// function; nil fn passes everything.
+// function, and duplicates data frames per an optional message-level one;
+// a nil function passes everything.
 type scriptFilter struct {
-	fn func(from, to, size int) topo.Outcome
+	fn    func(from, to, size int) topo.Outcome
+	msgFn func(from, to int, service, kind string) msg.MsgOutcome
 }
 
 func (s *scriptFilter) Outcome(from, to, size int) topo.Outcome {
@@ -36,6 +38,13 @@ func (s *scriptFilter) Outcome(from, to, size int) topo.Outcome {
 		return topo.Outcome{}
 	}
 	return s.fn(from, to, size)
+}
+
+func (s *scriptFilter) MsgOutcome(from, to int, service, kind string) msg.MsgOutcome {
+	if s.msgFn == nil {
+		return msg.MsgOutcome{}
+	}
+	return s.msgFn(from, to, service, kind)
 }
 
 func newFabric(env *sim.Env) *topo.Fabric {
@@ -192,25 +201,22 @@ func TestUnreachableAfterMaxAttempts(t *testing.T) {
 	}
 }
 
-// dupFilter injects DupMessages-style duplicates at the message layer.
-type dupFilter struct{ dups int }
-
-func (d *dupFilter) MsgOutcome(from, to int, service, kind string) msg.MsgOutcome {
-	if service == "reliable" && d.dups > 0 {
-		d.dups--
-		return msg.MsgOutcome{Duplicate: true}
-	}
-	return msg.MsgOutcome{}
-}
-
 // TestInjectedDuplicatesSuppressed: DupMessages interop — an injector
 // duplicating data frames must not double-deliver.
 func TestInjectedDuplicatesSuppressed(t *testing.T) {
 	env := sim.NewEnv()
 	fab := newFabric(env)
-	fab.SetFilter(&scriptFilter{}) // filter installed: slow path, no drops
+	// Filter installed: slow path, no drops, one DupMessages-style
+	// duplicate of the first data frame.
+	dups := 1
+	fab.SetFilter(&scriptFilter{msgFn: func(from, to int, service, kind string) msg.MsgOutcome {
+		if service == "reliable" && dups > 0 {
+			dups--
+			return msg.MsgOutcome{Duplicate: true}
+		}
+		return msg.MsgOutcome{}
+	}})
 	tr := New(env, fab, fastParams())
-	tr.SetFilter(&dupFilter{dups: 1})
 	delivered := 0
 	tr.Handle(1, func(from int, payload any) { delivered++ })
 	env.Spawn("send", func(p *sim.Proc) {
@@ -273,6 +279,8 @@ func TestQuickExactlyOnceInOrder(t *testing.T) {
 		fab := newFabric(env)
 		frng := &splitmix{s: f.Seed}
 		ruled := uint16(0)
+		drng := &splitmix{s: f.Seed ^ 0xdeadbeef}
+		dupsLeft := f.Window
 		fab.SetFilter(&scriptFilter{fn: func(from, to, size int) topo.Outcome {
 			if ruled >= f.Window {
 				return topo.Outcome{} // healed
@@ -285,20 +293,17 @@ func TestQuickExactlyOnceInOrder(t *testing.T) {
 				return topo.Outcome{Delay: sim.Time(1+frng.next()%50) * sim.Microsecond}
 			}
 			return topo.Outcome{}
-		}})
-		p := fastParams()
-		p.MaxAttempts = 20
-		p.Seed = int64(f.Seed)
-		tr := New(env, fab, p)
-		drng := &splitmix{s: f.Seed ^ 0xdeadbeef}
-		dupsLeft := f.Window
-		tr.SetFilter(filterFunc(func(from, to int, service, kind string) msg.MsgOutcome {
+		}, msgFn: func(from, to int, service, kind string) msg.MsgOutcome {
 			if dupsLeft > 0 && drng.permille(f.DupPct) {
 				dupsLeft--
 				return msg.MsgOutcome{Duplicate: true}
 			}
 			return msg.MsgOutcome{}
-		}))
+		}})
+		p := fastParams()
+		p.MaxAttempts = 20
+		p.Seed = int64(f.Seed)
+		tr := New(env, fab, p)
 
 		got := make([][]int, senders+1)
 		tr.Handle(0, func(from int, payload any) {
@@ -343,13 +348,6 @@ func TestQuickExactlyOnceInOrder(t *testing.T) {
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// filterFunc adapts a function to msg.Filter.
-type filterFunc func(from, to int, service, kind string) msg.MsgOutcome
-
-func (f filterFunc) MsgOutcome(from, to int, service, kind string) msg.MsgOutcome {
-	return f(from, to, service, kind)
 }
 
 // TestDeterministicJitter: two transports with the same seed must retry

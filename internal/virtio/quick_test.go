@@ -21,7 +21,6 @@ func fifoNoLossTrial(t *testing.T, seed int64, nPkts int, multiqueue, bypass boo
 	t.Helper()
 	h := newHarness(2)
 	inj := fault.New(h.c)
-	inj.AttachLayer(h.layer)
 	nd := h.net(Config{Owner: 0, Multiqueue: multiqueue, Bypass: bypass})
 	cl := nd.NewClient(clientAddr)
 
