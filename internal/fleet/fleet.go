@@ -25,7 +25,10 @@
 //     ReclaimEvict (the baseline every other cluster manager implements)
 //     the borrower dies.
 //   - Background rebalancing. An optional periodic tick runs the same
-//     consolidation pass over the whole fleet to shrink fragmentation.
+//     consolidation pass over the whole fleet to shrink fragmentation,
+//     then admits and re-inflates into what it freed. The pass reads no
+//     clock or RNG, so once a pass changes nothing the tick skips until
+//     the books change again.
 //   - Failure handling. A heartbeat tick watches the fault injector's
 //     liveness; when a node dies, fragments hosted there are re-placed on
 //     survivors, and VMs bound to a live Aggregate VM are restarted from
@@ -160,7 +163,8 @@ type Config struct {
 	AutoReclaim bool
 	// RebalanceEvery runs the consolidation pass periodically as well
 	// (0 = only on capacity changes, FragBFF's behavior and Fig 14's
-	// setting).
+	// setting). A tick whose books have not changed since a pass that
+	// changed nothing does no work; it stays scheduled all the same.
 	RebalanceEvery sim.Time
 	// HeartbeatEvery polls node liveness against Fault (0 = no failure
 	// detection).
@@ -277,10 +281,13 @@ type Fleet struct {
 	stats   Stats
 	waits   []sim.Time
 
-	// verified is len(events) when verify last passed. Every write to the
-	// books appends an Event (see log), so a log that has not grown since
-	// means books that have not changed.
+	// verified is len(events) when verify last passed, and settled is
+	// len(events) after the last rebalance pass that logged nothing (-1
+	// before one). Every write to the books appends an Event (see log),
+	// so a log that has not grown since means books that have not
+	// changed: nothing to re-check, and a pass that would do nothing.
 	verified int
+	settled  int
 }
 
 // vmRec is one admitted VM: its request, where it runs, its balloon and
@@ -325,6 +332,7 @@ func New(env *sim.Env, cfg Config) *Fleet {
 		down:     make([]bool, cfg.Nodes),
 		vms:      map[int]*vmRec{},
 		queuedAt: map[int]sim.Time{},
+		settled:  -1,
 	}
 	for i := range f.freeCPU {
 		f.freeCPU[i] = cfg.CPUsPerNode
@@ -404,8 +412,15 @@ func (f *Fleet) Snapshot() Snapshot {
 // log appends one Event to the decision log. Every write to the books
 // (free vectors, down, the waiting queue, the lease ledger, and the
 // placement, home and balloon of a VM's record) must append an Event in
-// the same step: verify skips its scan while the log length is
-// unchanged.
+// the same step: verify skips its scan, and the rebalance tick its
+// pass, while the log length is unchanged.
+//
+// Bind is the one write the pass reads that logs nothing: it sets a
+// record's bound. That is sound only because a new binding narrows what
+// a pass may do — anyBound and Reclaim's resize fallback only remove
+// options for bound borrowers — so a pass that found nothing to do
+// before a Bind finds nothing after it. A write that could widen the
+// pass's options must log.
 func (f *Fleet) log(kind string, vm, from, to, n, lease int) {
 	f.events = append(f.events, Event{T: f.env.Now(), Kind: kind, VM: vm, From: from, To: to, N: n, Lease: lease})
 	if f.tr != nil {
@@ -742,12 +757,20 @@ func (f *Fleet) bindingOf(vmID int) *binding {
 	return nil
 }
 
-// armRebalance schedules the periodic defragmentation tick.
+// armRebalance schedules the periodic defragmentation tick. The pass is
+// a pure function of the books, so after a pass that logged nothing
+// every later one is a no-op until the log grows: the tick skips it
+// while the log still has the settled length. The timer stays armed, so
+// the event count and every output are what a full pass would leave.
 func (f *Fleet) armRebalance() {
 	if f.cfg.RebalanceEvery <= 0 {
 		return
 	}
 	f.every(f.cfg.RebalanceEvery, func() {
+		n := len(f.events)
+		if n == f.settled {
+			return
+		}
 		work := f.consolidateAll()
 		if len(work) > 0 {
 			f.stats.Rebalances++
@@ -757,6 +780,9 @@ func (f *Fleet) armRebalance() {
 		f.drainQueue()
 		f.deflateAll()
 		f.verify()
+		if len(f.events) == n {
+			f.settled = n
+		}
 	})
 }
 

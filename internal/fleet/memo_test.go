@@ -21,6 +21,31 @@ const (
 	memoTick  = 3 * sim.Millisecond
 )
 
+// reclaimHorizon is the virtual length of newReclaimWorld.
+const reclaimHorizon = 60 * sim.Second
+
+// newReclaimWorld builds a small auto-reclaim fleet under pol, ticking
+// every memoTick, with seeded arrivals and twelve random owner reclaims.
+// Seed 34 makes the resize world re-inflate a ballooned VM onto a slice
+// it already holds (quietDeflates).
+func newReclaimWorld(pol ReclaimPolicy) (*sim.Env, *Fleet) {
+	const nodes = 6
+	env := sim.NewEnv()
+	f := New(env, Config{
+		Nodes: nodes, CPUsPerNode: 8, MemPerNode: 32 * gig,
+		Policy: sched.MinFrag, AutoReclaim: true, Reclaim: pol,
+		RebalanceEvery: memoTick, Horizon: reclaimHorizon,
+	})
+	rng := rand.New(rand.NewSource(34))
+	f.Submit(GenerateBurst(rng, 20, 40*sim.Second, 2*gig))
+	for i := 0; i < 12; i++ {
+		at := sim.Time(1+rng.Intn(50)) * sim.Second
+		node := rng.Intn(nodes)
+		env.At(at, func() { f.Reclaim(node) })
+	}
+	return env, f
+}
+
 // booksPrint appends to fp a fingerprint of everything verify reads: the
 // free vectors, down, every VM record (its ID, provisioned vCPUs and
 // memory, home, ballooned vCPUs, and placement in node order), the
@@ -66,19 +91,24 @@ func booksPrint(f *Fleet, fp []int64) []int64 {
 type memoCounts struct {
 	still    int // samples whose log had not grown since the previous one
 	memoHits int // log lengths at which verify would skip, scanned by (b)
+	settled  int // log lengths at which the tick would skip, replayed by (c)
 }
 
 // watchMemo samples the fleet every memoEvery of virtual time up to end
-// and checks, at every sample, the premises verify's memo rests on:
+// and checks, at every sample, the premises verify's memo and the
+// rebalance tick's settled skip rest on:
 //
 //	(a) when the log has not grown since the previous sample, the books
 //	    are unchanged;
 //	(b) when verify would skip (verified == len(events)), the full scan
-//	    finds nothing.
+//	    finds nothing;
+//	(c) when the rebalance tick would skip (settled == len(events)), its
+//	    pass (consolidateAll, drainQueue, deflateAll) logs nothing, plans
+//	    no live move and leaves the books as they were.
 func watchMemo(t *testing.T, env *sim.Env, f *Fleet, end sim.Time) *memoCounts {
 	t.Helper()
 	c := &memoCounts{}
-	prevLen := -1
+	prevLen, replayed := -1, -1
 	var prevFP, fp []int64
 	var sample func()
 	sample = func() {
@@ -99,6 +129,24 @@ func watchMemo(t *testing.T, env *sim.Env, f *Fleet, end sim.Time) *memoCounts {
 			c.memoHits++
 			if vs := f.VerifyReport(); len(vs) > 0 {
 				t.Errorf("t=%v: verify memo hit on broken books: %v", env.Now(), vs)
+				return
+			}
+		}
+		// The pass reads only the books, so (c) too needs one replay per
+		// log length. The tick may settle a length after its first sample.
+		if f.settled == n && replayed != n {
+			replayed = n
+			c.settled++
+			work := f.consolidateAll()
+			f.drainQueue()
+			f.deflateAll()
+			if len(f.events) != n || len(work) > 0 {
+				t.Errorf("t=%v: a skipped tick pass would have logged %v and moved %v",
+					env.Now(), f.events[n:], work)
+				return
+			}
+			if !slices.Equal(booksPrint(f, nil), prevFP) {
+				t.Errorf("t=%v: a skipped tick pass would have changed the books", env.Now())
 				return
 			}
 		}
@@ -129,18 +177,19 @@ func quietDeflates(evs []Event) int {
 // requireExercised fails a world whose samples never hit a premise.
 func requireExercised(t *testing.T, c *memoCounts) {
 	t.Helper()
-	if c.still == 0 || c.memoHits == 0 {
+	if c.still == 0 || c.memoHits == 0 || c.settled == 0 {
 		t.Fatalf("premises not exercised: %+v", *c)
 	}
 	t.Logf("%+v", *c)
 }
 
-// TestVerifyMemoIsSound proves verify's memo is sound: an unchanged event
-// log means unchanged books (every write to the books logs an Event), and
-// books the memo would not re-scan scan clean. It samples three kinds of
-// world: the fleet soak, small auto-reclaim fleets under each reclaim
-// policy with random owner reclaims, and a heartbeat fleet whose node
-// crashes and heals.
+// TestVerifyMemoIsSound proves verify's memo and the tick's settled skip
+// are sound: an unchanged event log means unchanged books (every write to
+// the books logs an Event), books the memo would not re-scan scan clean,
+// and a tick pass the skip leaves out would have done nothing. It samples
+// three kinds of world: the fleet soak, small auto-reclaim fleets under
+// each reclaim policy with random owner reclaims, and a heartbeat fleet
+// whose node crashes and heals.
 func TestVerifyMemoIsSound(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("soak-seed%d", seed), func(t *testing.T) {
@@ -153,23 +202,8 @@ func TestVerifyMemoIsSound(t *testing.T) {
 	}
 	for _, pol := range Policies() {
 		t.Run("reclaim-"+pol.String(), func(t *testing.T) {
-			// Seed 34 makes the resize world re-inflate a ballooned VM
-			// onto a slice it already holds (quietDeflates).
-			const nodes, horizon = 6, 60 * sim.Second
-			env := sim.NewEnv()
-			f := New(env, Config{
-				Nodes: nodes, CPUsPerNode: 8, MemPerNode: 32 * gig,
-				Policy: sched.MinFrag, AutoReclaim: true, Reclaim: pol,
-				RebalanceEvery: memoTick, Horizon: horizon,
-			})
-			rng := rand.New(rand.NewSource(34))
-			f.Submit(GenerateBurst(rng, 20, 40*sim.Second, 2*gig))
-			for i := 0; i < 12; i++ {
-				at := sim.Time(1+rng.Intn(50)) * sim.Second
-				node := rng.Intn(nodes)
-				env.At(at, func() { f.Reclaim(node) })
-			}
-			c := watchMemo(t, env, f, horizon)
+			env, f := newReclaimWorld(pol)
+			c := watchMemo(t, env, f, reclaimHorizon)
 			env.Run()
 			f.Verify()
 			st := f.Stats()

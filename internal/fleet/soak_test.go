@@ -34,10 +34,10 @@ func newSoak(seed int64, vms int) (*sim.Env, *Fleet) {
 // TestSoakSteadyHeap is the control plane's steady-state memory gate:
 // admission, leases, reclaims, rebalance ticks and departures of the
 // seed-42 soak must not grow the live heap with virtual time. Every tick
-// runs the consolidation pass, but its invariant scan runs only when the
-// event log has grown since the last one. The heap after the last
-// quarter may exceed the first quarter's by at most 50% plus 8 MB of
-// slack for pool high-water marks.
+// fires, but it runs the consolidation pass and invariant scan only when
+// the event log has grown since a pass that logged nothing. The heap
+// after the last quarter may exceed the first quarter's by at most 50%
+// plus 8 MB of slack for pool high-water marks.
 func TestSoakSteadyHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak skipped in -short mode")
@@ -99,5 +99,36 @@ func TestSoakSweepDeterministicUnderWorkers(t *testing.T) {
 		if seq[i].Values["events"] < 100 {
 			t.Fatalf("seed %d: suspiciously small soak (%v events)", seq[i].Point.Seed, seq[i].Values["events"])
 		}
+	}
+}
+
+// TestSettledTickAllocatesNothing: once a rebalance pass has found nothing
+// to do, later ticks skip it until the books change, so a second of
+// 2 ms ticks allocates nothing. The fleet holds a gang that cannot
+// consolidate and a request that cannot be admitted: a tick that ran its
+// pass would gather the gang and copy the waiting queue every period.
+func TestSettledTickAllocatesNothing(t *testing.T) {
+	env, f := newFleet(t, Config{
+		Nodes: 2, CPUsPerNode: 4, MemPerNode: 8 * gig, Policy: sched.MinNodes,
+		RebalanceEvery: 2 * sim.Millisecond,
+	})
+	f.Submit([]Request{
+		{ID: 1, VCPUs: 3, MemBytes: gig},
+		{ID: 2, VCPUs: 3, MemBytes: gig},
+		{ID: 3, VCPUs: 2, MemBytes: gig, Arrival: 1},
+		{ID: 4, VCPUs: 2, MemBytes: gig, Arrival: 2},
+	})
+	env.RunUntil(10 * sim.Millisecond)
+	if len(f.vms[3].pl) != 2 || len(f.waiting) != 1 {
+		t.Fatalf("fixture: VM 3 placed %v, %d waiting; want a 2-node gang and one waiting", f.vms[3].pl, len(f.waiting))
+	}
+	logged, ticks := len(f.events), env.Scheduled()
+	allocs := testing.AllocsPerRun(5, func() { env.RunUntil(env.Now() + sim.Second) })
+	if allocs != 0 {
+		t.Errorf("a settled second of ticks allocated %v times", allocs)
+	}
+	if len(f.events) != logged || env.Scheduled()-ticks < 6*500 {
+		t.Errorf("settled ticks logged %d events over %d scheduled, want 0 over >= 3000",
+			len(f.events)-logged, env.Scheduled()-ticks)
 	}
 }

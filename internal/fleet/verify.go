@@ -8,8 +8,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ViolationClass names one conservation invariant of the fleet control
@@ -66,18 +67,36 @@ func (vs *violations) add(class ViolationClass, node, vm, lease int, format stri
 
 // VerifyReport checks every control-plane invariant and returns all
 // violations found, in deterministic order (node-major books first,
-// then balloon accounting, then the lease ledger). An empty slice means
-// the books balance. It never panics and never mutates the fleet.
+// then balloon accounting, then the lease ledger, then borrowed
+// fragments in VM and node order). An empty slice means the books
+// balance. It never panics and never mutates the fleet.
 func (f *Fleet) VerifyReport() []Violation {
 	var vs violations
+	// One walk over each VM's placement gathers everything the checks
+	// read from it: the node books, the VM's resident vCPUs, and its
+	// fragments off the home node, kept in borrowed for the lease check
+	// at the end.
+	scans := make([]vmScan, 0, len(f.vms))
+	for id, rec := range f.vms {
+		scans = append(scans, vmScan{id: id, rec: rec})
+	}
+	slices.SortFunc(scans, func(a, b vmScan) int { return cmp.Compare(a.id, b.id) })
 	usedCPU := make([]int, f.cfg.Nodes)
 	usedMem := make([]int64, f.cfg.Nodes)
-	for _, rec := range f.vms {
-		mpc := rec.req.memPerCPU()
-		for n, c := range rec.pl {
+	borrowed := make([]int, 0, len(f.live))
+	for i := range scans {
+		s := &scans[i]
+		mpc := s.rec.req.memPerCPU()
+		s.lo = len(borrowed)
+		for n, c := range s.rec.pl {
 			usedCPU[n] += c
 			usedMem[n] += int64(c) * mpc
+			s.resident += int64(c)
+			if n != s.rec.home {
+				borrowed = append(borrowed, n)
+			}
 		}
+		s.hi = len(borrowed)
 	}
 	for n := 0; n < f.cfg.Nodes; n++ {
 		if f.down[n] {
@@ -98,17 +117,16 @@ func (f *Fleet) VerifyReport() []Violation {
 	// Balloon conservation: every VM's balloon lies in [0, provisioned],
 	// and its resident vCPUs plus its ballooned vCPUs equal its
 	// provisioned size, bit-exactly.
-	ids := sortedVMs(f.vms)
-	for _, id := range ids {
-		rec := f.vms[id]
-		prov, resident := int64(rec.req.VCPUs), rec.residentCPU()
+	for _, s := range scans {
+		id, rec := s.id, s.rec
+		prov := int64(rec.req.VCPUs)
 		switch {
 		case rec.ballooned < 0 || rec.ballooned > prov:
 			vs.add(VBalloonBooks, -1, id, -1, "VM %d balloon out of range: ballooned %d not in [0, %d]",
 				id, rec.ballooned, prov)
-		case resident+rec.ballooned != prov:
+		case s.resident+rec.ballooned != prov:
 			vs.add(VBalloonBooks, -1, id, -1, "VM %d balloon books broken: resident %d + ballooned %d != provisioned %d",
-				id, resident, rec.ballooned, prov)
+				id, s.resident, rec.ballooned, prov)
 		}
 	}
 	// Lease ledger: exactly one active lease per non-home fragment,
@@ -147,25 +165,27 @@ func (f *Fleet) VerifyReport() []Violation {
 		vs.add(VLeaseIndex, l.Node, l.VM, l.ID, "live list holds %d leases, the ledger %d outstanding; lease %d is extra",
 			len(f.live), outstanding, l.ID)
 	}
-	var one [1]int
-	for _, id := range ids {
-		// Report in node order; a single-node placement needs no sort.
-		rec := f.vms[id]
-		pl, nodes := rec.pl, one[:0]
-		if len(pl) > 1 {
-			nodes = pl.Nodes()
-		} else {
-			for n := range pl {
-				nodes = append(nodes, n)
-			}
-		}
+	for _, s := range scans {
+		// Report in node order.
+		nodes := borrowed[s.lo:s.hi]
+		slices.Sort(nodes)
 		for _, n := range nodes {
-			if n != rec.home && active[key{id, n}] == nil {
-				vs.add(VFragmentNoLease, n, id, -1, "fragment of VM %d on node %d has no lease", id, n)
+			if active[key{s.id, n}] == nil {
+				vs.add(VFragmentNoLease, n, s.id, -1, "fragment of VM %d on node %d has no lease", s.id, n)
 			}
 		}
 	}
 	return vs
+}
+
+// vmScan is one VM as VerifyReport's single walk over its placement
+// saw it: its resident vCPUs, and borrowed[lo:hi] as its off-home
+// nodes.
+type vmScan struct {
+	id       int
+	rec      *vmRec
+	resident int64
+	lo, hi   int
 }
 
 // verify is the fleet's quiescent-point check: Verify, memoized on the
@@ -179,14 +199,4 @@ func (f *Fleet) verify() {
 	}
 	f.Verify()
 	f.verified = len(f.events)
-}
-
-// sortedVMs returns the admitted VMs' ids in ascending order.
-func sortedVMs(vms map[int]*vmRec) []int {
-	ids := make([]int, 0, len(vms))
-	for id := range vms {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }

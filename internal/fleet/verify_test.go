@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"maps"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -240,4 +243,343 @@ func TestVerifyReportMultiple(t *testing.T) {
 	if len(vs) != 3 {
 		t.Errorf("report has %d violations, want 3: %+v", len(vs), vs)
 	}
+}
+
+// verifyReportRef is VerifyReport as it was before the scan walked each
+// placement once: it walks every placement three times (books,
+// residentCPU, fragments) and looks each VM up three times. Kept as the
+// oracle TestVerifyReportMatchesReference holds the single walk to.
+func verifyReportRef(f *Fleet) []Violation {
+	var vs violations
+	usedCPU := make([]int, f.cfg.Nodes)
+	usedMem := make([]int64, f.cfg.Nodes)
+	for _, rec := range f.vms {
+		mpc := rec.req.memPerCPU()
+		for n, c := range rec.pl {
+			usedCPU[n] += c
+			usedMem[n] += int64(c) * mpc
+		}
+	}
+	for n := 0; n < f.cfg.Nodes; n++ {
+		if f.down[n] {
+			if usedCPU[n] != 0 {
+				vs.add(VDownNodeHosting, n, -1, -1, "down node %d still hosts %d vCPUs", n, usedCPU[n])
+			}
+			continue
+		}
+		if f.freeCPU[n] < 0 || f.freeCPU[n]+usedCPU[n] != f.cfg.CPUsPerNode {
+			vs.add(VCPUBooks, n, -1, -1, "node %d CPU books broken: free %d + used %d != %d",
+				n, f.freeCPU[n], usedCPU[n], f.cfg.CPUsPerNode)
+		}
+		if f.freeMem[n] < 0 || f.freeMem[n]+usedMem[n] != f.cfg.MemPerNode {
+			vs.add(VMemBooks, n, -1, -1, "node %d memory books broken: free %d + used %d != %d",
+				n, f.freeMem[n], usedMem[n], f.cfg.MemPerNode)
+		}
+	}
+	// Balloon conservation: every VM's balloon lies in [0, provisioned],
+	// and its resident vCPUs plus its ballooned vCPUs equal its
+	// provisioned size, bit-exactly.
+	ids := sortedVMs(f.vms)
+	for _, id := range ids {
+		rec := f.vms[id]
+		prov, resident := int64(rec.req.VCPUs), rec.residentCPU()
+		switch {
+		case rec.ballooned < 0 || rec.ballooned > prov:
+			vs.add(VBalloonBooks, -1, id, -1, "VM %d balloon out of range: ballooned %d not in [0, %d]",
+				id, rec.ballooned, prov)
+		case resident+rec.ballooned != prov:
+			vs.add(VBalloonBooks, -1, id, -1, "VM %d balloon books broken: resident %d + ballooned %d != provisioned %d",
+				id, resident, rec.ballooned, prov)
+		}
+	}
+	// Lease ledger: exactly one active lease per non-home fragment,
+	// none anywhere else. The scan walks the whole ledger, not the
+	// outstanding-lease list, so it is an oracle for that list too: the
+	// list must hold exactly the unreleased leases, in grant order.
+	type key struct{ vm, node int }
+	active := map[key]*Lease{}
+	outstanding, indexed := 0, true
+	for _, l := range f.leases {
+		if l.State == LeaseReleased {
+			continue
+		}
+		if indexed && (outstanding >= len(f.live) || f.live[outstanding] != l) {
+			indexed = false
+			vs.add(VLeaseIndex, l.Node, l.VM, l.ID, "outstanding lease %d is not entry %d of the live list", l.ID, outstanding)
+		}
+		outstanding++
+		k := key{l.VM, l.Node}
+		if active[k] != nil {
+			vs.add(VLeaseDoubleBook, l.Node, l.VM, l.ID, "leases %d and %d double-book VM %d on node %d",
+				active[k].ID, l.ID, l.VM, l.Node)
+		}
+		active[k] = l
+		rec := f.vms[l.VM]
+		if rec == nil || rec.pl[l.Node] == 0 || rec.home == l.Node {
+			vs.add(VLeaseNoFragment, l.Node, l.VM, l.ID, "lease %d covers no fragment (VM %d node %d)", l.ID, l.VM, l.Node)
+			continue
+		}
+		if l.CPUs != rec.pl[l.Node] {
+			vs.add(VLeaseCPUMismatch, l.Node, l.VM, l.ID, "lease %d books %d vCPUs, fragment has %d", l.ID, l.CPUs, rec.pl[l.Node])
+		}
+	}
+	if indexed && outstanding != len(f.live) {
+		l := f.live[outstanding]
+		vs.add(VLeaseIndex, l.Node, l.VM, l.ID, "live list holds %d leases, the ledger %d outstanding; lease %d is extra",
+			len(f.live), outstanding, l.ID)
+	}
+	var one [1]int
+	for _, id := range ids {
+		// Report in node order; a single-node placement needs no sort.
+		rec := f.vms[id]
+		pl, nodes := rec.pl, one[:0]
+		if len(pl) > 1 {
+			nodes = pl.Nodes()
+		} else {
+			for n := range pl {
+				nodes = append(nodes, n)
+			}
+		}
+		for _, n := range nodes {
+			if n != rec.home && active[key{id, n}] == nil {
+				vs.add(VFragmentNoLease, n, id, -1, "fragment of VM %d on node %d has no lease", id, n)
+			}
+		}
+	}
+	return vs
+}
+
+// sortedVMs returns the admitted VMs' ids in ascending order.
+func sortedVMs(vms map[int]*vmRec) []int {
+	ids := make([]int, 0, len(vms))
+	for id := range vms {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// cloneBooks copies everything VerifyReport reads, so a test can corrupt
+// the copy and leave the running world alone.
+func cloneBooks(f *Fleet) *Fleet {
+	c := &Fleet{
+		cfg:     f.cfg,
+		freeCPU: slices.Clone(f.freeCPU),
+		freeMem: slices.Clone(f.freeMem),
+		down:    slices.Clone(f.down),
+		vms:     make(map[int]*vmRec, len(f.vms)),
+	}
+	for id, rec := range f.vms {
+		r := *rec
+		r.pl = maps.Clone(rec.pl)
+		c.vms[id] = &r
+	}
+	copies := make(map[*Lease]*Lease, len(f.leases))
+	for _, l := range f.leases {
+		cl := *l
+		copies[l] = &cl
+		c.leases = append(c.leases, &cl)
+	}
+	for _, l := range f.live {
+		c.live = append(c.live, copies[l])
+	}
+	return c
+}
+
+// corruption breaks one invariant of a cloned fleet, choosing its target
+// by k so that successive samples hit different nodes, VMs and leases.
+// It reports false when the books hold no target for it.
+type corruption struct {
+	name  string
+	apply func(c *Fleet, k int) bool
+}
+
+// pickVM returns the k-th admitted VM (mod their number) that satisfies
+// ok, in id order, or nil.
+func pickVM(c *Fleet, k int, ok func(*vmRec) bool) *vmRec {
+	var recs []*vmRec
+	for _, id := range sortedVMs(c.vms) {
+		if ok(c.vms[id]) {
+			recs = append(recs, c.vms[id])
+		}
+	}
+	if len(recs) == 0 {
+		return nil
+	}
+	return recs[k%len(recs)]
+}
+
+// pickLive returns the k-th outstanding lease (mod their number), or nil.
+func pickLive(c *Fleet, k int) *Lease {
+	if len(c.live) == 0 {
+		return nil
+	}
+	return c.live[k%len(c.live)]
+}
+
+func anyVM(*vmRec) bool { return true }
+
+// corruptions are the breakages the TestViolation* tests apply, plus a
+// VM whose home names a node it does not run on.
+var corruptions = []corruption{
+	{"none", func(*Fleet, int) bool { return true }},
+	{"down-node", func(c *Fleet, k int) bool {
+		rec := pickVM(c, k, anyVM)
+		if rec == nil {
+			return false
+		}
+		c.down[rec.home] = true
+		return true
+	}},
+	{"cpu-books", func(c *Fleet, k int) bool { c.freeCPU[k%len(c.freeCPU)]--; return true }},
+	{"mem-books", func(c *Fleet, k int) bool { c.freeMem[k%len(c.freeMem)] -= 512; return true }},
+	{"balloon-mismatch", func(c *Fleet, k int) bool {
+		rec := pickVM(c, k, func(r *vmRec) bool { return r.ballooned < int64(r.req.VCPUs) })
+		if rec == nil {
+			return false
+		}
+		rec.inflate(1)
+		return true
+	}},
+	{"balloon-range", func(c *Fleet, k int) bool {
+		rec := pickVM(c, k, anyVM)
+		if rec == nil {
+			return false
+		}
+		rec.ballooned = -1
+		return true
+	}},
+	{"lease-double-book", func(c *Fleet, k int) bool {
+		l := pickLive(c, k)
+		if l == nil {
+			return false
+		}
+		dup := *l
+		dup.ID = 1 << 20
+		c.leases = append(c.leases, &dup)
+		c.live = append(c.live, &dup)
+		return true
+	}},
+	{"lease-no-fragment", func(c *Fleet, k int) bool {
+		l := &Lease{ID: 1 << 20, VM: -7, Node: k % len(c.freeCPU), CPUs: 1, State: LeaseActive}
+		c.leases = append(c.leases, l)
+		c.live = append(c.live, l)
+		return true
+	}},
+	{"lease-cpu-mismatch", func(c *Fleet, k int) bool {
+		l := pickLive(c, k)
+		if l == nil {
+			return false
+		}
+		l.CPUs++
+		return true
+	}},
+	{"fragment-no-lease", func(c *Fleet, k int) bool {
+		l := pickLive(c, k)
+		if l == nil {
+			return false
+		}
+		l.State = LeaseReleased
+		c.live = slices.DeleteFunc(c.live, func(x *Lease) bool { return x == l })
+		return true
+	}},
+	{"released-but-listed", func(c *Fleet, k int) bool {
+		l := &Lease{ID: 1 << 20, VM: -7, Node: k % len(c.freeCPU), CPUs: 1, State: LeaseReleased}
+		c.leases = append(c.leases, l)
+		c.live = append(c.live, l)
+		return true
+	}},
+	{"outstanding-but-unlisted", func(c *Fleet, k int) bool {
+		if len(c.live) == 0 {
+			return false
+		}
+		c.live = c.live[:0]
+		return true
+	}},
+	{"out-of-order", func(c *Fleet, k int) bool {
+		extra := &Lease{ID: 1 << 20, VM: -7, Node: k % len(c.freeCPU), CPUs: 1, State: LeaseActive}
+		c.leases = append(c.leases, extra)
+		c.live = append([]*Lease{extra}, c.live...)
+		return true
+	}},
+	{"one-node-home-elsewhere", func(c *Fleet, k int) bool {
+		rec := pickVM(c, k, func(r *vmRec) bool { return len(r.pl) == 1 })
+		if rec == nil {
+			return false
+		}
+		rec.home = (rec.home + 1) % len(c.freeCPU)
+		return true
+	}},
+	{"gang-home-elsewhere", func(c *Fleet, k int) bool {
+		rec := pickVM(c, k, func(r *vmRec) bool { return len(r.pl) > 1 })
+		if rec == nil {
+			return false
+		}
+		rec.home = (rec.home + 1 + k%(len(c.freeCPU)-1)) % len(c.freeCPU)
+		return true
+	}},
+	{"multiple", func(c *Fleet, k int) bool {
+		c.freeCPU[k%len(c.freeCPU)]--
+		c.freeMem[(k+1)%len(c.freeMem)] -= 512
+		if l := pickLive(c, k); l != nil {
+			l.CPUs++
+		}
+		return true
+	}},
+}
+
+// TestVerifyReportMatchesReference holds the single-walk VerifyReport to
+// the three-walk reference: on states sampled from soak and reclaim
+// worlds, clean and under every corruption, both must report the same
+// violations (class, node, VM, lease and message) in the same order.
+func TestVerifyReportMatchesReference(t *testing.T) {
+	const every = 250 * sim.Millisecond
+	type world struct {
+		name string
+		make func() (*sim.Env, *Fleet)
+		end  sim.Time
+	}
+	worlds := []world{
+		{"soak-seed1", func() (*sim.Env, *Fleet) { return newSoak(1, 8) }, soakWindow},
+		{"soak-seed2", func() (*sim.Env, *Fleet) { return newSoak(2, 8) }, soakWindow},
+	}
+	for _, pol := range Policies() {
+		worlds = append(worlds, world{"reclaim-" + pol.String(), func() (*sim.Env, *Fleet) { return newReclaimWorld(pol) }, reclaimHorizon})
+	}
+	applied := map[string]int{}
+	for _, w := range worlds {
+		t.Run(w.name, func(t *testing.T) {
+			env, f := w.make()
+			k := 0
+			var sample func()
+			sample = func() {
+				for _, corr := range corruptions {
+					c := cloneBooks(f)
+					if !corr.apply(c, k) {
+						continue
+					}
+					applied[corr.name]++
+					got, want := c.VerifyReport(), verifyReportRef(c)
+					if !slices.Equal(got, want) {
+						t.Errorf("t=%v %s: report\n%v\nwant\n%v", env.Now(), corr.name, got, want)
+					}
+					if broken := len(want) > 0; broken != (corr.name != "none") {
+						t.Errorf("t=%v %s: reference reported %v", env.Now(), corr.name, want)
+					}
+				}
+				k++
+				if env.Now()+every <= w.end {
+					env.After(every, sample)
+				}
+			}
+			env.At(0, sample)
+			env.Run()
+		})
+	}
+	for _, corr := range corruptions {
+		if applied[corr.name] == 0 {
+			t.Errorf("corruption %s never applied", corr.name)
+		}
+	}
+	t.Log(applied)
 }
