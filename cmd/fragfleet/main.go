@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -51,6 +52,10 @@ func main() {
 	events := flag.Int("events", 20, "event-log rows to print (0 disables, -1 prints all)")
 	flag.Parse()
 
+	if err := checkFlags(*vms, *window, *until, *sample); err != nil {
+		fmt.Fprintln(os.Stderr, "fragfleet:", err)
+		os.Exit(1)
+	}
 	pol := sched.MinFrag
 	switch *policy {
 	case "minfrag":
@@ -184,6 +189,26 @@ func main() {
 		waits.AddNote("topology %s: %d rack-local gangs, %d cross-spine", spec, st.LocalGangs, st.CrossGangs)
 	}
 	waits.Fprint(os.Stdout)
+}
+
+// checkFlags rejects the numeric flag values the run cannot use: a
+// negative VM count, and an arrival window, run length or sampling period
+// that is not a finite span of at least 1ns (the burst generator draws
+// arrivals inside the window, and the sampler steps by the period up to
+// the run length).
+func checkFlags(vms int, window, until, sample float64) error {
+	if vms < 0 {
+		return fmt.Errorf("-vms %d: want a count >= 0", vms)
+	}
+	for _, f := range []struct {
+		name string
+		sec  float64
+	}{{"window", window}, {"until", until}, {"sample", sample}} {
+		if math.IsNaN(f.sec) || math.IsInf(f.sec, 0) || sim.FromSeconds(f.sec) <= 0 {
+			return fmt.Errorf("-%s %v: want a finite duration of at least 1ns", f.name, f.sec)
+		}
+	}
+	return nil
 }
 
 // parseAt parses "node@seconds".

@@ -29,34 +29,24 @@ import (
 	"repro/internal/trace"
 )
 
-// Costs models what ballooning charges the guest.
-type Costs struct {
-	// BatchPages is how many pages one balloon PTE-update batch covers.
-	// Each batch pays the guest's zone-lock + page-table-update path
-	// (guest.Kernel.BalloonWork) plus PerBatchCPU of driver work.
-	BatchPages int64
-	// PerBatchCPU is the balloon driver's own CPU per batch: walking
-	// the free lists, building the pfn array for the host.
-	PerBatchCPU sim.Time
-	// ReclaimPerPage is the simulated reclaim/swap stall charged per
-	// newly allocated page while the VM is ballooned below its working
-	// set — the guest has to evict something it still needs.
-	ReclaimPerPage sim.Time
-	// EWMAAlpha is the working-set estimator's decay factor.
-	EWMAAlpha float64
-}
-
-// DefaultCosts returns the balloon cost model. Batches are sized like a
+// What ballooning charges the guest. Batches are sized like a
 // virtio-balloon pfn array (256 entries); the reclaim stall approximates
 // a compressed-swap (zswap-like) round trip rather than a disk fault.
-func DefaultCosts() Costs {
-	return Costs{
-		BatchPages:     256,
-		PerBatchCPU:    2 * sim.Microsecond,
-		ReclaimPerPage: 8 * sim.Microsecond,
-		EWMAAlpha:      0.2,
-	}
-}
+const (
+	// batchPages is how many pages one balloon PTE-update batch covers.
+	// Each batch pays the guest's zone-lock + page-table-update path
+	// (guest.Kernel.BalloonWork) plus perBatchCPU of driver work.
+	batchPages = 256
+	// perBatchCPU is the balloon driver's own CPU per batch: walking
+	// the free lists, building the pfn array for the host.
+	perBatchCPU = 2 * sim.Microsecond
+	// reclaimPerPage is the simulated reclaim/swap stall charged per
+	// newly allocated page while the VM is ballooned below its working
+	// set — the guest has to evict something it still needs.
+	reclaimPerPage = 8 * sim.Microsecond
+	// ewmaAlpha is the working-set estimator's decay factor.
+	ewmaAlpha = 0.2
+)
 
 // Stats counts the driver's activity.
 type Stats struct {
@@ -74,10 +64,9 @@ type Stats struct {
 // working-set estimator and, when the VM is ballooned below the working
 // set, charges the degradation stall to the allocating process.
 type Driver struct {
-	k     *guest.Kernel
-	costs Costs
-	est   *Estimator
-	tr    *trace.Tracer
+	k   *guest.Kernel
+	est *Estimator
+	tr  *trace.Tracer
 
 	allocated int64 // mirror of the guest's allocated-page total
 	stats     Stats
@@ -86,15 +75,11 @@ type Driver struct {
 // NewDriver attaches a balloon device to k and installs its telemetry
 // hook. The driver traces inflate/deflate instants under CatBalloon when
 // env is traced.
-func NewDriver(env *sim.Env, k *guest.Kernel, costs Costs) *Driver {
-	if costs.BatchPages <= 0 {
-		panic("balloon: BatchPages must be positive")
-	}
+func NewDriver(env *sim.Env, k *guest.Kernel) *Driver {
 	d := &Driver{
-		k:     k,
-		costs: costs,
-		est:   NewEstimator(costs.EWMAAlpha),
-		tr:    trace.FromEnv(env),
+		k:   k,
+		est: NewEstimator(ewmaAlpha),
+		tr:  trace.FromEnv(env),
 	}
 	k.SetMemObserver(d)
 	return d
@@ -103,7 +88,7 @@ func NewDriver(env *sim.Env, k *guest.Kernel, costs Costs) *Driver {
 // Inflate pins up to pages free pages of node's arena for the host and
 // returns how many were actually taken (the guest never surrenders
 // allocated pages). The pinning process p pays one zone-lock +
-// page-table-update batch per Costs.BatchPages pinned.
+// page-table-update batch per batchPages pinned.
 func (d *Driver) Inflate(p *sim.Proc, node, vcpu int, pages int64) int64 {
 	took := d.k.BalloonReserve(node, pages)
 	if took == 0 {
@@ -128,10 +113,10 @@ func (d *Driver) Deflate(p *sim.Proc, node, vcpu int, pages int64) {
 }
 
 func (d *Driver) chargeBatches(p *sim.Proc, node, vcpu int, pages int64, kind string) {
-	batches := (pages + d.costs.BatchPages - 1) / d.costs.BatchPages
+	batches := (pages + batchPages - 1) / batchPages
 	for i := int64(0); i < batches; i++ {
 		d.k.BalloonWork(p, node, vcpu)
-		p.Sleep(d.costs.PerBatchCPU)
+		p.Sleep(perBatchCPU)
 	}
 	d.tr.Instant(p.Span(), trace.CatBalloon, node, d.tr.Key("balloon", kind))
 }
@@ -144,7 +129,7 @@ func (d *Driver) AllocPages(p *sim.Proc, node int, pages int64) {
 	d.allocated += pages
 	d.est.Observe(d.allocated)
 	if d.ResidentPages() < d.est.Pages() {
-		stall := sim.Time(pages) * d.costs.ReclaimPerPage
+		stall := sim.Time(pages) * reclaimPerPage
 		d.stats.Stalls++
 		d.stats.StallTime += stall
 		d.tr.Instant(p.Span(), trace.CatBalloon, node, d.tr.Key("balloon", "stall"))
@@ -190,7 +175,7 @@ func (d *Driver) reclaimFrom(p *sim.Proc, node int, pages int64) sim.Time {
 	d.k.BalloonReturn(node, pages)
 	d.stats.Deflations++
 	d.stats.DeflatedPages += pages
-	stall := sim.Time(pages) * d.costs.ReclaimPerPage
+	stall := sim.Time(pages) * reclaimPerPage
 	d.stats.Stalls++
 	d.stats.StallTime += stall
 	d.tr.Instant(p.Span(), trace.CatBalloon, node, d.tr.Key("balloon", "reclaim"))

@@ -24,14 +24,14 @@ func (f *instantNotifier) NodeOf(vcpu int) int { return vcpu % f.n }
 func newTestGuest(nNodes int, heapBytes int64) (*sim.Env, *guest.Kernel) {
 	env := sim.NewEnv()
 	fabric := topo.FlatSpec().Build(env, "fabric", 56, 1500*sim.Nanosecond)
-	layer := msg.NewLayer(env, fabric, msg.DefaultParams())
+	layer := msg.NewLayer(env, fabric)
 	nodes := make([]int, nNodes)
 	for i := range nodes {
 		nodes[i] = i
 	}
 	d := dsm.New(env, layer, nodes, dsm.DefaultParams())
 	k := guest.New(env, d, &mem.Layout{}, &instantNotifier{n: nNodes}, nNodes,
-		heapBytes, guest.OptimizedConfig(), guest.DefaultCosts())
+		heapBytes, guest.OptimizedConfig())
 	return env, k
 }
 
@@ -53,7 +53,7 @@ func TestEstimatorPeakThenDecay(t *testing.T) {
 
 func TestDriverInflateLimitsAndDegrades(t *testing.T) {
 	env, k := newTestGuest(2, 64<<20)
-	drv := NewDriver(env, k, DefaultCosts())
+	drv := NewDriver(env, k)
 	perNode := k.CapacityPages() / 2
 
 	var stalledTime sim.Time
@@ -131,7 +131,7 @@ func TestDriverInflateLimitsAndDegrades(t *testing.T) {
 
 func TestDriverChargesBalloonWork(t *testing.T) {
 	env, k := newTestGuest(1, 64<<20)
-	drv := NewDriver(env, k, DefaultCosts())
+	drv := NewDriver(env, k)
 	var elapsed sim.Time
 	env.Spawn("driver", func(p *sim.Proc) {
 		start := p.Now()
@@ -142,8 +142,8 @@ func TestDriverChargesBalloonWork(t *testing.T) {
 	if elapsed == 0 {
 		t.Fatal("inflation must cost simulated time")
 	}
-	// 1024 pages / 256 per batch = 4 batches, each at least PerBatchCPU.
-	if min := 4 * DefaultCosts().PerBatchCPU; elapsed < min {
+	// 1024 pages / 256 per batch = 4 batches, each at least perBatchCPU.
+	if min := 4 * perBatchCPU; elapsed < min {
 		t.Fatalf("inflation of 4 batches took %v, want >= %v", elapsed, min)
 	}
 }

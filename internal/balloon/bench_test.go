@@ -10,11 +10,10 @@ import (
 // single batch against a live guest — the resize controller's hot path.
 func BenchmarkBalloonInflate(b *testing.B) {
 	env, k := newTestGuest(1, 64<<20)
-	drv := NewDriver(env, k, DefaultCosts())
-	batch := DefaultCosts().BatchPages
+	drv := NewDriver(env, k)
 	env.Spawn("bench", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			took := drv.Inflate(p, 0, 0, batch)
+			took := drv.Inflate(p, 0, 0, batchPages)
 			drv.Deflate(p, 0, 0, took)
 		}
 	})

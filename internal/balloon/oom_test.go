@@ -11,7 +11,7 @@ import (
 // the allocating process must pay the per-page reclaim stall.
 func TestDeflateOnOOMRescuesAllocation(t *testing.T) {
 	env, k := newTestGuest(2, 64<<20)
-	d := NewDriver(env, k, DefaultCosts())
+	d := NewDriver(env, k)
 	perNode := k.CapacityPages() / 2
 	const pages = 1639
 	env.Spawn("host", func(p *sim.Proc) {
@@ -21,7 +21,7 @@ func TestDeflateOnOOMRescuesAllocation(t *testing.T) {
 		if _, err := k.Alloc(p, 0, 0, pages*4096); err != nil {
 			t.Errorf("alloc under full balloon failed: %v", err)
 		}
-		wantStall := sim.Time(pages) * DefaultCosts().ReclaimPerPage
+		wantStall := sim.Time(pages) * reclaimPerPage
 		if got := p.Now() - before; got < wantStall {
 			t.Errorf("alloc took %v, want at least the %v reclaim stall", got, wantStall)
 		}
@@ -40,7 +40,7 @@ func TestDeflateOnOOMRescuesAllocation(t *testing.T) {
 // is charged before the retry carve).
 func TestDeflateOnOOMConcurrentProcs(t *testing.T) {
 	env, k := newTestGuest(2, 64<<20)
-	d := NewDriver(env, k, DefaultCosts())
+	d := NewDriver(env, k)
 	perNode := k.CapacityPages() / 2
 	env.Spawn("host", func(p *sim.Proc) {
 		d.Inflate(p, 0, 0, perNode)

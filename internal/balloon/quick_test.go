@@ -37,7 +37,7 @@ func TestQuickDeflateOrderInvariant(t *testing.T) {
 		run := func(order []int) ([]int64, Stats) {
 			env, k := newTestGuest(nNodes, 64<<20)
 			defer env.Close()
-			drv := NewDriver(env, k, DefaultCosts())
+			drv := NewDriver(env, k)
 			env.Spawn("driver", func(p *sim.Proc) {
 				for n, pages := range pin {
 					if took := drv.Inflate(p, n, n, pages); took != pages {

@@ -27,6 +27,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/vcpu"
 )
 
 // chunkBytes is the collection/persistence pipeline granularity.
@@ -69,7 +70,7 @@ func Take(p *sim.Proc, vm *hypervisor.VM, node int) *Image {
 	}
 	maxDump := sim.Time(0)
 	for n, count := range perNode {
-		d := sim.Time(count) * vm.Config().VCPU.RegDump
+		d := sim.Time(count) * vcpu.RegDump
 		if n != node {
 			d += 2 * vm.Config().Cluster.Fabric.Latency()
 		}
@@ -131,7 +132,7 @@ func Take(p *sim.Proc, vm *hypervisor.VM, node int) *Image {
 			wp.SetSpan(wsp)
 			defer tr.End(wsp)
 		}
-		disk.Transfer(wp, int64(vm.NVCPU()*vm.Config().VCPU.StateBytes))
+		disk.Transfer(wp, int64(vm.NVCPU()*vcpu.StateBytes))
 		written := int64(0)
 		for written < img.Bytes {
 			chunk := writeQ.Get(wp)
@@ -163,7 +164,7 @@ func Restore(p *sim.Proc, vm *hypervisor.VM, img *Image) sim.Time {
 		}()
 	}
 
-	disk.Transfer(p, int64(vm.NVCPU()*vm.Config().VCPU.StateBytes))
+	disk.Transfer(p, int64(vm.NVCPU()*vcpu.StateBytes))
 	owners := make([]int, 0, len(img.extents))
 	for n := range img.extents {
 		owners = append(owners, n)

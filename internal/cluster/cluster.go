@@ -3,9 +3,10 @@
 // low-latency high-bandwidth fabric between servers (InfiniBand in the
 // paper) and a commodity Ethernet toward external clients.
 //
-// The default parameters mirror the paper's "echo" cluster: Xeon E5-2620 v4
-// (2.1 GHz, 8 cores) with 32 GiB RAM per node, 56 Gbps / ~1.5 us InfiniBand
-// via Mellanox ConnectX-4, 1 Gbps Ethernet, and a 500 MB/s SATA SSD.
+// The hardware constants and DefaultParams mirror the paper's "echo"
+// cluster: Xeon E5-2620 v4 (2.1 GHz, 8 cores) with 32 GiB RAM per node,
+// 56 Gbps / ~1.5 us InfiniBand via Mellanox ConnectX-4, 1 Gbps Ethernet,
+// and a 500 MB/s SATA SSD.
 package cluster
 
 import (
@@ -20,37 +21,34 @@ import (
 // client/load-generator host ("fox" in the paper's artifact).
 const ClientID = -1
 
-// Params describes the hardware of every (identical) node and the
-// interconnects.
+// The testbed hardware every profile shares: the per-core clock, the
+// server-to-server fabric (InfiniBand), the client network (1 GbE) and
+// each node's SSD.
+const (
+	cpuHz      = 2.1e9                 // per-core clock: cycles per second
+	fabricGbps = 56                    // server-to-server bandwidth
+	fabricLat  = 1500 * sim.Nanosecond // server-to-server one-way latency
+	ethGbps    = 1                     // client network bandwidth
+	ethLat     = 100 * sim.Microsecond // client network one-way latency
+	ssdBps     = 500e6                 // SSD sequential bandwidth, bytes/second
+)
+
+// Params sizes every (identical) node and shapes the fabric.
 type Params struct {
-	CPUHz        float64  // per-core clock: cycles per second
-	CoresPerNode int      // pCPUs available for VMs on each node
-	RAMBytes     int64    // per-node physical memory
-	FabricGbps   float64  // server-to-server bandwidth
-	FabricLat    sim.Time // server-to-server one-way latency
-	EthGbps      float64  // client network bandwidth
-	EthLat       sim.Time // client network one-way latency
-	SSDBps       float64  // SSD sequential bandwidth, bytes/second
+	CoresPerNode int   // pCPUs available for VMs on each node
+	RAMBytes     int64 // per-node physical memory
 
 	// Topo selects the inter-hypervisor fabric topology, compiled with
-	// FabricGbps/FabricLat as the host-link parameters; nil means flat
-	// (one switch, egress-only contention). The client Ethernet is
-	// always flat — load generators sit outside the datacenter tree.
+	// the fabric bandwidth and latency as the host-link parameters; nil
+	// means flat (one switch, egress-only contention). The client
+	// Ethernet is always flat — load generators sit outside the
+	// datacenter tree.
 	Topo *topo.Spec
 }
 
-// DefaultParams returns the paper's testbed hardware.
+// DefaultParams returns the paper's testbed node size on a flat fabric.
 func DefaultParams() Params {
-	return Params{
-		CPUHz:        2.1e9,
-		CoresPerNode: 8,
-		RAMBytes:     32 << 30,
-		FabricGbps:   56,
-		FabricLat:    1500 * sim.Nanosecond,
-		EthGbps:      1,
-		EthLat:       100 * sim.Microsecond,
-		SSDBps:       500e6,
-	}
+	return Params{CoresPerNode: 8, RAMBytes: 32 << 30}
 }
 
 // Node is one physical server.
@@ -80,7 +78,7 @@ func New(env *sim.Env, n int, p Params) *Cluster {
 	if n <= 0 {
 		panic(fmt.Sprintf("cluster: node count %d must be positive", n))
 	}
-	if p.CPUHz <= 0 || p.CoresPerNode <= 0 {
+	if p.CoresPerNode <= 0 {
 		panic("cluster: invalid CPU parameters")
 	}
 	spec := p.Topo
@@ -90,18 +88,18 @@ func New(env *sim.Env, n int, p Params) *Cluster {
 	if max := spec.Nodes(); max != 0 && n > max {
 		panic(fmt.Sprintf("cluster: %d nodes do not fit the %s topology", n, spec))
 	}
-	fabric := spec.Build(env, "fabric", p.FabricGbps, p.FabricLat)
+	fabric := spec.Build(env, "fabric", fabricGbps, fabricLat)
 	c := &Cluster{
 		Env:      env,
 		Fabric:   fabric,
-		Client:   topo.FlatSpec().Build(env, "client", p.EthGbps, p.EthLat),
+		Client:   topo.FlatSpec().Build(env, "client", ethGbps, ethLat),
 		Reliable: reliable.New(env, fabric, reliable.DefaultParams()),
 		Params:   p,
 	}
 	for i := 0; i < n; i++ {
-		node := &Node{ID: i, RAM: p.RAMBytes, SSD: NewDisk(env, p.SSDBps)}
+		node := &Node{ID: i, RAM: p.RAMBytes, SSD: NewDisk(env, ssdBps)}
 		for j := 0; j < p.CoresPerNode; j++ {
-			node.PCPUs = append(node.PCPUs, sim.NewPS(env, p.CPUHz))
+			node.PCPUs = append(node.PCPUs, sim.NewPS(env, cpuHz))
 		}
 		c.Nodes = append(c.Nodes, node)
 	}
@@ -122,8 +120,8 @@ func (c *Cluster) Node(id int) *Node {
 }
 
 // CyclesFor converts a CPU-time duration at full clock into cycles.
-func (p Params) CyclesFor(d sim.Time) float64 {
-	return d.Seconds() * p.CPUHz
+func CyclesFor(d sim.Time) float64 {
+	return d.Seconds() * cpuHz
 }
 
 // Disk is a FIFO bandwidth-limited storage device.

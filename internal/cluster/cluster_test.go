@@ -34,8 +34,7 @@ func TestNodeOutOfRangePanics(t *testing.T) {
 }
 
 func TestCyclesFor(t *testing.T) {
-	p := DefaultParams()
-	got := p.CyclesFor(sim.Second)
+	got := CyclesFor(sim.Second)
 	if math.Abs(got-2.1e9) > 1 {
 		t.Fatalf("CyclesFor(1s) = %v", got)
 	}

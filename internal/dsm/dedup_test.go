@@ -57,7 +57,7 @@ func (s *scrambler) Outcome(from, to, size int) topo.Outcome {
 func newScrambledDSM(n int, dup bool, maxDelay sim.Time) (*sim.Env, *DSM, *scrambler) {
 	env := sim.NewEnv()
 	fabric := topo.FlatSpec().Build(env, "fabric", 56, 1500*sim.Nanosecond)
-	layer := msg.NewLayer(env, fabric, msg.DefaultParams())
+	layer := msg.NewLayer(env, fabric)
 	nodes := make([]int, n)
 	for i := range nodes {
 		nodes[i] = i
@@ -203,7 +203,7 @@ func TestMarkDeadKeepsAcceptedIDsDuplicate(t *testing.T) {
 	}
 	// A fresh request two ids ahead of node 2's window parks.
 	ahead := &pendingFault{id: first.id + 2, rec: d.rec(other), ni: 2, ev: env.NewEvent()}
-	d.layer.Send(2, d.origin, d.dirSvc, "fault", d.params.ReqBytes, ahead)
+	d.layer.Send(2, d.origin, d.dirSvc, "fault", reqBytes, ahead)
 	env.Run()
 	w := &d.members[2].accepted
 	if w.Parked() != 1 {
@@ -215,7 +215,7 @@ func TestMarkDeadKeepsAcceptedIDsDuplicate(t *testing.T) {
 		t.Errorf("MarkDead kept %d parked ids", w.Parked())
 	}
 	grants := s.grants
-	d.layer.Send(2, d.origin, d.dirSvc, "fault", d.params.ReqBytes, first)
+	d.layer.Send(2, d.origin, d.dirSvc, "fault", reqBytes, first)
 	env.Run()
 	if s.grants != grants {
 		t.Errorf("a retransmitted id of a dead node drew %d grants", s.grants-grants)

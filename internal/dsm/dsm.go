@@ -79,51 +79,45 @@ func (s State) String() string {
 	}
 }
 
-// Params is the DSM cost model.
-type Params struct {
-	// FaultHandler is the CPU time per EPT-violation fault: VM exit plus
+// FragVisor's kernel-space DSM costs, shared by every profile.
+const (
+	// faultHandler is the CPU time per EPT-violation fault: VM exit plus
 	// the in-kernel protocol handler.
-	FaultHandler sim.Time
+	faultHandler = 3 * sim.Microsecond
+	// minorFault is the cost of a local first touch (allocate + map).
+	minorFault = 300 * sim.Nanosecond
+	// contextualWriteCost is the per-write cost when piggybacking.
+	contextualWriteCost = 300 * sim.Nanosecond
+	// reqBytes is the wire size of a fault request message.
+	reqBytes = 64
+)
+
+// Params is the part of the DSM cost model that differs between
+// profiles.
+type Params struct {
 	// UserSpaceExtra is added per fault for DSM implementations living in
 	// user space (GiantVM): two user/kernel crossings and an extra copy.
 	UserSpaceExtra sim.Time
-	// MinorFault is the cost of a local first touch (allocate + map).
-	MinorFault sim.Time
 	// ContextualPiggyback enables the contextual-DSM optimization: writes
 	// to pages the hypervisor understands (page tables, interrupt
 	// context) are piggybacked onto IPI traffic instead of running the
 	// invalidation protocol.
 	ContextualPiggyback bool
-	// ContextualWriteCost is the per-write cost when piggybacking.
-	ContextualWriteCost sim.Time
 	// DirtyBitTracking models EPT hardware dirty-bit management, which
 	// writes to a shared tracking structure on every write fault.
 	// FragVisor disables it (the DSM already tracks writes).
 	DirtyBitTracking bool
-	// ReqBytes is the wire size of a fault request message.
-	ReqBytes int
 }
 
-// DefaultParams returns FragVisor's kernel-space DSM costs.
+// DefaultParams returns FragVisor's kernel-space DSM profile.
 func DefaultParams() Params {
-	return Params{
-		FaultHandler:        3 * sim.Microsecond,
-		UserSpaceExtra:      0,
-		MinorFault:          300 * sim.Nanosecond,
-		ContextualPiggyback: true,
-		ContextualWriteCost: 300 * sim.Nanosecond,
-		DirtyBitTracking:    false,
-		ReqBytes:            64,
-	}
+	return Params{ContextualPiggyback: true}
 }
 
 // GiantVMParams returns the cost model for the user-space DSM baseline:
 // higher per-fault cost and no contextual optimization.
 func GiantVMParams() Params {
-	p := DefaultParams()
-	p.UserSpaceExtra = 6 * sim.Microsecond
-	p.ContextualPiggyback = false
-	return p
+	return Params{UserSpaceExtra: 6 * sim.Microsecond}
 }
 
 // Stats counts DSM activity for one node (or aggregated).
@@ -329,9 +323,6 @@ func (d *DSM) Nodes() []int { return append([]int(nil), d.nodes...) }
 // Origin returns the directory (bootstrap-slice) node.
 func (d *DSM) Origin() int { return d.origin }
 
-// Params returns the cost model in use.
-func (d *DSM) Params() Params { return d.params }
-
 // NodeStats returns the counters for one node.
 func (d *DSM) NodeStats(node int) Stats { return *d.mustStats(node) }
 
@@ -433,7 +424,7 @@ func (d *DSM) contextualWrite(p *sim.Proc, node int, r *pageRec, off int, data [
 	}
 	ni := d.index(node)
 	d.members[ni].stats.ContextualWrites++
-	p.Sleep(d.params.ContextualWriteCost)
+	p.Sleep(contextualWriteCost)
 	d.entry(r)
 	if data != nil {
 		for i := range r.local {
@@ -488,10 +479,10 @@ func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
 	} else {
 		st.ReadFaults++
 	}
-	p.Sleep(d.params.FaultHandler + d.params.UserSpaceExtra)
+	p.Sleep(faultHandler + d.params.UserSpaceExtra)
 	pf := &pendingFault{id: m.nextFault, rec: r, ni: ni, write: write, ev: d.env.NewEvent()}
 	m.nextFault++
-	d.layer.SendCtx(sp, node, d.origin, d.dirSvc, "fault", d.params.ReqBytes, pf)
+	d.layer.SendCtx(sp, node, d.origin, d.dirSvc, "fault", reqBytes, pf)
 	if !d.retries() {
 		p.Wait(pf.ev)
 	} else {
@@ -505,7 +496,7 @@ func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
 				return lp
 			}
 			st.Retries++
-			d.layer.SendCtx(sp, node, d.origin, d.dirSvc, "fault", d.params.ReqBytes, pf)
+			d.layer.SendCtx(sp, node, d.origin, d.dirSvc, "fault", reqBytes, pf)
 		}
 	}
 	d.tr.End(sp)
@@ -607,7 +598,7 @@ func (d *DSM) handleDir(m *msg.Message) {
 func (d *DSM) sendGrant(p *sim.Proc, pf *pendingFault) {
 	g := &pf.grant
 	g.pf = pf
-	size := d.params.ReqBytes
+	size := reqBytes
 	if g.carry {
 		size += mem.PageSize
 	}
@@ -636,7 +627,7 @@ func (d *DSM) grantRead(p *sim.Proc, pf *pendingFault) {
 	} else if !d.alive(r.owner) {
 		data = d.reclaim(r)
 	} else {
-		reply, err := d.callNode(p, r.owner, "fetch", d.params.ReqBytes, r)
+		reply, err := d.callNode(p, r.owner, "fetch", reqBytes, r)
 		if err != nil {
 			data = d.reclaim(r)
 		} else {
@@ -698,7 +689,7 @@ func (d *DSM) grantWrite(p *sim.Proc, pf *pendingFault) {
 				return
 			}
 			if n == r.owner && !hasCopy {
-				reply, err := d.callNode(sub, n, "invfetch", d.params.ReqBytes, r)
+				reply, err := d.callNode(sub, n, "invfetch", reqBytes, r)
 				g.carry = true
 				if err != nil {
 					g.data = append([]byte(nil), d.replica(r, 0).data...)
@@ -709,7 +700,7 @@ func (d *DSM) grantWrite(p *sim.Proc, pf *pendingFault) {
 			}
 			// A holder that died mid-invalidation needs none: its replica
 			// is unreachable and MarkDead drops it from the copyset.
-			_, _ = d.callNode(sub, n, "inv", d.params.ReqBytes, r)
+			_, _ = d.callNode(sub, n, "inv", reqBytes, r)
 		})
 	}
 	p.WaitAll(waits...)
@@ -734,7 +725,7 @@ func (d *DSM) handleOwner(m *msg.Message) {
 			// was in flight: acknowledge so the directory releases the
 			// page lock, but do not install — the directory state has
 			// moved on.
-			m.Reply(d.params.ReqBytes, nil)
+			m.Reply(reqBytes, nil)
 			return
 		}
 		pf.over = true
@@ -753,7 +744,7 @@ func (d *DSM) handleOwner(m *msg.Message) {
 			lp.state = Shared
 		}
 		pf.ev.Fire()
-		m.Reply(d.params.ReqBytes, nil)
+		m.Reply(reqBytes, nil)
 		return
 	}
 	ni := d.index(m.To)
@@ -763,16 +754,16 @@ func (d *DSM) handleOwner(m *msg.Message) {
 		if lp.state == Exclusive {
 			lp.state = Shared
 		}
-		m.Reply(mem.PageSize+d.params.ReqBytes, append([]byte(nil), lp.data...))
+		m.Reply(mem.PageSize+reqBytes, append([]byte(nil), lp.data...))
 	case "invfetch":
 		data := append([]byte(nil), lp.data...)
 		lp.state = Invalid
 		d.members[ni].stats.Invalidations++
-		m.Reply(mem.PageSize+d.params.ReqBytes, data)
+		m.Reply(mem.PageSize+reqBytes, data)
 	case "inv":
 		lp.state = Invalid
 		d.members[ni].stats.Invalidations++
-		m.Reply(d.params.ReqBytes, nil)
+		m.Reply(reqBytes, nil)
 	default:
 		panic(fmt.Sprintf("dsm: unknown owner message kind %q", m.Kind))
 	}

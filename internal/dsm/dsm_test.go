@@ -15,7 +15,7 @@ import (
 func newTestDSM(n int, p Params) (*sim.Env, *DSM) {
 	env := sim.NewEnv()
 	fabric := topo.FlatSpec().Build(env, "fabric", 56, 1500*sim.Nanosecond)
-	layer := msg.NewLayer(env, fabric, msg.DefaultParams())
+	layer := msg.NewLayer(env, fabric)
 	nodes := make([]int, n)
 	for i := range nodes {
 		nodes[i] = i

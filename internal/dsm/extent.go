@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/mem"
+	"repro/internal/msg"
 	"repro/internal/sim"
 )
 
@@ -118,14 +119,12 @@ func (d *DSM) bit(node int) uint32 { return 1 << d.index(node) }
 // remoteRTT estimates one request/response round trip carrying dataBytes of
 // payload, as seen by a bulk fault. Local (origin) faults skip the fabric.
 func (d *DSM) remoteRTT(node int, dataBytes int) sim.Time {
-	hl := d.layer.Params().HandlerLat
 	if node == d.origin {
-		return 2 * hl
+		return 2 * msg.HandlerLat
 	}
 	net := d.layer.Net()
-	hdr := d.layer.Params().HeaderBytes
-	return 2*net.Latency() + 2*hl +
-		net.TxTime(d.params.ReqBytes+hdr) + net.TxTime(dataBytes+hdr)
+	return 2*net.Latency() + 2*msg.HandlerLat +
+		net.TxTime(reqBytes+msg.HeaderBytes) + net.TxTime(dataBytes+msg.HeaderBytes)
 }
 
 // TouchRange accesses pages [start, start+pages) as bulk data: ownership is
@@ -146,7 +145,7 @@ func (d *DSM) TouchRange(p *sim.Proc, node int, start mem.PageID, pages int64, w
 	}
 	st := d.mustStats(node)
 	bit := d.bit(node)
-	perFault := d.params.FaultHandler + d.params.UserSpaceExtra
+	perFault := faultHandler + d.params.UserSpaceExtra
 	var cost sim.Time
 	end := start + mem.PageID(pages)
 	for _, seg := range d.extents.query(start, end) {
@@ -160,7 +159,7 @@ func (d *DSM) TouchRange(p *sim.Proc, node int, start mem.PageID, pages int64, w
 			seg.owner == node && !seg.touched:
 			// Local first touch (fresh memory at the origin, or a range
 			// pre-delegated to this node): allocate + map.
-			cost += sim.Time(n) * d.params.MinorFault
+			cost += sim.Time(n) * minorFault
 			st.BulkLocalPages += n
 			d.extents.set(seg.start, seg.end, node, bit, true)
 		case write && seg.owner == node:

@@ -69,7 +69,7 @@ func TestTouchRangeFirstTouchLocal(t *testing.T) {
 		d.TouchRange(p, 0, 0, 1000, true) // origin first touch
 		elapsed = p.Now() - start
 	})
-	want := 1000 * DefaultParams().MinorFault
+	want := 1000 * minorFault
 	if elapsed != want {
 		t.Errorf("local first touch of 1000 pages took %v, want %v", elapsed, want)
 	}
@@ -171,7 +171,7 @@ func TestDelegateRange(t *testing.T) {
 		start := p.Now()
 		d.TouchRange(p, 1, 0, 1000, true)
 		// First touch of a delegated range: local minor faults only.
-		if want := 1000 * DefaultParams().MinorFault; p.Now()-start != want {
+		if want := 1000 * minorFault; p.Now()-start != want {
 			t.Errorf("touch of delegated range took %v, want %v", p.Now()-start, want)
 		}
 		start = p.Now()

@@ -173,7 +173,7 @@ func MicroMigration(o Options) *metrics.Table {
 	})
 	vm.Env.Run()
 	count, mean := vm.VCPUs.Migrations()
-	dump := vm.Config().VCPU.RegDump
+	dump := vcpu.RegDump
 	t.AddRow(count, mean, fmt.Sprintf("%.0f%%", 100*float64(dump)/float64(mean)))
 	t.AddNote("paper: 86 us average, 38 us register dump")
 	return t

@@ -67,7 +67,7 @@ func reduceRun(o Options, mode string) reduceResult {
 	c := o.observe("reduce-"+mode, o.newCluster(env, nodes))
 	ns := []int{0, 1}
 	vm := hypervisor.New(hypervisor.FragVisorConfig(c, hypervisor.SpreadPlacement(ns, nodes), guestMem))
-	drv := balloon.NewDriver(env, vm.Kernel, balloon.DefaultCosts())
+	drv := balloon.NewDriver(env, vm.Kernel)
 
 	chunkBytes := int64(float64(64<<20) * o.Scale)
 	if chunkBytes < mem.PageSize {

@@ -25,20 +25,17 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/sim"
 	"repro/internal/vcpu"
-	"repro/internal/virtio"
 )
 
 // Config returns the GiantVM profile for the given placement.
 func Config(c *cluster.Cluster, placement []hypervisor.Pin, memBytes int64) hypervisor.Config {
 	return hypervisor.Config{
-		Name:       "giantvm",
 		Cluster:    c,
 		Placement:  placement,
 		MemBytes:   memBytes,
 		Guest:      guest.VanillaConfig(),
 		DSM:        dsm.GiantVMParams(),
 		VCPU:       vcpu.GiantVMParams(),
-		Virtio:     virtio.DefaultParams(),
 		Multiqueue: false,
 		DSMBypass:  false,
 		Mobility:   false,

@@ -45,25 +45,15 @@ func OptimizedConfig() Config { return Config{Optimized: true, NUMAAware: true} 
 // VanillaConfig is an unmodified guest kernel.
 func VanillaConfig() Config { return Config{} }
 
-// Costs models guest-kernel CPU costs that are independent of the DSM.
-type Costs struct {
-	SyscallCPU sim.Time // fixed syscall entry/exit + work
-	WakeupIPI  sim.Time // same-node wakeup cost
-	// AllocBatchPages is how many pages the allocator hands out per
-	// acquisition of its shared lock (zone-lock batching). 1 models the
-	// worst-case per-page path; larger values model per-CPU pageset
-	// batching.
-	AllocBatchPages int64
-}
-
-// DefaultCosts returns the guest cost model.
-func DefaultCosts() Costs {
-	return Costs{
-		SyscallCPU:      500 * sim.Nanosecond,
-		WakeupIPI:       200 * sim.Nanosecond,
-		AllocBatchPages: 4,
-	}
-}
+// The guest-kernel CPU costs that are independent of the DSM.
+const (
+	// syscallCPU is the fixed syscall entry/exit + work.
+	syscallCPU = 500 * sim.Nanosecond
+	// allocBatchPages is how many pages the allocator hands out per
+	// acquisition of its shared lock: per-CPU pageset batching rather
+	// than the worst-case per-page path.
+	allocBatchPages = 4
+)
 
 // Notifier delivers cross-vCPU wakeups (scheduler IPIs). The hypervisor
 // provides one that turns remote wakeups into fabric messages.
@@ -80,7 +70,6 @@ type Notifier interface {
 // Kernel is the guest OS instance of one VM.
 type Kernel struct {
 	cfg    Config
-	costs  Costs
 	env    *sim.Env
 	dsm    *dsm.DSM
 	layout *mem.Layout
@@ -144,13 +133,12 @@ func (h *nodeHeap) free() int64 { return h.region.Pages - h.next - h.ballooned }
 
 // New builds the guest kernel for a VM with the given vCPU count and
 // memory size. The heap size bounds total allocatable anonymous memory.
-func New(env *sim.Env, d *dsm.DSM, layout *mem.Layout, notif Notifier, nVCPU int, heapBytes int64, cfg Config, costs Costs) *Kernel {
+func New(env *sim.Env, d *dsm.DSM, layout *mem.Layout, notif Notifier, nVCPU int, heapBytes int64, cfg Config) *Kernel {
 	if nVCPU <= 0 {
 		panic("guest: need at least one vCPU")
 	}
 	k := &Kernel{
 		cfg:     cfg,
-		costs:   costs,
 		env:     env,
 		dsm:     d,
 		layout:  layout,
@@ -214,7 +202,7 @@ func (k *Kernel) Layout() *mem.Layout { return k.layout }
 // that vCPU's hot kernel page. In the vanilla layout, ticks of paired
 // vCPUs on different nodes ping-pong their shared page.
 func (k *Kernel) Tick(p *sim.Proc, node, vcpu int) {
-	p.Sleep(k.costs.SyscallCPU)
+	p.Sleep(syscallCPU)
 	k.dsm.Touch(p, node, k.percpu[vcpu], true)
 }
 
@@ -253,17 +241,13 @@ func (k *Kernel) Alloc(p *sim.Proc, node, vcpu int, bytes int64) (mem.Region, er
 		panic("guest: allocation size must be positive")
 	}
 	pages := (bytes + mem.PageSize - 1) / mem.PageSize
-	batch := k.costs.AllocBatchPages
-	if batch < 1 {
-		batch = 1
-	}
-	for c := int64(0); c < pages; c += batch {
+	for c := int64(0); c < pages; c += allocBatchPages {
 		// The zone lock is a real lock: acquiring it from another node
 		// both waits out the current holder and transfers the lock's
 		// page — the serialization the paper blames for IS/FT (§7.2).
 		k.allocMu.Lock(p)
 		k.dsm.Touch(p, node, k.allocLock, true)
-		p.Sleep(k.costs.SyscallCPU)
+		p.Sleep(syscallCPU)
 		k.PageTableUpdate(p, node, vcpu)
 		k.allocMu.Unlock()
 	}
@@ -334,7 +318,7 @@ func (k *Kernel) carve(node int, pages int64) (mem.Region, error) {
 // between slices under concurrent allocation-heavy workloads such as PHP
 // string manipulation.
 func (k *Kernel) AllocFast(p *sim.Proc, node, vcpu int) {
-	p.Sleep(k.costs.SyscallCPU)
+	p.Sleep(syscallCPU)
 	if k.cfg.Optimized {
 		k.dsm.Touch(p, node, k.percpu[vcpu], true)
 		return
@@ -369,7 +353,7 @@ func (k *Kernel) spillArena(pages int64) *nodeHeap {
 func (k *Kernel) Free(p *sim.Proc, node, vcpu int, r mem.Region) {
 	k.allocMu.Lock(p)
 	k.dsm.Touch(p, node, k.allocLock, true)
-	p.Sleep(k.costs.SyscallCPU)
+	p.Sleep(syscallCPU)
 	k.PageTableUpdate(p, node, vcpu)
 	k.allocMu.Unlock()
 	if k.obs != nil {
@@ -436,7 +420,7 @@ func (k *Kernel) BalloonReturn(node int, pages int64) {
 func (k *Kernel) BalloonWork(p *sim.Proc, node, vcpu int) {
 	k.allocMu.Lock(p)
 	k.dsm.Touch(p, node, k.allocLock, true)
-	p.Sleep(k.costs.SyscallCPU)
+	p.Sleep(syscallCPU)
 	k.PageTableUpdate(p, node, vcpu)
 	k.allocMu.Unlock()
 }

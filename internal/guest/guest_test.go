@@ -28,7 +28,7 @@ func (f *fakeNotifier) NodeOf(vcpu int) int { return vcpu % f.n }
 func newTestKernel(nNodes, nVCPU int, cfg Config) (*sim.Env, *dsm.DSM, *Kernel, *fakeNotifier) {
 	env := sim.NewEnv()
 	fabric := topo.FlatSpec().Build(env, "fabric", 56, 1500*sim.Nanosecond)
-	layer := msg.NewLayer(env, fabric, msg.DefaultParams())
+	layer := msg.NewLayer(env, fabric)
 	nodes := make([]int, nNodes)
 	for i := range nodes {
 		nodes[i] = i
@@ -36,7 +36,7 @@ func newTestKernel(nNodes, nVCPU int, cfg Config) (*sim.Env, *dsm.DSM, *Kernel, 
 	d := dsm.New(env, layer, nodes, dsm.DefaultParams())
 	notif := &fakeNotifier{n: nNodes}
 	layout := &mem.Layout{}
-	k := New(env, d, layout, notif, nVCPU, 64<<20, cfg, DefaultCosts())
+	k := New(env, d, layout, notif, nVCPU, 64<<20, cfg)
 	return env, d, k, notif
 }
 

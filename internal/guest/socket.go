@@ -89,7 +89,7 @@ func (s *Socket) Send(p *sim.Proc, node, fromVCPU, toVCPU, n int) {
 			p.Wait(ev)
 		}
 		s.credits -= pages
-		p.Sleep(s.k.costs.SyscallCPU)
+		p.Sleep(syscallCPU)
 		pkt := packet{bytes: chunk, from: fromVCPU, last: chunk == remaining, message: msgID}
 		for i := 0; i < pages; i++ {
 			pg := s.bufs.Page(s.cursor % s.bufs.Pages)
@@ -109,7 +109,7 @@ func (s *Socket) Send(p *sim.Proc, node, fromVCPU, toVCPU, n int) {
 func (s *Socket) Recv(p *sim.Proc, node int) (n, fromVCPU int) {
 	for {
 		pkt := s.queue.Get(p)
-		p.Sleep(s.k.costs.SyscallCPU)
+		p.Sleep(syscallCPU)
 		for _, pg := range pkt.pages {
 			s.k.dsm.Touch(p, node, pg, false)
 		}

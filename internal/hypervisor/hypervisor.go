@@ -43,7 +43,6 @@ type Pin struct {
 // Config assembles an Aggregate VM. Use FragVisorConfig, or the giantvm /
 // overcommit packages, for the standard profiles.
 type Config struct {
-	Name      string
 	Cluster   *cluster.Cluster
 	Placement []Pin // one entry per vCPU; Placement[0]'s node is the bootstrap slice
 	MemBytes  int64 // guest RAM (bounds the guest heap)
@@ -53,10 +52,9 @@ type Config struct {
 	// host no vCPUs.
 	MemoryNodes []int
 
-	Guest  guest.Config
-	DSM    dsm.Params
-	VCPU   vcpu.Params
-	Virtio virtio.Params
+	Guest guest.Config
+	DSM   dsm.Params
+	VCPU  vcpu.Params
 
 	Multiqueue bool
 	DSMBypass  bool
@@ -79,14 +77,12 @@ type Config struct {
 // through its fabric.
 func FragVisorConfig(c *cluster.Cluster, placement []Pin, memBytes int64) Config {
 	return Config{
-		Name:       "fragvisor",
 		Cluster:    c,
 		Placement:  placement,
 		MemBytes:   memBytes,
 		Guest:      guest.OptimizedConfig(),
 		DSM:        dsm.DefaultParams(),
 		VCPU:       vcpu.DefaultParams(),
-		Virtio:     virtio.DefaultParams(),
 		Multiqueue: true,
 		DSMBypass:  true,
 		Mobility:   true,
@@ -153,7 +149,7 @@ func New(cfg Config) *VM {
 		panic("hypervisor: config needs guest memory")
 	}
 	env := cfg.Cluster.Env
-	layer := msg.NewLayer(env, cfg.Cluster.Fabric, msg.DefaultParams())
+	layer := msg.NewLayer(env, cfg.Cluster.Fabric)
 
 	// Distinct slice nodes, bootstrap (vCPU0's node) first; memory-only
 	// slices follow the compute slices.
@@ -184,20 +180,18 @@ func New(cfg Config) *VM {
 	}
 	vm.VCPUs = vcpu.NewManager(env, layer, nodes, placement, pcpus, cfg.VCPU)
 	vm.Kernel = guest.New(env, vm.DSM, vm.Layout, vm.VCPUs, len(cfg.Placement),
-		cfg.MemBytes, cfg.Guest, guest.DefaultCosts())
+		cfg.MemBytes, cfg.Guest)
 
 	// The bootstrap slice owns the physical devices.
 	owner := nodes[0]
-	vm.Net = virtio.NewNet(env, vm.DSM, layer, vm.VCPUs, vm.Layout,
-		cfg.Cluster.Client, owner, cfg.Virtio,
+	vm.Net = virtio.NewNet(env, vm.DSM, layer, vm.VCPUs, vm.Layout, cfg.Cluster.Client,
 		virtio.Config{Owner: owner, Multiqueue: cfg.Multiqueue, Bypass: cfg.DSMBypass})
-	vm.Blk = virtio.NewBlk(env, vm.DSM, layer, vm.VCPUs, vm.Layout,
-		cfg.Cluster.Node(owner).SSD, cfg.Virtio,
+	vm.Blk = virtio.NewBlk(env, vm.DSM, layer, vm.VCPUs, vm.Layout, cfg.Cluster.Node(owner).SSD,
 		virtio.Config{Owner: owner, Multiqueue: cfg.Multiqueue, Bypass: cfg.DSMBypass})
 
 	if cfg.HelperThreads {
 		for _, ps := range pcpus {
-			ps.SetBackground(ps.Background() + 1)
+			ps.SetBackgroundWeight(ps.BackgroundWeight() + 1)
 		}
 	}
 	return vm

@@ -88,7 +88,7 @@ func TestRunExecutesOnPinnedPCPU(t *testing.T) {
 	})
 	c.Env.Run()
 	done := c.Node(1).PCPUs[0].TotalDone()
-	want := cluster.DefaultParams().CyclesFor(50 * sim.Millisecond)
+	want := cluster.CyclesFor(50 * sim.Millisecond)
 	if done < want*0.99 || done > want*1.01 {
 		t.Fatalf("node1 pCPU0 did %v cycles, want ~%v", done, want)
 	}
@@ -143,6 +143,31 @@ func TestHelperThreadsStealCPU(t *testing.T) {
 		t.Fatalf("compute with helper took %v, want ~20ms", done)
 	}
 	_ = vm
+}
+
+// TestHelperThreadsOnDegradedCPU: a helper thread adds one whole busy
+// thread on top of a fractional CPU degradation, and healing the
+// degradation leaves exactly the helper's load.
+func TestHelperThreadsOnDegradedCPU(t *testing.T) {
+	c := newCluster(1)
+	var sched fault.Schedule
+	sched.Add(fault.Event{At: sim.Millisecond, Kind: fault.DegradeCPU, Node: 0, Factor: 0.5})
+	sched.Add(fault.Event{At: 3 * sim.Millisecond, Kind: fault.HealCPU, Node: 0})
+	fault.New(c).Apply(sched)
+	ps := c.Node(0).PCPUs[0]
+	var degraded, healed float64
+	c.Env.At(2*sim.Millisecond, func() {
+		cfg := FragVisorConfig(c, SpreadPlacement([]int{0}, 1), 1<<30)
+		cfg.HelperThreads = true
+		New(cfg)
+		degraded = ps.BackgroundWeight()
+	})
+	c.Env.At(4*sim.Millisecond, func() { healed = ps.BackgroundWeight() })
+	c.Env.Run()
+	if degraded != 1.5 || healed != 1 {
+		t.Fatalf("background weight = %v with helper on a 0.5-degraded pCPU, %v after the heal; want 1.5 and 1",
+			degraded, healed)
+	}
 }
 
 func TestInvalidConfigsPanic(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package metrics provides the small result-reporting toolkit the
 // experiment harness uses: aligned text tables (one per paper figure),
-// time series for trace plots, and summary statistics.
+// named counters, and summary statistics over samples and seeds.
 package metrics
 
 import (

@@ -31,19 +31,14 @@ import (
 	"repro/internal/trace"
 )
 
-// Params tunes the messaging layer cost model.
-type Params struct {
+// The kernel-space messaging costs used by FragVisor.
+const (
 	// HandlerLat is the fixed in-kernel processing time charged at the
 	// receiver before a handler runs (interrupt + demultiplexing).
-	HandlerLat sim.Time
+	HandlerLat = 500 * sim.Nanosecond
 	// HeaderBytes is added to every message's wire size.
-	HeaderBytes int
-}
-
-// DefaultParams returns the kernel-space messaging costs used by FragVisor.
-func DefaultParams() Params {
-	return Params{HandlerLat: 500 * sim.Nanosecond, HeaderBytes: 64}
-}
+	HeaderBytes = 64
+)
 
 // Handler consumes a delivered message. Handlers run as event callbacks;
 // a handler that needs to block must spawn a process.
@@ -113,7 +108,6 @@ type ServiceStats struct {
 type Layer struct {
 	env      *sim.Env
 	net      *topo.Fabric
-	params   Params
 	handlers map[serviceKey]Handler
 	stats    map[string]*ServiceStats
 	faults   FaultStats
@@ -129,11 +123,10 @@ type serviceKey struct {
 
 // NewLayer returns a messaging layer over the given fabric, flat or
 // tree.
-func NewLayer(env *sim.Env, net *topo.Fabric, p Params) *Layer {
+func NewLayer(env *sim.Env, net *topo.Fabric) *Layer {
 	return &Layer{
 		env:      env,
 		net:      net,
-		params:   p,
 		handlers: make(map[serviceKey]Handler),
 		stats:    make(map[string]*ServiceStats),
 		tr:       trace.FromEnv(env),
@@ -233,15 +226,15 @@ func (l *Layer) deliver(m *Message) {
 	// must be applied here so the duplicate can be delivered as a marked
 	// Message whose Reply is discarded. The arrival timer is scheduled
 	// straight after the path is charged, as the fabric's own Send does.
-	if at, ok := l.net.Transmit(m.span, m.From, m.To, m.Size+l.params.HeaderBytes); ok {
+	if at, ok := l.net.Transmit(m.span, m.From, m.To, m.Size+HeaderBytes); ok {
 		l.env.DeferArgAt(at, receive, m)
 	}
 	if verdict.Duplicate {
 		l.faults.Duplicated++
 		clone := *m
 		clone.dup = true
-		l.net.Send(m.From, m.To, m.Size+l.params.HeaderBytes, func() {
-			l.env.Defer(l.params.HandlerLat, func() {
+		l.net.Send(m.From, m.To, m.Size+HeaderBytes, func() {
+			l.env.Defer(HandlerLat, func() {
 				if clone.done != nil {
 					// Duplicate replies are dropped at the requester:
 					// the original already completed the call.
@@ -260,7 +253,7 @@ func (l *Layer) deliver(m *Message) {
 // the receive-side processing cost before handle.
 func receive(a any) {
 	m := a.(*Message)
-	m.layer.env.DeferArg(m.layer.params.HandlerLat, handle, m)
+	m.layer.env.DeferArg(HandlerLat, handle, m)
 }
 
 // handle completes a delivery: a reply fires its caller's reply event,
@@ -293,6 +286,3 @@ func (l *Layer) Net() *topo.Fabric { return l.net }
 
 // Env returns the simulation environment.
 func (l *Layer) Env() *sim.Env { return l.env }
-
-// Params returns the layer's cost parameters.
-func (l *Layer) Params() Params { return l.params }

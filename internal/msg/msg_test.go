@@ -9,7 +9,7 @@ import (
 
 func newTestLayer(env *sim.Env) *Layer {
 	fabric := topo.FlatSpec().Build(env, "fabric", 56, 1500*sim.Nanosecond)
-	return NewLayer(env, fabric, DefaultParams())
+	return NewLayer(env, fabric)
 }
 
 func TestSendDelivers(t *testing.T) {

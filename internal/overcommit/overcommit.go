@@ -16,7 +16,6 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/sim"
 	"repro/internal/vcpu"
-	"repro/internal/virtio"
 )
 
 // Config returns a single-node VM with nVCPU vCPUs packed onto k pCPUs of
@@ -24,14 +23,12 @@ import (
 // so the comparison isolates distribution, not guest patches.
 func Config(c *cluster.Cluster, node, k, nVCPU int, memBytes int64) hypervisor.Config {
 	return hypervisor.Config{
-		Name:       "overcommit",
 		Cluster:    c,
 		Placement:  hypervisor.PackedPlacement(node, k, nVCPU),
 		MemBytes:   memBytes,
 		Guest:      guest.OptimizedConfig(),
 		DSM:        dsm.DefaultParams(),
 		VCPU:       vcpu.DefaultParams(),
-		Virtio:     virtio.DefaultParams(),
 		Multiqueue: true,
 		DSMBypass:  false,
 		Mobility:   true,

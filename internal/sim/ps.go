@@ -48,19 +48,11 @@ func (ps *PS) Load() int { return len(ps.jobs) + int(ps.background) }
 // TotalDone returns the cumulative work completed by finished jobs.
 func (ps *PS) TotalDone() float64 { return ps.totalDone }
 
-// SetBackground sets the number of permanent background jobs sharing the
-// resource. It takes effect immediately for all in-flight jobs.
-func (ps *PS) SetBackground(n int) {
-	if n < 0 {
-		panic("sim: negative background job count")
-	}
-	ps.SetBackgroundWeight(float64(n))
-}
-
 // SetBackgroundWeight sets a fractional permanent load: a weight w makes
 // every real job progress at capacity/(n+w). Fractions model interference
-// that is lighter than a pinned busy thread, e.g. periodic helper-thread
-// activity.
+// that is lighter than a pinned busy thread (weight 1), e.g. periodic
+// helper-thread activity. It takes effect immediately for all in-flight
+// jobs.
 func (ps *PS) SetBackgroundWeight(w float64) {
 	if w < 0 {
 		panic("sim: negative background weight")
@@ -69,9 +61,6 @@ func (ps *PS) SetBackgroundWeight(w float64) {
 	ps.background = w
 	ps.reschedule()
 }
-
-// Background returns the permanent background load, rounded down.
-func (ps *PS) Background() int { return int(ps.background) }
 
 // BackgroundWeight returns the permanent background load.
 func (ps *PS) BackgroundWeight() float64 { return ps.background }

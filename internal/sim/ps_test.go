@@ -70,7 +70,7 @@ func TestPSStaggeredArrival(t *testing.T) {
 func TestPSBackgroundLoad(t *testing.T) {
 	e := NewEnv()
 	ps := NewPS(e, 1.0)
-	ps.SetBackground(1) // a phantom job takes half the core
+	ps.SetBackgroundWeight(1) // a phantom job takes half the core
 	var done Time
 	e.Spawn("job", func(p *Proc) {
 		ps.Consume(p, 1.0)
@@ -80,8 +80,8 @@ func TestPSBackgroundLoad(t *testing.T) {
 	if math.Abs(done.Seconds()-2.0) > 1e-6 {
 		t.Fatalf("job with background finished at %v, want 2s", done)
 	}
-	if ps.Background() != 1 {
-		t.Fatalf("Background() = %d", ps.Background())
+	if ps.BackgroundWeight() != 1 {
+		t.Fatalf("BackgroundWeight() = %v", ps.BackgroundWeight())
 	}
 }
 

@@ -36,6 +36,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,8 +81,8 @@ type TestHooks struct {
 }
 
 // Spec describes a topology shape independent of link speeds: the same
-// spec can be compiled against any host-link bandwidth/latency (taken
-// from cluster.Params at Build time).
+// spec can be compiled against any host-link bandwidth/latency (the
+// cluster's fabric constants at Build time).
 type Spec struct {
 	// Flat selects the single-switch topology; the tree fields are
 	// ignored.
@@ -119,10 +120,14 @@ func (s *Spec) validate() {
 	if s.Racks <= 0 || s.NodesPerRack <= 0 {
 		panic(fmt.Sprintf("topo: tree needs racks and nodes per rack, got %d×%d", s.Racks, s.NodesPerRack))
 	}
-	if s.Oversub < 1 {
-		panic(fmt.Sprintf("topo: oversubscription %v must be >= 1", s.Oversub))
+	if !validOversub(s.Oversub) {
+		panic(fmt.Sprintf("topo: oversubscription %v must be finite and >= 1", s.Oversub))
 	}
 }
+
+// validOversub reports whether o is a usable spine oversubscription
+// ratio: finite and at least 1 (NaN fails every comparison).
+func validOversub(o float64) bool { return o >= 1 && !math.IsInf(o, 1) }
 
 // ParseSpec parses a CLI topology argument: "" (nil spec, which a
 // cluster builds as the flat default), "flat" (the same single-switch
@@ -148,8 +153,8 @@ func ParseSpec(s string) (*Spec, error) {
 		if over != "" {
 			oversub, err3 = strconv.ParseFloat(over, 64)
 		}
-		if err1 != nil || err2 != nil || err3 != nil || racks <= 0 || nodes <= 0 || oversub < 1 {
-			return nil, fmt.Errorf("topo: bad tree spec %q, want tree:RxN@O with R,N >= 1 and O >= 1", s)
+		if err1 != nil || err2 != nil || err3 != nil || racks <= 0 || nodes <= 0 || !validOversub(oversub) {
+			return nil, fmt.Errorf("topo: bad tree spec %q, want tree:RxN@O with R,N >= 1 and finite O >= 1", s)
 		}
 		return TreeSpec(racks, nodes, oversub), nil
 	default:

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -19,6 +20,10 @@ func TestParseSpec(t *testing.T) {
 		{"tree:2x4@1.5", "tree:2x4@1.5", false},
 		{"tree:0x4@4", "", true},
 		{"tree:2x4@0.5", "", true},
+		{"tree:2x4@NaN", "", true},
+		{"tree:2x4@Inf", "", true},
+		{"tree:2x4@+Inf", "", true},
+		{"tree:2x4@-Inf", "", true},
 		{"tree:24@4", "", true},
 		{"ring:4", "", true},
 	}
@@ -157,6 +162,8 @@ func TestSpecValidation(t *testing.T) {
 		func() { TreeSpec(0, 2, 1) },
 		func() { TreeSpec(2, 0, 1) },
 		func() { TreeSpec(2, 2, 0.5) },
+		func() { TreeSpec(2, 2, math.NaN()) },
+		func() { TreeSpec(2, 2, math.Inf(1)) },
 		func() { FlatSpec().Build(sim.NewEnv(), "t", 0, 0) },
 		func() { FlatSpec().Build(sim.NewEnv(), "t", 1, -1) },
 		func() { TreeSpec(2, 2, 1).Rack(4) },

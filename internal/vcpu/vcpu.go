@@ -27,10 +27,27 @@ import (
 	"repro/internal/trace"
 )
 
-// Params is the distributed-vCPU cost model.
+// The distributed-vCPU costs every profile shares. They match the
+// paper's measured migration latency of ~86 us average, of which 38 us is
+// the register dump.
+const (
+	// ipiLocal is the cost of an IPI between vCPUs on the same node.
+	ipiLocal = 200 * sim.Nanosecond
+	// RegDump is the time to dump registers and FPU state at migration
+	// start (the paper measures 38 us).
+	RegDump = 38 * sim.Microsecond
+	// restore is the destination-side cost to rebuild the vCPU thread,
+	// re-pin it, and resume execution.
+	restore = 40 * sim.Microsecond
+	// StateBytes is the migrated vCPU state size on the wire.
+	StateBytes = 16 << 10
+	// locUpdateBytes is the size of a location-table update message.
+	locUpdateBytes = 16
+)
+
+// Params is the part of the distributed-vCPU cost model that differs
+// between profiles.
 type Params struct {
-	// IPILocal is the cost of an IPI between vCPUs on the same node.
-	IPILocal sim.Time
 	// RemoteWakeup is the destination-side latency from a cross-node
 	// IPI's arrival to the target vCPU actually running the woken task:
 	// interrupt injection into a halted vCPU, the VM entry, and the
@@ -39,16 +56,6 @@ type Params struct {
 	// it (its vCPUs never halt), which is why the paper finds GiantVM's
 	// remote vCPU communication faster for short LEMP requests (§7.2).
 	RemoteWakeup sim.Time
-	// RegDump is the time to dump registers and FPU state at migration
-	// start (the paper measures 38 us).
-	RegDump sim.Time
-	// Restore is the destination-side cost to rebuild the vCPU thread,
-	// re-pin it, and resume execution.
-	Restore sim.Time
-	// StateBytes is the migrated vCPU state size on the wire.
-	StateBytes int
-	// LocUpdateBytes is the size of a location-table update message.
-	LocUpdateBytes int
 	// CPUEfficiency scales guest compute throughput: 1.0 runs at native
 	// speed. GiantVM's QEMU-based virtualization (extra exits, emulated
 	// paths, userspace I/O threads on the vCPU's core) costs a flat tax
@@ -57,28 +64,16 @@ type Params struct {
 	CPUEfficiency float64
 }
 
-// DefaultParams matches the paper's measured migration latency of ~86 us
-// average, of which 38 us is the register dump.
+// DefaultParams returns FragVisor's vCPU profile.
 func DefaultParams() Params {
-	return Params{
-		IPILocal:       200 * sim.Nanosecond,
-		RemoteWakeup:   800 * sim.Microsecond,
-		RegDump:        38 * sim.Microsecond,
-		Restore:        40 * sim.Microsecond,
-		StateBytes:     16 << 10,
-		LocUpdateBytes: 16,
-		CPUEfficiency:  1.0,
-	}
+	return Params{RemoteWakeup: 800 * sim.Microsecond, CPUEfficiency: 1.0}
 }
 
 // GiantVMParams returns the baseline's vCPU cost model: its QEMU helper
 // threads poll for cross-node events, so remote wakeups land almost
 // immediately.
 func GiantVMParams() Params {
-	p := DefaultParams()
-	p.RemoteWakeup = 15 * sim.Microsecond
-	p.CPUEfficiency = 0.68
-	return p
+	return Params{RemoteWakeup: 15 * sim.Microsecond, CPUEfficiency: 0.68}
 }
 
 // VCPU is one virtual CPU of an Aggregate VM.
@@ -164,13 +159,13 @@ func (m *Manager) Wakeup(p *sim.Proc, fromNode, toVCPU int, deliver func()) {
 func (m *Manager) IPI(p *sim.Proc, fromNode, toVCPU int, deliver func()) {
 	dest := m.VCPU(toVCPU).node
 	if dest == fromNode {
-		p.Sleep(m.params.IPILocal)
+		p.Sleep(ipiLocal)
 		if deliver != nil {
 			m.env.After(0, deliver)
 		}
 		return
 	}
-	m.layer.SendCtx(p.Span(), fromNode, dest, m.service, "ipi", m.params.LocUpdateBytes, deliver)
+	m.layer.SendCtx(p.Span(), fromNode, dest, m.service, "ipi", locUpdateBytes, deliver)
 }
 
 // handle processes vCPU-service messages at a slice.
@@ -191,10 +186,10 @@ func (m *Manager) handle(msg *msg.Message) {
 		}
 	case "migrate":
 		// Destination-side admission of a migrating vCPU: rebuild the
-		// thread and ack. The Restore cost is charged before the ack so
+		// thread and ack. The restore cost is charged before the ack so
 		// the source observes the full handoff latency.
-		m.env.After(m.params.Restore, func() {
-			msg.Reply(m.params.LocUpdateBytes, nil)
+		m.env.After(restore, func() {
+			msg.Reply(locUpdateBytes, nil)
 		})
 	case "locupdate":
 		// Replicated location tables are canonical in the model; the
@@ -220,13 +215,13 @@ func (m *Manager) Migrate(p *sim.Proc, vcpuID, destNode int, destPCPU *sim.PS) s
 	start := p.Now()
 	src := v.node
 	sp := m.tr.Begin(p.Span(), trace.CatMigrate, src, "vcpu.migrate")
-	p.Sleep(m.params.RegDump)
-	m.layer.Call(p, src, destNode, m.service, "migrate", m.params.StateBytes, vcpuID)
+	p.Sleep(RegDump)
+	m.layer.Call(p, src, destNode, m.service, "migrate", StateBytes, vcpuID)
 	v.node = destNode
 	v.pcpu = destPCPU
 	for _, n := range m.nodes {
 		if n != src && n != destNode {
-			m.layer.Send(destNode, n, m.service, "locupdate", m.params.LocUpdateBytes, vcpuID)
+			m.layer.Send(destNode, n, m.service, "locupdate", locUpdateBytes, vcpuID)
 		}
 	}
 	m.tr.End(sp)

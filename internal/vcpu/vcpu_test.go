@@ -12,7 +12,7 @@ import (
 func newTestManager(n int) (*sim.Env, *cluster.Cluster, *Manager) {
 	env := sim.NewEnv()
 	c := cluster.NewDefault(env, n)
-	layer := msg.NewLayer(env, c.Fabric, msg.DefaultParams())
+	layer := msg.NewLayer(env, c.Fabric)
 	nodes := make([]int, n)
 	placement := make([]int, n)
 	pcpus := make([]*sim.PS, n)
@@ -37,7 +37,7 @@ func TestLocalIPICheap(t *testing.T) {
 	if !delivered {
 		t.Fatal("local IPI not delivered")
 	}
-	if cost != DefaultParams().IPILocal {
+	if cost != ipiLocal {
 		t.Fatalf("local IPI cost = %v", cost)
 	}
 }
@@ -120,7 +120,7 @@ func TestComputeFollowsMigration(t *testing.T) {
 		ctx.Compute(10 * sim.Millisecond)
 	})
 	env.Run()
-	cyc := cluster.DefaultParams().CyclesFor(10 * sim.Millisecond)
+	cyc := cluster.CyclesFor(10 * sim.Millisecond)
 	if got := c.Node(0).PCPUs[0].TotalDone(); got < cyc*0.99 || got > cyc*1.01 {
 		t.Errorf("node0 pCPU did %v cycles, want ~%v", got, cyc)
 	}
@@ -133,7 +133,7 @@ func TestOvercommitSharesPCPU(t *testing.T) {
 	// Two vCPUs pinned on one pCPU each take twice as long.
 	env := sim.NewEnv()
 	c := cluster.NewDefault(env, 1)
-	layer := msg.NewLayer(env, c.Fabric, msg.DefaultParams())
+	layer := msg.NewLayer(env, c.Fabric)
 	pcpu := c.Node(0).PCPUs[0]
 	m := NewManager(env, layer, []int{0}, []int{0, 0}, []*sim.PS{pcpu, pcpu}, DefaultParams())
 	var done [2]sim.Time

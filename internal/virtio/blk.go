@@ -36,9 +36,9 @@ type blkReq struct {
 }
 
 // NewBlk creates a virtio-blk device driven by the owner node's disk.
-func NewBlk(env *sim.Env, d *dsm.DSM, layer *msg.Layer, vm *vcpu.Manager, layout *mem.Layout, disk *cluster.Disk, params Params, cfg Config) *BlkDev {
+func NewBlk(env *sim.Env, d *dsm.DSM, layer *msg.Layer, vm *vcpu.Manager, layout *mem.Layout, disk *cluster.Disk, cfg Config) *BlkDev {
 	bd := &BlkDev{
-		device: *newDevice("vblk", env, d, layer, vm, layout, params, cfg),
+		device: *newDevice("vblk", env, d, layer, vm, layout, cfg),
 		disk:   disk,
 		done:   make(map[uint64]*sim.Event),
 	}
@@ -72,7 +72,7 @@ func (bd *BlkDev) transfer(c *vcpu.Ctx, n int64, write bool) {
 
 // chunk issues one request and waits for its completion interrupt.
 func (bd *BlkDev) chunk(c *vcpu.Ctx, q *queue, n int, write bool) {
-	c.P.Sleep(bd.params.GuestPacketCPU)
+	c.P.Sleep(guestPacketCPU)
 	var pages []mem.PageID
 	if !bd.cfg.Bypass {
 		pages = q.payloadPages(n)
@@ -102,7 +102,7 @@ func (bd *BlkDev) chunk(c *vcpu.Ctx, q *queue, n int, write bool) {
 	if !write {
 		if bd.cfg.Bypass {
 			// Payload arrived with the completion; install cost only.
-			c.P.Sleep(bd.params.GuestPacketCPU)
+			c.P.Sleep(guestPacketCPU)
 		} else {
 			for _, pg := range pages {
 				bd.d.Touch(c.P, c.Node(), pg, false)
@@ -134,7 +134,7 @@ func (bd *BlkDev) handle(m *msg.Message) {
 				req := q.pending[0].(blkReq)
 				q.pending = q.pending[1:]
 				bd.d.Touch(p, bd.cfg.Owner, q.availPage(), false)
-				p.Sleep(bd.params.HostPacketCPU)
+				p.Sleep(hostPacketCPU)
 				if req.write && !bd.cfg.Bypass {
 					// Device DMA reads the guest buffer through the DSM.
 					for _, pg := range req.pages {
@@ -151,7 +151,7 @@ func (bd *BlkDev) handle(m *msg.Message) {
 				}
 				bd.d.Touch(p, bd.cfg.Owner, q.usedPage(), true)
 				bd.stats.IRQs++
-				size := bd.params.IRQBytes
+				size := irqBytes
 				if !req.write && bd.cfg.Bypass {
 					size += req.bytes // read payload rides the completion
 				}

@@ -30,30 +30,19 @@ import (
 	"repro/internal/vcpu"
 )
 
-// Params is the virtio cost model.
-type Params struct {
-	// KickBytes is the ioeventfd-turned-message size.
-	KickBytes int
-	// IRQBytes is the interrupt (irqfd) message size.
-	IRQBytes int
-	// HostPacketCPU is vhost's per-packet processing time at the owner.
-	HostPacketCPU sim.Time
-	// GuestPacketCPU is the guest driver's per-packet processing time.
-	GuestPacketCPU sim.Time
-	// BufPages is the payload buffer ring size per queue, in pages.
-	BufPages int64
-}
-
-// DefaultParams returns the vhost-based cost model.
-func DefaultParams() Params {
-	return Params{
-		KickBytes:      32,
-		IRQBytes:       32,
-		HostPacketCPU:  2 * sim.Microsecond,
-		GuestPacketCPU: 1 * sim.Microsecond,
-		BufPages:       64,
-	}
-}
+// The vhost-based virtio costs every profile shares.
+const (
+	// kickBytes is the ioeventfd-turned-message size.
+	kickBytes = 32
+	// irqBytes is the interrupt (irqfd) message size.
+	irqBytes = 32
+	// hostPacketCPU is vhost's per-packet processing time at the owner.
+	hostPacketCPU = 2 * sim.Microsecond
+	// guestPacketCPU is the guest driver's per-packet processing time.
+	guestPacketCPU = 1 * sim.Microsecond
+	// bufPages is the payload buffer ring size per queue, in pages.
+	bufPages = 64
+)
 
 // Config selects the distribution mechanisms for one device.
 type Config struct {
@@ -129,22 +118,20 @@ type device struct {
 	d      *dsm.DSM
 	layer  *msg.Layer
 	vcpus  *vcpu.Manager
-	params Params
 	cfg    Config
 	svc    string
 	queues []*queue
 	stats  Stats
 }
 
-func newDevice(kind string, env *sim.Env, d *dsm.DSM, layer *msg.Layer, vm *vcpu.Manager, layout *mem.Layout, params Params, cfg Config) *device {
+func newDevice(kind string, env *sim.Env, d *dsm.DSM, layer *msg.Layer, vm *vcpu.Manager, layout *mem.Layout, cfg Config) *device {
 	dev := &device{
-		env:    env,
-		d:      d,
-		layer:  layer,
-		vcpus:  vm,
-		params: params,
-		cfg:    cfg,
-		svc:    fmt.Sprintf("%s%d", kind, layer.Instance(kind)),
+		env:   env,
+		d:     d,
+		layer: layer,
+		vcpus: vm,
+		cfg:   cfg,
+		svc:   fmt.Sprintf("%s%d", kind, layer.Instance(kind)),
 	}
 	nq := 1
 	if cfg.Multiqueue {
@@ -155,7 +142,7 @@ func newDevice(kind string, env *sim.Env, d *dsm.DSM, layer *msg.Layer, vm *vcpu
 			id:   i,
 			vcpu: i,
 			ring: layout.Alloc(fmt.Sprintf("%s.q%d.ring", dev.svc, i), 2, mem.KindDevice),
-			buf:  layout.Alloc(fmt.Sprintf("%s.q%d.buf", dev.svc, i), params.BufPages, mem.KindDevice),
+			buf:  layout.Alloc(fmt.Sprintf("%s.q%d.buf", dev.svc, i), bufPages, mem.KindDevice),
 			lock: env.NewMutex(),
 		}
 		dev.queues = append(dev.queues, q)
@@ -179,7 +166,7 @@ func (dev *device) Stats() Stats { return dev.stats }
 // and avail-ring through the DSM (skipped under bypass), then the kick.
 // It returns the DSM pages carrying the payload, nil under bypass.
 func (dev *device) guestEnqueue(c *vcpu.Ctx, q *queue, n int) []mem.PageID {
-	c.P.Sleep(dev.params.GuestPacketCPU)
+	c.P.Sleep(guestPacketCPU)
 	var pages []mem.PageID
 	if !dev.cfg.Bypass {
 		pages = q.payloadPages(n)
@@ -200,7 +187,7 @@ func (dev *device) hostComplete(p *sim.Proc, q *queue, pages []mem.PageID) {
 	for _, pg := range pages {
 		dev.d.Touch(p, dev.cfg.Owner, pg, false)
 	}
-	p.Sleep(dev.params.HostPacketCPU)
+	p.Sleep(hostPacketCPU)
 	dev.d.Touch(p, dev.cfg.Owner, q.usedPage(), true)
 }
 
@@ -208,27 +195,27 @@ func (dev *device) hostComplete(p *sim.Proc, q *queue, pages []mem.PageID) {
 // payload itself.
 func (dev *device) kickSize(n int) int {
 	if dev.cfg.Bypass {
-		return dev.params.KickBytes + n
+		return kickBytes + n
 	}
-	return dev.params.KickBytes
+	return kickBytes
 }
 
 // NetDev is a delegated virtio-net device bridged to an external network.
+// The owner node's NIC is the device's address on that network.
 type NetDev struct {
 	device
 	ext     *topo.Fabric
-	extAddr int // the owner host's address on the external network
 	rx      []*sim.Queue[rxPacket]
 	clients map[int]*sim.Queue[txWire]
 }
 
 // NewNet creates a virtio-net device whose physical NIC (on the owner
-// node) connects to the external network ext at address extAddr.
-func NewNet(env *sim.Env, d *dsm.DSM, layer *msg.Layer, vm *vcpu.Manager, layout *mem.Layout, ext *topo.Fabric, extAddr int, params Params, cfg Config) *NetDev {
+// node, cfg.Owner) connects to the external network ext at the owner's
+// address.
+func NewNet(env *sim.Env, d *dsm.DSM, layer *msg.Layer, vm *vcpu.Manager, layout *mem.Layout, ext *topo.Fabric, cfg Config) *NetDev {
 	nd := &NetDev{
-		device:  *newDevice("vnet", env, d, layer, vm, layout, params, cfg),
+		device:  *newDevice("vnet", env, d, layer, vm, layout, cfg),
 		ext:     ext,
-		extAddr: extAddr,
 		clients: make(map[int]*sim.Queue[txWire]),
 	}
 	for i := 0; i < vm.N(); i++ {
@@ -277,7 +264,7 @@ func (nd *NetDev) Send(c *vcpu.Ctx, dst, n int) {
 // payload, and returns the source address and size.
 func (nd *NetDev) Recv(c *vcpu.Ctx) (from, n int) {
 	pkt := nd.rx[c.ID()].Get(c.P)
-	c.P.Sleep(nd.params.GuestPacketCPU)
+	c.P.Sleep(guestPacketCPU)
 	for _, pg := range pkt.pages {
 		nd.d.Touch(c.P, c.Node(), pg, false)
 	}
@@ -299,7 +286,7 @@ func (nd *NetDev) handle(m *msg.Message) {
 				tx := q.pending[0].(netTx)
 				q.pending = q.pending[1:]
 				nd.hostComplete(p, q, tx.pages)
-				nd.ext.Send(nd.extAddr, tx.dst, tx.bytes, func() {
+				nd.ext.Send(nd.cfg.Owner, tx.dst, tx.bytes, func() {
 					if inbox, ok := nd.clients[tx.dst]; ok {
 						inbox.Put(txWire{fromVCPU: tx.src, bytes: tx.bytes})
 					}
@@ -327,7 +314,7 @@ func (nd *NetDev) deliverToGuest(from, toVCPU, n int) {
 	nd.env.Spawn(nd.svc+".vhost-rx", func(p *sim.Proc) {
 		q := nd.queueFor(toVCPU)
 		q.lock.Lock(p)
-		p.Sleep(nd.params.HostPacketCPU)
+		p.Sleep(hostPacketCPU)
 		nd.stats.RxPackets++
 		nd.stats.RxBytes += int64(n)
 		pkt := rxPacket{from: from, bytes: n}
@@ -340,7 +327,7 @@ func (nd *NetDev) deliverToGuest(from, toVCPU, n int) {
 				return
 			}
 			nd.layer.Send(nd.cfg.Owner, dest, nd.svc, "rxbypass",
-				nd.params.IRQBytes+n, netRxBypass{vcpu: toVCPU, pkt: pkt})
+				irqBytes+n, netRxBypass{vcpu: toVCPU, pkt: pkt})
 			return
 		}
 		pkt.pages = q.payloadPages(n)
@@ -374,7 +361,7 @@ func (nd *NetDev) NewClient(addr int) *Client {
 // the wire time.
 func (cl *Client) Send(p *sim.Proc, toVCPU, n int) {
 	ev := cl.nd.env.NewEvent()
-	cl.nd.ext.Send(cl.addr, cl.nd.extAddr, n, func() {
+	cl.nd.ext.Send(cl.addr, cl.nd.cfg.Owner, n, func() {
 		cl.nd.deliverToGuest(cl.addr, toVCPU, n)
 		ev.Fire()
 	})

@@ -24,7 +24,7 @@ type harness struct {
 func newHarness(nNodes int) *harness {
 	env := sim.NewEnv()
 	c := cluster.NewDefault(env, nNodes)
-	layer := msg.NewLayer(env, c.Fabric, msg.DefaultParams())
+	layer := msg.NewLayer(env, c.Fabric)
 	nodes := make([]int, nNodes)
 	placement := make([]int, nNodes)
 	pcpus := make([]*sim.PS, nNodes)
@@ -39,11 +39,11 @@ func newHarness(nNodes int) *harness {
 }
 
 func (h *harness) net(cfg Config) *NetDev {
-	return NewNet(h.env, h.d, h.layer, h.vm, h.layout, h.c.Client, cfg.Owner, DefaultParams(), cfg)
+	return NewNet(h.env, h.d, h.layer, h.vm, h.layout, h.c.Client, cfg)
 }
 
 func (h *harness) blk(cfg Config) *BlkDev {
-	return NewBlk(h.env, h.d, h.layer, h.vm, h.layout, h.c.Node(cfg.Owner).SSD, DefaultParams(), cfg)
+	return NewBlk(h.env, h.d, h.layer, h.vm, h.layout, h.c.Node(cfg.Owner).SSD, cfg)
 }
 
 const clientAddr = cluster.ClientID
