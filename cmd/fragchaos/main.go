@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -57,6 +58,10 @@ func main() {
 	}
 	if *replay != "" {
 		os.Exit(runReplay(*replay))
+	}
+	if err := checkFlags(*episodes, *maxEvents, *scale); err != nil {
+		fmt.Fprintln(os.Stderr, "fragchaos:", err)
+		os.Exit(1)
 	}
 
 	cfg := chaos.Config{
@@ -113,6 +118,23 @@ func main() {
 	if len(rep.Findings) > 0 {
 		os.Exit(3)
 	}
+}
+
+// checkFlags rejects the search flags the engine cannot use: episode and
+// fault-event counts below 1, and a workload scale that is not finite
+// and > 0 (every episode would report the workload's refusal as a
+// finding).
+func checkFlags(episodes, maxEvents int, scale float64) error {
+	if episodes < 1 {
+		return fmt.Errorf("-episodes %d: want a count >= 1", episodes)
+	}
+	if maxEvents < 1 {
+		return fmt.Errorf("-max-events %d: want a count >= 1", maxEvents)
+	}
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("-scale %v: want a finite value > 0", scale)
+	}
+	return nil
 }
 
 // runReplay re-executes an artifact and verifies the replay is

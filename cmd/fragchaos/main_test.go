@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -38,5 +39,33 @@ func TestReplayRejectsGarbage(t *testing.T) {
 	}
 	if code := runReplay(filepath.Join(t.TempDir(), "missing.json")); code == 0 {
 		t.Fatal("missing artifact replayed successfully")
+	}
+}
+
+// TestCheckFlags: the defaults pass, and every value that used to panic
+// the search or turn each episode into a spurious finding is rejected
+// before the search starts.
+func TestCheckFlags(t *testing.T) {
+	if err := checkFlags(64, 12, 0.02); err != nil {
+		t.Fatalf("default flags rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name      string
+		episodes  int
+		maxEvents int
+		scale     float64
+	}{
+		{"-episodes -3", -3, 12, 0.02},
+		{"-episodes 0", 0, 12, 0.02},
+		{"-max-events -2", 64, -2, 0.02},
+		{"-max-events 0", 64, 0, 0.02},
+		{"-scale -1", 64, 12, -1},
+		{"-scale 0", 64, 12, 0},
+		{"-scale NaN", 64, 12, math.NaN()},
+		{"-scale Inf", 64, 12, math.Inf(1)},
+	} {
+		if err := checkFlags(tc.episodes, tc.maxEvents, tc.scale); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }

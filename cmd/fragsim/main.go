@@ -12,7 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -27,6 +29,10 @@ func main() {
 	mem := flag.Int64("mem", 16<<30, "guest memory bytes")
 	flag.Parse()
 
+	if err := checkFlags(*vcpus, *mem, *scale, *wl); err != nil {
+		fmt.Fprintln(os.Stderr, "fragsim:", err)
+		os.Exit(1)
+	}
 	var tb *fragvisor.Testbed
 	var vm *fragvisor.VM
 	switch *profile {
@@ -50,11 +56,7 @@ func main() {
 		fmt.Printf("download=%v extract=%v detect=%v total=%v\n",
 			res.Download, res.Extract, res.Detect, res.Total)
 	case strings.HasPrefix(*wl, "lemp:"):
-		d, err := time.ParseDuration(strings.TrimPrefix(*wl, "lemp:"))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		d, _ := time.ParseDuration(strings.TrimPrefix(*wl, "lemp:")) // checked by checkFlags
 		res := fragvisor.RunLEMP(vm, fragvisor.Time(d.Nanoseconds()), 50)
 		fmt.Printf("throughput=%.2f req/s mean-latency=%v\n", res.Throughput, res.MeanLatency)
 	default:
@@ -64,4 +66,34 @@ func main() {
 	st := vm.DSM.TotalStats()
 	fmt.Printf("dsm: read-faults=%d write-faults=%d local-hits=%d invalidations=%d bytes-moved=%d\n",
 		st.ReadFaults, st.WriteFaults, st.LocalHits, st.Invalidations, st.BytesMoved)
+}
+
+// checkFlags rejects the flag values the VM or workload cannot run: fewer
+// than one vCPU (two for LEMP, NGINX plus a PHP worker), guest memory
+// that is not positive, a scale that is not finite and > 0, and a
+// workload that is not an NPB kernel, lemp:<duration> or serverless.
+func checkFlags(vcpus int, mem int64, scale float64, wl string) error {
+	if vcpus < 1 {
+		return fmt.Errorf("-vcpus %d: want a count >= 1", vcpus)
+	}
+	if mem <= 0 {
+		return fmt.Errorf("-mem %d: want a positive byte count", mem)
+	}
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("-scale %v: want a finite value > 0", scale)
+	}
+	switch {
+	case wl == "serverless":
+	case strings.HasPrefix(wl, "lemp:"):
+		if _, err := time.ParseDuration(strings.TrimPrefix(wl, "lemp:")); err != nil {
+			return fmt.Errorf("-workload %s: %v", wl, err)
+		}
+		if vcpus < 2 {
+			return fmt.Errorf("-workload %s needs -vcpus >= 2, got %d", wl, vcpus)
+		}
+	case !slices.Contains(fragvisor.NPBKernels(), wl):
+		return fmt.Errorf("-workload %q: want an NPB kernel (%s), lemp:<duration> or serverless",
+			wl, strings.Join(fragvisor.NPBKernels(), ", "))
+	}
+	return nil
 }

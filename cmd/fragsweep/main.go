@@ -66,6 +66,9 @@ func main() {
 	}
 	if *seedList != "" {
 		spec.Seeds = parseInts(*seedList)
+	} else if err := checkSeeds(*nSeeds); err != nil {
+		fmt.Fprintln(os.Stderr, "fragsweep:", err)
+		os.Exit(1)
 	} else {
 		spec.Seeds = sweep.Seeds(*seedBase, *nSeeds)
 	}
@@ -182,6 +185,15 @@ func policyComparison(res *experiments.SweepResult) *metrics.Table {
 	}
 	t.AddNote("the lender gets its capacity back every way; evict kills borrowers, resize slows them")
 	return t
+}
+
+// checkSeeds rejects a -seeds count below 1: a negative one cannot size
+// the seed list, and an empty list would run the default seed instead.
+func checkSeeds(n int) error {
+	if n < 1 {
+		return fmt.Errorf("-seeds %d: want a count >= 1", n)
+	}
+	return nil
 }
 
 func splitNonEmpty(s string) []string {

@@ -57,3 +57,18 @@ func TestPolicyComparisonNeedsTwoPolicies(t *testing.T) {
 		t.Fatalf("single-policy grid produced a comparison:\n%s", cmp.String())
 	}
 }
+
+// TestCheckSeeds: a -seeds count below 1 is rejected instead of
+// panicking (negative) or silently running the default seed (zero).
+func TestCheckSeeds(t *testing.T) {
+	for _, n := range []int{1, 8} {
+		if err := checkSeeds(n); err != nil {
+			t.Errorf("-seeds %d rejected: %v", n, err)
+		}
+	}
+	for _, n := range []int{0, -2} {
+		if err := checkSeeds(n); err == nil {
+			t.Errorf("-seeds %d accepted", n)
+		}
+	}
+}

@@ -150,7 +150,7 @@ func RunLEMP(vm *VM, processing Time, requests int) LEMPResult {
 // RunServerless runs the OpenLambda picture-processing function on every
 // vCPU in parallel and returns the mean phase breakdown.
 func RunServerless(vm *VM, scale float64) LambdaResult {
-	return workload.RunOpenLambda(vm, workload.DefaultLambda(), scale)
+	return workload.RunOpenLambda(vm, scale)
 }
 
 // Checkpoint takes a distributed checkpoint of the VM onto the disk of

@@ -93,7 +93,7 @@ func New(env *sim.Env, n int, p Params) *Cluster {
 		Env:      env,
 		Fabric:   fabric,
 		Client:   topo.FlatSpec().Build(env, "client", ethGbps, ethLat),
-		Reliable: reliable.New(env, fabric, reliable.DefaultParams()),
+		Reliable: reliable.New(env, fabric),
 		Params:   p,
 	}
 	for i := 0; i < n; i++ {

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/msg"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // replicaOf returns the node's replica of the page through the page's record,
@@ -104,9 +104,9 @@ func TestTouchFaultsAllocateNoPageBytes(t *testing.T) {
 // on the wire.
 func TestZeroPageTransfersCostAFullPage(t *testing.T) {
 	type outcome struct {
-		end      sim.Time
-		stats    Stats
-		dir, own msg.ServiceStats
+		end   sim.Time
+		stats Stats
+		wire  topo.Stats
 	}
 	fill := bytes.Repeat([]byte{0xa5}, mem.PageSize)
 	pages := []mem.PageID{5, 6}
@@ -149,12 +149,7 @@ func TestZeroPageTransfersCostAFullPage(t *testing.T) {
 		if err := d.Validate(); err != nil {
 			t.Errorf("prewrite=%v: %v", prewrite, err)
 		}
-		return outcome{
-			end:   env.Now(),
-			stats: d.TotalStats(),
-			dir:   d.layer.Stats(d.dirSvc),
-			own:   d.layer.Stats(d.ownSvc),
-		}
+		return outcome{end: env.Now(), stats: d.TotalStats(), wire: d.layer.Net().Stats()}
 	}
 	zero, full := play(false), play(true)
 	if zero.stats.BytesMoved == 0 {

@@ -54,8 +54,8 @@ func Fig1(o Options) *metrics.Table {
 		}
 		// OpenLambda FaaS.
 		vm := newFragVM(o, nodes)
-		dist := workload.RunOpenLambda(vm, workload.DefaultLambda(), o.Scale)
-		single := workload.RunOpenLambda(newSingleMachineVM(o, nodes), workload.DefaultLambda(), o.Scale)
+		dist := workload.RunOpenLambda(vm, o.Scale)
+		single := workload.RunOpenLambda(newSingleMachineVM(o, nodes), o.Scale)
 		addRow("openlambda", nodes, dist.Total, single.Total, vm, dist.Total)
 	}
 	t.AddNote("ratio < 1 is a DSM slowdown; the paper finds low-sharing workloads near 1 and high-sharing OMP down to ~0.05")

@@ -18,11 +18,10 @@ func init() { register("fig13", Fig13) }
 func Fig13(o Options) *metrics.Table {
 	t := metrics.NewTable("Figure 13: OpenLambda phase speedups vs overcommit (1 pCPU)",
 		"vcpus", "system", "download", "extract", "detect", "total")
-	cfg := workload.DefaultLambda()
 	for _, n := range []int{2, 3, 4} {
-		oc := workload.RunOpenLambda(newOvercommitVM(o, n, 1), cfg, o.Scale)
-		frag := workload.RunOpenLambda(newFragVM(o, n), cfg, o.Scale)
-		giant := workload.RunOpenLambda(newGiantVM(o, n), cfg, o.Scale)
+		oc := workload.RunOpenLambda(newOvercommitVM(o, n, 1), o.Scale)
+		frag := workload.RunOpenLambda(newFragVM(o, n), o.Scale)
+		giant := workload.RunOpenLambda(newGiantVM(o, n), o.Scale)
 		t.AddRow(n, "fragvisor",
 			metrics.Ratio(oc.Download, frag.Download),
 			metrics.Ratio(oc.Extract, frag.Extract),

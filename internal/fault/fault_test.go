@@ -106,3 +106,28 @@ func TestInjectorDupRuleAtMessageLayer(t *testing.T) {
 		t.Fatal("dup rule exceeded its budget")
 	}
 }
+
+// TestDegradeCPUStacksAndHeals: CPU degradations add up as background
+// load on every pCPU of the node, and healing removes exactly what they
+// added.
+func TestDegradeCPUStacksAndHeals(t *testing.T) {
+	env := sim.NewEnv()
+	c := cluster.NewDefault(env, 2)
+	var s Schedule
+	s.Add(Event{At: sim.Millisecond, Kind: DegradeCPU, Node: 1, Factor: 0.5})
+	s.Add(Event{At: 2 * sim.Millisecond, Kind: DegradeCPU, Node: 1, Factor: 0.25})
+	s.Add(Event{At: 4 * sim.Millisecond, Kind: HealCPU, Node: 1})
+	New(c).Apply(s)
+	ps := c.Node(1).PCPUs[0]
+	var degraded, healed float64
+	env.At(3*sim.Millisecond, func() { degraded = ps.BackgroundWeight() })
+	env.At(5*sim.Millisecond, func() { healed = ps.BackgroundWeight() })
+	env.Run()
+	if degraded != 0.75 || healed != 0 {
+		t.Fatalf("background weight = %v after degradations of 0.5 and 0.25, %v after the heal; want 0.75 and 0",
+			degraded, healed)
+	}
+	if w := c.Node(0).PCPUs[0].BackgroundWeight(); w != 0 {
+		t.Fatalf("undegraded node carries background weight %v", w)
+	}
+}

@@ -33,20 +33,18 @@ import (
 )
 
 // The fixed shape of every run: a VM of one vCPU on each of four nodes
-// with 8 GiB of guest RAM, patternPages guest pages planted with a
-// seeded pattern before the checkpoint and verified byte-for-byte after
-// the run, and a failure detector pinging every hbInterval with an
-// hbTimeout reply deadline.
+// with 8 GiB of guest RAM running the NPB kernel named by kernel on
+// every vCPU, and patternPages guest pages planted with a seeded pattern
+// before the checkpoint and verified byte-for-byte after the run.
 const (
 	nodeCount    = 4
 	guestMem     = 8 << 30
+	kernel       = "IS"
 	patternPages = 64
-	hbInterval   = 2 * sim.Millisecond
-	hbTimeout    = sim.Millisecond
 )
 
 // Scenario configures one end-to-end run under a fault schedule. The
-// zero value runs IS at 1% scale with no faults and no checkpoint.
+// zero value runs at 1% scale with no faults and no checkpoint.
 type Scenario struct {
 	// Topo selects the fabric topology (cluster.Params.Topo): nil is the
 	// flat default; a tree spec routes DSM and checkpoint
@@ -54,8 +52,7 @@ type Scenario struct {
 	// domains (CutLink "tor1", ...) act on.
 	Topo *topo.Spec
 
-	Kernel string  // NPB kernel run on every vCPU
-	Scale  float64 // workload scale factor
+	Scale float64 // workload scale factor
 
 	// Schedule is authored in workload-relative time: it is applied the
 	// instant the workload starts (after boot, pattern writes, and the
@@ -95,9 +92,6 @@ type Scenario struct {
 }
 
 func (s Scenario) withDefaults() Scenario {
-	if s.Kernel == "" {
-		s.Kernel = "IS"
-	}
 	if s.Scale == 0 {
 		s.Scale = 0.01
 	}
@@ -256,7 +250,7 @@ func Run(s Scenario) *Result {
 		// rolls explicit guest pages back to the checkpoint image.
 		start := p.Now()
 		recoveredAll := env.NewEvent()
-		vm.StartHeartbeat(hbInterval, hbTimeout, func(hp *sim.Proc, node int) {
+		vm.StartHeartbeat(func(hp *sim.Proc, node int) {
 			env.MarkProgress() // a death declaration is forward motion
 			res.Detected = append(res.Detected, hp.Now()-start)
 			res.DeadAt = append(res.DeadAt, node)
@@ -277,10 +271,10 @@ func Run(s Scenario) *Result {
 		// One workload instance per vCPU, spawned directly (not through
 		// RunMultiProcess, which would call env.Run itself): the harness
 		// owns the event loop so it can stop the heartbeat afterwards.
-		b := workload.ByName(s.Kernel)
+		b := workload.ByName(kernel)
 		var done []*sim.Event
 		for i := 0; i < vm.NVCPU(); i++ {
-			wp := vm.Run(i, fmt.Sprintf("faulttest.%s-%d", s.Kernel, i), func(ctx *vcpu.Ctx) {
+			wp := vm.Run(i, fmt.Sprintf("faulttest.%s-%d", kernel, i), func(ctx *vcpu.Ctx) {
 				b.RunInstance(vm, ctx, s.Scale)
 			})
 			done = append(done, wp.Done())

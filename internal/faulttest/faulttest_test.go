@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/leakcheck"
 	"repro/internal/sim"
@@ -176,8 +177,8 @@ func TestDropStormBlackoutRecovers(t *testing.T) {
 	}
 }
 
-// TestPanickingRunClosesItsWorld: a run that panics (here an unknown
-// kernel, looked up by the driver proc after boot and the checkpoint)
+// TestPanickingRunClosesItsWorld: a run that panics (here in a proc the
+// Hook plants, which panics while the driver proc is booting the VM)
 // returns no Result to close the world through, so Run closes it itself
 // and leaves no worker goroutine behind.
 func TestPanickingRunClosesItsWorld(t *testing.T) {
@@ -185,10 +186,15 @@ func TestPanickingRunClosesItsWorld(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("a run with an unknown kernel did not panic")
+				t.Fatal("a run whose Hook plants a panicking proc did not panic")
 			}
 		}()
-		Run(Scenario{Seed: 1, Kernel: "no-such-kernel"})
+		Run(Scenario{Seed: 1, Hook: func(c *cluster.Cluster) {
+			c.Env.Spawn("panicker", func(p *sim.Proc) {
+				p.Sleep(sim.Millisecond)
+				panic("faulttest: planted panic")
+			})
+		}})
 	}()
 	if n := leakcheck.Settle(start); n > start {
 		t.Fatalf("%d goroutines after the panicking run, %d before", n, start)

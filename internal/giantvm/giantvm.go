@@ -12,8 +12,8 @@
 //   - Single-queue virtio with payloads through the DSM: no multiqueue,
 //     no DSM-bypass.
 //   - QEMU helper threads consume host CPU. The paper reports GiantVM's
-//     best numbers, with helpers on spare pCPUs; set HelperThreads to
-//     model the co-located case instead.
+//     best numbers, with helpers on spare pCPUs, so the profile charges
+//     them nothing.
 //   - No mobility: vCPU migration and distributed checkpointing are not
 //     implemented, so consolidation is impossible.
 package giantvm

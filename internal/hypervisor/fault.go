@@ -12,10 +12,15 @@ import (
 	"repro/internal/sim"
 )
 
-// hbMissThreshold is how many consecutive heartbeat timeouts declare a
-// slice dead. Two, so a single fault-injected drop or delay of a ping (or
-// its reply) is not mistaken for a crash.
-const hbMissThreshold = 2
+// The failure detector pings every hbInterval with an hbTimeout reply
+// deadline. hbMissThreshold is how many consecutive timeouts declare a
+// slice dead: two, so a single fault-injected drop or delay of a ping
+// (or its reply) is not mistaken for a crash.
+const (
+	hbInterval      = 2 * sim.Millisecond
+	hbTimeout       = sim.Millisecond
+	hbMissThreshold = 2
+)
 
 // Alive reports whether a slice node is still considered part of the VM.
 func (vm *VM) Alive(node int) bool { return !vm.dead[node] }
@@ -55,7 +60,7 @@ func (vm *VM) MarkDead(node int) {
 }
 
 // StartHeartbeat spawns the failure detector: the bootstrap slice pings
-// every companion slice each interval and declares a slice dead after
+// every companion slice each hbInterval and declares a slice dead after
 // hbMissThreshold consecutive reply timeouts. Each declared slice is
 // handed to a separate vm-recovery process, which runs onFailure (it may
 // block, e.g. in a checkpoint restore) for one slice at a time in
@@ -73,10 +78,7 @@ func (vm *VM) MarkDead(node int) {
 // Detection is batched per tick: every live companion is pinged before any
 // newly-missing slice is declared, so the slices lost to one event (a rack
 // cut kills several at once) are declared together.
-func (vm *VM) StartHeartbeat(interval, timeout sim.Time, onFailure func(p *sim.Proc, node int)) {
-	if interval <= 0 || timeout <= 0 {
-		panic("hypervisor: heartbeat needs a positive interval and timeout")
-	}
+func (vm *VM) StartHeartbeat(onFailure func(p *sim.Proc, node int)) {
 	vm.hbStop = false
 	svc := vcpuService(vm)
 	boot := vm.nodes[0]
@@ -91,7 +93,7 @@ func (vm *VM) StartHeartbeat(interval, timeout sim.Time, onFailure func(p *sim.P
 	vm.Env.Spawn("heartbeat", func(p *sim.Proc) {
 		misses := make(map[int]int)
 		for !vm.hbStop {
-			p.Sleep(interval)
+			p.Sleep(hbInterval)
 			if vm.hbStop {
 				break
 			}
@@ -100,7 +102,7 @@ func (vm *VM) StartHeartbeat(interval, timeout sim.Time, onFailure func(p *sim.P
 				if vm.dead[n] {
 					continue
 				}
-				if _, err := vm.Layer.CallTimeout(p, boot, n, svc, "ping", 64, nil, timeout); err != nil {
+				if _, err := vm.Layer.CallTimeout(p, boot, n, svc, "ping", 64, nil, hbTimeout); err != nil {
 					misses[n]++
 					vm.ctr.Inc("hb.miss", 1)
 					if misses[n] >= hbMissThreshold {

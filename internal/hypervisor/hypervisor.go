@@ -61,10 +61,6 @@ type Config struct {
 
 	// Mobility enables vCPU migration. GiantVM lacks it.
 	Mobility bool
-	// HelperThreads pins one permanent helper thread per slice on the
-	// pCPU of each vCPU (GiantVM's QEMU I/O threads when no spare pCPUs
-	// exist). Off in the paper's "best numbers for GiantVM" setup.
-	HelperThreads bool
 
 	BootCost sim.Time // per-slice setup charged by Boot
 }
@@ -188,12 +184,6 @@ func New(cfg Config) *VM {
 		virtio.Config{Owner: owner, Multiqueue: cfg.Multiqueue, Bypass: cfg.DSMBypass})
 	vm.Blk = virtio.NewBlk(env, vm.DSM, layer, vm.VCPUs, vm.Layout, cfg.Cluster.Node(owner).SSD,
 		virtio.Config{Owner: owner, Multiqueue: cfg.Multiqueue, Bypass: cfg.DSMBypass})
-
-	if cfg.HelperThreads {
-		for _, ps := range pcpus {
-			ps.SetBackgroundWeight(ps.BackgroundWeight() + 1)
-		}
-	}
 	return vm
 }
 

@@ -127,49 +127,6 @@ func TestMobilityDisabledPanics(t *testing.T) {
 	c.Env.Run()
 }
 
-func TestHelperThreadsStealCPU(t *testing.T) {
-	c := newCluster(2)
-	cfg := FragVisorConfig(c, SpreadPlacement([]int{0, 1}, 2), 1<<30)
-	cfg.HelperThreads = true
-	vm := New(cfg)
-	var done sim.Time
-	vm.Run(0, "job", func(ctx *vcpu.Ctx) {
-		ctx.Compute(10 * sim.Millisecond)
-		done = ctx.P.Now()
-	})
-	c.Env.Run()
-	// One helper thread halves the vCPU's pCPU share.
-	if done < 19*sim.Millisecond || done > 21*sim.Millisecond {
-		t.Fatalf("compute with helper took %v, want ~20ms", done)
-	}
-	_ = vm
-}
-
-// TestHelperThreadsOnDegradedCPU: a helper thread adds one whole busy
-// thread on top of a fractional CPU degradation, and healing the
-// degradation leaves exactly the helper's load.
-func TestHelperThreadsOnDegradedCPU(t *testing.T) {
-	c := newCluster(1)
-	var sched fault.Schedule
-	sched.Add(fault.Event{At: sim.Millisecond, Kind: fault.DegradeCPU, Node: 0, Factor: 0.5})
-	sched.Add(fault.Event{At: 3 * sim.Millisecond, Kind: fault.HealCPU, Node: 0})
-	fault.New(c).Apply(sched)
-	ps := c.Node(0).PCPUs[0]
-	var degraded, healed float64
-	c.Env.At(2*sim.Millisecond, func() {
-		cfg := FragVisorConfig(c, SpreadPlacement([]int{0}, 1), 1<<30)
-		cfg.HelperThreads = true
-		New(cfg)
-		degraded = ps.BackgroundWeight()
-	})
-	c.Env.At(4*sim.Millisecond, func() { healed = ps.BackgroundWeight() })
-	c.Env.Run()
-	if degraded != 1.5 || healed != 1 {
-		t.Fatalf("background weight = %v with helper on a 0.5-degraded pCPU, %v after the heal; want 1.5 and 1",
-			degraded, healed)
-	}
-}
-
 func TestInvalidConfigsPanic(t *testing.T) {
 	c := newCluster(1)
 	for name, fn := range map[string]func(){
@@ -208,7 +165,7 @@ func TestDetectionRunsDuringRecovery(t *testing.T) {
 	declaredDuring := false
 	c.Env.Spawn("driver", func(p *sim.Proc) {
 		vm.Boot(p)
-		vm.StartHeartbeat(2*sim.Millisecond, sim.Millisecond, func(rp *sim.Proc, node int) {
+		vm.StartHeartbeat(func(rp *sim.Proc, node int) {
 			recovered = append(recovered, node)
 			if node == 1 {
 				rp.Sleep(100 * sim.Millisecond)

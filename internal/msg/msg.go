@@ -98,18 +98,11 @@ func (m *Message) Reply(size int, payload any) {
 	l.deliver(resp)
 }
 
-// ServiceStats counts traffic for one service.
-type ServiceStats struct {
-	Messages int64
-	Bytes    int64
-}
-
 // Layer is the messaging layer over a fabric. Construct with NewLayer.
 type Layer struct {
 	env      *sim.Env
 	net      *topo.Fabric
 	handlers map[serviceKey]Handler
-	stats    map[string]*ServiceStats
 	faults   FaultStats
 	tr       *trace.Tracer
 	services map[string]int
@@ -128,7 +121,6 @@ func NewLayer(env *sim.Env, net *topo.Fabric) *Layer {
 		env:      env,
 		net:      net,
 		handlers: make(map[serviceKey]Handler),
-		stats:    make(map[string]*ServiceStats),
 		tr:       trace.FromEnv(env),
 		replies:  make(map[string]string),
 	}
@@ -192,13 +184,6 @@ func (l *Layer) Call(p *sim.Proc, from, to int, service, kind string, size int, 
 // the receive-side processing cost, hands it to handle. The message is
 // its own timer argument, so the two hops allocate nothing.
 func (l *Layer) deliver(m *Message) {
-	st, ok := l.stats[m.Service]
-	if !ok {
-		st = &ServiceStats{}
-		l.stats[m.Service] = st
-	}
-	st.Messages++
-	st.Bytes += int64(m.Size)
 	if l.tr != nil {
 		// The delivery span covers serialization, flight, and handling;
 		// it stays open forever if fault injection eats the message —
@@ -222,10 +207,11 @@ func (l *Layer) deliver(m *Message) {
 		return
 	}
 	// Cross-node drop/delay faults are ruled on by the fabric's own
-	// filter inside Transmit; the messaging layer adds duplication, which
-	// must be applied here so the duplicate can be delivered as a marked
-	// Message whose Reply is discarded. The arrival timer is scheduled
-	// straight after the path is charged, as the fabric's own Send does.
+	// filter inside Transmit; the messaging layer adds duplication: a
+	// marked copy crosses the fabric right behind the original (outside
+	// any span) and takes the same receive/handle timers. The arrival
+	// timer is scheduled straight after the path is charged, as the
+	// fabric's own Send does.
 	if at, ok := l.net.Transmit(m.span, m.From, m.To, m.Size+HeaderBytes); ok {
 		l.env.DeferArgAt(at, receive, m)
 	}
@@ -233,19 +219,9 @@ func (l *Layer) deliver(m *Message) {
 		l.faults.Duplicated++
 		clone := *m
 		clone.dup = true
-		l.net.Send(m.From, m.To, m.Size+HeaderBytes, func() {
-			l.env.Defer(HandlerLat, func() {
-				if clone.done != nil {
-					// Duplicate replies are dropped at the requester:
-					// the original already completed the call.
-					l.faults.DupRepliesDropped++
-					return
-				}
-				if h, ok := l.handlers[serviceKey{clone.To, clone.Service}]; ok {
-					h(&clone)
-				}
-			})
-		})
+		if at, ok := l.net.Transmit(0, m.From, m.To, m.Size+HeaderBytes); ok {
+			l.env.DeferArgAt(at, receive, &clone)
+		}
 	}
 }
 
@@ -257,11 +233,17 @@ func receive(a any) {
 }
 
 // handle completes a delivery: a reply fires its caller's reply event,
-// anything else runs the destination service's handler.
+// anything else runs the destination service's handler. A duplicate
+// leaves the delivery span to its original, and a duplicate reply is
+// dropped: the original already completed the call.
 func handle(a any) {
 	m := a.(*Message)
 	l := m.layer
 	if m.done != nil {
+		if m.dup {
+			l.faults.DupRepliesDropped++
+			return
+		}
 		m.done.Fire()
 	} else {
 		h, ok := l.handlers[serviceKey{m.To, m.Service}]
@@ -270,15 +252,9 @@ func handle(a any) {
 		}
 		h(m)
 	}
-	l.tr.End(m.span)
-}
-
-// Stats returns the traffic counters for a service (zeroes if unused).
-func (l *Layer) Stats(service string) ServiceStats {
-	if st, ok := l.stats[service]; ok {
-		return *st
+	if !m.dup {
+		l.tr.End(m.span)
 	}
-	return ServiceStats{}
 }
 
 // Net returns the underlying fabric.

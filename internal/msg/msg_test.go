@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/trace"
 )
 
 func newTestLayer(env *sim.Env) *Layer {
@@ -119,26 +120,6 @@ func TestUnroutedMessagePanics(t *testing.T) {
 	env.Run()
 }
 
-func TestStatsPerService(t *testing.T) {
-	env := sim.NewEnv()
-	l := newTestLayer(env)
-	l.Handle(1, "a", func(m *Message) {})
-	l.Handle(1, "b", func(m *Message) {})
-	l.Send(0, 1, "a", "x", 100, nil)
-	l.Send(0, 1, "a", "x", 50, nil)
-	l.Send(0, 1, "b", "y", 10, nil)
-	env.Run()
-	if s := l.Stats("a"); s.Messages != 2 || s.Bytes != 150 {
-		t.Fatalf("service a stats = %+v", s)
-	}
-	if s := l.Stats("b"); s.Messages != 1 || s.Bytes != 10 {
-		t.Fatalf("service b stats = %+v", s)
-	}
-	if s := l.Stats("none"); s.Messages != 0 {
-		t.Fatalf("unused service stats = %+v", s)
-	}
-}
-
 func TestManyConcurrentCalls(t *testing.T) {
 	env := sim.NewEnv()
 	l := newTestLayer(env)
@@ -161,14 +142,82 @@ func TestManyConcurrentCalls(t *testing.T) {
 	}
 }
 
+// dupFilter duplicates every message of one kind and passes the rest.
+type dupFilter struct{ kind string }
+
+func (dupFilter) Outcome(from, to, size int) topo.Outcome { return topo.Outcome{} }
+
+func (f dupFilter) MsgOutcome(from, to int, service, kind string) MsgOutcome {
+	return MsgOutcome{Duplicate: kind == f.kind}
+}
+
+// TestDuplicatedCall: a fault-injected duplicate takes the same fabric
+// path and receive/handle timers as its original, right behind it. A
+// duplicated request runs the handler twice and a duplicated reply
+// reaches the caller twice, yet either way the call completes once, one
+// reply is counted dropped, and each delivery span is ended once, by its
+// original, when the handler runs or the caller wakes.
+func TestDuplicatedCall(t *testing.T) {
+	for _, kind := range []string{"req", "req.reply"} {
+		env := sim.NewEnv()
+		tr := trace.NewSession().Attach(env, "dup")
+		l := newTestLayer(env)
+		l.Net().SetFilter(dupFilter{kind})
+		var ran []sim.Time
+		l.Handle(1, "svc", func(m *Message) {
+			ran = append(ran, env.Now())
+			m.Reply(8, nil)
+		})
+		completed := 0
+		var woke sim.Time
+		env.Spawn("caller", func(p *sim.Proc) {
+			l.Call(p, 0, 1, "svc", "req", 16, nil)
+			completed++
+			woke = p.Now()
+		})
+		env.Run()
+
+		wantRuns := 1
+		if kind == "req" {
+			wantRuns = 2
+		}
+		if len(ran) != wantRuns || completed != 1 {
+			t.Fatalf("%s duplicated: handler ran %d times, call completed %d times; want %d and 1",
+				kind, len(ran), completed, wantRuns)
+		}
+		if f := l.FaultStats(); f.Duplicated != 1 || f.DupRepliesDropped != 1 {
+			t.Errorf("%s duplicated: fault stats %+v, want 1 duplicated and 1 dropped reply", kind, f)
+		}
+		if late := (wantRuns == 2 && ran[1] > ran[0]) || (wantRuns == 1 && env.Now() > woke); !late {
+			t.Errorf("%s duplicated: the copy was not handled after the original (handler ran %v, caller woke %v, run ended %v)",
+				kind, ran, woke, env.Now())
+		}
+		ends := map[string]sim.Time{}
+		for _, sp := range tr.Spans() {
+			if sp.Name == "svc/req" || sp.Name == "svc/req.reply" {
+				if _, seen := ends[sp.Name]; seen {
+					t.Errorf("%s duplicated: a second %s delivery span", kind, sp.Name)
+				}
+				ends[sp.Name] = sp.End
+			}
+		}
+		if ends["svc/req"] != ran[0] || ends["svc/req.reply"] != woke {
+			t.Errorf("%s duplicated: delivery spans end at %v, want request %v and reply %v",
+				kind, ends, ran[0], woke)
+		}
+	}
+}
+
 // TestDeliveryAllocatesOnlyTheMessage: a message schedules itself on
-// pooled timers, so once the endpoints, stats and timer pool are warm a
+// pooled timers, so once the endpoints and timer pool are warm a
 // cross-node Send allocates only its Message, and a Call round trip only
 // the request, its reply event and the reply.
 func TestDeliveryAllocatesOnlyTheMessage(t *testing.T) {
 	env := sim.NewEnv()
 	l := newTestLayer(env)
+	handled := 0
 	l.Handle(1, "svc", func(m *Message) {
+		handled++
 		if m.Kind == "req" {
 			m.Reply(8, nil)
 		}
@@ -196,8 +245,11 @@ func TestDeliveryAllocatesOnlyTheMessage(t *testing.T) {
 	if call > 3 {
 		t.Errorf("Call round trip allocates %v times, want at most 3", call)
 	}
-	if got := l.Stats("svc").Messages; got != 1001+2*1001 {
-		t.Errorf("delivered %d messages, want %d", got, 1001+2*1001)
+	if handled != 1001+1001 {
+		t.Errorf("handled %d messages, want %d", handled, 1001+1001)
+	}
+	if got := l.Net().Stats().Messages; got != 1001+2*1001 {
+		t.Errorf("fabric carried %d messages, want %d", got, 1001+2*1001)
 	}
 }
 

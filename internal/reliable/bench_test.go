@@ -8,12 +8,14 @@ import (
 )
 
 // benchSend sends b.N 4 KB messages 0→1 over a flat fabric with filter
-// installed and fails the benchmark on the first undelivered one.
-func benchSend(b *testing.B, filter *scriptFilter, p Params) {
+// installed, each RTO padded by slack, and fails the benchmark on the
+// first undelivered one.
+func benchSend(b *testing.B, filter *scriptFilter, slack sim.Time) {
 	env := sim.NewEnv()
 	fab := topo.FlatSpec().Build(env, "bench", 56, 1500*sim.Nanosecond)
 	fab.SetFilter(filter)
-	tr := New(env, fab, p)
+	tr := New(env, fab)
+	tr.retry.slack = slack
 	env.Spawn("sender", func(pr *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			if err := tr.Send(pr, 0, 1, 4096); err != nil {
@@ -32,7 +34,7 @@ func benchSend(b *testing.B, filter *scriptFilter, p Params) {
 // zero-fault fast path: sequence bookkeeping, the data frame, the ack
 // round and the pending-event wait.
 func BenchmarkReliableSend(b *testing.B) {
-	benchSend(b, &scriptFilter{}, DefaultParams())
+	benchSend(b, &scriptFilter{}, rtoSlack)
 }
 
 // BenchmarkRetryStorm measures the transport's worst case: every message
@@ -48,7 +50,5 @@ func BenchmarkRetryStorm(b *testing.B) {
 		}
 		return topo.Outcome{}
 	}}
-	p := DefaultParams()
-	p.RTOSlack = 10 * sim.Microsecond // keep virtual time bounded
-	benchSend(b, drop, p)
+	benchSend(b, drop, 10*sim.Microsecond) // keep virtual time bounded
 }

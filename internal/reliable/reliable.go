@@ -13,7 +13,7 @@
 //   - the sender retransmits on ack timeout, with a per-message RTO
 //     derived from the fabric's latency and serialization times,
 //     exponential backoff, and a deterministic seeded jitter;
-//   - retries are bounded: a message that exhausts MaxAttempts surfaces a
+//   - retries are bounded: a message that exhausts maxAttempts surfaces a
 //     typed *UnreachableError (matching ErrUnreachable) instead of an
 //     infinite hang;
 //   - the receiver dedups by sequence number, so retransmit-induced
@@ -40,7 +40,7 @@ import (
 // with errors.Is.
 var ErrUnreachable = errors.New("reliable: peer unreachable")
 
-// UnreachableError reports a message that was retransmitted MaxAttempts
+// UnreachableError reports a message that was transmitted maxAttempts
 // times without ever being acknowledged.
 type UnreachableError struct {
 	From, To int
@@ -56,54 +56,43 @@ func (e *UnreachableError) Error() string {
 // Unwrap lets errors.Is(err, ErrUnreachable) match.
 func (e *UnreachableError) Unwrap() error { return ErrUnreachable }
 
-// Params tunes the transport's retry state machine.
-type Params struct {
-	// AckBytes is the size charged for each ack frame on the reverse
+// The retry state machine suits the intra-cluster fabrics: six attempts
+// with the RTO starting at ~2 uncontended RTTs plus a 5 ms queueing pad.
+// The pad is sized for bulk traffic — several nodes pipelining
+// multi-megabyte checkpoint chunks queue each other by whole
+// serialization times, and a timeout that undercuts the queue
+// retransmits frames that were never lost, feeding the very congestion
+// it is misreading as loss.
+const (
+	// ackBytes is the size charged for each ack frame on the reverse
 	// path (only when a fault filter is installed).
-	AckBytes int
-	// MaxAttempts bounds transmissions per message (first send included).
-	MaxAttempts int
-	// RTOSlack pads the computed per-message RTO against queueing.
-	RTOSlack sim.Time
-	// MaxRTO caps the exponential RTO growth. The cap never drops below
+	ackBytes = 64
+	// maxAttempts bounds transmissions per message (first send included).
+	maxAttempts = 6
+	// rtoSlack pads the computed per-message RTO against queueing.
+	rtoSlack = 5 * sim.Millisecond
+	// maxRTO caps the exponential RTO growth. The cap never drops below
 	// four initial RTOs, so bulk frames whose honest round trip already
-	// exceeds MaxRTO keep a workable timeout.
-	MaxRTO sim.Time
-	// JitterFrac adds up to this fraction of the current RTO as a
+	// exceeds maxRTO keep a workable timeout.
+	maxRTO = 10 * sim.Millisecond
+	// jitterFrac adds up to this fraction of the current RTO as a
 	// deterministic seeded jitter, desynchronizing retry storms.
-	JitterFrac float64
-	// Seed initializes the jitter PRNG; same seed ⇒ same jitter stream.
-	Seed int64
+	jitterFrac = 0.25
+	// jitterSeed initializes the jitter PRNG; same seed ⇒ same jitter
+	// stream.
+	jitterSeed = 1
+)
+
+// retryPolicy is the part of the retry state machine in-package tests
+// tighten; New sets it from the constants above.
+type retryPolicy struct {
+	slack, maxRTO sim.Time
+	attempts      int
 }
 
-// DefaultParams suits the intra-cluster fabrics: six attempts with the
-// RTO starting at ~2 uncontended RTTs plus a 5 ms queueing pad. The pad
-// is sized for bulk traffic — several nodes pipelining multi-megabyte
-// checkpoint chunks queue each other by whole serialization times, and a
-// timeout that undercuts the queue retransmits frames that were never
-// lost, feeding the very congestion it is misreading as loss.
-func DefaultParams() Params {
-	return Params{
-		AckBytes:    64,
-		MaxAttempts: 6,
-		RTOSlack:    5 * sim.Millisecond,
-		MaxRTO:      10 * sim.Millisecond,
-		JitterFrac:  0.25,
-		Seed:        1,
-	}
-}
-
-func (p Params) check() Params {
-	if p.AckBytes <= 0 {
-		p.AckBytes = 64
-	}
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 1
-	}
-	if p.MaxRTO <= 0 {
-		p.MaxRTO = 10 * sim.Millisecond
-	}
-	return p
+// rngState returns the jitter PRNG state for a seed.
+func rngState(seed int64) uint64 {
+	return uint64(seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 }
 
 // Handler consumes messages delivered to a node, exactly once per sent
@@ -120,7 +109,7 @@ type Stats struct {
 	DupFrames      int64 // extra frames injected by DupMessages rules
 	DupsSuppressed int64 // arriving frames discarded by receive-side dedup
 	Acks           int64 // ack frames sent
-	Unreachable    int64 // sends that exhausted MaxAttempts
+	Unreachable    int64 // sends that exhausted maxAttempts
 }
 
 type flowKey struct{ from, to int }
@@ -135,7 +124,7 @@ type pendKey struct {
 type Transport struct {
 	env     *sim.Env
 	fab     *topo.Fabric
-	p       Params
+	retry   retryPolicy
 	rng     uint64
 	nextSeq map[flowKey]uint64
 	pend    map[pendKey]*sim.Event
@@ -163,12 +152,12 @@ func (t *Transport) SetTestHooks(h TestHooks) { t.hooks = h }
 // New returns a transport over the fabric. Handlers are registered per
 // receiving node with Handle; nodes without one still ack (the common
 // case for pure bulk transfers like checkpoint chunks).
-func New(env *sim.Env, fab *topo.Fabric, p Params) *Transport {
+func New(env *sim.Env, fab *topo.Fabric) *Transport {
 	return &Transport{
 		env:     env,
 		fab:     fab,
-		p:       p.check(),
-		rng:     uint64(p.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
+		retry:   retryPolicy{slack: rtoSlack, maxRTO: maxRTO, attempts: maxAttempts},
+		rng:     rngState(jitterSeed),
 		nextSeq: make(map[flowKey]uint64),
 		pend:    make(map[pendKey]*sim.Event),
 		recvd:   make(map[flowKey]*Window),
@@ -194,11 +183,8 @@ func (t *Transport) rand() uint64 {
 }
 
 func (t *Transport) jitter(rto sim.Time) sim.Time {
-	if t.p.JitterFrac <= 0 {
-		return 0
-	}
 	frac := float64(t.rand()>>11) / float64(1<<53)
-	return sim.Time(float64(rto) * t.p.JitterFrac * frac)
+	return sim.Time(float64(rto) * jitterFrac * frac)
 }
 
 // rto returns the initial retransmission timeout for a data frame of the
@@ -208,14 +194,14 @@ func (t *Transport) jitter(rto sim.Time) sim.Time {
 // path time would retransmit frames that were never lost, and the extra
 // load those retransmits add can livelock a bulk transfer.
 func (t *Transport) rto(from, to, size int) sim.Time {
-	rtt := t.fab.PathTime(from, to, size) + t.fab.PathTime(to, from, t.p.AckBytes)
-	return 2*rtt + t.p.RTOSlack
+	rtt := t.fab.PathTime(from, to, size) + t.fab.PathTime(to, from, ackBytes)
+	return 2*rtt + t.retry.slack
 }
 
 // Send transmits size bytes from one node to another and blocks until
 // the message is acknowledged (or, with no fault filter installed,
 // delivered). It returns nil on delivery and a *UnreachableError
-// (matching ErrUnreachable) when MaxAttempts transmissions go
+// (matching ErrUnreachable) when maxAttempts transmissions go
 // unacknowledged.
 func (t *Transport) Send(p *sim.Proc, from, to, size int) error {
 	return t.SendCtx(p, 0, from, to, size, nil)
@@ -256,12 +242,12 @@ func (t *Transport) SendCtx(p *sim.Proc, span int64, from, to, size int, payload
 	t.nextSeq[flow] = seq + 1
 	key := pendKey{from, to, seq}
 	rto := t.rto(from, to, size)
-	// The backoff cap never falls below four initial RTOs: MaxRTO is
+	// The backoff cap never falls below four initial RTOs: maxRTO is
 	// sized for small control messages, and a multi-megabyte frame on a
 	// slow path needs its timeout to keep pace with its own size.
-	maxRTO := t.p.MaxRTO
-	if m := 4 * rto; m > maxRTO {
-		maxRTO = m
+	capRTO := t.retry.maxRTO
+	if m := 4 * rto; m > capRTO {
+		capRTO = m
 	}
 	start := t.env.Now()
 	for attempt := 1; ; attempt++ {
@@ -273,13 +259,13 @@ func (t *Transport) SendCtx(p *sim.Proc, span int64, from, to, size int, payload
 		if ok {
 			return nil
 		}
-		if attempt >= t.p.MaxAttempts {
+		if attempt >= t.retry.attempts {
 			t.stats.Unreachable++
 			return &UnreachableError{From: from, To: to, Attempts: attempt, Elapsed: t.env.Now() - start}
 		}
 		t.stats.Retransmits++
-		if rto *= 2; rto > maxRTO {
-			rto = maxRTO
+		if rto *= 2; rto > capRTO {
+			rto = capRTO
 		}
 	}
 }
@@ -320,7 +306,7 @@ func (t *Transport) onData(span int64, from, to int, seq uint64, payload any) {
 		t.stats.DupsSuppressed++
 	}
 	t.stats.Acks++
-	t.fab.SendCtx(span, to, from, t.p.AckBytes, func() {
+	t.fab.SendCtx(span, to, from, ackBytes, func() {
 		t.onAck(from, to, seq)
 	})
 }

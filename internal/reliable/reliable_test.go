@@ -12,17 +12,14 @@ import (
 	"repro/internal/topo"
 )
 
-// fastParams keeps unit-test RTOs tight so retries resolve in simulated
-// microseconds instead of the bulk-sized defaults.
-func fastParams() Params {
-	return Params{
-		AckBytes:    64,
-		MaxAttempts: 6,
-		RTOSlack:    10 * sim.Microsecond,
-		MaxRTO:      sim.Millisecond,
-		JitterFrac:  0.25,
-		Seed:        1,
-	}
+// newFast returns a transport whose RTOs are tight enough for retries to
+// resolve in simulated microseconds instead of the bulk-sized production
+// pad; the attempt budget stays the production one.
+func newFast(env *sim.Env, fab *topo.Fabric) *Transport {
+	tr := New(env, fab)
+	tr.retry.slack = 10 * sim.Microsecond
+	tr.retry.maxRTO = sim.Millisecond
+	return tr
 }
 
 // scriptFilter drops/delays fabric frames according to a scripted verdict
@@ -57,7 +54,7 @@ func newFabric(env *sim.Env) *topo.Fabric {
 func TestZeroFaultFastPath(t *testing.T) {
 	env := sim.NewEnv()
 	fab := newFabric(env)
-	tr := New(env, fab, fastParams())
+	tr := newFast(env, fab)
 	var done, want sim.Time
 	env.Spawn("send", func(p *sim.Proc) {
 		want = fab.PathTime(0, 1, 4096)
@@ -84,7 +81,7 @@ func TestZeroFaultFastPath(t *testing.T) {
 func TestLocalSendSkipsFabric(t *testing.T) {
 	env := sim.NewEnv()
 	fab := newFabric(env)
-	tr := New(env, fab, fastParams())
+	tr := newFast(env, fab)
 	got := -1
 	tr.Handle(2, func(from int, payload any) { got = payload.(int) })
 	env.Spawn("send", func(p *sim.Proc) {
@@ -117,7 +114,7 @@ func TestRetransmitThroughLoss(t *testing.T) {
 		}
 		return topo.Outcome{}
 	}})
-	tr := New(env, fab, fastParams())
+	tr := newFast(env, fab)
 	delivered := 0
 	tr.Handle(1, func(from int, payload any) { delivered++ })
 	env.Spawn("send", func(p *sim.Proc) {
@@ -150,7 +147,7 @@ func TestLostAckReAcks(t *testing.T) {
 		}
 		return topo.Outcome{}
 	}})
-	tr := New(env, fab, fastParams())
+	tr := newFast(env, fab)
 	delivered := 0
 	tr.Handle(1, func(from int, payload any) { delivered++ })
 	env.Spawn("send", func(p *sim.Proc) {
@@ -169,7 +166,7 @@ func TestLostAckReAcks(t *testing.T) {
 }
 
 // TestUnreachableAfterMaxAttempts: total loss must surface a typed
-// *UnreachableError after exactly MaxAttempts frames — bounded, never a
+// *UnreachableError after exactly maxAttempts frames — bounded, never a
 // wedge — and the error must match ErrUnreachable.
 func TestUnreachableAfterMaxAttempts(t *testing.T) {
 	env := sim.NewEnv()
@@ -177,9 +174,7 @@ func TestUnreachableAfterMaxAttempts(t *testing.T) {
 	fab.SetFilter(&scriptFilter{fn: func(from, to, size int) topo.Outcome {
 		return topo.Outcome{Drop: true}
 	}})
-	p := fastParams()
-	p.MaxAttempts = 4
-	tr := New(env, fab, p)
+	tr := newFast(env, fab)
 	var err error
 	env.Spawn("send", func(pr *sim.Proc) {
 		err = tr.Send(pr, 0, 1, 4096)
@@ -189,12 +184,12 @@ func TestUnreachableAfterMaxAttempts(t *testing.T) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}
 	var ue *UnreachableError
-	if !errors.As(err, &ue) || ue.Attempts != 4 || ue.To != 1 {
+	if !errors.As(err, &ue) || ue.Attempts != maxAttempts || ue.To != 1 {
 		t.Fatalf("unexpected typed error: %#v", err)
 	}
 	st := tr.Stats()
-	if st.Frames != 4 || st.Unreachable != 1 {
-		t.Fatalf("want 4 frames then unreachable, got %+v", st)
+	if st.Frames != maxAttempts || st.Unreachable != 1 {
+		t.Fatalf("want %d frames then unreachable, got %+v", maxAttempts, st)
 	}
 	if live := env.LiveProcs(); len(live) != 0 {
 		t.Fatalf("sender wedged: %v", live)
@@ -216,7 +211,7 @@ func TestInjectedDuplicatesSuppressed(t *testing.T) {
 		}
 		return msg.MsgOutcome{}
 	}})
-	tr := New(env, fab, fastParams())
+	tr := newFast(env, fab)
 	delivered := 0
 	tr.Handle(1, func(from int, payload any) { delivered++ })
 	env.Spawn("send", func(p *sim.Proc) {
@@ -300,10 +295,9 @@ func TestQuickExactlyOnceInOrder(t *testing.T) {
 			}
 			return msg.MsgOutcome{}
 		}})
-		p := fastParams()
-		p.MaxAttempts = 20
-		p.Seed = int64(f.Seed)
-		tr := New(env, fab, p)
+		tr := newFast(env, fab)
+		tr.retry.attempts = 20
+		tr.rng = rngState(int64(f.Seed))
 
 		got := make([][]int, senders+1)
 		tr.Handle(0, func(from int, payload any) {
@@ -365,9 +359,8 @@ func TestDeterministicJitter(t *testing.T) {
 			}
 			return topo.Outcome{}
 		}})
-		p := fastParams()
-		p.Seed = seed
-		tr := New(env, fab, p)
+		tr := newFast(env, fab)
+		tr.rng = rngState(seed)
 		var done sim.Time
 		env.Spawn("send", func(pr *sim.Proc) {
 			if err := tr.Send(pr, 0, 1, 4096); err != nil {
@@ -394,7 +387,7 @@ func TestDeterministicJitter(t *testing.T) {
 func TestRTOTracksPathTime(t *testing.T) {
 	env := sim.NewEnv()
 	fab := newFabric(env)
-	tr := New(env, fab, fastParams())
+	tr := newFast(env, fab)
 	const size = 16 << 20
 	if got, floor := tr.rto(0, 1, size), 2*fab.PathTime(0, 1, size); got < floor {
 		t.Fatalf("rto(16MB) = %v undercuts 2×PathTime = %v", got, floor)
@@ -418,7 +411,7 @@ func TestNoDedupHookBreaksExactlyOnce(t *testing.T) {
 			}
 			return topo.Outcome{}
 		}})
-		tr := New(env, fab, fastParams())
+		tr := newFast(env, fab)
 		tr.SetTestHooks(TestHooks{NoDedup: noDedup})
 		handled := 0
 		tr.Handle(1, func(from int, payload any) { handled++ })

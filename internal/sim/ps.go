@@ -10,7 +10,7 @@ import "fmt"
 //
 // A PS can also carry permanent "background" jobs that consume a share of
 // the capacity without ever completing. These model pinned interference
-// such as GiantVM's QEMU helper threads or co-located Primary-VM load.
+// such as co-located Primary-VM load (the fault injector's DegradeCPU).
 //
 // Construct with NewPS.
 type PS struct {

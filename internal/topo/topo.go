@@ -95,10 +95,8 @@ type Spec struct {
 	// Oversub is the spine oversubscription ratio (>= 1): each ToR
 	// uplink's bandwidth is NodesPerRack×hostGbps/Oversub. 1 is a
 	// full-bisection tree; 4 is the classic 4:1 oversubscribed spine.
+	// Each ToR↔spine hop has the host links' latency.
 	Oversub float64
-	// SpineLat is the one-way latency of each ToR↔spine hop; 0 means
-	// "same as the host link latency".
-	SpineLat sim.Time
 }
 
 // FlatSpec returns the single-switch topology every cluster fabric uses
@@ -216,8 +214,7 @@ func (s *Spec) Distance(a, b int) int {
 type link struct {
 	name     string
 	node     int     // node charged for trace spans (an endpoint of the link)
-	bps      float64 // bytes per second
-	lat      sim.Time
+	bps      float64 // bytes per second; every link has the host latency
 	nextFree sim.Time
 	msgs     int64
 	bytes    int64
@@ -299,24 +296,20 @@ func (s *Spec) Build(env *sim.Env, name string, hostGbps float64, hostLat sim.Ti
 		f.flat = make(map[int]*link)
 		return f
 	}
-	spineLat := s.SpineLat
-	if spineLat == 0 {
-		spineLat = hostLat
-	}
 	uplinkBps := float64(s.NodesPerRack) * f.hostBps / s.Oversub
-	newLink := func(name string, node int, bps float64, lat sim.Time) *link {
-		l := &link{name: name, node: node, bps: bps, lat: lat, span: f.tr.Key("link", name)}
+	newLink := func(name string, node int, bps float64) *link {
+		l := &link{name: name, node: node, bps: bps, span: f.tr.Key("link", name)}
 		f.links = append(f.links, l)
 		return l
 	}
 	for n := 0; n < s.Nodes(); n++ {
 		r := s.Rack(n)
-		f.up = append(f.up, newLink(fmt.Sprintf("n%d-tor%d", n, r), n, f.hostBps, hostLat))
-		f.down = append(f.down, newLink(fmt.Sprintf("tor%d-n%d", r, n), n, f.hostBps, hostLat))
+		f.up = append(f.up, newLink(fmt.Sprintf("n%d-tor%d", n, r), n, f.hostBps))
+		f.down = append(f.down, newLink(fmt.Sprintf("tor%d-n%d", r, n), n, f.hostBps))
 	}
 	for r := 0; r < s.Racks; r++ {
-		f.torUp = append(f.torUp, newLink(fmt.Sprintf("tor%d-spine", r), r*s.NodesPerRack, uplinkBps, spineLat))
-		f.torDown = append(f.torDown, newLink(fmt.Sprintf("spine-tor%d", r), r*s.NodesPerRack, uplinkBps, spineLat))
+		f.torUp = append(f.torUp, newLink(fmt.Sprintf("tor%d-spine", r), r*s.NodesPerRack, uplinkBps))
+		f.torDown = append(f.torDown, newLink(fmt.Sprintf("spine-tor%d", r), r*s.NodesPerRack, uplinkBps))
 	}
 	return f
 }
@@ -359,7 +352,7 @@ func (f *Fabric) PathTime(from, to int, size int) sim.Time {
 	var buf hops
 	var t sim.Time
 	for _, l := range f.route(&buf, from, to) {
-		t += sim.FromSeconds(float64(size)/l.bps) + l.lat
+		t += sim.FromSeconds(float64(size)/l.bps) + f.hostLat
 	}
 	return t
 }
@@ -398,7 +391,7 @@ func (f *Fabric) flatLink(id int) *link {
 		// the fabric's one "nic/<name>" span (tid = node), which the
 		// golden trace in internal/trace/testdata pins.
 		l = &link{name: fmt.Sprintf("n%d-egress", id), node: id,
-			bps: f.hostBps, lat: f.hostLat, span: f.tr.Key("nic", f.name)}
+			bps: f.hostBps, span: f.tr.Key("nic", f.name)}
 		f.flat[id] = l
 		f.links = append(f.links, l)
 	}
@@ -452,7 +445,7 @@ func (f *Fabric) Transmit(span int64, from, to int, size int) (arrive sim.Time, 
 		if f.tr != nil {
 			f.tr.Complete(span, trace.CatNet, l.node, l.span, start, done)
 		}
-		t = done + l.lat
+		t = done + f.hostLat
 	}
 	ep := f.ep(from)
 	ep.sent++

@@ -88,7 +88,6 @@ func (bd *BlkDev) chunk(c *vcpu.Ctx, q *queue, n int, write bool) {
 	id := bd.next
 	ev := bd.env.NewEvent()
 	bd.done[id] = ev
-	bd.stats.Kicks++
 	size := bd.kickSize(0)
 	if write && bd.cfg.Bypass {
 		size = bd.kickSize(n) // payload rides the kick
@@ -150,7 +149,6 @@ func (bd *BlkDev) handle(m *msg.Message) {
 					}
 				}
 				bd.d.Touch(p, bd.cfg.Owner, q.usedPage(), true)
-				bd.stats.IRQs++
 				size := irqBytes
 				if !req.write && bd.cfg.Bypass {
 					size += req.bytes // read payload rides the completion

@@ -61,8 +61,6 @@ type Stats struct {
 	RxPackets int64
 	TxBytes   int64
 	RxBytes   int64
-	Kicks     int64
-	IRQs      int64
 }
 
 // queue is one TX/RX pair: two ring pages plus a payload buffer ring.
@@ -175,7 +173,6 @@ func (dev *device) guestEnqueue(c *vcpu.Ctx, q *queue, n int) []mem.PageID {
 		}
 	}
 	dev.d.Touch(c.P, c.Node(), q.availPage(), true)
-	dev.stats.Kicks++
 	return pages
 }
 
@@ -292,7 +289,6 @@ func (nd *NetDev) handle(m *msg.Message) {
 					}
 				})
 				// TX-completion interrupt back to the queue's vCPU.
-				nd.stats.IRQs++
 				nd.vcpus.IPI(p, nd.cfg.Owner, q.vcpu, nil)
 			}
 		})
@@ -322,7 +318,6 @@ func (nd *NetDev) deliverToGuest(from, toVCPU, n int) {
 			q.lock.Unlock()
 			dest := nd.vcpus.NodeOf(toVCPU)
 			if dest == nd.cfg.Owner {
-				nd.stats.IRQs++
 				nd.vcpus.IPI(p, nd.cfg.Owner, toVCPU, func() { nd.rx[toVCPU].Put(pkt) })
 				return
 			}
@@ -336,7 +331,6 @@ func (nd *NetDev) deliverToGuest(from, toVCPU, n int) {
 		}
 		nd.d.Touch(p, nd.cfg.Owner, q.usedPage(), true)
 		q.lock.Unlock()
-		nd.stats.IRQs++
 		nd.vcpus.IPI(p, nd.cfg.Owner, toVCPU, func() { nd.rx[toVCPU].Put(pkt) })
 	})
 }

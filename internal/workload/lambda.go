@@ -15,26 +15,18 @@ const dbAddr = -2
 // clientAddr is the external-network address of the FaaS client.
 const lambdaClientAddr = -3
 
-// LambdaConfig parameterizes the OpenLambda serverless experiment of §7.2
-// / Fig 13: on each vCPU an OpenLambda worker runs a function that (1)
-// downloads a compressed picture archive from a database on the same
-// network, (2) extracts it into fresh memory, and (3) runs face detection.
-type LambdaConfig struct {
-	ZipBytes     int      // compressed archive size
-	ExtractBytes int64    // extracted data written to fresh pages
-	ExtractCPU   sim.Time // decompression compute at native speed
-	DetectCPU    sim.Time // face-detection compute at native speed
-}
-
-// DefaultLambda returns the picture-processing function profile.
-func DefaultLambda() LambdaConfig {
-	return LambdaConfig{
-		ZipBytes:     4 << 20,
-		ExtractBytes: 24 << 20,
-		ExtractCPU:   150 * sim.Millisecond,
-		DetectCPU:    1500 * sim.Millisecond,
-	}
-}
+// The picture-processing function of the OpenLambda serverless
+// experiment (§7.2 / Fig 13): on each vCPU an OpenLambda worker runs a
+// function that (1) downloads a compressed picture archive from a
+// database on the same network, (2) extracts it into fresh memory, and
+// (3) runs face detection. Sizes and compute times are at scale 1 and
+// native speed.
+const (
+	lambdaZipBytes     = 4 << 20  // compressed archive size
+	lambdaExtractBytes = 24 << 20 // extracted data written to fresh pages
+	lambdaExtractCPU   = 150 * sim.Millisecond
+	lambdaDetectCPU    = 1500 * sim.Millisecond
+)
 
 // LambdaResult reports the mean per-phase and total server-side times
 // across workers, as the paper's Fig 13 breakdown does.
@@ -48,7 +40,7 @@ type LambdaResult struct {
 // RunOpenLambda triggers one function invocation per vCPU in parallel (the
 // paper varies parallel requests with the vCPU count) and returns the mean
 // phase breakdown.
-func RunOpenLambda(vm *hypervisor.VM, cfg LambdaConfig, scale float64) LambdaResult {
+func RunOpenLambda(vm *hypervisor.VM, scale float64) LambdaResult {
 	if scale <= 0 {
 		panic("workload: scale must be positive")
 	}
@@ -57,11 +49,11 @@ func RunOpenLambda(vm *hypervisor.VM, cfg LambdaConfig, scale float64) LambdaRes
 	db := vm.Net.NewClient(dbAddr)
 	client := vm.Net.NewClient(lambdaClientAddr)
 
-	zipBytes := int(float64(cfg.ZipBytes) * scale)
+	zipBytes := int(float64(lambdaZipBytes) * scale)
 	if zipBytes < 1 {
 		zipBytes = 1
 	}
-	extractBytes := int64(float64(cfg.ExtractBytes) * scale)
+	extractBytes := int64(float64(lambdaExtractBytes) * scale)
 
 	// The database serves one archive per fetch request.
 	env.Spawn("picture-db", func(p *sim.Proc) {
@@ -94,13 +86,13 @@ func RunOpenLambda(vm *hypervisor.VM, cfg LambdaConfig, scale float64) LambdaRes
 			if err != nil {
 				panic(err) // the function cannot run without its working set
 			}
-			ctx.Compute(sim.Time(float64(cfg.ExtractCPU) * scale))
+			ctx.Compute(sim.Time(float64(lambdaExtractCPU) * scale))
 			extract[i] = ctx.P.Now() - t
 
 			// Phase 3: face detection over the extracted pictures.
 			t = ctx.P.Now()
 			computed := sim.Time(0)
-			totalDetect := sim.Time(float64(cfg.DetectCPU) * scale)
+			totalDetect := sim.Time(float64(lambdaDetectCPU) * scale)
 			for computed < totalDetect {
 				chunk := tickInterval
 				if computed+chunk > totalDetect {

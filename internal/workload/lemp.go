@@ -9,36 +9,33 @@ import (
 	"repro/internal/vcpu"
 )
 
+// The fixed shape of the LEMP stack, as in the paper.
+const (
+	// lempPageBytes is the generated response size (2 MB, the average
+	// web page size the paper cites).
+	lempPageBytes = 2 << 20
+	// lempConcurrency is the number of concurrent connections (AB -c).
+	lempConcurrency = 10
+	// lempAllocsPerMs is the PHP small-allocation rate while processing
+	// — string manipulation workloads allocate constantly.
+	lempAllocsPerMs = 4
+)
+
 // LEMPConfig parameterizes the LEMP (Linux/NGINX/PHP) experiment of §7.2 /
 // Fig 12: NGINX runs on vCPU0, one PHP-FPM worker runs on every other
-// vCPU, and an ApacheBench-style client issues requests whose server-side
-// processing time is configurable.
+// vCPU, and an ApacheBench-style client with lempConcurrency connections
+// issues requests whose server-side processing time is configurable.
 type LEMPConfig struct {
 	// Processing is the PHP compute time per request at native speed
 	// (25 ms – 500 ms in the paper).
 	Processing sim.Time
-	// PageBytes is the generated response size (2 MB, the average web
-	// page size the paper cites).
-	PageBytes int
 	// Requests is the total request count (AB -n).
 	Requests int
-	// Concurrency is the number of concurrent connections (AB -c).
-	Concurrency int
-	// AllocsPerMs is the PHP small-allocation rate while processing —
-	// string manipulation workloads allocate constantly.
-	AllocsPerMs float64
 }
 
-// DefaultLEMP matches the paper: 100 requests, 10 concurrent connections,
-// 2 MB pages.
+// DefaultLEMP matches the paper: 100 requests.
 func DefaultLEMP(processing sim.Time) LEMPConfig {
-	return LEMPConfig{
-		Processing:  processing,
-		PageBytes:   2 << 20,
-		Requests:    100,
-		Concurrency: 10,
-		AllocsPerMs: 4,
-	}
+	return LEMPConfig{Processing: processing, Requests: 100}
 }
 
 // LEMPResult reports client-observed performance.
@@ -55,8 +52,8 @@ func RunLEMP(vm *hypervisor.VM, cfg LEMPConfig) LEMPResult {
 	if n < 2 {
 		panic("workload: LEMP needs at least 2 vCPUs")
 	}
-	if cfg.Requests <= 0 || cfg.Concurrency <= 0 {
-		panic("workload: LEMP needs requests and concurrency")
+	if cfg.Requests <= 0 {
+		panic("workload: LEMP needs requests")
 	}
 	env := vm.Env
 	k := vm.Kernel
@@ -83,13 +80,13 @@ func RunLEMP(vm *hypervisor.VM, cfg LEMPConfig) LEMPResult {
 					}
 					ctx.Compute(chunk)
 					computed += chunk
-					carry += cfg.AllocsPerMs * chunk.Seconds() * 1000
+					carry += lempAllocsPerMs * chunk.Seconds() * 1000
 					for ; carry >= 1; carry-- {
 						k.AllocFast(ctx.P, ctx.Node(), ctx.ID())
 					}
 				}
 				vm.Kernel.Tick(ctx.P, ctx.Node(), ctx.ID())
-				respSock.Send(ctx.P, ctx.Node(), ctx.ID(), 0, cfg.PageBytes)
+				respSock.Send(ctx.P, ctx.Node(), ctx.ID(), 0, lempPageBytes)
 			}
 		})
 	}
@@ -122,7 +119,7 @@ func RunLEMP(vm *hypervisor.VM, cfg LEMPConfig) LEMPResult {
 		}
 	})
 
-	// ApacheBench: Concurrency connection workers sharing a request
+	// ApacheBench: lempConcurrency connection workers sharing a request
 	// budget. Responses are matched FIFO — all responses are
 	// equal-sized, so per-connection accounting is preserved in
 	// aggregate.
@@ -132,7 +129,7 @@ func RunLEMP(vm *hypervisor.VM, cfg LEMPConfig) LEMPResult {
 	var latencySum sim.Time
 	start := env.Now()
 	var done []*sim.Event
-	for conn := 0; conn < cfg.Concurrency; conn++ {
+	for conn := 0; conn < lempConcurrency; conn++ {
 		p := env.Spawn(fmt.Sprintf("ab-conn-%d", conn), func(p *sim.Proc) {
 			for issued < cfg.Requests {
 				issued++

@@ -201,7 +201,7 @@ func TestLEMPCrossover(t *testing.T) {
 }
 
 func TestOpenLambdaPhases(t *testing.T) {
-	res := RunOpenLambda(fragVM(2), DefaultLambda(), 0.1)
+	res := RunOpenLambda(fragVM(2), 0.1)
 	if res.Download <= 0 || res.Extract <= 0 || res.Detect <= 0 {
 		t.Fatalf("phases = %+v", res)
 	}
@@ -214,8 +214,8 @@ func TestOpenLambdaFragVisorBeatsOvercommit(t *testing.T) {
 	// Fig 13: detection dominates and scales with real cores, so the
 	// Aggregate VM wins overall.
 	const scale = 0.1
-	frag := RunOpenLambda(fragVM(4), DefaultLambda(), scale)
-	oc := RunOpenLambda(ocVM(4, 1), DefaultLambda(), scale)
+	frag := RunOpenLambda(fragVM(4), scale)
+	oc := RunOpenLambda(ocVM(4, 1), scale)
 	if ratio := float64(oc.Detect) / float64(frag.Detect); ratio < 2.5 {
 		t.Errorf("detect speedup = %.2f, want >= 2.5", ratio)
 	}
@@ -226,8 +226,8 @@ func TestOpenLambdaFragVisorBeatsOvercommit(t *testing.T) {
 
 func TestOpenLambdaFragVisorBeatsGiantVM(t *testing.T) {
 	const scale = 0.1
-	frag := RunOpenLambda(fragVM(4), DefaultLambda(), scale)
-	giant := RunOpenLambda(gVM(4), DefaultLambda(), scale)
+	frag := RunOpenLambda(fragVM(4), scale)
+	giant := RunOpenLambda(gVM(4), scale)
 	for phase, pair := range map[string][2]sim.Time{
 		"download": {frag.Download, giant.Download},
 		"extract":  {frag.Extract, giant.Extract},
