@@ -94,10 +94,10 @@ func BenchmarkDSMFault(b *testing.B) {
 }
 
 // dsmFaultAllocBudget is what one remote write fault (BenchmarkDSMFault's
-// loop body) allocates: the fault's bookkeeping (its grant rides in it),
-// the directory and invalidation procs, and the messages, each message
-// costing only itself.
-const dsmFaultAllocBudget = 12
+// loop body) allocates: the fault's bookkeeping (its grant and events ride
+// in it), the directory and invalidation procs, and the messages, each
+// costing only itself (a Call's reply is its request turned round).
+const dsmFaultAllocBudget = 7
 
 // TestDSMFaultAllocBudget pins BenchmarkDSMFault's allocs/op: a remote
 // write fault may allocate no more than dsmFaultAllocBudget objects.
@@ -162,7 +162,7 @@ func BenchmarkDSMFaultRead(b *testing.B) {
 
 // dsmFaultReadAllocBudget is what one readCycle allocates: a read fault
 // with its owner fetch and an upgrade fault with its invalidation.
-const dsmFaultReadAllocBudget = 25
+const dsmFaultReadAllocBudget = 14
 
 // TestDSMFaultReadAllocBudget pins BenchmarkDSMFaultRead's allocs/op.
 func TestDSMFaultReadAllocBudget(t *testing.T) {
@@ -237,8 +237,10 @@ func BenchmarkEventDispatch(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkProcWake measures the park/dispatch round trip: one Sleep per
-// op on a single proc.
+// BenchmarkProcWake measures a Sleep with nothing else queued: one Sleep
+// per op on a single proc, each taking Sleep's in-place fast path, with no
+// timer and no coroutine switch. BenchmarkProcSwitch measures the
+// park/dispatch round trip.
 func BenchmarkProcWake(b *testing.B) {
 	e := sim.NewEnv()
 	defer e.Close()
@@ -247,6 +249,25 @@ func BenchmarkProcWake(b *testing.B) {
 			p.Sleep(1)
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkProcSwitch measures the park/dispatch round trip: two procs
+// whose Sleeps interleave, so the other's wake-up is always due first and
+// every Sleep parks. One Sleep per op.
+func BenchmarkProcSwitch(b *testing.B) {
+	e := sim.NewEnv()
+	defer e.Close()
+	for i := sim.Time(0); i < 2; i++ {
+		e.Spawn("sleeper", func(p *sim.Proc) {
+			p.Sleep(i)
+			for n := 0; n < b.N/2; n++ {
+				p.Sleep(2)
+			}
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
@@ -301,7 +322,7 @@ func BenchmarkWaitTimeoutStorm(b *testing.B) {
 	defer e.Close()
 	e.Spawn("client", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			ev := e.NewEvent()
+			ev := new(sim.Event)
 			e.After(1, ev.Fire)
 			p.WaitTimeout(ev, sim.Second)
 		}

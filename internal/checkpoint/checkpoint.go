@@ -125,7 +125,7 @@ func Take(p *sim.Proc, vm *hypervisor.VM, node int) *Image {
 	}
 
 	// Disk writer: metadata first, then memory chunks as they arrive.
-	writerDone := env.NewEvent()
+	writerDone := new(sim.Event)
 	env.Spawn("ckpt-writer", func(wp *sim.Proc) {
 		if tr != nil {
 			wsp := tr.Begin(sp, trace.CatCheckpoint, node, "ckpt.persist")
@@ -183,7 +183,7 @@ func Restore(p *sim.Proc, vm *hypervisor.VM, img *Image) sim.Time {
 		if !vm.Alive(n) {
 			dest = vm.DSM.Origin()
 		}
-		ev := env.NewEvent()
+		ev := new(sim.Event)
 		waits = append(waits, ev)
 		parent := p.Span()
 		env.Spawn(fmt.Sprintf("ckpt-restore-%d", dest), func(rp *sim.Proc) {

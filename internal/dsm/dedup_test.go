@@ -76,7 +76,7 @@ func shareWrites(env *sim.Env, d *DSM, procs, ops int, pages []mem.PageID) {
 	for _, n := range d.nodes {
 		for j := 0; j < procs; j++ {
 			n, j := n, j
-			ev := env.NewEvent()
+			ev := new(sim.Event)
 			done = append(done, ev)
 			env.Spawn(fmt.Sprintf("writer%d.%d", n, j), func(p *sim.Proc) {
 				defer ev.Fire()
@@ -202,7 +202,7 @@ func TestMarkDeadKeepsAcceptedIDsDuplicate(t *testing.T) {
 		t.Fatalf("first fault request = %+v, want node 2's write, id 0", first)
 	}
 	// A fresh request two ids ahead of node 2's window parks.
-	ahead := &pendingFault{id: first.id + 2, rec: d.rec(other), ni: 2, ev: env.NewEvent()}
+	ahead := &pendingFault{id: first.id + 2, rec: d.rec(other), ni: 2}
 	d.layer.Send(2, d.origin, d.dirSvc, "fault", reqBytes, ahead)
 	env.Run()
 	w := &d.members[2].accepted

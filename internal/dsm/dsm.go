@@ -215,7 +215,11 @@ type pendingFault struct {
 	ni    int // requester's dense node index
 	write bool
 
-	ev *sim.Event
+	ev sim.Event // fired when the grant is installed
+	// invs fires when the last of the invalidations grantWrite started
+	// finishes; invLeft counts the ones still running.
+	invs    sim.Event
+	invLeft int
 	// over says the fault takes no grant any more: one was installed, or
 	// the requester gave up on a dead node. A grant arriving after is
 	// acknowledged and ignored.
@@ -480,16 +484,16 @@ func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
 		st.ReadFaults++
 	}
 	p.Sleep(faultHandler + d.params.UserSpaceExtra)
-	pf := &pendingFault{id: m.nextFault, rec: r, ni: ni, write: write, ev: d.env.NewEvent()}
+	pf := &pendingFault{id: m.nextFault, rec: r, ni: ni, write: write}
 	m.nextFault++
 	d.layer.SendCtx(sp, node, d.origin, d.dirSvc, "fault", reqBytes, pf)
 	if !d.retries() {
-		p.Wait(pf.ev)
+		p.Wait(&pf.ev)
 	} else {
 		// Re-send on timeout to cover request loss; the directory
 		// deduplicates ids and re-sends grants itself, so a retransmission
 		// can never double-apply.
-		for !p.WaitTimeout(pf.ev, retryTimeout) {
+		for !p.WaitTimeout(&pf.ev, retryTimeout) {
 			if !d.alive(node) {
 				pf.over = true
 				d.tr.End(sp)
@@ -654,8 +658,6 @@ func (d *DSM) grantWrite(p *sim.Proc, pf *pendingFault) {
 	// Iterate nodes in the DSM's fixed order: the spawn order of
 	// invalidation processes feeds the event sequence, and trace output
 	// must be byte-identical across same-seed runs.
-	var buf [8]*sim.Event
-	waits := buf[:0]
 	parent := p.Span()
 	for i, n := range d.nodes {
 		if i == pf.ni || r.copyset&(1<<i) == 0 {
@@ -670,15 +672,14 @@ func (d *DSM) grantWrite(p *sim.Proc, pf *pendingFault) {
 			}
 			continue
 		}
-		ev := d.env.NewEvent()
-		waits = append(waits, ev)
+		pf.invLeft++
 		d.env.Spawn(r.invName, func(sub *sim.Proc) {
 			if d.tr != nil {
 				isp := d.tr.Begin(parent, trace.CatDSM, d.origin, "dsm.inv")
 				sub.SetSpan(isp)
 				defer d.tr.End(isp)
 			}
-			defer ev.Fire()
+			defer pf.invDone()
 			if n == d.origin {
 				lp := d.replica(r, 0)
 				if n == r.owner && !hasCopy {
@@ -703,12 +704,21 @@ func (d *DSM) grantWrite(p *sim.Proc, pf *pendingFault) {
 			_, _ = d.callNode(sub, n, "inv", reqBytes, r)
 		})
 	}
-	p.WaitAll(waits...)
+	if pf.invLeft > 0 {
+		p.Wait(&pf.invs)
+	}
 
 	r.owner = d.nodes[pf.ni]
 	r.copyset = 1 << pf.ni
 	d.reconcileOrigin(r)
 	d.sendGrant(p, pf)
+}
+
+// invDone retires one of grantWrite's invalidations; the last fires invs.
+func (pf *pendingFault) invDone() {
+	if pf.invLeft--; pf.invLeft == 0 {
+		pf.invs.Fire()
+	}
 }
 
 // handleOwner serves grant installations and fetch/invalidate requests at

@@ -122,7 +122,7 @@ func TestZeroPageTransfersCostAFullPage(t *testing.T) {
 			}
 			done := make([]*sim.Event, 3)
 			for n := range done {
-				ev := env.NewEvent()
+				ev := new(sim.Event)
 				done[n] = ev
 				env.Spawn("sharer", func(q *sim.Proc) {
 					defer ev.Fire()

@@ -249,7 +249,7 @@ func Run(s Scenario) *Result {
 		// recovery proc re-pins the dead slice's vCPUs onto survivors and
 		// rolls explicit guest pages back to the checkpoint image.
 		start := p.Now()
-		recoveredAll := env.NewEvent()
+		recoveredAll := new(sim.Event)
 		vm.StartHeartbeat(func(hp *sim.Proc, node int) {
 			env.MarkProgress() // a death declaration is forward motion
 			res.Detected = append(res.Detected, hp.Now()-start)

@@ -84,7 +84,7 @@ func (s *Socket) Send(p *sim.Proc, node, fromVCPU, toVCPU, n int) {
 		}
 		pages := (chunk + mem.PageSize - 1) / mem.PageSize
 		for s.credits < pages {
-			ev := s.k.env.NewEvent()
+			ev := new(sim.Event)
 			s.waiting = append(s.waiting, blockedSender{need: pages, vcpu: fromVCPU, ev: ev})
 			p.Wait(ev)
 		}

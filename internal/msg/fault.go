@@ -73,12 +73,11 @@ func (l *Layer) CallTimeout(p *sim.Proc, from, to int, service, kind string, siz
 	if timeout <= 0 {
 		panic("msg: CallTimeout needs a positive timeout")
 	}
-	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, span: p.Span()}
-	m.replyEv = l.env.NewEvent()
+	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, call: true, span: p.Span()}
 	l.deliver(m)
-	if !p.WaitTimeout(m.replyEv, timeout) {
+	if !p.WaitTimeout(&m.ev, timeout) {
 		l.faults.Timeouts++
 		return nil, &TimeoutError{To: to, Service: service, Kind: kind, Attempts: 1, Elapsed: timeout}
 	}
-	return m.reply, nil
+	return m, nil
 }

@@ -18,9 +18,10 @@
 // (topo.Fabric.Transmit), and the layer puts the *Message on a pooled
 // sim.Env.DeferArgAt timer at the arrival time, then on a DeferArg timer
 // for the handler latency, each running a static function of the message.
-// A reply carries its caller's reply event instead of a callback. So a
-// delivery allocates only its Message, and a Call round trip only the
-// request, the reply and the reply event.
+// A Call's reply event is embedded in its request, and Reply turns the
+// request itself into the reply, which fires that event at delivery
+// instead of running a callback. So a delivery allocates only its
+// Message, and a Call round trip only that one Message.
 package msg
 
 import (
@@ -54,11 +55,11 @@ type Message struct {
 	Payload any
 
 	layer   *Layer
-	replyEv *sim.Event // on a request: fired when its reply arrives
-	reply   *Message
-	done    *sim.Event // on a reply: the request's replyEv, fired at delivery
-	dup     bool       // fault-injected duplicate delivery of an earlier message
-	span    int64      // tracing span covering this message's delivery
+	ev      sim.Event // a Call's reply event, fired when the reply arrives
+	call    bool      // the sender waits on ev for a reply
+	replied bool      // Reply turned this request round: delivery fires ev
+	dup     bool      // fault-injected duplicate delivery of an earlier message
+	span    int64     // tracing span covering this message's delivery
 }
 
 // SpanID returns the tracing span covering this message's delivery (0 when
@@ -72,30 +73,28 @@ func (m *Message) SpanID() int64 { return m.span }
 func (m *Message) Duplicate() bool { return m.dup }
 
 // Reply sends a response of the given size back to the caller of Call.
-// Replying to a one-way message, or twice, panics. Replies to duplicate
-// deliveries are silently discarded: the requester's call already
-// completed against the original, so the wire would carry an answer
-// nobody is waiting for.
+// The request itself becomes the reply: From and To swap, Kind gains
+// ".reply", and Size and Payload are replaced, so a handler reads what it
+// needs from m before replying. Replying to a one-way message, or twice,
+// panics. Replies to duplicate deliveries are silently discarded: the
+// requester's call already completed against the original, so the wire
+// would carry an answer nobody is waiting for.
 func (m *Message) Reply(size int, payload any) {
 	if m.dup {
 		m.layer.faults.DupRepliesDropped++
 		return
 	}
-	if m.replyEv == nil {
+	if !m.call {
 		panic(fmt.Sprintf("msg: Reply to one-way %s/%s", m.Service, m.Kind))
 	}
-	if m.replyEv.Fired() || m.reply != nil {
+	if m.replied {
 		panic(fmt.Sprintf("msg: duplicate Reply to %s/%s", m.Service, m.Kind))
 	}
 	l := m.layer
-	resp := &Message{
-		From: m.To, To: m.From,
-		Service: m.Service, Kind: l.replyKind(m.Kind),
-		Size: size, Payload: payload, layer: l,
-		done: m.replyEv, span: m.span,
-	}
-	m.reply = resp
-	l.deliver(resp)
+	m.From, m.To = m.To, m.From
+	m.Kind, m.Size, m.Payload = l.replyKind(m.Kind), size, payload
+	m.replied = true
+	l.deliver(m)
 }
 
 // Layer is the messaging layer over a fabric. Construct with NewLayer.
@@ -171,13 +170,13 @@ func (l *Layer) SendCtx(span int64, from, to int, service, kind string, size int
 }
 
 // Call delivers a request and blocks the process until the handler replies.
-// It returns the reply message.
+// It returns the reply, which is the request message turned round by
+// Reply.
 func (l *Layer) Call(p *sim.Proc, from, to int, service, kind string, size int, payload any) *Message {
-	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, span: p.Span()}
-	m.replyEv = l.env.NewEvent()
+	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, call: true, span: p.Span()}
 	l.deliver(m)
-	p.Wait(m.replyEv)
-	return m.reply
+	p.Wait(&m.ev)
+	return m
 }
 
 // deliver routes a message through the fabric (or locally) and, after
@@ -235,16 +234,19 @@ func receive(a any) {
 // handle completes a delivery: a reply fires its caller's reply event,
 // anything else runs the destination service's handler. A duplicate
 // leaves the delivery span to its original, and a duplicate reply is
-// dropped: the original already completed the call.
+// dropped: the original already completed the call. The span is read
+// before the handler runs, since a Reply inside it turns m into the
+// reply, with a delivery span of its own.
 func handle(a any) {
 	m := a.(*Message)
 	l := m.layer
-	if m.done != nil {
+	span := m.span
+	if m.replied {
 		if m.dup {
 			l.faults.DupRepliesDropped++
 			return
 		}
-		m.done.Fire()
+		m.ev.Fire()
 	} else {
 		h, ok := l.handlers[serviceKey{m.To, m.Service}]
 		if !ok {
@@ -253,7 +255,7 @@ func handle(a any) {
 		h(m)
 	}
 	if !m.dup {
-		l.tr.End(m.span)
+		l.tr.End(span)
 	}
 }
 

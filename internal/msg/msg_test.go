@@ -1,6 +1,9 @@
 package msg
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -208,10 +211,144 @@ func TestDuplicatedCall(t *testing.T) {
 	}
 }
 
+// onceDup duplicates the first message of one kind and passes the rest.
+type onceDup struct {
+	kind string
+	done bool
+}
+
+func (*onceDup) Outcome(from, to, size int) topo.Outcome { return topo.Outcome{} }
+
+func (f *onceDup) MsgOutcome(from, to int, service, kind string) MsgOutcome {
+	dup := kind == f.kind && !f.done
+	f.done = f.done || dup
+	return MsgOutcome{Duplicate: dup}
+}
+
+// TestDuplicateOfReusedReplyDropped: a duplicate of a reply, which is its
+// request turned round, lands after the caller has moved on to its next
+// call. It is dropped and counted once, and the next call completes on
+// its own reply.
+func TestDuplicateOfReusedReplyDropped(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	l := newTestLayer(env)
+	l.Net().SetFilter(&onceDup{kind: "req.reply"})
+	n := 0
+	l.Handle(1, "svc", func(m *Message) {
+		n++
+		m.Reply(8, n)
+	})
+	var got []any
+	env.Spawn("caller", func(p *sim.Proc) {
+		for i := 0; i < 2; i++ {
+			r := l.Call(p, 0, 1, "svc", "req", 16, nil)
+			got = append(got, r.Payload)
+		}
+	})
+	env.Run()
+	if fmt.Sprint(got) != "[1 2]" {
+		t.Fatalf("replies %v, want [1 2]", got)
+	}
+	if f := l.FaultStats(); f.Duplicated != 1 || f.DupRepliesDropped != 1 {
+		t.Errorf("fault stats %+v, want 1 duplicated and 1 dropped reply", f)
+	}
+}
+
+// TestLateReplyAfterTimeout: a reply that arrives after its CallTimeout
+// gave up fires into the void. The caller's next call, in flight when the
+// late reply lands, wakes only on its own reply, which comes back turned
+// round: From and To swapped and the ".reply" kind.
+func TestLateReplyAfterTimeout(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	l := newTestLayer(env)
+	l.Handle(1, "svc", func(m *Message) {
+		if m.Payload == "slow" {
+			env.After(30*sim.Microsecond, func() { m.Reply(8, "late") })
+			return
+		}
+		env.After(20*sim.Microsecond, func() { m.Reply(8, "own") })
+	})
+	var err error
+	var reply *Message
+	var start, woke sim.Time
+	env.Spawn("caller", func(p *sim.Proc) {
+		_, err = l.CallTimeout(p, 0, 1, "svc", "req", 16, "slow", 10*sim.Microsecond)
+		start = p.Now()
+		reply, _ = l.CallTimeout(p, 0, 1, "svc", "req", 16, "fast", 100*sim.Microsecond)
+		woke = p.Now()
+	})
+	env.Run()
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("first call: err %v, want a timeout", err)
+	}
+	if reply == nil || reply.Payload != "own" || reply.From != 1 || reply.To != 0 || reply.Kind != "req.reply" {
+		t.Fatalf("second call's reply = %+v, want its own reply from 1 to 0, kind req.reply", reply)
+	}
+	if rtt := woke - start; rtt <= 20*sim.Microsecond {
+		t.Errorf("second call woke after %v, before its own reply could arrive", rtt)
+	}
+	if f := l.FaultStats(); f.Timeouts != 1 {
+		t.Errorf("%d timeouts, want 1", f.Timeouts)
+	}
+}
+
+// TestReplyAfterHandlerReturns: a handler that replies later (the vCPU
+// migration shape) ends the request's delivery span when it returns and
+// the reply's when the caller wakes, each once. Replying a second time
+// still panics.
+func TestReplyAfterHandlerReturns(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	tr := trace.NewSession().Attach(env, "later")
+	l := newTestLayer(env)
+	var handled, replied sim.Time
+	l.Handle(1, "svc", func(m *Message) {
+		handled = env.Now()
+		env.After(5*sim.Microsecond, func() {
+			replied = env.Now()
+			m.Reply(8, nil)
+			if msg := panicOf(func() { m.Reply(8, nil) }); !strings.Contains(msg, "duplicate Reply") {
+				t.Errorf("second Reply: panic %q, want a duplicate-Reply panic", msg)
+			}
+		})
+	})
+	var woke sim.Time
+	env.Spawn("caller", func(p *sim.Proc) {
+		l.Call(p, 0, 1, "svc", "req", 16, nil)
+		woke = p.Now()
+	})
+	env.Run()
+	spans := map[string][]trace.Span{}
+	for _, sp := range tr.Spans() {
+		spans[sp.Name] = append(spans[sp.Name], sp)
+	}
+	req, rep := spans["svc/req"], spans["svc/req.reply"]
+	if len(req) != 1 || len(rep) != 1 {
+		t.Fatalf("%d request and %d reply spans, want 1 each", len(req), len(rep))
+	}
+	if req[0].End != handled || rep[0].Start != replied || rep[0].End != woke || rep[0].Parent != req[0].ID {
+		t.Errorf("request span %+v, reply span %+v; want the request ending at %v, the reply a child of it from %v to %v",
+			req[0], rep[0], handled, replied, woke)
+	}
+}
+
+// panicOf runs f and returns its panic message, or "" if it returned.
+func panicOf(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
 // TestDeliveryAllocatesOnlyTheMessage: a message schedules itself on
 // pooled timers, so once the endpoints and timer pool are warm a
 // cross-node Send allocates only its Message, and a Call round trip only
-// the request, its reply event and the reply.
+// the request, which carries its reply event and turns into the reply.
 func TestDeliveryAllocatesOnlyTheMessage(t *testing.T) {
 	env := sim.NewEnv()
 	l := newTestLayer(env)
@@ -242,8 +379,8 @@ func TestDeliveryAllocatesOnlyTheMessage(t *testing.T) {
 		q.Put(struct{}{})
 		env.Run()
 	})
-	if call > 3 {
-		t.Errorf("Call round trip allocates %v times, want at most 3", call)
+	if call > 1 {
+		t.Errorf("Call round trip allocates %v times, want at most 1 (the request)", call)
 	}
 	if handled != 1001+1001 {
 		t.Errorf("handled %d messages, want %d", handled, 1001+1001)

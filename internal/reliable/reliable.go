@@ -224,7 +224,7 @@ func (t *Transport) SendCtx(p *sim.Proc, span int64, from, to, size int, payload
 		// Zero-fault fast path: nothing can be lost, so the ack round
 		// and sequence machinery would only charge phantom bytes. One
 		// fabric send, one wait — byte-identical to the raw fabric.
-		ev := t.env.NewEvent()
+		ev := new(sim.Event)
 		t.stats.Frames++
 		t.fab.SendCtx(span, from, to, size, func() {
 			t.stats.Delivered++
@@ -251,7 +251,7 @@ func (t *Transport) SendCtx(p *sim.Proc, span int64, from, to, size int, payload
 	}
 	start := t.env.Now()
 	for attempt := 1; ; attempt++ {
-		acked := t.env.NewEvent()
+		acked := new(sim.Event)
 		t.pend[key] = acked
 		t.transmit(span, from, to, size, seq, payload)
 		ok := p.WaitTimeout(acked, rto+t.jitter(rto))

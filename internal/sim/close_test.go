@@ -46,9 +46,9 @@ func mustPanic(t *testing.T, f func()) string {
 func TestCloseStopsParkedProcs(t *testing.T) {
 	block := map[string]func(e *Env, p *Proc){
 		"Sleep": func(e *Env, p *Proc) { p.Sleep(Second) },
-		"Wait":  func(e *Env, p *Proc) { p.Wait(e.NewEvent()) },
+		"Wait":  func(e *Env, p *Proc) { p.Wait(new(Event)) },
 		"WaitTimeout": func(e *Env, p *Proc) {
-			p.WaitTimeout(e.NewEvent(), Second)
+			p.WaitTimeout(new(Event), Second)
 		},
 		"Mutex.Lock": func(e *Env, p *Proc) {
 			m := e.NewMutex()
@@ -136,7 +136,7 @@ func TestCloseDeferredCalls(t *testing.T) {
 	noLeak(t)
 	e := NewEnv()
 	m := e.NewMutex()
-	ev := e.NewEvent()
+	ev := new(Event)
 	outer, reparked, resumed, panicked := 0, 0, false, 0
 	e.Spawn("holder", func(p *Proc) {
 		defer func() { outer++ }()

@@ -108,7 +108,7 @@ func TestWaitTimeoutStormBoundedHeap(t *testing.T) {
 	maxPending := 0
 	e.Spawn("client", func(p *Proc) {
 		for i := 0; i < rpcs; i++ {
-			ev := e.NewEvent()
+			ev := new(Event)
 			e.After(1, ev.Fire) // reply arrives 1 ns later
 			if !p.WaitTimeout(ev, Second) {
 				t.Errorf("rpc %d timed out", i)
@@ -162,7 +162,7 @@ func TestProcTableReaped(t *testing.T) {
 // short-lived procs must come back from LiveProcs in spawn order.
 func TestLiveProcsOrderStableAcrossReaping(t *testing.T) {
 	e := NewEnv()
-	block := e.NewEvent()
+	block := new(Event)
 	var want []string
 	for d := 0; d < 5; d++ {
 		name := fmt.Sprintf("daemon-%d", d)
@@ -192,7 +192,7 @@ func TestWaitTimeoutDeadlineRace(t *testing.T) {
 	// Reply scheduled before WaitTimeout: reply's wake precedes the
 	// deadline in (time, seq) order, so the wait succeeds.
 	e := NewEnv()
-	ev := e.NewEvent()
+	ev := new(Event)
 	laterFired := false
 	var got bool
 	e.At(10, ev.Fire)
@@ -214,7 +214,7 @@ func TestWaitTimeoutDeadlineRace(t *testing.T) {
 	// Fire is registered at t=5 — after the caller parked at t=0 — so its
 	// sequence number is higher than the deadline timer's.
 	e2 := NewEnv()
-	ev2 := e2.NewEvent()
+	ev2 := new(Event)
 	var got2 bool
 	e2.Spawn("caller", func(p *Proc) {
 		got2 = p.WaitTimeout(ev2, 10)

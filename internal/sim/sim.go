@@ -6,13 +6,15 @@
 // written as ordinary sequential Go functions running in "processes"
 // (see Proc); each process is backed by a runtime coroutine (iter.Pull), and
 // control passes between the event loop and one process at a time by
-// coroutine switch, so process code never races.
+// coroutine switch, so process code never races. A Sleep that wakes before
+// anything else is due takes no switch at all: it advances the clock in
+// place (see Proc.Sleep).
 //
 // The primitives offered are the classic discrete-event toolkit:
 //
 //   - Env: the event loop and virtual clock.
 //   - Proc: a coroutine that can Sleep, Wait on events, and use resources.
-//   - Event: a one-shot broadcast signal.
+//   - Event: a one-shot broadcast signal; its zero value is ready to use.
 //   - Queue: an unbounded FIFO with blocking Get.
 //   - Mutex: a FIFO-fair lock for processes.
 //   - PS: a processor-sharing resource modeling a CPU core.
@@ -228,6 +230,7 @@ type Env struct {
 	procErr    any
 	stopped    bool
 	closed     bool
+	deadline   Time // of the RunUntil in progress; Sleep's fast path stays within it
 	spawned    int
 	procs      []*Proc
 	finished   int // finished procs still sitting in procs
@@ -241,6 +244,10 @@ type Env struct {
 	wdWindow Time
 	wdLast   uint64
 	wdGen    uint64
+
+	// slowSleep turns off Sleep's in-place fast path, so tests can check
+	// that it changes no trace.
+	slowSleep bool
 }
 
 // SetTrace attaches an opaque tracing context to the environment. The sim
@@ -419,12 +426,17 @@ func (e *Env) Run() { e.RunUntil(Time(1<<62 - 1)) }
 
 // RunUntil executes events with timestamps <= deadline, then sets the clock
 // to deadline if the simulation got that far. Events after the deadline stay
-// queued.
+// queued. A deadline before Now panics, like At in the past: the clock
+// never moves backwards.
 func (e *Env) RunUntil(deadline Time) {
 	if e.closed {
 		panic("sim: Run after Close")
 	}
+	if deadline < e.now {
+		panic(fmt.Sprintf("sim: RunUntil(%v) is in the past (now %v)", deadline, e.now))
+	}
 	e.stopped = false
+	e.deadline = deadline
 	for !e.stopped && len(e.events) > 0 {
 		next := e.events[0]
 		if next.at > deadline {
@@ -534,12 +546,21 @@ func (p *Proc) Now() Time { return p.env.now }
 // for a proc that already finished it is returned already fired.
 func (p *Proc) Done() *Event {
 	if p.done == nil {
-		p.done = &Event{env: p.env, fired: p.finished}
+		p.done = &Event{fired: p.finished}
 	}
 	return p.done
 }
 
 // Sleep suspends the process for d nanoseconds of virtual time.
+//
+// When nothing else is due by the wake time, the event loop would pop this
+// Sleep's own timer next and dispatch p straight back. Sleep then skips
+// the round trip: it advances the clock in place and consumes the timer's
+// seq, with no heap push, pop or coroutine switch, so Scheduled and the
+// (time, seq) order of every later event are what the round trip gives.
+// It parks as usual when the run is stopped or closed, when p is not the
+// running proc, when the wake time is past RunUntil's deadline, or when
+// the earliest queued timer is due at or before the wake time.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Sleep(%v) with negative duration", d))
@@ -547,7 +568,15 @@ func (p *Proc) Sleep(d Time) {
 	if d == 0 {
 		return
 	}
-	p.env.schedule(p.env.now+d, p, nil, true)
+	e := p.env
+	at := e.now + d
+	if e.current == p && !e.stopped && !e.closed && !e.slowSleep && at <= e.deadline &&
+		(len(e.events) == 0 || at < e.events[0].at) {
+		e.now = at
+		e.seq++
+		return
+	}
+	e.schedule(at, p, nil, true)
 	p.park()
 }
 
@@ -603,15 +632,16 @@ func (p *Proc) WaitTimeout(ev *Event, d Time) bool {
 	return false
 }
 
-// Event is a one-shot broadcast signal. Construct with Env.NewEvent. Firing
-// wakes all waiting processes, in wait order.
+// Event is a one-shot broadcast signal. Firing wakes all waiting
+// processes, in wait order, each through its own environment.
 //
-// The first waiter is stored inline: the overwhelmingly common case — an
-// RPC reply event with exactly one blocked caller — allocates no waiter
-// list at all. Further waiters live behind one pointer, so an Event is 32
-// bytes.
+// The zero value is an unfired event ready to use, so an Event can be
+// embedded by value in the object it signals for (an RPC message, a DSM
+// fault) instead of being allocated on its own. The first waiter is
+// stored inline: the overwhelmingly common case — an RPC reply event with
+// exactly one blocked caller — allocates no waiter list at all. Further
+// waiters live behind one pointer, so an Event is 24 bytes.
 type Event struct {
-	env   *Env
 	w0    *Proc     // first waiter (nil when no waiters)
 	ext   *eventExt // further waiters; nil when none
 	fired bool
@@ -629,9 +659,6 @@ func (ev *Event) extra() *eventExt {
 	}
 	return ev.ext
 }
-
-// NewEvent returns an unfired event bound to the environment.
-func (e *Env) NewEvent() *Event { return &Event{env: e} }
 
 // Fired reports whether the event has been fired.
 func (ev *Event) Fired() bool { return ev.fired }
@@ -675,8 +702,8 @@ func (ev *Event) Fire() {
 		panic("sim: event fired twice")
 	}
 	ev.fired = true
-	if ev.w0 != nil {
-		ev.env.wake(ev.w0)
+	if w := ev.w0; w != nil {
+		w.env.wake(w)
 		ev.w0 = nil
 	}
 	x := ev.ext
@@ -685,7 +712,7 @@ func (ev *Event) Fire() {
 	}
 	ev.ext = nil
 	for _, w := range x.more {
-		ev.env.wake(w)
+		w.env.wake(w)
 	}
 }
 

@@ -133,7 +133,7 @@ func TestProcDoneEvent(t *testing.T) {
 
 func TestEventBroadcast(t *testing.T) {
 	e := NewEnv()
-	ev := e.NewEvent()
+	ev := new(Event)
 	woke := 0
 	for i := 0; i < 5; i++ {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
@@ -156,7 +156,7 @@ func TestEventBroadcast(t *testing.T) {
 
 func TestEventWaitAfterFire(t *testing.T) {
 	e := NewEnv()
-	ev := e.NewEvent()
+	ev := new(Event)
 	var at Time = -1
 	e.Spawn("late", func(p *Proc) {
 		p.Sleep(10)
@@ -171,8 +171,7 @@ func TestEventWaitAfterFire(t *testing.T) {
 }
 
 func TestEventDoubleFirePanics(t *testing.T) {
-	e := NewEnv()
-	ev := e.NewEvent()
+	ev := new(Event)
 	ev.Fire()
 	defer func() {
 		if recover() == nil {
@@ -184,7 +183,7 @@ func TestEventDoubleFirePanics(t *testing.T) {
 
 func TestWaitAll(t *testing.T) {
 	e := NewEnv()
-	a, b := e.NewEvent(), e.NewEvent()
+	a, b := new(Event), new(Event)
 	var done Time
 	e.Spawn("waiter", func(p *Proc) {
 		p.WaitAll(a, b)
@@ -391,7 +390,7 @@ func TestDoneBeforeFinishWakesWaitersInOrder(t *testing.T) {
 func TestWaitTimeoutExpiryKeepsOtherWaitersInOrder(t *testing.T) {
 	for timeout := 0; timeout < 3; timeout++ {
 		e := NewEnv()
-		ev := e.NewEvent()
+		ev := new(Event)
 		var log []string
 		for i := 0; i < 3; i++ {
 			e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
@@ -448,7 +447,7 @@ func TestDeferArg(t *testing.T) {
 	if n != 1001 {
 		t.Errorf("callback ran %d times, want 1001", n)
 	}
-	if size, want := unsafe.Sizeof(Event{}), 4*unsafe.Sizeof(uintptr(0)); size != want {
-		t.Errorf("Event is %d bytes, want %d (three pointers and a flag)", size, want)
+	if size, want := unsafe.Sizeof(Event{}), 3*unsafe.Sizeof(uintptr(0)); size != want {
+		t.Errorf("Event is %d bytes, want %d (two pointers and a flag)", size, want)
 	}
 }

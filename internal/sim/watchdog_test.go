@@ -16,7 +16,7 @@ type wedgeShim struct {
 }
 
 func (w *wedgeShim) sendAndWait(p *Proc, dropped bool) bool {
-	ev := w.env.NewEvent()
+	ev := new(Event)
 	if !dropped {
 		w.env.Defer(Millisecond, ev.Fire)
 	} else if !w.wedge {
@@ -93,7 +93,7 @@ func TestWatchdogQuietWithFixInPlace(t *testing.T) {
 func TestWatchdogDeadlockWithDrainedQueue(t *testing.T) {
 	e := NewEnv()
 	e.Spawn("parked", func(p *Proc) {
-		p.Wait(e.NewEvent()) // never fired
+		p.Wait(new(Event)) // never fired
 	})
 	e.WatchProgress(5 * Millisecond)
 	e.Run()
@@ -159,7 +159,7 @@ func TestWatchdogLivelockMarkedProgress(t *testing.T) {
 // watchdog generation — only the latest window applies.
 func TestWatchdogRearm(t *testing.T) {
 	e := NewEnv()
-	e.Spawn("parked", func(p *Proc) { p.Wait(e.NewEvent()) })
+	e.Spawn("parked", func(p *Proc) { p.Wait(new(Event)) })
 	tick(e, Millisecond)
 	e.WatchProgress(Second)          // would fire at 1 s
 	e.WatchProgress(3 * Millisecond) // supersedes: fires at 3 ms

@@ -32,7 +32,7 @@ func BenchmarkLinkContention(b *testing.B) {
 	fab := TreeSpec(2, 2, 4).Build(env, "bench", 56, 1500*sim.Nanosecond)
 	env.Spawn("driver", func(p *sim.Proc) {
 		for i := 0; i < b.N/2+1; i++ {
-			ev := env.NewEvent()
+			ev := new(sim.Event)
 			fab.Send(0, 2, 65536, nil)
 			fab.Send(1, 2, 65536, ev.Fire)
 			p.Wait(ev)

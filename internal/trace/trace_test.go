@@ -64,7 +64,7 @@ func TestCloseLeavesSpansOpen(t *testing.T) {
 	env.Spawn("w", func(p *sim.Proc) {
 		id := tr.Begin(0, trace.CatTask, 0, "parked")
 		defer tr.End(id)
-		p.Wait(env.NewEvent())
+		p.Wait(new(sim.Event))
 	})
 	env.Run()
 	env.Close()

@@ -86,7 +86,7 @@ func (bd *BlkDev) chunk(c *vcpu.Ctx, q *queue, n int, write bool) {
 	bd.d.Touch(c.P, c.Node(), q.availPage(), true)
 	bd.next++
 	id := bd.next
-	ev := bd.env.NewEvent()
+	ev := new(sim.Event)
 	bd.done[id] = ev
 	size := bd.kickSize(0)
 	if write && bd.cfg.Bypass {

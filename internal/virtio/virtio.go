@@ -354,7 +354,7 @@ func (nd *NetDev) NewClient(addr int) *Client {
 // Send transmits n bytes from the client to a vCPU of the VM, blocking for
 // the wire time.
 func (cl *Client) Send(p *sim.Proc, toVCPU, n int) {
-	ev := cl.nd.env.NewEvent()
+	ev := new(sim.Event)
 	cl.nd.ext.Send(cl.addr, cl.nd.cfg.Owner, n, func() {
 		cl.nd.deliverToGuest(cl.addr, toVCPU, n)
 		ev.Fire()
