@@ -14,7 +14,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race leak-race bench-smoke perfbench golden
+.PHONY: check fmt vet build test race leak-race bench-smoke perfbench golden cover
 
 check: fmt vet build race leak-race bench-smoke perfbench
 	@echo "check: all gates passed"
@@ -53,6 +53,14 @@ bench-smoke:
 # `go test ./... -update` fails.
 golden:
 	$(GO) test $(sort $(dir $(shell grep -rl --include='*_test.go' '"repro/internal/golden"' .))) -update
+
+# cover runs the suite with coverage over every package and lists the
+# production functions no test reaches (0.0%), leaving out the main
+# packages under cmd/ and examples/, which the smoke tests run as
+# separate binaries. The profile is cover.out (git-ignored).
+cover:
+	$(GO) test -count=1 -coverpkg=./... -coverprofile=cover.out ./...
+	@$(GO) tool cover -func=cover.out | grep -v -e '^repro/cmd/' -e '^repro/examples/' | awk '$$NF == "0.0%"'
 
 # perfbench is a nested module, so ./... above never reaches it.
 perfbench:

@@ -177,8 +177,9 @@ func Restore(p *sim.Proc, vm *hypervisor.VM, img *Image) sim.Time {
 			continue
 		}
 		// State owned by a slice that died since the checkpoint was taken
-		// is restored to the origin instead — the bootstrap slice backs
-		// re-homed memory after MarkDead.
+		// is always restored to the origin, not to the successor MarkDead
+		// chose for each page: restart resumes with the origin owning what
+		// it reinstalls.
 		dest := n
 		if !vm.Alive(n) {
 			dest = vm.DSM.Origin()
@@ -224,8 +225,8 @@ func Restore(p *sim.Proc, vm *hypervisor.VM, img *Image) sim.Time {
 // frames lost to drop rules or transient partitions are retransmitted by
 // the transport's ack/timeout/backoff state machine. Liveness is the VM's
 // declared view (vm.Alive), the only one a real host has: a chunk bound
-// for a slice declared dead is re-sent whole to the origin slice
-// (mirroring MarkDead's re-homing of the memory itself), while a dead
+// for a slice declared dead is re-sent whole to the origin slice (always
+// the origin, whichever survivor MarkDead made owner), while a dead
 // source simply stops transmitting, since the bytes it would have carried
 // are already lost. A peer the transport gives up on (ErrUnreachable
 // after max retries) without being declared dead yet is retried after a

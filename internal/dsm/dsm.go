@@ -621,24 +621,10 @@ func (d *DSM) grantRead(p *sim.Proc, pf *pendingFault) {
 		d.sendGrant(p, pf)
 		return
 	}
-	var data []byte
-	if r.owner == d.origin {
-		lp := d.replica(r, 0)
-		if lp.state == Exclusive {
-			lp.state = Shared
-		}
-		data = append([]byte(nil), lp.data...)
-	} else if !d.alive(r.owner) {
-		data = d.reclaim(r)
-	} else {
-		reply, err := d.callNode(p, r.owner, "fetch", reqBytes, r)
-		if err != nil {
-			data = d.reclaim(r)
-		} else {
-			data = reply.Payload.([]byte)
-		}
+	data := d.fetchOwner(p, r, "fetch")
+	if d.alive(d.nodes[pf.ni]) {
+		r.copyset |= 1 << pf.ni
 	}
-	r.copyset |= 1 << pf.ni
 	d.reconcileOrigin(r)
 	pf.grant.carry, pf.grant.data = true, data
 	d.sendGrant(p, pf)
@@ -663,15 +649,6 @@ func (d *DSM) grantWrite(p *sim.Proc, pf *pendingFault) {
 		if i == pf.ni || r.copyset&(1<<i) == 0 {
 			continue
 		}
-		n := n
-		if n != d.origin && !d.alive(n) {
-			// A dead replica holder needs no invalidation; if it owned the
-			// only copy, fall back to the origin's (stale) replica.
-			if n == r.owner && !hasCopy {
-				g.carry, g.data = true, append([]byte(nil), d.replica(r, 0).data...)
-			}
-			continue
-		}
 		pf.invLeft++
 		d.env.Spawn(r.invName, func(sub *sim.Proc) {
 			if d.tr != nil {
@@ -680,38 +657,60 @@ func (d *DSM) grantWrite(p *sim.Proc, pf *pendingFault) {
 				defer d.tr.End(isp)
 			}
 			defer pf.invDone()
-			if n == d.origin {
-				lp := d.replica(r, 0)
-				if n == r.owner && !hasCopy {
-					g.carry, g.data = true, append([]byte(nil), lp.data...)
-				}
-				lp.state = Invalid
-				d.members[0].stats.Invalidations++
-				return
-			}
 			if n == r.owner && !hasCopy {
-				reply, err := d.callNode(sub, n, "invfetch", reqBytes, r)
-				g.carry = true
-				if err != nil {
-					g.data = append([]byte(nil), d.replica(r, 0).data...)
-					return
-				}
-				g.data = reply.Payload.([]byte)
+				g.carry, g.data = true, d.fetchOwner(sub, r, "invfetch")
 				return
 			}
-			// A holder that died mid-invalidation needs none: its replica
-			// is unreachable and MarkDead drops it from the copyset.
-			_, _ = d.callNode(sub, n, "inv", reqBytes, r)
+			// A holder fenced mid-invalidation needs none: its replica is
+			// unreachable and MarkDead dropped it from the copyset.
+			_, _ = d.ask(sub, n, r, "inv")
 		})
 	}
 	if pf.invLeft > 0 {
 		p.Wait(&pf.invs)
 	}
 
-	r.owner = d.nodes[pf.ni]
-	r.copyset = 1 << pf.ni
+	r.owner, r.copyset = d.nodes[pf.ni], 1<<pf.ni
+	if !d.alive(r.owner) {
+		// MarkDead fenced the requester mid-grant: re-home the page as it
+		// would have, with the bytes this grant collected.
+		r.copyset = 0
+		d.rehome(r)
+		if g.carry {
+			d.replica(r, 0).data = g.data
+		}
+	}
 	d.reconcileOrigin(r)
 	d.sendGrant(p, pf)
+}
+
+// fetchOwner returns the page's bytes from its directory owner by a fetch
+// or an invfetch (kind). An owner fenced mid-call has been re-homed by
+// MarkDead, so the fetch goes on to the successor MarkDead chose, as a
+// plain fetch: the successor is a copyset member the grant invalidates on
+// its own, or the origin standing in, which the grant settles afterwards.
+func (d *DSM) fetchOwner(p *sim.Proc, r *pageRec, kind string) []byte {
+	for {
+		if data, err := d.ask(p, r.owner, r, kind); err == nil {
+			return data
+		}
+		kind = "fetch"
+	}
+}
+
+// ask runs a fetch, invfetch or inv on node n's replica of the page: in
+// place at the origin, by a call elsewhere. It fails only when MarkDead
+// fences n out before it answers.
+func (d *DSM) ask(p *sim.Proc, n int, r *pageRec, kind string) ([]byte, error) {
+	if n == d.origin {
+		return d.serve(r, 0, kind), nil
+	}
+	reply, err := d.callNode(p, n, kind, reqBytes, r)
+	if err != nil {
+		return nil, err
+	}
+	data, _ := reply.Payload.([]byte)
+	return data, nil
 }
 
 // invDone retires one of grantWrite's invalidations; the last fires invs.
@@ -757,24 +756,32 @@ func (d *DSM) handleOwner(m *msg.Message) {
 		m.Reply(reqBytes, nil)
 		return
 	}
-	ni := d.index(m.To)
-	lp := d.replica(m.Payload.(*pageRec), ni)
-	switch m.Kind {
+	size := reqBytes
+	if m.Kind != "inv" {
+		size += mem.PageSize
+	}
+	m.Reply(size, d.serve(m.Payload.(*pageRec), d.index(m.To), m.Kind))
+}
+
+// serve applies a fetch, invfetch or inv to the replica of the node with
+// dense index i, returning the bytes a fetch or invfetch hands over.
+func (d *DSM) serve(r *pageRec, i int, kind string) []byte {
+	lp := d.replica(r, i)
+	switch kind {
 	case "fetch":
 		if lp.state == Exclusive {
 			lp.state = Shared
 		}
-		m.Reply(mem.PageSize+reqBytes, append([]byte(nil), lp.data...))
+		return append([]byte(nil), lp.data...)
 	case "invfetch":
 		data := append([]byte(nil), lp.data...)
 		lp.state = Invalid
-		d.members[ni].stats.Invalidations++
-		m.Reply(mem.PageSize+reqBytes, data)
+		d.members[i].stats.Invalidations++
+		return data
 	case "inv":
 		lp.state = Invalid
-		d.members[ni].stats.Invalidations++
-		m.Reply(reqBytes, nil)
-	default:
-		panic(fmt.Sprintf("dsm: unknown owner message kind %q", m.Kind))
+		d.members[i].stats.Invalidations++
+		return nil
 	}
+	panic(fmt.Sprintf("dsm: unknown owner message kind %q", kind))
 }

@@ -13,11 +13,18 @@
 //     held throughout), giving grant delivery at-least-once semantics; a
 //     requester acknowledges-and-ignores grants for already-satisfied ids.
 //   - Calls to replica holders (fetch/invalidate) retry until a reply
-//     arrives or MarkDead fences the holder out, at which point the
-//     directory falls back to the origin's replica. Page contents lost
-//     with a dead exclusive owner are stale until checkpoint restore
-//     reinstalls them — exactly the window the paper's checkpoint/restart
-//     mechanism (§6.4) exists to close.
+//     arrives or MarkDead fences the holder out. One rule re-homes a
+//     fenced owner's pages and extents: the first surviving holder in node
+//     order takes over, else the origin, whose replica then stands in for
+//     the lost one. MarkDead applies it, and a grant whose owner is fenced
+//     mid-call asks the successor MarkDead chose instead of deciding
+//     again. Only a dead exclusive owner's sole copies are lost; they stay
+//     stale until checkpoint restore reinstalls them — exactly the window
+//     the paper's checkpoint/restart mechanism (§6.4) exists to close.
+//   - A grant never names a fenced node in the directory: a read grant
+//     leaves a requester fenced mid-grant out of the copyset, and a write
+//     grant applies the re-homing rule to it, keeping the bytes it
+//     collected.
 //
 // The protocol sees only what a real host could: a node is live until the
 // failure detector declares it dead. A crashed node that is not yet
@@ -55,6 +62,13 @@ func (d *DSM) retries() bool { return d.layer.Net().Filter() != nil }
 // misfires (e.g. a long partition): the declared-dead node may still be
 // running, but it must not receive grants or mutate survivor state.
 func (d *DSM) alive(node int) bool { return d.excluded&(1<<d.index(node)) == 0 }
+
+// Fenced reports whether MarkDead has fenced the node out. It is the
+// record of which slices are declared dead; a node outside the DSM is
+// never fenced.
+func (d *DSM) Fenced(node int) bool {
+	return node >= 0 && node < len(d.idx) && d.idx[node] >= 0 && !d.alive(node)
+}
 
 // callNode sends a request to another slice's handler. On a fault-free
 // fabric it is a plain reliable Call. On a faulted one it retries on
@@ -103,25 +117,31 @@ func (d *DSM) reconcileOrigin(r *pageRec) {
 	}
 }
 
-// reclaim re-homes a page whose owner died before its bytes could be
-// fetched: the origin becomes the owner using its own (possibly stale)
-// replica. Checkpoint restore is what restores lost contents.
-func (d *DSM) reclaim(r *pageRec) []byte {
-	r.copyset &^= 1 << d.index(r.owner)
-	r.owner = d.origin
-	r.copyset |= 1
-	lp := d.replica(r, 0)
-	if lp.state == Invalid {
-		lp.state = Shared
+// successor picks who takes over from a fenced owner, given the surviving
+// holders by dense index: the first in node order, else the origin.
+func (d *DSM) successor(holders uint32) int {
+	if holders == 0 {
+		return d.origin
 	}
-	return append([]byte(nil), lp.data...)
+	return d.nodes[bits.TrailingZeros32(holders)]
+}
+
+// rehome hands a page whose owner was fenced out, its copyset already
+// cleared of fenced nodes, to the successor. With no holder left the
+// origin's replica becomes the only copy.
+func (d *DSM) rehome(r *pageRec) {
+	r.owner = d.successor(r.copyset)
+	if r.copyset == 0 {
+		r.copyset = 1
+		d.replica(r, 0).state = Exclusive
+	}
 }
 
 // MarkDead removes a crashed node from the protocol: its replicas are
-// dropped from every copyset, pages and extents it owned are re-homed (to a
-// surviving replica holder when one exists, else to the origin), and its
-// local replicas are invalidated. Call it once failure detection (the
-// hypervisor heartbeat) declares the node dead, before survivors resume.
+// dropped from every copyset, pages and extents it owned are re-homed to
+// their successors, and its local replicas are invalidated. Call it once
+// failure detection (the hypervisor heartbeat) declares the node dead,
+// before survivors resume.
 //
 // The directory forgets the node's parked fault ids — a dead node never
 // fills the gaps ahead of them — but keeps the rest of its window, so a
@@ -142,38 +162,21 @@ func (d *DSM) MarkDead(node int) {
 			continue
 		}
 		r.copyset &^= deadBit
-		if r.owner != node {
-			continue
+		if r.owner == node {
+			d.rehome(r)
 		}
-		if r.copyset != 0 {
-			// The first surviving holder in node order takes over.
-			r.owner = d.nodes[bits.TrailingZeros32(r.copyset)]
-			continue
-		}
-		r.owner = d.origin
-		r.copyset = 1
-		d.replica(r, 0).state = Exclusive
 	}
-	// Bulk extents: surviving replicas keep the data; sole-owner extents
-	// fall back to the origin (contents restored by checkpoint restart).
+	// Bulk extents follow the same rule: surviving replicas keep the data,
+	// and a sole-owner extent's contents wait for checkpoint restart.
 	for i := range d.extents.exts {
 		x := &d.extents.exts[i]
 		if x.owner == unclaimed {
 			continue
 		}
 		x.copies &^= deadBit
-		if x.owner != node {
-			continue
-		}
-		x.owner = d.origin
-		for _, n := range d.nodes {
-			if x.copies&d.bit(n) != 0 {
-				x.owner = n
-				break
-			}
-		}
-		if x.owner == d.origin {
-			x.copies |= d.bit(d.origin)
+		if x.owner == node {
+			x.owner = d.successor(x.copies)
+			x.copies |= d.bit(x.owner)
 		}
 	}
 }

@@ -1,0 +1,158 @@
+package dsm
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/msg"
+	"repro/internal/sim"
+	"repro/internal/topo"
+)
+
+// lagger is the fabric's fault filter for the fencing races: every frame
+// to or from the crashed node is dropped, as for a slice that died before
+// the failure detector declared it, and every frame from the slow node
+// arrives lag late. -1 names no node.
+type lagger struct {
+	crashed, slow int
+	lag           sim.Time
+}
+
+func (l *lagger) Outcome(from, to, size int) topo.Outcome {
+	switch {
+	case from == l.crashed || to == l.crashed:
+		return topo.Outcome{Drop: true}
+	case from == l.slow:
+		return topo.Outcome{Delay: l.lag}
+	}
+	return topo.Outcome{}
+}
+
+// fencePage is the page the races fight over; fenceData is what node 1
+// writes to it before the fault.
+const fencePage = mem.PageID(5)
+
+var fenceData = []byte("current contents")
+
+// newFenceRace builds a 4-node DSM with a lagger installed (so the
+// fault-tolerant paths are on, though nothing is dropped yet), where node
+// 1 has written fenceData to fencePage and node 2 has read it: node 1 owns
+// the page and shares it with node 2.
+func newFenceRace(t *testing.T) (*sim.Env, *DSM, *lagger) {
+	env := sim.NewEnv()
+	fabric := topo.FlatSpec().Build(env, "fabric", 56, 1500*sim.Nanosecond)
+	d := New(env, msg.NewLayer(env, fabric), []int{0, 1, 2, 3}, DefaultParams())
+	l := &lagger{crashed: -1, slow: -1}
+	fabric.SetFilter(l)
+	run(env, func(p *sim.Proc) {
+		d.Write(p, 1, fencePage, 0, fenceData)
+		d.Read(p, 2, fencePage)
+	})
+	if owner, cs, _ := d.DirEntry(fencePage); owner != 1 || len(cs) != 2 {
+		t.Fatalf("setup: owner %d copyset %v, want node 1 sharing with node 2", owner, cs)
+	}
+	return env, d, l
+}
+
+// crashNode1 drops node 1's frames from now on and has MarkDead declare
+// it 10 ms later.
+func crashNode1(env *sim.Env, d *DSM, l *lagger) {
+	l.crashed = 1
+	env.After(10*sim.Millisecond, func() { d.MarkDead(1) })
+}
+
+// checkFenced fails the test unless the directory names none of the
+// fenced nodes and the DSM validates.
+func checkFenced(t *testing.T, d *DSM, fenced ...int) {
+	t.Helper()
+	owner, cs, _ := d.DirEntry(fencePage)
+	for _, n := range fenced {
+		if owner == n {
+			t.Errorf("directory names fenced node %d as owner", n)
+		}
+		for _, c := range cs {
+			if c == n {
+				t.Errorf("fenced node %d is in the copyset %v", n, cs)
+			}
+		}
+	}
+	if err := d.Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+// wantPrefix fails the test unless page starts with want.
+func wantPrefix(t *testing.T, who string, page, want []byte) {
+	t.Helper()
+	if !bytes.HasPrefix(page, want) {
+		t.Errorf("%s reads %q, want %q", who, page[:len(want)], want)
+	}
+}
+
+// A read fault whose fetch from the owner is cut off by the owner's crash
+// follows MarkDead's choice: node 2, which still shares the page, takes
+// over and serves the fetch. Falling back to the origin's replica instead
+// handed node 3 zeros and left node 2's current copy outside the
+// copyset.
+func TestReadFollowsSuccessorOfFencedOwner(t *testing.T) {
+	env, d, l := newFenceRace(t)
+	defer env.Close()
+	crashNode1(env, d, l)
+	var got []byte
+	run(env, func(p *sim.Proc) { got = d.Read(p, 3, fencePage) })
+	wantPrefix(t, "node 3", got, fenceData)
+	if owner, _, _ := d.DirEntry(fencePage); owner != 2 {
+		t.Errorf("owner = %d, want node 2, the first surviving holder", owner)
+	}
+	checkFenced(t, d, 1)
+	run(env, func(p *sim.Proc) { got = d.Read(p, 0, fencePage) })
+	wantPrefix(t, "the origin", got, fenceData)
+	checkFenced(t, d, 1)
+}
+
+// A write fault by a node without a copy needs the owner's bytes, and the
+// owner crashes while the directory's invfetch waits on it. The grant
+// fetches them from the successor MarkDead chose (node 2, already
+// invalidated by the same grant) instead of taking the origin's stale
+// replica, which lost node 1's write without any invariant noticing.
+func TestWriteFollowsSuccessorOfFencedOwner(t *testing.T) {
+	env, d, l := newFenceRace(t)
+	defer env.Close()
+	crashNode1(env, d, l)
+	var got []byte
+	run(env, func(p *sim.Proc) {
+		d.Write(p, 3, fencePage, 100, []byte("three"))
+		got = d.Read(p, 3, fencePage)
+	})
+	wantPrefix(t, "node 3", got, fenceData)
+	if owner, cs, _ := d.DirEntry(fencePage); owner != 3 || len(cs) != 1 {
+		t.Errorf("owner %d copyset %v, want node 3 alone", owner, cs)
+	}
+	checkFenced(t, d, 1)
+	run(env, func(p *sim.Proc) { got = d.Read(p, 2, fencePage) })
+	wantPrefix(t, "node 2", got, fenceData)
+	wantPrefix(t, "node 2", got[100:], []byte("three"))
+	checkFenced(t, d, 1)
+}
+
+// The write fault's requester is fenced while its grant waits on the slow
+// owner's invfetch. The grant must not name node 3 in the directory: it
+// re-homes the page to the origin with the bytes node 1 handed over, so a
+// later reader still sees them. Naming node 3 made the next read reclaim
+// the origin's zeros.
+func TestWriteGrantReHomesFencedRequester(t *testing.T) {
+	env, d, l := newFenceRace(t)
+	defer env.Close()
+	l.slow, l.lag = 1, sim.Millisecond
+	env.After(500*sim.Microsecond, func() { d.MarkDead(3) })
+	run(env, func(p *sim.Proc) { d.Write(p, 3, fencePage, 100, []byte("three")) })
+	if owner, cs, _ := d.DirEntry(fencePage); owner != 0 || len(cs) != 1 {
+		t.Errorf("owner %d copyset %v, want the origin alone", owner, cs)
+	}
+	checkFenced(t, d, 3)
+	var got []byte
+	run(env, func(p *sim.Proc) { got = d.Read(p, 2, fencePage) })
+	wantPrefix(t, "node 2", got, fenceData)
+	checkFenced(t, d, 3)
+}

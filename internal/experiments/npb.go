@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -77,19 +76,4 @@ func Fig10(o Options) *metrics.Table {
 	}
 	t.AddNote("the guest patches remove kernel false sharing and make allocation NUMA-local")
 	return t
-}
-
-// npbSetTime is a helper used by benches: total time for one suite kernel
-// on one profile.
-func npbSetTime(o Options, profile string, b workload.NPB, n int) sim.Time {
-	switch profile {
-	case "fragvisor":
-		return workload.RunMultiProcess(newFragVM(o, n), b, o.Scale)
-	case "giantvm":
-		return workload.RunMultiProcess(newGiantVM(o, n), b, o.Scale)
-	case "overcommit":
-		return workload.RunMultiProcess(newOvercommitVM(o, n, 1), b, o.Scale)
-	default:
-		panic("experiments: unknown profile " + profile)
-	}
 }

@@ -280,6 +280,56 @@ func TestReclaimConsolidatesNotEvicts(t *testing.T) {
 	}
 }
 
+// TestAdmissionReclaimRelocatesBorrowers drives admission-driven reclaim
+// through its commit path. VM 7 asks for 3 GiB on one vCPU: no node has
+// both, and its memory rules out a gang, but node 2 has them once VM 5's
+// 1-vCPU, 2 GiB fragment there moves to node 3, which still has room at
+// VM 5's 2 GiB per vCPU. The reclaim carries VM 7's id, the relocated
+// lease logs reclaim-done, and VM 7 is admitted on node 2.
+func TestAdmissionReclaimRelocatesBorrowers(t *testing.T) {
+	env, f := newFleet(t, Config{Nodes: 4, CPUsPerNode: 4, MemPerNode: 8 * gig,
+		Policy: sched.MinFrag, AutoReclaim: true})
+	long := 20 * sim.Second
+	f.Submit([]Request{
+		{ID: 1, VCPUs: 4, MemBytes: 4 * gig, Arrival: 0, Duration: long},
+		{ID: 2, VCPUs: 2, MemBytes: 6 * gig, Arrival: 1, Duration: long},
+		{ID: 3, VCPUs: 3, MemBytes: 3 * gig, Arrival: 2, Duration: long},
+		{ID: 4, VCPUs: 2, MemBytes: 6 * gig, Arrival: 3, Duration: long},
+		{ID: 5, VCPUs: 2, MemBytes: 4 * gig, Arrival: 4, Duration: long}, // gang, 1 vCPU lent by node 2
+		{ID: 7, VCPUs: 1, MemBytes: 3 * gig, Arrival: 6, Duration: long},
+	})
+	env.RunUntil(sim.Second)
+	f.Verify()
+	var reclaim, done, admit []Event
+	for _, e := range f.Events() {
+		switch e.Kind {
+		case "reclaim":
+			reclaim = append(reclaim, e)
+		case "reclaim-done":
+			done = append(done, e)
+		case "admit":
+			if e.VM == 7 {
+				admit = append(admit, e)
+			}
+		}
+	}
+	if len(reclaim) != 1 || reclaim[0].VM != 7 || reclaim[0].To != 2 {
+		t.Fatalf("reclaim events = %+v, want one for VM 7 on node 2", reclaim)
+	}
+	if len(done) != 1 || done[0].VM != 5 || done[0].From != 2 || done[0].Lease != 0 {
+		t.Errorf("reclaim-done events = %+v, want VM 5's lease 0 leaving node 2", done)
+	}
+	if len(admit) != 1 || admit[0].To != 2 {
+		t.Errorf("VM 7 admissions = %+v, want one on node 2", admit)
+	}
+	if pl := f.PlacementOf(5); pl[2] != 0 || pl[3] != 1 {
+		t.Errorf("VM 5 placement = %v, want its node-2 fragment on node 3", pl)
+	}
+	if st := f.Stats(); st.Reclaims != 1 || st.Evictions != 0 {
+		t.Errorf("reclaims %d evictions %d, want 1 and 0", st.Reclaims, st.Evictions)
+	}
+}
+
 func TestExplicitReclaimDefersUnderPressure(t *testing.T) {
 	// Fleet completely full: reclaim cannot relocate, the lease parks in
 	// LeaseReclaiming, and the retry fires when capacity frees.

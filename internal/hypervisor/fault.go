@@ -6,11 +6,7 @@
 // of §6.4.
 package hypervisor
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // The failure detector pings every hbInterval with an hbTimeout reply
 // deadline. hbMissThreshold is how many consecutive timeouts declare a
@@ -22,14 +18,16 @@ const (
 	hbMissThreshold = 2
 )
 
-// Alive reports whether a slice node is still considered part of the VM.
-func (vm *VM) Alive(node int) bool { return !vm.dead[node] }
+// Alive reports whether a slice node is still considered part of the VM:
+// the DSM has not fenced it out. The fence is the VM's one record of
+// declared deaths.
+func (vm *VM) Alive(node int) bool { return !vm.DSM.Fenced(node) }
 
 // AliveNodes returns the surviving slice nodes, bootstrap first.
 func (vm *VM) AliveNodes() []int {
 	var out []int
 	for _, n := range vm.nodes {
-		if !vm.dead[n] {
+		if vm.Alive(n) {
 			out = append(out, n)
 		}
 	}
@@ -39,24 +37,14 @@ func (vm *VM) AliveNodes() []int {
 // MarkDead declares a slice failed: it is excluded from future heartbeats
 // and checkpoints, and the DSM re-homes everything it owned. The bootstrap
 // slice cannot die in this model — it holds the DSM directory, and the
-// paper restarts from its checkpoint rather than re-electing a directory.
+// paper restarts from its checkpoint rather than re-electing a directory —
+// so the DSM panics for it, as for a node that is not a slice.
 func (vm *VM) MarkDead(node int) {
-	if vm.dead[node] {
+	if !vm.Alive(node) {
 		return
 	}
-	if node == vm.nodes[0] {
-		panic("hypervisor: the bootstrap slice cannot be marked dead")
-	}
-	found := false
-	for _, n := range vm.nodes {
-		found = found || n == node
-	}
-	if !found {
-		panic(fmt.Sprintf("hypervisor: node %d is not a slice of this VM", node))
-	}
-	vm.dead[node] = true
-	vm.ctr.Inc("recover.dead_slices", 1)
 	vm.DSM.MarkDead(node)
+	vm.ctr.Inc("recover.dead_slices", 1)
 }
 
 // StartHeartbeat spawns the failure detector: the bootstrap slice pings
@@ -99,7 +87,7 @@ func (vm *VM) StartHeartbeat(onFailure func(p *sim.Proc, node int)) {
 			}
 			var lost []int
 			for _, n := range vm.nodes[1:] {
-				if vm.dead[n] {
+				if !vm.Alive(n) {
 					continue
 				}
 				if _, err := vm.Layer.CallTimeout(p, boot, n, svc, "ping", 64, nil, hbTimeout); err != nil {

@@ -130,7 +130,6 @@ type VM struct {
 	nodes    []int // distinct slice nodes, bootstrap first
 	booted   bool
 	sliceSvc string
-	dead     map[int]bool // slices declared failed (see fault.go)
 	hbStop   bool
 	ctr      *metrics.Counters
 	tr       *trace.Tracer
@@ -165,7 +164,7 @@ func New(cfg Config) *VM {
 	}
 
 	vm := &VM{Env: env, Layer: layer, Layout: &mem.Layout{}, cfg: cfg, nodes: nodes,
-		dead: make(map[int]bool), ctr: metrics.NewCounters(), tr: trace.FromEnv(env)}
+		ctr: metrics.NewCounters(), tr: trace.FromEnv(env)}
 	vm.DSM = dsm.New(env, layer, nodes, cfg.DSM)
 
 	placement := make([]int, len(cfg.Placement))
