@@ -76,6 +76,18 @@ func main() {
 		os.Exit(1)
 	}
 
+	reclaimNode, reclaimT, err := parseAt("reclaim-at", *reclaimAt, 0, *nodes)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fragfleet:", err)
+		os.Exit(1)
+	}
+	// Node 0 hosts the control plane, so only nodes 1 and up can crash.
+	crashNode, crashT, err := parseAt("crash", *crash, 1, *nodes)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fragfleet:", err)
+		os.Exit(1)
+	}
+
 	env := sim.NewEnv()
 	params := cluster.DefaultParams()
 	params.CoresPerNode = *cpus
@@ -99,27 +111,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fragfleet: unknown reclaim policy %q\n", *reclaim)
 		os.Exit(1)
 	}
-	if *crash != "" {
-		cfg.Fault = fault.New(clus)
+	if crashNode >= 0 {
 		cfg.HeartbeatEvery = 100 * sim.Millisecond
 	}
 	f := fleet.New(env, cfg)
 
 	f.Submit(fleet.GenerateBurst(rand.New(rand.NewSource(*seed)), *vms,
 		sim.FromSeconds(*window), 2<<30))
-	if node, at, ok := parseAt(*reclaimAt); ok {
-		env.At(at, func() { f.Reclaim(node) })
-	} else if *reclaimAt != "" {
-		fmt.Fprintf(os.Stderr, "fragfleet: bad -reclaim-at %q, want node@seconds\n", *reclaimAt)
-		os.Exit(1)
+	if reclaimNode >= 0 {
+		env.At(reclaimT, func() { f.Reclaim(reclaimNode) })
 	}
-	if node, at, ok := parseAt(*crash); ok {
+	if crashNode >= 0 {
 		var sch fault.Schedule
-		sch.Add(fault.Event{At: at, Kind: fault.CrashNode, Node: node})
-		cfg.Fault.Apply(sch)
-	} else if *crash != "" {
-		fmt.Fprintf(os.Stderr, "fragfleet: bad -crash %q, want node@seconds\n", *crash)
-		os.Exit(1)
+		sch.Add(fault.Event{At: crashT, Kind: fault.CrashNode, Node: crashNode})
+		fault.New(clus).Apply(sch)
 	}
 
 	// Sample the fleet on a fixed grid while the simulation runs.
@@ -211,23 +216,24 @@ func checkFlags(vms int, window, until, sample float64) error {
 	return nil
 }
 
-// parseAt parses "node@seconds".
-func parseAt(s string) (node int, at sim.Time, ok bool) {
+// parseAt parses the node@seconds value of flag name: node must be in
+// [first, nodes) and the time finite and not negative. An empty value
+// leaves the flag unset and returns node -1.
+func parseAt(name, s string, first, nodes int) (node int, at sim.Time, err error) {
 	if s == "" {
-		return 0, 0, false
-	}
-	parts := strings.SplitN(s, "@", 2)
-	if len(parts) != 2 {
-		return 0, 0, false
+		return -1, 0, nil
 	}
 	var sec float64
-	if _, err := fmt.Sscanf(parts[0], "%d", &node); err != nil {
-		return 0, 0, false
+	if _, err := fmt.Sscanf(s, "%d@%g", &node, &sec); err != nil {
+		return 0, 0, fmt.Errorf("bad -%s %q, want node@seconds", name, s)
 	}
-	if _, err := fmt.Sscanf(parts[1], "%g", &sec); err != nil {
-		return 0, 0, false
+	switch {
+	case node < first || node >= nodes:
+		return 0, 0, fmt.Errorf("-%s %q: want a node in %d..%d", name, s, first, nodes-1)
+	case math.IsNaN(sec) || math.IsInf(sec, 0) || sec < 0:
+		return 0, 0, fmt.Errorf("-%s %q: want a finite time >= 0 seconds", name, s)
 	}
-	return node, sim.FromSeconds(sec), true
+	return node, sim.FromSeconds(sec), nil
 }
 
 // renderEvent formats one control-plane event for the log listing.

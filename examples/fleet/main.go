@@ -30,7 +30,6 @@ func main() {
 	inj := fault.New(clus)
 
 	cfg := fleet.ClusterConfig(clus, sched.MinFrag)
-	cfg.Fault = inj
 	cfg.HeartbeatEvery = 100 * sim.Millisecond
 	cfg.Horizon = 30 * sim.Second
 	f := fleet.New(env, cfg)

@@ -204,7 +204,9 @@ func fleetSchedule(rng *rand.Rand, budget int) (fault.Schedule, []Storm) {
 			s.Add(fault.Event{At: at(), Kind: fault.DelayMessages,
 				From: anyOrNode(rng), To: anyOrNode(rng), Count: 5 + rng.Intn(25),
 				Delay: sim.Time(50+rng.Int63n(450)) * sim.Microsecond})
-		case 2: // dup storm (probe frames delivered twice at the fabric)
+		case 2: // dup storm: inert, since duplication is a messaging-layer
+			// verdict and fleet probes are bare fabric frames; still drawn
+			// so every generated episode keeps its schedule
 			s.Add(fault.Event{At: at(), Kind: fault.DupMessages,
 				From: anyOrNode(rng), To: anyOrNode(rng), Count: 1 + rng.Intn(20)})
 		case 3: // crash a non-controller node, usually healed for a rejoin

@@ -60,7 +60,7 @@ type Runtime struct {
 	Drained   bool            // the event queue ran dry (vm episodes without a stall)
 
 	Fabric *topo.Fabric   // the cluster fabric, for accounting probes
-	Rel    reliable.Stats // reliable-transport counters at quiescence
+	Rel    reliable.Stats // reliable-transport counters at quiescence (vm episodes)
 
 	VM    *faulttest.Result // vm episodes
 	Fleet *fleet.Fleet      // fleet episodes

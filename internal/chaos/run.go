@@ -15,7 +15,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/faulttest"
 	"repro/internal/fleet"
-	"repro/internal/reliable"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -98,11 +97,11 @@ func fleetPolicy(workload string) fleet.ReclaimPolicy {
 // burst plus the episode's storms, under its fault schedule, to the
 // fixed horizon.
 //
-// The progress poller exists because the fleet's long-running procs
-// (the probe loop) rarely complete: it marks progress whenever the
-// probe transport's counters move, which a healthy heartbeat does every
-// round against node 0 no matter which other nodes are down — so only
-// a genuinely wedged control plane stalls the watchdog.
+// The progress poller exists because the fleet runs on timers rather
+// than procs that complete: it marks progress whenever the fabric's
+// counters move, which the heartbeat's probes do every round no matter
+// which nodes are down or which frames are dropped — so only a
+// genuinely wedged control plane stalls the watchdog.
 func runFleet(ep Episode, hooks Hooks) []Violation {
 	const gig = int64(1) << 30
 	env := sim.NewEnv()
@@ -119,9 +118,7 @@ func runFleet(ep Episode, hooks Hooks) []Violation {
 	cfg.AutoReclaim = true
 	cfg.RebalanceEvery = 5 * sim.Second
 	cfg.Horizon = fleetHorizon
-	cfg.Fault = inj
 	cfg.HeartbeatEvery = fleetHeartbeat
-	cfg.Probe = c.Reliable
 	cfg.Distance = spec.Distance
 	f := fleet.New(env, cfg)
 
@@ -141,10 +138,10 @@ func runFleet(ep Episode, hooks Hooks) []Violation {
 	}
 	inj.Apply(ep.Schedule)
 
-	var last reliable.Stats
+	var last topo.Stats
 	var poll func()
 	poll = func() {
-		if s := c.Reliable.Stats(); s != last {
+		if s := c.Fabric.Stats(); s != last {
 			last = s
 			env.MarkProgress()
 		}
@@ -160,10 +157,9 @@ func runFleet(ep Episode, hooks Hooks) []Violation {
 	rt := &Runtime{
 		Workload: ep.Workload,
 		Stall:    env.Stalled(),
-		// LiveProcs stays nil: stopping at the horizon legitimately
-		// abandons in-flight probes, so a live proc is not a deadlock.
+		// LiveProcs stays nil: the run stops at the horizon, not when
+		// the queue drains, so nothing left pending is a deadlock.
 		Fabric: c.Fabric,
-		Rel:    c.Reliable.Stats(),
 		Fleet:  f,
 	}
 	return judge(rt)

@@ -66,7 +66,7 @@ type Cluster struct {
 	Fabric *topo.Fabric // inter-hypervisor network (InfiniBand)
 	Client *topo.Fabric // client-facing network (1 GbE)
 	// Reliable is the shared ack/retransmit transport over Fabric for
-	// blocking bulk senders (checkpoint chunks, fleet probes). With no
+	// blocking bulk senders (checkpoint chunks). With no
 	// fault filter installed it degenerates to a raw fabric send, so
 	// zero-fault runs are unaffected by its existence.
 	Reliable *reliable.Transport

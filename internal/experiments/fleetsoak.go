@@ -63,7 +63,6 @@ func fleetSoak(o Options, pol fleet.ReclaimPolicy, churn bool) *metrics.Table {
 	var inj *fault.Injector
 	if churn {
 		inj = fault.New(c)
-		cfg.Fault = inj
 		cfg.HeartbeatEvery = 500 * sim.Millisecond
 	}
 	f := fleet.New(env, cfg)
@@ -95,10 +94,11 @@ func fleetSoak(o Options, pol fleet.ReclaimPolicy, churn bool) *metrics.Table {
 	}
 
 	if churn {
-		// One crash/heal cycle at seeded times on a seeded anchor node.
+		// One crash/heal cycle at seeded times on a seeded anchor node:
+		// node 1 or 2, since node 0 hosts the controller.
 		crashAt := sim.Time(80+rng.Intn(40)) * sim.Second
 		healAt := crashAt + sim.Time(40+rng.Intn(30))*sim.Second
-		victim := rng.Intn(3)
+		victim := 1 + rng.Intn(2)
 		var sch fault.Schedule
 		sch.Add(fault.Event{At: crashAt, Kind: fault.CrashNode, Node: victim})
 		sch.Add(fault.Event{At: healAt, Kind: fault.HealNode, Node: victim})

@@ -9,7 +9,6 @@ import (
 	"repro/internal/faulttest"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
-	"repro/internal/reliable"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -31,13 +30,14 @@ func init() { register("netstorm", NetStorm) }
 // an infinite hang.
 //
 // Control plane (one fleet per reclaim policy): a seeded burst of VM
-// arrivals runs under a message-probing heartbeat (fleet.Config.Probe)
-// while the schedule throws a drop storm at the probes and then cuts
-// node 1's host links. The storm makes probes go unreachable — false
-// positives that restart fragments and requeue VMs — and the cut takes
-// a healthy node down without crashing it; both heal, the node rejoins,
-// and the fleet's invariants hold at quiescence under all three reclaim
-// policies.
+// arrivals runs under the fleet's fabric-probe heartbeat while the
+// schedule throws a drop storm at the probes and then cuts node 1's
+// host links. The storm makes probes go unanswered — false positives
+// that restart fragments and requeue VMs — and the cut takes a healthy
+// node down without crashing it; both heal, the node rejoins, and the
+// fleet's invariants hold at quiescence under all three reclaim
+// policies. Probes are not retransmitted, so the fleet rows report
+// missed probes as unreachable and no retransmits.
 func NetStorm(o Options) *metrics.Table {
 	spec := topo.TreeSpec(2, 2, 4)
 	t := metrics.NewTable(
@@ -92,20 +92,21 @@ func NetStorm(o Options) *metrics.Table {
 
 	// --- Control plane: probing heartbeat under the same abuse. ---
 	for _, pol := range fleet.Policies() {
-		st, rel, ups := netstormFleet(o, spec, pol)
+		st, ups := netstormFleet(o, spec, pol)
 		t.AddRow("fleet-storm", pol.String(), 0.0, st.MeanSlowdown(),
 			float64(st.NodeFailures), float64(ups), float64(st.Restarts), float64(st.Requeues),
-			float64(rel.Retransmits), float64(rel.Unreachable))
+			0.0, float64(st.ProbeMisses))
 	}
 	t.AddNote("storm and cut slowdowns are bounded: every dropped frame resolves by retransmission or a typed unreachable error, never a hang")
 	t.AddNote("the ToR cut kills rack 1 (2 nodes) as one event; the probing fleet heartbeat recovers cut nodes like crashed ones and rejoins them after heal")
+	t.AddNote("fleet rows: unreachable counts missed heartbeat probes; probes are never retransmitted")
 	return t
 }
 
 // netstormFleet runs one reclaim policy's fleet under a probe-visible
-// drop storm and a host-link cut/heal cycle, returning its stats, the
-// probe transport's stats, and the node-up (rejoin) count.
-func netstormFleet(o Options, spec *topo.Spec, pol fleet.ReclaimPolicy) (fleet.Stats, reliable.Stats, int) {
+// drop storm and a host-link cut/heal cycle, returning its stats and the
+// node-up (rejoin) count.
+func netstormFleet(o Options, spec *topo.Spec, pol fleet.ReclaimPolicy) (fleet.Stats, int) {
 	const (
 		gig     = int64(1) << 30
 		nodes   = 4
@@ -123,9 +124,7 @@ func netstormFleet(o Options, spec *topo.Spec, pol fleet.ReclaimPolicy) (fleet.S
 	cfg.AutoReclaim = true
 	cfg.RebalanceEvery = 5 * sim.Second
 	cfg.Horizon = horizon
-	cfg.Fault = inj
 	cfg.HeartbeatEvery = 500 * sim.Millisecond
-	cfg.Probe = c.Reliable
 	cfg.Distance = spec.Distance
 	f := fleet.New(env, cfg)
 
@@ -137,9 +136,9 @@ func netstormFleet(o Options, spec *topo.Spec, pol fleet.ReclaimPolicy) (fleet.S
 	f.Submit(fleet.GenerateBurst(rng, n, window, 2*gig))
 
 	// Probes are the fleet's only fabric traffic, so a modest Any→Any
-	// storm eats whole probe rounds: the transport retries, then surfaces
-	// ErrUnreachable, and the heartbeat (correctly) declares false
-	// positives that heal on the next clean probe.
+	// storm eats whole probe rounds: two missed rounds in a row and the
+	// heartbeat (correctly) declares false positives that heal on the
+	// next answered probe.
 	var sch fault.Schedule
 	sch.Add(fault.Event{At: 60 * sim.Second, Kind: fault.DropMessages, From: fault.Any, To: fault.Any, Count: 60})
 	// Then a real link fault: node 1 loses both host links — down without
@@ -158,5 +157,5 @@ func netstormFleet(o Options, spec *topo.Spec, pol fleet.ReclaimPolicy) (fleet.S
 			ups++
 		}
 	}
-	return f.Stats(), c.Reliable.Stats(), ups
+	return f.Stats(), ups
 }

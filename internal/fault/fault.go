@@ -25,7 +25,13 @@
 //     filter, and reliable leaves its zero-fault fast path;
 //   - hypervisor heartbeats detect crashed slices through the message
 //     losses it induces and declare them dead; dsm and checkpoint act on
-//     those declarations only, never on the injector's own crash state.
+//     those declarations only, never on the injector's own crash state;
+//   - the fleet's heartbeat probes every node over the fabric and
+//     declares down the nodes whose probes stop coming back.
+//
+// Only the harnesses that drive faults (chaos, experiments, faulttest)
+// import this package: the simulated system learns of a fault only
+// through what the filter does to its messages.
 //
 // Everything the injector does is counted in a metrics.Counters whose
 // rendering is deterministic, so fault activity itself is part of the

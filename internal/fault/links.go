@@ -125,61 +125,3 @@ func (i *Injector) linkVerdict(from, to int) (cut bool, delay sim.Time) {
 
 // LinkCut reports whether the named directed link is currently cut.
 func (i *Injector) LinkCut(name string) bool { return i.cutLinks[name] }
-
-// Reachable reports whether a and b can currently exchange messages:
-// both ends alive, the pair not partitioned, and no cut link on the
-// route in either direction. It is the per-route generalization of
-// Partitioned and the primitive quorum views build on.
-func (i *Injector) Reachable(a, b int) bool {
-	if i.crashed[a] || i.crashed[b] {
-		return false
-	}
-	if a == b {
-		return true
-	}
-	if i.parted[linkKey(a, b)] {
-		return false
-	}
-	if cut, _ := i.linkVerdict(a, b); cut {
-		return false
-	}
-	cut, _ := i.linkVerdict(b, a)
-	return !cut
-}
-
-// NodeUp is the control plane's failure-detector view of a node: alive,
-// and in the majority side of any partition. The node's reachable set —
-// itself plus every live peer in [0, nodes) it can exchange messages
-// with — must be a strict majority of the live nodes, the node's own
-// vote included (a two-of-three cluster that loses one node to a link
-// cut keeps quorum; the isolated node, alone, does not). An exact half
-// is broken toward node 0, the controller's host: the half that holds
-// or reaches node 0 stays up and the other half is down. Without the
-// tie-break an even split (a rack cut off in a two-rack tree) would
-// leave no side with quorum and the controller would see every node,
-// its own included, as down. A crashed node is down; a fully
-// partitioned or link-cut node is down even though its host never
-// crashed — exactly what a quorum of heartbeat peers would conclude.
-func (i *Injector) NodeUp(node, nodes int) bool {
-	if i.crashed[node] {
-		return false
-	}
-	live, reach := 1, 1 // the node itself
-	for p := 0; p < nodes; p++ {
-		if p == node || i.crashed[p] {
-			continue
-		}
-		live++
-		if i.Reachable(node, p) {
-			reach++
-		}
-	}
-	return reach*2 > live || (reach*2 == live && (node == 0 || i.Reachable(node, 0)))
-}
-
-// Up is the nil-tolerant form of NodeUp: with no injector every node is
-// up. For crash-only schedules it reduces exactly to Alive — no
-// partitions or cuts means every live pair is reachable.
-func Up(i *Injector, node, nodes int) bool {
-	return i == nil || i.NodeUp(node, nodes)
-}

@@ -1,7 +1,8 @@
-// Node-failure handling: a heartbeat tick polls the fault injector's
-// liveness view; fragments lost with a dead node are re-placed on the
-// survivors, and VMs bound to a live Aggregate VM are restarted from
-// their checkpoint image on the new slices — restart, not eviction.
+// Node-failure handling: a heartbeat tick probes every node over the
+// cluster fabric; fragments lost with a node whose probes stop coming
+// back are re-placed on the survivors, and VMs bound to a live Aggregate
+// VM are restarted from their checkpoint image on the new slices —
+// restart, not eviction.
 package fleet
 
 import (
@@ -9,91 +10,63 @@ import (
 	"sort"
 
 	"repro/internal/checkpoint"
-	"repro/internal/fault"
 	"repro/internal/hypervisor"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// probeBytes is the size of one heartbeat probe message, and
-// probeMissThreshold the consecutive unreachable probes that declare a
-// node down on message evidence alone (mirroring the hypervisor
-// heartbeat's miss threshold). probeFrom is the fabric endpoint the
-// controller probes from: node 0, which hosts the control plane. It must
-// be a real node id, since external endpoints are not routable on the
-// datacenter tree; probes to node 0 itself short-circuit locally and are
-// always answered.
+// probeBytes is the size of one heartbeat probe and of its reply, and
+// probeMissThreshold the consecutive missed probes that declare a node
+// down (mirroring the hypervisor heartbeat's miss threshold). probeFrom
+// is the node the controller probes from: node 0, which hosts the
+// control plane. Its view is authoritative, so it always answers itself
+// and is never declared down.
 const (
 	probeBytes         = 128
 	probeMissThreshold = 2
 	probeFrom          = 0
 )
 
-// armHeartbeat starts failure detection against the fault injector: a
-// timer-driven view poll by default, or a probing process when a
-// reliable transport is configured.
+// armHeartbeat starts failure detection when HeartbeatEvery is set.
 func (f *Fleet) armHeartbeat() {
-	if f.cfg.Fault == nil || f.cfg.HeartbeatEvery <= 0 {
+	if f.cfg.HeartbeatEvery <= 0 {
 		return
 	}
-	if f.cfg.Probe != nil {
-		f.env.Spawn("fleet-heartbeat", f.probeLoop)
-		return
-	}
-	f.every(f.cfg.HeartbeatEvery, f.heartbeat)
+	misses := make([]int, f.cfg.Nodes)
+	f.every(f.cfg.HeartbeatEvery, func() { f.heartbeat(misses) })
 }
 
-// heartbeat reconciles the fleet's node view with the injector's quorum
-// reachability view: a node is down when it crashed or when a majority
-// of its live peers cannot reach it — so partitions and link cuts
-// trigger the same restart/requeue recovery as crashes.
-func (f *Fleet) heartbeat() {
+// heartbeat is one probe round, the fleet's only liveness input: it
+// charges a probe from node 0 to every other node and the reply back on
+// the fabric, both legs at the tick. A probe is answered when neither
+// leg is dropped and the round trip fits in one heartbeat period;
+// probeMissThreshold misses in a row declare the node down, and one
+// answered probe brings a down node back. A crash, a partition, a cut
+// link or a drop storm all look the same from node 0, so a storm can
+// (correctly) produce false positives that heal on the next answered
+// probe.
+func (f *Fleet) heartbeat(misses []int) {
+	now := f.env.Now()
 	for n := 0; n < f.cfg.Nodes; n++ {
-		up := fault.Up(f.cfg.Fault, n, f.cfg.Nodes)
-		switch {
-		case !up && !f.down[n]:
+		if n == probeFrom {
+			continue
+		}
+		there, out := f.cfg.Fabric.Transmit(0, probeFrom, n, probeBytes)
+		back, in := f.cfg.Fabric.Transmit(0, n, probeFrom, probeBytes)
+		if out && in && there-now+back-now <= f.cfg.HeartbeatEvery {
+			misses[n] = 0
+			if f.down[n] {
+				f.handleNodeUp(n)
+			}
+			continue
+		}
+		misses[n]++
+		f.stats.ProbeMisses++
+		if misses[n] >= probeMissThreshold && !f.down[n] {
 			f.handleNodeDown(n)
-		case up && f.down[n]:
-			f.handleNodeUp(n)
 		}
 	}
 	f.verify()
-}
-
-// probeLoop is the message-based heartbeat: each tick sends a reliable
-// probe to every node the quorum view considers up; a node whose probes
-// come back unreachable probeMissThreshold times in a row is declared
-// down on message evidence even before the view agrees, and a recovered
-// node rejoins once a probe gets through again. Probes ride the same
-// lossy fabric as everything else, so a drop storm can (correctly)
-// produce false positives that heal on the next successful probe.
-func (f *Fleet) probeLoop(p *sim.Proc) {
-	misses := make([]int, f.cfg.Nodes)
-	for {
-		p.Sleep(f.cfg.HeartbeatEvery)
-		if f.cfg.Horizon > 0 && f.env.Now() > f.cfg.Horizon {
-			return
-		}
-		for n := 0; n < f.cfg.Nodes; n++ {
-			up := fault.Up(f.cfg.Fault, n, f.cfg.Nodes)
-			if up {
-				if f.cfg.Probe.Send(p, probeFrom, n, probeBytes) != nil {
-					misses[n]++
-					f.stats.ProbeMisses++
-				} else {
-					misses[n] = 0
-				}
-			}
-			down := !up || misses[n] >= probeMissThreshold
-			switch {
-			case down && !f.down[n]:
-				f.handleNodeDown(n)
-			case !down && f.down[n]:
-				f.handleNodeUp(n)
-			}
-		}
-		f.verify()
-	}
 }
 
 // handleNodeDown fail-stops a node in the fleet's books: every fragment
@@ -218,7 +191,7 @@ type binding struct {
 // moves execute vCPU migrations, and a node failure restarts the lost
 // slices on the replacement placement and restores memory from img, a
 // checkpoint the caller took (checkpoint.Take). img may be nil only when
-// the fleet runs no failure detector.
+// the fleet runs no heartbeat.
 func (f *Fleet) Bind(vmID int, live *hypervisor.VM, img *checkpoint.Image) {
 	rec := f.vms[vmID]
 	if rec == nil {
@@ -227,7 +200,7 @@ func (f *Fleet) Bind(vmID int, live *hypervisor.VM, img *checkpoint.Image) {
 	if rec.bound != nil {
 		panic(fmt.Sprintf("fleet: VM %d already bound", vmID))
 	}
-	if img == nil && f.cfg.Fault != nil && f.cfg.HeartbeatEvery > 0 {
+	if img == nil && f.cfg.HeartbeatEvery > 0 {
 		panic(fmt.Sprintf("fleet: VM %d bound without a checkpoint under failure detection", vmID))
 	}
 	rec.bound = &binding{vm: live, img: img, nextPCPU: map[int]int{}}

@@ -29,10 +29,11 @@
 //     then admits and re-inflates into what it freed. The pass reads no
 //     clock or RNG, so once a pass changes nothing the tick skips until
 //     the books change again.
-//   - Failure handling. A heartbeat tick watches the fault injector's
-//     liveness; when a node dies, fragments hosted there are re-placed on
-//     survivors, and VMs bound to a live Aggregate VM are restarted from
-//     their checkpoint image (internal/checkpoint) on the new slices.
+//   - Failure handling. A heartbeat tick probes every node over the
+//     cluster fabric; when a node stops answering, fragments hosted there
+//     are re-placed on survivors, and VMs bound to a live Aggregate VM
+//     are restarted from their checkpoint image (internal/checkpoint) on
+//     the new slices.
 //
 // Everything runs on the deterministic DES core: the same (config, trace,
 // seed) triple replays bit-identically, including the event log, which
@@ -48,10 +49,9 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
-	"repro/internal/fault"
-	"repro/internal/reliable"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -166,24 +166,17 @@ type Config struct {
 	// setting). A tick whose books have not changed since a pass that
 	// changed nothing does no work; it stays scheduled all the same.
 	RebalanceEvery sim.Time
-	// HeartbeatEvery polls node liveness against Fault (0 = no failure
-	// detection).
+	// HeartbeatEvery is the period of the failure detector's probe
+	// rounds over Fabric (0 = no failure detection).
 	HeartbeatEvery sim.Time
 	// Horizon stops periodic ticks from rescheduling past this time so
 	// the event queue can drain (0 = tick for as long as the world runs).
 	Horizon sim.Time
-	// Fault, when set, is the liveness source for the heartbeat. The
-	// heartbeat judges nodes with the injector's quorum reachability
-	// view (fault.Up), so a node cut off by a partition or a link cut is
-	// detected and recovered like a crashed one.
-	Fault *fault.Injector
-	// Probe, when set alongside Fault, upgrades the heartbeat to real
-	// probe messages on the reliable transport: each tick probes, from
-	// the control plane's node 0, every node the view considers up, and
-	// probeMissThreshold consecutive unreachable verdicts declare the
-	// node down on message evidence alone. Zero keeps the pure
-	// view-based heartbeat (and its timing) unchanged.
-	Probe *reliable.Transport
+	// Fabric is the cluster fabric the heartbeat probes nodes over;
+	// ClusterConfig fills it in, and HeartbeatEvery needs it. Probes are
+	// the fleet's only view of faults: a node that is crashed, cut off or
+	// losing its frames is down because its probes stop coming back.
+	Fabric *topo.Fabric
 	// Distance, when set, is the topology oracle (topo.Spec.Distance):
 	// admission, borrowing, and consolidation prefer rack-local node
 	// sets wherever the capacity policy leaves a tie, and gangs are
@@ -193,13 +186,15 @@ type Config struct {
 }
 
 // ClusterConfig derives a fleet config from simulated hardware: every
-// core and every byte of RAM of each node is placeable capacity.
+// core and every byte of RAM of each node is placeable capacity, and a
+// heartbeat, once HeartbeatEvery is set, probes over the cluster fabric.
 func ClusterConfig(c *cluster.Cluster, pol sched.Policy) Config {
 	return Config{
 		Nodes:       len(c.Nodes),
 		CPUsPerNode: c.Params.CoresPerNode,
 		MemPerNode:  c.Params.RAMBytes,
 		Policy:      pol,
+		Fabric:      c.Fabric,
 	}
 }
 
@@ -225,7 +220,7 @@ type Stats struct {
 
 	NodeFailures int // node-down transitions observed
 	Restarts     int // lost fragments re-placed on survivors
-	ProbeMisses  int // heartbeat probes that came back unreachable
+	ProbeMisses  int // heartbeat probes that went unanswered
 
 	Inflations    int      // resize: balloon inflations (fragments surrendered)
 	Deflations    int      // resize: balloon deflations (capacity re-granted)
@@ -322,6 +317,9 @@ func New(env *sim.Env, cfg Config) *Fleet {
 	}
 	if cfg.MemPerNode <= 0 {
 		panic("fleet: config needs per-node memory")
+	}
+	if cfg.HeartbeatEvery > 0 && cfg.Fabric == nil {
+		panic("fleet: a heartbeat needs a fabric to probe over")
 	}
 	f := &Fleet{
 		env:      env,

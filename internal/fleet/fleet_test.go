@@ -136,7 +136,8 @@ func TestGenerateBurstShape(t *testing.T) {
 }
 
 func TestInvalidConfigPanics(t *testing.T) {
-	for _, cfg := range []Config{{}, {Nodes: 2, CPUsPerNode: 4}} {
+	for _, cfg := range []Config{{}, {Nodes: 2, CPUsPerNode: 4},
+		{Nodes: 2, CPUsPerNode: 4, MemPerNode: gig, HeartbeatEvery: sim.Second}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -359,7 +360,6 @@ func TestNodeFailureRestartsFragments(t *testing.T) {
 	c := cluster.NewDefault(env, 3) // 8 cores / 32 GiB per node
 	inj := fault.New(c)
 	cfg := ClusterConfig(c, sched.MinFrag)
-	cfg.Fault = inj
 	cfg.HeartbeatEvery = 100 * sim.Millisecond
 	cfg.Horizon = 40 * sim.Second
 	f := New(env, cfg)
@@ -401,7 +401,6 @@ func TestBindNeedsImageUnderFailureDetection(t *testing.T) {
 	env := sim.NewEnv()
 	c := cluster.NewDefault(env, 2)
 	cfg := ClusterConfig(c, sched.MinFrag)
-	cfg.Fault = fault.New(c)
 	cfg.HeartbeatEvery = 100 * sim.Millisecond
 	cfg.Horizon = sim.Second
 	f := New(env, cfg)
@@ -416,16 +415,15 @@ func TestBindNeedsImageUnderFailureDetection(t *testing.T) {
 }
 
 // TestLinkCutNodeDownAndRejoin is the partition-blindness regression:
-// a node whose host links are cut never crashes, but the quorum
-// reachability view must still declare it down — fragments restart on
-// the survivors exactly like a crash — and when the link heals the node
-// must rejoin and serve placements again.
+// a node whose host links are cut never crashes, but its heartbeat
+// probes stop coming back, so it must still be declared down — fragments
+// restart on the survivors exactly like a crash — and when the link
+// heals the node must rejoin and serve placements again.
 func TestLinkCutNodeDownAndRejoin(t *testing.T) {
 	env := sim.NewEnv()
 	c := cluster.NewDefault(env, 3)
 	inj := fault.New(c)
 	cfg := ClusterConfig(c, sched.MinFrag)
-	cfg.Fault = inj
 	cfg.HeartbeatEvery = 100 * sim.Millisecond
 	cfg.Horizon = 60 * sim.Second
 	f := New(env, cfg)

@@ -222,7 +222,6 @@ func TestVerifyMemoIsSound(t *testing.T) {
 		cl := cluster.NewDefault(env, 4)
 		inj := fault.New(cl)
 		cfg := ClusterConfig(cl, sched.MinFrag)
-		cfg.Fault = inj
 		cfg.HeartbeatEvery = 100 * sim.Millisecond
 		cfg.RebalanceEvery = memoTick
 		cfg.AutoReclaim = true
