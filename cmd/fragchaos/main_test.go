@@ -13,7 +13,7 @@ import (
 // with a seeded bug exports an artifact, and runReplay re-executes it
 // byte-identically.
 func TestReplayRoundTrip(t *testing.T) {
-	cfg := chaos.Config{Episodes: 8, Seed: 2, Workloads: []string{chaos.WorkloadVM}, Hooks: chaos.Hooks{NoDedup: true}}
+	cfg := chaos.Config{Episodes: 2, Seed: 2, Workloads: []string{chaos.WorkloadVM}, Hooks: chaos.Hooks{NoDedup: true}, ShrinkBudget: 20}
 	rep := chaos.Search(cfg)
 	if len(rep.Findings) == 0 {
 		t.Fatal("seeded-bug search found nothing")

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/reliable"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -52,7 +51,7 @@ func AllWorkloads() []string {
 }
 
 // Hooks selects which fixed historical bugs to re-introduce in every
-// episode (topo.TestHooks, reliable.TestHooks). The zero value — the
+// episode (topo.TestHooks). The zero value — the
 // production configuration — re-enables nothing; a search over seed
 // code must come back clean. Hooks exist so the engine can prove it
 // finds the bugs this codebase actually had.
@@ -64,16 +63,15 @@ type Hooks struct {
 // Any reports whether any bug is re-enabled.
 func (h Hooks) Any() bool { return h.PhantomEndpoints || h.NoDedup }
 
-// install applies the hooks to a freshly built cluster's fabrics and
-// reliable transport.
+// install applies the hooks to a freshly built cluster's fabrics, before
+// any VM and its reliable transport exist.
 func (h Hooks) install(c *cluster.Cluster) {
 	if !h.Any() {
 		return
 	}
-	fh := topo.TestHooks{PhantomEndpoints: h.PhantomEndpoints}
+	fh := topo.TestHooks{PhantomEndpoints: h.PhantomEndpoints, NoDedup: h.NoDedup}
 	c.Fabric.SetTestHooks(fh)
 	c.Client.SetTestHooks(fh)
-	c.Reliable.SetTestHooks(reliable.TestHooks{NoDedup: h.NoDedup})
 }
 
 // Storm is a workload-side chaos element: a burst of short-lived VM

@@ -91,7 +91,7 @@ func TestCleanSearchFindsNothing(t *testing.T) {
 // function of the config — worker count changes wall time only — and
 // matches testdata/nodedup_seed5.json.
 func TestSearchDeterministicAcrossParallelism(t *testing.T) {
-	cfg := Config{Episodes: 16, Seed: 5, Workloads: []string{WorkloadVM}, Hooks: Hooks{NoDedup: true}}
+	cfg := Config{Episodes: 4, Seed: 5, Workloads: []string{WorkloadVM}, Hooks: Hooks{NoDedup: true}, ShrinkBudget: 20}
 	cfg.Parallel = 1
 	seq := Search(cfg).JSON()
 	cfg.Parallel = 4
@@ -142,7 +142,7 @@ func TestFixedArtifactsReplayClean(t *testing.T) {
 // violation, shrinks it to a handful of events, and the artifact
 // replays byte-identically while tripping the same oracle.
 func TestNoDedupBugFoundAndShrunk(t *testing.T) {
-	cfg := Config{Episodes: 16, Seed: 2, Workloads: []string{WorkloadVM}, Hooks: Hooks{NoDedup: true}}
+	cfg := Config{Episodes: 2, Seed: 2, Workloads: []string{WorkloadVM}, Hooks: Hooks{NoDedup: true}, ShrinkBudget: 20}
 	rep := Search(cfg)
 	var f *Finding
 	for i := range rep.Findings {

@@ -60,7 +60,7 @@ type Runtime struct {
 	Drained   bool            // the event queue ran dry (vm episodes without a stall)
 
 	Fabric *topo.Fabric   // the cluster fabric, for accounting probes
-	Rel    reliable.Stats // reliable-transport counters at quiescence (vm episodes)
+	Rel    reliable.Stats // the VM transport's counters at quiescence (vm episodes)
 
 	VM    *faulttest.Result // vm episodes
 	Fleet *fleet.Fleet      // fleet episodes
@@ -139,20 +139,20 @@ func checkConservation(rt *Runtime) []Violation {
 	return vs
 }
 
-// checkExactlyOnce audits the reliable transport's contract: dedup must
-// hold unconditionally (Delivered can never exceed Sent), and on a
-// fully drained run every send must have resolved — delivered or
-// reported unreachable, never silently lost.
+// checkExactlyOnce audits the VM transport's contract: dedup must hold
+// unconditionally (Delivered can never exceed Sent), and on a fully
+// drained run every message must have resolved — delivered, or abandoned
+// to a fence or a ping timeout, never silently lost.
 func checkExactlyOnce(rt *Runtime) []Violation {
 	var vs []Violation
 	if rt.Rel.Delivered > rt.Rel.Sent {
 		vs = append(vs, Violation{OracleExactlyOnce,
 			fmt.Sprintf("delivered %d > sent %d: receive-side dedup broken", rt.Rel.Delivered, rt.Rel.Sent)})
 	}
-	if rt.Drained && rt.Rel.Delivered+rt.Rel.Unreachable < rt.Rel.Sent {
+	if rt.Drained && rt.Rel.Delivered+rt.Rel.Abandoned < rt.Rel.Sent {
 		vs = append(vs, Violation{OracleExactlyOnce,
-			fmt.Sprintf("sent %d but delivered %d + unreachable %d: messages silently lost",
-				rt.Rel.Sent, rt.Rel.Delivered, rt.Rel.Unreachable)})
+			fmt.Sprintf("sent %d but delivered %d + abandoned %d: messages silently lost",
+				rt.Rel.Sent, rt.Rel.Delivered, rt.Rel.Abandoned)})
 	}
 	return vs
 }

@@ -220,26 +220,24 @@ func Restore(p *sim.Proc, vm *hypervisor.VM, img *Image) sim.Time {
 	return p.Now() - start
 }
 
-// sendChunk moves one collection/restore chunk over the cluster's
-// reliable transport (RDMA RC / TCP) as segments of at most segmentBytes:
-// frames lost to drop rules or transient partitions are retransmitted by
-// the transport's ack/timeout/backoff state machine. Liveness is the VM's
-// declared view (vm.Alive), the only one a real host has: a chunk bound
-// for a slice declared dead is re-sent whole to the origin slice (always
-// the origin, whichever survivor MarkDead made owner), while a dead
-// source simply stops transmitting, since the bytes it would have carried
-// are already lost. A peer the transport gives up on (ErrUnreachable
-// after max retries) without being declared dead yet is retried after a
-// pause, so the heartbeat gets a chance to declare it. Returns the
-// destination the chunk actually went to, so callers stick to the
-// re-homed peer.
+// sendChunk moves one collection/restore chunk over the VM's reliable
+// transport (RDMA RC / TCP) as segments of at most segmentBytes: frames
+// lost to drop rules or transient partitions are retransmitted by the
+// transport's ack/timeout/backoff state machine until acknowledged or
+// fenced. Liveness is the VM's declared view (vm.Alive), the only one a
+// real host has, and a segment fails only when MarkDead fences an end: a
+// chunk bound for a slice declared dead is re-sent whole to the origin
+// slice (always the origin, whichever survivor MarkDead made owner),
+// while a dead source simply stops transmitting, since the bytes it would
+// have carried are already lost. Returns the destination the chunk
+// actually went to, so callers stick to the re-homed peer.
 //
 // Segments keep a bulk transfer from holding a link for milliseconds at a
 // time: a heartbeat ping queued behind a whole 16 MiB chunk would wait
 // longer than its timeout, and a busy restore would get a live slice
 // declared dead.
 func sendChunk(p *sim.Proc, vm *hypervisor.VM, from, to int, size int) int {
-	rel := vm.Config().Cluster.Reliable
+	rel := vm.Layer.Transport()
 	tr := trace.FromEnv(vm.Env)
 	csp := tr.Begin(p.Span(), trace.CatCheckpoint, from, "ckpt.chunk")
 	defer tr.End(csp)
@@ -252,13 +250,9 @@ func sendChunk(p *sim.Proc, vm *hypervisor.VM, from, to int, size int) int {
 			return to
 		}
 		seg := min(size-sent, segmentBytes)
-		if rel.SendCtx(p, csp, from, to, seg, nil) == nil {
+		if rel.Send(p, csp, from, to, seg) == nil {
 			sent += seg
-			continue
 		}
-		// Unreachable: wait out a detection interval, then re-check the
-		// declared view and retry (or re-home, once the peer is marked).
-		p.Sleep(5 * sim.Millisecond)
 	}
 	return to
 }

@@ -12,7 +12,6 @@ package cluster
 import (
 	"fmt"
 
-	"repro/internal/reliable"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -65,12 +64,7 @@ type Cluster struct {
 	Nodes  []*Node
 	Fabric *topo.Fabric // inter-hypervisor network (InfiniBand)
 	Client *topo.Fabric // client-facing network (1 GbE)
-	// Reliable is the shared ack/retransmit transport over Fabric for
-	// blocking bulk senders (checkpoint chunks). With no
-	// fault filter installed it degenerates to a raw fabric send, so
-	// zero-fault runs are unaffected by its existence.
-	Reliable *reliable.Transport
-	Params   Params
+	Params Params
 }
 
 // New builds a cluster of n nodes with the given parameters.
@@ -88,13 +82,11 @@ func New(env *sim.Env, n int, p Params) *Cluster {
 	if max := spec.Nodes(); max != 0 && n > max {
 		panic(fmt.Sprintf("cluster: %d nodes do not fit the %s topology", n, spec))
 	}
-	fabric := spec.Build(env, "fabric", fabricGbps, fabricLat)
 	c := &Cluster{
-		Env:      env,
-		Fabric:   fabric,
-		Client:   topo.FlatSpec().Build(env, "client", ethGbps, ethLat),
-		Reliable: reliable.New(env, fabric),
-		Params:   p,
+		Env:    env,
+		Fabric: spec.Build(env, "fabric", fabricGbps, fabricLat),
+		Client: topo.FlatSpec().Build(env, "client", ethGbps, ethLat),
+		Params: p,
 	}
 	for i := 0; i < n; i++ {
 		node := &Node{ID: i, RAM: p.RAMBytes, SSD: NewDisk(env, ssdBps)}

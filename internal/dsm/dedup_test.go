@@ -11,49 +11,35 @@ import (
 	"repro/internal/topo"
 )
 
-// scrambler is the fabric's fault filter, and through its msg.Filter
-// method the messaging layer's too. It delays every cross-node fault
-// request to the directory by a pseudo-random amount below maxDelay, so
-// requests from one node overtake each other, and with dup set it also
-// delivers each one twice, the copy delayed on its own — often past the
-// original's grant. It counts the grants the directory sends.
+// scrambler is the fabric's fault filter, and through its
+// topo.MsgFilter method the reliable transport's too. It delays every
+// cross-node frame to the directory's node by a pseudo-random amount
+// below maxDelay, so fault requests from one node overtake each other,
+// and with dup set it also puts each data frame to the directory's node
+// on the fabric twice, the copy delayed on its own — often past the
+// original's grant. It counts the grants the requesters receive.
 type scrambler struct {
-	dirSvc   string
+	origin   int
 	dup      bool
 	maxDelay sim.Time
 	rng      uint64
-	// frames is how many of the fabric's next frames belong to the fault
-	// request just offered: the layer rules on a message, then transmits
-	// it, then its duplicate.
-	frames int
-	grants int
+	grants   int
 }
 
-func (s *scrambler) MsgOutcome(from, to int, service, kind string) msg.MsgOutcome {
-	if kind == "grant" {
-		s.grants++
-	}
-	if service != s.dirSvc || from == to {
-		return msg.MsgOutcome{}
-	}
-	s.frames = 1
-	if s.dup {
-		s.frames = 2
-	}
-	return msg.MsgOutcome{Duplicate: s.dup}
+func (s *scrambler) MsgOutcome(from, to int) topo.MsgOutcome {
+	return topo.MsgOutcome{Duplicate: s.dup && to == s.origin}
 }
 
 func (s *scrambler) Outcome(from, to, size int) topo.Outcome {
-	if s.frames == 0 || s.maxDelay <= 0 {
+	if to != s.origin || s.maxDelay <= 0 {
 		return topo.Outcome{}
 	}
-	s.frames--
 	s.rng = s.rng*6364136223846793005 + 1442695040888963407
 	return topo.Outcome{Delay: sim.Time(s.rng>>33) % s.maxDelay}
 }
 
-// newScrambledDSM builds an n-node DSM whose fault requests pass through
-// a scrambler.
+// newScrambledDSM builds an n-node DSM whose traffic to the directory
+// passes through a scrambler.
 func newScrambledDSM(n int, dup bool, maxDelay sim.Time) (*sim.Env, *DSM, *scrambler) {
 	env := sim.NewEnv()
 	fabric := topo.FlatSpec().Build(env, "fabric", 56, 1500*sim.Nanosecond)
@@ -63,7 +49,15 @@ func newScrambledDSM(n int, dup bool, maxDelay sim.Time) (*sim.Env, *DSM, *scram
 		nodes[i] = i
 	}
 	d := New(env, layer, nodes, DefaultParams())
-	s := &scrambler{dirSvc: d.dirSvc, dup: dup, maxDelay: maxDelay, rng: 42}
+	s := &scrambler{origin: d.origin, dup: dup, maxDelay: maxDelay, rng: 42}
+	for _, n := range nodes {
+		layer.Handle(n, d.ownSvc, func(m *msg.Message) {
+			if m.Kind == "grant" {
+				s.grants++
+			}
+			d.handleOwner(m)
+		})
+	}
 	fabric.SetFilter(s)
 	return env, d, s
 }
@@ -106,8 +100,8 @@ func TestDuplicatedFaultRequestsGrantOnce(t *testing.T) {
 	defer env.Close()
 	shareWrites(env, d, 3, 60, []mem.PageID{1, 2, 3})
 	st := d.TotalStats()
-	if dups := d.layer.FaultStats().Duplicated; dups < 100 {
-		t.Fatalf("only %d fault requests were duplicated", dups)
+	if dups := d.layer.Transport().Stats().DupFrames; dups < 100 {
+		t.Fatalf("only %d frames to the directory were duplicated", dups)
 	}
 	if faults := st.ReadFaults + st.WriteFaults; int64(s.grants) != faults {
 		t.Errorf("the directory sent %d grants for %d faults", s.grants, faults)
@@ -117,11 +111,13 @@ func TestDuplicatedFaultRequestsGrantOnce(t *testing.T) {
 	}
 }
 
-// The directory's dedup state is O(faults in flight): after 100k faults
-// from four nodes running three procs each, with requests overtaking one
-// another, no node ever parks more ids than it has faults outstanding,
-// the page records number the pages used, and the live heap does not
-// grow with the fault count.
+// The VM transport's dedup state is O(messages in flight): after 100k
+// faults from four nodes running three procs each, with frames to the
+// directory overtaking one another, the flow windows never park more
+// seqs than can be in flight, none stay parked once every fault
+// completed, the flows number the node pairs that talk, the page records
+// number the pages used, and the live heap does not grow with the fault
+// count.
 func TestDedupStateStaysBounded(t *testing.T) {
 	const (
 		nodes  = 4
@@ -131,12 +127,12 @@ func TestDedupStateStaysBounded(t *testing.T) {
 	env, d, _ := newScrambledDSM(nodes, false, 20*sim.Microsecond)
 	defer env.Close()
 	pages := []mem.PageID{1, 2, 3, 4, 5}
+	rel := d.layer.Transport()
 	maxParked := 0
 	d.layer.Handle(d.origin, d.dirSvc, func(m *msg.Message) {
 		d.handleDir(m)
-		for i := range d.members {
-			maxParked = max(maxParked, d.members[i].accepted.Parked())
-		}
+		_, parked := rel.Flows()
+		maxParked = max(maxParked, parked)
 	})
 	var heap [2]uint64
 	for phase := range heap {
@@ -150,21 +146,23 @@ func TestDedupStateStaysBounded(t *testing.T) {
 		t.Fatalf("only %d faults", faults)
 	}
 	if maxParked == 0 {
-		t.Error("no fault request ever overtook another: the test does not exercise parking")
+		t.Error("no frame ever overtook another: the test does not exercise parking")
 	}
-	if maxParked > procs {
-		t.Errorf("a node had %d ids parked with at most %d faults in flight", maxParked, procs)
+	// Each requester has at most procs faults in flight, and each fault
+	// at most one frame toward the directory's node at a time.
+	if bound := (nodes - 1) * procs; maxParked > bound {
+		t.Errorf("%d seqs parked with at most %d frames in flight", maxParked, bound)
 	}
-	for i := range d.members {
-		if n := d.members[i].accepted.Parked(); n != 0 {
-			t.Errorf("node %d: %d ids still parked after every fault completed", d.nodes[i], n)
-		}
+	// The directory talks with every other node both ways; nothing else
+	// crosses the fabric.
+	if flows, parked := rel.Flows(); flows != 2*(nodes-1) || parked != 0 {
+		t.Errorf("%d flows with %d seqs parked after every fault completed, want %d and none", flows, parked, 2*(nodes-1))
 	}
 	if len(d.pages) != len(pages) {
 		t.Errorf("%d page records for %d pages", len(d.pages), len(pages))
 	}
-	// One map entry per fault, as a set of every id ever accepted kept,
-	// would be about 2 MB over the second half's 50k faults.
+	// One map entry per message, as a set of every seq ever admitted kept,
+	// would be several MB over the second half's 50k faults.
 	if grew := int64(heap[1]) - int64(heap[0]); grew > 512<<10 {
 		t.Errorf("live heap grew by %d bytes over the second 50k faults", grew)
 	}
@@ -176,54 +174,4 @@ func heapAllocAfterGC() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
-}
-
-// A late retransmission of a fault the directory accepted must stay a
-// duplicate after its requester is marked dead: MarkDead forgets the
-// node's parked ids, not the contiguous part of its window. Were the
-// window reset, the stale write request would hand the page to the dead
-// node.
-func TestMarkDeadKeepsAcceptedIDsDuplicate(t *testing.T) {
-	env, d, s := newScrambledDSM(3, false, 0)
-	defer env.Close()
-	pg, other := mem.PageID(7), mem.PageID(8)
-	var first *pendingFault
-	d.layer.Handle(d.origin, d.dirSvc, func(m *msg.Message) {
-		if first == nil {
-			first = m.Payload.(*pendingFault)
-		}
-		d.handleDir(m)
-	})
-	run(env, func(p *sim.Proc) {
-		d.Write(p, 2, pg, 0, []byte("two"))
-		d.Write(p, 1, pg, 0, []byte("one"))
-	})
-	if first == nil || first.ni != 2 || first.id != 0 || !first.write {
-		t.Fatalf("first fault request = %+v, want node 2's write, id 0", first)
-	}
-	// A fresh request two ids ahead of node 2's window parks.
-	ahead := &pendingFault{id: first.id + 2, rec: d.rec(other), ni: 2}
-	d.layer.Send(2, d.origin, d.dirSvc, "fault", reqBytes, ahead)
-	env.Run()
-	w := &d.members[2].accepted
-	if w.Parked() != 1 {
-		t.Fatalf("%d ids parked, want the one sent ahead", w.Parked())
-	}
-
-	d.MarkDead(2)
-	if w.Parked() != 0 {
-		t.Errorf("MarkDead kept %d parked ids", w.Parked())
-	}
-	grants := s.grants
-	d.layer.Send(2, d.origin, d.dirSvc, "fault", reqBytes, first)
-	env.Run()
-	if s.grants != grants {
-		t.Errorf("a retransmitted id of a dead node drew %d grants", s.grants-grants)
-	}
-	if owner, _, _ := d.DirEntry(pg); owner != 1 {
-		t.Errorf("page owner = %d, want 1", owner)
-	}
-	if err := d.Validate(); err != nil {
-		t.Error(err)
-	}
 }

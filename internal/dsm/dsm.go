@@ -48,7 +48,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/msg"
-	"repro/internal/reliable"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -131,7 +130,6 @@ type Stats struct {
 	BulkLocalPages   int64 // bulk pages first-touched locally
 	BulkRemotePages  int64 // bulk pages claimed or copied from a remote owner
 	BytesMoved       int64 // page payload bytes transferred on behalf of this node
-	Retries          int64 // protocol messages re-sent on timeout (fault mode)
 }
 
 // Faults returns the total protocol faults (read + write + dirty).
@@ -147,7 +145,6 @@ func (s *Stats) add(o Stats) {
 	s.BulkLocalPages += o.BulkLocalPages
 	s.BulkRemotePages += o.BulkRemotePages
 	s.BytesMoved += o.BytesMoved
-	s.Retries += o.Retries
 }
 
 // localPage is one node's replica of a guest page. A nil data is a zero
@@ -206,11 +203,9 @@ type pageRec struct {
 }
 
 // pendingFault is one fault in flight. It is the payload of the fault
-// request to the directory, by pointer, so retransmissions resend the same
-// request; the directory only reads its request fields. The directory
-// answers through grant, which points back here.
+// request to the directory, by pointer; the directory only reads its
+// request fields and answers through grant, which points back here.
 type pendingFault struct {
-	id    uint64 // contiguous per requester; the directory dedups on it
 	rec   *pageRec
 	ni    int // requester's dense node index
 	write bool
@@ -220,19 +215,14 @@ type pendingFault struct {
 	// finishes; invLeft counts the ones still running.
 	invs    sim.Event
 	invLeft int
-	// over says the fault takes no grant any more: one was installed, or
-	// the requester gave up on a dead node. A grant arriving after is
-	// acknowledged and ignored.
-	over  bool
-	moved int64 // payload bytes installed by the grant
-	grant grantMsg
+	moved   int64 // payload bytes installed by the grant
+	grant   grantMsg
 }
 
 // grantMsg carries the directory's answer to a fault back to the faulting
 // node. The requester installs it synchronously at delivery and
 // acknowledges; the directory holds the page lock until the ack, so a
-// replica can never be resurrected by a stale in-flight grant. It travels
-// by pointer, so a re-sent grant is the same message.
+// replica can never be resurrected by a stale in-flight grant.
 type grantMsg struct {
 	pf *pendingFault
 	// carry says the grant moves the page's contents, which the wire and
@@ -243,25 +233,16 @@ type grantMsg struct {
 	data  []byte
 }
 
-// member is the DSM's state for one node, by dense index.
-type member struct {
-	stats     Stats
-	nextFault uint64 // id of the node's next fault request
-	// accepted is the directory's dedup window over the node's fault ids:
-	// O(faults in flight), however many the node has issued.
-	accepted reliable.Window
-}
-
 // DSM is one Aggregate VM's distributed shared memory instance.
 // Construct with New.
 type DSM struct {
-	env     *sim.Env
-	layer   *msg.Layer
-	nodes   []int
-	origin  int
-	idx     []int // fabric node id -> dense index, -1 for non-members
-	members []member
-	params  Params
+	env    *sim.Env
+	layer  *msg.Layer
+	nodes  []int
+	origin int
+	idx    []int   // fabric node id -> dense index, -1 for non-members
+	stats  []Stats // by dense index
+	params Params
 
 	pages   map[mem.PageID]*pageRec
 	extents extentTable
@@ -271,8 +252,7 @@ type DSM struct {
 	dirSvc    string // service + ".dir", interned off the fault hot path
 	ownSvc    string // service + ".own", likewise
 
-	excluded uint32 // dense indices fenced out by MarkDead (see fault.go)
-	tr       *trace.Tracer
+	tr *trace.Tracer
 }
 
 // New creates a DSM spanning the given hypervisor instances. nodes[0] is
@@ -290,7 +270,7 @@ func New(env *sim.Env, layer *msg.Layer, nodes []int, p Params) *DSM {
 		layer:     layer,
 		nodes:     append([]int(nil), nodes...),
 		origin:    nodes[0],
-		members:   make([]member, len(nodes)),
+		stats:     make([]Stats, len(nodes)),
 		params:    p,
 		pages:     make(map[mem.PageID]*pageRec),
 		dirtyPage: mem.PageID(1) << 40,
@@ -333,8 +313,8 @@ func (d *DSM) NodeStats(node int) Stats { return *d.mustStats(node) }
 // TotalStats returns counters aggregated over all nodes.
 func (d *DSM) TotalStats() Stats {
 	var t Stats
-	for i := range d.members {
-		t.add(d.members[i].stats)
+	for i := range d.stats {
+		t.add(d.stats[i])
 	}
 	return t
 }
@@ -380,7 +360,7 @@ func (d *DSM) index(node int) int {
 	return d.idx[node]
 }
 
-func (d *DSM) mustStats(node int) *Stats { return &d.members[d.index(node)].stats }
+func (d *DSM) mustStats(node int) *Stats { return &d.stats[d.index(node)] }
 
 // Read returns a copy of the page's current contents at the node, running
 // the coherence protocol if the node lacks a valid replica.
@@ -427,7 +407,7 @@ func (d *DSM) contextualWrite(p *sim.Proc, node int, r *pageRec, off int, data [
 		return true
 	}
 	ni := d.index(node)
-	d.members[ni].stats.ContextualWrites++
+	d.stats[ni].ContextualWrites++
 	p.Sleep(contextualWriteCost)
 	d.entry(r)
 	if data != nil {
@@ -458,8 +438,7 @@ func (d *DSM) contextualWrite(p *sim.Proc, node int, r *pageRec, off int, data [
 // least the required state, returning the local replica.
 func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
 	ni := d.index(node)
-	m := &d.members[ni]
-	st := &m.stats
+	st := &d.stats[ni]
 	lp := d.replica(r, ni)
 	if lp.state == Exclusive || (!write && lp.state == Shared) {
 		st.LocalHits++
@@ -484,24 +463,13 @@ func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
 		st.ReadFaults++
 	}
 	p.Sleep(faultHandler + d.params.UserSpaceExtra)
-	pf := &pendingFault{id: m.nextFault, rec: r, ni: ni, write: write}
-	m.nextFault++
+	pf := &pendingFault{rec: r, ni: ni, write: write}
 	d.layer.SendCtx(sp, node, d.origin, d.dirSvc, "fault", reqBytes, pf)
-	if !d.retries() {
-		p.Wait(&pf.ev)
-	} else {
-		// Re-send on timeout to cover request loss; the directory
-		// deduplicates ids and re-sends grants itself, so a retransmission
-		// can never double-apply.
-		for !p.WaitTimeout(&pf.ev, retryTimeout) {
-			if !d.alive(node) {
-				pf.over = true
-				d.tr.End(sp)
-				return lp
-			}
-			st.Retries++
-			d.layer.SendCtx(sp, node, d.origin, d.dirSvc, "fault", reqBytes, pf)
-		}
+	if !d.layer.Await(p, &pf.ev, node, d.origin) {
+		// MarkDead fenced the requester mid-fault: no grant will reach
+		// it, and its in-flight guest work is discarded at restart.
+		d.tr.End(sp)
+		return lp
 	}
 	d.tr.End(sp)
 	st.BytesMoved += pf.moved
@@ -566,11 +534,6 @@ func (d *DSM) lock(r *pageRec) *sim.Mutex {
 // resurrected by a grant that was in flight when ownership moved on.
 func (d *DSM) handleDir(m *msg.Message) {
 	pf := m.Payload.(*pendingFault)
-	if !d.members[pf.ni].accepted.Admit(pf.id) {
-		// Retransmission (or fault-injected duplicate) of a request
-		// already accepted: the grant path owns reply delivery.
-		return
-	}
 	r := pf.rec
 	if r.dirName == "" {
 		s := strconv.Itoa(int(r.page))
@@ -594,11 +557,11 @@ func (d *DSM) handleDir(m *msg.Message) {
 	})
 }
 
-// sendGrant delivers pf's grant to the requester and waits for its ack,
-// re-sending on timeout in fault mode. A requester that dies before
-// acknowledging leaves directory state pointing at it; MarkDead reconciles.
-// The caller sets only the grant's carry and data; a carried page costs
-// mem.PageSize on the wire even when data is nil.
+// sendGrant delivers pf's grant to the requester and waits for its ack.
+// A requester fenced before acknowledging fails the call, and the grant
+// gives up; MarkDead has reconciled the directory. The caller sets only
+// the grant's carry and data; a carried page costs mem.PageSize on the
+// wire even when data is nil.
 func (d *DSM) sendGrant(p *sim.Proc, pf *pendingFault) {
 	g := &pf.grant
 	g.pf = pf
@@ -606,8 +569,7 @@ func (d *DSM) sendGrant(p *sim.Proc, pf *pendingFault) {
 	if g.carry {
 		size += mem.PageSize
 	}
-	_, err := d.callNode(p, d.nodes[pf.ni], "grant", size, g)
-	_ = err // dead requester: give up; survivors proceed after MarkDead
+	_, _ = d.layer.Call(p, d.origin, d.nodes[pf.ni], d.ownSvc, "grant", size, g)
 }
 
 // grantRead adds the requester to the page's copyset, fetching the bytes
@@ -705,7 +667,7 @@ func (d *DSM) ask(p *sim.Proc, n int, r *pageRec, kind string) ([]byte, error) {
 	if n == d.origin {
 		return d.serve(r, 0, kind), nil
 	}
-	reply, err := d.callNode(p, n, kind, reqBytes, r)
+	reply, err := d.layer.Call(p, d.origin, n, d.ownSvc, kind, reqBytes, r)
 	if err != nil {
 		return nil, err
 	}
@@ -723,21 +685,12 @@ func (pf *pendingFault) invDone() {
 // handleOwner serves grant installations and fetch/invalidate requests at
 // replica holders. All run synchronously at message delivery, so a node's
 // replica state transitions exactly in fabric-delivery order. A fetch or
-// invalidation carries the page's record.
+// invalidation carries the page's record. A grant reaches its requester
+// exactly once, and never one fenced while it was in flight: the layer
+// handles no message to a fenced node.
 func (d *DSM) handleOwner(m *msg.Message) {
 	if m.Kind == "grant" {
 		pf := m.Payload.(*grantMsg).pf
-		if pf.over || !d.alive(m.To) {
-			// Either a re-sent grant for an already-installed fault (the
-			// ack was lost, or this is a fault-injected duplicate), or a
-			// grant reaching a node fenced out by MarkDead while the grant
-			// was in flight: acknowledge so the directory releases the
-			// page lock, but do not install — the directory state has
-			// moved on.
-			m.Reply(reqBytes, nil)
-			return
-		}
-		pf.over = true
 		lp := d.replica(pf.rec, pf.ni)
 		if g := &pf.grant; g.carry {
 			if g.data == nil {
@@ -776,11 +729,11 @@ func (d *DSM) serve(r *pageRec, i int, kind string) []byte {
 	case "invfetch":
 		data := append([]byte(nil), lp.data...)
 		lp.state = Invalid
-		d.members[i].stats.Invalidations++
+		d.stats[i].Invalidations++
 		return data
 	case "inv":
 		lp.state = Invalid
-		d.members[i].stats.Invalidations++
+		d.stats[i].Invalidations++
 		return nil
 	}
 	panic(fmt.Sprintf("dsm: unknown owner message kind %q", kind))

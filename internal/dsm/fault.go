@@ -1,20 +1,16 @@
-// Fault tolerance for the DSM protocol: liveness-aware retries, ownership
-// re-routing away from declared-dead nodes, and a coherence checker for
-// tests.
+// Fault tolerance for the DSM protocol: ownership re-routing away from
+// declared-dead nodes, and a coherence checker for tests.
 //
-// The happy-path protocol in dsm.go assumes a reliable fabric. Under fault
-// injection — whenever the layer's fabric has a fault filter installed —
-// that assumption is withdrawn, and three mechanisms take over:
+// The protocol in dsm.go needs no retries of its own. Over a faulted
+// fabric the messaging layer carries every request, grant and reply over
+// its reliable transport, exactly once, retransmitting until the frame is
+// acknowledged or MarkDead fences an endpoint. What is left here is the
+// fence:
 //
-//   - Requesters re-send fault requests that receive no grant within
-//     retryTimeout; the directory deduplicates request ids, so
-//     retransmissions cover request loss only and can never double-apply.
-//   - The directory re-sends grants until acknowledged (the page lock is
-//     held throughout), giving grant delivery at-least-once semantics; a
-//     requester acknowledges-and-ignores grants for already-satisfied ids.
-//   - Calls to replica holders (fetch/invalidate) retry until a reply
-//     arrives or MarkDead fences the holder out. One rule re-homes a
-//     fenced owner's pages and extents: the first surviving holder in node
+//   - A call to a replica holder (fetch/invalidate) or a grant to a
+//     requester fails once MarkDead fences the peer, and a requester
+//     fenced mid-fault gives up its wait. One rule re-homes a fenced
+//     owner's pages and extents: the first surviving holder in node
 //     order takes over, else the origin, whose replica then stands in for
 //     the lost one. MarkDead applies it, and a grant whose owner is fenced
 //     mid-call asks the successor MarkDead chose instead of deciding
@@ -28,7 +24,7 @@
 //
 // The protocol sees only what a real host could: a node is live until the
 // failure detector declares it dead. A crashed node that is not yet
-// declared looks like a slow one, and the retry loops wait for the
+// declared looks like a slow one, and calls toward it wait for the
 // declaration.
 package dsm
 
@@ -37,62 +33,20 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-
-	"repro/internal/msg"
-	"repro/internal/sim"
 )
 
-// Retry timing of the fault-tolerant paths, suited to intra-cluster RPCs
-// on a microsecond-scale fabric: a per-attempt timeout generous against
-// the ~10 us fault round trip, and a backoff between replica-call
-// attempts doubling from 100 us up to 2 ms.
-const (
-	retryTimeout    = 2 * sim.Millisecond
-	retryBackoff    = 100 * sim.Microsecond
-	retryMaxBackoff = 2 * sim.Millisecond
-)
+// alive reports whether a node participates in the protocol: the
+// messaging layer has not fenced it out. The fence is final even when
+// failure detection misfires (e.g. a long partition): the declared-dead
+// node may still be running, but it must not receive grants or mutate
+// survivor state.
+func (d *DSM) alive(node int) bool { return !d.layer.Fenced(node) }
 
-// retries reports whether the fault-tolerant paths are on: exactly when
-// the layer's fabric has a fault filter, checked per call as the
-// reliable transport does, so a DSM built before fault.New retries too.
-func (d *DSM) retries() bool { return d.layer.Net().Filter() != nil }
-
-// alive reports whether a node participates in the protocol: it is not
-// fenced out by MarkDead. The fence is final even when failure detection
-// misfires (e.g. a long partition): the declared-dead node may still be
-// running, but it must not receive grants or mutate survivor state.
-func (d *DSM) alive(node int) bool { return d.excluded&(1<<d.index(node)) == 0 }
-
-// Fenced reports whether MarkDead has fenced the node out. It is the
-// record of which slices are declared dead; a node outside the DSM is
-// never fenced.
+// Fenced reports whether MarkDead has fenced the node out. The layer's
+// fence is the record of which slices are declared dead; a node outside
+// the DSM is never reported fenced.
 func (d *DSM) Fenced(node int) bool {
 	return node >= 0 && node < len(d.idx) && d.idx[node] >= 0 && !d.alive(node)
-}
-
-// callNode sends a request to another slice's handler. On a fault-free
-// fabric it is a plain reliable Call. On a faulted one it retries on
-// timeout until MarkDead fences the destination out — transient loss
-// heals, a declared death surfaces as an error.
-func (d *DSM) callNode(p *sim.Proc, to int, kind string, size int, payload any) (*msg.Message, error) {
-	if !d.retries() {
-		return d.layer.Call(p, d.origin, to, d.ownSvc, kind, size, payload), nil
-	}
-	backoff := retryBackoff
-	start := p.Now()
-	for attempt := 1; ; attempt++ {
-		if !d.alive(to) {
-			return nil, &msg.TimeoutError{To: to, Service: d.ownSvc, Kind: kind,
-				Attempts: attempt - 1, Elapsed: p.Now() - start}
-		}
-		r, err := d.layer.CallTimeout(p, d.origin, to, d.ownSvc, kind, size, payload, retryTimeout)
-		if err == nil {
-			return r, nil
-		}
-		d.members[0].stats.Retries++
-		p.Sleep(backoff)
-		backoff = min(2*backoff, retryMaxBackoff)
-	}
 }
 
 // reconcileOrigin re-settles the origin's replica record after a grant's
@@ -137,23 +91,19 @@ func (d *DSM) rehome(r *pageRec) {
 	}
 }
 
-// MarkDead removes a crashed node from the protocol: its replicas are
-// dropped from every copyset, pages and extents it owned are re-homed to
-// their successors, and its local replicas are invalidated. Call it once
-// failure detection (the hypervisor heartbeat) declares the node dead,
-// before survivors resume.
-//
-// The directory forgets the node's parked fault ids — a dead node never
-// fills the gaps ahead of them — but keeps the rest of its window, so a
-// late retransmission of a fault it accepted in order stays a duplicate.
+// MarkDead removes a crashed node from the protocol: it fences the node
+// out of the messaging layer, which fails every call and fault waiting
+// on it, then drops its replicas from every copyset, re-homes the pages
+// and extents it owned to their successors, and invalidates its local
+// replicas. Call it once failure detection (the hypervisor heartbeat)
+// declares the node dead, before survivors resume.
 func (d *DSM) MarkDead(node int) {
 	if node == d.origin {
 		panic("dsm: cannot mark the origin dead (the directory dies with it)")
 	}
 	deadBit := d.bit(node)
 	ni := d.index(node)
-	d.excluded |= deadBit
-	d.members[ni].accepted.DropParked()
+	d.layer.MarkDead(node)
 	for _, r := range d.pages {
 		if r.held&deadBit != 0 {
 			r.local[ni].state = Invalid

@@ -156,3 +156,41 @@ func TestWriteGrantReHomesFencedRequester(t *testing.T) {
 	wantPrefix(t, "node 2", got, fenceData)
 	checkFenced(t, d, 3)
 }
+
+// MarkDead fences node 2 while its write fault's request to the directory
+// is still in flight. The directory never handles the request, the
+// fenced requester still returns from its fault, the transport frees
+// every flow to or from node 2, and the page it wanted stays out of the
+// directory.
+func TestMarkDeadFencesFramesAndFreesFlows(t *testing.T) {
+	env, d, l := newFenceRace(t)
+	defer env.Close()
+	l.slow, l.lag = 2, sim.Millisecond
+	handled := 0
+	d.layer.Handle(d.origin, d.dirSvc, func(m *msg.Message) {
+		handled++
+		d.handleDir(m)
+	})
+	other := mem.PageID(8)
+	returned := false
+	env.Spawn("writer2", func(p *sim.Proc) {
+		d.Write(p, 2, other, 0, []byte("two"))
+		returned = true
+	})
+	env.After(500*sim.Microsecond, func() { d.MarkDead(2) })
+	env.Run()
+	if handled != 0 {
+		t.Errorf("the directory handled %d requests from the fenced node", handled)
+	}
+	if !returned {
+		t.Error("the requester fenced mid-fault never returned")
+	}
+	// The setup's write and read left flows 0↔1 and 0↔2; only 0↔1 stays.
+	if flows, _ := d.layer.Transport().Flows(); flows != 2 {
+		t.Errorf("%d flows hold state, want 2: node 2's are freed", flows)
+	}
+	if _, _, ok := d.DirEntry(other); ok {
+		t.Error("the fenced node's fault entered its page into the directory")
+	}
+	checkFenced(t, d, 2)
+}

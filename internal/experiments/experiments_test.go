@@ -319,7 +319,7 @@ func TestFleetSoakResizeShape(t *testing.T) {
 
 // TestNetStormShape: the storm and cut scenarios actually exercise the
 // fault path — the ToR-cut row is present and records deaths, and every
-// fleet-storm row sees probes fail with a typed unreachable error.
+// fleet-storm row counts unanswered probes as unreachable.
 func TestNetStormShape(t *testing.T) {
 	tab := quick(t, "netstorm")
 	col := func(name string) int {

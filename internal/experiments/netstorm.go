@@ -20,14 +20,16 @@ func init() { register("netstorm", NetStorm) }
 // domains end to end, on a 2-rack tree with a 4:1 oversubscribed spine.
 //
 // Data plane (faulttest on a 4-node Aggregate VM): the same workload
-// runs fault-free, under an Any→Any drop storm (every blocking sender —
-// DSM fills, checkpoint chunks — must retry through it rather than
-// wedge), and with rack 1's ToR uplink cut (nodes 2 and 3 become
+// runs fault-free, under an Any→Any drop storm (every VM message and
+// checkpoint chunk rides the VM's reliable transport through it rather
+// than wedge), and with rack 1's ToR uplink cut (nodes 2 and 3 become
 // unreachable as one event, the heartbeat declares them dead, and the
 // VM restarts on the survivors from its checkpoint). The storm and cut
 // rows report the slowdown against the baseline — bounded, because
-// every loss is resolved by retransmission or typed failure, never by
-// an infinite hang.
+// every lost frame is retransmitted until acknowledged, or abandoned
+// once the heartbeat declares its peer dead. The vm rows count the
+// transport's retransmits, and as unreachable the messages it abandoned
+// to a declared death or a ping timeout.
 //
 // Control plane (one fleet per reclaim policy): a seeded burst of VM
 // arrivals runs under the fleet's fabric-probe heartbeat while the
@@ -66,7 +68,7 @@ func NetStorm(o Options) *metrics.Table {
 	base := run(fault.Schedule{}, 0)
 	t.AddRow("vm-baseline", "-", ms(base.Wall), 1.0,
 		float64(len(base.DeadAt)), 0.0, 0.0, 0.0,
-		float64(base.Reliable.Retransmits), float64(base.Reliable.Unreachable))
+		float64(base.Reliable.Retransmits), float64(base.Reliable.Abandoned))
 
 	// The workload's steady-state fabric traffic is sparse (most DSM
 	// activity resolves locally), so a 600-message Any→Any drop budget is
@@ -80,7 +82,7 @@ func NetStorm(o Options) *metrics.Table {
 	st := run(storm, 3)
 	t.AddRow("vm-drop-storm", "-", ms(st.Wall), metrics.Ratio(st.Wall, base.Wall),
 		float64(len(st.DeadAt)), 0.0, 0.0, 0.0,
-		float64(st.Reliable.Retransmits), float64(st.Reliable.Unreachable))
+		float64(st.Reliable.Retransmits), float64(st.Reliable.Abandoned))
 
 	var cut fault.Schedule
 	cut.Add(fault.Event{At: 2 * sim.Millisecond, Kind: fault.CutLink, Link: "tor1"})
@@ -88,7 +90,7 @@ func NetStorm(o Options) *metrics.Table {
 	tc := run(cut, 2)
 	t.AddRow("vm-tor-cut", "-", ms(tc.Wall), metrics.Ratio(tc.Wall, base.Wall),
 		float64(len(tc.DeadAt)), 0.0, 0.0, 0.0,
-		float64(tc.Reliable.Retransmits), float64(tc.Reliable.Unreachable))
+		float64(tc.Reliable.Retransmits), float64(tc.Reliable.Abandoned))
 
 	// --- Control plane: probing heartbeat under the same abuse. ---
 	for _, pol := range fleet.Policies() {
@@ -97,7 +99,8 @@ func NetStorm(o Options) *metrics.Table {
 			float64(st.NodeFailures), float64(ups), float64(st.Restarts), float64(st.Requeues),
 			0.0, float64(st.ProbeMisses))
 	}
-	t.AddNote("storm and cut slowdowns are bounded: every dropped frame resolves by retransmission or a typed unreachable error, never a hang")
+	t.AddNote("storm and cut slowdowns are bounded: a dropped frame is retransmitted until acknowledged, or abandoned once its peer is declared dead")
+	t.AddNote("vm rows: retransmits are the VM transport's, which carries every VM message and checkpoint chunk; unreachable counts the messages it abandoned to a declared death or a ping timeout")
 	t.AddNote("the ToR cut kills rack 1 (2 nodes) as one event; the probing fleet heartbeat recovers cut nodes like crashed ones and rejoins them after heal")
 	t.AddNote("fleet rows: unreachable counts missed heartbeat probes; probes are never retransmitted")
 	return t

@@ -17,12 +17,13 @@
 //
 //   - topo consults it for every fabric message (crashed endpoints,
 //     partitioned links, and drop/delay rules);
-//   - msg and reliable consult it, through the optional msg.Filter
-//     method, for duplication and for same-node delivery on a crashed
-//     node; msg surfaces losses as typed timeout errors through
-//     CallTimeout;
-//   - dsm retries its protocol messages exactly when its fabric has a
-//     filter, and reliable leaves its zero-fault fast path;
+//   - msg and reliable consult it, through the optional topo.MsgFilter
+//     method, for same-node delivery on a crashed node and for
+//     duplication of reliable data frames;
+//   - every VM message rides its messaging layer's reliable transport
+//     exactly when the fabric has a filter: lost frames are retransmitted
+//     until acknowledged or fenced, and only the heartbeat's CallTimeout
+//     pings surface a loss, as a typed timeout error;
 //   - hypervisor heartbeats detect crashed slices through the message
 //     losses it induces and declare them dead; dsm and checkpoint act on
 //     those declarations only, never on the injector's own crash state;

@@ -99,10 +99,10 @@ func TestInjectorDupRuleAtMessageLayer(t *testing.T) {
 	inj.Apply(s)
 	env.Run()
 
-	if !inj.MsgOutcome(0, 1, "dsm", "req").Duplicate {
+	if !inj.MsgOutcome(0, 1).Duplicate {
 		t.Fatal("dup rule did not duplicate the first message")
 	}
-	if inj.MsgOutcome(0, 1, "dsm", "req").Duplicate {
+	if inj.MsgOutcome(0, 1).Duplicate {
 		t.Fatal("dup rule exceeded its budget")
 	}
 }

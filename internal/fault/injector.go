@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
-	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -27,10 +26,10 @@ func (r *rule) matches(from, to int) bool {
 
 // Injector applies fault schedules to a simulated cluster. Construct with
 // New, then Apply one or more schedules. The injector implements
-// topo.Filter (drop/delay verdicts for fabric traffic) and msg.Filter
-// (duplication, and same-node drops on crashed nodes), which every
-// messaging layer and the reliable transport over a faulted fabric
-// consult.
+// topo.Filter (drop/delay verdicts for fabric traffic) and topo.MsgFilter
+// (duplication of reliable data frames, and same-node drops on crashed
+// nodes), which every messaging layer and reliable transport over a
+// faulted fabric consult.
 type Injector struct {
 	env *sim.Env
 	c   *cluster.Cluster
@@ -42,9 +41,8 @@ type Injector struct {
 	links    *linkNames
 	cutLinks map[string]bool
 	degLinks map[string]sim.Time
-	// dropRules and delayRules apply at the fabric; dupRules apply at the
-	// messaging layer (a duplicate must be a marked msg.Message so its
-	// Reply can be discarded).
+	// dropRules and delayRules apply at the fabric; dupRules apply to the
+	// reliable transport's data frames, which it puts on the fabric twice.
 	dropRules  []*rule
 	delayRules []*rule
 	dupRules   []*rule
@@ -58,8 +56,8 @@ type Injector struct {
 
 // New creates an injector for the cluster and installs it as the fault
 // filter of both interconnects (fabric and client network). That is the
-// only fault switch: every messaging layer, reliable transport and DSM
-// built over a faulted fabric takes its fault behavior from the fabric's
+// only fault switch: every messaging layer and reliable transport built
+// over a faulted fabric takes its fault behavior from the fabric's
 // filter, whether it was built before New or after.
 func New(c *cluster.Cluster) *Injector {
 	i := &Injector{
@@ -223,12 +221,12 @@ func (i *Injector) Outcome(from, to, size int) topo.Outcome {
 	return topo.Outcome{Delay: delay}
 }
 
-// MsgOutcome implements msg.Filter: same-node deliveries on a crashed node
-// are dropped (they never reach the fabric filter), and duplication rules
-// consume their budgets here so the duplicate can be delivered as a marked
-// message.
-func (i *Injector) MsgOutcome(from, to int, service, kind string) msg.MsgOutcome {
-	var out msg.MsgOutcome
+// MsgOutcome implements topo.MsgFilter: same-node deliveries on a crashed
+// node are dropped (they never reach the fabric filter), and duplication
+// rules consume their budgets here, one per data frame the reliable
+// transport puts on the fabric twice.
+func (i *Injector) MsgOutcome(from, to int) topo.MsgOutcome {
+	var out topo.MsgOutcome
 	if from == to && i.crashed[from] {
 		i.ctr.Inc("drop.crashed", 1)
 		out.Drop = true

@@ -79,9 +79,9 @@ type Scenario struct {
 	ExpectDeaths int
 
 	// Hook, when set, runs against the freshly built cluster before the
-	// VM boots — the chaos engine uses it to install bug-reintroduction
-	// test hooks (topo.TestHooks, reliable.TestHooks) on the fabrics
-	// and transport.
+	// VM exists — the chaos engine uses it to install bug-reintroduction
+	// test hooks (topo.TestHooks) on the fabrics, which the VM's
+	// transport reads too.
 	Hook func(c *cluster.Cluster)
 
 	// Watchdog, when positive, arms the sim no-progress watchdog with
@@ -117,7 +117,7 @@ type Result struct {
 
 	DSM       dsm.Stats      // aggregate protocol stats
 	MsgFaults msg.FaultStats // messaging-layer fault stats
-	Reliable  reliable.Stats // ack/retransmit transport stats (checkpoint chunks)
+	Reliable  reliable.Stats // the VM's transport: every cross-node message and checkpoint chunk
 	Counters  string         // injector and VM recovery counters rendering
 
 	env *sim.Env // the run's world, kept open for hooks that read it
@@ -315,7 +315,7 @@ func Run(s Scenario) *Result {
 	res.LiveProcs = env.LiveProcs()
 	res.DSM = vm.DSM.TotalStats()
 	res.MsgFaults = vm.Layer.FaultStats()
-	res.Reliable = c.Reliable.Stats()
+	res.Reliable = vm.Layer.Transport().Stats()
 	// The injector's counters and the VM's hb.*/recover.* counters share
 	// no name, so the merge renders each set unchanged.
 	ctr := metrics.NewCounters()

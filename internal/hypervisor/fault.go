@@ -58,9 +58,9 @@ func (vm *VM) MarkDead(node int) {
 // callback already handed over.
 //
 // Detection never waits on a recovery. A restore can take longer than the
-// fault it recovers from, and the survivors' retry loops (DSM calls,
-// checkpoint chunks) end only when their peer is declared dead: a
-// detector blocked in a restore that itself waits on such a loop would
+// fault it recovers from, and the VM transport retransmits every message
+// and checkpoint chunk toward a lost slice until it is declared dead: a
+// detector blocked in a restore that itself waits on such a send would
 // wait forever on a second lost slice.
 //
 // Detection is batched per tick: every live companion is pinged before any

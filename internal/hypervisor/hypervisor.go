@@ -218,7 +218,8 @@ func (vm *VM) Boot(p *sim.Proc) {
 		}()
 	}
 	for _, n := range vm.nodes[1:] {
-		vm.Layer.Call(p, boot, n, vcpuService(vm), "handshake", 256, nil)
+		// A slice declared dead before it answered simply stays out.
+		_, _ = vm.Layer.Call(p, boot, n, vcpuService(vm), "handshake", 256, nil)
 	}
 	p.Sleep(vm.cfg.BootCost * sim.Time(len(vm.nodes)))
 }

@@ -191,9 +191,9 @@ func TestDetectionRunsDuringRecovery(t *testing.T) {
 
 // TestFaultedClusterWiresEveryVM: fault.New on the cluster is the only
 // fault switch. A VM built from the plain FragVisor profile on a faulted
-// cluster must retry its DSM protocol through an Any→Any drop burst and
-// see duplicated messages at its messaging layer, so every vCPU's writes
-// complete and the DSM stays coherent.
+// cluster must carry its messages over its reliable transport, which
+// retransmits through an Any→Any drop burst and suppresses duplicated
+// frames, so every vCPU's writes complete and the DSM stays coherent.
 func TestFaultedClusterWiresEveryVM(t *testing.T) {
 	c := newCluster(4)
 	defer c.Env.Close()
@@ -226,13 +226,70 @@ func TestFaultedClusterWiresEveryVM(t *testing.T) {
 	if live := c.Env.LiveProcs(); len(live) != 0 {
 		t.Fatalf("procs left blocked: %v", live)
 	}
-	if r := vm.DSM.TotalStats().Retries; r == 0 {
-		t.Error("the DSM never retried through the drop burst")
+	st := vm.Layer.Transport().Stats()
+	if st.Retransmits == 0 {
+		t.Error("the transport never retransmitted through the drop burst")
 	}
-	if d := vm.Layer.FaultStats().Duplicated; d == 0 {
-		t.Error("the messaging layer saw no duplicated message")
+	if st.DupsSuppressed == 0 {
+		t.Error("the transport suppressed no duplicated frame")
 	}
 	if err := vm.DSM.Validate(); err != nil {
 		t.Error(err)
 	}
+}
+
+// runFaulted boots a VM with one vCPU on each of three nodes of a faulted
+// cluster, applies the schedule at boot time (before Boot when early is
+// set, else right after it) and runs drive, under a watchdog. It fails
+// the test unless everything completes.
+func runFaulted(t *testing.T, sched fault.Schedule, early bool, drive func(p *sim.Proc, vm *VM)) *VM {
+	t.Helper()
+	c := newCluster(3)
+	defer c.Env.Close()
+	inj := fault.New(c)
+	vm := New(FragVisorConfig(c, SpreadPlacement([]int{0, 1, 2}, 3), 1<<30))
+	done := false
+	if early {
+		inj.Apply(sched) // its rules are live before the driver starts
+	}
+	c.Env.Spawn("driver", func(p *sim.Proc) {
+		vm.Boot(p)
+		if !early {
+			inj.Apply(sched.Shifted(p.Now()))
+		}
+		drive(p, vm)
+		done = true
+	})
+	c.Env.WatchProgress(100 * sim.Millisecond)
+	c.Env.Run()
+	if st := c.Env.Stalled(); st != nil {
+		t.Fatal(st)
+	}
+	if live := c.Env.LiveProcs(); len(live) != 0 || !done {
+		t.Fatalf("driver finished %v, procs left blocked: %v", done, live)
+	}
+	if st := vm.Layer.Transport().Stats(); st.Retransmits == 0 {
+		t.Errorf("the lost frame was never retransmitted: %+v", st)
+	}
+	return vm
+}
+
+// TestDroppedFrameDoesNotWedgeMigration: one frame lost on route 1→2
+// while vCPU 1 live-migrates from node 1 to node 2 is retransmitted, and
+// the migration completes.
+func TestDroppedFrameDoesNotWedgeMigration(t *testing.T) {
+	var sched fault.Schedule
+	sched.Add(fault.Event{Kind: fault.DropMessages, From: 1, To: 2, Count: 1})
+	vm := runFaulted(t, sched, false, func(p *sim.Proc, vm *VM) { vm.MigrateVCPU(p, 1, 2, 1) })
+	if got := vm.VCPUNodes()[1]; got != 2 {
+		t.Errorf("vCPU 1 is on node %d, want 2", got)
+	}
+}
+
+// TestDroppedFrameDoesNotWedgeBoot: one frame lost on route 0→1 before
+// Boot — the first handshake's — is retransmitted, and boot completes.
+func TestDroppedFrameDoesNotWedgeBoot(t *testing.T) {
+	var sched fault.Schedule
+	sched.Add(fault.Event{Kind: fault.DropMessages, From: 0, To: 1, Count: 1})
+	runFaulted(t, sched, true, func(*sim.Proc, *VM) {})
 }

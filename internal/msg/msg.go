@@ -14,6 +14,15 @@
 // of every request/response protocol built on top (page fetches, interrupt
 // acknowledgements, migration handshakes).
 //
+// Over a faulted fabric (one with a fault filter installed) every
+// cross-node message rides the layer's reliable transport instead, which
+// retransmits until the frame is acknowledged or MarkDead fences an
+// endpoint, and delivers each message exactly once, as the RDMA reliable
+// connections under the paper's message layer do. The fence is the
+// layer's one record of declared deaths: over a faulted fabric MarkDead
+// fails every Call that waits on a fenced node, and no message to or from
+// one is handled.
+//
 // A message schedules itself: the fabric only charges the path
 // (topo.Fabric.Transmit), and the layer puts the *Message on a pooled
 // sim.Env.DeferArgAt timer at the arrival time, then on a DeferArg timer
@@ -26,7 +35,9 @@ package msg
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/reliable"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -58,7 +69,6 @@ type Message struct {
 	ev      sim.Event // a Call's reply event, fired when the reply arrives
 	call    bool      // the sender waits on ev for a reply
 	replied bool      // Reply turned this request round: delivery fires ev
-	dup     bool      // fault-injected duplicate delivery of an earlier message
 	span    int64     // tracing span covering this message's delivery
 }
 
@@ -67,23 +77,12 @@ type Message struct {
 // message triggers.
 func (m *Message) SpanID() int64 { return m.span }
 
-// Duplicate reports whether this delivery is a fault-injected duplicate of
-// an earlier message. Handlers that are not naturally idempotent may use
-// it to skip side effects.
-func (m *Message) Duplicate() bool { return m.dup }
-
 // Reply sends a response of the given size back to the caller of Call.
 // The request itself becomes the reply: From and To swap, Kind gains
 // ".reply", and Size and Payload are replaced, so a handler reads what it
 // needs from m before replying. Replying to a one-way message, or twice,
-// panics. Replies to duplicate deliveries are silently discarded: the
-// requester's call already completed against the original, so the wire
-// would carry an answer nobody is waiting for.
+// panics.
 func (m *Message) Reply(size int, payload any) {
-	if m.dup {
-		m.layer.faults.DupRepliesDropped++
-		return
-	}
 	if !m.call {
 		panic(fmt.Sprintf("msg: Reply to one-way %s/%s", m.Service, m.Kind))
 	}
@@ -106,6 +105,16 @@ type Layer struct {
 	tr       *trace.Tracer
 	services map[string]int
 	replies  map[string]string // kind -> kind + ".reply", interned
+	rel      *reliable.Transport
+	waits    []wait // procs blocked on an exchange that MarkDead must fail
+}
+
+// wait is one proc blocked until ev fires, unless node a or b is fenced
+// first.
+type wait struct {
+	ev     *sim.Event
+	a, b   int
+	fenced bool
 }
 
 type serviceKey struct {
@@ -114,7 +123,8 @@ type serviceKey struct {
 }
 
 // NewLayer returns a messaging layer over the given fabric, flat or
-// tree.
+// tree, with the reliable transport its messages ride when the fabric is
+// faulted.
 func NewLayer(env *sim.Env, net *topo.Fabric) *Layer {
 	return &Layer{
 		env:      env,
@@ -122,7 +132,53 @@ func NewLayer(env *sim.Env, net *topo.Fabric) *Layer {
 		handlers: make(map[serviceKey]Handler),
 		tr:       trace.FromEnv(env),
 		replies:  make(map[string]string),
+		rel:      reliable.New(env, net),
 	}
+}
+
+// Transport returns the layer's reliable transport, which bulk senders
+// (checkpoint chunks) share with the layer's own messages.
+func (l *Layer) Transport() *reliable.Transport { return l.rel }
+
+// Fenced reports whether MarkDead has fenced the node out.
+func (l *Layer) Fenced(node int) bool { return l.rel.Fenced(node) }
+
+// MarkDead fences a node out for good, as the failure detector declares
+// it dead: the transport stops retransmitting to and from it and discards
+// its frames and, over a faulted fabric, no message to or from it is
+// handled any more and every Call or Await that waits on it fails.
+// Waiters wake in the order they began to wait.
+func (l *Layer) MarkDead(node int) {
+	l.rel.MarkDead(node)
+	for i := range l.waits {
+		w := &l.waits[i]
+		if (w.a == node || w.b == node) && !w.ev.Fired() {
+			w.fenced = true
+			w.ev.Fire()
+		}
+	}
+}
+
+// Await blocks p until ev fires, or until MarkDead fences node a or b,
+// and reports whether ev fired first. Over a fault-free fabric, where
+// nothing is lost, it is a plain Wait.
+func (l *Layer) Await(p *sim.Proc, ev *sim.Event, a, b int) bool {
+	if l.net.Filter() == nil {
+		p.Wait(ev)
+		return true
+	}
+	if ev.Fired() {
+		return true
+	}
+	if l.Fenced(a) || l.Fenced(b) {
+		return false
+	}
+	l.waits = append(l.waits, wait{ev: ev, a: a, b: b})
+	p.Wait(ev)
+	i := slices.IndexFunc(l.waits, func(w wait) bool { return w.ev == ev })
+	fenced := l.waits[i].fenced
+	l.waits = slices.Delete(l.waits, i, i+1)
+	return !fenced
 }
 
 // replyKind returns kind + ".reply", built once per kind so replies do
@@ -156,8 +212,9 @@ func (l *Layer) Handle(node int, service string, h Handler) {
 }
 
 // Send delivers a one-way message. The destination service must be
-// registered by delivery time; unrouteable messages panic, since a lost
-// hypervisor message is a protocol bug, not a recoverable condition.
+// registered by delivery time; unrouteable messages panic. A message is
+// never lost: over a faulted fabric it rides the reliable transport, and
+// only a fenced endpoint ends its retransmission.
 func (l *Layer) Send(from, to int, service, kind string, size int, payload any) {
 	l.SendCtx(0, from, to, service, kind, size, payload)
 }
@@ -171,12 +228,15 @@ func (l *Layer) SendCtx(span int64, from, to int, service, kind string, size int
 
 // Call delivers a request and blocks the process until the handler replies.
 // It returns the reply, which is the request message turned round by
-// Reply.
-func (l *Layer) Call(p *sim.Proc, from, to int, service, kind string, size int, payload any) *Message {
+// Reply, or an error matching reliable.ErrFenced when MarkDead fences
+// either end first.
+func (l *Layer) Call(p *sim.Proc, from, to int, service, kind string, size int, payload any) (*Message, error) {
 	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, call: true, span: p.Span()}
 	l.deliver(m)
-	p.Wait(&m.ev)
-	return m
+	if !l.Await(p, &m.ev, from, to) {
+		return nil, fmt.Errorf("msg: %s/%s from node %d to %d: %w", service, kind, from, to, reliable.ErrFenced)
+	}
+	return m, nil
 }
 
 // deliver routes a message through the fabric (or locally) and, after
@@ -185,42 +245,33 @@ func (l *Layer) Call(p *sim.Proc, from, to int, service, kind string, size int, 
 func (l *Layer) deliver(m *Message) {
 	if l.tr != nil {
 		// The delivery span covers serialization, flight, and handling;
-		// it stays open forever if fault injection eats the message —
+		// it stays open forever if the message is never delivered —
 		// visibly, in the exported trace.
 		m.span = l.tr.Begin(m.span, trace.CatNet, m.To, l.tr.Key(m.Service, m.Kind))
 	}
-
-	var verdict MsgOutcome
-	if f, ok := l.net.Filter().(Filter); ok {
-		verdict = f.MsgOutcome(m.From, m.To, m.Service, m.Kind)
-	}
+	flt := l.net.Filter()
 	if m.From == m.To {
 		// Same-node messages short-circuit the fabric but still pay the
 		// handler demultiplexing cost. A crashed node delivers nothing,
 		// not even to itself.
-		if verdict.Drop {
+		if f, ok := flt.(topo.MsgFilter); ok && f.MsgOutcome(m.From, m.To).Drop {
 			l.faults.Dropped++
 			return
 		}
 		l.env.DeferArg(0, receive, m)
 		return
 	}
-	// Cross-node drop/delay faults are ruled on by the fabric's own
-	// filter inside Transmit; the messaging layer adds duplication: a
-	// marked copy crosses the fabric right behind the original (outside
-	// any span) and takes the same receive/handle timers. The arrival
-	// timer is scheduled straight after the path is charged, as the
-	// fabric's own Send does.
+	if flt != nil {
+		// The frame is posted with its endpoints, so the transport
+		// dedups a retransmitted request on its own flow even after
+		// Reply has turned m round.
+		l.rel.Post(m.span, m.From, m.To, m.Size+HeaderBytes, receive, m)
+		return
+	}
+	// The arrival timer is scheduled straight after the path is charged,
+	// as the fabric's own Send does.
 	if at, ok := l.net.Transmit(m.span, m.From, m.To, m.Size+HeaderBytes); ok {
 		l.env.DeferArgAt(at, receive, m)
-	}
-	if verdict.Duplicate {
-		l.faults.Duplicated++
-		clone := *m
-		clone.dup = true
-		if at, ok := l.net.Transmit(0, m.From, m.To, m.Size+HeaderBytes); ok {
-			l.env.DeferArgAt(at, receive, &clone)
-		}
 	}
 }
 
@@ -232,20 +283,19 @@ func receive(a any) {
 }
 
 // handle completes a delivery: a reply fires its caller's reply event,
-// anything else runs the destination service's handler. A duplicate
-// leaves the delivery span to its original, and a duplicate reply is
-// dropped: the original already completed the call. The span is read
+// anything else runs the destination service's handler. Over a faulted
+// fabric a message to or from a node fenced while it was in flight is not
+// handled: MarkDead has failed its caller already. The span is read
 // before the handler runs, since a Reply inside it turns m into the
 // reply, with a delivery span of its own.
 func handle(a any) {
 	m := a.(*Message)
 	l := m.layer
+	if l.net.Filter() != nil && (l.Fenced(m.From) || l.Fenced(m.To)) {
+		return
+	}
 	span := m.span
 	if m.replied {
-		if m.dup {
-			l.faults.DupRepliesDropped++
-			return
-		}
 		m.ev.Fire()
 	} else {
 		h, ok := l.handlers[serviceKey{m.To, m.Service}]
@@ -254,9 +304,7 @@ func handle(a any) {
 		}
 		h(m)
 	}
-	if !m.dup {
-		l.tr.End(span)
-	}
+	l.tr.End(span)
 }
 
 // Net returns the underlying fabric.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/reliable"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -41,7 +42,7 @@ func TestCallRoundTrip(t *testing.T) {
 	var rtt sim.Time
 	env.Spawn("caller", func(p *sim.Proc) {
 		start := p.Now()
-		reply = l.Call(p, 0, 1, "dsm", "page_req", 32, nil)
+		reply, _ = l.Call(p, 0, 1, "dsm", "page_req", 32, nil)
 		rtt = p.Now() - start
 	})
 	env.Run()
@@ -107,7 +108,7 @@ func TestDuplicateReplyPanics(t *testing.T) {
 		}()
 		m.Reply(0, nil)
 	})
-	env.Spawn("caller", func(p *sim.Proc) { l.Call(p, 0, 1, "svc", "x", 0, nil) })
+	env.Spawn("caller", func(p *sim.Proc) { _, _ = l.Call(p, 0, 1, "svc", "x", 0, nil) })
 	env.Run()
 }
 
@@ -134,7 +135,7 @@ func TestManyConcurrentCalls(t *testing.T) {
 	done := 0
 	for i := 0; i < 20; i++ {
 		env.Spawn("caller", func(p *sim.Proc) {
-			if r := l.Call(p, 0, 1, "svc", "req", 16, nil); r != nil {
+			if r, err := l.Call(p, 0, 1, "svc", "req", 16, nil); r != nil && err == nil {
 				done++
 			}
 		})
@@ -145,27 +146,37 @@ func TestManyConcurrentCalls(t *testing.T) {
 	}
 }
 
-// dupFilter duplicates every message of one kind and passes the rest.
-type dupFilter struct{ kind string }
-
-func (dupFilter) Outcome(from, to, size int) topo.Outcome { return topo.Outcome{} }
-
-func (f dupFilter) MsgOutcome(from, to int, service, kind string) MsgOutcome {
-	return MsgOutcome{Duplicate: kind == f.kind}
+// dirFilter passes every frame and duplicates the data frames from one
+// node (all of them, or only the first when once is set); drop, when set,
+// rules on the fabric.
+type dirFilter struct {
+	from int
+	once bool
+	done bool
+	drop func(from, to, size int) bool
 }
 
-// TestDuplicatedCall: a fault-injected duplicate takes the same fabric
-// path and receive/handle timers as its original, right behind it. A
-// duplicated request runs the handler twice and a duplicated reply
-// reaches the caller twice, yet either way the call completes once, one
-// reply is counted dropped, and each delivery span is ended once, by its
-// original, when the handler runs or the caller wakes.
+func (f *dirFilter) Outcome(from, to, size int) topo.Outcome {
+	return topo.Outcome{Drop: f.drop != nil && f.drop(from, to, size)}
+}
+
+func (f *dirFilter) MsgOutcome(from, to int) topo.MsgOutcome {
+	dup := from == f.from && !(f.once && f.done)
+	f.done = f.done || dup
+	return topo.MsgOutcome{Duplicate: dup}
+}
+
+// TestDuplicatedCall: over a faulted fabric a duplicated frame — of the
+// request or of the reply — reaches the transport twice but its message
+// is handled once: the handler runs once, the call completes once, the
+// copy is counted suppressed, and each delivery span is ended once, when
+// the handler runs or the caller wakes.
 func TestDuplicatedCall(t *testing.T) {
-	for _, kind := range []string{"req", "req.reply"} {
+	for _, from := range []int{0, 1} {
 		env := sim.NewEnv()
 		tr := trace.NewSession().Attach(env, "dup")
 		l := newTestLayer(env)
-		l.Net().SetFilter(dupFilter{kind})
+		l.Net().SetFilter(&dirFilter{from: from})
 		var ran []sim.Time
 		l.Handle(1, "svc", func(m *Message) {
 			ran = append(ran, env.Now())
@@ -174,66 +185,45 @@ func TestDuplicatedCall(t *testing.T) {
 		completed := 0
 		var woke sim.Time
 		env.Spawn("caller", func(p *sim.Proc) {
-			l.Call(p, 0, 1, "svc", "req", 16, nil)
-			completed++
+			if _, err := l.Call(p, 0, 1, "svc", "req", 16, nil); err == nil {
+				completed++
+			}
 			woke = p.Now()
 		})
 		env.Run()
 
-		wantRuns := 1
-		if kind == "req" {
-			wantRuns = 2
+		if len(ran) != 1 || completed != 1 {
+			t.Fatalf("frames from %d duplicated: handler ran %d times, call completed %d times; want 1 and 1",
+				from, len(ran), completed)
 		}
-		if len(ran) != wantRuns || completed != 1 {
-			t.Fatalf("%s duplicated: handler ran %d times, call completed %d times; want %d and 1",
-				kind, len(ran), completed, wantRuns)
-		}
-		if f := l.FaultStats(); f.Duplicated != 1 || f.DupRepliesDropped != 1 {
-			t.Errorf("%s duplicated: fault stats %+v, want 1 duplicated and 1 dropped reply", kind, f)
-		}
-		if late := (wantRuns == 2 && ran[1] > ran[0]) || (wantRuns == 1 && env.Now() > woke); !late {
-			t.Errorf("%s duplicated: the copy was not handled after the original (handler ran %v, caller woke %v, run ended %v)",
-				kind, ran, woke, env.Now())
+		if st := l.Transport().Stats(); st.DupFrames != 1 || st.DupsSuppressed != 1 || st.Delivered != 2 {
+			t.Errorf("frames from %d duplicated: transport stats %+v, want 1 copy suppressed, 2 delivered", from, st)
 		}
 		ends := map[string]sim.Time{}
 		for _, sp := range tr.Spans() {
 			if sp.Name == "svc/req" || sp.Name == "svc/req.reply" {
 				if _, seen := ends[sp.Name]; seen {
-					t.Errorf("%s duplicated: a second %s delivery span", kind, sp.Name)
+					t.Errorf("frames from %d duplicated: a second %s delivery span", from, sp.Name)
 				}
 				ends[sp.Name] = sp.End
 			}
 		}
 		if ends["svc/req"] != ran[0] || ends["svc/req.reply"] != woke {
-			t.Errorf("%s duplicated: delivery spans end at %v, want request %v and reply %v",
-				kind, ends, ran[0], woke)
+			t.Errorf("frames from %d duplicated: delivery spans end at %v, want request %v and reply %v",
+				from, ends, ran[0], woke)
 		}
 	}
 }
 
-// onceDup duplicates the first message of one kind and passes the rest.
-type onceDup struct {
-	kind string
-	done bool
-}
-
-func (*onceDup) Outcome(from, to, size int) topo.Outcome { return topo.Outcome{} }
-
-func (f *onceDup) MsgOutcome(from, to int, service, kind string) MsgOutcome {
-	dup := kind == f.kind && !f.done
-	f.done = f.done || dup
-	return MsgOutcome{Duplicate: dup}
-}
-
-// TestDuplicateOfReusedReplyDropped: a duplicate of a reply, which is its
-// request turned round, lands after the caller has moved on to its next
-// call. It is dropped and counted once, and the next call completes on
-// its own reply.
+// TestDuplicateOfReusedReplyDropped: a duplicate of a reply frame, whose
+// message is its request turned round, lands after the caller has moved
+// on to its next call. The transport drops it, and the next call
+// completes on its own reply.
 func TestDuplicateOfReusedReplyDropped(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	l := newTestLayer(env)
-	l.Net().SetFilter(&onceDup{kind: "req.reply"})
+	l.Net().SetFilter(&dirFilter{from: 1, once: true})
 	n := 0
 	l.Handle(1, "svc", func(m *Message) {
 		n++
@@ -242,7 +232,7 @@ func TestDuplicateOfReusedReplyDropped(t *testing.T) {
 	var got []any
 	env.Spawn("caller", func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
-			r := l.Call(p, 0, 1, "svc", "req", 16, nil)
+			r, _ := l.Call(p, 0, 1, "svc", "req", 16, nil)
 			got = append(got, r.Payload)
 		}
 	})
@@ -250,8 +240,114 @@ func TestDuplicateOfReusedReplyDropped(t *testing.T) {
 	if fmt.Sprint(got) != "[1 2]" {
 		t.Fatalf("replies %v, want [1 2]", got)
 	}
-	if f := l.FaultStats(); f.Duplicated != 1 || f.DupRepliesDropped != 1 {
-		t.Errorf("fault stats %+v, want 1 duplicated and 1 dropped reply", f)
+	if st := l.Transport().Stats(); st.DupFrames != 1 || st.DupsSuppressed != 1 {
+		t.Errorf("transport stats %+v, want 1 duplicated and suppressed reply frame", st)
+	}
+}
+
+// TestRetransmittedRequestAfterReply: the request's ack is lost, so its
+// frame is retransmitted after the handler has already turned the message
+// round into the reply, with From and To swapped. The copy is still
+// deduplicated on the request's own flow: the handler runs once, the
+// reply is not delivered again, and the caller's next call completes on
+// its own reply.
+func TestRetransmittedRequestAfterReply(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	l := newTestLayer(env)
+	frames := 0
+	l.Net().SetFilter(&dirFilter{from: -1, drop: func(from, to, size int) bool {
+		// The second frame on the fabric is the request's ack, sent
+		// before the handler runs.
+		frames++
+		return frames == 2
+	}})
+	n := 0
+	l.Handle(1, "svc", func(m *Message) {
+		n++
+		m.Reply(8, n)
+	})
+	var got []any
+	env.Spawn("caller", func(p *sim.Proc) {
+		for i := 0; i < 2; i++ {
+			r, _ := l.Call(p, 0, 1, "svc", "req", 16, nil)
+			got = append(got, r.Payload)
+			p.Sleep(20 * sim.Millisecond) // past the request's retransmission
+		}
+	})
+	env.Run()
+	if fmt.Sprint(got) != "[1 2]" || n != 2 {
+		t.Fatalf("replies %v after %d handler runs, want [1 2] after 2", got, n)
+	}
+	if st := l.Transport().Stats(); st.Retransmits != 1 || st.DupsSuppressed != 1 || st.Delivered != st.Sent {
+		t.Errorf("transport stats %+v, want the request retransmitted once and suppressed", st)
+	}
+}
+
+// TestCallFailsOnFence: a Call toward a node that has stopped answering
+// retransmits until MarkDead fences the node, then fails with
+// reliable.ErrFenced; a message from the fenced node that was already in
+// flight is not handled, and a Call toward it fails at once.
+func TestCallFailsOnFence(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	l := newTestLayer(env)
+	l.Net().SetFilter(&dirFilter{from: -1, drop: func(from, to, size int) bool { return to == 1 }})
+	l.Handle(1, "svc", func(m *Message) { m.Reply(8, nil) })
+	handled := 0
+	l.Handle(0, "svc", func(m *Message) { handled++ })
+	var errs []error
+	env.Spawn("caller", func(p *sim.Proc) {
+		_, err := l.Call(p, 0, 1, "svc", "req", 16, nil)
+		errs = append(errs, err)
+		_, err = l.Call(p, 0, 1, "svc", "req", 16, nil)
+		errs = append(errs, err)
+	})
+	env.At(sim.Second, func() {
+		l.Send(1, 0, "svc", "note", 16, nil)
+		l.MarkDead(1)
+	})
+	env.Run()
+	if len(errs) != 2 || !errors.Is(errs[0], reliable.ErrFenced) || !errors.Is(errs[1], reliable.ErrFenced) {
+		t.Fatalf("calls returned %v, want two fenced errors", errs)
+	}
+	if handled != 0 {
+		t.Errorf("%d messages from the fenced node handled", handled)
+	}
+	if st := l.Transport().Stats(); st.Retransmits < 20 || st.Abandoned != 3 {
+		t.Errorf("transport stats %+v, want retransmission until the fence, then 3 abandoned", st)
+	}
+	if live := env.LiveProcs(); len(live) != 0 {
+		t.Errorf("procs wedged: %v", live)
+	}
+}
+
+// TestCallTimeoutAbandonsItsMessage: the heartbeat's ping stays a single
+// attempt over a faulted fabric. Its request frame is lost, the call
+// times out before the first retransmission would fire, and the message
+// is abandoned: never retransmitted, never handled.
+func TestCallTimeoutAbandonsItsMessage(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	l := newTestLayer(env)
+	first := true
+	l.Net().SetFilter(&dirFilter{from: -1, drop: func(from, to, size int) bool {
+		drop := first
+		first = false
+		return drop
+	}})
+	handled := 0
+	l.Handle(1, "svc", func(m *Message) { handled++; m.Reply(8, nil) })
+	var err error
+	env.Spawn("pinger", func(p *sim.Proc) {
+		_, err = l.CallTimeout(p, 0, 1, "svc", "ping", 16, nil, sim.Millisecond)
+	})
+	env.Run()
+	if !errors.Is(err, ErrTimeout) || handled != 0 {
+		t.Fatalf("ping: err %v, handled %d times; want a timeout and no handling", err, handled)
+	}
+	if st := l.Transport().Stats(); st.Frames != 1 || st.Retransmits != 0 || st.Abandoned != 1 {
+		t.Errorf("transport stats %+v, want the one frame abandoned", st)
 	}
 }
 
@@ -316,7 +412,7 @@ func TestReplyAfterHandlerReturns(t *testing.T) {
 	})
 	var woke sim.Time
 	env.Spawn("caller", func(p *sim.Proc) {
-		l.Call(p, 0, 1, "svc", "req", 16, nil)
+		_, _ = l.Call(p, 0, 1, "svc", "req", 16, nil)
 		woke = p.Now()
 	})
 	env.Run()
@@ -372,7 +468,7 @@ func TestDeliveryAllocatesOnlyTheMessage(t *testing.T) {
 	env.Spawn("caller", func(p *sim.Proc) {
 		for {
 			q.Get(p)
-			l.Call(p, 0, 1, "svc", "req", 16, nil)
+			_, _ = l.Call(p, 0, 1, "svc", "req", 16, nil)
 		}
 	})
 	call := testing.AllocsPerRun(1000, func() {
@@ -401,7 +497,7 @@ func BenchmarkMsgCall(b *testing.B) {
 	b.ResetTimer()
 	env.Spawn("caller", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			l.Call(p, 0, 1, "svc", "req", 16, nil)
+			_, _ = l.Call(p, 0, 1, "svc", "req", 16, nil)
 		}
 	})
 	env.Run()

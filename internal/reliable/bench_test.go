@@ -8,17 +8,15 @@ import (
 )
 
 // benchSend sends b.N 4 KB messages 0→1 over a flat fabric with filter
-// installed, each RTO padded by slack, and fails the benchmark on the
-// first undelivered one.
-func benchSend(b *testing.B, filter *scriptFilter, slack sim.Time) {
+// installed, and fails the benchmark on the first undelivered one.
+func benchSend(b *testing.B, filter *scriptFilter) {
 	env := sim.NewEnv()
 	fab := topo.FlatSpec().Build(env, "bench", 56, 1500*sim.Nanosecond)
 	fab.SetFilter(filter)
 	tr := New(env, fab)
-	tr.retry.slack = slack
 	env.Spawn("sender", func(pr *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			if err := tr.Send(pr, 0, 1, 4096); err != nil {
+			if err := tr.Send(pr, 0, 0, 1, 4096); err != nil {
 				b.Error(err)
 				return
 			}
@@ -32,9 +30,9 @@ func benchSend(b *testing.B, filter *scriptFilter, slack sim.Time) {
 // BenchmarkReliableSend measures one acknowledged send per op on a clean
 // fabric whose pass-everything filter forces the transport off its
 // zero-fault fast path: sequence bookkeeping, the data frame, the ack
-// round and the pending-event wait.
+// round and the acked-event wait.
 func BenchmarkReliableSend(b *testing.B) {
-	benchSend(b, &scriptFilter{}, rtoSlack)
+	benchSend(b, &scriptFilter{})
 }
 
 // BenchmarkRetryStorm measures the transport's worst case: every message
@@ -50,5 +48,5 @@ func BenchmarkRetryStorm(b *testing.B) {
 		}
 		return topo.Outcome{}
 	}}
-	benchSend(b, drop, 10*sim.Microsecond) // keep virtual time bounded
+	benchSend(b, drop)
 }

@@ -1,24 +1,30 @@
-// Package reliable is an ack/timeout/retransmit layer over a
-// topo.Fabric: blocking sends that survive a lossy fabric instead of
-// wedging the sending proc forever.
+// Package reliable is the ack/timeout/retransmit layer over a
+// topo.Fabric, the repository's one retransmission mechanism: on a
+// faulted fabric every cross-node message of a VM's messaging layer rides
+// it, as do checkpoint chunks.
 //
 // The raw fabrics deliberately model a network that loses frames
 // silently — a fault-filter drop charges the sender's path and then
-// discards the message, exactly like a lost packet. Anything that blocks
-// on such a send needs a protocol answer to loss. This package supplies
-// the standard one:
+// discards the message, exactly like a lost packet. This package supplies
+// the standard protocol answer, as the RDMA reliable connections under
+// the paper's kernel message layer do:
 //
 //   - every data frame is sequence-numbered per (from, to) flow and
 //     acknowledged by a small ack frame on the reverse path;
 //   - the sender retransmits on ack timeout, with a per-message RTO
 //     derived from the fabric's latency and serialization times,
 //     exponential backoff, and a deterministic seeded jitter;
-//   - retries are bounded: a message that exhausts maxAttempts surfaces a
-//     typed *UnreachableError (matching ErrUnreachable) instead of an
-//     infinite hang;
+//   - retransmission ends only when the frame is acknowledged, abandoned
+//     by its sender, or MarkDead fences either endpoint: a crashed peer
+//     looks like a slow one until the failure detector declares it;
 //   - the receiver dedups by sequence number, so retransmit-induced
 //     duplicates — and duplicates injected by the fault injector's
-//     DupMessages rules — deliver exactly once, in per-sender order.
+//     DupMessages rules — deliver exactly once.
+//
+// A healthy frame arms no timer. The fabric rules on a frame when it is
+// transmitted, so the transport knows at once whether the data frame, and
+// at its arrival whether the ack, is lost or late; only then does it set
+// the retransmit timer, at the instant a per-message timer would fire.
 //
 // Zero-fault runs pay nothing: when the fabric has no fault filter
 // installed, Send degenerates to exactly one fabric send plus a wait —
@@ -28,47 +34,26 @@ package reliable
 
 import (
 	"errors"
-	"fmt"
 
-	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
-// ErrUnreachable is the sentinel for a send that exhausted its retries
-// without an acknowledgement. Errors returned by Send wrap it; match
-// with errors.Is.
-var ErrUnreachable = errors.New("reliable: peer unreachable")
+// ErrFenced is returned for a send whose endpoint MarkDead fenced out
+// before the frame was acknowledged.
+var ErrFenced = errors.New("reliable: endpoint fenced")
 
-// UnreachableError reports a message that was transmitted maxAttempts
-// times without ever being acknowledged.
-type UnreachableError struct {
-	From, To int
-	Attempts int
-	Elapsed  sim.Time
-}
-
-func (e *UnreachableError) Error() string {
-	return fmt.Sprintf("reliable: node %d unreachable from %d after %d attempt(s) over %v",
-		e.To, e.From, e.Attempts, e.Elapsed)
-}
-
-// Unwrap lets errors.Is(err, ErrUnreachable) match.
-func (e *UnreachableError) Unwrap() error { return ErrUnreachable }
-
-// The retry state machine suits the intra-cluster fabrics: six attempts
-// with the RTO starting at ~2 uncontended RTTs plus a 5 ms queueing pad.
-// The pad is sized for bulk traffic — several nodes pipelining
-// multi-megabyte checkpoint chunks queue each other by whole
-// serialization times, and a timeout that undercuts the queue
-// retransmits frames that were never lost, feeding the very congestion
-// it is misreading as loss.
+// The RTO starts at ~2 uncontended RTTs plus a 5 ms queueing pad. The pad
+// is sized for bulk traffic — several nodes pipelining multi-megabyte
+// checkpoint chunks queue each other by whole serialization times, and a
+// timeout that undercuts the queue retransmits frames that were never
+// lost, feeding the very congestion it is misreading as loss. It also
+// keeps the first retransmission of a heartbeat ping well past the ping's
+// own reply deadline.
 const (
 	// ackBytes is the size charged for each ack frame on the reverse
 	// path (only when a fault filter is installed).
 	ackBytes = 64
-	// maxAttempts bounds transmissions per message (first send included).
-	maxAttempts = 6
 	// rtoSlack pads the computed per-message RTO against queueing.
 	rtoSlack = 5 * sim.Millisecond
 	// maxRTO caps the exponential RTO growth. The cap never drops below
@@ -83,93 +68,119 @@ const (
 	jitterSeed = 1
 )
 
-// retryPolicy is the part of the retry state machine in-package tests
-// tighten; New sets it from the constants above.
-type retryPolicy struct {
-	slack, maxRTO sim.Time
-	attempts      int
-}
-
 // rngState returns the jitter PRNG state for a seed.
 func rngState(seed int64) uint64 {
 	return uint64(seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 }
 
-// Handler consumes messages delivered to a node, exactly once per sent
-// payload and in per-sender order.
-type Handler func(from int, payload any)
-
 // Stats counts transport activity. Zero-fault fast-path sends count only
 // Sent/Delivered.
 type Stats struct {
-	Sent           int64 // messages offered to Send
+	Sent           int64 // messages offered to Send or Post
 	Delivered      int64 // messages handed to the receiver (exactly once each)
 	Frames         int64 // data frames put on the fabric (retransmits and injected dups included)
 	Retransmits    int64 // timeout-triggered re-sends
 	DupFrames      int64 // extra frames injected by DupMessages rules
 	DupsSuppressed int64 // arriving frames discarded by receive-side dedup
 	Acks           int64 // ack frames sent
-	Unreachable    int64 // sends that exhausted maxAttempts
+	Abandoned      int64 // messages given up unacknowledged: fenced, or abandoned by the sender
 }
 
 type flowKey struct{ from, to int }
 
-type pendKey struct {
+// flow is one (from, to) direction: the sender's next sequence number and
+// the receiver's dedup window.
+type flow struct {
+	next uint64
+	recv Window
+}
+
+// frame is one message in flight over a faulted fabric, from its post
+// until it is acknowledged or abandoned.
+type frame struct {
+	t        *Transport
 	from, to int
 	seq      uint64
+	span     int64
+	size     int
+	deliver  func(any) // run at the receiver, exactly once
+	arg      any
+	rto      sim.Time // current attempt's timeout, before jitter
+	capRTO   sim.Time
+	deadline sim.Time // when the current attempt times out
+	armed    bool     // a retransmit timer is set for the current attempt
+	done     bool     // acknowledged or abandoned
+	failed   bool     // abandoned while a blocking Send waited
+	waited   bool     // a blocking Send waits on acked
+	acked    sim.Event
+	live     int // index in Transport.live while unresolved
 }
 
-// Transport is a reliable blocking-send layer over one fabric.
-// Construct with New; not safe for use from multiple Envs.
+// Transport is a reliable layer over one fabric. Construct with New; not
+// safe for use from multiple Envs.
 type Transport struct {
-	env     *sim.Env
-	fab     *topo.Fabric
-	retry   retryPolicy
-	rng     uint64
-	nextSeq map[flowKey]uint64
-	pend    map[pendKey]*sim.Event
-	recvd   map[flowKey]*Window
-	handler map[int]Handler
-	stats   Stats
-	hooks   TestHooks
+	env    *sim.Env
+	fab    *topo.Fabric
+	rng    uint64
+	flows  map[flowKey]*flow
+	live   []*frame // unresolved frames, which MarkDead and Abandon walk
+	fenced []bool   // by node id
+	stats  Stats
 }
 
-// TestHooks re-enable fixed historical bugs behind an explicit opt-in,
-// for the chaos engine's self-validation. The zero value is the fixed
-// behavior; production code never sets hooks.
-type TestHooks struct {
-	// NoDedup disables receive-side duplicate suppression: every frame
-	// of a duplicated or retransmitted message delivers its payload
-	// again, breaking the exactly-once contract (Delivered can exceed
-	// Sent as soon as any DupMessages rule or retransmission fires).
-	NoDedup bool
-}
-
-// SetTestHooks installs (or, with the zero value, clears) the
-// transport's bug-reintroduction hooks.
-func (t *Transport) SetTestHooks(h TestHooks) { t.hooks = h }
-
-// New returns a transport over the fabric. Handlers are registered per
-// receiving node with Handle; nodes without one still ack (the common
-// case for pure bulk transfers like checkpoint chunks).
+// New returns a transport over the fabric.
 func New(env *sim.Env, fab *topo.Fabric) *Transport {
-	return &Transport{
-		env:     env,
-		fab:     fab,
-		retry:   retryPolicy{slack: rtoSlack, maxRTO: maxRTO, attempts: maxAttempts},
-		rng:     rngState(jitterSeed),
-		nextSeq: make(map[flowKey]uint64),
-		pend:    make(map[pendKey]*sim.Event),
-		recvd:   make(map[flowKey]*Window),
-		handler: make(map[int]Handler),
-	}
+	return &Transport{env: env, fab: fab, rng: rngState(jitterSeed), flows: make(map[flowKey]*flow)}
 }
-
-// Handle registers the delivery callback for a node.
-func (t *Transport) Handle(node int, h Handler) { t.handler[node] = h }
 
 // Stats returns a copy of the transport counters.
 func (t *Transport) Stats() Stats { return t.stats }
+
+// Flows returns how many (from, to) flows hold state, and how many
+// admitted sequence numbers their receive windows park ahead of a gap.
+func (t *Transport) Flows() (flows, parked int) {
+	for _, fl := range t.flows {
+		parked += fl.recv.Parked()
+	}
+	return len(t.flows), parked
+}
+
+// Fenced reports whether MarkDead has fenced the node out.
+func (t *Transport) Fenced(node int) bool {
+	return node >= 0 && node < len(t.fenced) && t.fenced[node]
+}
+
+// MarkDead fences a node out for good: retransmission to and from it
+// stops, frames to or from it are discarded on arrival, its flows are
+// freed, and every blocking Send on one of them fails with ErrFenced.
+func (t *Transport) MarkDead(node int) {
+	for len(t.fenced) <= node {
+		t.fenced = append(t.fenced, false)
+	}
+	t.fenced[node] = true
+	for i := len(t.live) - 1; i >= 0; i-- {
+		if f := t.live[i]; f.from == node || f.to == node {
+			t.abandon(f)
+		}
+	}
+	for k := range t.flows {
+		if k.from == node || k.to == node {
+			delete(t.flows, k)
+		}
+	}
+}
+
+// Abandon gives up every unresolved message posted with arg: it is not
+// retransmitted again, and its sequence number is spent at the receiver,
+// so a copy still in flight is discarded as a duplicate.
+func (t *Transport) Abandon(arg any) {
+	for i := len(t.live) - 1; i >= 0; i-- {
+		if f := t.live[i]; f.arg == arg {
+			t.flows[flowKey{f.from, f.to}].recv.Admit(f.seq)
+			t.abandon(f)
+		}
+	}
+}
 
 // splitmix64 step; deterministic per-transport jitter stream.
 func (t *Transport) rand() uint64 {
@@ -195,127 +206,183 @@ func (t *Transport) jitter(rto sim.Time) sim.Time {
 // load those retransmits add can livelock a bulk transfer.
 func (t *Transport) rto(from, to, size int) sim.Time {
 	rtt := t.fab.PathTime(from, to, size) + t.fab.PathTime(to, from, ackBytes)
-	return 2*rtt + t.retry.slack
+	return 2*rtt + rtoSlack
 }
 
 // Send transmits size bytes from one node to another and blocks until
 // the message is acknowledged (or, with no fault filter installed,
-// delivered). It returns nil on delivery and a *UnreachableError
-// (matching ErrUnreachable) when maxAttempts transmissions go
-// unacknowledged.
-func (t *Transport) Send(p *sim.Proc, from, to, size int) error {
-	return t.SendCtx(p, 0, from, to, size, nil)
-}
-
-// SendCtx is Send with a causal tracing parent span and an optional
-// payload handed to the receiving node's Handler.
-func (t *Transport) SendCtx(p *sim.Proc, span int64, from, to, size int, payload any) error {
-	t.stats.Sent++
+// delivered). It fails only with ErrFenced, when MarkDead fences either
+// endpoint first.
+func (t *Transport) Send(p *sim.Proc, span int64, from, to, size int) error {
 	if from == to {
 		// Same-node messages never touch the fabric (mirroring msg's
 		// local short-circuit): deliver immediately.
+		t.stats.Sent++
 		t.stats.Delivered++
-		if h := t.handler[to]; h != nil {
-			h(from, payload)
-		}
 		return nil
 	}
 	if t.fab.Filter() == nil {
 		// Zero-fault fast path: nothing can be lost, so the ack round
 		// and sequence machinery would only charge phantom bytes. One
 		// fabric send, one wait — byte-identical to the raw fabric.
+		t.stats.Sent++
 		ev := new(sim.Event)
 		t.stats.Frames++
 		t.fab.SendCtx(span, from, to, size, func() {
 			t.stats.Delivered++
-			if h := t.handler[to]; h != nil {
-				h(from, payload)
-			}
 			ev.Fire()
 		})
 		p.Wait(ev)
 		return nil
 	}
-
-	flow := flowKey{from, to}
-	seq := t.nextSeq[flow]
-	t.nextSeq[flow] = seq + 1
-	key := pendKey{from, to, seq}
-	rto := t.rto(from, to, size)
-	// The backoff cap never falls below four initial RTOs: maxRTO is
-	// sized for small control messages, and a multi-megabyte frame on a
-	// slow path needs its timeout to keep pace with its own size.
-	capRTO := t.retry.maxRTO
-	if m := 4 * rto; m > capRTO {
-		capRTO = m
+	f := t.post(span, from, to, size, nil, nil, true)
+	if f == nil {
+		return ErrFenced
 	}
-	start := t.env.Now()
-	for attempt := 1; ; attempt++ {
-		acked := new(sim.Event)
-		t.pend[key] = acked
-		t.transmit(span, from, to, size, seq, payload)
-		ok := p.WaitTimeout(acked, rto+t.jitter(rto))
-		delete(t.pend, key)
-		if ok {
-			return nil
-		}
-		if attempt >= t.retry.attempts {
-			t.stats.Unreachable++
-			return &UnreachableError{From: from, To: to, Attempts: attempt, Elapsed: t.env.Now() - start}
-		}
-		t.stats.Retransmits++
-		if rto *= 2; rto > capRTO {
-			rto = capRTO
-		}
+	p.Wait(&f.acked)
+	if f.failed {
+		return ErrFenced
 	}
+	return nil
 }
 
-// transmit puts one data frame on the fabric (two, when the fabric's
-// filter also implements msg.Filter and duplicates the frame, as the
-// injector's DupMessages rules do). The fabric's filter rules on each
-// frame too — drops and delays land here like on any other traffic.
-func (t *Transport) transmit(span int64, from, to, size int, seq uint64, payload any) {
-	copies := 1
-	if f, ok := t.fab.Filter().(msg.Filter); ok {
-		if o := f.MsgOutcome(from, to, "reliable", "data"); o.Duplicate {
-			copies = 2
-			t.stats.DupFrames++
-		}
+// Post offers size bytes from one node to another and returns at once;
+// deliver(arg) runs at the receiver when the first copy arrives, exactly
+// once, unless the message is abandoned first. It always takes the
+// acknowledged path: the messaging layer posts only over a faulted
+// fabric. from and to must differ.
+func (t *Transport) Post(span int64, from, to, size int, deliver func(any), arg any) {
+	t.post(span, from, to, size, deliver, arg, false)
+}
+
+// post starts a message on its flow and transmits its first frame. It
+// returns nil when an endpoint is fenced: the message is abandoned
+// without touching the fabric.
+func (t *Transport) post(span int64, from, to, size int, deliver func(any), arg any, wait bool) *frame {
+	t.stats.Sent++
+	if t.Fenced(from) || t.Fenced(to) {
+		t.stats.Abandoned++
+		return nil
 	}
+	key := flowKey{from, to}
+	fl := t.flows[key]
+	if fl == nil {
+		fl = &flow{}
+		t.flows[key] = fl
+	}
+	rto := t.rto(from, to, size)
+	f := &frame{t: t, from: from, to: to, seq: fl.next, span: span, size: size, deliver: deliver,
+		arg: arg, rto: rto, capRTO: max(maxRTO, 4*rto), waited: wait, live: len(t.live)}
+	fl.next++
+	t.live = append(t.live, f)
+	t.transmit(f)
+	return f
+}
+
+// transmit puts one attempt of a data frame on the fabric (two copies,
+// when the fabric's filter also implements topo.MsgFilter and duplicates
+// the frame, as the injector's DupMessages rules do) and sets the
+// attempt's deadline. When no copy can arrive by the deadline the
+// retransmit timer is armed now; otherwise onData decides at arrival.
+func (t *Transport) transmit(f *frame) {
+	f.deadline = t.env.Now() + f.rto + t.jitter(f.rto)
+	f.armed = false
+	copies := 1
+	if mf, ok := t.fab.Filter().(topo.MsgFilter); ok && mf.MsgOutcome(f.from, f.to).Duplicate {
+		copies = 2
+		t.stats.DupFrames++
+	}
+	inTime := false
 	for i := 0; i < copies; i++ {
 		t.stats.Frames++
-		t.fab.SendCtx(span, from, to, size, func() {
-			t.onData(span, from, to, seq, payload)
-		})
+		if at, ok := t.fab.Transmit(f.span, f.from, f.to, f.size); ok {
+			inTime = inTime || at <= f.deadline
+			t.env.DeferArgAt(at, onData, f)
+		}
+	}
+	if !inTime {
+		t.arm(f)
 	}
 }
 
-// onData runs at the receiver: dedup, deliver fresh payloads, and always
-// ack — an ack can be lost too, and the retransmitted frame it covered
-// must re-ack or the sender would retry into a window that discards it.
-func (t *Transport) onData(span int64, from, to int, seq uint64, payload any) {
-	if t.recvd[flowKey{from, to}] == nil {
-		t.recvd[flowKey{from, to}] = &Window{}
+// arm sets the current attempt's retransmit timer.
+func (t *Transport) arm(f *frame) {
+	f.armed = true
+	t.env.DeferArgAt(f.deadline, onTimeout, f)
+}
+
+// onData runs at the receiver when a data frame copy arrives: dedup,
+// deliver a fresh payload, and always ack — an ack can be lost too, and
+// the retransmitted frame it covered must re-ack or the sender would
+// retry into a window that discards it. A frame to or from a fenced node
+// is discarded unacknowledged.
+func onData(a any) {
+	f := a.(*frame)
+	t := f.t
+	if t.Fenced(f.from) || t.Fenced(f.to) {
+		return
 	}
-	if t.recvd[flowKey{from, to}].Admit(seq) || t.hooks.NoDedup {
+	fl := t.flows[flowKey{f.from, f.to}]
+	if fl.recv.Admit(f.seq) {
 		t.stats.Delivered++
-		if h := t.handler[to]; h != nil {
-			h(from, payload)
+		if f.deliver != nil {
+			f.deliver(f.arg)
 		}
 	} else {
 		t.stats.DupsSuppressed++
+		if t.fab.TestHooks().NoDedup {
+			t.stats.Delivered++
+		}
 	}
 	t.stats.Acks++
-	t.fab.SendCtx(span, to, from, ackBytes, func() {
-		t.onAck(from, to, seq)
-	})
+	at, ok := t.fab.Transmit(f.span, f.to, f.from, ackBytes)
+	switch {
+	case f.done:
+	case ok && at <= f.deadline:
+		t.resolve(f, at)
+	case !f.armed:
+		t.arm(f)
+	}
 }
 
-// onAck resolves the sender's pending wait. Late acks — for an attempt
-// the sender already gave up on, or a second ack racing the first before
-// the sender proc resumes — are ignored.
-func (t *Transport) onAck(from, to int, seq uint64) {
-	if ev, ok := t.pend[pendKey{from, to, seq}]; ok && !ev.Fired() {
-		ev.Fire()
+// onTimeout retransmits a frame whose attempt went unacknowledged, with
+// the RTO doubled up to its cap.
+func onTimeout(a any) {
+	f := a.(*frame)
+	if f.done {
+		return
 	}
+	t := f.t
+	t.stats.Retransmits++
+	f.rto = min(2*f.rto, f.capRTO)
+	t.transmit(f)
+}
+
+// resolve retires an acknowledged frame; a blocking Send resumes when the
+// ack arrives.
+func (t *Transport) resolve(f *frame, ackAt sim.Time) {
+	t.unlink(f)
+	if f.waited {
+		t.env.DeferArgAt(ackAt, fireAcked, f)
+	}
+}
+
+func fireAcked(a any) { a.(*frame).acked.Fire() }
+
+// abandon retires a frame unacknowledged, failing a blocking Send on it.
+func (t *Transport) abandon(f *frame) {
+	t.unlink(f)
+	t.stats.Abandoned++
+	if f.waited {
+		f.failed = true
+		f.acked.Fire()
+	}
+}
+
+// unlink marks a frame done and removes it from the unresolved set.
+func (t *Transport) unlink(f *frame) {
+	f.done = true
+	last := t.live[len(t.live)-1]
+	t.live[f.live], last.live = last, f.live
+	t.live = t.live[:len(t.live)-1]
 }

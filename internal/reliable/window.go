@@ -3,10 +3,10 @@ package reliable
 // Window is a receiver's dedup state for one sender whose sequence
 // numbers are contiguous from zero: every seq below next has been
 // admitted, and fresh arrivals ahead of next park until the gap closes.
-// A sender that blocks on each message keeps it O(1): in-order arrivals
-// take a fast path that touches no map, and at most the sender's
-// in-flight messages park. The transport keeps one per (from, to) flow,
-// the DSM directory one per requesting node.
+// In-order arrivals take a fast path that touches no map, and at most the
+// sender's in-flight messages park: a gap closes when its frame is
+// retransmitted or abandoned. The transport keeps one per (from, to)
+// flow.
 type Window struct {
 	next   uint64
 	parked map[uint64]bool
@@ -35,8 +35,3 @@ func (w *Window) Admit(seq uint64) bool {
 
 // Parked returns how many admitted seqs sit ahead of a gap.
 func (w *Window) Parked() int { return len(w.parked) }
-
-// DropParked forgets the parked seqs but keeps next, so every seq below
-// next stays a duplicate. It is for a sender that will never close its
-// gaps (one declared dead): its parked seqs would otherwise stay forever.
-func (w *Window) DropParked() { w.parked = nil }

@@ -23,22 +23,3 @@ func TestWindowAdmitsEachSeqOnce(t *testing.T) {
 		}
 	}
 }
-
-func TestWindowDropParkedKeepsNext(t *testing.T) {
-	var w Window
-	for _, seq := range []uint64{0, 1, 3, 5} {
-		w.Admit(seq)
-	}
-	w.DropParked()
-	if w.Parked() != 0 {
-		t.Fatalf("%d parked after DropParked", w.Parked())
-	}
-	for _, seq := range []uint64{0, 1} {
-		if w.Admit(seq) {
-			t.Errorf("seq %d, below next, admitted again after DropParked", seq)
-		}
-	}
-	if !w.Admit(3) {
-		t.Error("a dropped parked seq is not admitted again")
-	}
-}

@@ -31,7 +31,7 @@
 // the topology shape usable by placement layers without a live fabric,
 // and Fabric.LinkStats, per-link occupancy for utilization tables and
 // tests. A fault Filter (package fault) rules on every message, and
-// TestHooks re-introduce a fixed accounting bug for the chaos engine.
+// TestHooks re-introduce fixed accounting bugs for the chaos engine.
 package topo
 
 import (
@@ -59,6 +59,23 @@ type Filter interface {
 	Outcome(from, to, size int) Outcome
 }
 
+// MsgOutcome is a fault filter's verdict on one message above the
+// fabric: Drop loses a same-node delivery, which never reaches the
+// fabric; Duplicate puts a cross-node frame on the fabric twice.
+type MsgOutcome struct {
+	Drop      bool
+	Duplicate bool
+}
+
+// MsgFilter is an optional method set of a Filter. When the filter
+// installed on a fabric also implements it, the messaging layer asks it
+// about every same-node delivery and the reliable transport about every
+// data frame. The fault injector implements both, so installing it on
+// the fabric is the only fault switch a layer needs.
+type MsgFilter interface {
+	MsgOutcome(from, to int) MsgOutcome
+}
+
 // Stats aggregates fabric-wide traffic counters.
 type Stats struct {
 	Messages int64
@@ -78,6 +95,13 @@ type TestHooks struct {
 	// reads grow Endpoints() with zero-traffic phantoms and fabric
 	// accounting reports break.
 	PhantomEndpoints bool
+	// NoDedup re-introduces the reliable transport's missing receive-side
+	// duplicate suppression in its delivery count: every arriving copy of
+	// a duplicated or retransmitted frame counts as delivered again, so
+	// Delivered exceeds Sent as soon as a DupMessages rule or a
+	// retransmission of a delivered frame fires. The payload still reaches
+	// its receiver once.
+	NoDedup bool
 }
 
 // Spec describes a topology shape independent of link speeds: the same
@@ -265,6 +289,10 @@ type Fabric struct {
 // SetTestHooks installs (or, with the zero value, clears) the fabric's
 // bug-reintroduction hooks.
 func (f *Fabric) SetTestHooks(h TestHooks) { f.hooks = h }
+
+// TestHooks returns the installed bug-reintroduction hooks, which the
+// transports over the fabric read too.
+func (f *Fabric) TestHooks() TestHooks { return f.hooks }
 
 // endpoint tracks per-sender counters.
 type endpoint struct {

@@ -172,11 +172,6 @@ func (m *Manager) IPI(p *sim.Proc, fromNode, toVCPU int, deliver func()) {
 func (m *Manager) handle(msg *msg.Message) {
 	switch msg.Kind {
 	case "ipi":
-		if msg.Duplicate() {
-			// Interrupts are idempotent at the hardware level: a
-			// fault-injected duplicate of an IPI message coalesces.
-			return
-		}
 		if msg.Payload != nil {
 			if deliver, ok := msg.Payload.(func()); ok && deliver != nil {
 				// Injection into a (possibly halted) vCPU plus guest
@@ -216,7 +211,12 @@ func (m *Manager) Migrate(p *sim.Proc, vcpuID, destNode int, destPCPU *sim.PS) s
 	src := v.node
 	sp := m.tr.Begin(p.Span(), trace.CatMigrate, src, "vcpu.migrate")
 	p.Sleep(RegDump)
-	m.layer.Call(p, src, destNode, m.service, "migrate", StateBytes, vcpuID)
+	if _, err := m.layer.Call(p, src, destNode, m.service, "migrate", StateBytes, vcpuID); err != nil {
+		// An end was declared dead mid-handshake: the vCPU stays put,
+		// and recovery re-pins it if its own slice is the dead one.
+		m.tr.End(sp)
+		return p.Now() - start
+	}
 	v.node = destNode
 	v.pcpu = destPCPU
 	for _, n := range m.nodes {

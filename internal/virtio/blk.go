@@ -157,9 +157,6 @@ func (bd *BlkDev) handle(m *msg.Message) {
 			}
 		})
 	case "done":
-		if m.Duplicate() {
-			return // completion interrupts coalesce
-		}
 		id := m.Payload.(uint64)
 		ev, ok := bd.done[id]
 		if !ok {

@@ -293,9 +293,6 @@ func (nd *NetDev) handle(m *msg.Message) {
 			}
 		})
 	case "rxbypass":
-		if m.Duplicate() {
-			return // the first copy already queued the packet
-		}
 		rb := m.Payload.(netRxBypass)
 		nd.rx[rb.vcpu].Put(rb.pkt)
 	default:
