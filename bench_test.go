@@ -94,10 +94,12 @@ func BenchmarkDSMFault(b *testing.B) {
 }
 
 // dsmFaultAllocBudget is what one remote write fault (BenchmarkDSMFault's
-// loop body) allocates: the fault's bookkeeping (its grant and events ride
-// in it), the directory and invalidation procs, and the messages, each
-// costing only itself (a Call's reply is its request turned round).
-const dsmFaultAllocBudget = 7
+// loop body) allocates: the fault's bookkeeping (its grant, events and
+// the directory's own strand ride in it), one task for its invalidation,
+// and the messages, each costing only itself (a reply is its request
+// turned round). The directory runs on event callbacks, so no process is
+// spawned.
+const dsmFaultAllocBudget = 4
 
 // TestDSMFaultAllocBudget pins BenchmarkDSMFault's allocs/op: a remote
 // write fault may allocate no more than dsmFaultAllocBudget objects.
@@ -144,7 +146,7 @@ func newReadBed() (*fragvisor.Testbed, *fragvisor.VM) {
 }
 
 // BenchmarkDSMFaultRead measures a remote read fault served by a node
-// other than the origin — request, directory proc, fetch from the owner,
+// other than the origin — request, directory lock, fetch from the owner,
 // grant — paired with the owner's upgrade that re-arms it (readCycle).
 // Select it with an anchored pattern, like BenchmarkDSMFault.
 func BenchmarkDSMFaultRead(b *testing.B) {
@@ -161,8 +163,9 @@ func BenchmarkDSMFaultRead(b *testing.B) {
 }
 
 // dsmFaultReadAllocBudget is what one readCycle allocates: a read fault
-// with its owner fetch and an upgrade fault with its invalidation.
-const dsmFaultReadAllocBudget = 14
+// (its bookkeeping, request, owner fetch and grant) and an upgrade fault
+// (the same, with an invalidation task and call in place of the fetch).
+const dsmFaultReadAllocBudget = 9
 
 // TestDSMFaultReadAllocBudget pins BenchmarkDSMFaultRead's allocs/op.
 func TestDSMFaultReadAllocBudget(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/golden"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -198,8 +199,9 @@ func TestPhantomEndpointsShrinksToEmpty(t *testing.T) {
 }
 
 // TestCheckProgress covers the progress oracle's three verdicts: a
-// watchdog stall is one violation carrying the stall, procs left blocked
-// on a drained queue are a deadlock, and a clean runtime passes.
+// watchdog stall is one violation carrying the stall, procs or DSM grants
+// left blocked on a drained queue are a deadlock, and a clean runtime
+// passes. Either verdict names the pages whose grant was in flight.
 func TestCheckProgress(t *testing.T) {
 	stall := &sim.StallError{At: sim.Second, Window: 100 * sim.Millisecond, Procs: []string{"ckpt-restore-3"}}
 	cases := []struct {
@@ -211,6 +213,10 @@ func TestCheckProgress(t *testing.T) {
 			[]Violation{{OracleProgress, stall.Error()}}},
 		{"deadlock", Runtime{Drained: true, LiveProcs: []string{"a", "b"}},
 			[]Violation{{OracleProgress, "deadlock: 2 procs blocked with empty queue: [a b]"}}},
+		{"stalled grant", Runtime{Stall: stall, LiveProcs: []string{"ckpt-restore-3"}, Granting: []mem.PageID{4}},
+			[]Violation{{OracleProgress, stall.Error() + "; DSM grants in flight on pages [4]"}}},
+		{"wedged grant", Runtime{Drained: true, Granting: []mem.PageID{4, 9}},
+			[]Violation{{OracleProgress, "deadlock: 0 procs blocked with empty queue: []; DSM grants in flight on pages [4 9]"}}},
 		{"clean", Runtime{Drained: true}, nil},
 	}
 	for _, tc := range cases {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/faulttest"
 	"repro/internal/fleet"
+	"repro/internal/mem"
 	"repro/internal/reliable"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -57,6 +58,7 @@ type Runtime struct {
 	Workload  string
 	Stall     *sim.StallError // watchdog verdict (nil: progress never stopped)
 	LiveProcs []string        // procs still blocked after the queue drained
+	Granting  []mem.PageID    // pages whose DSM grant never completed (vm episodes)
 	Drained   bool            // the event queue ran dry (vm episodes without a stall)
 
 	Fabric *topo.Fabric   // the cluster fabric, for accounting probes
@@ -96,15 +98,21 @@ func judge(rt *Runtime) []Violation {
 
 // checkProgress turns deadlocks and livelocks into typed findings: a
 // watchdog stall (the run stopped making progress while work remained)
-// or procs still blocked after the event queue drained with no stall
-// (a pure deadlock the queue exposed by running dry).
+// or procs or DSM grants still blocked after the event queue drained
+// with no stall (a pure deadlock the queue exposed by running dry). The
+// DSM directory runs no process, so either verdict names the pages
+// whose grant was in flight beside the live procs.
 func checkProgress(rt *Runtime) []Violation {
-	if rt.Stall != nil {
-		return []Violation{{OracleProgress, rt.Stall.Error()}}
+	var grants string
+	if len(rt.Granting) > 0 {
+		grants = fmt.Sprintf("; DSM grants in flight on pages %v", rt.Granting)
 	}
-	if len(rt.LiveProcs) > 0 {
+	if rt.Stall != nil {
+		return []Violation{{OracleProgress, rt.Stall.Error() + grants}}
+	}
+	if len(rt.LiveProcs) > 0 || len(rt.Granting) > 0 {
 		return []Violation{{OracleProgress,
-			fmt.Sprintf("deadlock: %d procs blocked with empty queue: %v", len(rt.LiveProcs), rt.LiveProcs)}}
+			fmt.Sprintf("deadlock: %d procs blocked with empty queue: %v", len(rt.LiveProcs), rt.LiveProcs) + grants}}
 	}
 	return nil
 }

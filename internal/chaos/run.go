@@ -73,6 +73,7 @@ func runVM(ep Episode, hooks Hooks) []Violation {
 	})
 	rt.Stall = res.Stall
 	rt.LiveProcs = res.LiveProcs
+	rt.Granting = res.Granting
 	rt.Drained = res.Stall == nil // env.Run ran the queue dry
 	rt.Rel = res.Reliable
 	rt.VM = res

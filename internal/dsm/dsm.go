@@ -44,7 +44,7 @@ package dsm
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/msg"
@@ -197,26 +197,54 @@ type pageRec struct {
 	held  uint32
 	local []localPage // by dense node index
 
-	lk      *sim.Mutex // serializes directory grants; created on first use
-	dirName string     // "dsmN.dir.<page>", interned on first directory use
-	invName string     // "dsmN.inv.<page>", likewise
+	// locked is the page lock, which serializes directory grants (and
+	// RestorePage); waiters queue for it in FIFO order.
+	locked  bool
+	waiters []lockWaiter
+}
+
+// lockWaiter is one party queued for a page lock: a grant, which resumes
+// on an event of its own, or a RestorePage process, woken through ev.
+type lockWaiter struct {
+	pf *pendingFault
+	ev *sim.Event
 }
 
 // pendingFault is one fault in flight. It is the payload of the fault
 // request to the directory, by pointer; the directory only reads its
-// request fields and answers through grant, which points back here.
+// request fields and answers through grant, which points back here. The
+// directory serves it as a chain of event callbacks: a step that waits
+// (for the page lock, a reply, the invalidations) leaves the next step
+// as a lock waiter, a CallThen continuation or the last invalidation's
+// event, and returns.
 type pendingFault struct {
+	d     *DSM
 	rec   *pageRec
 	ni    int // requester's dense node index
 	write bool
 
-	ev sim.Event // fired when the grant is installed
-	// invs fires when the last of the invalidations grantWrite started
-	// finishes; invLeft counts the ones still running.
-	invs    sim.Event
+	ev  sim.Event // fired when the grant is installed
+	dir task      // the directory's own strand: lock, fetch, grant
+	// hadCopy says a write grant's requester held a valid copy when the
+	// grant began, so the owner's invalidation moves no bytes; invLeft
+	// counts the grant's invalidations still running.
+	hadCopy bool
 	invLeft int
 	moved   int64 // payload bytes installed by the grant
 	grant   grantMsg
+}
+
+// task is one strand of the directory's work on a fault: the grant itself
+// (pendingFault.dir) or one of a write grant's invalidations, which run in
+// parallel. span is the strand's tracing span (dsm.dir or dsm.inv), the
+// causal parent of its messages. A fetch task's answer is the owner's
+// bytes, which go into the grant.
+type task struct {
+	pf    *pendingFault
+	span  int64
+	n     int  // the holder an invalidation asks
+	inv   bool // one of grantWrite's invalidations
+	fetch bool
 }
 
 // grantMsg carries the directory's answer to a fault back to the faulting
@@ -463,7 +491,8 @@ func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
 		st.ReadFaults++
 	}
 	p.Sleep(faultHandler + d.params.UserSpaceExtra)
-	pf := &pendingFault{rec: r, ni: ni, write: write}
+	pf := &pendingFault{d: d, rec: r, ni: ni, write: write}
+	pf.dir.pf = pf
 	d.layer.SendCtx(sp, node, d.origin, d.dirSvc, "fault", reqBytes, pf)
 	if !d.layer.Await(p, &pf.ev, node, d.origin) {
 		// MarkDead fenced the requester mid-fault: no grant will reach
@@ -518,120 +547,209 @@ func (d *DSM) entry(r *pageRec) {
 	}
 }
 
-func (d *DSM) lock(r *pageRec) *sim.Mutex {
-	if r.lk == nil {
-		r.lk = d.env.NewMutex()
+// lockProc takes the page lock for a process, waiting its turn behind
+// the grants and processes queued before it.
+func (d *DSM) lockProc(p *sim.Proc, r *pageRec) {
+	if !r.locked {
+		r.locked = true
+		return
 	}
-	return r.lk
+	ev := new(sim.Event)
+	r.waiters = append(r.waiters, lockWaiter{ev: ev})
+	p.Wait(ev)
 }
 
-// handleDir serves fault requests at the origin directory. Each request is
-// handled by a short-lived process serialized per page, so concurrent
-// faults on one page queue while faults on different pages proceed in
-// parallel — matching the per-page locking of the kernel implementation.
+// unlock releases the page lock to its longest waiter, if any: a grant
+// resumes one event later, a process is woken.
+func (d *DSM) unlock(r *pageRec) {
+	if len(r.waiters) == 0 {
+		r.locked = false
+		return
+	}
+	w := r.waiters[0]
+	r.waiters[0] = lockWaiter{}
+	r.waiters = r.waiters[1:]
+	if w.pf != nil {
+		d.env.DeferArg(0, dirGrant, w.pf)
+	} else {
+		w.ev.Fire()
+	}
+}
+
+// Granting returns the pages whose directory grant is in flight, in
+// ascending order: their lock is held by a grant that its requester has
+// not acknowledged yet. The directory runs no process, so a run stalled
+// on a grant (one to a crashed requester nobody has declared dead, say)
+// shows it here rather than in the simulation's live processes.
+func (d *DSM) Granting() []mem.PageID {
+	var out []mem.PageID
+	for pg, r := range d.pages {
+		if r.locked {
+			out = append(out, pg)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// handleDir serves fault requests at the origin directory. As in the
+// kernel implementation, a request is served from message callbacks under
+// a per-page lock, with no process per request: concurrent faults on one
+// page queue while faults on different pages proceed in parallel. Each
+// step that waits on a reply continues in a CallThen continuation, so the
+// directory's work on a fault is a chain of events on its pendingFault
+// (dirStart, then grantRead or grantWrite, then sendGrant and granted).
 // The page lock is held until the requester acknowledges installing the
 // grant, which is what makes the protocol race-free: no replica can be
 // resurrected by a grant that was in flight when ownership moved on.
 func (d *DSM) handleDir(m *msg.Message) {
 	pf := m.Payload.(*pendingFault)
-	r := pf.rec
-	if r.dirName == "" {
-		s := strconv.Itoa(int(r.page))
-		r.dirName, r.invName = d.dirSvc+"."+s, d.service+".inv."+s
-	}
-	parent := m.SpanID()
-	d.env.Spawn(r.dirName, func(p *sim.Proc) {
-		if d.tr != nil {
-			dsp := d.tr.Begin(parent, trace.CatDSM, d.origin, "dsm.dir")
-			p.SetSpan(dsp)
-			defer d.tr.End(dsp)
-		}
-		lk := d.lock(pf.rec)
-		lk.Lock(p)
-		defer lk.Unlock()
-		if pf.write {
-			d.grantWrite(p, pf)
-		} else {
-			d.grantRead(p, pf)
-		}
-	})
+	pf.dir.span = m.SpanID()
+	d.env.DeferArg(0, dirStart, pf)
 }
 
-// sendGrant delivers pf's grant to the requester and waits for its ack.
-// A requester fenced before acknowledging fails the call, and the grant
-// gives up; MarkDead has reconciled the directory. The caller sets only
-// the grant's carry and data; a carried page costs mem.PageSize on the
-// wire even when data is nil.
-func (d *DSM) sendGrant(p *sim.Proc, pf *pendingFault) {
+// dirStart opens the fault's dsm.dir span, a child of its request's
+// delivery, and runs the grant once it holds the page lock.
+func dirStart(a any) {
+	pf := a.(*pendingFault)
+	d, r := pf.d, pf.rec
+	if d.tr != nil {
+		pf.dir.span = d.tr.Begin(pf.dir.span, trace.CatDSM, d.origin, "dsm.dir")
+	}
+	if r.locked {
+		r.waiters = append(r.waiters, lockWaiter{pf: pf})
+		return
+	}
+	r.locked = true
+	dirGrant(pf)
+}
+
+// dirGrant runs the fault's grant under the page lock.
+func dirGrant(a any) {
+	pf := a.(*pendingFault)
+	if pf.write {
+		pf.d.grantWrite(pf)
+	} else {
+		pf.d.grantRead(pf)
+	}
+}
+
+// sendGrant delivers pf's grant to the requester; granted runs on its
+// ack. A requester fenced before acknowledging fails the call, and the
+// grant gives up; MarkDead has reconciled the directory. The caller sets
+// only the grant's carry and data; a carried page costs mem.PageSize on
+// the wire even when data is nil.
+func (d *DSM) sendGrant(pf *pendingFault) {
 	g := &pf.grant
 	g.pf = pf
 	size := reqBytes
 	if g.carry {
 		size += mem.PageSize
 	}
-	_, _ = d.layer.Call(p, d.origin, d.nodes[pf.ni], d.ownSvc, "grant", size, g)
+	d.layer.CallThen(pf.dir.span, d.origin, d.nodes[pf.ni], d.ownSvc, "grant", size, g, granted, pf)
+}
+
+// granted ends the directory's work on a fault once its grant is
+// acknowledged or its requester fenced: it releases the page lock, then
+// closes the dsm.dir span.
+func granted(a any, _ *msg.Message, _ bool) {
+	pf := a.(*pendingFault)
+	d := pf.d
+	d.unlock(pf.rec)
+	d.tr.End(pf.dir.span)
+	d.env.MarkProgress()
 }
 
 // grantRead adds the requester to the page's copyset, fetching the bytes
 // from the current owner.
-func (d *DSM) grantRead(p *sim.Proc, pf *pendingFault) {
+func (d *DSM) grantRead(pf *pendingFault) {
 	r := pf.rec
 	d.entry(r)
 	if r.copyset&(1<<pf.ni) != 0 {
 		// The requester already regained a copy (raced with an earlier
 		// grant from this node): nothing to transfer.
-		d.sendGrant(p, pf)
+		d.sendGrant(pf)
 		return
 	}
-	data := d.fetchOwner(p, r, "fetch")
+	pf.dir.fetch = true
+	d.ask(&pf.dir, r.owner, "fetch")
+}
+
+// readFetched finishes a read grant once the owner's bytes are in it.
+func (d *DSM) readFetched(pf *pendingFault) {
+	r := pf.rec
 	if d.alive(d.nodes[pf.ni]) {
 		r.copyset |= 1 << pf.ni
 	}
 	d.reconcileOrigin(r)
-	pf.grant.carry, pf.grant.data = true, data
-	d.sendGrant(p, pf)
+	d.sendGrant(pf)
 }
 
 // grantWrite invalidates every other replica and transfers ownership (and,
-// if the requester lacks a valid copy, the bytes) to the requester.
-func (d *DSM) grantWrite(p *sim.Proc, pf *pendingFault) {
+// if the requester lacks a valid copy, the bytes) to the requester. The
+// invalidations run in parallel, each a task of its own started one event
+// later; the last to finish resumes the grant at dirTransfer.
+func (d *DSM) grantWrite(pf *pendingFault) {
 	r := pf.rec
 	d.entry(r)
-	hasCopy := r.copyset&(1<<pf.ni) != 0
-	g := &pf.grant // carry and data are set by whichever path fetches the bytes
-
-	// Invalidate all replicas except the requester's, in parallel. The
-	// owner's replica is fetched-and-invalidated so its bytes reach the
-	// new owner.
-	// Iterate nodes in the DSM's fixed order: the spawn order of
-	// invalidation processes feeds the event sequence, and trace output
-	// must be byte-identical across same-seed runs.
-	parent := p.Span()
+	pf.hadCopy = r.copyset&(1<<pf.ni) != 0
+	// Iterate nodes in the DSM's fixed order: the start order of the
+	// invalidations feeds the event sequence, and trace output must be
+	// byte-identical across same-seed runs.
 	for i, n := range d.nodes {
 		if i == pf.ni || r.copyset&(1<<i) == 0 {
 			continue
 		}
 		pf.invLeft++
-		d.env.Spawn(r.invName, func(sub *sim.Proc) {
-			if d.tr != nil {
-				isp := d.tr.Begin(parent, trace.CatDSM, d.origin, "dsm.inv")
-				sub.SetSpan(isp)
-				defer d.tr.End(isp)
-			}
-			defer pf.invDone()
-			if n == r.owner && !hasCopy {
-				g.carry, g.data = true, d.fetchOwner(sub, r, "invfetch")
-				return
-			}
-			// A holder fenced mid-invalidation needs none: its replica is
-			// unreachable and MarkDead dropped it from the copyset.
-			_, _ = d.ask(sub, n, r, "inv")
-		})
+		d.env.DeferArg(0, invStart, &task{pf: pf, n: n, inv: true})
 	}
-	if pf.invLeft > 0 {
-		p.Wait(&pf.invs)
+	if pf.invLeft == 0 {
+		d.transfer(pf)
 	}
+}
 
+// invStart runs one of grantWrite's invalidations under a dsm.inv span.
+// The owner's replica is fetched-and-invalidated so its bytes reach the
+// new owner, unless the requester already holds them.
+func invStart(a any) {
+	t := a.(*task)
+	pf := t.pf
+	d, r := pf.d, pf.rec
+	if d.tr != nil {
+		t.span = d.tr.Begin(pf.dir.span, trace.CatDSM, d.origin, "dsm.inv")
+	}
+	if t.n == r.owner && !pf.hadCopy {
+		t.fetch = true
+		d.ask(t, r.owner, "invfetch")
+		return
+	}
+	// A holder fenced mid-invalidation needs none: its replica is
+	// unreachable and MarkDead dropped it from the copyset.
+	d.ask(t, t.n, "inv")
+}
+
+// invDone retires one of grantWrite's invalidations, the last resuming the
+// grant one event later, and closes its span.
+func (d *DSM) invDone(t *task) {
+	pf := t.pf
+	if pf.invLeft--; pf.invLeft == 0 {
+		d.env.DeferArg(0, dirTransfer, pf)
+	}
+	d.tr.End(t.span)
+	d.env.MarkProgress()
+}
+
+// dirTransfer resumes a write grant whose invalidations have all finished.
+func dirTransfer(a any) {
+	pf := a.(*pendingFault)
+	pf.d.transfer(pf)
+}
+
+// transfer makes the requester of a write grant the page's sole owner and
+// sends the grant.
+func (d *DSM) transfer(pf *pendingFault) {
+	r := pf.rec
+	g := &pf.grant
 	r.owner, r.copyset = d.nodes[pf.ni], 1<<pf.ni
 	if !d.alive(r.owner) {
 		// MarkDead fenced the requester mid-grant: re-home the page as it
@@ -643,42 +761,51 @@ func (d *DSM) grantWrite(p *sim.Proc, pf *pendingFault) {
 		}
 	}
 	d.reconcileOrigin(r)
-	d.sendGrant(p, pf)
+	d.sendGrant(pf)
 }
 
-// fetchOwner returns the page's bytes from its directory owner by a fetch
-// or an invfetch (kind). An owner fenced mid-call has been re-homed by
-// MarkDead, so the fetch goes on to the successor MarkDead chose, as a
-// plain fetch: the successor is a copyset member the grant invalidates on
-// its own, or the origin standing in, which the grant settles afterwards.
-func (d *DSM) fetchOwner(p *sim.Proc, r *pageRec, kind string) []byte {
-	for {
-		if data, err := d.ask(p, r.owner, r, kind); err == nil {
-			return data
-		}
-		kind = "fetch"
-	}
-}
-
-// ask runs a fetch, invfetch or inv on node n's replica of the page: in
-// place at the origin, by a call elsewhere. It fails only when MarkDead
-// fences n out before it answers.
-func (d *DSM) ask(p *sim.Proc, n int, r *pageRec, kind string) ([]byte, error) {
+// ask runs a fetch, invfetch or inv for t on node n's replica of the
+// page: in place at the origin, by a call elsewhere. answered continues t
+// with the reply, or with ok false when MarkDead fences n out before it
+// answers.
+func (d *DSM) ask(t *task, n int, kind string) {
+	r := t.pf.rec
 	if n == d.origin {
-		return d.serve(r, 0, kind), nil
+		d.answered(t, d.serve(r, 0, kind), true)
+		return
 	}
-	reply, err := d.layer.Call(p, d.origin, n, d.ownSvc, kind, reqBytes, r)
-	if err != nil {
-		return nil, err
-	}
-	data, _ := reply.Payload.([]byte)
-	return data, nil
+	d.layer.CallThen(t.span, d.origin, n, d.ownSvc, kind, reqBytes, r, askReply, t)
 }
 
-// invDone retires one of grantWrite's invalidations; the last fires invs.
-func (pf *pendingFault) invDone() {
-	if pf.invLeft--; pf.invLeft == 0 {
-		pf.invs.Fire()
+// askReply is ask's CallThen continuation.
+func askReply(a any, reply *msg.Message, ok bool) {
+	t := a.(*task)
+	var data []byte
+	if ok {
+		data, _ = reply.Payload.([]byte)
+	}
+	t.pf.d.answered(t, data, ok)
+}
+
+// answered continues t once its ask is done. A fetch's bytes go into the
+// grant. An owner fenced mid-fetch has been re-homed by MarkDead, so the
+// fetch goes on to the successor MarkDead chose, as a plain fetch: the
+// successor is a copyset member the grant invalidates on its own, or the
+// origin standing in, which the grant settles afterwards. A read grant
+// then sends its grant; an invalidation retires.
+func (d *DSM) answered(t *task, data []byte, ok bool) {
+	pf := t.pf
+	if t.fetch {
+		if !ok {
+			d.ask(t, pf.rec.owner, "fetch")
+			return
+		}
+		pf.grant.carry, pf.grant.data = true, data
+	}
+	if t.inv {
+		d.invDone(t)
+	} else {
+		d.readFetched(pf)
 	}
 }
 

@@ -258,9 +258,8 @@ func (d *DSM) RestorePage(p *sim.Proc, node int, pg mem.PageID, data []byte) {
 		panic("dsm: restore data larger than a page")
 	}
 	r := d.rec(pg)
-	lk := d.lock(r)
-	lk.Lock(p)
-	defer lk.Unlock()
+	d.lockProc(p, r)
+	defer d.unlock(r)
 	d.entry(r)
 	for i := range r.local {
 		if r.copyset&r.held&(1<<i) != 0 {

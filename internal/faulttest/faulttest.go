@@ -13,8 +13,8 @@
 package faulttest
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"repro/internal/checkpoint"
@@ -114,6 +114,11 @@ type Result struct {
 	CoherenceErr      error           // dsm.Validate result
 	LiveProcs         []string        // processes still blocked after env.Run — deadlock
 	Stall             *sim.StallError // watchdog verdict; nil when progress never stopped
+	// Granting lists the pages whose DSM grant was still in flight after
+	// env.Run (dsm.DSM.Granting): the directory runs no process, so a
+	// grant wedged on an unreachable requester shows here, not in
+	// LiveProcs.
+	Granting []mem.PageID
 
 	DSM       dsm.Stats      // aggregate protocol stats
 	MsgFaults msg.FaultStats // messaging-layer fault stats
@@ -131,7 +136,7 @@ func (r *Result) Close() { r.env.Close() }
 
 // Ok reports whether the run passed every built-in assertion.
 func (r *Result) Ok() bool {
-	return len(r.LiveProcs) == 0 && r.CoherenceErr == nil &&
+	return len(r.LiveProcs) == 0 && len(r.Granting) == 0 && r.CoherenceErr == nil &&
 		len(r.PatternMismatches) == 0 && r.Stall == nil
 }
 
@@ -150,6 +155,9 @@ func (r *Result) Metrics() string {
 	if r.Stall != nil {
 		fmt.Fprintf(&b, "stall: %v\n", r.Stall)
 	}
+	if len(r.Granting) > 0 {
+		fmt.Fprintf(&b, "grants in flight on pages %v\n", r.Granting)
+	}
 	fmt.Fprintf(&b, "dsm=%+v\n", r.DSM)
 	fmt.Fprintf(&b, "msg=%+v\n", r.MsgFaults)
 	fmt.Fprintf(&b, "reliable=%+v\n", r.Reliable)
@@ -157,11 +165,18 @@ func (r *Result) Metrics() string {
 	return b.String()
 }
 
-// patternBytes is the seeded content planted at the head of pattern page i.
+// patternBytes is the seeded content planted at the head of pattern page
+// i: four words of a splitmix64 stream started at seed + 7919*i, cheap
+// enough to derive twice per page.
 func patternBytes(seed, i int64) []byte {
-	rng := rand.New(rand.NewSource(seed + 7919*i))
+	x := uint64(seed + 7919*i)
 	b := make([]byte, 32)
-	rng.Read(b)
+	for o := 0; o < len(b); o += 8 {
+		x += 0x9e3779b97f4a7c15
+		z := (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		binary.LittleEndian.PutUint64(b[o:], z^(z>>31))
+	}
 	return b
 }
 
@@ -313,6 +328,7 @@ func Run(s Scenario) *Result {
 	env.Run()
 	res.Stall = env.Stalled()
 	res.LiveProcs = env.LiveProcs()
+	res.Granting = vm.DSM.Granting()
 	res.DSM = vm.DSM.TotalStats()
 	res.MsgFaults = vm.Layer.FaultStats()
 	res.Reliable = vm.Layer.Transport().Stats()

@@ -9,10 +9,15 @@
 // fixed in-kernel processing cost at the receiver. Same-node messages skip
 // the fabric entirely.
 //
-// Two delivery styles are offered: fire-and-forget Send, and Call, which
+// Three delivery styles are offered: fire-and-forget Send; Call, which
 // blocks the calling process until the remote handler replies — the shape
 // of every request/response protocol built on top (page fetches, interrupt
-// acknowledgements, migration handshakes).
+// acknowledgements, migration handshakes); and CallThen, the same exchange
+// for callers that are not processes, which runs a static continuation on
+// the reply instead of blocking. Handlers themselves run as event
+// callbacks, as a kernel message handler does, so a protocol that must
+// wait for a reply while serving a request (the DSM directory) chains
+// CallThen continuations rather than spawning a process.
 //
 // Over a faulted fabric (one with a fault filter installed) every
 // cross-node message rides the layer's reliable transport instead, which
@@ -52,8 +57,10 @@ const (
 	HeaderBytes = 64
 )
 
-// Handler consumes a delivered message. Handlers run as event callbacks;
-// a handler that needs to block must spawn a process.
+// Handler consumes a delivered message. Handlers run as event callbacks
+// and must not block: a handler that waits on a reply before it can
+// answer chains CallThen continuations, and one that needs a process
+// (a sleep, a lock held across calls) spawns it.
 type Handler func(m *Message)
 
 // Message is a typed message between hypervisor instances.
@@ -70,6 +77,9 @@ type Message struct {
 	call    bool      // the sender waits on ev for a reply
 	replied bool      // Reply turned this request round: delivery fires ev
 	span    int64     // tracing span covering this message's delivery
+
+	then func(arg any, reply *Message, ok bool) // a CallThen's continuation
+	arg  any                                    // then's argument
 }
 
 // SpanID returns the tracing span covering this message's delivery (0 when
@@ -106,15 +116,17 @@ type Layer struct {
 	services map[string]int
 	replies  map[string]string // kind -> kind + ".reply", interned
 	rel      *reliable.Transport
-	waits    []wait // procs blocked on an exchange that MarkDead must fail
+	waits    []wait // exchanges in flight that MarkDead must fail
 }
 
-// wait is one proc blocked until ev fires, unless node a or b is fenced
-// first.
+// wait is one exchange in flight until ev fires, unless node a or b is
+// fenced first: a proc blocked on ev, or a CallThen request m whose
+// continuation the fence must run.
 type wait struct {
 	ev     *sim.Event
 	a, b   int
 	fenced bool
+	m      *Message // a CallThen's request; nil for a proc
 }
 
 type serviceKey struct {
@@ -146,8 +158,9 @@ func (l *Layer) Fenced(node int) bool { return l.rel.Fenced(node) }
 // MarkDead fences a node out for good, as the failure detector declares
 // it dead: the transport stops retransmitting to and from it and discards
 // its frames and, over a faulted fabric, no message to or from it is
-// handled any more and every Call or Await that waits on it fails.
-// Waiters wake in the order they began to wait.
+// handled any more and every Call, CallThen or Await that waits on it
+// fails. Waiters wake, and continuations run, in the order they began to
+// wait.
 func (l *Layer) MarkDead(node int) {
 	l.rel.MarkDead(node)
 	for i := range l.waits {
@@ -155,6 +168,9 @@ func (l *Layer) MarkDead(node int) {
 		if (w.a == node || w.b == node) && !w.ev.Fired() {
 			w.fenced = true
 			w.ev.Fire()
+			if w.m != nil {
+				l.env.DeferArg(0, resume, w.m)
+			}
 		}
 	}
 }
@@ -175,10 +191,19 @@ func (l *Layer) Await(p *sim.Proc, ev *sim.Event, a, b int) bool {
 	}
 	l.waits = append(l.waits, wait{ev: ev, a: a, b: b})
 	p.Wait(ev)
+	return !l.unwait(ev)
+}
+
+// unwait removes ev's entry from the waits and reports whether MarkDead
+// fenced it. An exchange that never registered reports false.
+func (l *Layer) unwait(ev *sim.Event) (fenced bool) {
 	i := slices.IndexFunc(l.waits, func(w wait) bool { return w.ev == ev })
-	fenced := l.waits[i].fenced
+	if i < 0 {
+		return false
+	}
+	fenced = l.waits[i].fenced
 	l.waits = slices.Delete(l.waits, i, i+1)
-	return !fenced
+	return fenced
 }
 
 // replyKind returns kind + ".reply", built once per kind so replies do
@@ -239,6 +264,39 @@ func (l *Layer) Call(p *sim.Proc, from, to int, service, kind string, size int, 
 	return m, nil
 }
 
+// CallThen is Call for a caller that is not a process: it delivers the
+// request and returns at once, and then(arg, reply, true) runs once the
+// handler's reply arrives, or then(arg, nil, false) once MarkDead fences
+// either end first. span is the causal tracing parent, which Call takes
+// from its process. Each resumption costs the one event a woken Call
+// costs, and fences resume CallThens and Calls in the order they began to
+// wait; a fence already in place runs then before CallThen returns, as
+// Call fails at once. then should be a top-level function and arg a
+// pointer, so the exchange allocates only its Message.
+func (l *Layer) CallThen(span int64, from, to int, service, kind string, size int, payload any, then func(arg any, reply *Message, ok bool), arg any) {
+	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, call: true, span: span, then: then, arg: arg}
+	l.deliver(m)
+	if l.net.Filter() == nil {
+		return
+	}
+	if l.Fenced(from) || l.Fenced(to) {
+		then(arg, nil, false)
+		return
+	}
+	l.waits = append(l.waits, wait{ev: &m.ev, a: from, b: to, m: m})
+}
+
+// resume runs a CallThen's continuation, one event after its reply
+// arrived or MarkDead fenced it.
+func resume(a any) {
+	m := a.(*Message)
+	if m.layer.unwait(&m.ev) {
+		m.then(m.arg, nil, false)
+		return
+	}
+	m.then(m.arg, m, true)
+}
+
 // deliver routes a message through the fabric (or locally) and, after
 // the receive-side processing cost, hands it to handle. The message is
 // its own timer argument, so the two hops allocate nothing.
@@ -282,12 +340,13 @@ func receive(a any) {
 	m.layer.env.DeferArg(HandlerLat, handle, m)
 }
 
-// handle completes a delivery: a reply fires its caller's reply event,
-// anything else runs the destination service's handler. Over a faulted
-// fabric a message to or from a node fenced while it was in flight is not
-// handled: MarkDead has failed its caller already. The span is read
-// before the handler runs, since a Reply inside it turns m into the
-// reply, with a delivery span of its own.
+// handle completes a delivery: a reply fires its caller's reply event, or
+// schedules a CallThen's continuation, and anything else runs the
+// destination service's handler. Over a faulted fabric a message to or
+// from a node fenced while it was in flight is not handled: MarkDead has
+// failed its caller already. The span is read before the handler runs,
+// since a Reply inside it turns m into the reply, with a delivery span of
+// its own.
 func handle(a any) {
 	m := a.(*Message)
 	l := m.layer
@@ -297,6 +356,9 @@ func handle(a any) {
 	span := m.span
 	if m.replied {
 		m.ev.Fire()
+		if m.then != nil {
+			l.env.DeferArg(0, resume, m)
+		}
 	} else {
 		h, ok := l.handlers[serviceKey{m.To, m.Service}]
 		if !ok {

@@ -45,9 +45,9 @@ func (e *Env) dispatch(p *Proc) {
 // bind attaches a worker — a pooled coroutine from iter.Pull — to a proc
 // about to run for the first time. Workers are recycled from finished
 // procs, so a simulation that churns through short-lived processes (one
-// per DSM fault handler, for instance) reuses a small set of coroutines
-// whose stacks are already grown instead of paying coroutine creation and
-// stack-growth copying on every spawn.
+// per vhost request or benchmark connection, for instance) reuses a small
+// set of coroutines whose stacks are already grown instead of paying
+// coroutine creation and stack-growth copying on every spawn.
 func (e *Env) bind(p *Proc) {
 	var w *worker
 	if n := len(e.workerFree) - 1; n >= 0 {
