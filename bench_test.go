@@ -318,23 +318,6 @@ func BenchmarkMutexHandoff(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkWaitTimeoutStorm measures the RPC-timeout pattern where the
-// reply beats the deadline — the path that used to leak cancelled timers.
-func BenchmarkWaitTimeoutStorm(b *testing.B) {
-	e := sim.NewEnv()
-	defer e.Close()
-	e.Spawn("client", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			ev := new(sim.Event)
-			e.After(1, ev.Fire)
-			p.WaitTimeout(ev, sim.Second)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run()
-}
-
 // BenchmarkSpawnChurn measures short-lived process turnover, exercising
 // worker reuse and proc-table reaping: one spawn+finish per op.
 func BenchmarkSpawnChurn(b *testing.B) {

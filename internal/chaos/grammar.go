@@ -242,7 +242,7 @@ func fleetSchedule(rng *rand.Rand, budget int) (fault.Schedule, []Storm) {
 // fleetLinkDomain names a cuttable fault domain: host domains of the
 // non-controller nodes, either rack's ToR... but never "spine" or
 // "n0", which would sever the controller from everything and turn the
-// whole run into probe timeouts.
+// whole run into missed probes.
 func fleetLinkDomain(rng *rand.Rand) string {
 	domains := []string{"n1", "n2", "n3", "tor1"}
 	return domains[rng.Intn(len(domains))]

@@ -150,7 +150,7 @@ func checkConservation(rt *Runtime) []Violation {
 // checkExactlyOnce audits the VM transport's contract: dedup must hold
 // unconditionally (Delivered can never exceed Sent), and on a fully
 // drained run every message must have resolved — delivered, or abandoned
-// to a fence or a ping timeout, never silently lost.
+// to a fence, never silently lost.
 func checkExactlyOnce(rt *Runtime) []Violation {
 	var vs []Violation
 	if rt.Rel.Delivered > rt.Rel.Sent {

@@ -233,9 +233,9 @@ func Restore(p *sim.Proc, vm *hypervisor.VM, img *Image) sim.Time {
 // actually went to, so callers stick to the re-homed peer.
 //
 // Segments keep a bulk transfer from holding a link for milliseconds at a
-// time: a heartbeat ping queued behind a whole 16 MiB chunk would wait
-// longer than its timeout, and a busy restore would get a live slice
-// declared dead.
+// time: a heartbeat probe queued behind a whole 16 MiB chunk would come
+// back later than its 1 ms bound, and a busy restore would get a live
+// slice declared dead.
 func sendChunk(p *sim.Proc, vm *hypervisor.VM, from, to int, size int) int {
 	rel := vm.Layer.Transport()
 	tr := trace.FromEnv(vm.Env)

@@ -29,7 +29,7 @@ func init() { register("netstorm", NetStorm) }
 // every lost frame is retransmitted until acknowledged, or abandoned
 // once the heartbeat declares its peer dead. The vm rows count the
 // transport's retransmits, and as unreachable the messages it abandoned
-// to a declared death or a ping timeout.
+// to a declared death.
 //
 // Control plane (one fleet per reclaim policy): a seeded burst of VM
 // arrivals runs under the fleet's fabric-probe heartbeat while the
@@ -100,7 +100,7 @@ func NetStorm(o Options) *metrics.Table {
 			0.0, float64(st.ProbeMisses))
 	}
 	t.AddNote("storm and cut slowdowns are bounded: a dropped frame is retransmitted until acknowledged, or abandoned once its peer is declared dead")
-	t.AddNote("vm rows: retransmits are the VM transport's, which carries every VM message and checkpoint chunk; unreachable counts the messages it abandoned to a declared death or a ping timeout")
+	t.AddNote("vm rows: retransmits are the VM transport's, which carries every VM message and checkpoint chunk; unreachable counts the messages it abandoned to a declared death")
 	t.AddNote("the ToR cut kills rack 1 (2 nodes) as one event; the probing fleet heartbeat recovers cut nodes like crashed ones and rejoins them after heal")
 	t.AddNote("fleet rows: unreachable counts missed heartbeat probes; probes are never retransmitted")
 	return t

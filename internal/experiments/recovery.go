@@ -14,7 +14,8 @@ func init() { register("recovery", Recovery) }
 // distributed checkpoint (§6.4). For growing guest datasets it reports
 // the checkpoint cost, the heartbeat detection latency (two missed 2 ms
 // probes), the checkpoint-restore time, and the total crash-to-recovered
-// time. Expected shape: detection is constant (~2 heartbeat intervals);
+// time. Expected shape: detection is constant (the second probe tick
+// after the crash, 1–2 heartbeat intervals later);
 // restore — and with it total recovery — scales linearly with dataset
 // size, governed by the checkpoint node's 500 MB/s SSD, mirroring the
 // checkpoint study of §7.1 in reverse.
@@ -43,6 +44,6 @@ func Recovery(o Options) *metrics.Table {
 			res.Restores[0],
 			res.Recovered[0]-crashAt)
 	}
-	t.AddNote("detection is ~2 heartbeat intervals; restore scales with dataset size at the checkpoint node's SSD bandwidth")
+	t.AddNote("detection is 1-2 heartbeat intervals (the second missed probe); restore scales with dataset size at the checkpoint node's SSD bandwidth")
 	return t
 }

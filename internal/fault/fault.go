@@ -22,13 +22,12 @@
 //     duplication of reliable data frames;
 //   - every VM message rides its messaging layer's reliable transport
 //     exactly when the fabric has a filter: lost frames are retransmitted
-//     until acknowledged or fenced, and only the heartbeat's CallTimeout
-//     pings surface a loss, as a typed timeout error;
-//   - hypervisor heartbeats detect crashed slices through the message
-//     losses it induces and declare them dead; dsm and checkpoint act on
-//     those declarations only, never on the injector's own crash state;
-//   - the fleet's heartbeat probes every node over the fabric and
-//     declares down the nodes whose probes stop coming back.
+//     until acknowledged or fenced, so no VM message surfaces a loss;
+//   - the VM's failure detector and the fleet's heartbeat both probe over
+//     the fabric (topo.Fabric.Probe, never retransmitted), and declare
+//     dead the slices or nodes whose probes stop coming back; dsm and
+//     checkpoint act on those declarations only, never on the injector's
+//     own crash state.
 //
 // Only the harnesses that drive faults (chaos, experiments, faulttest)
 // import this package: the simulated system learns of a fault only

@@ -78,9 +78,6 @@ func New(c *cluster.Cluster) *Injector {
 	return i
 }
 
-// Env returns the simulation environment the injector schedules on.
-func (i *Injector) Env() *sim.Env { return i.env }
-
 // Counters returns the injector's deterministic fault counters.
 func (i *Injector) Counters() *metrics.Counters { return i.ctr }
 

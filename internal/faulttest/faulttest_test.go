@@ -79,11 +79,11 @@ func TestCrashWithoutCheckpointStaysCoherent(t *testing.T) {
 
 // TestTorCutRecovery: cutting rack 1's ToR uplink on a tree fabric takes
 // both of its nodes unreachable as one event, and exactly those two must
-// be declared dead. Batch detection (ping all, then declare all) declares
+// be declared dead. Batch detection (probe all, then declare all) declares
 // both in one heartbeat tick. The dataset is sized so that one checkpoint
 // restore (~135 ms) far outlasts the 38 ms cut window, and the detector
-// keeps pinging while it streams: a restore chunk sent as one 16 MiB
-// frame would hold a link for 2.4 ms, queue a ping past its 1 ms timeout
+// keeps probing while it streams: a restore chunk sent as one 16 MiB
+// frame would hold a link for 2.4 ms, queue a probe past its 1 ms bound
 // and get live node 1 declared as well. sendChunk's segments are what
 // keep it alive.
 func TestTorCutRecovery(t *testing.T) {
@@ -147,7 +147,7 @@ func TestConcurrentCrashesDetectedTogether(t *testing.T) {
 
 // TestDropStormBlackoutRecovers: an Any→Any drop budget that outlasts
 // the workload's sparse fabric traffic is a sustained blackout — every
-// blocking sender and every heartbeat ping it touches is lost. The run
+// blocking sender and every heartbeat probe it touches is lost. The run
 // must still terminate: the detector declares the unreachable lenders
 // dead and the checkpoint restores run over the reliable transport
 // through the residual storm. This is the schedule that wedged blocking

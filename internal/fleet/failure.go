@@ -15,14 +15,12 @@ import (
 	"repro/internal/sim"
 )
 
-// probeBytes is the size of one heartbeat probe and of its reply, and
-// probeMissThreshold the consecutive missed probes that declare a node
-// down (mirroring the hypervisor heartbeat's miss threshold). probeFrom
-// is the node the controller probes from: node 0, which hosts the
-// control plane. Its view is authoritative, so it always answers itself
-// and is never declared down.
+// probeMissThreshold is the consecutive missed probes that declare a
+// node down, the same count as the VM detector's (hypervisor
+// hbMissThreshold). probeFrom is the node the controller probes from:
+// node 0, which hosts the control plane. Its view is authoritative, so
+// it always answers itself and is never declared down.
 const (
-	probeBytes         = 128
 	probeMissThreshold = 2
 	probeFrom          = 0
 )
@@ -36,24 +34,20 @@ func (f *Fleet) armHeartbeat() {
 	f.every(f.cfg.HeartbeatEvery, func() { f.heartbeat(misses) })
 }
 
-// heartbeat is one probe round, the fleet's only liveness input: it
-// charges a probe from node 0 to every other node and the reply back on
-// the fabric, both legs at the tick. A probe is answered when neither
-// leg is dropped and the round trip fits in one heartbeat period;
-// probeMissThreshold misses in a row declare the node down, and one
-// answered probe brings a down node back. A crash, a partition, a cut
+// heartbeat is one probe round, the fleet's only liveness input: node 0
+// probes every other node over the fabric (topo.Fabric.Probe) at the
+// tick, and a probe is answered when its round trip fits in one
+// heartbeat period. probeMissThreshold misses in a row declare the node
+// down, and one answered probe brings a down node back. A crash, a partition, a cut
 // link or a drop storm all look the same from node 0, so a storm can
 // (correctly) produce false positives that heal on the next answered
 // probe.
 func (f *Fleet) heartbeat(misses []int) {
-	now := f.env.Now()
 	for n := 0; n < f.cfg.Nodes; n++ {
 		if n == probeFrom {
 			continue
 		}
-		there, out := f.cfg.Fabric.Transmit(0, probeFrom, n, probeBytes)
-		back, in := f.cfg.Fabric.Transmit(0, n, probeFrom, probeBytes)
-		if out && in && there-now+back-now <= f.cfg.HeartbeatEvery {
+		if f.cfg.Fabric.Probe(probeFrom, n, f.cfg.HeartbeatEvery) {
 			misses[n] = 0
 			if f.down[n] {
 				f.handleNodeUp(n)

@@ -1,17 +1,18 @@
 // Failure detection and recovery for Aggregate VMs. An Aggregate VM
 // borrows resources from lender nodes, so a lender crash takes a slice of
-// the VM with it. The bootstrap slice detects the loss through heartbeat
-// timeouts, declares the slice dead, reconciles the DSM, and (with package
-// checkpoint) restarts the VM on the surviving slices — the recovery story
-// of §6.4.
+// the VM with it. The bootstrap slice detects the loss through unanswered
+// heartbeat probes, declares the slice dead, reconciles the DSM, and (with
+// package checkpoint) restarts the VM on the surviving slices — the
+// recovery story of §6.4.
 package hypervisor
 
 import "repro/internal/sim"
 
-// The failure detector pings every hbInterval with an hbTimeout reply
-// deadline. hbMissThreshold is how many consecutive timeouts declare a
-// slice dead: two, so a single fault-injected drop or delay of a ping
-// (or its reply) is not mistaken for a crash.
+// The failure detector probes every hbInterval, and a probe is answered
+// when its round trip fits in hbTimeout. hbMissThreshold is how many
+// consecutive unanswered probes declare a slice dead: two, so a single
+// fault-injected drop or delay of a probe (or its reply) is not mistaken
+// for a crash.
 const (
 	hbInterval      = 2 * sim.Millisecond
 	hbTimeout       = sim.Millisecond
@@ -47,12 +48,14 @@ func (vm *VM) MarkDead(node int) {
 	vm.ctr.Inc("recover.dead_slices", 1)
 }
 
-// StartHeartbeat spawns the failure detector: the bootstrap slice pings
-// every companion slice each hbInterval and declares a slice dead after
-// hbMissThreshold consecutive reply timeouts. Each declared slice is
+// StartHeartbeat arms the failure detector: every hbInterval the
+// bootstrap slice probes every companion slice over the fabric
+// (topo.Fabric.Probe, the fleet heartbeat's rule too) and declares a
+// slice dead after hbMissThreshold consecutive unanswered probes. The
+// detector is a self-re-arming timer, not a proc. Each declared slice is
 // handed to a separate vm-recovery process, which runs onFailure (it may
 // block, e.g. in a checkpoint restore) for one slice at a time in
-// declaration order. The detector loops until StopHeartbeat, so a test
+// declaration order. The detector re-arms until StopHeartbeat, so a test
 // that drives the event loop directly must stop it or the simulation
 // never drains; the recovery process ends with it, once it has run every
 // callback already handed over.
@@ -63,12 +66,10 @@ func (vm *VM) MarkDead(node int) {
 // detector blocked in a restore that itself waits on such a send would
 // wait forever on a second lost slice.
 //
-// Detection is batched per tick: every live companion is pinged before any
-// newly-missing slice is declared, so the slices lost to one event (a rack
-// cut kills several at once) are declared together.
+// Detection is batched per tick: every live companion is probed before
+// any newly-missing slice is declared, so the slices lost to one event (a
+// rack cut kills several at once) are declared together.
 func (vm *VM) StartHeartbeat(onFailure func(p *sim.Proc, node int)) {
-	vm.hbStop = false
-	svc := vcpuService(vm)
 	boot := vm.nodes[0]
 	declared := sim.NewQueue[int](vm.Env) // declared slices; -1 ends recovery
 	vm.Env.Spawn("vm-recovery", func(p *sim.Proc) {
@@ -78,40 +79,47 @@ func (vm *VM) StartHeartbeat(onFailure func(p *sim.Proc, node int)) {
 			}
 		}
 	})
-	vm.Env.Spawn("heartbeat", func(p *sim.Proc) {
-		misses := make(map[int]int)
-		for !vm.hbStop {
-			p.Sleep(hbInterval)
-			if vm.hbStop {
-				break
+	misses := make(map[int]int)
+	var next *sim.Timer
+	var tick func()
+	tick = func() {
+		next = vm.Env.After(hbInterval, tick)
+		var lost []int
+		for _, n := range vm.nodes[1:] {
+			if !vm.Alive(n) {
+				continue
 			}
-			var lost []int
-			for _, n := range vm.nodes[1:] {
-				if !vm.Alive(n) {
-					continue
-				}
-				if _, err := vm.Layer.CallTimeout(p, boot, n, svc, "ping", 64, nil, hbTimeout); err != nil {
-					misses[n]++
-					vm.ctr.Inc("hb.miss", 1)
-					if misses[n] >= hbMissThreshold {
-						lost = append(lost, n)
-					}
-				} else {
-					misses[n] = 0
-				}
+			if vm.Layer.Net().Probe(boot, n, hbTimeout) {
+				misses[n] = 0
+				continue
 			}
-			for _, n := range lost {
-				vm.ctr.Inc("hb.declared_dead", 1)
-				vm.MarkDead(n)
-				declared.Put(n)
+			misses[n]++
+			vm.ctr.Inc("hb.miss", 1)
+			if misses[n] >= hbMissThreshold {
+				lost = append(lost, n)
 			}
 		}
+		for _, n := range lost {
+			vm.ctr.Inc("hb.declared_dead", 1)
+			vm.MarkDead(n)
+			declared.Put(n)
+		}
+	}
+	next = vm.Env.After(hbInterval, tick)
+	vm.hbStop = func() {
+		next.Cancel()
 		declared.Put(-1)
-	})
+	}
 }
 
-// StopHeartbeat stops the failure detector after its current tick.
-func (vm *VM) StopHeartbeat() { vm.hbStop = true }
+// StopHeartbeat disarms the failure detector and ends the recovery
+// process once it has run every callback already handed over.
+func (vm *VM) StopHeartbeat() {
+	if vm.hbStop != nil {
+		vm.hbStop()
+		vm.hbStop = nil
+	}
+}
 
 // RestartOnSurvivors re-pins every vCPU hosted by dead slices onto the
 // surviving nodes round-robin (administratively — the dead host cannot

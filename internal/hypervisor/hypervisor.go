@@ -130,7 +130,7 @@ type VM struct {
 	nodes    []int // distinct slice nodes, bootstrap first
 	booted   bool
 	sliceSvc string
-	hbStop   bool
+	hbStop   func() // disarms the running failure detector; nil when none
 	ctr      *metrics.Counters
 	tr       *trace.Tracer
 }
@@ -233,10 +233,6 @@ func vcpuService(vm *VM) string {
 			vm.Layer.Handle(n, vm.sliceSvc, func(m *msg.Message) {
 				switch m.Kind {
 				case "handshake":
-					m.Reply(64, nil)
-				case "ping":
-					// Heartbeat probe; a crashed slice never replies
-					// because the injector silences its endpoints.
 					m.Reply(64, nil)
 				default:
 					panic(fmt.Sprintf("hypervisor: unknown slice message %q", m.Kind))

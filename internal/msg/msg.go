@@ -371,6 +371,3 @@ func handle(a any) {
 
 // Net returns the underlying fabric.
 func (l *Layer) Net() *topo.Fabric { return l.net }
-
-// Env returns the simulation environment.
-func (l *Layer) Env() *sim.Env { return l.env }

@@ -322,74 +322,6 @@ func TestCallFailsOnFence(t *testing.T) {
 	}
 }
 
-// TestCallTimeoutAbandonsItsMessage: the heartbeat's ping stays a single
-// attempt over a faulted fabric. Its request frame is lost, the call
-// times out before the first retransmission would fire, and the message
-// is abandoned: never retransmitted, never handled.
-func TestCallTimeoutAbandonsItsMessage(t *testing.T) {
-	env := sim.NewEnv()
-	defer env.Close()
-	l := newTestLayer(env)
-	first := true
-	l.Net().SetFilter(&dirFilter{from: -1, drop: func(from, to, size int) bool {
-		drop := first
-		first = false
-		return drop
-	}})
-	handled := 0
-	l.Handle(1, "svc", func(m *Message) { handled++; m.Reply(8, nil) })
-	var err error
-	env.Spawn("pinger", func(p *sim.Proc) {
-		_, err = l.CallTimeout(p, 0, 1, "svc", "ping", 16, nil, sim.Millisecond)
-	})
-	env.Run()
-	if !errors.Is(err, ErrTimeout) || handled != 0 {
-		t.Fatalf("ping: err %v, handled %d times; want a timeout and no handling", err, handled)
-	}
-	if st := l.Transport().Stats(); st.Frames != 1 || st.Retransmits != 0 || st.Abandoned != 1 {
-		t.Errorf("transport stats %+v, want the one frame abandoned", st)
-	}
-}
-
-// TestLateReplyAfterTimeout: a reply that arrives after its CallTimeout
-// gave up fires into the void. The caller's next call, in flight when the
-// late reply lands, wakes only on its own reply, which comes back turned
-// round: From and To swapped and the ".reply" kind.
-func TestLateReplyAfterTimeout(t *testing.T) {
-	env := sim.NewEnv()
-	defer env.Close()
-	l := newTestLayer(env)
-	l.Handle(1, "svc", func(m *Message) {
-		if m.Payload == "slow" {
-			env.After(30*sim.Microsecond, func() { m.Reply(8, "late") })
-			return
-		}
-		env.After(20*sim.Microsecond, func() { m.Reply(8, "own") })
-	})
-	var err error
-	var reply *Message
-	var start, woke sim.Time
-	env.Spawn("caller", func(p *sim.Proc) {
-		_, err = l.CallTimeout(p, 0, 1, "svc", "req", 16, "slow", 10*sim.Microsecond)
-		start = p.Now()
-		reply, _ = l.CallTimeout(p, 0, 1, "svc", "req", 16, "fast", 100*sim.Microsecond)
-		woke = p.Now()
-	})
-	env.Run()
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("first call: err %v, want a timeout", err)
-	}
-	if reply == nil || reply.Payload != "own" || reply.From != 1 || reply.To != 0 || reply.Kind != "req.reply" {
-		t.Fatalf("second call's reply = %+v, want its own reply from 1 to 0, kind req.reply", reply)
-	}
-	if rtt := woke - start; rtt <= 20*sim.Microsecond {
-		t.Errorf("second call woke after %v, before its own reply could arrive", rtt)
-	}
-	if f := l.FaultStats(); f.Timeouts != 1 {
-		t.Errorf("%d timeouts, want 1", f.Timeouts)
-	}
-}
-
 // TestReplyAfterHandlerReturns: a handler that replies later (the vCPU
 // migration shape) ends the request's delivery span when it returns and
 // the reply's when the caller wakes, each once. Replying a second time

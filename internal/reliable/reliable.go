@@ -14,9 +14,9 @@
 //   - the sender retransmits on ack timeout, with a per-message RTO
 //     derived from the fabric's latency and serialization times,
 //     exponential backoff, and a deterministic seeded jitter;
-//   - retransmission ends only when the frame is acknowledged, abandoned
-//     by its sender, or MarkDead fences either endpoint: a crashed peer
-//     looks like a slow one until the failure detector declares it;
+//   - retransmission ends only when the frame is acknowledged or MarkDead
+//     fences either endpoint: a crashed peer looks like a slow one until
+//     the failure detector declares it;
 //   - the receiver dedups by sequence number, so retransmit-induced
 //     duplicates — and duplicates injected by the fault injector's
 //     DupMessages rules — deliver exactly once.
@@ -47,9 +47,7 @@ var ErrFenced = errors.New("reliable: endpoint fenced")
 // is sized for bulk traffic — several nodes pipelining multi-megabyte
 // checkpoint chunks queue each other by whole serialization times, and a
 // timeout that undercuts the queue retransmits frames that were never
-// lost, feeding the very congestion it is misreading as loss. It also
-// keeps the first retransmission of a heartbeat ping well past the ping's
-// own reply deadline.
+// lost, feeding the very congestion it is misreading as loss.
 const (
 	// ackBytes is the size charged for each ack frame on the reverse
 	// path (only when a fault filter is installed).
@@ -83,7 +81,7 @@ type Stats struct {
 	DupFrames      int64 // extra frames injected by DupMessages rules
 	DupsSuppressed int64 // arriving frames discarded by receive-side dedup
 	Acks           int64 // ack frames sent
-	Abandoned      int64 // messages given up unacknowledged: fenced, or abandoned by the sender
+	Abandoned      int64 // messages given up unacknowledged because an endpoint is fenced
 }
 
 type flowKey struct{ from, to int }
@@ -123,7 +121,7 @@ type Transport struct {
 	fab    *topo.Fabric
 	rng    uint64
 	flows  map[flowKey]*flow
-	live   []*frame // unresolved frames, which MarkDead and Abandon walk
+	live   []*frame // unresolved frames, which MarkDead walks
 	fenced []bool   // by node id
 	stats  Stats
 }
@@ -166,18 +164,6 @@ func (t *Transport) MarkDead(node int) {
 	for k := range t.flows {
 		if k.from == node || k.to == node {
 			delete(t.flows, k)
-		}
-	}
-}
-
-// Abandon gives up every unresolved message posted with arg: it is not
-// retransmitted again, and its sequence number is spent at the receiver,
-// so a copy still in flight is discarded as a duplicate.
-func (t *Transport) Abandon(arg any) {
-	for i := len(t.live) - 1; i >= 0; i-- {
-		if f := t.live[i]; f.arg == arg {
-			t.flows[flowKey{f.from, f.to}].recv.Admit(f.seq)
-			t.abandon(f)
 		}
 	}
 }
@@ -248,7 +234,7 @@ func (t *Transport) Send(p *sim.Proc, span int64, from, to, size int) error {
 
 // Post offers size bytes from one node to another and returns at once;
 // deliver(arg) runs at the receiver when the first copy arrives, exactly
-// once, unless the message is abandoned first. It always takes the
+// once, unless a fence abandons the message first. It always takes the
 // acknowledged path: the messaging layer posts only over a faulted
 // fabric. from and to must differ.
 func (t *Transport) Post(span int64, from, to, size int, deliver func(any), arg any) {

@@ -192,42 +192,6 @@ func TestRetriesEndOnAckOrFence(t *testing.T) {
 	}
 }
 
-// TestAbandonSpendsSeq: an abandoned message is not retransmitted, and
-// its sequence number is spent at the receiver, so later messages on the
-// flow do not park behind the gap it leaves and a late copy of it is
-// discarded.
-func TestAbandonSpendsSeq(t *testing.T) {
-	env := sim.NewEnv()
-	fab := newFabric(env)
-	first := true
-	fab.SetFilter(&scriptFilter{fn: func(from, to, size int) topo.Outcome {
-		if first && from == 0 {
-			first = false
-			return topo.Outcome{Delay: 100 * sim.Microsecond}
-		}
-		return topo.Outcome{}
-	}})
-	tr := New(env, fab)
-	delivered := []int{}
-	deliver := func(a any) { delivered = append(delivered, a.(int)) }
-	tr.Post(0, 0, 1, 64, deliver, 0)
-	tr.Post(0, 0, 1, 64, deliver, 1)
-	env.RunUntil(50 * sim.Microsecond)
-	tr.Abandon(0)
-	tr.Post(0, 0, 1, 64, deliver, 2)
-	env.Run()
-	if fmt.Sprint(delivered) != "[1 2]" {
-		t.Fatalf("delivered %v, want [1 2]", delivered)
-	}
-	st := tr.Stats()
-	if st.Abandoned != 1 || st.Retransmits != 0 || st.DupsSuppressed != 1 {
-		t.Fatalf("stats %+v, want 1 abandoned, none retransmitted, its late copy suppressed", st)
-	}
-	if _, parked := tr.Flows(); parked != 0 {
-		t.Fatalf("%d seqs parked behind the abandoned one", parked)
-	}
-}
-
 // TestInjectedDuplicatesSuppressed: DupMessages interop — an injector
 // duplicating data frames must not double-deliver.
 func TestInjectedDuplicatesSuppressed(t *testing.T) {

@@ -5,8 +5,8 @@ package reliable
 // admitted, and fresh arrivals ahead of next park until the gap closes.
 // In-order arrivals take a fast path that touches no map, and at most the
 // sender's in-flight messages park: a gap closes when its frame is
-// retransmitted or abandoned. The transport keeps one per (from, to)
-// flow.
+// retransmitted, and a fence deletes the whole flow. The transport keeps
+// one per (from, to) flow.
 type Window struct {
 	next   uint64
 	parked map[uint64]bool

@@ -47,9 +47,6 @@ func TestCloseStopsParkedProcs(t *testing.T) {
 	block := map[string]func(e *Env, p *Proc){
 		"Sleep": func(e *Env, p *Proc) { p.Sleep(Second) },
 		"Wait":  func(e *Env, p *Proc) { p.Wait(new(Event)) },
-		"WaitTimeout": func(e *Env, p *Proc) {
-			p.WaitTimeout(new(Event), Second)
-		},
 		"Mutex.Lock": func(e *Env, p *Proc) {
 			m := e.NewMutex()
 			m.Lock(p)

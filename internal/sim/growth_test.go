@@ -12,7 +12,8 @@ import (
 //   - Queue/Mutex waiter lists shifted slices with s = s[1:], permanently
 //     pinning popped elements through the shared backing array.
 //   - Timer.Cancel left cancelled timers in the event heap until their
-//     scheduled time, so RPC-timeout storms accumulated corpses.
+//     scheduled time, so storms of far-future timers cancelled early
+//     accumulated corpses.
 //   - Env.procs was append-only, so long runs leaked every proc ever
 //     spawned and LiveProcs degraded to O(total ever spawned).
 
@@ -97,23 +98,20 @@ func TestQueueSoakSteadyHeap(t *testing.T) {
 	runtime.KeepAlive(e)
 }
 
-// TestWaitTimeoutStormBoundedHeap pins the lazy-deletion fix: a storm of
-// RPC-shaped waits whose replies always beat a far-future timeout must not
-// accumulate cancelled timers in the event heap. Before the fix every
-// iteration left one corpse with a deadline one virtual second out, so
-// Pending() reached the iteration count.
-func TestWaitTimeoutStormBoundedHeap(t *testing.T) {
+// TestCancelStormBoundedHeap pins the lazy-deletion fix: a storm of
+// timers set one virtual second out and each cancelled a nanosecond
+// later must not accumulate cancelled timers in the event heap. Before
+// the fix every iteration left one corpse with a deadline one virtual
+// second out, so Pending() reached the iteration count.
+func TestCancelStormBoundedHeap(t *testing.T) {
 	e := NewEnv()
-	const rpcs = 5000
+	const timers = 5000
 	maxPending := 0
 	e.Spawn("client", func(p *Proc) {
-		for i := 0; i < rpcs; i++ {
-			ev := new(Event)
-			e.After(1, ev.Fire) // reply arrives 1 ns later
-			if !p.WaitTimeout(ev, Second) {
-				t.Errorf("rpc %d timed out", i)
-				return
-			}
+		for i := 0; i < timers; i++ {
+			tm := e.After(Second, func() { t.Errorf("timer %d fired after its Cancel", i) })
+			p.Sleep(1)
+			tm.Cancel()
 			if n := e.Pending(); n > maxPending {
 				maxPending = n
 			}
@@ -122,7 +120,7 @@ func TestWaitTimeoutStormBoundedHeap(t *testing.T) {
 	e.Run()
 	// Compaction keeps dead timers under half the heap; with ~2 live
 	// timers per iteration the bound is a small constant (twice the
-	// 64-entry compaction floor), not O(rpcs).
+	// 64-entry compaction floor), not O(timers).
 	if limit := 128; maxPending > limit {
 		t.Fatalf("event heap reached %d entries during the storm (limit %d): cancelled timers accumulate", maxPending, limit)
 	}
@@ -182,54 +180,6 @@ func TestLiveProcsOrderStableAcrossReaping(t *testing.T) {
 	}
 	block.Fire()
 	e.Run()
-}
-
-// TestWaitTimeoutDeadlineRace pins the tie-break semantics and the pooled
-// timer's reuse guard when the reply and the deadline land on the same
-// virtual nanosecond: whichever was scheduled first wins, and the loser's
-// timer must not cancel an unrelated future event after being recycled.
-func TestWaitTimeoutDeadlineRace(t *testing.T) {
-	// Reply scheduled before WaitTimeout: reply's wake precedes the
-	// deadline in (time, seq) order, so the wait succeeds.
-	e := NewEnv()
-	ev := new(Event)
-	laterFired := false
-	var got bool
-	e.At(10, ev.Fire)
-	e.Spawn("caller", func(p *Proc) {
-		got = p.WaitTimeout(ev, 10)
-		// Immediately schedule more pooled events; if WaitTimeout's
-		// cancel hit a recycled timer, one of these would be lost.
-		e.Defer(5, func() { laterFired = true })
-	})
-	e.Run()
-	if !got {
-		t.Fatal("reply at deadline with earlier sequence lost the race")
-	}
-	if !laterFired {
-		t.Fatal("event scheduled after the race never fired: stale cancel hit a recycled timer")
-	}
-
-	// Deadline scheduled before the reply: the timeout wins. The reply's
-	// Fire is registered at t=5 — after the caller parked at t=0 — so its
-	// sequence number is higher than the deadline timer's.
-	e2 := NewEnv()
-	ev2 := new(Event)
-	var got2 bool
-	e2.Spawn("caller", func(p *Proc) {
-		got2 = p.WaitTimeout(ev2, 10)
-	})
-	e2.At(5, func() {
-		e2.At(10, func() {
-			if !ev2.Fired() {
-				ev2.Fire()
-			}
-		})
-	})
-	e2.Run()
-	if got2 {
-		t.Fatal("timeout with earlier sequence lost the race to the reply")
-	}
 }
 
 // TestTimerHeapCompactionPreservesOrder cancels an interleaved majority of

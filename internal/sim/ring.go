@@ -58,22 +58,6 @@ func (r *ring[T]) at(i int) T {
 	return r.buf[(r.head+i)&(len(r.buf)-1)]
 }
 
-// removeAt deletes the i-th element from the head, preserving the order of
-// the survivors (FIFO fairness depends on it). Cost is O(n-i); callers use
-// it only on rare paths such as wait-timeout expiry.
-func (r *ring[T]) removeAt(i int) {
-	if i < 0 || i >= r.n {
-		panic("sim: ring remove out of range")
-	}
-	mask := len(r.buf) - 1
-	for j := i; j < r.n-1; j++ {
-		r.buf[(r.head+j)&mask] = r.buf[(r.head+j+1)&mask]
-	}
-	var zero T
-	r.buf[(r.head+r.n-1)&mask] = zero
-	r.n--
-}
-
 // resize re-homes the live elements into a fresh buffer of newCap (a power
 // of two >= n), releasing the old array.
 func (r *ring[T]) resize(newCap int) {

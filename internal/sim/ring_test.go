@@ -6,7 +6,7 @@ import (
 )
 
 // TestRingAgainstReferenceSlice drives a ring and a plain slice through
-// the same randomized push/pop/removeAt sequence and checks they agree at
+// the same randomized push/pop sequence and checks they agree at
 // every step.
 func TestRingAgainstReferenceSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -14,12 +14,12 @@ func TestRingAgainstReferenceSlice(t *testing.T) {
 	var ref []int
 	next := 0
 	for step := 0; step < 100_000; step++ {
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(8); {
 		case op < 5: // push
 			r.push(next)
 			ref = append(ref, next)
 			next++
-		case op < 8: // pop
+		default: // pop
 			if len(ref) == 0 {
 				continue
 			}
@@ -28,13 +28,6 @@ func TestRingAgainstReferenceSlice(t *testing.T) {
 			if got := r.pop(); got != want {
 				t.Fatalf("step %d: pop = %d, want %d", step, got, want)
 			}
-		default: // removeAt
-			if len(ref) == 0 {
-				continue
-			}
-			i := rng.Intn(len(ref))
-			ref = append(ref[:i:i], ref[i+1:]...)
-			r.removeAt(i)
 		}
 		if r.len() != len(ref) {
 			t.Fatalf("step %d: len = %d, want %d", step, r.len(), len(ref))

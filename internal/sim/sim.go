@@ -45,10 +45,7 @@
 // would allocate on every call.
 package sim
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
 // It doubles as a duration type; the arithmetic reads naturally either way.
@@ -95,22 +92,20 @@ const (
 // Timer is a scheduled callback. It can be cancelled before it fires.
 //
 // Internally a timer carries a callback (fn), a static callback and its
-// argument (afn+arg), a process to wake (proc), or a timeout check
-// (proc+ev); the non-closure forms let the hot wake-up, message-delivery
-// and RPC-timeout paths skip closure allocation entirely. Timers created
-// by the core's own primitives are pooled on the environment's free list
-// once they retire; timers returned by At/After are not, because the
-// caller may hold the reference indefinitely.
+// argument (afn+arg), or a process to wake (proc); the non-closure forms
+// let the hot wake-up and message-delivery paths skip closure allocation
+// entirely. Timers created by the core's own primitives are pooled on the
+// environment's free list once they retire; timers returned by At/After
+// are not, because the caller may hold the reference indefinitely.
 type Timer struct {
 	at     Time
 	seq    uint64
 	fn     func()
 	afn    func(any) // static callback, run on arg (DeferArg)
 	arg    any
-	proc   *Proc  // wake-up target; nil for callback timers
-	ev     *Event // with proc: wake only if proc still waits on ev (WaitTimeout)
+	proc   *Proc // wake-up target; nil for callback timers
 	env    *Env
-	gen    uint64 // incarnation count; guards held references to pooled timers
+	gen    uint64 // incarnation count: how many times the timer was scheduled
 	state  uint8
 	pooled bool
 }
@@ -120,10 +115,10 @@ type Timer struct {
 //
 // The timer stays in the event heap — deleting from the middle of a binary
 // heap is O(n) — and is discarded when popped. The environment counts these
-// corpses and compacts the heap once they outnumber live timers, so an
-// RPC-timeout storm (every reply beating its timeout) keeps the heap
-// bounded by twice the live timer population instead of accumulating dead
-// entries until their far-future deadlines.
+// corpses and compacts the heap once they outnumber live timers, so a
+// storm of far-future timers each cancelled soon after it is set keeps
+// the heap bounded by twice the live timer population instead of
+// accumulating dead entries until their deadlines.
 func (t *Timer) Cancel() {
 	if t.state != timerPending {
 		return
@@ -303,7 +298,7 @@ func (e *Env) wake(p *Proc) { e.schedule(e.now, p, nil, true) }
 // free list; others just drop their references so a caller-held Timer does
 // not pin its callback.
 func (e *Env) recycle(t *Timer) {
-	t.fn, t.afn, t.arg, t.proc, t.ev = nil, nil, nil, nil, nil
+	t.fn, t.afn, t.arg, t.proc = nil, nil, nil, nil
 	if t.pooled {
 		e.timerFree = append(e.timerFree, t)
 	}
@@ -452,13 +447,6 @@ func (e *Env) RunUntil(deadline Time) {
 		next.state = timerFired
 		e.now = next.at
 		switch {
-		case next.ev != nil:
-			// WaitTimeout deadline: wake the proc only if it is still
-			// parked on the event (a successful removal proves the event
-			// has not fired, so the proc observes the timeout).
-			if next.ev.removeWaiter(next.proc) {
-				e.dispatch(next.proc)
-			}
 		case next.proc != nil:
 			e.dispatch(next.proc)
 		case next.afn != nil:
@@ -597,41 +585,6 @@ func (p *Proc) WaitAll(evs ...*Event) {
 	}
 }
 
-// WaitTimeout suspends the process until ev fires or d elapses, whichever
-// comes first, and reports whether the event fired. It is the primitive
-// under every RPC timeout in the messaging layer: a deterministic race
-// between the reply and the timer.
-func (p *Proc) WaitTimeout(ev *Event, d Time) bool {
-	if ev.fired {
-		return true
-	}
-	if d < 0 {
-		panic(fmt.Sprintf("sim: WaitTimeout(%v) with negative timeout", d))
-	}
-	ev.addWaiter(p)
-	// A timeout timer carries (proc, ev) instead of a closure: when it
-	// fires, the event loop wakes p only if removing it from ev's waiter
-	// list succeeds — Fire clears the list, so a successful removal proves
-	// the event has not fired. After resuming, ev.fired distinguishes the
-	// two wake-up reasons. The timer is pooled and the whole path
-	// allocates nothing.
-	tm := p.env.schedule(p.env.now+d, p, nil, true)
-	tm.ev = ev
-	gen := tm.gen
-	p.park()
-	if ev.fired {
-		// Cancel only our own incarnation: if the reply and the deadline
-		// raced at the same timestamp, the timer already fired as a no-op
-		// (waiter removal failed), was recycled, and may since back a
-		// different pooled event.
-		if tm.gen == gen {
-			tm.Cancel()
-		}
-		return true
-	}
-	return false
-}
-
 // Event is a one-shot broadcast signal. Firing wakes all waiting
 // processes, in wait order, each through its own environment.
 //
@@ -672,27 +625,6 @@ func (ev *Event) addWaiter(p *Proc) {
 		x := ev.extra()
 		x.more = append(x.more, p)
 	}
-}
-
-// removeWaiter deletes p from the waiter list, preserving arrival order of
-// the rest, and reports whether p was waiting.
-func (ev *Event) removeWaiter(p *Proc) bool {
-	x := ev.ext
-	if ev.w0 == p {
-		ev.w0 = nil
-		if x != nil && len(x.more) > 0 {
-			ev.w0 = x.more[0]
-			x.more = slices.Delete(x.more, 0, 1)
-		}
-		return true
-	}
-	if x != nil {
-		if i := slices.Index(x.more, p); i >= 0 {
-			x.more = slices.Delete(x.more, i, i+1)
-			return true
-		}
-	}
-	return false
 }
 
 // Fire triggers the event. Firing twice panics: one-shot events firing more

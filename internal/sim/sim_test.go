@@ -385,40 +385,6 @@ func TestDoneBeforeFinishWakesWaitersInOrder(t *testing.T) {
 	}
 }
 
-// TestWaitTimeoutExpiryKeepsOtherWaitersInOrder: whichever of three
-// waiters times out, the other two are still woken in wait order.
-func TestWaitTimeoutExpiryKeepsOtherWaitersInOrder(t *testing.T) {
-	for timeout := 0; timeout < 3; timeout++ {
-		e := NewEnv()
-		ev := new(Event)
-		var log []string
-		for i := 0; i < 3; i++ {
-			e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-				if i == timeout {
-					if p.WaitTimeout(ev, 5) {
-						t.Errorf("w%d: event reported fired before its timeout", i)
-					}
-				} else {
-					p.Wait(ev)
-				}
-				log = append(log, fmt.Sprintf("w%d@%v", i, p.Now()))
-			})
-		}
-		e.At(10, ev.Fire)
-		e.Run()
-		var want []string
-		want = append(want, fmt.Sprintf("w%d@5ns", timeout))
-		for i := 0; i < 3; i++ {
-			if i != timeout {
-				want = append(want, fmt.Sprintf("w%d@10ns", i))
-			}
-		}
-		if fmt.Sprint(log) != fmt.Sprint(want) {
-			t.Errorf("w%d times out: wake order %v, want %v", timeout, log, want)
-		}
-	}
-}
-
 // TestDeferArg: static-callback timers run in (time, seq) order with
 // every other timer form and, once the pool is warm, allocate nothing.
 func TestDeferArg(t *testing.T) {

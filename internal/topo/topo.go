@@ -495,6 +495,23 @@ func (f *Fabric) Transmit(span int64, from, to int, size int) (arrive sim.Time, 
 	return arrive, true
 }
 
+// probeBytes is the size of one liveness probe and of its reply.
+const probeBytes = 128
+
+// Probe is the one liveness rule, shared by the VM's failure detector
+// and the fleet's heartbeat: it charges a probe from one endpoint to
+// another and the reply back, both legs at Now, and reports whether the
+// probe was answered — neither leg dropped and the round trip within the
+// given bound. Like any message, a probe queues FIFO behind whatever its
+// links already accepted. A crashed or partitioned endpoint is silenced
+// by the filter, so the caller learns of it only as an unanswered probe.
+func (f *Fabric) Probe(from, to int, within sim.Time) bool {
+	now := f.env.Now()
+	there, out := f.Transmit(0, from, to, probeBytes)
+	back, in := f.Transmit(0, to, from, probeBytes)
+	return out && in && there-now+back-now <= within
+}
+
 // Stats returns a copy of the fabric-wide traffic counters.
 func (f *Fabric) Stats() Stats { return f.stats }
 
