@@ -223,14 +223,15 @@ func Restore(p *sim.Proc, vm *hypervisor.VM, img *Image) sim.Time {
 // sendChunk moves one collection/restore chunk over the VM's reliable
 // transport (RDMA RC / TCP) as segments of at most segmentBytes: frames
 // lost to drop rules or transient partitions are retransmitted by the
-// transport's ack/timeout/backoff state machine until acknowledged or
-// fenced. Liveness is the VM's declared view (vm.Alive), the only one a
-// real host has, and a segment fails only when MarkDead fences an end: a
-// chunk bound for a slice declared dead is re-sent whole to the origin
-// slice (always the origin, whichever survivor MarkDead made owner),
-// while a dead source simply stops transmitting, since the bytes it would
-// have carried are already lost. Returns the destination the chunk
-// actually went to, so callers stick to the re-homed peer.
+// transport's ack/timeout/backoff state machine. A segment is done when
+// its bytes arrive, whatever becomes of its ack. Liveness is the VM's
+// declared view (vm.Alive), the only one a real host has, and a segment
+// fails only when MarkDead fences an end: a chunk bound for a slice
+// declared dead is re-sent whole to the origin slice (always the origin,
+// whichever survivor MarkDead made owner), while a dead source simply
+// stops transmitting, since the bytes it would have carried are already
+// lost. Returns the destination the chunk actually went to, so callers
+// stick to the re-homed peer.
 //
 // Segments keep a bulk transfer from holding a link for milliseconds at a
 // time: a heartbeat probe queued behind a whole 16 MiB chunk would come
@@ -250,9 +251,14 @@ func sendChunk(p *sim.Proc, vm *hypervisor.VM, from, to int, size int) int {
 			return to
 		}
 		seg := min(size-sent, segmentBytes)
-		if rel.Send(p, csp, from, to, seg) == nil {
+		ev := new(sim.Event)
+		rel.Post(csp, from, to, seg, fire, ev)
+		if vm.Layer.Await(p, ev, from, to) {
 			sent += seg
 		}
 	}
 	return to
 }
+
+// fire marks a segment arrived.
+func fire(ev any) { ev.(*sim.Event).Fire() }

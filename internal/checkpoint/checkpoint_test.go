@@ -9,6 +9,7 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/overcommit"
 	"repro/internal/sim"
+	"repro/internal/topo"
 	"repro/internal/vcpu"
 )
 
@@ -150,5 +151,51 @@ func TestCheckpointAfterNodeLossRecoversOnSurvivor(t *testing.T) {
 	}
 	if img.Bytes == 0 {
 		t.Fatal("checkpoint was empty")
+	}
+}
+
+// reverseDropper is a fault filter that passes every frame except the
+// first `drops` ones from node 1 to node 0.
+type reverseDropper struct{ drops int }
+
+func (d *reverseDropper) Outcome(from, to, size int) topo.Outcome {
+	if from == 1 && to == 0 && d.drops > 0 {
+		d.drops--
+		return topo.Outcome{Drop: true}
+	}
+	return topo.Outcome{}
+}
+
+// TestRestoreSegmentDoneOnArrival: a restore segment is done when its
+// bytes arrive, whatever becomes of its ack. Over a faulted fabric, a
+// restore from node 0 to node 1 whose first segment's ack (the first
+// 1→0 frame) is lost must finish within the transport's RTO pad of the
+// same restore with no loss: the segment must not wait for the
+// retransmitted frame's ack.
+func TestRestoreSegmentDoneOnArrival(t *testing.T) {
+	const rtoSlack = 5 * sim.Millisecond // reliable's RTO queueing pad
+	restore := func(drops int) sim.Time {
+		vm := fragVM(2, 4<<30)
+		defer vm.Env.Close()
+		fillVM(vm, 4<<20)
+		var img *Image
+		vm.Env.Spawn("ckpt", func(p *sim.Proc) { img = Take(p, vm, 0) })
+		vm.Env.Run()
+		filter := &reverseDropper{drops: drops}
+		vm.Layer.Net().SetFilter(filter)
+		var d sim.Time
+		vm.Env.Spawn("restore", func(p *sim.Proc) { d = Restore(p, vm, img) })
+		vm.Env.Run()
+		if filter.drops != 0 {
+			t.Fatalf("restore sent no ack from node 1 to drop")
+		}
+		if st := vm.Layer.Transport().Stats(); st.Sent == 0 || st.Delivered != st.Sent {
+			t.Fatalf("restore segments not all delivered: %+v", st)
+		}
+		return d
+	}
+	clean, lossy := restore(0), restore(1)
+	if lossy > clean+rtoSlack {
+		t.Fatalf("restore with its first ack lost took %v, want within %v of the clean %v", lossy, rtoSlack, clean)
 	}
 }

@@ -493,7 +493,7 @@ func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
 	p.Sleep(faultHandler + d.params.UserSpaceExtra)
 	pf := &pendingFault{d: d, rec: r, ni: ni, write: write}
 	pf.dir.pf = pf
-	d.layer.SendCtx(sp, node, d.origin, d.dirSvc, "fault", reqBytes, pf)
+	d.layer.Send(sp, node, d.origin, d.dirSvc, "fault", reqBytes, pf)
 	if !d.layer.Await(p, &pf.ev, node, d.origin) {
 		// MarkDead fenced the requester mid-fault: no grant will reach
 		// it, and its in-flight guest work is discarded at restart.

@@ -24,7 +24,6 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/mem"
 	"repro/internal/metrics"
-	"repro/internal/msg"
 	"repro/internal/reliable"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -120,10 +119,9 @@ type Result struct {
 	// LiveProcs.
 	Granting []mem.PageID
 
-	DSM       dsm.Stats      // aggregate protocol stats
-	MsgFaults msg.FaultStats // messaging-layer fault stats
-	Reliable  reliable.Stats // the VM's transport: every cross-node message and checkpoint chunk
-	Counters  string         // injector and VM recovery counters rendering
+	DSM      dsm.Stats      // aggregate protocol stats
+	Reliable reliable.Stats // the VM's transport: every message and checkpoint segment
+	Counters string         // injector and VM recovery counters rendering
 
 	env *sim.Env // the run's world, kept open for hooks that read it
 }
@@ -159,7 +157,6 @@ func (r *Result) Metrics() string {
 		fmt.Fprintf(&b, "grants in flight on pages %v\n", r.Granting)
 	}
 	fmt.Fprintf(&b, "dsm=%+v\n", r.DSM)
-	fmt.Fprintf(&b, "msg=%+v\n", r.MsgFaults)
 	fmt.Fprintf(&b, "reliable=%+v\n", r.Reliable)
 	fmt.Fprintf(&b, "counters: %s\n", r.Counters)
 	return b.String()
@@ -330,7 +327,6 @@ func Run(s Scenario) *Result {
 	res.LiveProcs = env.LiveProcs()
 	res.Granting = vm.DSM.Granting()
 	res.DSM = vm.DSM.TotalStats()
-	res.MsgFaults = vm.Layer.FaultStats()
 	res.Reliable = vm.Layer.Transport().Stats()
 	// The injector's counters and the VM's hb.*/recover.* counters share
 	// no name, so the merge renders each set unchanged.

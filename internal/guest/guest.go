@@ -74,7 +74,6 @@ type Kernel struct {
 	dsm    *dsm.DSM
 	layout *mem.Layout
 	notif  Notifier
-	nVCPU  int
 
 	percpu    []mem.PageID // per-vCPU hot kernel page (shared in vanilla layout)
 	allocLock mem.PageID   // allocator serialization page
@@ -143,7 +142,6 @@ func New(env *sim.Env, d *dsm.DSM, layout *mem.Layout, notif Notifier, nVCPU int
 		dsm:     d,
 		layout:  layout,
 		notif:   notif,
-		nVCPU:   nVCPU,
 		perNode: make(map[int]*nodeHeap),
 	}
 	// Kernel page layout: the optimized guest pads each vCPU's hot
@@ -188,12 +186,6 @@ func New(env *sim.Env, d *dsm.DSM, layout *mem.Layout, notif Notifier, nVCPU int
 	}
 	return k
 }
-
-// Config returns the guest build configuration.
-func (k *Kernel) Config() Config { return k.cfg }
-
-// NVCPU returns the number of vCPUs the guest was built for.
-func (k *Kernel) NVCPU() int { return k.nVCPU }
 
 // Layout returns the guest physical layout.
 func (k *Kernel) Layout() *mem.Layout { return k.layout }

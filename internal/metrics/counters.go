@@ -72,12 +72,3 @@ func (c *Counters) Merge(other *Counters) {
 		c.vals[name] += v
 	}
 }
-
-// Table renders the counters as a titled two-column table.
-func (c *Counters) Table(title string) *Table {
-	t := NewTable(title, "counter", "value")
-	for _, name := range c.Names() {
-		t.AddRow(name, c.vals[name])
-	}
-	return t
-}

@@ -19,19 +19,19 @@
 // wait for a reply while serving a request (the DSM directory) chains
 // CallThen continuations rather than spawning a process.
 //
-// Over a faulted fabric (one with a fault filter installed) every
-// cross-node message rides the layer's reliable transport instead, which
-// retransmits until the frame is acknowledged or MarkDead fences an
-// endpoint, and delivers each message exactly once, as the RDMA reliable
+// Every message rides the layer's reliable transport
+// (reliable.Transport.Post), the one path for the VM's bytes. Over a
+// faulted fabric (one with a fault filter installed) it retransmits each
+// cross-node message until the frame is acknowledged or MarkDead fences
+// an endpoint, and delivers each exactly once, as the RDMA reliable
 // connections under the paper's message layer do. The fence is the
 // layer's one record of declared deaths: over a faulted fabric MarkDead
-// fails every Call that waits on a fenced node, and no message to or from
-// one is handled.
+// fails every Call that waits on a fenced node with ErrFenced, and no
+// message to or from one is handled.
 //
-// A message schedules itself: the fabric only charges the path
-// (topo.Fabric.Transmit), and the layer puts the *Message on a pooled
-// sim.Env.DeferArgAt timer at the arrival time, then on a DeferArg timer
-// for the handler latency, each running a static function of the message.
+// A message schedules itself: the transport puts the *Message on a pooled
+// sim.Env timer for its arrival, then the layer on a DeferArg timer for
+// the handler latency, each running a static function of the message.
 // A Call's reply event is embedded in its request, and Reply turns the
 // request itself into the reply, which fires that event at delivery
 // instead of running a callback. So a delivery allocates only its
@@ -39,6 +39,7 @@
 package msg
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -56,6 +57,10 @@ const (
 	// HeaderBytes is added to every message's wire size.
 	HeaderBytes = 64
 )
+
+// ErrFenced is returned by Call when MarkDead fences either end before
+// the reply arrives.
+var ErrFenced = errors.New("msg: endpoint fenced")
 
 // Handler consumes a delivered message. Handlers run as event callbacks
 // and must not block: a handler that waits on a reply before it can
@@ -111,7 +116,6 @@ type Layer struct {
 	env      *sim.Env
 	net      *topo.Fabric
 	handlers map[serviceKey]Handler
-	faults   FaultStats
 	tr       *trace.Tracer
 	services map[string]int
 	replies  map[string]string // kind -> kind + ".reply", interned
@@ -149,7 +153,7 @@ func NewLayer(env *sim.Env, net *topo.Fabric) *Layer {
 }
 
 // Transport returns the layer's reliable transport, which bulk senders
-// (checkpoint chunks) share with the layer's own messages.
+// (checkpoint segments) share with the layer's own messages.
 func (l *Layer) Transport() *reliable.Transport { return l.rel }
 
 // Fenced reports whether MarkDead has fenced the node out.
@@ -236,30 +240,26 @@ func (l *Layer) Handle(node int, service string, h Handler) {
 	l.handlers[serviceKey{node, service}] = h
 }
 
-// Send delivers a one-way message. The destination service must be
-// registered by delivery time; unrouteable messages panic. A message is
-// never lost: over a faulted fabric it rides the reliable transport, and
-// only a fenced endpoint ends its retransmission.
-func (l *Layer) Send(from, to int, service, kind string, size int, payload any) {
-	l.SendCtx(0, from, to, service, kind, size, payload)
-}
-
-// SendCtx is Send with a causal tracing parent: the message's delivery
-// span is created as a child of the given span. Send uses parent 0.
-func (l *Layer) SendCtx(span int64, from, to int, service, kind string, size int, payload any) {
+// Send delivers a one-way message; its delivery span is created as a
+// child of the given causal tracing parent (0 for none). The destination
+// service must be registered by delivery time; unrouteable messages
+// panic. A cross-node message is lost only to a crash: over a faulted
+// fabric the reliable transport retransmits it, and only a fenced
+// endpoint ends its retransmission.
+func (l *Layer) Send(span int64, from, to int, service, kind string, size int, payload any) {
 	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, span: span}
 	l.deliver(m)
 }
 
 // Call delivers a request and blocks the process until the handler replies.
 // It returns the reply, which is the request message turned round by
-// Reply, or an error matching reliable.ErrFenced when MarkDead fences
+// Reply, or an error matching ErrFenced when MarkDead fences
 // either end first.
 func (l *Layer) Call(p *sim.Proc, from, to int, service, kind string, size int, payload any) (*Message, error) {
 	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, call: true, span: p.Span()}
 	l.deliver(m)
 	if !l.Await(p, &m.ev, from, to) {
-		return nil, fmt.Errorf("msg: %s/%s from node %d to %d: %w", service, kind, from, to, reliable.ErrFenced)
+		return nil, fmt.Errorf("msg: %s/%s from node %d to %d: %w", service, kind, from, to, ErrFenced)
 	}
 	return m, nil
 }
@@ -297,9 +297,13 @@ func resume(a any) {
 	m.then(m.arg, m, true)
 }
 
-// deliver routes a message through the fabric (or locally) and, after
-// the receive-side processing cost, hands it to handle. The message is
-// its own timer argument, so the two hops allocate nothing.
+// deliver hands a message to the layer's reliable transport, which
+// short-circuits a same-node one (a crashed node delivers nothing, not
+// even to itself) and, on arrival, to receive. The frame is posted with
+// its endpoints, so over a faulted fabric the transport dedups a
+// retransmitted request on its own flow even after Reply has turned m
+// round. The message is its own timer argument, so delivery allocates
+// nothing.
 func (l *Layer) deliver(m *Message) {
 	if l.tr != nil {
 		// The delivery span covers serialization, flight, and handling;
@@ -307,30 +311,7 @@ func (l *Layer) deliver(m *Message) {
 		// visibly, in the exported trace.
 		m.span = l.tr.Begin(m.span, trace.CatNet, m.To, l.tr.Key(m.Service, m.Kind))
 	}
-	flt := l.net.Filter()
-	if m.From == m.To {
-		// Same-node messages short-circuit the fabric but still pay the
-		// handler demultiplexing cost. A crashed node delivers nothing,
-		// not even to itself.
-		if f, ok := flt.(topo.MsgFilter); ok && f.MsgOutcome(m.From, m.To).Drop {
-			l.faults.Dropped++
-			return
-		}
-		l.env.DeferArg(0, receive, m)
-		return
-	}
-	if flt != nil {
-		// The frame is posted with its endpoints, so the transport
-		// dedups a retransmitted request on its own flow even after
-		// Reply has turned m round.
-		l.rel.Post(m.span, m.From, m.To, m.Size+HeaderBytes, receive, m)
-		return
-	}
-	// The arrival timer is scheduled straight after the path is charged,
-	// as the fabric's own Send does.
-	if at, ok := l.net.Transmit(m.span, m.From, m.To, m.Size+HeaderBytes); ok {
-		l.env.DeferArgAt(at, receive, m)
-	}
+	l.rel.Post(m.span, m.From, m.To, m.Size+HeaderBytes, receive, m)
 }
 
 // receive runs when a message reaches its destination node: it charges

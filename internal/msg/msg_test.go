@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/reliable"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -22,7 +21,7 @@ func TestSendDelivers(t *testing.T) {
 	l := newTestLayer(env)
 	var got *Message
 	l.Handle(1, "dsm", func(m *Message) { got = m })
-	l.Send(0, 1, "dsm", "page_req", 32, "payload")
+	l.Send(0, 0, 1, "dsm", "page_req", 32, "payload")
 	env.Run()
 	if got == nil {
 		t.Fatal("message not delivered")
@@ -92,7 +91,7 @@ func TestReplyToOneWayPanics(t *testing.T) {
 		}()
 		m.Reply(0, nil)
 	})
-	l.Send(0, 1, "svc", "notify", 8, nil)
+	l.Send(0, 0, 1, "svc", "notify", 8, nil)
 	env.Run()
 }
 
@@ -115,7 +114,7 @@ func TestDuplicateReplyPanics(t *testing.T) {
 func TestUnroutedMessagePanics(t *testing.T) {
 	env := sim.NewEnv()
 	l := newTestLayer(env)
-	l.Send(0, 1, "ghost", "x", 0, nil)
+	l.Send(0, 0, 1, "ghost", "x", 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("unrouted message did not panic")
@@ -286,7 +285,7 @@ func TestRetransmittedRequestAfterReply(t *testing.T) {
 
 // TestCallFailsOnFence: a Call toward a node that has stopped answering
 // retransmits until MarkDead fences the node, then fails with
-// reliable.ErrFenced; a message from the fenced node that was already in
+// ErrFenced; a message from the fenced node that was already in
 // flight is not handled, and a Call toward it fails at once.
 func TestCallFailsOnFence(t *testing.T) {
 	env := sim.NewEnv()
@@ -304,11 +303,11 @@ func TestCallFailsOnFence(t *testing.T) {
 		errs = append(errs, err)
 	})
 	env.At(sim.Second, func() {
-		l.Send(1, 0, "svc", "note", 16, nil)
+		l.Send(0, 1, 0, "svc", "note", 16, nil)
 		l.MarkDead(1)
 	})
 	env.Run()
-	if len(errs) != 2 || !errors.Is(errs[0], reliable.ErrFenced) || !errors.Is(errs[1], reliable.ErrFenced) {
+	if len(errs) != 2 || !errors.Is(errs[0], ErrFenced) || !errors.Is(errs[1], ErrFenced) {
 		t.Fatalf("calls returned %v, want two fenced errors", errs)
 	}
 	if handled != 0 {
@@ -388,7 +387,7 @@ func TestDeliveryAllocatesOnlyTheMessage(t *testing.T) {
 		}
 	})
 	send := testing.AllocsPerRun(1000, func() {
-		l.Send(0, 1, "svc", "note", 16, nil)
+		l.Send(0, 0, 1, "svc", "note", 16, nil)
 		env.Run()
 	})
 	if send != 1 {

@@ -7,30 +7,36 @@ import (
 	"repro/internal/topo"
 )
 
-// benchSend sends b.N 4 KB messages 0→1 over a flat fabric with filter
-// installed, and fails the benchmark on the first undelivered one.
+// benchSend posts b.N 4 KB messages 0→1 over a flat fabric with filter
+// installed, each once the previous one is delivered, and fails the
+// benchmark unless every one is.
 func benchSend(b *testing.B, filter *scriptFilter) {
 	env := sim.NewEnv()
 	fab := topo.FlatSpec().Build(env, "bench", 56, 1500*sim.Nanosecond)
 	fab.SetFilter(filter)
 	tr := New(env, fab)
-	env.Spawn("sender", func(pr *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			if err := tr.Send(pr, 0, 0, 1, 4096); err != nil {
-				b.Error(err)
-				return
-			}
+	sent := 0
+	var next func(any)
+	next = func(any) {
+		if sent < b.N {
+			sent++
+			tr.Post(0, 0, 1, 4096, next, nil)
 		}
-	})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	next(nil)
 	env.Run()
+	b.StopTimer()
+	if st := tr.Stats(); st.Delivered != int64(b.N) {
+		b.Fatalf("delivered %d of %d", st.Delivered, b.N)
+	}
 }
 
-// BenchmarkReliableSend measures one acknowledged send per op on a clean
-// fabric whose pass-everything filter forces the transport off its
-// zero-fault fast path: sequence bookkeeping, the data frame, the ack
-// round and the acked-event wait.
+// BenchmarkReliableSend measures one acknowledged message per op on a
+// clean fabric whose pass-everything filter forces the transport off its
+// zero-fault fast path: sequence bookkeeping, the data frame and the ack
+// round.
 func BenchmarkReliableSend(b *testing.B) {
 	benchSend(b, &scriptFilter{})
 }

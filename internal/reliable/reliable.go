@@ -1,7 +1,8 @@
-// Package reliable is the ack/timeout/retransmit layer over a
-// topo.Fabric, the repository's one retransmission mechanism: on a
-// faulted fabric every cross-node message of a VM's messaging layer rides
-// it, as do checkpoint chunks.
+// Package reliable is the one delivery path of a VM's bytes over a
+// topo.Fabric — every message of its messaging layer and every checkpoint
+// segment — and the repository's one retransmission mechanism: over a
+// faulted fabric each cross-node message takes its ack/timeout/retransmit
+// path.
 //
 // The raw fabrics deliberately model a network that loses frames
 // silently — a fault-filter drop charges the sender's path and then
@@ -26,22 +27,19 @@
 // at its arrival whether the ack, is lost or late; only then does it set
 // the retransmit timer, at the instant a per-message timer would fire.
 //
-// Zero-fault runs pay nothing: when the fabric has no fault filter
-// installed, Send degenerates to exactly one fabric send plus a wait —
-// no acks are charged, no sequence state affects timing — so fabrics
-// without an injector stay byte-identical to the pre-reliable code.
+// Post is the one way a VM moves bytes between, or within, its slices.
+// A same-node message never touches the fabric: it is handed over at
+// once, unless the fault filter rules its node crashed. With no fault
+// filter installed nothing can be lost, so a message is exactly one
+// fabric transmission — no acks are charged and no sequence state
+// affects timing — and fault-free runs stay byte-identical to the raw
+// fabric.
 package reliable
 
 import (
-	"errors"
-
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
-
-// ErrFenced is returned for a send whose endpoint MarkDead fenced out
-// before the frame was acknowledged.
-var ErrFenced = errors.New("reliable: endpoint fenced")
 
 // The RTO starts at ~2 uncontended RTTs plus a 5 ms queueing pad. The pad
 // is sized for bulk traffic — several nodes pipelining multi-megabyte
@@ -71,10 +69,10 @@ func rngState(seed int64) uint64 {
 	return uint64(seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 }
 
-// Stats counts transport activity. Zero-fault fast-path sends count only
-// Sent/Delivered.
+// Stats counts transport activity on the acknowledged path, which a
+// message takes only over a faulted fabric, plus same-node drops.
 type Stats struct {
-	Sent           int64 // messages offered to Send or Post
+	Sent           int64 // cross-node messages posted over a faulted fabric
 	Delivered      int64 // messages handed to the receiver (exactly once each)
 	Frames         int64 // data frames put on the fabric (retransmits and injected dups included)
 	Retransmits    int64 // timeout-triggered re-sends
@@ -82,6 +80,7 @@ type Stats struct {
 	DupsSuppressed int64 // arriving frames discarded by receive-side dedup
 	Acks           int64 // ack frames sent
 	Abandoned      int64 // messages given up unacknowledged because an endpoint is fenced
+	LocalDropped   int64 // same-node messages dropped because the filter ruled the node crashed
 }
 
 type flowKey struct{ from, to int }
@@ -108,10 +107,7 @@ type frame struct {
 	deadline sim.Time // when the current attempt times out
 	armed    bool     // a retransmit timer is set for the current attempt
 	done     bool     // acknowledged or abandoned
-	failed   bool     // abandoned while a blocking Send waited
-	waited   bool     // a blocking Send waits on acked
-	acked    sim.Event
-	live     int // index in Transport.live while unresolved
+	live     int      // index in Transport.live while unresolved
 }
 
 // Transport is a reliable layer over one fabric. Construct with New; not
@@ -149,8 +145,8 @@ func (t *Transport) Fenced(node int) bool {
 }
 
 // MarkDead fences a node out for good: retransmission to and from it
-// stops, frames to or from it are discarded on arrival, its flows are
-// freed, and every blocking Send on one of them fails with ErrFenced.
+// stops, frames to or from it are discarded on arrival, and its flows are
+// freed.
 func (t *Transport) MarkDead(node int) {
 	for len(t.fenced) <= node {
 		t.fenced = append(t.fenced, false)
@@ -195,60 +191,38 @@ func (t *Transport) rto(from, to, size int) sim.Time {
 	return 2*rtt + rtoSlack
 }
 
-// Send transmits size bytes from one node to another and blocks until
-// the message is acknowledged (or, with no fault filter installed,
-// delivered). It fails only with ErrFenced, when MarkDead fences either
-// endpoint first.
-func (t *Transport) Send(p *sim.Proc, span int64, from, to, size int) error {
-	if from == to {
-		// Same-node messages never touch the fabric (mirroring msg's
-		// local short-circuit): deliver immediately.
-		t.stats.Sent++
-		t.stats.Delivered++
-		return nil
-	}
-	if t.fab.Filter() == nil {
-		// Zero-fault fast path: nothing can be lost, so the ack round
-		// and sequence machinery would only charge phantom bytes. One
-		// fabric send, one wait — byte-identical to the raw fabric.
-		t.stats.Sent++
-		ev := new(sim.Event)
-		t.stats.Frames++
-		t.fab.SendCtx(span, from, to, size, func() {
-			t.stats.Delivered++
-			ev.Fire()
-		})
-		p.Wait(ev)
-		return nil
-	}
-	f := t.post(span, from, to, size, nil, nil, true)
-	if f == nil {
-		return ErrFenced
-	}
-	p.Wait(&f.acked)
-	if f.failed {
-		return ErrFenced
-	}
-	return nil
-}
-
 // Post offers size bytes from one node to another and returns at once;
 // deliver(arg) runs at the receiver when the first copy arrives, exactly
-// once, unless a fence abandons the message first. It always takes the
-// acknowledged path: the messaging layer posts only over a faulted
-// fabric. from and to must differ.
+// once, unless a fence abandons the message first. A same-node message
+// is handed over at once, and dropped only when the fault filter rules
+// its node crashed; with no fault filter installed a cross-node message
+// is one fabric transmission; otherwise it takes the acknowledged path.
 func (t *Transport) Post(span int64, from, to, size int, deliver func(any), arg any) {
-	t.post(span, from, to, size, deliver, arg, false)
+	flt := t.fab.Filter()
+	switch {
+	case from == to:
+		if mf, ok := flt.(topo.MsgFilter); ok && mf.MsgOutcome(from, to).Drop {
+			t.stats.LocalDropped++
+			return
+		}
+		t.env.DeferArg(0, deliver, arg)
+	case flt == nil:
+		if at, ok := t.fab.Transmit(span, from, to, size); ok {
+			t.env.DeferArgAt(at, deliver, arg)
+		}
+	default:
+		t.post(span, from, to, size, deliver, arg)
+	}
 }
 
-// post starts a message on its flow and transmits its first frame. It
-// returns nil when an endpoint is fenced: the message is abandoned
-// without touching the fabric.
-func (t *Transport) post(span int64, from, to, size int, deliver func(any), arg any, wait bool) *frame {
+// post starts a message on its flow and transmits its first frame. A
+// message with a fenced endpoint is abandoned without touching the
+// fabric.
+func (t *Transport) post(span int64, from, to, size int, deliver func(any), arg any) {
 	t.stats.Sent++
 	if t.Fenced(from) || t.Fenced(to) {
 		t.stats.Abandoned++
-		return nil
+		return
 	}
 	key := flowKey{from, to}
 	fl := t.flows[key]
@@ -258,11 +232,10 @@ func (t *Transport) post(span int64, from, to, size int, deliver func(any), arg 
 	}
 	rto := t.rto(from, to, size)
 	f := &frame{t: t, from: from, to: to, seq: fl.next, span: span, size: size, deliver: deliver,
-		arg: arg, rto: rto, capRTO: max(maxRTO, 4*rto), waited: wait, live: len(t.live)}
+		arg: arg, rto: rto, capRTO: max(maxRTO, 4*rto), live: len(t.live)}
 	fl.next++
 	t.live = append(t.live, f)
 	t.transmit(f)
-	return f
 }
 
 // transmit puts one attempt of a data frame on the fabric (two copies,
@@ -311,9 +284,7 @@ func onData(a any) {
 	fl := t.flows[flowKey{f.from, f.to}]
 	if fl.recv.Admit(f.seq) {
 		t.stats.Delivered++
-		if f.deliver != nil {
-			f.deliver(f.arg)
-		}
+		f.deliver(f.arg)
 	} else {
 		t.stats.DupsSuppressed++
 		if t.fab.TestHooks().NoDedup {
@@ -325,7 +296,7 @@ func onData(a any) {
 	switch {
 	case f.done:
 	case ok && at <= f.deadline:
-		t.resolve(f, at)
+		t.unlink(f)
 	case !f.armed:
 		t.arm(f)
 	}
@@ -344,25 +315,10 @@ func onTimeout(a any) {
 	t.transmit(f)
 }
 
-// resolve retires an acknowledged frame; a blocking Send resumes when the
-// ack arrives.
-func (t *Transport) resolve(f *frame, ackAt sim.Time) {
-	t.unlink(f)
-	if f.waited {
-		t.env.DeferArgAt(ackAt, fireAcked, f)
-	}
-}
-
-func fireAcked(a any) { a.(*frame).acked.Fire() }
-
-// abandon retires a frame unacknowledged, failing a blocking Send on it.
+// abandon retires a frame unacknowledged.
 func (t *Transport) abandon(f *frame) {
 	t.unlink(f)
 	t.stats.Abandoned++
-	if f.waited {
-		f.failed = true
-		f.acked.Fire()
-	}
 }
 
 // unlink marks a frame done and removes it from the unresolved set.

@@ -1,7 +1,6 @@
 package reliable
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -40,54 +39,58 @@ func newFabric(env *sim.Env) *topo.Fabric {
 // counter returns a delivery callback counting its calls into n.
 func counter(n *int) func(any) { return func(any) { *n++ } }
 
-// TestZeroFaultFastPath: with no fault filter installed, Send is one
+// TestZeroFaultFastPath: with no fault filter installed, Post is one
 // fabric frame and zero acks — the delivery time must equal the raw
 // fabric's, so fault-free runs stay byte-identical to pre-transport code.
 func TestZeroFaultFastPath(t *testing.T) {
 	env := sim.NewEnv()
 	fab := newFabric(env)
 	tr := New(env, fab)
-	var done, want sim.Time
-	env.Spawn("send", func(p *sim.Proc) {
-		want = fab.PathTime(0, 1, 4096)
-		if err := tr.Send(p, 0, 0, 1, 4096); err != nil {
-			t.Errorf("fault-free Send failed: %v", err)
-		}
-		done = p.Now()
-	})
+	want := fab.PathTime(0, 1, 4096)
+	var done sim.Time
+	tr.Post(0, 0, 1, 4096, func(any) { done = env.Now() }, nil)
 	env.Run()
 	if done != want {
-		t.Fatalf("fast-path Send resolved at %v, want raw delivery time %v", done, want)
+		t.Fatalf("fast-path Post delivered at %v, want raw delivery time %v", done, want)
 	}
-	st := tr.Stats()
-	if st.Frames != 1 || st.Acks != 0 || st.Retransmits != 0 {
+	if st := tr.Stats(); st != (Stats{}) {
 		t.Fatalf("fast path charged protocol overhead: %+v", st)
 	}
-	if st.Delivered != 1 {
-		t.Fatalf("delivered %d, want 1", st.Delivered)
+	if s := fab.Stats(); s.Messages != 1 {
+		t.Fatalf("fast path put %d messages on the fabric, want 1", s.Messages)
 	}
 }
 
-// TestLocalSendSkipsFabric: same-node sends deliver immediately without
-// touching the fabric, mirroring the messaging layer's local short-circuit.
+// TestLocalSendSkipsFabric: a same-node Post is delivered at once without
+// touching the fabric, and is dropped, counted in LocalDropped, when the
+// fault filter rules its node crashed.
 func TestLocalSendSkipsFabric(t *testing.T) {
-	env := sim.NewEnv()
-	fab := newFabric(env)
-	tr := New(env, fab)
-	env.Spawn("send", func(p *sim.Proc) {
-		if err := tr.Send(p, 0, 2, 2, 64); err != nil {
-			t.Errorf("local send failed: %v", err)
+	for _, crashed := range []bool{false, true} {
+		env := sim.NewEnv()
+		fab := newFabric(env)
+		fab.SetFilter(&scriptFilter{msgFn: func(from, to int) topo.MsgOutcome {
+			return topo.MsgOutcome{Drop: crashed && from == 2}
+		}})
+		tr := New(env, fab)
+		delivered := 0
+		env.At(sim.Millisecond, func() {
+			tr.Post(0, 2, 2, 64, func(any) {
+				if env.Now() != sim.Millisecond {
+					t.Errorf("local post delivered at %v, want %v", env.Now(), sim.Millisecond)
+				}
+				delivered++
+			}, nil)
+		})
+		env.Run()
+		if want := 1 - btoi(crashed); delivered != want {
+			t.Fatalf("crashed=%v: delivered %d times, want %d", crashed, delivered, want)
 		}
-		if p.Now() != 0 {
-			t.Errorf("local send took %v, want 0", p.Now())
+		if want := int64(btoi(crashed)); tr.Stats() != (Stats{LocalDropped: want}) {
+			t.Fatalf("crashed=%v: stats %+v, want only LocalDropped=%d", crashed, tr.Stats(), want)
 		}
-	})
-	env.Run()
-	if st := tr.Stats(); st.Delivered != 1 {
-		t.Fatalf("local send not delivered: %+v", st)
-	}
-	if s := fab.Stats(); s.Messages != 0 {
-		t.Fatalf("local send touched the fabric: %+v", s)
+		if s := fab.Stats(); s.Messages != 0 {
+			t.Fatalf("crashed=%v: local post touched the fabric: %+v", crashed, s)
+		}
 	}
 }
 
@@ -146,11 +149,11 @@ func TestLostAckReAcks(t *testing.T) {
 }
 
 // TestRetriesEndOnAckOrFence: retransmission has no attempt cap. Through
-// total loss a blocking Send keeps retrying, its RTO capped, until
-// MarkDead fences the peer: the send then fails with ErrFenced, no frame
-// is put on the fabric afterwards, and the flow is freed. A send that is
-// acknowledged stops retransmitting at once, and a send toward a fenced
-// node is abandoned without touching the fabric.
+// total loss a message keeps retrying, its RTO capped, until MarkDead
+// fences the peer: no frame is put on the fabric afterwards, the message
+// is abandoned undelivered, and the flow is freed. A message that is
+// acknowledged stops retransmitting at once, and one toward a fenced node
+// is abandoned without touching the fabric.
 func TestRetriesEndOnAckOrFence(t *testing.T) {
 	env := sim.NewEnv()
 	fab := newFabric(env)
@@ -159,21 +162,18 @@ func TestRetriesEndOnAckOrFence(t *testing.T) {
 	}})
 	tr := New(env, fab)
 	const fenceAt = sim.Second
-	var lost, acked, late error
+	var lost, acked, late int
 	var framesAtFence int64
-	env.Spawn("lost", func(p *sim.Proc) { lost = tr.Send(p, 0, 0, 1, 4096) })
-	env.Spawn("acked", func(p *sim.Proc) { acked = tr.Send(p, 0, 0, 2, 4096) })
+	tr.Post(0, 0, 1, 4096, counter(&lost), nil)
+	tr.Post(0, 0, 2, 4096, counter(&acked), nil)
 	env.At(fenceAt, func() {
 		framesAtFence = tr.Stats().Frames
 		tr.MarkDead(1)
 	})
-	env.Spawn("late", func(p *sim.Proc) {
-		p.Sleep(2 * fenceAt)
-		late = tr.Send(p, 0, 1, 0, 64)
-	})
+	env.At(2*fenceAt, func() { tr.Post(0, 1, 0, 64, counter(&late), nil) })
 	env.Run()
-	if !errors.Is(lost, ErrFenced) || !errors.Is(late, ErrFenced) || acked != nil {
-		t.Fatalf("errors lost=%v late=%v acked=%v, want fenced, fenced, nil", lost, late, acked)
+	if lost != 0 || late != 0 || acked != 1 {
+		t.Fatalf("deliveries lost=%d late=%d acked=%d, want 0, 0, 1", lost, late, acked)
 	}
 	st := tr.Stats()
 	// Capped backoff over a second of total loss: well over the old
@@ -187,8 +187,8 @@ func TestRetriesEndOnAckOrFence(t *testing.T) {
 	if flows, _ := tr.Flows(); flows != 1 {
 		t.Fatalf("%d flows hold state, want only 0→2's", flows)
 	}
-	if live := env.LiveProcs(); len(live) != 0 {
-		t.Fatalf("senders wedged: %v", live)
+	if len(tr.live) != 0 {
+		t.Fatalf("%d frames unresolved after the fence", len(tr.live))
 	}
 }
 
@@ -353,12 +353,7 @@ func TestDeterministicJitter(t *testing.T) {
 		tr := New(env, fab)
 		tr.rng = rngState(seed)
 		var done sim.Time
-		env.Spawn("send", func(pr *sim.Proc) {
-			if err := tr.Send(pr, 0, 0, 1, 4096); err != nil {
-				t.Errorf("seed %d: %v", seed, err)
-			}
-			done = pr.Now()
-		})
+		tr.Post(0, 0, 1, 4096, func(any) { done = env.Now() }, nil)
 		env.Run()
 		return done
 	}

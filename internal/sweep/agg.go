@@ -21,9 +21,6 @@ type Group struct {
 // Dist returns the named metric's distribution (nil if absent).
 func (g *Group) Dist(name string) *metrics.Dist { return g.dists[name] }
 
-// Metrics returns the metric names in deterministic first-seen order.
-func (g *Group) Metrics() []string { return append([]string(nil), g.order...) }
-
 // add folds one run's values into the group. Iterating the value map in
 // sorted-key order keeps the first-seen metric order deterministic.
 func (g *Group) add(r Result) {

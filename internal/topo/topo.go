@@ -429,14 +429,9 @@ func (f *Fabric) flatLink(id int) *link {
 // Send transmits size bytes from one endpoint to another and invokes
 // deliver at the receiver once the message arrives; deliver may be nil
 // for fire-and-forget accounting. Send returns the delivery time.
+// Dropped messages never invoke deliver; delayed ones arrive late.
 func (f *Fabric) Send(from, to int, size int, deliver func()) sim.Time {
-	return f.SendCtx(0, from, to, size, deliver)
-}
-
-// SendCtx is Send with a causal tracing parent (see Transmit). Dropped
-// messages never invoke deliver; delayed ones arrive late.
-func (f *Fabric) SendCtx(span int64, from, to int, size int, deliver func()) sim.Time {
-	arrive, delivered := f.Transmit(span, from, to, size)
+	arrive, delivered := f.Transmit(0, from, to, size)
 	if delivered && deliver != nil {
 		f.env.DeferAt(arrive, deliver)
 	}

@@ -165,7 +165,7 @@ func (m *Manager) IPI(p *sim.Proc, fromNode, toVCPU int, deliver func()) {
 		}
 		return
 	}
-	m.layer.SendCtx(p.Span(), fromNode, dest, m.service, "ipi", locUpdateBytes, deliver)
+	m.layer.Send(p.Span(), fromNode, dest, m.service, "ipi", locUpdateBytes, deliver)
 }
 
 // handle processes vCPU-service messages at a slice.
@@ -221,7 +221,7 @@ func (m *Manager) Migrate(p *sim.Proc, vcpuID, destNode int, destPCPU *sim.PS) s
 	v.pcpu = destPCPU
 	for _, n := range m.nodes {
 		if n != src && n != destNode {
-			m.layer.Send(destNode, n, m.service, "locupdate", locUpdateBytes, vcpuID)
+			m.layer.Send(0, destNode, n, m.service, "locupdate", locUpdateBytes, vcpuID)
 		}
 	}
 	m.tr.End(sp)

@@ -95,7 +95,7 @@ func (bd *BlkDev) chunk(c *vcpu.Ctx, q *queue, n int, write bool) {
 	// Descriptor on the ring, doorbell over the fabric: the owner drains
 	// the ring FIFO, so duplicated or delayed kicks are harmless.
 	q.pending = append(q.pending, blkReq{id: id, queue: q.id, bytes: n, write: write, pages: pages, node: c.Node()})
-	bd.layer.Send(c.Node(), bd.cfg.Owner, bd.svc, "req", size, q.id)
+	bd.layer.Send(0, c.Node(), bd.cfg.Owner, bd.svc, "req", size, q.id)
 	c.P.Wait(ev)
 	delete(bd.done, id)
 	if !write {
@@ -153,7 +153,7 @@ func (bd *BlkDev) handle(m *msg.Message) {
 				if !req.write && bd.cfg.Bypass {
 					size += req.bytes // read payload rides the completion
 				}
-				bd.layer.Send(bd.cfg.Owner, req.node, bd.svc, "done", size, req.id)
+				bd.layer.Send(0, bd.cfg.Owner, req.node, bd.svc, "done", size, req.id)
 			}
 		})
 	case "done":

@@ -254,7 +254,7 @@ func (nd *NetDev) Send(c *vcpu.Ctx, dst, n int) {
 	nd.stats.TxPackets++
 	nd.stats.TxBytes += int64(n)
 	q.pending = append(q.pending, netTx{queue: q.id, src: c.ID(), dst: dst, bytes: n, pages: pages})
-	nd.layer.Send(c.Node(), nd.cfg.Owner, nd.svc, "tx", nd.kickSize(n), q.id)
+	nd.layer.Send(0, c.Node(), nd.cfg.Owner, nd.svc, "tx", nd.kickSize(n), q.id)
 }
 
 // Recv blocks the context's vCPU until a packet arrives for it, reads the
@@ -318,7 +318,7 @@ func (nd *NetDev) deliverToGuest(from, toVCPU, n int) {
 				nd.vcpus.IPI(p, nd.cfg.Owner, toVCPU, func() { nd.rx[toVCPU].Put(pkt) })
 				return
 			}
-			nd.layer.Send(nd.cfg.Owner, dest, nd.svc, "rxbypass",
+			nd.layer.Send(0, nd.cfg.Owner, dest, nd.svc, "rxbypass",
 				irqBytes+n, netRxBypass{vcpu: toVCPU, pkt: pkt})
 			return
 		}

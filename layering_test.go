@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -44,5 +45,54 @@ func TestOnlyHarnessesImportFault(t *testing.T) {
 	}
 	if !importers["internal/faulttest"] {
 		t.Error("internal/faulttest does not import internal/fault: the scan is not seeing imports")
+	}
+}
+
+// TestOnlyTheTransportTransmits: reliable.Transport.Post is the one path
+// a VM's bytes take between, or within, its slices, so no production file
+// outside the fabric itself (internal/topo) and the transport
+// (internal/reliable) calls a Transmit method: a layer that charged the
+// fabric on its own would bypass the transport's loopback, fault-free
+// and acknowledged cases.
+func TestOnlyTheTransportTransmits(t *testing.T) {
+	allowed := map[string]bool{"internal/topo": true, "internal/reliable": true}
+	callers := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Transmit" {
+					callers[dir] = true
+					if !allowed[dir] {
+						t.Errorf("%s calls Transmit; only internal/topo and internal/reliable may", fset.Position(call.Pos()))
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !callers["internal/reliable"] {
+		t.Error("internal/reliable does not call Transmit: the scan is not seeing calls")
 	}
 }
