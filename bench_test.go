@@ -94,12 +94,12 @@ func BenchmarkDSMFault(b *testing.B) {
 }
 
 // dsmFaultAllocBudget is what one remote write fault (BenchmarkDSMFault's
-// loop body) allocates: the fault's bookkeeping (its grant, events and
-// the directory's own strand ride in it), one task for its invalidation,
-// and the messages, each costing only itself (a reply is its request
-// turned round). The directory runs on event callbacks, so no process is
-// spawned.
-const dsmFaultAllocBudget = 4
+// loop body) allocates: nothing. The fault's bookkeeping (its grant,
+// events and the directory's own strand ride in it) and its invalidation
+// task are recycled by the DSM, its messages by the messaging layer (a
+// reply is its request turned round), and the directory runs on event
+// callbacks, so no process is spawned.
+const dsmFaultAllocBudget = 0
 
 // TestDSMFaultAllocBudget pins BenchmarkDSMFault's allocs/op: a remote
 // write fault may allocate no more than dsmFaultAllocBudget objects.
@@ -162,10 +162,12 @@ func BenchmarkDSMFaultRead(b *testing.B) {
 	tb.Run()
 }
 
-// dsmFaultReadAllocBudget is what one readCycle allocates: a read fault
-// (its bookkeeping, request, owner fetch and grant) and an upgrade fault
-// (the same, with an invalidation task and call in place of the fetch).
-const dsmFaultReadAllocBudget = 9
+// dsmFaultReadAllocBudget is what one readCycle allocates: nothing. A
+// read fault (its bookkeeping, request, owner fetch and grant) and an
+// upgrade fault (the same, with an invalidation task and call in place of
+// the fetch) reuse recycled objects, and the zero page the fetch moves
+// has no bytes to copy.
+const dsmFaultReadAllocBudget = 0
 
 // TestDSMFaultReadAllocBudget pins BenchmarkDSMFaultRead's allocs/op.
 func TestDSMFaultReadAllocBudget(t *testing.T) {
@@ -214,6 +216,36 @@ func BenchmarkDSMFaultBytes(b *testing.B) {
 		}
 	})
 	tb.Run()
+}
+
+// TestDSMFaultBytesAllocBudget pins BenchmarkDSMFaultBytes's allocs/op at
+// zero: the page copy a fault moves comes from the DSM's page free list,
+// and the requester installs it into its replica's own buffer.
+func TestDSMFaultBytesAllocBudget(t *testing.T) {
+	tb := fragvisor.NewTestbed(2)
+	defer tb.Close()
+	vm := tb.NewFragVisorVM(2, 4<<30)
+	payload := []byte("dsm-fault-payload")
+	faults := sim.NewQueue[int](tb.Env)
+	tb.Env.Spawn("pingpong", func(p *fragvisor.Proc) {
+		for {
+			vm.DSM.Write(p, faults.Get(p), 12345, 0, payload)
+		}
+	})
+	writes := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		faults.Put(1 - writes%2)
+		writes++
+		tb.Run()
+	})
+	st := vm.DSM.TotalStats()
+	if st.WriteFaults != int64(writes) || st.BytesMoved != int64(writes)*4096 {
+		t.Fatalf("%d write faults moving %d bytes over %d writes: not every write moved the page",
+			st.WriteFaults, st.BytesMoved, writes)
+	}
+	if allocs != 0 {
+		t.Errorf("a remote write fault moving bytes allocates %v objects, want 0", allocs)
+	}
 }
 
 // The remaining benchmarks isolate the DES core's primitive costs. The

@@ -119,7 +119,7 @@ func main() {
 	f.Submit(fleet.GenerateBurst(rand.New(rand.NewSource(*seed)), *vms,
 		sim.FromSeconds(*window), 2<<30))
 	if reclaimNode >= 0 {
-		env.At(reclaimT, func() { f.Reclaim(reclaimNode) })
+		env.DeferAt(reclaimT, func() { f.Reclaim(reclaimNode) })
 	}
 	if crashNode >= 0 {
 		var sch fault.Schedule
@@ -130,7 +130,7 @@ func main() {
 	// Sample the fleet on a fixed grid while the simulation runs.
 	var snaps []fleet.Snapshot
 	for t := sim.FromSeconds(*sample); t <= sim.FromSeconds(*until); t += sim.FromSeconds(*sample) {
-		env.At(t-1, func() { snaps = append(snaps, f.Snapshot()) })
+		env.DeferAt(t-1, func() { snaps = append(snaps, f.Snapshot()) })
 	}
 	env.RunUntil(sim.FromSeconds(*until))
 	env.Stop()

@@ -49,7 +49,7 @@ func main() {
 	// bind it: fleet decisions now drive real vCPU migrations, and a
 	// checkpoint on node 0's disk protects it against node loss.
 	var vm *hypervisor.VM
-	env.At(sim.Second, func() {
+	env.DeferAt(sim.Second, func() {
 		pl := f.PlacementOf(borrowerID)
 		fmt.Printf("t=%-9v gang-admitted: placement %v, %d active lease(s)\n",
 			env.Now(), pl, activeLeases(f))
@@ -74,12 +74,12 @@ func main() {
 	// Node 1 wants its lent capacity back. VM 3 departed at t=5s, so the
 	// fleet consolidates the borrower's fragment onto node 2 — live
 	// migration, no eviction.
-	env.At(10*sim.Second, func() {
+	env.DeferAt(10*sim.Second, func() {
 		f.Reclaim(1)
 		fmt.Printf("t=%-9v node 1 reclaimed its lease: placement %v, evictions %d\n",
 			env.Now(), f.PlacementOf(borrowerID), f.Stats().Evictions)
 	})
-	env.At(11*sim.Second, func() {
+	env.DeferAt(11*sim.Second, func() {
 		fmt.Printf("t=%-9v data plane converged: vCPUs on %v\n", env.Now(), vcpuSpread(vm))
 	})
 
@@ -90,7 +90,7 @@ func main() {
 	var sch fault.Schedule
 	sch.Add(fault.Event{At: 20 * sim.Second, Kind: fault.CrashNode, Node: 2})
 	inj.Apply(sch)
-	env.At(21*sim.Second, func() {
+	env.DeferAt(21*sim.Second, func() {
 		st := f.Stats()
 		fmt.Printf("t=%-9v node 2 crashed: placement %v, restarts %d, requeues %d\n",
 			env.Now(), f.PlacementOf(borrowerID), st.Restarts, st.Requeues)

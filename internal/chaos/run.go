@@ -147,10 +147,10 @@ func runFleet(ep Episode, hooks Hooks) []Violation {
 			env.MarkProgress()
 		}
 		if env.Now()+fleetPollEvery <= fleetHorizon {
-			env.After(fleetPollEvery, poll)
+			env.Defer(fleetPollEvery, poll)
 		}
 	}
-	env.After(fleetPollEvery, poll)
+	env.Defer(fleetPollEvery, poll)
 	env.WatchProgress(fleetWatchdog)
 	env.RunUntil(fleetHorizon)
 	env.Stop()

@@ -166,6 +166,16 @@ func (lp *localPage) writable() []byte {
 	return lp.data
 }
 
+// install sets the replica's contents to a transferred page's: a zero
+// page for nil data, else a copy in the replica's own buffer.
+func (lp *localPage) install(data []byte) {
+	if data == nil {
+		lp.data = nil
+		return
+	}
+	copy(lp.writable(), data)
+}
+
 // contents returns the replica's bytes for reading, a zero page reading as
 // mem.PageSize zero bytes; it never materializes the buffer.
 func (lp *localPage) contents() []byte {
@@ -217,11 +227,18 @@ type lockWaiter struct {
 // (for the page lock, a reply, the invalidations) leaves the next step
 // as a lock waiter, a CallThen continuation or the last invalidation's
 // event, and returns.
+//
+// A fault has two owners, the requester's ensure and the directory, and
+// goes back on the DSM's free list when both have released it: ensure
+// once it has read moved, the directory in granted. A requester that a
+// fence made give up never releases, so its fault is left to the
+// collector and a late step of its grant can never reach a reused one.
 type pendingFault struct {
-	d     *DSM
-	rec   *pageRec
-	ni    int // requester's dense node index
-	write bool
+	d      *DSM
+	rec    *pageRec
+	ni     int // requester's dense node index
+	write  bool
+	owners int // owners yet to release the fault
 
 	ev  sim.Event // fired when the grant is installed
 	dir task      // the directory's own strand: lock, fetch, grant
@@ -274,6 +291,13 @@ type DSM struct {
 
 	pages   map[mem.PageID]*pageRec
 	extents extentTable
+
+	// Recycled per-fault objects, reused LIFO so a remote fault
+	// allocates nothing in steady state. freePages holds the transfer
+	// copies of pages that grants have installed.
+	freeFaults []*pendingFault
+	freeTasks  []*task
+	freePages  [][]byte
 
 	dirtyPage mem.PageID
 	service   string
@@ -491,8 +515,7 @@ func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
 		st.ReadFaults++
 	}
 	p.Sleep(faultHandler + d.params.UserSpaceExtra)
-	pf := &pendingFault{d: d, rec: r, ni: ni, write: write}
-	pf.dir.pf = pf
+	pf := d.newFault(r, ni, write)
 	d.layer.Send(sp, node, d.origin, d.dirSvc, "fault", reqBytes, pf)
 	if !d.layer.Await(p, &pf.ev, node, d.origin) {
 		// MarkDead fenced the requester mid-fault: no grant will reach
@@ -502,6 +525,7 @@ func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
 	}
 	d.tr.End(sp)
 	st.BytesMoved += pf.moved
+	d.releaseFault(pf)
 	if write && d.params.DirtyBitTracking && r.page != d.dirtyPage {
 		// Hardware dirty-bit management writes the shared tracking
 		// structure, itself kept coherent by the DSM.
@@ -509,6 +533,36 @@ func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
 		d.Touch(p, node, d.dirtyPage, true)
 	}
 	return lp
+}
+
+// newFault returns a fault on r for the node with dense index ni, owned
+// by its requester and the directory, reusing a released one if any.
+func (d *DSM) newFault(r *pageRec, ni int, write bool) *pendingFault {
+	pf := take(&d.freeFaults)
+	if pf == nil {
+		pf = new(pendingFault)
+	}
+	*pf = pendingFault{d: d, rec: r, ni: ni, write: write, owners: 2}
+	pf.dir.pf = pf
+	return pf
+}
+
+// releaseFault drops one owner's hold on pf, recycling it after the last.
+func (d *DSM) releaseFault(pf *pendingFault) {
+	if pf.owners--; pf.owners == 0 {
+		d.freeFaults = append(d.freeFaults, pf)
+	}
+}
+
+// take pops the most recently freed entry off a free list, or returns the
+// zero value when the list is empty.
+func take[T any](free *[]T) (x T) {
+	if n := len(*free) - 1; n >= 0 {
+		x = (*free)[n]
+		clear((*free)[n:])
+		*free = (*free)[:n]
+	}
+	return x
 }
 
 // rec returns (lazily creating) the page's record. A new record holds no
@@ -651,13 +705,14 @@ func (d *DSM) sendGrant(pf *pendingFault) {
 
 // granted ends the directory's work on a fault once its grant is
 // acknowledged or its requester fenced: it releases the page lock, then
-// closes the dsm.dir span.
+// closes the dsm.dir span and releases the directory's hold on the fault.
 func granted(a any, _ *msg.Message, _ bool) {
 	pf := a.(*pendingFault)
 	d := pf.d
 	d.unlock(pf.rec)
 	d.tr.End(pf.dir.span)
 	d.env.MarkProgress()
+	d.releaseFault(pf)
 }
 
 // grantRead adds the requester to the page's copyset, fetching the bytes
@@ -701,11 +756,22 @@ func (d *DSM) grantWrite(pf *pendingFault) {
 			continue
 		}
 		pf.invLeft++
-		d.env.DeferArg(0, invStart, &task{pf: pf, n: n, inv: true})
+		d.env.DeferArg(0, invStart, d.newInv(pf, n))
 	}
 	if pf.invLeft == 0 {
 		d.transfer(pf)
 	}
+}
+
+// newInv returns an invalidation task of pf on holder n, reusing a
+// retired one if any.
+func (d *DSM) newInv(pf *pendingFault, n int) *task {
+	t := take(&d.freeTasks)
+	if t == nil {
+		t = new(task)
+	}
+	*t = task{pf: pf, n: n, inv: true}
+	return t
 }
 
 // invStart runs one of grantWrite's invalidations under a dsm.inv span.
@@ -729,7 +795,7 @@ func invStart(a any) {
 }
 
 // invDone retires one of grantWrite's invalidations, the last resuming the
-// grant one event later, and closes its span.
+// grant one event later, closes its span and recycles the task.
 func (d *DSM) invDone(t *task) {
 	pf := t.pf
 	if pf.invLeft--; pf.invLeft == 0 {
@@ -737,6 +803,8 @@ func (d *DSM) invDone(t *task) {
 	}
 	d.tr.End(t.span)
 	d.env.MarkProgress()
+	*t = task{}
+	d.freeTasks = append(d.freeTasks, t)
 }
 
 // dirTransfer resumes a write grant whose invalidations have all finished.
@@ -757,7 +825,7 @@ func (d *DSM) transfer(pf *pendingFault) {
 		r.copyset = 0
 		d.rehome(r)
 		if g.carry {
-			d.replica(r, 0).data = g.data
+			d.replica(r, 0).install(g.data)
 		}
 	}
 	d.reconcileOrigin(r)
@@ -814,16 +882,17 @@ func (d *DSM) answered(t *task, data []byte, ok bool) {
 // replica state transitions exactly in fabric-delivery order. A fetch or
 // invalidation carries the page's record. A grant reaches its requester
 // exactly once, and never one fenced while it was in flight: the layer
-// handles no message to a fenced node.
+// handles no message to a fenced node. Once installed, the grant's copy
+// of the page is dead and goes back on the page free list.
 func (d *DSM) handleOwner(m *msg.Message) {
 	if m.Kind == "grant" {
 		pf := m.Payload.(*grantMsg).pf
 		lp := d.replica(pf.rec, pf.ni)
 		if g := &pf.grant; g.carry {
-			if g.data == nil {
-				lp.data = nil
-			} else {
-				copy(lp.writable(), g.data)
+			lp.install(g.data)
+			if g.data != nil {
+				d.freePages = append(d.freePages, g.data)
+				g.data = nil
 			}
 			pf.moved = mem.PageSize
 		}
@@ -843,6 +912,20 @@ func (d *DSM) handleOwner(m *msg.Message) {
 	m.Reply(size, d.serve(m.Payload.(*pageRec), d.index(m.To), m.Kind))
 }
 
+// pageCopy returns a copy of a replica's bytes for a transfer, in a
+// buffer from the page free list: nil for a zero page.
+func (d *DSM) pageCopy(lp *localPage) []byte {
+	if lp.data == nil {
+		return nil
+	}
+	buf := take(&d.freePages)
+	if buf == nil {
+		buf = make([]byte, mem.PageSize)
+	}
+	copy(buf, lp.data)
+	return buf
+}
+
 // serve applies a fetch, invfetch or inv to the replica of the node with
 // dense index i, returning the bytes a fetch or invfetch hands over.
 func (d *DSM) serve(r *pageRec, i int, kind string) []byte {
@@ -852,9 +935,9 @@ func (d *DSM) serve(r *pageRec, i int, kind string) []byte {
 		if lp.state == Exclusive {
 			lp.state = Shared
 		}
-		return append([]byte(nil), lp.data...)
+		return d.pageCopy(lp)
 	case "invfetch":
-		data := append([]byte(nil), lp.data...)
+		data := d.pageCopy(lp)
 		lp.state = Invalid
 		d.stats[i].Invalidations++
 		return data

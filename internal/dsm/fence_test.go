@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -193,4 +194,43 @@ func TestMarkDeadFencesFramesAndFreesFlows(t *testing.T) {
 		t.Error("the fenced node's fault entered its page into the directory")
 	}
 	checkFenced(t, d, 2)
+}
+
+// The write fault's requester is fenced while its grant waits on the slow
+// owner's invfetch, as in TestWriteGrantReHomesFencedRequester. The
+// requester gives up without releasing its fault, so the fault stays off
+// the free list for good, while the directory's grant still finishes:
+// it releases the page lock and its own hold, and later faults never
+// reuse the abandoned fault.
+func TestFencedRequesterKeepsItsFault(t *testing.T) {
+	env, d, l := newFenceRace(t)
+	defer env.Close()
+	l.slow, l.lag = 1, sim.Millisecond
+	var pf *pendingFault
+	d.layer.Handle(d.origin, d.dirSvc, func(m *msg.Message) {
+		if pf == nil {
+			pf = m.Payload.(*pendingFault)
+		}
+		d.handleDir(m)
+	})
+	env.After(500*sim.Microsecond, func() { d.MarkDead(3) })
+	run(env, func(p *sim.Proc) { d.Write(p, 3, fencePage, 100, []byte("three")) })
+	if pf == nil {
+		t.Fatal("the directory never saw the fault")
+	}
+	if g := d.Granting(); len(g) != 0 {
+		t.Errorf("grants still in flight on pages %v", g)
+	}
+	if pf.owners != 1 || slices.Contains(d.freeFaults, pf) {
+		t.Errorf("fenced requester's fault has %d owners left, on the free list %v; want 1, off it",
+			pf.owners, slices.Contains(d.freeFaults, pf))
+	}
+	run(env, func(p *sim.Proc) {
+		d.Read(p, 2, fencePage)
+		d.Write(p, 2, fencePage, 0, []byte("two"))
+	})
+	if slices.Contains(d.freeFaults, pf) {
+		t.Error("a later fault recycled the fenced requester's fault")
+	}
+	checkFenced(t, d, 3)
 }

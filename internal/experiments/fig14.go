@@ -73,7 +73,7 @@ func Fig14(o Options) *metrics.Table {
 	// places it: from then on every committed move of its vCPUs is a
 	// live migration. Its pins take high pCPU indices, so the synthetic
 	// fillers conceptually occupy the low ones.
-	env.At(ts(156), func() {
+	env.DeferAt(ts(156), func() {
 		pl := f.PlacementOf(targetID)
 		if pl == nil {
 			panic("experiments: target VM was not placed at t=155")
@@ -96,7 +96,7 @@ func Fig14(o Options) *metrics.Table {
 	freeLog := make([]string, windows)
 	for w := 0; w < windows; w++ {
 		w := w
-		env.At(sim.Time(w+1)*per-1, func() {
+		env.DeferAt(sim.Time(w+1)*per-1, func() {
 			if pl := f.PlacementOf(targetID); pl != nil {
 				placementLog[w] = placementString(pl)
 			} else {

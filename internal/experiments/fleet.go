@@ -43,7 +43,7 @@ func runReclaimScenario(o Options, pol fleet.ReclaimPolicy, ts func(float64) sim
 		{ID: 3, VCPUs: 6, MemBytes: 6 << 30, Arrival: 2, Duration: ts(100)},
 		{ID: 4, VCPUs: 4, MemBytes: 2 << 30, Arrival: 3, Duration: ts(400)},
 	})
-	env.At(ts(300), func() { f.Reclaim(1) })
+	env.DeferAt(ts(300), func() { f.Reclaim(1) })
 	env.RunUntil(ts(350))
 	env.Stop()
 	f.Verify()

@@ -90,7 +90,7 @@ func fleetSoak(o Options, pol fleet.ReclaimPolicy, churn bool) *metrics.Table {
 	for i := 0; i < 6; i++ {
 		at := sim.Time(1+rng.Intn(150)) * sim.Second
 		node := rng.Intn(nodes)
-		env.At(at, func() { f.Reclaim(node) })
+		env.DeferAt(at, func() { f.Reclaim(node) })
 	}
 
 	if churn {

@@ -97,12 +97,12 @@ func linkKey(a, b int) [2]int {
 }
 
 // Apply schedules every event of the schedule on the simulation's event
-// queue. Events in the past panic (as sim.At does). Apply may be called
+// queue. Events in the past panic (as sim.Env.DeferAt does). Apply may be called
 // multiple times; state changes compose.
 func (i *Injector) Apply(s Schedule) {
 	for _, e := range s.sorted() {
 		e := e
-		i.env.At(e.At, func() { i.fire(e) })
+		i.env.DeferAt(e.At, func() { i.fire(e) })
 	}
 }
 

@@ -452,7 +452,7 @@ func (f *Fleet) Submit(reqs []Request) {
 		if _, ok := sched.FragPlacement(empty, r.VCPUs, f.cfg.Policy, nil, nil); !ok {
 			panic(fmt.Sprintf("fleet: request %d (%d vCPUs, %d B) is unsatisfiable even on an empty fleet", r.ID, r.VCPUs, r.MemBytes))
 		}
-		f.env.At(r.Arrival, func() { f.arrive(r) })
+		f.env.DeferAt(r.Arrival, func() { f.arrive(r) })
 	}
 }
 

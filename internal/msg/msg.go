@@ -34,8 +34,21 @@
 // the handler latency, each running a static function of the message.
 // A Call's reply event is embedded in its request, and Reply turns the
 // request itself into the reply, which fires that event at delivery
-// instead of running a callback. So a delivery allocates only its
-// Message, and a Call round trip only that one Message.
+// instead of running a callback.
+//
+// The layer recycles the Messages of Send and CallThen on a free list, so
+// in steady state a one-way delivery and a CallThen round trip allocate
+// nothing. A one-way message goes back on the list once its handler
+// returns, and a CallThen's once its continuation has run with the
+// reply. So a handler must not keep a one-way *Message after it returns,
+// and a continuation must not keep its reply; either may keep the
+// Payload. A Call's request, which turns into the reply its caller gets,
+// is never recycled (a Call round trip allocates that one Message), nor
+// is a message whose exchange a fence failed, since it may still be in
+// flight. Over a faulted fabric a recycled message can still be the
+// argument of a frame the transport retransmits, but the transport hands
+// a frame's argument on only at its one delivering arrival, which has
+// happened by the time the message is recycled.
 package msg
 
 import (
@@ -65,7 +78,10 @@ var ErrFenced = errors.New("msg: endpoint fenced")
 // Handler consumes a delivered message. Handlers run as event callbacks
 // and must not block: a handler that waits on a reply before it can
 // answer chains CallThen continuations, and one that needs a process
-// (a sleep, a lock held across calls) spawns it.
+// (a sleep, a lock held across calls) spawns it. A one-way message is
+// recycled once its handler returns, so the handler must not keep m
+// (its Payload it may keep); a request it answers later is never
+// recycled before the reply is handled.
 type Handler func(m *Message)
 
 // Message is a typed message between hypervisor instances.
@@ -120,7 +136,8 @@ type Layer struct {
 	services map[string]int
 	replies  map[string]string // kind -> kind + ".reply", interned
 	rel      *reliable.Transport
-	waits    []wait // exchanges in flight that MarkDead must fail
+	waits    []wait     // exchanges in flight that MarkDead must fail
+	free     []*Message // recycled Send and CallThen messages, reused LIFO
 }
 
 // wait is one exchange in flight until ev fires, unless node a or b is
@@ -247,8 +264,29 @@ func (l *Layer) Handle(node int, service string, h Handler) {
 // fabric the reliable transport retransmits it, and only a fenced
 // endpoint ends its retransmission.
 func (l *Layer) Send(span int64, from, to int, service, kind string, size int, payload any) {
-	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, span: span}
+	m := l.alloc()
+	*m = Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, span: span}
 	l.deliver(m)
+}
+
+// alloc returns a message from the free list, or a new one. The caller
+// overwrites every field.
+func (l *Layer) alloc() *Message {
+	n := len(l.free) - 1
+	if n < 0 {
+		return new(Message)
+	}
+	m := l.free[n]
+	l.free[n] = nil
+	l.free = l.free[:n]
+	return m
+}
+
+// release puts a dead message on the free list, dropping its references
+// so a message on the list pins no payload or continuation argument.
+func (l *Layer) release(m *Message) {
+	*m = Message{}
+	l.free = append(l.free, m)
 }
 
 // Call delivers a request and blocks the process until the handler replies.
@@ -272,9 +310,12 @@ func (l *Layer) Call(p *sim.Proc, from, to int, service, kind string, size int, 
 // costs, and fences resume CallThens and Calls in the order they began to
 // wait; a fence already in place runs then before CallThen returns, as
 // Call fails at once. then should be a top-level function and arg a
-// pointer, so the exchange allocates only its Message.
+// pointer, so the exchange allocates nothing once the layer's free list
+// is warm. The reply is recycled once then returns: then must not keep
+// it, only its Payload.
 func (l *Layer) CallThen(span int64, from, to int, service, kind string, size int, payload any, then func(arg any, reply *Message, ok bool), arg any) {
-	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, call: true, span: span, then: then, arg: arg}
+	m := l.alloc()
+	*m = Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, call: true, span: span, then: then, arg: arg}
 	l.deliver(m)
 	if l.net.Filter() == nil {
 		return
@@ -287,14 +328,17 @@ func (l *Layer) CallThen(span int64, from, to int, service, kind string, size in
 }
 
 // resume runs a CallThen's continuation, one event after its reply
-// arrived or MarkDead fenced it.
+// arrived or MarkDead fenced it, and then recycles a replied message. A
+// fenced one is left to the collector: its frames may still be in flight.
 func resume(a any) {
 	m := a.(*Message)
-	if m.layer.unwait(&m.ev) {
+	l := m.layer
+	if l.unwait(&m.ev) {
 		m.then(m.arg, nil, false)
 		return
 	}
 	m.then(m.arg, m, true)
+	l.release(m)
 }
 
 // deliver hands a message to the layer's reliable transport, which
@@ -323,11 +367,11 @@ func receive(a any) {
 
 // handle completes a delivery: a reply fires its caller's reply event, or
 // schedules a CallThen's continuation, and anything else runs the
-// destination service's handler. Over a faulted fabric a message to or
-// from a node fenced while it was in flight is not handled: MarkDead has
-// failed its caller already. The span is read before the handler runs,
-// since a Reply inside it turns m into the reply, with a delivery span of
-// its own.
+// destination service's handler, after which a one-way message is
+// recycled. Over a faulted fabric a message to or from a node fenced
+// while it was in flight is not handled: MarkDead has failed its caller
+// already. The span is read before the handler runs, since a Reply
+// inside it turns m into the reply, with a delivery span of its own.
 func handle(a any) {
 	m := a.(*Message)
 	l := m.layer
@@ -346,6 +390,9 @@ func handle(a any) {
 			panic(fmt.Sprintf("msg: no handler for %s on node %d (kind %s)", m.Service, m.To, m.Kind))
 		}
 		h(m)
+		if !m.call {
+			l.release(m)
+		}
 	}
 	l.tr.End(span)
 }

@@ -19,15 +19,19 @@ func newTestLayer(env *sim.Env) *Layer {
 func TestSendDelivers(t *testing.T) {
 	env := sim.NewEnv()
 	l := newTestLayer(env)
-	var got *Message
-	l.Handle(1, "dsm", func(m *Message) { got = m })
+	// The layer recycles a one-way message once its handler returns, so
+	// the handler copies what it checks.
+	var got []Message
+	l.Handle(1, "dsm", func(m *Message) {
+		got = append(got, Message{From: m.From, To: m.To, Service: m.Service, Kind: m.Kind, Size: m.Size, Payload: m.Payload})
+	})
 	l.Send(0, 0, 1, "dsm", "page_req", 32, "payload")
 	env.Run()
-	if got == nil {
-		t.Fatal("message not delivered")
+	if len(got) != 1 {
+		t.Fatalf("message delivered %d times, want once", len(got))
 	}
-	if got.From != 0 || got.To != 1 || got.Kind != "page_req" || got.Payload != "payload" {
-		t.Fatalf("message = %+v", got)
+	if m := got[0]; m.From != 0 || m.To != 1 || m.Service != "dsm" || m.Kind != "page_req" || m.Size != 32 || m.Payload != "payload" {
+		t.Fatalf("message = %+v", m)
 	}
 }
 
@@ -372,12 +376,15 @@ func panicOf(f func()) (msg string) {
 	return ""
 }
 
-// TestDeliveryAllocatesOnlyTheMessage: a message schedules itself on
-// pooled timers, so once the endpoints and timer pool are warm a
-// cross-node Send allocates only its Message, and a Call round trip only
-// the request, which carries its reply event and turns into the reply.
-func TestDeliveryAllocatesOnlyTheMessage(t *testing.T) {
+// TestDeliveryAllocatesOnlyCallRequests: a message schedules itself on
+// pooled timers and the layer recycles the messages of Send and
+// CallThen, so once the endpoints, timer pool and free list are warm a
+// cross-node Send and a CallThen round trip allocate nothing, and a Call
+// round trip only its request, which carries its reply event and turns
+// into the reply its caller keeps.
+func TestDeliveryAllocatesOnlyCallRequests(t *testing.T) {
 	env := sim.NewEnv()
+	defer env.Close()
 	l := newTestLayer(env)
 	handled := 0
 	l.Handle(1, "svc", func(m *Message) {
@@ -390,8 +397,24 @@ func TestDeliveryAllocatesOnlyTheMessage(t *testing.T) {
 		l.Send(0, 0, 1, "svc", "note", 16, nil)
 		env.Run()
 	})
-	if send != 1 {
-		t.Errorf("cross-node Send allocates %v times, want 1 (the Message)", send)
+	if send != 0 {
+		t.Errorf("cross-node Send allocates %v times, want 0", send)
+	}
+	replies := 0
+	then := func(arg any, reply *Message, ok bool) {
+		if ok {
+			*arg.(*int)++
+		}
+	}
+	callThen := testing.AllocsPerRun(1000, func() {
+		l.CallThen(0, 0, 1, "svc", "req", 16, nil, then, &replies)
+		env.Run()
+	})
+	if callThen != 0 {
+		t.Errorf("CallThen round trip allocates %v times, want 0", callThen)
+	}
+	if replies != 1001 {
+		t.Errorf("%d CallThen continuations ran with a reply, want 1001", replies)
 	}
 	// One long-lived caller makes a Call per queued item, so round trips
 	// run one at a time without a Spawn each.
@@ -409,11 +432,11 @@ func TestDeliveryAllocatesOnlyTheMessage(t *testing.T) {
 	if call > 1 {
 		t.Errorf("Call round trip allocates %v times, want at most 1 (the request)", call)
 	}
-	if handled != 1001+1001 {
-		t.Errorf("handled %d messages, want %d", handled, 1001+1001)
+	if handled != 3*1001 {
+		t.Errorf("handled %d messages, want %d", handled, 3*1001)
 	}
-	if got := l.Net().Stats().Messages; got != 1001+2*1001 {
-		t.Errorf("fabric carried %d messages, want %d", got, 1001+2*1001)
+	if got := l.Net().Stats().Messages; got != 1001+2*1001+2*1001 {
+		t.Errorf("fabric carried %d messages, want %d", got, 1001+2*1001+2*1001)
 	}
 }
 

@@ -16,7 +16,7 @@ import "fmt"
 type PS struct {
 	env        *Env
 	capacity   float64 // work units per second (e.g. cycles/s)
-	jobs       []*psJob
+	jobs       []psJob // by value, so Consume allocates nothing once warm
 	background float64
 	last       Time
 	timer      *Timer
@@ -75,7 +75,7 @@ func (ps *PS) Consume(p *Proc, work float64) {
 		return
 	}
 	ps.advance()
-	ps.jobs = append(ps.jobs, &psJob{work: work, remaining: work, proc: p})
+	ps.jobs = append(ps.jobs, psJob{work: work, remaining: work, proc: p})
 	ps.reschedule()
 	p.park()
 }
@@ -100,7 +100,8 @@ func (ps *PS) advance() {
 		return
 	}
 	dec := dt * ps.capacity / (float64(len(ps.jobs)) + ps.background)
-	for _, j := range ps.jobs {
+	for i := range ps.jobs {
+		j := &ps.jobs[i]
 		j.remaining -= dec
 		if j.remaining < 0 {
 			j.remaining = 0
@@ -150,9 +151,7 @@ func (ps *PS) complete() {
 		}
 	}
 	// Zero dropped entries so the backing array does not pin procs.
-	for i := len(kept); i < len(ps.jobs); i++ {
-		ps.jobs[i] = nil
-	}
+	clear(ps.jobs[len(kept):])
 	ps.jobs = kept
 	ps.reschedule()
 }

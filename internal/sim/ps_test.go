@@ -181,3 +181,31 @@ func TestPSInvalidCapacityPanics(t *testing.T) {
 	}()
 	NewPS(NewEnv(), 0)
 }
+
+// TestPSConsumeAllocatesNothing: jobs are held by value and the
+// completion timer is pooled, so once the job slice and timer pool are
+// warm a Consume allocates nothing, also when two jobs share the core.
+func TestPSConsumeAllocatesNothing(t *testing.T) {
+	e := NewEnv()
+	defer e.Close()
+	ps := NewPS(e, 1e9)
+	q := NewQueue[float64](e)
+	for i := 0; i < 2; i++ {
+		e.Spawn("worker", func(p *Proc) {
+			for {
+				ps.Consume(p, q.Get(p))
+			}
+		})
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		q.Put(1000)
+		q.Put(3000)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("a warm Consume allocates %v times, want 0", allocs)
+	}
+	if want := 1001 * 4000.0; math.Abs(ps.TotalDone()-want) > 1 {
+		t.Errorf("TotalDone = %v, want %v", ps.TotalDone(), want)
+	}
+}

@@ -76,7 +76,7 @@ func (e *Env) WatchProgress(window Time) {
 // re-armed watchdog: checks from a superseded WatchProgress call expire
 // without effect.
 func (e *Env) armWatchdog(gen uint64) {
-	e.At(e.now+e.wdWindow, func() {
+	e.DeferAt(e.now+e.wdWindow, func() {
 		if gen != e.wdGen {
 			return
 		}

@@ -161,7 +161,7 @@ func (m *Manager) IPI(p *sim.Proc, fromNode, toVCPU int, deliver func()) {
 	if dest == fromNode {
 		p.Sleep(ipiLocal)
 		if deliver != nil {
-			m.env.After(0, deliver)
+			m.env.Defer(0, deliver)
 		}
 		return
 	}
@@ -176,14 +176,14 @@ func (m *Manager) handle(msg *msg.Message) {
 			if deliver, ok := msg.Payload.(func()); ok && deliver != nil {
 				// Injection into a (possibly halted) vCPU plus guest
 				// scheduling delay before the woken task runs.
-				m.env.After(m.params.RemoteWakeup, deliver)
+				m.env.Defer(m.params.RemoteWakeup, deliver)
 			}
 		}
 	case "migrate":
 		// Destination-side admission of a migrating vCPU: rebuild the
 		// thread and ack. The restore cost is charged before the ack so
 		// the source observes the full handoff latency.
-		m.env.After(restore, func() {
+		m.env.Defer(restore, func() {
 			msg.Reply(locUpdateBytes, nil)
 		})
 	case "locupdate":

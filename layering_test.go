@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -94,5 +96,81 @@ func TestOnlyTheTransportTransmits(t *testing.T) {
 	}
 	if !callers["internal/reliable"] {
 		t.Error("internal/reliable does not call Transmit: the scan is not seeing calls")
+	}
+}
+
+// TestNoDiscardedTimers: sim.Env.After and At return a *Timer so the
+// caller can cancel it, and such a timer is never recycled. A statement
+// that throws the timer away wants Defer or DeferAt, which schedule the
+// same callback at the same (time, seq) on a pooled timer. So no
+// production file of this module calls After or At as a bare statement
+// or assigns the result to _. The scan is syntactic; it is sound because
+// sim.Env declares the module's only methods named After or At, which
+// the test checks too. Nested modules (perfbench) are not scanned.
+func TestNoDiscardedTimers(t *testing.T) {
+	timerCall := func(e ast.Expr) bool {
+		call, ok := e.(*ast.CallExpr)
+		if !ok || len(call.Args) != 2 {
+			return false
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		return ok && (sel.Sel.Name == "After" || sel.Sel.Name == "At")
+	}
+	kept := 0
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil && (n.Name.Name == "After" || n.Name.Name == "At") {
+					if recv := types.ExprString(n.Recv.List[0].Type); recv != "*Env" || filepath.ToSlash(filepath.Dir(path)) != "internal/sim" {
+						t.Errorf("%s: method %s on %s: the scan assumes only sim.Env has After and At",
+							fset.Position(n.Pos()), n.Name.Name, recv)
+					}
+				}
+			case *ast.ExprStmt:
+				if timerCall(n.X) {
+					t.Errorf("%s throws away the *sim.Timer of After or At; use Defer or DeferAt", fset.Position(n.Pos()))
+				}
+			case *ast.AssignStmt:
+				if len(n.Rhs) == 1 && timerCall(n.Rhs[0]) {
+					if id, ok := n.Lhs[0].(*ast.Ident); ok && id.Name == "_" {
+						t.Errorf("%s throws away the *sim.Timer of After or At; use Defer or DeferAt", fset.Position(n.Pos()))
+					} else {
+						kept++
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept == 0 {
+		t.Error("no After or At result is kept anywhere: the scan is not seeing calls")
 	}
 }
