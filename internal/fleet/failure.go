@@ -83,15 +83,13 @@ func (f *Fleet) handleNodeDown(node int) {
 	for _, id := range victims {
 		rec := f.vms[id]
 		lost := rec.pl[node]
-		mpc := rec.req.memPerCPU()
 		// Bring work accrual current before the placement changes: the
 		// vCPUs lost with the node ran at full membership until now.
 		f.accrueWork(rec)
 		// The fragment is gone with the node; keep the dead node's books
 		// whole so capacity is intact when it heals.
 		delete(rec.pl, node)
-		f.freeCPU[node] += lost
-		f.freeMem[node] += int64(lost) * mpc
+		f.vacate(rec, node, lost)
 
 		b := rec.bound
 		if b != nil {
@@ -121,20 +119,13 @@ func (f *Fleet) handleNodeDown(node int) {
 // capacity, committing it into the VM's placement. It returns the
 // replacement fragment map.
 func (f *Fleet) replaceLost(rec *vmRec, deadNode, k int) (sched.Placement, bool) {
-	mpc := rec.req.memPerCPU()
-	eff := f.effective(mpc)
-	target, ok := f.placeFragment(eff, rec.pl, deadNode, k)
+	target, ok := f.placeFragment(f.effective(rec.req.memPerCPU()), rec.pl, deadNode, k)
 	if !ok {
 		return nil, false
 	}
 	for _, dst := range target.Nodes() {
-		c := target[dst]
-		if f.down[dst] || f.freeCPU[dst] < c || f.freeMem[dst] < int64(c)*mpc {
-			panic(fmt.Sprintf("fleet: restart placement of VM %d went stale", rec.req.ID))
-		}
-		f.freeCPU[dst] -= c
-		f.freeMem[dst] -= int64(c) * mpc
-		rec.pl[dst] += c
+		f.occupy(rec, dst, target[dst])
+		rec.pl[dst] += target[dst]
 	}
 	f.syncLeases(rec)
 	return target, true

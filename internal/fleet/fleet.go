@@ -158,8 +158,10 @@ type Config struct {
 	Reclaim     ReclaimPolicy // what reclaim does to borrowers
 	// AutoReclaim lets admission trigger reclaims: when a request fits no
 	// node but a lender's lent capacity would complete one, the lender
-	// reclaims (consolidating or evicting the borrowers per Reclaim) and
-	// the request is placed there.
+	// reclaims every lease the way Reclaim does (consolidating, evicting
+	// or ballooning the borrowers per Reclaim; a borrower bound to a live
+	// VM is consolidated under ReclaimResize) and the request is placed
+	// there. A lender whose borrowers cannot all be moved is left alone.
 	AutoReclaim bool
 	// RebalanceEvery runs the consolidation pass periodically as well
 	// (0 = only on capacity changes, FragBFF's behavior and Fig 14's
@@ -254,6 +256,8 @@ type Fleet struct {
 	cfg Config
 	tr  *trace.Tracer
 
+	// freeCPU and freeMem are the free books; only occupy and vacate
+	// write them after New.
 	freeCPU []int
 	freeMem []int64
 	down    []bool
@@ -415,10 +419,10 @@ func (f *Fleet) Snapshot() Snapshot {
 //
 // Bind is the one write the pass reads that logs nothing: it sets a
 // record's bound. That is sound only because a new binding narrows what
-// a pass may do — anyBound and Reclaim's resize fallback only remove
-// options for bound borrowers — so a pass that found nothing to do
-// before a Bind finds nothing after it. A write that could widen the
-// pass's options must log.
+// a pass may do — reclaimAs turns a bound borrower's balloon, which
+// always succeeds, into a relocation, which needs room — so a pass that
+// found nothing to do before a Bind finds nothing after it. A write that
+// could widen the pass's options must log.
 func (f *Fleet) log(kind string, vm, from, to, n, lease int) {
 	f.events = append(f.events, Event{T: f.env.Now(), Kind: kind, VM: vm, From: from, To: to, N: n, Lease: lease})
 	if f.tr != nil {
@@ -547,17 +551,11 @@ func (f *Fleet) commit(r Request, pl sched.Placement, kind string) {
 	if f.vms[r.ID] != nil {
 		panic(fmt.Sprintf("fleet: VM %d admitted twice", r.ID))
 	}
-	mpc := r.memPerCPU()
-	for _, n := range pl.Nodes() {
-		c := pl[n]
-		if f.down[n] || f.freeCPU[n] < c || f.freeMem[n] < int64(c)*mpc {
-			panic(fmt.Sprintf("fleet: overcommitting node %d for VM %d", n, r.ID))
-		}
-		f.freeCPU[n] -= c
-		f.freeMem[n] -= int64(c) * mpc
-	}
 	now := f.env.Now()
 	rec := &vmRec{req: r, pl: pl, home: homeOf(pl), startAt: now, lastAccrue: now}
+	for _, n := range pl.Nodes() {
+		f.occupy(rec, n, pl[n])
+	}
 	f.vms[r.ID] = rec
 	if qa, ok := f.queuedAt[r.ID]; ok {
 		f.waits = append(f.waits, now-qa)
@@ -613,12 +611,8 @@ func (f *Fleet) release(vmID int) {
 	if rec == nil {
 		panic(fmt.Sprintf("fleet: release of unknown VM %d", vmID))
 	}
-	mpc := rec.req.memPerCPU()
 	for _, n := range rec.pl.Nodes() {
-		if !f.down[n] {
-			f.freeCPU[n] += rec.pl[n]
-			f.freeMem[n] += int64(rec.pl[n]) * mpc
-		}
+		f.vacate(rec, n, rec.pl[n])
 	}
 	delete(f.vms, vmID)
 	if rec.timer != nil {
@@ -708,17 +702,12 @@ func (f *Fleet) settle(rec *vmRec) {
 // control plane's books. It refuses moves the current state no longer
 // supports and reports whether it applied.
 func (f *Fleet) moveAccounting(rec *vmRec, from, to, n int) bool {
-	pl, mpc := rec.pl, rec.req.memPerCPU()
-	if pl[from] < n || f.down[to] ||
-		f.freeCPU[to] < n || f.freeMem[to] < int64(n)*mpc {
+	pl := rec.pl
+	if pl[from] < n || !f.fits(rec, to, n) {
 		return false
 	}
-	f.freeCPU[to] -= n
-	f.freeMem[to] -= int64(n) * mpc
-	if !f.down[from] {
-		f.freeCPU[from] += n
-		f.freeMem[from] += int64(n) * mpc
-	}
+	f.occupy(rec, to, n)
+	f.vacate(rec, from, n)
 	pl[from] -= n
 	pl[to] += n
 	if pl[from] == 0 {
@@ -727,6 +716,31 @@ func (f *Fleet) moveAccounting(rec *vmRec, from, to, n int) bool {
 	f.stats.Migrations += n
 	f.log("migrate", rec.req.ID, from, to, n, -1)
 	return true
+}
+
+// occupy charges c of a VM's vCPUs, with their memory share, to node n's
+// free books. It and vacate are the only writers of the free books; it
+// panics when n is down or cannot hold them.
+func (f *Fleet) occupy(rec *vmRec, n, c int) {
+	if !f.fits(rec, n, c) {
+		panic(fmt.Sprintf("fleet: overcommitting node %d for VM %d", n, rec.req.ID))
+	}
+	f.freeCPU[n] -= c
+	f.freeMem[n] -= int64(c) * rec.req.memPerCPU()
+}
+
+// fits reports whether node n is up and has c of a VM's vCPUs, with
+// their memory share, free.
+func (f *Fleet) fits(rec *vmRec, n, c int) bool {
+	return !f.down[n] && f.freeCPU[n] >= c && f.freeMem[n] >= int64(c)*rec.req.memPerCPU()
+}
+
+// vacate credits c of a VM's vCPUs, with their memory share, back to
+// node n's free books. A down node is credited too, so its capacity is
+// whole when it heals.
+func (f *Fleet) vacate(rec *vmRec, n, c int) {
+	f.freeCPU[n] += c
+	f.freeMem[n] += int64(c) * rec.req.memPerCPU()
 }
 
 // runLive executes the committed moves of bound VMs on their live

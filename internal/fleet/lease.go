@@ -51,9 +51,8 @@ type Lease struct {
 	MemBytes int64
 	State    LeaseState
 
-	Granted   sim.Time
-	Reclaimed sim.Time // when reclaim was first requested (zero if never)
-	Released  sim.Time
+	Granted  sim.Time
+	Released sim.Time
 }
 
 // Leases returns a copy of the full lease ledger, granted order.
@@ -170,10 +169,11 @@ func (f *Fleet) lentOn(node int) (cpus int, mem int64) {
 	return cpus, mem
 }
 
-// Reclaim takes back every lease the node has granted. Under
-// ReclaimConsolidate each borrower's fragment migrates to other capacity
-// (deferred and retried if the fleet is full); under ReclaimEvict the
-// borrowers are killed. The freed capacity then admits waiting requests.
+// Reclaim takes back every lease the node has granted, each by
+// reclaimLease: the borrower's fragment migrates to other capacity under
+// ReclaimConsolidate (deferred and retried if the fleet is full), the
+// borrower is killed under ReclaimEvict, and ballooned down under
+// ReclaimResize. The freed capacity then admits waiting requests.
 func (f *Fleet) Reclaim(node int) {
 	if node < 0 || node >= f.cfg.Nodes {
 		panic(fmt.Sprintf("fleet: reclaim of node %d out of range", node))
@@ -181,37 +181,14 @@ func (f *Fleet) Reclaim(node int) {
 	f.log("reclaim", -1, -1, node, 0, -1)
 	var work []liveMove
 	for _, l := range f.activeLeasesOn(node) {
-		pol := f.cfg.Reclaim
-		if pol == ReclaimResize && f.vms[l.VM].bound != nil {
-			// A live Aggregate VM cannot shrink its vCPU set in place;
-			// fall back to consolidation for bound borrowers.
-			pol = ReclaimConsolidate
+		mv, ok := f.reclaimLease(l)
+		if !ok {
+			l.State = LeaseReclaiming
+			f.stats.ReclaimsDeferred++
+			f.log("reclaim-defer", l.VM, -1, node, l.CPUs, l.ID)
+			continue
 		}
-		switch pol {
-		case ReclaimEvict:
-			f.evictVM(l.VM)
-		case ReclaimResize:
-			if l.Reclaimed == 0 {
-				l.Reclaimed = f.env.Now()
-			}
-			f.balloonLease(l)
-			f.stats.Reclaims++
-			f.log("reclaim-done", l.VM, node, -1, 0, l.ID)
-		case ReclaimConsolidate:
-			if l.Reclaimed == 0 {
-				l.Reclaimed = f.env.Now()
-			}
-			mv, ok := f.relocate(l.VM, node)
-			if !ok {
-				l.State = LeaseReclaiming
-				f.stats.ReclaimsDeferred++
-				f.log("reclaim-defer", l.VM, -1, node, l.CPUs, l.ID)
-				continue
-			}
-			work = append(work, mv...)
-			f.stats.Reclaims++
-			f.log("reclaim-done", l.VM, node, -1, 0, l.ID)
-		}
+		work = append(work, mv...)
 	}
 	f.drainQueue()
 	work = append(work, f.consolidateAll()...)
@@ -219,10 +196,44 @@ func (f *Fleet) Reclaim(node int) {
 	f.verify()
 }
 
+// reclaimAs is the policy one lease is reclaimed by: the fleet's, except
+// that a borrower bound to a live Aggregate VM is consolidated under
+// ReclaimResize, since it cannot shrink its vCPU set in place.
+func (f *Fleet) reclaimAs(l *Lease) ReclaimPolicy {
+	if f.cfg.Reclaim == ReclaimResize && f.vms[l.VM].bound != nil {
+		return ReclaimConsolidate
+	}
+	return f.cfg.Reclaim
+}
+
+// reclaimLease takes one lease's capacity back as reclaimAs says: it
+// evicts the borrower, balloons it down, or relocates its fragment. It
+// returns false, having changed nothing, only when a relocation finds no
+// room. A balloon or relocation counts a reclaim and logs reclaim-done;
+// an eviction counts as an eviction only.
+func (f *Fleet) reclaimLease(l *Lease) ([]liveMove, bool) {
+	var work []liveMove
+	switch f.reclaimAs(l) {
+	case ReclaimEvict:
+		f.evictVM(l.VM)
+		return nil, true
+	case ReclaimResize:
+		f.balloonLease(l)
+	case ReclaimConsolidate:
+		mv, ok := f.relocate(l.VM, l.Node)
+		if !ok {
+			return nil, false
+		}
+		work = mv
+	}
+	f.stats.Reclaims++
+	f.log("reclaim-done", l.VM, l.Node, -1, 0, l.ID)
+	return work, true
+}
+
 // retryReclaims re-attempts every lease stuck in LeaseReclaiming, in
-// grant order. Each relocation may release leases and grant new ones, so
-// the stuck set is taken first and each lease re-checked when its turn
-// comes: one released meanwhile is skipped, and a new grant is active,
+// grant order. The stuck set is taken first: relocating a fragment
+// releases only that fragment's lease, and what it grants is active,
 // never stuck.
 func (f *Fleet) retryReclaims() []liveMove {
 	var stuck []*Lease
@@ -233,16 +244,9 @@ func (f *Fleet) retryReclaims() []liveMove {
 	}
 	var work []liveMove
 	for _, l := range stuck {
-		if l.State != LeaseReclaiming {
-			continue
+		if mv, ok := f.reclaimLease(l); ok {
+			work = append(work, mv...)
 		}
-		mv, ok := f.relocate(l.VM, l.Node)
-		if !ok {
-			continue
-		}
-		work = append(work, mv...)
-		f.stats.Reclaims++
-		f.log("reclaim-done", l.VM, l.Node, -1, 0, l.ID)
 	}
 	return work
 }
@@ -252,9 +256,6 @@ func (f *Fleet) retryReclaims() []liveMove {
 // leases). All-or-nothing; reports whether it happened.
 func (f *Fleet) relocate(vmID, src int) ([]liveMove, bool) {
 	rec := f.vms[vmID]
-	if rec == nil || rec.pl[src] == 0 {
-		return nil, true // fragment already gone
-	}
 	eff := f.effective(rec.req.memPerCPU())
 	eff[src] = 0
 	target, ok := f.placeFragment(eff, rec.pl, src, rec.pl[src])
@@ -293,9 +294,10 @@ func (f *Fleet) placeFragment(eff []int, pl sched.Placement, src, k int) (sched.
 }
 
 // reclaimFor is admission-driven reclaim: if some lender node could host
-// the whole request once its lent capacity returned, reclaim it (per
-// policy) and place the request there. All-or-nothing — if the borrowers
-// cannot all be relocated, nothing moves and the request keeps waiting.
+// the whole request once its lent capacity returned, reclaim every lease
+// there (reclaimLease) and place the request on it. All-or-nothing: a
+// lender is reclaimed only when reclaimFits says every lease can go, so
+// otherwise nothing moves and the request keeps waiting.
 func (f *Fleet) reclaimFor(r Request) bool {
 	mpc := r.memPerCPU()
 	for n := 0; n < f.cfg.Nodes; n++ {
@@ -305,113 +307,59 @@ func (f *Fleet) reclaimFor(r Request) bool {
 		lentC, lentM := f.lentOn(n)
 		if lentC == 0 ||
 			f.freeCPU[n]+lentC < r.VCPUs ||
-			f.freeMem[n]+lentM < int64(r.VCPUs)*mpc {
-			continue
-		}
-		if f.cfg.Reclaim == ReclaimEvict {
-			f.log("reclaim", r.ID, -1, n, r.VCPUs, -1)
-			for _, l := range f.activeLeasesOn(n) {
-				f.evictVM(l.VM)
-			}
-			if f.freeCPU[n] < r.VCPUs || f.freeMem[n] < int64(r.VCPUs)*mpc {
-				continue // eviction freed less than the lease books said
-			}
-			f.commit(r, sched.Placement{n: r.VCPUs}, "admit")
-			return true
-		}
-		if f.cfg.Reclaim == ReclaimResize {
-			if f.anyBound(n) {
-				continue // bound borrowers cannot be resized in place
-			}
-			f.log("reclaim", r.ID, -1, n, r.VCPUs, -1)
-			for _, l := range f.activeLeasesOn(n) {
-				f.balloonLease(l)
-				f.stats.Reclaims++
-				f.log("reclaim-done", l.VM, n, -1, 0, l.ID)
-			}
-			if f.freeCPU[n] < r.VCPUs || f.freeMem[n] < int64(r.VCPUs)*mpc {
-				continue // ballooning freed less than the lease books said
-			}
-			f.commit(r, sched.Placement{n: r.VCPUs}, "admit")
-			return true
-		}
-		work, ok := f.relocateAllFrom(n)
-		if !ok {
+			f.freeMem[n]+lentM < int64(r.VCPUs)*mpc ||
+			!f.reclaimFits(n) {
 			continue
 		}
 		f.log("reclaim", r.ID, -1, n, r.VCPUs, -1)
-		for _, l := range work.done {
-			f.stats.Reclaims++
-			f.log("reclaim-done", l.VM, n, -1, 0, l.ID)
+		var work []liveMove
+		for _, l := range f.activeLeasesOn(n) {
+			mv, ok := f.reclaimLease(l)
+			if !ok {
+				panic(fmt.Sprintf("fleet: planned reclaim of node %d went stale", n))
+			}
+			work = append(work, mv...)
 		}
 		f.commit(r, sched.Placement{n: r.VCPUs}, "admit")
-		f.runLive(work.moves)
+		f.runLive(work)
 		return true
 	}
 	return false
 }
 
-// anyBound reports whether any borrower on the node is bound to a live
-// Aggregate VM.
-func (f *Fleet) anyBound(node int) bool {
-	for _, l := range f.activeLeasesOn(node) {
-		if f.vms[l.VM].bound != nil {
-			return true
+// reclaimFits reports whether reclaimLease can take back every lease on
+// the lender node. Evictions and balloons always can; each lease that
+// reclaimAs consolidates is planned in grant order on scratch books that
+// already hold the earlier plans, exactly as reclaimLease would commit
+// them. The scratch books are made only once such a lease turns up.
+func (f *Fleet) reclaimFits(node int) bool {
+	var cpu, eff []int
+	var mem []int64
+	for _, l := range f.live {
+		if l.Node != node || f.reclaimAs(l) != ReclaimConsolidate {
+			continue
 		}
-	}
-	return false
-}
-
-// relocationPlan is the committed result of vacating one lender node.
-type relocationPlan struct {
-	moves []liveMove
-	done  []*Lease
-}
-
-// relocateAllFrom vacates every lease on a lender node atomically: the
-// full set of relocations is planned against scratch books first, and
-// only a complete plan is committed.
-func (f *Fleet) relocateAllFrom(node int) (relocationPlan, bool) {
-	scratchCPU := append([]int(nil), f.freeCPU...)
-	scratchMem := append([]int64(nil), f.freeMem...)
-	leases := f.activeLeasesOn(node)
-	type planned struct {
-		l      *Lease
-		rec    *vmRec
-		target sched.Placement
-	}
-	var plans []planned
-	for _, l := range leases {
+		if eff == nil {
+			cpu, mem, eff = slices.Clone(f.freeCPU), slices.Clone(f.freeMem), make([]int, f.cfg.Nodes)
+		}
 		rec := f.vms[l.VM]
 		mpc := rec.req.memPerCPU()
-		eff := make([]int, f.cfg.Nodes)
 		for i := range eff {
+			eff[i] = 0
 			if !f.down[i] && i != node {
-				eff[i] = f.effCap(scratchCPU[i], scratchMem[i], mpc)
+				eff[i] = f.effCap(cpu[i], mem[i], mpc)
 			}
 		}
 		target, ok := f.placeFragment(eff, rec.pl, node, rec.pl[node])
 		if !ok {
-			return relocationPlan{}, false
+			return false
 		}
 		for _, dst := range target.Nodes() {
-			scratchCPU[dst] -= target[dst]
-			scratchMem[dst] -= int64(target[dst]) * mpc
+			cpu[dst] -= target[dst]
+			mem[dst] -= int64(target[dst]) * mpc
 		}
-		plans = append(plans, planned{l, rec, target})
 	}
-	var out relocationPlan
-	for _, p := range plans {
-		for _, dst := range p.target.Nodes() {
-			if !f.moveAccounting(p.rec, node, dst, p.target[dst]) {
-				panic(fmt.Sprintf("fleet: atomic relocation plan for node %d went stale", node))
-			}
-			out.moves = append(out.moves, liveMove{p.l.VM, node, dst, p.target[dst]})
-		}
-		f.settle(p.rec)
-		out.done = append(out.done, p.l)
-	}
-	return out, true
+	return true
 }
 
 // evictVM kills a borrower: the baseline behavior the paper argues

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -17,8 +18,12 @@ import (
 //     double-booked (the fleet's verify panics mid-run otherwise — it
 //     scans at every quiescent point where the event log has grown,
 //     which is every state the books reach, not just the end);
+//   - admission reclaim never reclaims without admitting: a reclaim
+//     logged for a request (VM >= 0) is followed, at the same instant and
+//     before any other reclaim, by that request's admit;
 //   - the same seed produces the identical event log.
 func TestQuickFleetInvariants(t *testing.T) {
+	admissionReclaims := 0
 	prop := func(seed int64, nn, rr uint8) bool {
 		nodes := 2 + int(nn%5)
 		pol := sched.MinFrag
@@ -55,7 +60,17 @@ func TestQuickFleetInvariants(t *testing.T) {
 					}
 				}
 			}
-			return f.Events()
+			evs := f.Events()
+			for _, e := range evs {
+				if e.Kind == "reclaim" && e.VM >= 0 {
+					admissionReclaims++
+				}
+			}
+			if err := reclaimsAdmit(evs); err != "" {
+				t.Errorf("seed %d, policy %v: %s", seed, ReclaimPolicy(rr%3), err)
+				return nil
+			}
+			return evs
 		}
 		a, b := run(), run()
 		if a == nil || b == nil {
@@ -71,6 +86,34 @@ func TestQuickFleetInvariants(t *testing.T) {
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
+	if admissionReclaims == 0 {
+		t.Error("no world reclaimed for admission: the reclaim property checked nothing")
+	}
+}
+
+// reclaimsAdmit checks that every admission reclaim in the log (a
+// reclaim event with VM >= 0) is followed by that VM's admit at the same
+// instant, before any other reclaim. It returns what broke, or "".
+func reclaimsAdmit(evs []Event) string {
+	for i, e := range evs {
+		if e.Kind != "reclaim" || e.VM < 0 {
+			continue
+		}
+		admitted := false
+		for _, g := range evs[i+1:] {
+			if g.T != e.T || g.Kind == "reclaim" {
+				break
+			}
+			if g.Kind == "admit" && g.VM == e.VM {
+				admitted = true
+				break
+			}
+		}
+		if !admitted {
+			return fmt.Sprintf("reclaim of node %d for VM %d at %v is not followed by its admit", e.To, e.VM, e.T)
+		}
+	}
+	return ""
 }
 
 // TestQuickSchedPlacementsFitCapacity checks the pure placement functions

@@ -77,11 +77,7 @@ func (f *Fleet) balloonLease(l *Lease) {
 		return
 	}
 	f.accrueWork(rec)
-	mpc := rec.req.memPerCPU()
-	if !f.down[node] {
-		f.freeCPU[node] += k
-		f.freeMem[node] += int64(k) * mpc
-	}
+	f.vacate(rec, node, k)
 	delete(rec.pl, node)
 	rec.inflate(int64(k))
 	f.stats.Inflations++
@@ -137,8 +133,7 @@ func (f *Fleet) deflateAll() {
 // largest placeable remainder. Partial deflation is normal — the rest
 // stays ballooned until more capacity frees up.
 func (f *Fleet) deflateVM(rec *vmRec) {
-	mpc := rec.req.memPerCPU()
-	eff := f.effective(mpc)
+	eff := f.effective(rec.req.memPerCPU())
 	var room int64
 	for _, e := range eff {
 		room += int64(e)
@@ -151,13 +146,8 @@ func (f *Fleet) deflateVM(rec *vmRec) {
 		}
 		f.accrueWork(rec)
 		for _, dst := range target.Nodes() {
-			c := target[dst]
-			if f.down[dst] || f.freeCPU[dst] < c || f.freeMem[dst] < int64(c)*mpc {
-				panic(fmt.Sprintf("fleet: deflation placement of VM %d went stale", rec.req.ID))
-			}
-			f.freeCPU[dst] -= c
-			f.freeMem[dst] -= int64(c) * mpc
-			pl[dst] += c
+			f.occupy(rec, dst, target[dst])
+			pl[dst] += target[dst]
 		}
 		rec.deflate(k)
 		f.stats.Deflations++

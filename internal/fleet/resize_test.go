@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/hypervisor"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -137,5 +139,55 @@ func TestResizeEventLogDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: resize event logs differ (%d vs %d events)", seed, len(a), len(b))
 		}
+	}
+}
+
+// TestAdmissionReclaimConsolidatesBoundBorrowerUnderResize: a borrower
+// bound to a live Aggregate VM cannot shrink in place, so under
+// ReclaimResize admission reclaim consolidates it, as an owner's Reclaim
+// does. The world is TestAdmissionReclaimRelocatesBorrowers' under
+// resize: VM 7 (1 vCPU, 3 GiB) fits only on node 2, once VM 5's 1-vCPU
+// fragment there moves to node 3. VM 5 is bound to a live VM whose
+// memory slice on node 3 lets its vCPU follow. A lender with a bound
+// borrower must not be skipped, or VM 7 waits for good.
+func TestAdmissionReclaimConsolidatesBoundBorrowerUnderResize(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	c := cluster.NewDefault(env, 4)
+	f := New(env, Config{Nodes: 4, CPUsPerNode: 4, MemPerNode: 8 * gig,
+		Policy: sched.MinFrag, Reclaim: ReclaimResize, AutoReclaim: true})
+	long := 20 * sim.Second
+	f.Submit([]Request{
+		{ID: 1, VCPUs: 4, MemBytes: 4 * gig, Arrival: 0, Duration: long},
+		{ID: 2, VCPUs: 2, MemBytes: 6 * gig, Arrival: 1, Duration: long},
+		{ID: 3, VCPUs: 3, MemBytes: 3 * gig, Arrival: 2, Duration: long},
+		{ID: 4, VCPUs: 2, MemBytes: 6 * gig, Arrival: 3, Duration: long},
+		{ID: 5, VCPUs: 2, MemBytes: 4 * gig, Arrival: 4, Duration: long}, // gang, 1 vCPU lent by node 2
+		{ID: 7, VCPUs: 1, MemBytes: 3 * gig, Arrival: 6, Duration: long},
+	})
+	var vm *hypervisor.VM
+	env.DeferAt(5, func() {
+		if pl := f.PlacementOf(5); pl[1] != 1 || pl[2] != 1 {
+			t.Fatalf("VM 5 placed %v, want a 1+1 gang on nodes 1 and 2", pl)
+		}
+		hcfg := hypervisor.FragVisorConfig(c, []hypervisor.Pin{{Node: 1, PCPU: 7}, {Node: 2, PCPU: 7}}, 2*gig)
+		hcfg.MemoryNodes = []int{3}
+		vm = hypervisor.New(hcfg)
+		f.Bind(5, vm, nil)
+	})
+	env.RunUntil(sim.Second)
+	f.Verify()
+
+	if pl := f.PlacementOf(7); len(pl) != 1 || pl[2] != 1 {
+		t.Fatalf("VM 7 placed %v, want admitted on node 2", pl)
+	}
+	if pl := f.PlacementOf(5); pl[2] != 0 || pl[3] != 1 {
+		t.Errorf("VM 5 placement = %v, want its node-2 fragment on node 3", pl)
+	}
+	if got := vm.VCPUNodes(); got[1] != 3 {
+		t.Errorf("live vCPU nodes %v, want vCPU 1 migrated to node 3", got)
+	}
+	if st := f.Stats(); st.Reclaims != 1 || st.Inflations != 0 || st.Evictions != 0 {
+		t.Errorf("reclaims %d inflations %d evictions %d, want 1, 0 and 0", st.Reclaims, st.Inflations, st.Evictions)
 	}
 }

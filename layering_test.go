@@ -174,3 +174,68 @@ func TestNoDiscardedTimers(t *testing.T) {
 		t.Error("no After or At result is kept anywhere: the scan is not seeing calls")
 	}
 }
+
+// TestOnlyOccupyAndVacateChargeTheBooks: the fleet's free books
+// (Fleet.freeCPU and Fleet.freeMem) have one writer pair. occupy charges
+// a VM's vCPUs and their memory share to a node and panics when the node
+// is down or full; vacate credits them back. So no statement in
+// internal/fleet outside those two, and New's initialisation, assigns to
+// an element of either vector: a hand-written loop would be one more
+// copy of the charging rule, free to skip the check. The scan is
+// syntactic: it sees writes through the fields, and the fleet keeps no
+// alias of either vector.
+func TestOnlyOccupyAndVacateChargeTheBooks(t *testing.T) {
+	allowed := map[string]bool{"occupy": true, "vacate": true, "New": true}
+	book := func(e ast.Expr) bool {
+		ix, ok := e.(*ast.IndexExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := ix.X.(*ast.SelectorExpr)
+		return ok && (sel.Sel.Name == "freeCPU" || sel.Sel.Name == "freeMem")
+	}
+	writers := map[string]int{}
+	fset := token.NewFileSet()
+	paths, err := filepath.Glob("internal/fleet/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			name := fn.Name.Name
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				var lhs []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					lhs = n.Lhs
+				case *ast.IncDecStmt:
+					lhs = []ast.Expr{n.X}
+				}
+				for _, e := range lhs {
+					if !book(e) {
+						continue
+					}
+					writers[name]++
+					if !allowed[name] {
+						t.Errorf("%s: %s writes the fleet's free books; only occupy and vacate may", fset.Position(e.Pos()), name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if writers["occupy"] == 0 || writers["vacate"] == 0 {
+		t.Errorf("writers found: %v; the scan is not seeing occupy and vacate", writers)
+	}
+}
