@@ -252,7 +252,7 @@ func sendChunk(p *sim.Proc, vm *hypervisor.VM, from, to int, size int) int {
 		}
 		seg := min(size-sent, segmentBytes)
 		ev := new(sim.Event)
-		rel.Post(csp, from, to, seg, fire, ev)
+		rel.Post(csp, from, to, seg, 0, fire, ev)
 		if vm.Layer.Await(p, ev, from, to) {
 			sent += seg
 		}

@@ -51,7 +51,7 @@ func newScrambledDSM(n int, dup bool, maxDelay sim.Time) (*sim.Env, *DSM, *scram
 	d := New(env, layer, nodes, DefaultParams())
 	s := &scrambler{origin: d.origin, dup: dup, maxDelay: maxDelay, rng: 42}
 	for _, n := range nodes {
-		layer.Handle(n, d.ownSvc, func(m *msg.Message) {
+		d.ownSvc.Handle(n, func(m *msg.Message) {
 			if m.Kind == "grant" {
 				s.grants++
 			}
@@ -129,7 +129,7 @@ func TestDedupStateStaysBounded(t *testing.T) {
 	pages := []mem.PageID{1, 2, 3, 4, 5}
 	rel := d.layer.Transport()
 	maxParked := 0
-	d.layer.Handle(d.origin, d.dirSvc, func(m *msg.Message) {
+	d.dirSvc.Handle(d.origin, func(m *msg.Message) {
 		d.handleDir(m)
 		_, parked := rel.Flows()
 		maxParked = max(maxParked, parked)

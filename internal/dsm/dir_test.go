@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/msg"
 	"repro/internal/sim"
 )
 
@@ -31,6 +32,47 @@ func TestRemoteWriteFaultSpawnsNoProc(t *testing.T) {
 	}
 	if st := d.TotalStats(); st.WriteFaults != 3 || st.Invalidations < 2 {
 		t.Errorf("stats %+v: the writes did not fault and invalidate", st)
+	}
+	if err := d.Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+// A write grant whose copyset holds the origin and a remote node waits for
+// both invalidations, although the origin's finishes in place while the
+// grant starts them: node 1 answers its invalidation a millisecond late,
+// and node 2's grant arrives once, after that answer.
+func TestWriteGrantWaitsForRemoteInvalidation(t *testing.T) {
+	env, d := newTestDSM(3, DefaultParams())
+	defer env.Close()
+	pg := mem.PageID(9)
+	run(env, func(p *sim.Proc) { d.Read(p, 1, pg) }) // copyset {0, 1}, owned by the origin
+	var answered, granted []sim.Time
+	d.ownSvc.Handle(1, func(m *msg.Message) {
+		if m.Kind != "inv" {
+			d.handleOwner(m)
+			return
+		}
+		env.Defer(sim.Millisecond, func() {
+			answered = append(answered, env.Now())
+			d.handleOwner(m)
+		})
+	})
+	d.ownSvc.Handle(2, func(m *msg.Message) {
+		if m.Kind == "grant" {
+			granted = append(granted, env.Now())
+		}
+		d.handleOwner(m)
+	})
+	run(env, func(p *sim.Proc) { d.Write(p, 2, pg, 0, []byte("two")) })
+	if len(answered) != 1 || len(granted) != 1 {
+		t.Fatalf("node 1 answered %d invalidations and node 2 got %d grants, want 1 and 1", len(answered), len(granted))
+	}
+	if granted[0] <= answered[0] {
+		t.Errorf("grant reached node 2 at %v, before node 1 answered its invalidation at %v", granted[0], answered[0])
+	}
+	if owner, cs, _ := d.DirEntry(pg); owner != 2 || !slices.Equal(cs, []int{2}) {
+		t.Errorf("directory entry owner %d copyset %v, want node 2 alone", owner, cs)
 	}
 	if err := d.Validate(); err != nil {
 		t.Error(err)
@@ -103,7 +145,7 @@ func TestUndeclaredCrashLeavesGrantInFlight(t *testing.T) {
 		t.Fatal("no stall: the grant to the crashed requester completed")
 	}
 	for _, name := range st.Procs {
-		if strings.HasPrefix(name, d.service) {
+		if strings.HasPrefix(name, "dsm") {
 			t.Errorf("stall lists a DSM process %q: %v", name, st.Procs)
 		}
 	}

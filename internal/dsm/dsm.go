@@ -44,6 +44,7 @@ package dsm
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/mem"
@@ -300,9 +301,8 @@ type DSM struct {
 	freePages  [][]byte
 
 	dirtyPage mem.PageID
-	service   string
-	dirSvc    string // service + ".dir", interned off the fault hot path
-	ownSvc    string // service + ".own", likewise
+	dirSvc    *msg.Service // the directory, at the origin
+	ownSvc    *msg.Service // replica holders, on every node
 
 	tr *trace.Tracer
 }
@@ -330,9 +330,9 @@ func New(env *sim.Env, layer *msg.Layer, nodes []int, p Params) *DSM {
 	}
 	// Instance numbers are per messaging layer, so service (and span) names
 	// depend only on construction order within one simulation.
-	d.service = fmt.Sprintf("dsm%d", layer.Instance("dsm"))
-	d.dirSvc = d.service + ".dir"
-	d.ownSvc = d.service + ".own"
+	service := fmt.Sprintf("dsm%d", layer.Instance("dsm"))
+	d.dirSvc = layer.Register(service + ".dir")
+	d.ownSvc = layer.Register(service + ".own")
 	for i, n := range nodes {
 		if n < 0 {
 			panic(fmt.Sprintf("dsm: negative node %d", n))
@@ -345,9 +345,9 @@ func New(env *sim.Env, layer *msg.Layer, nodes []int, p Params) *DSM {
 		}
 		d.idx[n] = i
 	}
-	layer.Handle(d.origin, d.dirSvc, d.handleDir)
+	d.dirSvc.Handle(d.origin, d.handleDir)
 	for _, n := range nodes {
-		layer.Handle(n, d.ownSvc, d.handleOwner)
+		d.ownSvc.Handle(n, d.handleOwner)
 	}
 	return d
 }
@@ -536,13 +536,18 @@ func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
 }
 
 // newFault returns a fault on r for the node with dense index ni, owned
-// by its requester and the directory, reusing a released one if any.
+// by its requester and the directory, reusing a released one if any. A
+// reused fault is zeroed and its fields set one by one: assigning a whole
+// pendingFault literal through the pointer would build it aside and copy
+// all of it.
 func (d *DSM) newFault(r *pageRec, ni int, write bool) *pendingFault {
 	pf := take(&d.freeFaults)
 	if pf == nil {
 		pf = new(pendingFault)
+	} else {
+		*pf = pendingFault{}
 	}
-	*pf = pendingFault{d: d, rec: r, ni: ni, write: write, owners: 2}
+	pf.d, pf.rec, pf.ni, pf.write, pf.owners = d, r, ni, write, 2
 	pf.dir.pf = pf
 	return pf
 }
@@ -614,7 +619,10 @@ func (d *DSM) lockProc(p *sim.Proc, r *pageRec) {
 }
 
 // unlock releases the page lock to its longest waiter, if any: a grant
-// resumes one event later, a process is woken.
+// resumes one event later, a process is woken. The grant is deferred
+// rather than run in place: unlock's callers (granted, and RestorePage's
+// process) have the previous holder's work still to finish, and a lock
+// handoff is rare enough that its event costs nothing measurable.
 func (d *DSM) unlock(r *pageRec) {
 	if len(r.waiters) == 0 {
 		r.locked = false
@@ -651,22 +659,22 @@ func (d *DSM) Granting() []mem.PageID {
 // a per-page lock, with no process per request: concurrent faults on one
 // page queue while faults on different pages proceed in parallel. Each
 // step that waits on a reply continues in a CallThen continuation, so the
-// directory's work on a fault is a chain of events on its pendingFault
-// (dirStart, then grantRead or grantWrite, then sendGrant and granted).
+// directory's work on a fault is a chain of event callbacks on its
+// pendingFault (dirStart, then grantRead or grantWrite, then sendGrant and
+// granted), each step running in place in the event that made it ready.
 // The page lock is held until the requester acknowledges installing the
 // grant, which is what makes the protocol race-free: no replica can be
 // resurrected by a grant that was in flight when ownership moved on.
 func (d *DSM) handleDir(m *msg.Message) {
 	pf := m.Payload.(*pendingFault)
 	pf.dir.span = m.SpanID()
-	d.env.DeferArg(0, dirStart, pf)
+	d.dirStart(pf)
 }
 
 // dirStart opens the fault's dsm.dir span, a child of its request's
 // delivery, and runs the grant once it holds the page lock.
-func dirStart(a any) {
-	pf := a.(*pendingFault)
-	d, r := pf.d, pf.rec
+func (d *DSM) dirStart(pf *pendingFault) {
+	r := pf.rec
 	if d.tr != nil {
 		pf.dir.span = d.tr.Begin(pf.dir.span, trace.CatDSM, d.origin, "dsm.dir")
 	}
@@ -742,24 +750,27 @@ func (d *DSM) readFetched(pf *pendingFault) {
 
 // grantWrite invalidates every other replica and transfers ownership (and,
 // if the requester lacks a valid copy, the bytes) to the requester. The
-// invalidations run in parallel, each a task of its own started one event
-// later; the last to finish resumes the grant at dirTransfer.
+// invalidations run in parallel, each a task of its own; the last to
+// finish resumes the grant at transfer. All of them are counted before
+// any starts, since one served at the origin finishes in place, and the
+// grant must not go out while a remote one is still unanswered.
 func (d *DSM) grantWrite(pf *pendingFault) {
 	r := pf.rec
 	d.entry(r)
 	pf.hadCopy = r.copyset&(1<<pf.ni) != 0
-	// Iterate nodes in the DSM's fixed order: the start order of the
+	holders := r.copyset &^ (1 << pf.ni)
+	pf.invLeft = bits.OnesCount32(holders)
+	if pf.invLeft == 0 {
+		d.transfer(pf)
+		return
+	}
+	// Start them in the DSM's fixed node order: the start order of the
 	// invalidations feeds the event sequence, and trace output must be
 	// byte-identical across same-seed runs.
 	for i, n := range d.nodes {
-		if i == pf.ni || r.copyset&(1<<i) == 0 {
-			continue
+		if holders&(1<<i) != 0 {
+			d.invStart(d.newInv(pf, n))
 		}
-		pf.invLeft++
-		d.env.DeferArg(0, invStart, d.newInv(pf, n))
-	}
-	if pf.invLeft == 0 {
-		d.transfer(pf)
 	}
 }
 
@@ -777,10 +788,9 @@ func (d *DSM) newInv(pf *pendingFault, n int) *task {
 // invStart runs one of grantWrite's invalidations under a dsm.inv span.
 // The owner's replica is fetched-and-invalidated so its bytes reach the
 // new owner, unless the requester already holds them.
-func invStart(a any) {
-	t := a.(*task)
+func (d *DSM) invStart(t *task) {
 	pf := t.pf
-	d, r := pf.d, pf.rec
+	r := pf.rec
 	if d.tr != nil {
 		t.span = d.tr.Begin(pf.dir.span, trace.CatDSM, d.origin, "dsm.inv")
 	}
@@ -794,23 +804,17 @@ func invStart(a any) {
 	d.ask(t, t.n, "inv")
 }
 
-// invDone retires one of grantWrite's invalidations, the last resuming the
-// grant one event later, closes its span and recycles the task.
+// invDone retires one of grantWrite's invalidations: it closes its span
+// and recycles the task, and the last one resumes the grant in place.
 func (d *DSM) invDone(t *task) {
 	pf := t.pf
-	if pf.invLeft--; pf.invLeft == 0 {
-		d.env.DeferArg(0, dirTransfer, pf)
-	}
 	d.tr.End(t.span)
 	d.env.MarkProgress()
 	*t = task{}
 	d.freeTasks = append(d.freeTasks, t)
-}
-
-// dirTransfer resumes a write grant whose invalidations have all finished.
-func dirTransfer(a any) {
-	pf := a.(*pendingFault)
-	pf.d.transfer(pf)
+	if pf.invLeft--; pf.invLeft == 0 {
+		d.transfer(pf)
+	}
 }
 
 // transfer makes the requester of a write grant the page's sole owner and

@@ -168,7 +168,7 @@ func TestMarkDeadFencesFramesAndFreesFlows(t *testing.T) {
 	defer env.Close()
 	l.slow, l.lag = 2, sim.Millisecond
 	handled := 0
-	d.layer.Handle(d.origin, d.dirSvc, func(m *msg.Message) {
+	d.dirSvc.Handle(d.origin, func(m *msg.Message) {
 		handled++
 		d.handleDir(m)
 	})
@@ -207,7 +207,7 @@ func TestFencedRequesterKeepsItsFault(t *testing.T) {
 	defer env.Close()
 	l.slow, l.lag = 1, sim.Millisecond
 	var pf *pendingFault
-	d.layer.Handle(d.origin, d.dirSvc, func(m *msg.Message) {
+	d.dirSvc.Handle(d.origin, func(m *msg.Message) {
 		if pf == nil {
 			pf = m.Payload.(*pendingFault)
 		}

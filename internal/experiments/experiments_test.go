@@ -130,6 +130,77 @@ func TestFig5Shape(t *testing.T) {
 	}
 }
 
+// TestFig1Shape: the motivation study's spectrum. Every ratio is a DSM
+// slowdown or parity; the low-sharing workloads (under 1000 DSM faults/s)
+// stay near 1, the most fault-heavy workload at each node count is well
+// below it, and the OMP kernels fault more, and suffer more, at 4 nodes
+// than at 2.
+func TestFig1Shape(t *testing.T) {
+	tab := quick(t, "fig1")
+	// columns: workload, nodes, dsm-faults/s, ratio
+	heaviest := map[string][]string{}
+	at := map[string]map[string][]string{}
+	for _, row := range tab.Rows {
+		faults, ratio := cell(t, row, 2), cell(t, row, 3)
+		if ratio <= 0 || ratio > 1.01 {
+			t.Errorf("%s@%s: ratio %.3f outside (0, 1]", row[0], row[1], ratio)
+		}
+		if faults < 1000 && ratio < 0.95 {
+			t.Errorf("%s@%s: %.0f faults/s, ratio %.3f: low sharing should stay near 1", row[0], row[1], faults, ratio)
+		}
+		if h := heaviest[row[1]]; h == nil || faults > cell(t, h, 2) {
+			heaviest[row[1]] = row
+		}
+		if at[row[0]] == nil {
+			at[row[0]] = map[string][]string{}
+		}
+		at[row[0]][row[1]] = row
+	}
+	if len(heaviest) != 2 {
+		t.Fatalf("node counts %v, want 2 and 4", heaviest)
+	}
+	for nodes, row := range heaviest {
+		if r := cell(t, row, 3); r > 0.7 {
+			t.Errorf("%s nodes: heaviest workload %s ratio %.3f, want a clear slowdown", nodes, row[0], r)
+		}
+	}
+	for _, w := range []string{"CG-omp", "MG-omp", "FT-omp"} {
+		two, four := at[w]["2"], at[w]["4"]
+		if two == nil || four == nil {
+			t.Fatalf("%s: missing a 2- or 4-node row", w)
+		}
+		if cell(t, four, 2) <= cell(t, two, 2) || cell(t, four, 3) >= cell(t, two, 3) {
+			t.Errorf("%s: 4 nodes (%s faults/s, ratio %s) not worse than 2 (%s, %s)",
+				w, four[2], four[3], two[2], two[3])
+		}
+	}
+}
+
+// TestFig6Shape: delegating network I/O costs throughput at every
+// response size, DSM-bypass recovers most of it without beating local,
+// and the overhead shrinks as responses grow.
+func TestFig6Shape(t *testing.T) {
+	tab := quick(t, "fig6")
+	// columns: resp-size, local, delegated, delegated+bypass, delegated/local
+	prev := 0.0
+	for _, row := range tab.Rows {
+		local, deleg, bypass, ratio := cell(t, row, 1), cell(t, row, 2), cell(t, row, 3), cell(t, row, 4)
+		if deleg >= local {
+			t.Errorf("%s: delegated %.0f req/s not below local %.0f", row[0], deleg, local)
+		}
+		if bypass <= deleg || bypass > local*1.01 {
+			t.Errorf("%s: bypass %.0f req/s not between delegated %.0f and local %.0f", row[0], bypass, deleg, local)
+		}
+		if ratio < prev {
+			t.Errorf("%s: delegated/local %.3f fell below the smaller size's %.3f", row[0], ratio, prev)
+		}
+		prev = ratio
+	}
+	if prev < 0.95 {
+		t.Errorf("largest response: delegated/local %.3f, want the overhead amortized (~1)", prev)
+	}
+}
+
 // TestFig7Shape: local >= bypass > raw DSM.
 func TestFig7Shape(t *testing.T) {
 	tab := quick(t, "fig7")

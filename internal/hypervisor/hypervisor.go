@@ -129,7 +129,7 @@ type VM struct {
 	cfg      Config
 	nodes    []int // distinct slice nodes, bootstrap first
 	booted   bool
-	sliceSvc string
+	sliceSvc *msg.Service
 	hbStop   func() // disarms the running failure detector; nil when none
 	ctr      *metrics.Counters
 	tr       *trace.Tracer
@@ -224,13 +224,13 @@ func (vm *VM) Boot(p *sim.Proc) {
 	p.Sleep(vm.cfg.BootCost * sim.Time(len(vm.nodes)))
 }
 
-// vcpuService names a per-VM slice-management service. Each VM registers
+// vcpuService returns a per-VM slice-management service. Each VM registers
 // its own so multiple VMs can share a messaging layer.
-func vcpuService(vm *VM) string {
-	if vm.sliceSvc == "" {
-		vm.sliceSvc = fmt.Sprintf("slice%d", vm.Layer.Instance("slice"))
+func vcpuService(vm *VM) *msg.Service {
+	if vm.sliceSvc == nil {
+		vm.sliceSvc = vm.Layer.Register(fmt.Sprintf("slice%d", vm.Layer.Instance("slice")))
 		for _, n := range vm.nodes {
-			vm.Layer.Handle(n, vm.sliceSvc, func(m *msg.Message) {
+			vm.sliceSvc.Handle(n, func(m *msg.Message) {
 				switch m.Kind {
 				case "handshake":
 					m.Reply(64, nil)

@@ -36,23 +36,24 @@ func recordThen(arg any, reply *Message, ok bool) {
 
 // resumptions runs one caller proc per entry of viaThen, spawned in order
 // at time 0, each sending one request from node 0 to node 1: by a Call,
-// or by a CallThen when viaThen says so. setup installs handlers, filters
-// and fences first. It returns the callers' resumptions in the order they
+// or by a CallThen when viaThen says so, to the service svc. setup
+// installs handlers, filters and fences first. It returns the callers' resumptions in the order they
 // happened.
-func resumptions(t *testing.T, viaThen []bool, setup func(env *sim.Env, l *Layer)) []resumption {
+func resumptions(t *testing.T, viaThen []bool, setup func(env *sim.Env, l *Layer, svc *Service)) []resumption {
 	t.Helper()
 	env := sim.NewEnv()
 	defer env.Close()
 	l := newTestLayer(env)
-	setup(env, l)
+	svc := l.Register("svc")
+	setup(env, l, svc)
 	var log []resumption
 	for i, then := range viaThen {
 		env.Spawn("caller", func(p *sim.Proc) {
 			if then {
-				l.CallThen(p.Span(), 0, 1, "svc", "req", 16, nil, recordThen, &thenCaller{env, i, &log})
+				l.CallThen(p.Span(), 0, 1, svc, "req", 16, nil, recordThen, &thenCaller{env, i, &log})
 				return
 			}
-			reply, err := l.Call(p, 0, 1, "svc", "req", 16, nil)
+			reply, err := l.Call(p, 0, 1, svc, "req", 16, nil)
 			r := resumption{caller: i, at: env.Now(), seq: env.Scheduled(), ok: err == nil}
 			if reply != nil {
 				r.reply = reply.Payload
@@ -68,19 +69,20 @@ func resumptions(t *testing.T, viaThen []bool, setup func(env *sim.Env, l *Layer
 }
 
 // TestCallThenReply: a CallThen's continuation runs once with the reply,
-// at the same time and after the same number of scheduled events as a
-// Call's caller wakes.
+// inside the reply's own delivery event: at the time a Call's caller
+// wakes, but one scheduled event earlier, since the Call's caller needs
+// the wake-up event that the continuation does not.
 func TestCallThenReply(t *testing.T) {
-	setup := func(env *sim.Env, l *Layer) {
-		l.Handle(1, "svc", func(m *Message) { m.Reply(4096, "page-data") })
+	setup := func(env *sim.Env, l *Layer, svc *Service) {
+		svc.Handle(1, func(m *Message) { m.Reply(4096, "page-data") })
 	}
 	want := resumptions(t, []bool{false}, setup)
 	got := resumptions(t, []bool{true}, setup)
 	if len(got) != 1 || !got[0].ok || got[0].reply != "page-data" {
 		t.Fatalf("CallThen resumed %+v, want once with the reply", got)
 	}
-	if !slices.Equal(got, want) {
-		t.Errorf("CallThen resumed %+v, Call %+v: want the same time and event count", got, want)
+	if len(want) != 1 || got[0].at != want[0].at || got[0].seq != want[0].seq-1 {
+		t.Errorf("CallThen resumed %+v, Call %+v: want the same time, one event earlier", got, want)
 	}
 }
 
@@ -91,11 +93,12 @@ func TestCallThenAlreadyFenced(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	l := newTestLayer(env)
+	svc := l.Register("svc")
 	l.Net().SetFilter(&dirFilter{from: -1})
-	l.Handle(1, "svc", func(m *Message) { m.Reply(8, nil) })
+	svc.Handle(1, func(m *Message) { m.Reply(8, nil) })
 	l.MarkDead(1)
 	var log []resumption
-	l.CallThen(0, 0, 1, "svc", "req", 16, nil, recordThen, &thenCaller{env, 0, &log})
+	l.CallThen(0, 0, 1, svc, "req", 16, nil, recordThen, &thenCaller{env, 0, &log})
 	if len(log) != 1 || log[0].ok || log[0].reply != nil {
 		t.Fatalf("continuation ran %+v before CallThen returned, want once, fenced", log)
 	}
@@ -112,11 +115,12 @@ func TestCallThenFencedInFlight(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	l := newTestLayer(env)
+	svc := l.Register("svc")
 	l.Net().SetFilter(&dirFilter{from: -1, drop: func(from, to, size int) bool { return to == 1 }})
 	handled := 0
-	l.Handle(1, "svc", func(m *Message) { handled++; m.Reply(8, nil) })
+	svc.Handle(1, func(m *Message) { handled++; m.Reply(8, nil) })
 	var log []resumption
-	l.CallThen(0, 0, 1, "svc", "req", 16, nil, recordThen, &thenCaller{env, 0, &log})
+	l.CallThen(0, 0, 1, svc, "req", 16, nil, recordThen, &thenCaller{env, 0, &log})
 	env.At(sim.Second, func() { l.MarkDead(1) })
 	env.Run()
 	if len(log) != 1 || log[0].ok || log[0].at != sim.Second {
@@ -134,9 +138,9 @@ func TestCallThenFencedInFlight(t *testing.T) {
 // order they began to wait, whichever came first, and each resumes at the
 // same point of the event sequence as a Call in its place would.
 func TestCallThenFenceOrder(t *testing.T) {
-	setup := func(env *sim.Env, l *Layer) {
+	setup := func(env *sim.Env, l *Layer, svc *Service) {
 		l.Net().SetFilter(&dirFilter{from: -1, drop: func(from, to, size int) bool { return to == 1 }})
-		l.Handle(1, "svc", func(m *Message) { m.Reply(8, nil) })
+		svc.Handle(1, func(m *Message) { m.Reply(8, nil) })
 		env.At(sim.Second, func() { l.MarkDead(1) })
 	}
 	want := resumptions(t, []bool{false, false}, setup)

@@ -4,10 +4,11 @@
 // FragVisor places its messaging layer in the host kernel (inherited from
 // Popcorn Linux) so that hypervisor services — DSM, vCPU migration, IPI
 // forwarding, I/O delegation — exchange typed messages without user/kernel
-// transitions. This package models that layer: named services register
-// handlers per node, and messages traverse the cluster fabric with a small
-// fixed in-kernel processing cost at the receiver. Same-node messages skip
-// the fabric entirely.
+// transitions. This package models that layer: a named service is
+// registered once per layer, which yields its *Service handle, and takes
+// a handler per node; messages are addressed to the handle and traverse
+// the cluster fabric with a small fixed in-kernel processing cost at the
+// receiver. Same-node messages skip the fabric entirely.
 //
 // Three delivery styles are offered: fire-and-forget Send; Call, which
 // blocks the calling process until the remote handler replies — the shape
@@ -29,12 +30,14 @@
 // fails every Call that waits on a fenced node with ErrFenced, and no
 // message to or from one is handled.
 //
-// A message schedules itself: the transport puts the *Message on a pooled
-// sim.Env timer for its arrival, then the layer on a DeferArg timer for
-// the handler latency, each running a static function of the message.
-// A Call's reply event is embedded in its request, and Reply turns the
+// A message schedules itself, one event per delivery: the transport puts
+// the *Message on a pooled sim.Env timer that fires the handler latency
+// after its arrival and runs handle, a static function of the message,
+// which finds the handler by indexing its service's per-node table. A
+// Call's reply event is embedded in its request, and Reply turns the
 // request itself into the reply, which fires that event at delivery
-// instead of running a callback.
+// instead of running a callback; a CallThen's continuation runs in that
+// same delivery event.
 //
 // The layer recycles the Messages of Send and CallThen on a free list, so
 // in steady state a one-way delivery and a CallThen round trip allocate
@@ -84,13 +87,41 @@ var ErrFenced = errors.New("msg: endpoint fenced")
 // recycled before the reply is handled.
 type Handler func(m *Message)
 
+// Service is a named service registered on a layer: its handler on each
+// node. Construct with Layer.Register; messages are addressed to it.
+type Service struct {
+	name    string
+	h       []Handler   // by node id; nil where none is registered
+	replies [][2]string // {kind, kind + ".reply"}, interned
+}
+
+// Name returns the service's name.
+func (s *Service) Name() string { return s.name }
+
+// Handle registers the service's handler on a node, replacing any
+// previous one.
+func (s *Service) Handle(node int, h Handler) {
+	for len(s.h) <= node {
+		s.h = append(s.h, nil)
+	}
+	s.h[node] = h
+}
+
+// handler returns the service's handler on a node, or nil.
+func (s *Service) handler(node int) Handler {
+	if node < 0 || node >= len(s.h) {
+		return nil
+	}
+	return s.h[node]
+}
+
 // Message is a typed message between hypervisor instances.
 type Message struct {
-	From    int    // sender node (or cluster.ClientID)
-	To      int    // receiver node
-	Service string // destination service name
-	Kind    string // message type within the service
-	Size    int    // payload size in bytes (wire size adds the header)
+	From    int      // sender node (or cluster.ClientID)
+	To      int      // receiver node
+	Service *Service // destination service
+	Kind    string   // message type within the service
+	Size    int      // payload size in bytes (wire size adds the header)
 	Payload any
 
 	layer   *Layer
@@ -115,14 +146,14 @@ func (m *Message) SpanID() int64 { return m.span }
 // panics.
 func (m *Message) Reply(size int, payload any) {
 	if !m.call {
-		panic(fmt.Sprintf("msg: Reply to one-way %s/%s", m.Service, m.Kind))
+		panic(fmt.Sprintf("msg: Reply to one-way %s/%s", m.Service.name, m.Kind))
 	}
 	if m.replied {
-		panic(fmt.Sprintf("msg: duplicate Reply to %s/%s", m.Service, m.Kind))
+		panic(fmt.Sprintf("msg: duplicate Reply to %s/%s", m.Service.name, m.Kind))
 	}
 	l := m.layer
 	m.From, m.To = m.To, m.From
-	m.Kind, m.Size, m.Payload = l.replyKind(m.Kind), size, payload
+	m.Kind, m.Size, m.Payload = m.Service.replyKind(m.Kind), size, payload
 	m.replied = true
 	l.deliver(m)
 }
@@ -131,10 +162,8 @@ func (m *Message) Reply(size int, payload any) {
 type Layer struct {
 	env      *sim.Env
 	net      *topo.Fabric
-	handlers map[serviceKey]Handler
 	tr       *trace.Tracer
 	services map[string]int
-	replies  map[string]string // kind -> kind + ".reply", interned
 	rel      *reliable.Transport
 	waits    []wait     // exchanges in flight that MarkDead must fail
 	free     []*Message // recycled Send and CallThen messages, reused LIFO
@@ -150,22 +179,15 @@ type wait struct {
 	m      *Message // a CallThen's request; nil for a proc
 }
 
-type serviceKey struct {
-	node    int
-	service string
-}
-
 // NewLayer returns a messaging layer over the given fabric, flat or
 // tree, with the reliable transport its messages ride when the fabric is
 // faulted.
 func NewLayer(env *sim.Env, net *topo.Fabric) *Layer {
 	return &Layer{
-		env:      env,
-		net:      net,
-		handlers: make(map[serviceKey]Handler),
-		tr:       trace.FromEnv(env),
-		replies:  make(map[string]string),
-		rel:      reliable.New(env, net),
+		env: env,
+		net: net,
+		tr:  trace.FromEnv(env),
+		rel: reliable.New(env, net),
 	}
 }
 
@@ -181,7 +203,9 @@ func (l *Layer) Fenced(node int) bool { return l.rel.Fenced(node) }
 // its frames and, over a faulted fabric, no message to or from it is
 // handled any more and every Call, CallThen or Await that waits on it
 // fails. Waiters wake, and continuations run, in the order they began to
-// wait.
+// wait. A continuation is deferred one event rather than run in place:
+// resume removes its wait from the waits this loop walks, and the
+// continuation may start exchanges that add more.
 func (l *Layer) MarkDead(node int) {
 	l.rel.MarkDead(node)
 	for i := range l.waits {
@@ -227,14 +251,17 @@ func (l *Layer) unwait(ev *sim.Event) (fenced bool) {
 	return fenced
 }
 
-// replyKind returns kind + ".reply", built once per kind so replies do
-// not concatenate a string each.
-func (l *Layer) replyKind(kind string) string {
-	r, ok := l.replies[kind]
-	if !ok {
-		r = kind + ".reply"
-		l.replies[kind] = r
+// replyKind returns kind + ".reply", built once per kind of the service
+// so replies do not concatenate a string each. A service answers a
+// handful of kinds, so a scan of them is cheaper than hashing the kind.
+func (s *Service) replyKind(kind string) string {
+	for _, r := range s.replies {
+		if r[0] == kind {
+			return r[1]
+		}
 	}
+	r := kind + ".reply"
+	s.replies = append(s.replies, [2]string{kind, r})
 	return r
 }
 
@@ -251,11 +278,10 @@ func (l *Layer) Instance(family string) int {
 	return l.services[family]
 }
 
-// Handle registers the handler for a service on a node, replacing any
-// previous registration.
-func (l *Layer) Handle(node int, service string, h Handler) {
-	l.handlers[serviceKey{node, service}] = h
-}
+// Register returns a new service of the given name on this layer, with
+// no handler on any node yet. Names label spans and panics; a message is
+// routed by its *Service, never by name.
+func (l *Layer) Register(name string) *Service { return &Service{name: name} }
 
 // Send delivers a one-way message; its delivery span is created as a
 // child of the given causal tracing parent (0 for none). The destination
@@ -263,27 +289,30 @@ func (l *Layer) Handle(node int, service string, h Handler) {
 // panic. A cross-node message is lost only to a crash: over a faulted
 // fabric the reliable transport retransmits it, and only a fenced
 // endpoint ends its retransmission.
-func (l *Layer) Send(span int64, from, to int, service, kind string, size int, payload any) {
-	m := l.alloc()
-	*m = Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, span: span}
-	l.deliver(m)
+func (l *Layer) Send(span int64, from, to int, service *Service, kind string, size int, payload any) {
+	l.deliver(l.alloc(span, from, to, service, kind, size, payload))
 }
 
-// alloc returns a message from the free list, or a new one. The caller
-// overwrites every field.
-func (l *Layer) alloc() *Message {
-	n := len(l.free) - 1
-	if n < 0 {
-		return new(Message)
+// alloc returns a message from the free list, or a new one, addressed as
+// given. It sets the fields one by one on the zeroed message: assigning a
+// whole Message literal through the pointer would build it aside and
+// copy all of it.
+func (l *Layer) alloc(span int64, from, to int, service *Service, kind string, size int, payload any) *Message {
+	var m *Message
+	if n := len(l.free) - 1; n < 0 {
+		m = new(Message)
+	} else {
+		m = l.free[n]
+		l.free[n] = nil
+		l.free = l.free[:n]
 	}
-	m := l.free[n]
-	l.free[n] = nil
-	l.free = l.free[:n]
+	m.From, m.To, m.Service, m.Kind, m.Size, m.Payload = from, to, service, kind, size, payload
+	m.layer, m.span = l, span
 	return m
 }
 
-// release puts a dead message on the free list, dropping its references
-// so a message on the list pins no payload or continuation argument.
+// release puts a dead message on the free list, zeroed so that it pins no
+// payload or continuation argument and alloc can fill it in place.
 func (l *Layer) release(m *Message) {
 	*m = Message{}
 	l.free = append(l.free, m)
@@ -293,11 +322,11 @@ func (l *Layer) release(m *Message) {
 // It returns the reply, which is the request message turned round by
 // Reply, or an error matching ErrFenced when MarkDead fences
 // either end first.
-func (l *Layer) Call(p *sim.Proc, from, to int, service, kind string, size int, payload any) (*Message, error) {
+func (l *Layer) Call(p *sim.Proc, from, to int, service *Service, kind string, size int, payload any) (*Message, error) {
 	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, call: true, span: p.Span()}
 	l.deliver(m)
 	if !l.Await(p, &m.ev, from, to) {
-		return nil, fmt.Errorf("msg: %s/%s from node %d to %d: %w", service, kind, from, to, ErrFenced)
+		return nil, fmt.Errorf("msg: %s/%s from node %d to %d: %w", service.name, kind, from, to, ErrFenced)
 	}
 	return m, nil
 }
@@ -306,16 +335,17 @@ func (l *Layer) Call(p *sim.Proc, from, to int, service, kind string, size int, 
 // request and returns at once, and then(arg, reply, true) runs once the
 // handler's reply arrives, or then(arg, nil, false) once MarkDead fences
 // either end first. span is the causal tracing parent, which Call takes
-// from its process. Each resumption costs the one event a woken Call
-// costs, and fences resume CallThens and Calls in the order they began to
-// wait; a fence already in place runs then before CallThen returns, as
-// Call fails at once. then should be a top-level function and arg a
-// pointer, so the exchange allocates nothing once the layer's free list
-// is warm. The reply is recycled once then returns: then must not keep
+// from its process. A reply runs then inside its own delivery event, at
+// the instant a Call's caller would wake, one event before that caller
+// runs; a fence resumes CallThens and Calls in the order they began to
+// wait, each one event after the fence, and a fence already in place
+// runs then before CallThen returns, as Call fails at once. then should
+// be a top-level function and arg a pointer, so the exchange allocates
+// nothing once the layer's free list is warm. The reply is recycled once then returns: then must not keep
 // it, only its Payload.
-func (l *Layer) CallThen(span int64, from, to int, service, kind string, size int, payload any, then func(arg any, reply *Message, ok bool), arg any) {
-	m := l.alloc()
-	*m = Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, call: true, span: span, then: then, arg: arg}
+func (l *Layer) CallThen(span int64, from, to int, service *Service, kind string, size int, payload any, then func(arg any, reply *Message, ok bool), arg any) {
+	m := l.alloc(span, from, to, service, kind, size, payload)
+	m.call, m.then, m.arg = true, then, arg
 	l.deliver(m)
 	if l.net.Filter() == nil {
 		return
@@ -327,9 +357,10 @@ func (l *Layer) CallThen(span int64, from, to int, service, kind string, size in
 	l.waits = append(l.waits, wait{ev: &m.ev, a: from, b: to, m: m})
 }
 
-// resume runs a CallThen's continuation, one event after its reply
-// arrived or MarkDead fenced it, and then recycles a replied message. A
-// fenced one is left to the collector: its frames may still be in flight.
+// resume runs a CallThen's continuation, in its reply's delivery event or
+// one event after MarkDead fenced it, and then recycles a replied
+// message. A fenced one is left to the collector: its frames may still be
+// in flight.
 func resume(a any) {
 	m := a.(*Message)
 	l := m.layer
@@ -343,32 +374,25 @@ func resume(a any) {
 
 // deliver hands a message to the layer's reliable transport, which
 // short-circuits a same-node one (a crashed node delivers nothing, not
-// even to itself) and, on arrival, to receive. The frame is posted with
-// its endpoints, so over a faulted fabric the transport dedups a
-// retransmitted request on its own flow even after Reply has turned m
-// round. The message is its own timer argument, so delivery allocates
-// nothing.
+// even to itself) and runs handle HandlerLat after it arrives, in one
+// event. The frame is posted with its endpoints, so over a faulted
+// fabric the transport dedups a retransmitted request on its own flow
+// even after Reply has turned m round. The message is its own timer
+// argument, so delivery allocates nothing.
 func (l *Layer) deliver(m *Message) {
 	if l.tr != nil {
 		// The delivery span covers serialization, flight, and handling;
 		// it stays open forever if the message is never delivered —
 		// visibly, in the exported trace.
-		m.span = l.tr.Begin(m.span, trace.CatNet, m.To, l.tr.Key(m.Service, m.Kind))
+		m.span = l.tr.Begin(m.span, trace.CatNet, m.To, l.tr.Key(m.Service.name, m.Kind))
 	}
-	l.rel.Post(m.span, m.From, m.To, m.Size+HeaderBytes, receive, m)
+	l.rel.Post(m.span, m.From, m.To, m.Size+HeaderBytes, HandlerLat, handle, m)
 }
 
-// receive runs when a message reaches its destination node: it charges
-// the receive-side processing cost before handle.
-func receive(a any) {
-	m := a.(*Message)
-	m.layer.env.DeferArg(HandlerLat, handle, m)
-}
-
-// handle completes a delivery: a reply fires its caller's reply event, or
-// schedules a CallThen's continuation, and anything else runs the
-// destination service's handler, after which a one-way message is
-// recycled. Over a faulted fabric a message to or from a node fenced
+// handle completes a delivery, HandlerLat after the message reached its
+// destination node: a reply fires its caller's reply event, or runs a
+// CallThen's continuation, and anything else runs the destination
+// service's handler, after which a one-way message is recycled. Over a faulted fabric a message to or from a node fenced
 // while it was in flight is not handled: MarkDead has failed its caller
 // already. The span is read before the handler runs, since a Reply
 // inside it turns m into the reply, with a delivery span of its own.
@@ -382,12 +406,12 @@ func handle(a any) {
 	if m.replied {
 		m.ev.Fire()
 		if m.then != nil {
-			l.env.DeferArg(0, resume, m)
+			resume(m)
 		}
 	} else {
-		h, ok := l.handlers[serviceKey{m.To, m.Service}]
-		if !ok {
-			panic(fmt.Sprintf("msg: no handler for %s on node %d (kind %s)", m.Service, m.To, m.Kind))
+		h := m.Service.handler(m.To)
+		if h == nil {
+			panic(fmt.Sprintf("msg: no handler for %s on node %d (kind %s)", m.Service.name, m.To, m.Kind))
 		}
 		h(m)
 		if !m.call {

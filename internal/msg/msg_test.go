@@ -19,18 +19,19 @@ func newTestLayer(env *sim.Env) *Layer {
 func TestSendDelivers(t *testing.T) {
 	env := sim.NewEnv()
 	l := newTestLayer(env)
+	dsm := l.Register("dsm")
 	// The layer recycles a one-way message once its handler returns, so
 	// the handler copies what it checks.
 	var got []Message
-	l.Handle(1, "dsm", func(m *Message) {
+	dsm.Handle(1, func(m *Message) {
 		got = append(got, Message{From: m.From, To: m.To, Service: m.Service, Kind: m.Kind, Size: m.Size, Payload: m.Payload})
 	})
-	l.Send(0, 0, 1, "dsm", "page_req", 32, "payload")
+	l.Send(0, 0, 1, dsm, "page_req", 32, "payload")
 	env.Run()
 	if len(got) != 1 {
 		t.Fatalf("message delivered %d times, want once", len(got))
 	}
-	if m := got[0]; m.From != 0 || m.To != 1 || m.Service != "dsm" || m.Kind != "page_req" || m.Size != 32 || m.Payload != "payload" {
+	if m := got[0]; m.From != 0 || m.To != 1 || m.Service != dsm || m.Kind != "page_req" || m.Size != 32 || m.Payload != "payload" {
 		t.Fatalf("message = %+v", m)
 	}
 }
@@ -38,14 +39,15 @@ func TestSendDelivers(t *testing.T) {
 func TestCallRoundTrip(t *testing.T) {
 	env := sim.NewEnv()
 	l := newTestLayer(env)
-	l.Handle(1, "dsm", func(m *Message) {
+	dsm := l.Register("dsm")
+	dsm.Handle(1, func(m *Message) {
 		m.Reply(4096, "page-data")
 	})
 	var reply *Message
 	var rtt sim.Time
 	env.Spawn("caller", func(p *sim.Proc) {
 		start := p.Now()
-		reply, _ = l.Call(p, 0, 1, "dsm", "page_req", 32, nil)
+		reply, _ = l.Call(p, 0, 1, dsm, "page_req", 32, nil)
 		rtt = p.Now() - start
 	})
 	env.Run()
@@ -68,11 +70,12 @@ func TestCallRoundTrip(t *testing.T) {
 func TestLocalDeliverySkipsFabric(t *testing.T) {
 	env := sim.NewEnv()
 	l := newTestLayer(env)
-	l.Handle(0, "svc", func(m *Message) { m.Reply(0, nil) })
+	svc := l.Register("svc")
+	svc.Handle(0, func(m *Message) { m.Reply(0, nil) })
 	var rtt sim.Time
 	env.Spawn("caller", func(p *sim.Proc) {
 		start := p.Now()
-		l.Call(p, 0, 0, "svc", "ping", 0, nil)
+		l.Call(p, 0, 0, svc, "ping", 0, nil)
 		rtt = p.Now() - start
 	})
 	env.Run()
@@ -87,7 +90,8 @@ func TestLocalDeliverySkipsFabric(t *testing.T) {
 func TestReplyToOneWayPanics(t *testing.T) {
 	env := sim.NewEnv()
 	l := newTestLayer(env)
-	l.Handle(1, "svc", func(m *Message) {
+	svc := l.Register("svc")
+	svc.Handle(1, func(m *Message) {
 		defer func() {
 			if recover() == nil {
 				t.Error("Reply to one-way message did not panic")
@@ -95,14 +99,15 @@ func TestReplyToOneWayPanics(t *testing.T) {
 		}()
 		m.Reply(0, nil)
 	})
-	l.Send(0, 0, 1, "svc", "notify", 8, nil)
+	l.Send(0, 0, 1, svc, "notify", 8, nil)
 	env.Run()
 }
 
 func TestDuplicateReplyPanics(t *testing.T) {
 	env := sim.NewEnv()
 	l := newTestLayer(env)
-	l.Handle(1, "svc", func(m *Message) {
+	svc := l.Register("svc")
+	svc.Handle(1, func(m *Message) {
 		m.Reply(0, nil)
 		defer func() {
 			if recover() == nil {
@@ -111,14 +116,15 @@ func TestDuplicateReplyPanics(t *testing.T) {
 		}()
 		m.Reply(0, nil)
 	})
-	env.Spawn("caller", func(p *sim.Proc) { _, _ = l.Call(p, 0, 1, "svc", "x", 0, nil) })
+	env.Spawn("caller", func(p *sim.Proc) { _, _ = l.Call(p, 0, 1, svc, "x", 0, nil) })
 	env.Run()
 }
 
 func TestUnroutedMessagePanics(t *testing.T) {
 	env := sim.NewEnv()
 	l := newTestLayer(env)
-	l.Send(0, 0, 1, "ghost", "x", 0, nil)
+	ghost := l.Register("ghost")
+	l.Send(0, 0, 1, ghost, "x", 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("unrouted message did not panic")
@@ -130,15 +136,16 @@ func TestUnroutedMessagePanics(t *testing.T) {
 func TestManyConcurrentCalls(t *testing.T) {
 	env := sim.NewEnv()
 	l := newTestLayer(env)
+	svc := l.Register("svc")
 	served := 0
-	l.Handle(1, "svc", func(m *Message) {
+	svc.Handle(1, func(m *Message) {
 		served++
 		m.Reply(64, served)
 	})
 	done := 0
 	for i := 0; i < 20; i++ {
 		env.Spawn("caller", func(p *sim.Proc) {
-			if r, err := l.Call(p, 0, 1, "svc", "req", 16, nil); r != nil && err == nil {
+			if r, err := l.Call(p, 0, 1, svc, "req", 16, nil); r != nil && err == nil {
 				done++
 			}
 		})
@@ -179,16 +186,17 @@ func TestDuplicatedCall(t *testing.T) {
 		env := sim.NewEnv()
 		tr := trace.NewSession().Attach(env, "dup")
 		l := newTestLayer(env)
+		svc := l.Register("svc")
 		l.Net().SetFilter(&dirFilter{from: from})
 		var ran []sim.Time
-		l.Handle(1, "svc", func(m *Message) {
+		svc.Handle(1, func(m *Message) {
 			ran = append(ran, env.Now())
 			m.Reply(8, nil)
 		})
 		completed := 0
 		var woke sim.Time
 		env.Spawn("caller", func(p *sim.Proc) {
-			if _, err := l.Call(p, 0, 1, "svc", "req", 16, nil); err == nil {
+			if _, err := l.Call(p, 0, 1, svc, "req", 16, nil); err == nil {
 				completed++
 			}
 			woke = p.Now()
@@ -226,16 +234,17 @@ func TestDuplicateOfReusedReplyDropped(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	l := newTestLayer(env)
+	svc := l.Register("svc")
 	l.Net().SetFilter(&dirFilter{from: 1, once: true})
 	n := 0
-	l.Handle(1, "svc", func(m *Message) {
+	svc.Handle(1, func(m *Message) {
 		n++
 		m.Reply(8, n)
 	})
 	var got []any
 	env.Spawn("caller", func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
-			r, _ := l.Call(p, 0, 1, "svc", "req", 16, nil)
+			r, _ := l.Call(p, 0, 1, svc, "req", 16, nil)
 			got = append(got, r.Payload)
 		}
 	})
@@ -258,6 +267,7 @@ func TestRetransmittedRequestAfterReply(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	l := newTestLayer(env)
+	svc := l.Register("svc")
 	frames := 0
 	l.Net().SetFilter(&dirFilter{from: -1, drop: func(from, to, size int) bool {
 		// The second frame on the fabric is the request's ack, sent
@@ -266,14 +276,14 @@ func TestRetransmittedRequestAfterReply(t *testing.T) {
 		return frames == 2
 	}})
 	n := 0
-	l.Handle(1, "svc", func(m *Message) {
+	svc.Handle(1, func(m *Message) {
 		n++
 		m.Reply(8, n)
 	})
 	var got []any
 	env.Spawn("caller", func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
-			r, _ := l.Call(p, 0, 1, "svc", "req", 16, nil)
+			r, _ := l.Call(p, 0, 1, svc, "req", 16, nil)
 			got = append(got, r.Payload)
 			p.Sleep(20 * sim.Millisecond) // past the request's retransmission
 		}
@@ -295,19 +305,20 @@ func TestCallFailsOnFence(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	l := newTestLayer(env)
+	svc := l.Register("svc")
 	l.Net().SetFilter(&dirFilter{from: -1, drop: func(from, to, size int) bool { return to == 1 }})
-	l.Handle(1, "svc", func(m *Message) { m.Reply(8, nil) })
+	svc.Handle(1, func(m *Message) { m.Reply(8, nil) })
 	handled := 0
-	l.Handle(0, "svc", func(m *Message) { handled++ })
+	svc.Handle(0, func(m *Message) { handled++ })
 	var errs []error
 	env.Spawn("caller", func(p *sim.Proc) {
-		_, err := l.Call(p, 0, 1, "svc", "req", 16, nil)
+		_, err := l.Call(p, 0, 1, svc, "req", 16, nil)
 		errs = append(errs, err)
-		_, err = l.Call(p, 0, 1, "svc", "req", 16, nil)
+		_, err = l.Call(p, 0, 1, svc, "req", 16, nil)
 		errs = append(errs, err)
 	})
 	env.At(sim.Second, func() {
-		l.Send(0, 1, 0, "svc", "note", 16, nil)
+		l.Send(0, 1, 0, svc, "note", 16, nil)
 		l.MarkDead(1)
 	})
 	env.Run()
@@ -334,8 +345,9 @@ func TestReplyAfterHandlerReturns(t *testing.T) {
 	defer env.Close()
 	tr := trace.NewSession().Attach(env, "later")
 	l := newTestLayer(env)
+	svc := l.Register("svc")
 	var handled, replied sim.Time
-	l.Handle(1, "svc", func(m *Message) {
+	svc.Handle(1, func(m *Message) {
 		handled = env.Now()
 		env.After(5*sim.Microsecond, func() {
 			replied = env.Now()
@@ -347,7 +359,7 @@ func TestReplyAfterHandlerReturns(t *testing.T) {
 	})
 	var woke sim.Time
 	env.Spawn("caller", func(p *sim.Proc) {
-		_, _ = l.Call(p, 0, 1, "svc", "req", 16, nil)
+		_, _ = l.Call(p, 0, 1, svc, "req", 16, nil)
 		woke = p.Now()
 	})
 	env.Run()
@@ -386,15 +398,16 @@ func TestDeliveryAllocatesOnlyCallRequests(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	l := newTestLayer(env)
+	svc := l.Register("svc")
 	handled := 0
-	l.Handle(1, "svc", func(m *Message) {
+	svc.Handle(1, func(m *Message) {
 		handled++
 		if m.Kind == "req" {
 			m.Reply(8, nil)
 		}
 	})
 	send := testing.AllocsPerRun(1000, func() {
-		l.Send(0, 0, 1, "svc", "note", 16, nil)
+		l.Send(0, 0, 1, svc, "note", 16, nil)
 		env.Run()
 	})
 	if send != 0 {
@@ -407,7 +420,7 @@ func TestDeliveryAllocatesOnlyCallRequests(t *testing.T) {
 		}
 	}
 	callThen := testing.AllocsPerRun(1000, func() {
-		l.CallThen(0, 0, 1, "svc", "req", 16, nil, then, &replies)
+		l.CallThen(0, 0, 1, svc, "req", 16, nil, then, &replies)
 		env.Run()
 	})
 	if callThen != 0 {
@@ -422,7 +435,7 @@ func TestDeliveryAllocatesOnlyCallRequests(t *testing.T) {
 	env.Spawn("caller", func(p *sim.Proc) {
 		for {
 			q.Get(p)
-			_, _ = l.Call(p, 0, 1, "svc", "req", 16, nil)
+			_, _ = l.Call(p, 0, 1, svc, "req", 16, nil)
 		}
 	})
 	call := testing.AllocsPerRun(1000, func() {
@@ -440,18 +453,76 @@ func TestDeliveryAllocatesOnlyCallRequests(t *testing.T) {
 	}
 }
 
+// TestEventsPerExchange pins what each exchange costs the event queue on
+// a fault-free fabric: a delivered message is one event, arrival and
+// handler latency together, whether it crosses the fabric or stays on
+// its node; a CallThen round trip is its two deliveries, the
+// continuation running inside the reply's; a Call round trip adds the
+// one event that wakes its caller.
+func TestEventsPerExchange(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	l := newTestLayer(env)
+	svc := l.Register("svc")
+	for n := 0; n < 2; n++ {
+		svc.Handle(n, func(m *Message) {
+			if m.Kind == "req" {
+				m.Reply(8, nil)
+			}
+		})
+	}
+	cost := func(exchange func()) uint64 {
+		before := env.Scheduled()
+		exchange()
+		env.Run()
+		return env.Scheduled() - before
+	}
+	replies := 0
+	then := func(arg any, reply *Message, ok bool) {
+		if ok {
+			*arg.(*int)++
+		}
+	}
+	var call uint64
+	env.Spawn("caller", func(p *sim.Proc) {
+		before := env.Scheduled()
+		if _, err := l.Call(p, 0, 1, svc, "req", 16, nil); err != nil {
+			t.Error(err)
+		}
+		call = env.Scheduled() - before
+	})
+	env.Run()
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"cross-node Send", cost(func() { l.Send(0, 0, 1, svc, "note", 16, nil) }), 1},
+		{"loopback Send", cost(func() { l.Send(0, 1, 1, svc, "note", 16, nil) }), 1},
+		{"CallThen round trip", cost(func() { l.CallThen(0, 0, 1, svc, "req", 16, nil, then, &replies) }), 2},
+		{"Call round trip", call, 3},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s scheduled %d events, want %d", c.name, c.got, c.want)
+		}
+	}
+	if replies != 1 {
+		t.Errorf("CallThen continuation ran %d times with a reply, want once", replies)
+	}
+}
+
 // BenchmarkMsgCall measures one cross-node Call round trip: request and
 // reply through the fabric, handler latency at both ends, and the wake
 // of the blocked caller.
 func BenchmarkMsgCall(b *testing.B) {
 	env := sim.NewEnv()
 	l := newTestLayer(env)
-	l.Handle(1, "svc", func(m *Message) { m.Reply(8, nil) })
+	svc := l.Register("svc")
+	svc.Handle(1, func(m *Message) { m.Reply(8, nil) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	env.Spawn("caller", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			_, _ = l.Call(p, 0, 1, "svc", "req", 16, nil)
+			_, _ = l.Call(p, 0, 1, svc, "req", 16, nil)
 		}
 	})
 	env.Run()

@@ -17,6 +17,7 @@ func TestRecycledMessageRetransmittedOnce(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	l := newTestLayer(env)
+	svc := l.Register("svc")
 	acks := 0
 	l.Net().SetFilter(&dirFilter{from: -1, drop: func(from, to, size int) bool {
 		// Drop the first ack, the one for "a"'s frame.
@@ -28,18 +29,18 @@ func TestRecycledMessageRetransmittedOnce(t *testing.T) {
 	}})
 	var got []any
 	var msgs []*Message
-	l.Handle(1, "svc", func(m *Message) {
+	svc.Handle(1, func(m *Message) {
 		got = append(got, m.Payload)
 		msgs = append(msgs, m)
 	})
 	// "a" and "b" are in flight together; "c" and "d" go once both are
 	// handled, before "a"'s frame is retransmitted, and reuse their
 	// Messages.
-	l.Send(0, 0, 1, "svc", "note", 16, "a")
-	l.Send(0, 0, 1, "svc", "note", 16, "b")
+	l.Send(0, 0, 1, svc, "note", 16, "a")
+	l.Send(0, 0, 1, svc, "note", 16, "b")
 	env.At(100*sim.Microsecond, func() {
-		l.Send(0, 0, 1, "svc", "note", 16, "c")
-		l.Send(0, 0, 1, "svc", "note", 16, "d")
+		l.Send(0, 0, 1, svc, "note", 16, "c")
+		l.Send(0, 0, 1, svc, "note", 16, "d")
 	})
 	env.Run()
 	if fmt.Sprint(got) != "[a b c d]" {
@@ -60,12 +61,13 @@ func TestFencedCallThenNotRecycled(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	l := newTestLayer(env)
+	svc := l.Register("svc")
 	l.Net().SetFilter(&dirFilter{from: -1, drop: func(from, to, size int) bool { return to == 2 }})
-	l.Handle(1, "svc", func(m *Message) { m.Reply(8, nil) })
-	l.Handle(2, "svc", func(m *Message) { m.Reply(8, nil) })
+	svc.Handle(1, func(m *Message) { m.Reply(8, nil) })
+	svc.Handle(2, func(m *Message) { m.Reply(8, nil) })
 	var log []resumption
-	l.CallThen(0, 0, 1, "svc", "req", 16, nil, recordThen, &thenCaller{env, 1, &log})
-	l.CallThen(0, 0, 2, "svc", "req", 16, nil, recordThen, &thenCaller{env, 2, &log})
+	l.CallThen(0, 0, 1, svc, "req", 16, nil, recordThen, &thenCaller{env, 1, &log})
+	l.CallThen(0, 0, 2, svc, "req", 16, nil, recordThen, &thenCaller{env, 2, &log})
 	env.At(sim.Second, func() { l.MarkDead(2) })
 	env.Run()
 	if len(log) != 2 || log[0].caller != 1 || !log[0].ok || log[1].caller != 2 || log[1].ok {

@@ -20,7 +20,7 @@ func benchSend(b *testing.B, filter *scriptFilter) {
 	next = func(any) {
 		if sent < b.N {
 			sent++
-			tr.Post(0, 0, 1, 4096, next, nil)
+			tr.Post(0, 0, 1, 4096, 0, next, nil)
 		}
 	}
 	b.ReportAllocs()

@@ -28,12 +28,13 @@
 // the retransmit timer, at the instant a per-message timer would fire.
 //
 // Post is the one way a VM moves bytes between, or within, its slices.
-// A same-node message never touches the fabric: it is handed over at
-// once, unless the fault filter rules its node crashed. With no fault
-// filter installed nothing can be lost, so a message is exactly one
-// fabric transmission — no acks are charged and no sequence state
-// affects timing — and fault-free runs stay byte-identical to the raw
-// fabric.
+// It takes the receiver's processing latency, so a delivered message is
+// one event, at arrival plus that latency, wherever it goes. A same-node
+// message never touches the fabric: it arrives at once, unless the fault
+// filter rules its node crashed. With no fault filter installed nothing
+// can be lost, so a message is exactly one fabric transmission — no acks
+// are charged and no sequence state affects timing — and fault-free runs
+// stay byte-identical to the raw fabric.
 package reliable
 
 import (
@@ -100,6 +101,7 @@ type frame struct {
 	seq      uint64
 	span     int64
 	size     int
+	lat      sim.Time  // receiver processing time before deliver
 	deliver  func(any) // run at the receiver, exactly once
 	arg      any
 	rto      sim.Time // current attempt's timeout, before jitter
@@ -192,12 +194,16 @@ func (t *Transport) rto(from, to, size int) sim.Time {
 }
 
 // Post offers size bytes from one node to another and returns at once;
-// deliver(arg) runs at the receiver when the first copy arrives, exactly
-// once, unless a fence abandons the message first. A same-node message
-// is handed over at once, and dropped only when the fault filter rules
-// its node crashed; with no fault filter installed a cross-node message
-// is one fabric transmission; otherwise it takes the acknowledged path.
-func (t *Transport) Post(span int64, from, to, size int, deliver func(any), arg any) {
+// deliver(arg) runs at the receiver lat after the first copy arrives,
+// exactly once, unless a fence abandons the message first. lat is the
+// receiver's processing time before the payload is handed over (the
+// message layer's handler latency; 0 for a bare segment), folded into
+// the delivery event so a healthy message costs one event. A same-node
+// message arrives at once, and is dropped only when the fault filter
+// rules its node crashed; with no fault filter installed a cross-node
+// message is one fabric transmission; otherwise it takes the
+// acknowledged path.
+func (t *Transport) Post(span int64, from, to, size int, lat sim.Time, deliver func(any), arg any) {
 	flt := t.fab.Filter()
 	switch {
 	case from == to:
@@ -205,20 +211,20 @@ func (t *Transport) Post(span int64, from, to, size int, deliver func(any), arg 
 			t.stats.LocalDropped++
 			return
 		}
-		t.env.DeferArg(0, deliver, arg)
+		t.env.DeferArg(lat, deliver, arg)
 	case flt == nil:
 		if at, ok := t.fab.Transmit(span, from, to, size); ok {
-			t.env.DeferArgAt(at, deliver, arg)
+			t.env.DeferArgAt(at+lat, deliver, arg)
 		}
 	default:
-		t.post(span, from, to, size, deliver, arg)
+		t.post(span, from, to, size, lat, deliver, arg)
 	}
 }
 
 // post starts a message on its flow and transmits its first frame. A
 // message with a fenced endpoint is abandoned without touching the
 // fabric.
-func (t *Transport) post(span int64, from, to, size int, deliver func(any), arg any) {
+func (t *Transport) post(span int64, from, to, size int, lat sim.Time, deliver func(any), arg any) {
 	t.stats.Sent++
 	if t.Fenced(from) || t.Fenced(to) {
 		t.stats.Abandoned++
@@ -231,7 +237,7 @@ func (t *Transport) post(span int64, from, to, size int, deliver func(any), arg 
 		t.flows[key] = fl
 	}
 	rto := t.rto(from, to, size)
-	f := &frame{t: t, from: from, to: to, seq: fl.next, span: span, size: size, deliver: deliver,
+	f := &frame{t: t, from: from, to: to, seq: fl.next, span: span, size: size, lat: lat, deliver: deliver,
 		arg: arg, rto: rto, capRTO: max(maxRTO, 4*rto), live: len(t.live)}
 	fl.next++
 	t.live = append(t.live, f)
@@ -271,7 +277,8 @@ func (t *Transport) arm(f *frame) {
 }
 
 // onData runs at the receiver when a data frame copy arrives: dedup,
-// deliver a fresh payload, and always ack — an ack can be lost too, and
+// deliver a fresh payload (lat later, when the frame has a receiver
+// latency), and always ack — an ack can be lost too, and
 // the retransmitted frame it covered must re-ack or the sender would
 // retry into a window that discards it. A frame to or from a fenced node
 // is discarded unacknowledged.
@@ -284,7 +291,11 @@ func onData(a any) {
 	fl := t.flows[flowKey{f.from, f.to}]
 	if fl.recv.Admit(f.seq) {
 		t.stats.Delivered++
-		f.deliver(f.arg)
+		if f.lat > 0 {
+			t.env.DeferArg(f.lat, f.deliver, f.arg)
+		} else {
+			f.deliver(f.arg)
+		}
 	} else {
 		t.stats.DupsSuppressed++
 		if t.fab.TestHooks().NoDedup {

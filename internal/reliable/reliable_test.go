@@ -48,7 +48,7 @@ func TestZeroFaultFastPath(t *testing.T) {
 	tr := New(env, fab)
 	want := fab.PathTime(0, 1, 4096)
 	var done sim.Time
-	tr.Post(0, 0, 1, 4096, func(any) { done = env.Now() }, nil)
+	tr.Post(0, 0, 1, 4096, 0, func(any) { done = env.Now() }, nil)
 	env.Run()
 	if done != want {
 		t.Fatalf("fast-path Post delivered at %v, want raw delivery time %v", done, want)
@@ -74,7 +74,7 @@ func TestLocalSendSkipsFabric(t *testing.T) {
 		tr := New(env, fab)
 		delivered := 0
 		env.At(sim.Millisecond, func() {
-			tr.Post(0, 2, 2, 64, func(any) {
+			tr.Post(0, 2, 2, 64, 0, func(any) {
 				if env.Now() != sim.Millisecond {
 					t.Errorf("local post delivered at %v, want %v", env.Now(), sim.Millisecond)
 				}
@@ -109,7 +109,7 @@ func TestRetransmitThroughLoss(t *testing.T) {
 	}})
 	tr := New(env, fab)
 	delivered := 0
-	tr.Post(0, 0, 1, 4096, counter(&delivered), nil)
+	tr.Post(0, 0, 1, 4096, 0, counter(&delivered), nil)
 	env.Run()
 	st := tr.Stats()
 	if st.Retransmits != 2 {
@@ -137,7 +137,7 @@ func TestLostAckReAcks(t *testing.T) {
 	}})
 	tr := New(env, fab)
 	delivered := 0
-	tr.Post(0, 0, 1, 4096, counter(&delivered), nil)
+	tr.Post(0, 0, 1, 4096, 0, counter(&delivered), nil)
 	env.Run()
 	st := tr.Stats()
 	if delivered != 1 {
@@ -164,13 +164,13 @@ func TestRetriesEndOnAckOrFence(t *testing.T) {
 	const fenceAt = sim.Second
 	var lost, acked, late int
 	var framesAtFence int64
-	tr.Post(0, 0, 1, 4096, counter(&lost), nil)
-	tr.Post(0, 0, 2, 4096, counter(&acked), nil)
+	tr.Post(0, 0, 1, 4096, 0, counter(&lost), nil)
+	tr.Post(0, 0, 2, 4096, 0, counter(&acked), nil)
 	env.At(fenceAt, func() {
 		framesAtFence = tr.Stats().Frames
 		tr.MarkDead(1)
 	})
-	env.At(2*fenceAt, func() { tr.Post(0, 1, 0, 64, counter(&late), nil) })
+	env.At(2*fenceAt, func() { tr.Post(0, 1, 0, 64, 0, counter(&late), nil) })
 	env.Run()
 	if lost != 0 || late != 0 || acked != 1 {
 		t.Fatalf("deliveries lost=%d late=%d acked=%d, want 0, 0, 1", lost, late, acked)
@@ -209,7 +209,7 @@ func TestInjectedDuplicatesSuppressed(t *testing.T) {
 	}})
 	tr := New(env, fab)
 	delivered := 0
-	tr.Post(0, 0, 1, 4096, counter(&delivered), nil)
+	tr.Post(0, 0, 1, 4096, 0, counter(&delivered), nil)
 	env.Run()
 	st := tr.Stats()
 	if delivered != 1 {
@@ -296,7 +296,7 @@ func TestQuickExactlyOnceInOrder(t *testing.T) {
 			env.Spawn(fmt.Sprintf("sender%d", s), func(p *sim.Proc) {
 				for i := 0; i < msgs; i++ {
 					arrived := new(sim.Event)
-					tr.Post(0, s, 0, 2048, func(a any) {
+					tr.Post(0, s, 0, 2048, 0, func(a any) {
 						got[s] = append(got[s], a.(int))
 						if !arrived.Fired() {
 							arrived.Fire()
@@ -353,7 +353,7 @@ func TestDeterministicJitter(t *testing.T) {
 		tr := New(env, fab)
 		tr.rng = rngState(seed)
 		var done sim.Time
-		tr.Post(0, 0, 1, 4096, func(any) { done = env.Now() }, nil)
+		tr.Post(0, 0, 1, 4096, 0, func(any) { done = env.Now() }, nil)
 		env.Run()
 		return done
 	}
@@ -401,7 +401,7 @@ func TestNoDedupHookBreaksExactlyOnce(t *testing.T) {
 		fab.SetTestHooks(topo.TestHooks{NoDedup: noDedup})
 		tr := New(env, fab)
 		handled := 0
-		tr.Post(0, 0, 1, 1024, counter(&handled), nil)
+		tr.Post(0, 0, 1, 1024, 0, counter(&handled), nil)
 		env.Run()
 		st := tr.Stats()
 		if st.Sent != 1 || st.Retransmits != 1 || st.DupsSuppressed != 1 || handled != 1 {
@@ -418,4 +418,69 @@ func btoi(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// TestPostDeliversAfterLat: deliver runs lat after the first copy
+// arrives, exactly once, on each of Post's paths — loopback, fault-free,
+// and faulted, where a DupMessages copy and a retransmit must still
+// deliver once. Each case runs with lat 0 and with lat, and the delivery
+// must move by exactly lat.
+func TestPostDeliversAfterLat(t *testing.T) {
+	const lat = 700 * sim.Nanosecond
+	cases := []struct {
+		name     string
+		from, to int
+		filter   func() topo.Filter // nil: fault-free
+	}{
+		{"loopback", 1, 1, nil},
+		{"fault-free", 0, 1, nil},
+		{"faulted", 0, 1, func() topo.Filter { return &scriptFilter{} }},
+		{"faulted-dup", 0, 1, func() topo.Filter {
+			dups := 1
+			return &scriptFilter{msgFn: func(from, to int) topo.MsgOutcome {
+				dups--
+				return topo.MsgOutcome{Duplicate: dups == 0}
+			}}
+		}},
+		{"faulted-retransmit", 0, 1, func() topo.Filter {
+			drops := 1
+			return &scriptFilter{fn: func(from, to, size int) topo.Outcome {
+				drops--
+				return topo.Outcome{Drop: from == 0 && drops == 0}
+			}}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(l sim.Time) (at sim.Time, n int, st Stats) {
+				env := sim.NewEnv()
+				fab := newFabric(env)
+				if c.filter != nil {
+					fab.SetFilter(c.filter())
+				}
+				tr := New(env, fab)
+				tr.Post(0, c.from, c.to, 4096, l, func(any) { at, n = env.Now(), n+1 }, nil)
+				env.Run()
+				return at, n, tr.Stats()
+			}
+			base, n0, _ := run(0)
+			at, n, st := run(lat)
+			if n0 != 1 || n != 1 {
+				t.Fatalf("delivered %d times with lat 0 and %d with lat %v, want once each (stats %+v)", n0, n, lat, st)
+			}
+			if at != base+lat {
+				t.Errorf("delivered at %v with lat %v, want %v: arrival %v plus lat", at, lat, base+lat, base)
+			}
+			switch c.name {
+			case "faulted-dup":
+				if st.DupFrames != 1 || st.DupsSuppressed != 1 {
+					t.Errorf("stats %+v, want the injected copy suppressed", st)
+				}
+			case "faulted-retransmit":
+				if st.Retransmits != 1 {
+					t.Errorf("stats %+v, want one retransmit", st)
+				}
+			}
+		})
+	}
 }

@@ -40,7 +40,8 @@
 // func(), and DeferArg/DeferArgAt run a static func(any) on an argument
 // the timer carries. The second form is for callers that schedule the
 // same step for many objects (the messaging layer schedules each
-// *Message's arrival and handling this way): a top-level function plus
+// *Message's handling, one event at arrival plus the handler latency,
+// this way): a top-level function plus
 // a pointer argument allocates nothing, where a closure over the object
 // would allocate on every call.
 package sim

@@ -97,7 +97,7 @@ func (v *VCPU) PCPU() *sim.PS { return v.pcpu }
 type Manager struct {
 	env     *sim.Env
 	layer   *msg.Layer
-	service string
+	service *msg.Service
 	params  Params
 	vcpus   []*VCPU
 	nodes   []int
@@ -118,7 +118,7 @@ func NewManager(env *sim.Env, layer *msg.Layer, nodes []int, placement []int, pc
 	m := &Manager{
 		env:     env,
 		layer:   layer,
-		service: fmt.Sprintf("vcpu%d", layer.Instance("vcpu")),
+		service: layer.Register(fmt.Sprintf("vcpu%d", layer.Instance("vcpu"))),
 		params:  p,
 		nodes:   append([]int(nil), nodes...),
 		tr:      trace.FromEnv(env),
@@ -127,7 +127,7 @@ func NewManager(env *sim.Env, layer *msg.Layer, nodes []int, placement []int, pc
 		m.vcpus = append(m.vcpus, &VCPU{id: i, node: placement[i], pcpu: pcpus[i]})
 	}
 	for _, n := range nodes {
-		layer.Handle(n, m.service, m.handle)
+		m.service.Handle(n, m.handle)
 	}
 	return m
 }

@@ -43,7 +43,7 @@ func NewBlk(env *sim.Env, d *dsm.DSM, layer *msg.Layer, vm *vcpu.Manager, layout
 		done:   make(map[uint64]*sim.Event),
 	}
 	for _, n := range d.Nodes() {
-		layer.Handle(n, bd.svc, bd.handle)
+		bd.svc.Handle(n, bd.handle)
 	}
 	return bd
 }
@@ -123,7 +123,7 @@ func (bd *BlkDev) handle(m *msg.Message) {
 	switch m.Kind {
 	case "req":
 		qid := m.Payload.(int)
-		bd.env.Spawn(bd.svc+".vhost", func(p *sim.Proc) {
+		bd.env.Spawn(bd.svc.Name()+".vhost", func(p *sim.Proc) {
 			q := bd.queues[qid]
 			q.lock.Lock(p)
 			defer q.lock.Unlock()

@@ -117,7 +117,7 @@ type device struct {
 	layer  *msg.Layer
 	vcpus  *vcpu.Manager
 	cfg    Config
-	svc    string
+	svc    *msg.Service // named for the device instance, as are its regions and procs
 	queues []*queue
 	stats  Stats
 }
@@ -129,7 +129,7 @@ func newDevice(kind string, env *sim.Env, d *dsm.DSM, layer *msg.Layer, vm *vcpu
 		layer: layer,
 		vcpus: vm,
 		cfg:   cfg,
-		svc:   fmt.Sprintf("%s%d", kind, layer.Instance(kind)),
+		svc:   layer.Register(fmt.Sprintf("%s%d", kind, layer.Instance(kind))),
 	}
 	nq := 1
 	if cfg.Multiqueue {
@@ -139,8 +139,8 @@ func newDevice(kind string, env *sim.Env, d *dsm.DSM, layer *msg.Layer, vm *vcpu
 		q := &queue{
 			id:   i,
 			vcpu: i,
-			ring: layout.Alloc(fmt.Sprintf("%s.q%d.ring", dev.svc, i), 2, mem.KindDevice),
-			buf:  layout.Alloc(fmt.Sprintf("%s.q%d.buf", dev.svc, i), bufPages, mem.KindDevice),
+			ring: layout.Alloc(fmt.Sprintf("%s.q%d.ring", dev.svc.Name(), i), 2, mem.KindDevice),
+			buf:  layout.Alloc(fmt.Sprintf("%s.q%d.buf", dev.svc.Name(), i), bufPages, mem.KindDevice),
 			lock: env.NewMutex(),
 		}
 		dev.queues = append(dev.queues, q)
@@ -219,8 +219,7 @@ func NewNet(env *sim.Env, d *dsm.DSM, layer *msg.Layer, vm *vcpu.Manager, layout
 		nd.rx = append(nd.rx, sim.NewQueue[rxPacket](env))
 	}
 	for _, n := range d.Nodes() {
-		n := n
-		layer.Handle(n, nd.svc, nd.handle)
+		nd.svc.Handle(n, nd.handle)
 	}
 	return nd
 }
@@ -273,7 +272,7 @@ func (nd *NetDev) handle(m *msg.Message) {
 	switch m.Kind {
 	case "tx":
 		qid := m.Payload.(int)
-		nd.env.Spawn(nd.svc+".vhost-tx", func(p *sim.Proc) {
+		nd.env.Spawn(nd.svc.Name()+".vhost-tx", func(p *sim.Proc) {
 			q := nd.queues[qid]
 			q.lock.Lock(p)
 			defer q.lock.Unlock()
@@ -304,7 +303,7 @@ func (nd *NetDev) handle(m *msg.Message) {
 // vCPU: vhost copies the payload into guest memory (or forwards it over
 // the fabric under bypass) and injects the queue's interrupt.
 func (nd *NetDev) deliverToGuest(from, toVCPU, n int) {
-	nd.env.Spawn(nd.svc+".vhost-rx", func(p *sim.Proc) {
+	nd.env.Spawn(nd.svc.Name()+".vhost-rx", func(p *sim.Proc) {
 		q := nd.queueFor(toVCPU)
 		q.lock.Lock(p)
 		p.Sleep(hostPacketCPU)

@@ -175,6 +175,69 @@ func TestNoDiscardedTimers(t *testing.T) {
 	}
 }
 
+// TestNoZeroDelayHops: in the messaging layer and the DSM, a step that
+// is ready runs in place. A message is one event, arrival and handler
+// latency together, and a CallThen continuation or the directory's next
+// step runs inside the event that made it ready, so a Defer or DeferArg
+// with a zero delay there is an event that does no work. Only the sites
+// below keep one, each for its reason; each must still exist. The scan
+// is syntactic over the production files of both packages.
+func TestNoZeroDelayHops(t *testing.T) {
+	type site struct{ fn, callback string }
+	allowed := map[site]string{
+		{"MarkDead", "resume"}: "MarkDead walks the layer's waits, which resume shrinks and a continuation may grow",
+		{"unlock", "dirGrant"}: "unlock's callers still have the previous holder's work to finish; a lock handoff is rare",
+	}
+	seen := map[site]bool{}
+	fset := token.NewFileSet()
+	for _, dir := range []string{"internal/msg", "internal/dsm"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok || len(call.Args) < 2 {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok || (sel.Sel.Name != "Defer" && sel.Sel.Name != "DeferArg") {
+						return true
+					}
+					if lit, ok := call.Args[0].(*ast.BasicLit); !ok || lit.Value != "0" {
+						return true
+					}
+					s := site{fn.Name.Name, types.ExprString(call.Args[1])}
+					if _, ok := allowed[s]; ok {
+						seen[s] = true
+					} else {
+						t.Errorf("%s: %s defers %s by zero: run the step in place", fset.Position(call.Pos()), s.fn, s.callback)
+					}
+					return true
+				})
+			}
+		}
+	}
+	for s, why := range allowed {
+		if !seen[s] {
+			t.Errorf("allowed zero-delay hop %s in %s (%s) is gone: drop it from the allow-list", s.callback, s.fn, why)
+		}
+	}
+}
+
 // TestOnlyOccupyAndVacateChargeTheBooks: the fleet's free books
 // (Fleet.freeCPU and Fleet.freeMem) have one writer pair. occupy charges
 // a VM's vCPUs and their memory share to a node and panics when the node
