@@ -127,6 +127,54 @@ func TestDSMFaultAllocBudget(t *testing.T) {
 	}
 }
 
+// dsmFaultDispatchBudget is how many times one remote write fault
+// switches into its faulting proc: once, when the grant is installed.
+// The fault handler's CPU time delays the request on a timer instead of
+// parking the proc in a Sleep of its own.
+const dsmFaultDispatchBudget = 1
+
+// dsmFaultEvents is how many events TestDSMFaultDispatchBudget's faults
+// schedule, in turn on node 1 and on the origin: the handler's timer,
+// the request's delivery, the grant's and its ack's, and the proc's
+// wake-up (5); the origin's fault adds the round trip that invalidates
+// node 1 (7). Parking the proc once instead of twice moved no event.
+var dsmFaultEvents = [2]uint64{5, 7}
+
+// TestDSMFaultDispatchBudget pins the proc switches of a remote write
+// fault at dsmFaultDispatchBudget and its events at dsmFaultEvents. A
+// callback due inside each fault's handler window keeps the event queue
+// busy there, so a handler charged by a Sleep could not skip its switch
+// on the fast path.
+func TestDSMFaultDispatchBudget(t *testing.T) {
+	tb := fragvisor.NewTestbed(2)
+	defer tb.Close()
+	vm := tb.NewFragVisorVM(2, 4<<30)
+	env := tb.Env
+	const faults = 100
+	type cost struct{ dispatches, events uint64 }
+	var costs []cost
+	env.Spawn("pingpong", func(p *fragvisor.Proc) {
+		for i := 0; i < faults; i++ {
+			env.Defer(sim.Microsecond, func() {})
+			d0, s0 := env.Dispatches(), env.Scheduled()
+			vm.DSM.Touch(p, 1-i%2, 12345, true) // start on node 1: the origin's first touch would hit
+			costs = append(costs, cost{env.Dispatches() - d0, env.Scheduled() - s0})
+		}
+	})
+	tb.Run()
+	if got := vm.DSM.TotalStats().WriteFaults; got != faults || len(costs) != faults {
+		t.Fatalf("%d write faults over %d touches: not every touch faulted", got, len(costs))
+	}
+	for i, c := range costs {
+		if c.dispatches > dsmFaultDispatchBudget {
+			t.Errorf("fault %d dispatches its proc %d times, budget %d", i, c.dispatches, dsmFaultDispatchBudget)
+		}
+		if want := dsmFaultEvents[i%2]; c.events != want {
+			t.Errorf("fault %d schedules %d events, want %d", i, c.events, want)
+		}
+	}
+}
+
 // readCycle is one op of BenchmarkDSMFaultRead on a three-node VM whose
 // node 2 owns page 12345: node 1 read-faults, and the directory fetches
 // the page from node 2, downgrading it (grantRead's owner-fetch path);

@@ -239,7 +239,8 @@ type pendingFault struct {
 	rec    *pageRec
 	ni     int // requester's dense node index
 	write  bool
-	owners int // owners yet to release the fault
+	owners int   // owners yet to release the fault
+	span   int64 // the requester's dsm.read or dsm.write span
 
 	ev  sim.Event // fired when the grant is installed
 	dir task      // the directory's own strand: lock, fetch, grant
@@ -487,7 +488,10 @@ func (d *DSM) contextualWrite(p *sim.Proc, node int, r *pageRec, off int, data [
 }
 
 // ensure runs the coherence protocol until the node holds the page in at
-// least the required state, returning the local replica.
+// least the required state, returning the local replica. A remote fault
+// charges the fault handler's CPU time before its request leaves, and
+// the process parks once, until the grant is installed or a fence fails
+// the wait.
 func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
 	ni := d.index(node)
 	st := &d.stats[ni]
@@ -514,10 +518,14 @@ func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
 	} else {
 		st.ReadFaults++
 	}
-	p.Sleep(faultHandler + d.params.UserSpaceExtra)
+	// The fault handler's CPU time is the request's departure delay:
+	// sendFault sends it from a timer when the handler is done, so the
+	// vCPU parks once for the whole fault, and the request leaves at the
+	// (time, seq) a Sleep's wake-up would have sent it at.
 	pf := d.newFault(r, ni, write)
-	d.layer.Send(sp, node, d.origin, d.dirSvc, "fault", reqBytes, pf)
-	if !d.layer.Await(p, &pf.ev, node, d.origin) {
+	pf.span = sp
+	d.env.DeferArg(faultHandler+d.params.UserSpaceExtra, sendFault, pf)
+	if !d.layer.Wait(p, &pf.ev) {
 		// MarkDead fenced the requester mid-fault: no grant will reach
 		// it, and its in-flight guest work is discarded at restart.
 		d.tr.End(sp)
@@ -533,6 +541,18 @@ func (d *DSM) ensure(p *sim.Proc, node int, r *pageRec, write bool) *localPage {
 		d.Touch(p, node, d.dirtyPage, true)
 	}
 	return lp
+}
+
+// sendFault sends a fault's request to the directory once the fault
+// handler's CPU time has passed, and arms the fence for its requester's
+// wait: a requester fenced in the meantime fails its wait now, one
+// fenced later when MarkDead declares it.
+func sendFault(a any) {
+	pf := a.(*pendingFault)
+	d := pf.d
+	node := d.nodes[pf.ni]
+	d.layer.Send(pf.span, node, d.origin, d.dirSvc, "fault", reqBytes, pf)
+	d.layer.Watch(&pf.ev, node, d.origin)
 }
 
 // newFault returns a fault on r for the node with dense index ni, owned

@@ -234,3 +234,106 @@ func TestFencedRequesterKeepsItsFault(t *testing.T) {
 	}
 	checkFenced(t, d, 3)
 }
+
+// MarkDead fences node 3 inside its write fault's handler window, before
+// the request leaves. The request is abandoned unsent, the requester
+// returns from its fault as the handler's time ends, the directory never
+// takes the page lock, no proc stays parked, and the transport delivers
+// nothing twice and loses nothing silently.
+func TestRequesterFencedInHandlerWindow(t *testing.T) {
+	env, d, _ := newFenceRace(t)
+	defer env.Close()
+	rel := d.layer.Transport()
+	t0 := env.Now()
+	env.After(sim.Microsecond, func() { d.MarkDead(3) })
+	returned := sim.Time(-1)
+	env.Spawn("writer3", func(p *sim.Proc) {
+		d.Write(p, 3, fencePage, 100, []byte("three"))
+		returned = p.Now()
+	})
+	env.Run()
+	if want := t0 + faultHandler; returned != want {
+		t.Errorf("the fenced requester returned at %v, want %v, when its handler ends", returned, want)
+	}
+	if g := d.Granting(); len(g) != 0 {
+		t.Errorf("grants still in flight on pages %v", g)
+	}
+	if live := env.LiveProcs(); len(live) != 0 {
+		t.Errorf("procs still parked: %v", live)
+	}
+	if st := rel.Stats(); st.Delivered > st.Sent || st.Delivered+st.Abandoned != st.Sent {
+		t.Errorf("transport sent %d, delivered %d, abandoned %d: not exactly once", st.Sent, st.Delivered, st.Abandoned)
+	}
+	if s := d.PageState(3, fencePage); s != Invalid {
+		t.Errorf("the fenced requester's replica is %v, want invalid", s)
+	}
+	wantPrefix(t, "node 1", d.rec(fencePage).local[1].contents(), fenceData)
+	checkFenced(t, d, 3)
+}
+
+// MarkDead fences node 3 after its write fault's request has left, while
+// the slow requester's frame is still in flight: the fence, not a grant,
+// ends the wait, at the instant MarkDead runs, and the directory never
+// handles the request.
+func TestFenceAfterSendFailsWait(t *testing.T) {
+	env, d, l := newFenceRace(t)
+	defer env.Close()
+	l.slow, l.lag = 3, sim.Millisecond
+	handled := 0
+	d.dirSvc.Handle(d.origin, func(m *msg.Message) {
+		handled++
+		d.handleDir(m)
+	})
+	t0 := env.Now()
+	fence := t0 + 500*sim.Microsecond
+	env.At(fence, func() { d.MarkDead(3) })
+	returned := sim.Time(-1)
+	env.Spawn("writer3", func(p *sim.Proc) {
+		d.Write(p, 3, fencePage, 100, []byte("three"))
+		returned = p.Now()
+	})
+	env.Run()
+	if returned != fence {
+		t.Errorf("the fenced requester returned at %v, want %v, when MarkDead ran", returned, fence)
+	}
+	if handled != 0 {
+		t.Errorf("the directory handled %d requests from the fenced node", handled)
+	}
+	if g := d.Granting(); len(g) != 0 {
+		t.Errorf("grants still in flight on pages %v", g)
+	}
+	checkFenced(t, d, 3)
+}
+
+// Env.Close while a write fault's request waits out the fault handler
+// unwinds the parked requester, running its deferred calls, and runs
+// nothing it scheduled: the request never leaves and the clock stays
+// where the run stopped.
+func TestCloseWithFaultRequestPending(t *testing.T) {
+	env, d, _ := newFenceRace(t)
+	handled := 0
+	d.dirSvc.Handle(d.origin, func(m *msg.Message) {
+		handled++
+		d.handleDir(m)
+	})
+	sent := d.layer.Transport().Stats().Sent
+	msgs := d.layer.Net().Stats().Messages
+	stop := env.Now() + sim.Microsecond
+	unwound, returned := false, false
+	env.Spawn("writer3", func(p *sim.Proc) {
+		defer func() { unwound = true }()
+		d.Write(p, 3, fencePage, 100, []byte("three"))
+		returned = true
+	})
+	env.RunUntil(stop)
+	env.Close()
+	if !unwound || returned {
+		t.Errorf("after Close: unwound %v, returned %v; want the parked requester unwound, not returned", unwound, returned)
+	}
+	if got := d.layer.Transport().Stats().Sent; got != sent || d.layer.Net().Stats().Messages != msgs {
+		t.Errorf("the transport took %d messages after the fault began: the request left", got-sent)
+	}
+	if handled != 0 || env.Now() != stop {
+		t.Errorf("handled %d requests, clock at %v; want none, %v", handled, env.Now(), stop)
+	}
+}

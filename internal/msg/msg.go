@@ -28,7 +28,13 @@
 // connections under the paper's message layer do. The fence is the
 // layer's one record of declared deaths: over a faulted fabric MarkDead
 // fails every Call that waits on a fenced node with ErrFenced, and no
-// message to or from one is handled.
+// message to or from one is handled. A process that waits on an exchange
+// of its own (a DSM fault, a checkpoint segment) uses the fence in two
+// halves: Watch arms it for the exchange's event, from an event callback
+// if need be, and Wait parks until the event fires and reports whether a
+// fence fired it. Await is the two in a row. Splitting them lets a DSM
+// fault send its request from a timer, the fault handler's CPU time
+// later, while its process parks once, in Wait, for the whole fault.
 //
 // A message schedules itself, one event per delivery: the transport puts
 // the *Message on a pooled sim.Env timer that fires the handler latency
@@ -201,11 +207,11 @@ func (l *Layer) Fenced(node int) bool { return l.rel.Fenced(node) }
 // MarkDead fences a node out for good, as the failure detector declares
 // it dead: the transport stops retransmitting to and from it and discards
 // its frames and, over a faulted fabric, no message to or from it is
-// handled any more and every Call, CallThen or Await that waits on it
-// fails. Waiters wake, and continuations run, in the order they began to
-// wait. A continuation is deferred one event rather than run in place:
-// resume removes its wait from the waits this loop walks, and the
-// continuation may start exchanges that add more.
+// handled any more and every Call, CallThen or watched exchange that
+// waits on it fails. Waiters wake, and continuations run, in the order
+// they began to wait. A continuation is deferred one event rather than
+// run in place: resume removes its wait from the waits this loop walks,
+// and the continuation may start exchanges that add more.
 func (l *Layer) MarkDead(node int) {
 	l.rel.MarkDead(node)
 	for i := range l.waits {
@@ -220,23 +226,41 @@ func (l *Layer) MarkDead(node int) {
 	}
 }
 
-// Await blocks p until ev fires, or until MarkDead fences node a or b,
-// and reports whether ev fired first. Over a fault-free fabric, where
-// nothing is lost, it is a plain Wait.
-func (l *Layer) Await(p *sim.Proc, ev *sim.Event, a, b int) bool {
-	if l.net.Filter() == nil {
-		p.Wait(ev)
-		return true
+// Watch arms the fence for an exchange that completes when ev fires:
+// from now on, MarkDead of node a or b fails it, firing ev and recording
+// the exchange as fenced for Wait to report. An endpoint already fenced
+// fails it at once, the same way. It does not block, so an event callback
+// may call it: a proc can park in Wait first and have the exchange
+// started, and watched, on its behalf. Over a fault-free fabric, where
+// nothing is lost, and for an event that has fired, it does nothing.
+func (l *Layer) Watch(ev *sim.Event, a, b int) {
+	if l.net.Filter() == nil || ev.Fired() {
+		return
 	}
-	if ev.Fired() {
-		return true
+	fenced := l.Fenced(a) || l.Fenced(b)
+	l.waits = append(l.waits, wait{ev: ev, a: a, b: b, fenced: fenced})
+	if fenced {
+		ev.Fire()
 	}
-	if l.Fenced(a) || l.Fenced(b) {
-		return false
-	}
-	l.waits = append(l.waits, wait{ev: ev, a: a, b: b})
+}
+
+// Wait blocks p until ev fires and reports whether it fired on its own,
+// not because a fence failed the exchange Watch armed. An exchange that
+// was never watched cannot be fenced.
+func (l *Layer) Wait(p *sim.Proc, ev *sim.Event) bool {
 	p.Wait(ev)
+	if len(l.waits) == 0 {
+		return true
+	}
 	return !l.unwait(ev)
+}
+
+// Await is Watch then Wait: it blocks p until ev fires, or until MarkDead
+// fences node a or b, and reports whether ev fired first. An endpoint
+// already fenced fails it without blocking.
+func (l *Layer) Await(p *sim.Proc, ev *sim.Event, a, b int) bool {
+	l.Watch(ev, a, b)
+	return l.Wait(p, ev)
 }
 
 // unwait removes ev's entry from the waits and reports whether MarkDead

@@ -336,6 +336,53 @@ func TestCallFailsOnFence(t *testing.T) {
 	}
 }
 
+// TestWatchFromCallback: procs parked in Wait have their exchanges
+// watched by timer callbacks, as a DSM fault's request is. One whose
+// event fires on its own reports true; one a later MarkDead fences
+// reports false at the fence's instant; one watched with an endpoint
+// already fenced reports false at the watch's instant. Nothing is left
+// watched, a fired event is never watched, and over a fault-free fabric
+// Watch arms nothing.
+func TestWatchFromCallback(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	l := newTestLayer(env)
+	l.Net().SetFilter(&dirFilter{from: -1})
+	var got []string
+	waitOn := func(name string, ev *sim.Event) {
+		env.Spawn(name, func(p *sim.Proc) {
+			ok := l.Wait(p, ev)
+			got = append(got, fmt.Sprintf("%s@%v:%v", name, p.Now(), ok))
+		})
+	}
+	var replied, fenced, late sim.Event
+	waitOn("replied", &replied)
+	waitOn("fenced", &fenced)
+	waitOn("late", &late)
+	env.At(1, func() {
+		l.Watch(&replied, 0, 1)
+		l.Watch(&fenced, 0, 2)
+	})
+	env.At(2, replied.Fire)
+	env.At(3, func() {
+		l.MarkDead(2)
+		l.Watch(&replied, 0, 2)
+	})
+	env.At(4, func() { l.Watch(&late, 2, 1) })
+	env.Run()
+	if want := "[replied@2ns:true fenced@3ns:false late@4ns:false]"; fmt.Sprint(got) != want {
+		t.Errorf("waits ended %v, want %s", got, want)
+	}
+	if len(l.waits) != 0 {
+		t.Errorf("%d exchanges still watched", len(l.waits))
+	}
+	free := newTestLayer(env)
+	free.Watch(new(sim.Event), 0, 1)
+	if len(free.waits) != 0 {
+		t.Error("Watch armed a fence over a fault-free fabric")
+	}
+}
+
 // TestReplyAfterHandlerReturns: a handler that replies later (the vCPU
 // migration shape) ends the request's delivery span when it returns and
 // the reply's when the caller wakes, each once. Replying a second time

@@ -72,10 +72,9 @@ func randomProgram(r *rand.Rand) program {
 	return pg
 }
 
-// exec runs the program and returns its trace, the environment's final
-// Scheduled count, and the summed generation of its pooled timers, which
-// counts how many times a pooled timer was taken.
-func (pg program) exec(slow bool) (trace []string, scheduled, gens uint64) {
+// exec runs the program and returns its trace and the environment's
+// final Scheduled and Dispatches counts.
+func (pg program) exec(slow bool) (trace []string, scheduled, dispatches uint64) {
 	e := NewEnv()
 	e.slowSleep = slow
 	evs := make([]Event, pg.events)
@@ -129,26 +128,27 @@ func (pg program) exec(slow bool) (trace []string, scheduled, gens uint64) {
 	if s := e.Stalled(); s != nil {
 		note("stall %v", s)
 	}
-	for _, t := range e.timerFree {
-		gens += t.gen
-	}
 	e.Close()
 	note("closed live=%v", e.LiveProcs())
-	return trace, e.Scheduled(), gens
+	return trace, e.Scheduled(), e.Dispatches()
 }
 
 // TestSleepFastPathIsInvisible: random programs of procs, Sleeps, At and
 // Defer timers, Cancel, Stop, RunUntil slices and the
 // watchdog give the same trace and Scheduled count with the fast path on
-// and off, and the fast path is actually taken.
+// and off, and the fast path is actually taken: it never dispatches more
+// than the slow path, and over all programs it dispatches strictly less.
 func TestSleepFastPathIsInvisible(t *testing.T) {
-	var fastGens, slowGens uint64
+	var fastSwitches, slowSwitches uint64
 	for seed := int64(1); seed <= 400; seed++ {
 		pg := randomProgram(rand.New(rand.NewSource(seed)))
-		fast, fastN, fg := pg.exec(false)
-		slow, slowN, sg := pg.exec(true)
-		fastGens += fg
-		slowGens += sg
+		fast, fastN, fd := pg.exec(false)
+		slow, slowN, sd := pg.exec(true)
+		fastSwitches += fd
+		slowSwitches += sd
+		if fd > sd {
+			t.Errorf("seed %d: %d dispatches with the fast path, %d without", seed, fd, sd)
+		}
 		if fastN != slowN {
 			t.Errorf("seed %d: Scheduled %d with the fast path, %d without", seed, fastN, slowN)
 		}
@@ -156,8 +156,8 @@ func TestSleepFastPathIsInvisible(t *testing.T) {
 			t.Fatalf("seed %d: traces differ\nfast path:\n%s\nslow path:\n%s", seed, f, s)
 		}
 	}
-	if fastGens >= slowGens {
-		t.Errorf("pooled timers taken %d times with the fast path, %d without: the fast path never ran", fastGens, slowGens)
+	if fastSwitches >= slowSwitches {
+		t.Errorf("%d dispatches with the fast path, %d without: the fast path never ran", fastSwitches, slowSwitches)
 	}
 }
 
@@ -242,9 +242,9 @@ func TestSleepYieldsToWatchdog(t *testing.T) {
 	})
 }
 
-// TestFastSleepTakesNoPooledTimer: a fast-path Sleep leaves the pooled
-// timers' generation counters alone, while the slow path takes the top
-// free timer and puts it back; either way the sleeper wakes at the same
+// TestFastSleepTakesNoPooledTimer: a fast-path Sleep queues no timer and
+// takes no switch, while the slow path parks on a pooled timer and is
+// dispatched back once; either way the sleeper wakes at the same
 // (time, seq).
 func TestFastSleepTakesNoPooledTimer(t *testing.T) {
 	var traces []string
@@ -257,15 +257,14 @@ func TestFastSleepTakesNoPooledTimer(t *testing.T) {
 		}
 		e.Run()
 		e.Spawn("a", func(p *Proc) {
-			top := e.timerFree[len(e.timerFree)-1]
-			gen := top.gen
+			before := e.Dispatches()
 			p.Sleep(2) // nothing else queued
-			want := gen
+			want := before
 			if e.slowSleep {
-				want++ // the slow path took the top timer and put it back
+				want++ // the slow path parked and was dispatched back
 			}
-			if top.gen != want {
-				t.Errorf("free timer generation %d after a Sleep, want %d", top.gen, want)
+			if got := e.Dispatches(); got != want {
+				t.Errorf("%d dispatches after a Sleep, want %d", got, want)
 			}
 			note("a")
 		})

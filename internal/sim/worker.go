@@ -31,6 +31,7 @@ func (e *Env) dispatch(p *Proc) {
 	}
 	prev := e.current
 	e.current = p
+	e.dispatches++
 	p.w.next()
 	e.current = prev
 	if p.finished {

@@ -5,6 +5,7 @@ package topo_test
 // flat default the cluster builds.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -258,5 +259,53 @@ func TestPhantomEndpointsHook(t *testing.T) {
 				t.Fatalf("hooked probe produced Endpoints() = %v, want phantom id 3", eps)
 			}
 		})
+	}
+}
+
+// TestEndpointsBySlot: endpoints and flat egress links sit in slices
+// indexed by a zigzag of the id, so negative ids (the cluster's client
+// host is -1) share them with the nodes. Endpoints() is ascending with
+// the negative ids first, EndpointSent reads each id's own counters, a
+// probe of an id that never sent (below, between or above the senders)
+// does not grow Endpoints(), the PhantomEndpoints hook still inserts
+// one, and flat LinkStats() stays in first-send order.
+func TestEndpointsBySlot(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	n := flat(env, 56, 0)
+	senders := []int{3, -1, 0, 7, -4, 1}
+	for i, id := range senders {
+		for k := 0; k <= i; k++ {
+			n.Send(id, 2, 100, nil)
+		}
+	}
+	env.Run()
+	if got, want := fmt.Sprint(n.Endpoints()), "[-4 -1 0 1 3 7]"; got != want {
+		t.Fatalf("Endpoints() = %s, want %s", got, want)
+	}
+	for i, id := range senders {
+		if msgs, bytes := n.EndpointSent(id); msgs != int64(i+1) || bytes != int64(100*(i+1)) {
+			t.Errorf("EndpointSent(%d) = %d msgs %d bytes, want %d, %d", id, msgs, bytes, i+1, 100*(i+1))
+		}
+	}
+	for _, id := range []int{-9, -3, -2, 2, 5, 8, 1 << 20} {
+		if msgs, bytes := n.EndpointSent(id); msgs != 0 || bytes != 0 {
+			t.Errorf("silent endpoint %d reports %d msgs %d bytes", id, msgs, bytes)
+		}
+	}
+	if got := len(n.Endpoints()); got != len(senders) {
+		t.Errorf("probing silent endpoints grew Endpoints() to %v", n.Endpoints())
+	}
+	var names []string
+	for _, l := range n.LinkStats() {
+		names = append(names, l.Name)
+	}
+	if got, want := fmt.Sprint(names), "[n3-egress n-1-egress n0-egress n7-egress n-4-egress n1-egress]"; got != want {
+		t.Errorf("LinkStats() order %s, want first-send order %s", got, want)
+	}
+	n.SetTestHooks(topo.TestHooks{PhantomEndpoints: true})
+	n.EndpointSent(-2)
+	if got, want := fmt.Sprint(n.Endpoints()), "[-4 -2 -1 0 1 3 7]"; got != want {
+		t.Errorf("hooked probe of -2: Endpoints() = %s, want %s", got, want)
 	}
 }

@@ -37,7 +37,6 @@ package topo
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -274,12 +273,12 @@ type Fabric struct {
 	// Tree links, indexed by node (up/down) and rack (torUp/torDown).
 	up, down       []*link
 	torUp, torDown []*link
-	// Flat egress links, created lazily per endpoint: any integer id,
-	// including external hosts, is addressable.
-	flat map[int]*link
+	// Flat egress links, created lazily per endpoint and indexed by
+	// slot(id): any integer id, including external hosts, is addressable.
+	flat []*link
 
-	links  []*link // every link, construction order (LinkStats order)
-	eps    map[int]*endpoint
+	links  []*link     // every link, construction order (LinkStats order)
+	eps    []*endpoint // by slot(id); nil for an id that never sent
 	stats  Stats
 	filter Filter
 	hooks  TestHooks
@@ -300,6 +299,24 @@ type endpoint struct {
 	bytes int64
 }
 
+// slot maps an endpoint id onto a dense slice index by zigzag: 2id for
+// id >= 0, -2id-1 below, so the cluster's nodes (0, 1, ...) and the
+// external client host (-1) share one short slice.
+func slot(id int) int {
+	if id >= 0 {
+		return 2 * id
+	}
+	return -2*id - 1
+}
+
+// grow returns s extended with nils to hold index i.
+func grow[T any](s []*T, i int) []*T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]*T, i+1-len(s))...)
+}
+
 // Build compiles the spec into a live fabric over the environment. Host
 // (node↔switch) links carry hostGbps/hostLat, so a cluster can compile
 // its Params against any topology.
@@ -317,11 +334,9 @@ func (s *Spec) Build(env *sim.Env, name string, hostGbps float64, hostLat sim.Ti
 		spec:    *s,
 		hostLat: hostLat,
 		hostBps: hostGbps * 1e9 / 8,
-		eps:     make(map[int]*endpoint),
 		tr:      trace.FromEnv(env),
 	}
 	if s.Flat {
-		f.flat = make(map[int]*link)
 		return f
 	}
 	uplinkBps := float64(s.NodesPerRack) * f.hostBps / s.Oversub
@@ -413,16 +428,18 @@ func (f *Fabric) route(buf *hops, from, to int) []*link {
 // flatLink lazily creates the per-endpoint egress link of the flat
 // topology.
 func (f *Fabric) flatLink(id int) *link {
-	l, ok := f.flat[id]
-	if !ok {
-		// Every egress link of a flat fabric records its occupancy under
-		// the fabric's one "nic/<name>" span (tid = node), which the
-		// golden trace in internal/trace/testdata pins.
-		l = &link{name: fmt.Sprintf("n%d-egress", id), node: id,
-			bps: f.hostBps, span: f.tr.Key("nic", f.name)}
-		f.flat[id] = l
-		f.links = append(f.links, l)
+	i := slot(id)
+	if i < len(f.flat) && f.flat[i] != nil {
+		return f.flat[i]
 	}
+	// Every egress link of a flat fabric records its occupancy under the
+	// fabric's one "nic/<name>" span (tid = node), which the golden trace
+	// in internal/trace/testdata pins.
+	l := &link{name: fmt.Sprintf("n%d-egress", id), node: id,
+		bps: f.hostBps, span: f.tr.Key("nic", f.name)}
+	f.flat = grow(f.flat, i)
+	f.flat[i] = l
+	f.links = append(f.links, l)
 	return l
 }
 
@@ -510,13 +527,21 @@ func (f *Fabric) Probe(from, to int, within sim.Time) bool {
 // Stats returns a copy of the fabric-wide traffic counters.
 func (f *Fabric) Stats() Stats { return f.stats }
 
-// Endpoints returns the ids of every endpoint that has sent, ascending.
+// Endpoints returns the ids of every endpoint that has sent, ascending:
+// the negative ids, which sit at the odd slots from the top down, then
+// the rest, at the even slots from the bottom up.
 func (f *Fabric) Endpoints() []int {
-	ids := make([]int, 0, len(f.eps))
-	for id := range f.eps {
-		ids = append(ids, id)
+	var ids []int
+	for i := len(f.eps) - 1 - len(f.eps)%2; i >= 0; i -= 2 {
+		if f.eps[i] != nil {
+			ids = append(ids, -(i+1)/2)
+		}
 	}
-	sort.Ints(ids)
+	for i := 0; i < len(f.eps); i += 2 {
+		if f.eps[i] != nil {
+			ids = append(ids, i/2)
+		}
+	}
 	return ids
 }
 
@@ -528,19 +553,21 @@ func (f *Fabric) EndpointSent(id int) (msgs, bytes int64) {
 		e := f.ep(id)
 		return e.sent, e.bytes
 	}
-	if e, ok := f.eps[id]; ok {
-		return e.sent, e.bytes
+	if i := slot(id); i < len(f.eps) && f.eps[i] != nil {
+		return f.eps[i].sent, f.eps[i].bytes
 	}
 	return 0, 0
 }
 
+// ep returns the endpoint record of an id, creating it on first use.
 func (f *Fabric) ep(id int) *endpoint {
-	e, ok := f.eps[id]
-	if !ok {
-		e = &endpoint{}
-		f.eps[id] = e
+	i := slot(id)
+	if i < len(f.eps) && f.eps[i] != nil {
+		return f.eps[i]
 	}
-	return e
+	f.eps = grow(f.eps, i)
+	f.eps[i] = &endpoint{}
+	return f.eps[i]
 }
 
 // LinkStats returns every link's occupancy record in construction order
