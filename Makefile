@@ -37,12 +37,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# leak-race repeats the sim.Env.Close tests and a parallel chaos search
-# and sweep ten times under the race detector: the pool's workers close
+# leak-race repeats the sim.Env.Close tests, the tests of callbacks run on
+# a parked proc's coroutine (Inline) and a parallel chaos search and sweep
+# ten times under the race detector: the pool's workers close
 # their episodes' environments concurrently, and the chaos package's
 # TestMain fails the run if any goroutine outlives them.
 leak-race:
-	$(GO) test -race -count=10 -run 'Close|WorkersAreReused|Goexit' ./internal/sim ./internal/trace
+	$(GO) test -race -count=10 -run 'Close|WorkersAreReused|Goexit|Inline' ./internal/sim ./internal/trace
 	$(GO) test -race -count=10 -run 'TestSearchDeterministicAcrossParallelism|TestRepeatedParallelSweepIdentical' ./internal/chaos ./internal/sweep
 
 bench-smoke:

@@ -128,23 +128,25 @@ func TestDSMFaultAllocBudget(t *testing.T) {
 }
 
 // dsmFaultDispatchBudget is how many times one remote write fault
-// switches into its faulting proc: once, when the grant is installed.
-// The fault handler's CPU time delays the request on a timer instead of
-// parking the proc in a Sleep of its own.
-const dsmFaultDispatchBudget = 1
+// switches into its faulting proc: never. The fault handler's CPU time
+// delays the request on a timer instead of parking the proc in a Sleep of
+// its own, and the proc parks once, in Wait, where it runs the fault's
+// callbacks on its own coroutine until its grant wakes it in place.
+const dsmFaultDispatchBudget = 0
 
 // dsmFaultEvents is how many events TestDSMFaultDispatchBudget's faults
 // schedule, in turn on node 1 and on the origin: the handler's timer,
 // the request's delivery, the grant's and its ack's, and the proc's
 // wake-up (5); the origin's fault adds the round trip that invalidates
-// node 1 (7). Parking the proc once instead of twice moved no event.
+// node 1 (7). Parking the proc once instead of twice, and resuming it in
+// place, moved no event.
 var dsmFaultEvents = [2]uint64{5, 7}
 
 // TestDSMFaultDispatchBudget pins the proc switches of a remote write
 // fault at dsmFaultDispatchBudget and its events at dsmFaultEvents. A
 // callback due inside each fault's handler window keeps the event queue
-// busy there, so a handler charged by a Sleep could not skip its switch
-// on the fast path.
+// busy there, so a handler charged by a Sleep could not skip its park on
+// Sleep's fast path.
 func TestDSMFaultDispatchBudget(t *testing.T) {
 	tb := fragvisor.NewTestbed(2)
 	defer tb.Close()
@@ -322,8 +324,8 @@ func BenchmarkEventDispatch(b *testing.B) {
 
 // BenchmarkProcWake measures a Sleep with nothing else queued: one Sleep
 // per op on a single proc, each taking Sleep's in-place fast path, with no
-// timer and no coroutine switch. BenchmarkProcSwitch measures the
-// park/dispatch round trip.
+// timer and no coroutine switch. BenchmarkProcResume measures a park
+// resumed in place, BenchmarkProcSwitch the park/dispatch round trip.
 func BenchmarkProcWake(b *testing.B) {
 	e := sim.NewEnv()
 	defer e.Close()
@@ -351,6 +353,26 @@ func BenchmarkProcSwitch(b *testing.B) {
 			}
 		})
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkProcResume measures a park that resumes in place: one proc
+// whose every Sleep has a callback due first, so the Sleep parks on a
+// timer, but no other proc runs and the proc runs the callback and pops
+// its own wake-up on its own coroutine, with no switch. One Sleep and one
+// callback per op.
+func BenchmarkProcResume(b *testing.B) {
+	e := sim.NewEnv()
+	defer e.Close()
+	noop := func() {}
+	e.Spawn("sleeper", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			e.Defer(1, noop)
+			p.Sleep(2)
+		}
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()

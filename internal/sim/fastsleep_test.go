@@ -7,9 +7,12 @@ import (
 	"testing"
 )
 
-// Sleep's fast path (advance the clock in place when nothing else is due)
-// must be invisible: every test here runs its world with the fast path on
-// and with slowSleep set, and wants the same (time, seq, proc) trace.
+// The two shortcuts that skip a coroutine switch, Sleep's fast path
+// (advance the clock in place when nothing else is due) and park's resume
+// in place (run the loop's callbacks on the parking proc's coroutine until
+// its own wake-up), must be invisible: every test here runs its world with
+// them on and with alwaysSwitch set, and wants the same (time, seq, proc)
+// trace.
 
 // progOp is one step of a random proc program.
 type progOp struct {
@@ -26,12 +29,22 @@ const (
 	opDefer
 	opCancel
 	opStop
+	opPut
+	opGet
+	opLock
+	opUnlock
+	opConsume
 	numOps
 )
 
+// progQueues is how many queues a program's procs share; they also share
+// one mutex and one PS.
+const progQueues = 2
+
 // program is a random world: procs spawned by timers, each running a list
-// of ops over a shared set of zero-value events, an optional watchdog, and
-// a driver that runs it in RunUntil slices, then to the end.
+// of ops over a shared set of zero-value events, queues, a mutex and a PS,
+// an optional watchdog, and a driver that runs it in RunUntil slices, then
+// to the end.
 type program struct {
 	procs  [][]progOp
 	starts []Time
@@ -74,10 +87,16 @@ func randomProgram(r *rand.Rand) program {
 
 // exec runs the program and returns its trace and the environment's
 // final Scheduled and Dispatches counts.
-func (pg program) exec(slow bool) (trace []string, scheduled, dispatches uint64) {
+func (pg program) exec(alwaysSwitch bool) (trace []string, scheduled, dispatches uint64) {
 	e := NewEnv()
-	e.slowSleep = slow
+	e.alwaysSwitch = alwaysSwitch
 	evs := make([]Event, pg.events)
+	var queues [progQueues]*Queue[string]
+	for i := range queues {
+		queues[i] = NewQueue[string](e)
+	}
+	mu := e.NewMutex()
+	ps := NewPS(e, 1e9)
 	var timers []*Timer
 	note := func(format string, args ...any) {
 		trace = append(trace, fmt.Sprintf("%v/%d/", e.now, e.seq)+fmt.Sprintf(format, args...))
@@ -87,6 +106,12 @@ func (pg program) exec(slow bool) (trace []string, scheduled, dispatches uint64)
 		e.At(pg.starts[i], func() {
 			e.Spawn(name, func(p *Proc) {
 				defer note("%s.exit", name)
+				locked := false
+				defer func() {
+					if locked {
+						mu.Unlock()
+					}
+				}()
 				for j, o := range ops {
 					switch o.kind {
 					case opSleep:
@@ -108,6 +133,22 @@ func (pg program) exec(slow bool) (trace []string, scheduled, dispatches uint64)
 						}
 					case opStop:
 						e.Stop()
+					case opPut:
+						queues[o.k%progQueues].Put(fmt.Sprintf("%s.%d", name, j))
+					case opGet:
+						note("%s got %s", name, queues[o.k%progQueues].Get(p))
+					case opLock:
+						if !locked {
+							mu.Lock(p)
+							locked = true
+						}
+					case opUnlock:
+						if locked {
+							mu.Unlock()
+							locked = false
+						}
+					case opConsume:
+						ps.ConsumeTime(p, o.d)
 					}
 					note("%s.%d", name, j)
 				}
@@ -134,10 +175,10 @@ func (pg program) exec(slow bool) (trace []string, scheduled, dispatches uint64)
 }
 
 // TestSleepFastPathIsInvisible: random programs of procs, Sleeps, At and
-// Defer timers, Cancel, Stop, RunUntil slices and the
-// watchdog give the same trace and Scheduled count with the fast path on
-// and off, and the fast path is actually taken: it never dispatches more
-// than the slow path, and over all programs it dispatches strictly less.
+// Defer timers, Cancel, Stop, queues, a mutex, a PS, RunUntil slices and
+// the watchdog give the same trace and Scheduled count with the shortcuts
+// on and off, and the shortcuts are actually taken: they never dispatch
+// more than alwaysSwitch does, and over all programs strictly less.
 func TestSleepFastPathIsInvisible(t *testing.T) {
 	var fastSwitches, slowSwitches uint64
 	for seed := int64(1); seed <= 400; seed++ {
@@ -147,27 +188,29 @@ func TestSleepFastPathIsInvisible(t *testing.T) {
 		fastSwitches += fd
 		slowSwitches += sd
 		if fd > sd {
-			t.Errorf("seed %d: %d dispatches with the fast path, %d without", seed, fd, sd)
+			t.Errorf("seed %d: %d dispatches with the shortcuts, %d without", seed, fd, sd)
 		}
 		if fastN != slowN {
-			t.Errorf("seed %d: Scheduled %d with the fast path, %d without", seed, fastN, slowN)
+			t.Errorf("seed %d: Scheduled %d with the shortcuts, %d without", seed, fastN, slowN)
 		}
 		if f, s := strings.Join(fast, "\n"), strings.Join(slow, "\n"); f != s {
-			t.Fatalf("seed %d: traces differ\nfast path:\n%s\nslow path:\n%s", seed, f, s)
+			t.Fatalf("seed %d: traces differ\nshortcuts:\n%s\nalwaysSwitch:\n%s", seed, f, s)
 		}
 	}
 	if fastSwitches >= slowSwitches {
-		t.Errorf("%d dispatches with the fast path, %d without: the fast path never ran", fastSwitches, slowSwitches)
+		t.Errorf("%d dispatches with the shortcuts, %d without: no shortcut ran", fastSwitches, slowSwitches)
 	}
 }
 
-// bothPaths runs f once with the fast path and once without.
+// bothPaths runs f once with the shortcuts and once with alwaysSwitch.
+// The subtests keep the name of the hook's predecessor, slowSleep, which
+// turned off only Sleep's fast path, so their names stay stable.
 func bothPaths(t *testing.T, f func(t *testing.T, e *Env)) {
-	for _, slow := range []bool{false, true} {
-		t.Run(fmt.Sprintf("slowSleep=%v", slow), func(t *testing.T) {
+	for _, always := range []bool{false, true} {
+		t.Run(fmt.Sprintf("slowSleep=%v", always), func(t *testing.T) {
 			e := NewEnv()
 			defer e.Close()
-			e.slowSleep = slow
+			e.alwaysSwitch = always
 			f(t, e)
 		})
 	}
@@ -243,9 +286,10 @@ func TestSleepYieldsToWatchdog(t *testing.T) {
 }
 
 // TestFastSleepTakesNoPooledTimer: a fast-path Sleep queues no timer and
-// takes no switch, while the slow path parks on a pooled timer and is
-// dispatched back once; either way the sleeper wakes at the same
-// (time, seq).
+// takes no switch, and a Sleep with a callback due first parks on a pooled
+// timer and resumes in place, also with no switch. Under alwaysSwitch each
+// parks and is dispatched back once. Either way the sleeper wakes at the
+// same (time, seq).
 func TestFastSleepTakesNoPooledTimer(t *testing.T) {
 	var traces []string
 	bothPaths(t, func(t *testing.T, e *Env) {
@@ -257,19 +301,24 @@ func TestFastSleepTakesNoPooledTimer(t *testing.T) {
 		}
 		e.Run()
 		e.Spawn("a", func(p *Proc) {
-			before := e.Dispatches()
-			p.Sleep(2) // nothing else queued
-			want := before
-			if e.slowSleep {
-				want++ // the slow path parked and was dispatched back
+			sleep := func(what string) {
+				before := e.Dispatches()
+				p.Sleep(2)
+				want := before
+				if e.alwaysSwitch {
+					want++ // parked and was dispatched back
+				}
+				if got := e.Dispatches(); got != want {
+					t.Errorf("%d dispatches after a Sleep %s, want %d", got-before, what, want-before)
+				}
+				note("a")
 			}
-			if got := e.Dispatches(); got != want {
-				t.Errorf("%d dispatches after a Sleep, want %d", got, want)
-			}
-			note("a")
+			sleep("with nothing else queued")
+			e.Defer(1, func() { note("defer") })
+			sleep("behind a callback")
 		})
 		e.Run()
-		if got, want := fmt.Sprint(log), "[a@3ns/6]"; got != want {
+		if got, want := fmt.Sprint(log), "[a@3ns/6 defer@4ns/8 a@5ns/8]"; got != want {
 			t.Errorf("log %s, want %s", got, want)
 		}
 		traces = append(traces, fmt.Sprint(log, e.Scheduled()))

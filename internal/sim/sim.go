@@ -6,15 +6,18 @@
 // written as ordinary sequential Go functions running in "processes"
 // (see Proc); each process is backed by a runtime coroutine (iter.Pull), and
 // control passes between the event loop and one process at a time by
-// coroutine switch, so process code never races. A Sleep that wakes before
-// anything else is due takes no switch at all: it advances the clock in
-// place (see Proc.Sleep).
+// coroutine switch, so process code never races. The event loop itself may
+// run on a parked process's coroutine: a process that parks keeps running
+// the loop's callbacks there, and when the next wake-up is its own it
+// resumes in place, with no switch. Only one of them runs at a time all
+// the same. A Sleep that wakes before anything else is due takes no switch
+// and no timer at all: it advances the clock in place (see Proc.Sleep).
 //
 // Three counters measure a run's work: Env.Scheduled counts the events
 // ever queued, Env.Dispatches the coroutine switches into a process (a
 // switch costs several events' worth of CPU, so a hot path that waits
-// once instead of twice is the cheaper one even at equal Scheduled), and
-// Env.Spawned the processes.
+// once instead of twice is the cheaper one even at equal Scheduled; a
+// resume in place costs none), and Env.Spawned the processes.
 //
 // The primitives offered are the classic discrete-event toolkit:
 //
@@ -247,9 +250,15 @@ type Env struct {
 	wdLast   uint64
 	wdGen    uint64
 
-	// slowSleep turns off Sleep's in-place fast path, so tests can check
-	// that it changes no trace.
-	slowSleep bool
+	// loopOn is the parked proc whose coroutine is running the event
+	// loop's callbacks (Proc.park); nil while the loop runs on Run's
+	// goroutine.
+	loopOn *Proc
+
+	// alwaysSwitch turns off both shortcuts that skip a coroutine
+	// switch, Sleep's in-place path and park's resume in place, so tests
+	// can check that they change no trace.
+	alwaysSwitch bool
 }
 
 // SetTrace attaches an opaque tracing context to the environment. The sim
@@ -423,7 +432,9 @@ func (e *Env) Scheduled() uint64 { return e.seq }
 
 // Dispatches returns the total number of coroutine switches into a
 // process: one per start and one per wake-up from Sleep, Wait, Queue.Get,
-// Mutex.Lock or PS.Consume. A Sleep that takes its fast path costs none.
+// Mutex.Lock or PS.Consume, except that a Sleep taking its fast path and
+// a wake-up resumed in place (the parked process ran the callbacks due
+// before it on its own coroutine) cost none.
 func (e *Env) Dispatches() uint64 { return e.dispatches }
 
 // Run executes events in order until the queue is empty or Stop is called.
@@ -569,7 +580,7 @@ func (p *Proc) Sleep(d Time) {
 	}
 	e := p.env
 	at := e.now + d
-	if e.current == p && !e.stopped && !e.closed && !e.slowSleep && at <= e.deadline &&
+	if e.current == p && !e.stopped && !e.closed && !e.alwaysSwitch && at <= e.deadline &&
 		(len(e.events) == 0 || at < e.events[0].at) {
 		e.now = at
 		e.seq++

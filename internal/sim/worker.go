@@ -22,6 +22,9 @@ import (
 // The switch into p is a coroutine resume (worker.next): the event loop's
 // goroutine blocks and p's worker runs directly, with no trip through the
 // Go scheduler's run queue. It returns when p parks (yield) or finishes.
+// While p runs it may run the event loop's callbacks itself, on its own
+// coroutine (see park), so a dispatch can cover many events and several
+// of p's waits; it still ends at the first event p cannot run in place.
 func (e *Env) dispatch(p *Proc) {
 	if p.finished {
 		panic(fmt.Sprintf("sim: dispatch of finished proc %q", p.name))
@@ -82,9 +85,11 @@ type worker struct {
 // loop is the worker coroutine's body. Each iteration runs one proc to
 // completion. A coroutine switch transfers control rather than signalling
 // it, so exactly one of {event loop, one worker} runs at any instant and
-// process code never races. Returning the worker to the free list happens
-// before the final yield, while the event loop is still suspended in next —
-// no concurrent mutation of environment state.
+// process code never races; that holds too while a parked proc runs the
+// loop's callbacks on this coroutine (park), since the loop's own
+// goroutine is suspended in next all the while. Returning the worker to
+// the free list happens before the final yield, while the event loop is
+// still suspended in next — no concurrent mutation of environment state.
 //
 // Close ends the loop at either suspension point. An idle worker's yield
 // returns false and loop returns. A bound worker's proc is unwound by
@@ -142,13 +147,84 @@ var errClosed = errors.New("sim: environment closed")
 // the proc with errClosed. A deferred call that parks again while Close
 // unwinds gets the same panic at once, since a stopped coroutine's yield
 // returns false without switching.
+//
+// Before yielding, park runs the event loop itself, on the proc's own
+// coroutine, for as long as the loop would run nothing but callbacks
+// (resumeInPlace). If the next wake-up it reaches is the proc's own, park
+// returns with no switch at all: the loop would only have dispatched the
+// proc straight back.
 func (p *Proc) park() {
-	if p.env.current != p {
+	e := p.env
+	if e.current != p {
 		panic(fmt.Sprintf("sim: proc %q parking while not current", p.name))
+	}
+	if e.resumeInPlace(p) {
+		return
 	}
 	if !p.w.yield(struct{}{}) {
 		panic(errClosed)
 	}
+}
+
+// resumeInPlace runs the event loop on parking proc p's coroutine. It
+// pops events as RunUntil does — same order, same cancelled-timer
+// accounting, same recycling, no current proc while a callback runs — and
+// stops at the first of these: p's own wake-up, which it pops, making p
+// current again and reporting true; or another proc's wake-up, a stopped
+// run, an empty queue or an event past the deadline, which it leaves for
+// the loop and reports false. p then yields, and the loop carries on from
+// exactly there, so no trace can tell where an event ran. When the first
+// event already ends it, it returns before setting anything up, so a
+// hand-off to another proc costs what it did before.
+//
+// A callback's panic is recovered here and left in procErr, which the
+// loop re-raises with the same value once p has yielded: it is not p's
+// panic. A callback's runtime.Goexit unwinds p's coroutine, and iter.Pull
+// re-raises it in the goroutine running Run.
+func (e *Env) resumeInPlace(p *Proc) bool {
+	if e.alwaysSwitch || e.closed || !e.nextRunsOn(p) {
+		return false
+	}
+	e.current, e.loopOn = nil, p
+	defer func() {
+		e.loopOn = nil
+		if r := recover(); r != nil {
+			e.procErr = r
+		}
+	}()
+	for e.nextRunsOn(p) {
+		next := e.events.pop()
+		if next.state == timerCancelled {
+			e.deadTimers--
+			e.recycle(next)
+			continue
+		}
+		next.state = timerFired
+		e.now = next.at
+		if next.proc != nil {
+			e.recycle(next)
+			e.current = p
+			return true
+		}
+		if next.afn != nil {
+			next.afn(next.arg)
+		} else {
+			next.fn()
+		}
+		e.recycle(next)
+	}
+	return false
+}
+
+// nextRunsOn reports whether the event loop's next step may run on p's
+// coroutine: the run is not stopped, and the earliest event is due by the
+// deadline and is a callback or p's own wake-up.
+func (e *Env) nextRunsOn(p *Proc) bool {
+	if e.stopped || len(e.events) == 0 {
+		return false
+	}
+	next := e.events[0]
+	return next.at <= e.deadline && (next.proc == nil || next.proc == p)
 }
 
 // Close ends the environment: it stops every worker coroutine, so their
@@ -165,13 +241,17 @@ func (p *Proc) park() {
 // deferred call would end Close's caller, as Goexit from a proc ends
 // Run's caller.
 //
-// Close is idempotent. It panics when called from inside a proc; Spawn
-// and Run panic after it. The clock, LiveProcs and the stall verdict
+// Close is idempotent. It panics when called from inside a proc, or from
+// a callback that a parked proc runs on its own coroutine (Proc.park);
+// Spawn and Run panic after it. The clock, LiveProcs and the stall verdict
 // stay as they were; Scheduled also counts any wake-ups the unwound
 // deferred calls scheduled.
 func (e *Env) Close() {
 	if p := e.current; p != nil && !p.w.exited {
 		panic(fmt.Sprintf("sim: Close from inside proc %q", p.name))
+	}
+	if p := e.loopOn; p != nil {
+		panic(fmt.Sprintf("sim: Close from a callback run on proc %q", p.name))
 	}
 	if e.closed {
 		return
