@@ -67,7 +67,7 @@ func BenchmarkVCPUMigration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tb.Env.Spawn("migrate", func(p *fragvisor.Proc) {
-			last = vm.MigrateVCPU(p, 1, 1-vm.VCPUNodes()[1], 0)
+			last = vm.MigrateVCPU(p, 1, 1-vm.VCPUNodes()[1])
 		})
 		tb.Run()
 	}

@@ -31,7 +31,7 @@ func main() {
 	tb.Env.Spawn("failover", func(p *fragvisor.Proc) {
 		img := fragvisor.Checkpoint(p, vm, 0)
 		fmt.Printf("checkpoint: %d MB in %v (disk-bound)\n", img.Bytes>>20, img.Duration)
-		d := vm.MigrateVCPU(p, 1, 0, 1) // evacuate node 1
+		d := vm.MigrateVCPU(p, 1, 0) // evacuate node 1
 		fmt.Printf("evacuated vCPU1 from failing node in %v\n", d)
 		fmt.Printf("restore: %v; consolidated=%v\n",
 			fragvisor.Restore(p, vm, img), vm.Consolidated())

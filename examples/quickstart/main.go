@@ -41,7 +41,7 @@ func main() {
 	// one live vCPU migration at a time (~86 us each).
 	tb.Env.Spawn("consolidate", func(p *fragvisor.Proc) {
 		for id := 1; id < 4; id++ {
-			d := vm.MigrateVCPU(p, id, 0, id)
+			d := vm.MigrateVCPU(p, id, 0)
 			fmt.Printf("migrated vCPU %d to node 0 in %v\n", id, d)
 		}
 	})

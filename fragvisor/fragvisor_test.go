@@ -62,7 +62,7 @@ func TestMigrationAndConsolidation(t *testing.T) {
 	defer tb.Close()
 	vm := tb.NewFragVisorVM(2, 4<<30)
 	tb.Env.Spawn("orchestrate", func(p *fragvisor.Proc) {
-		if d := vm.MigrateVCPU(p, 1, 0, 1); d < 50*fragvisor.Microsecond {
+		if d := vm.MigrateVCPU(p, 1, 0); d < 50*fragvisor.Microsecond {
 			t.Errorf("migration latency = %v, implausibly fast", d)
 		}
 	})

@@ -142,7 +142,7 @@ func TestCheckpointAfterNodeLossRecoversOnSurvivor(t *testing.T) {
 	vm.Env.Spawn("ops", func(p *sim.Proc) {
 		img = Take(p, vm, 0)
 		// Predicted failure of node 1: consolidate away from it.
-		vm.MigrateVCPU(p, 1, 0, 1)
+		vm.MigrateVCPU(p, 1, 0)
 		Restore(p, vm, img)
 	})
 	vm.Env.Run()

@@ -63,7 +63,7 @@ func Ablation(o Options) *metrics.Table {
 	// consolidation of Fig 14 is impossible. Report the migration cost
 	// that buys it.
 	vm := newFragVM(o, 2)
-	vm.Env.Spawn("migrate", func(p *sim.Proc) { vm.MigrateVCPU(p, 1, 0, 1) })
+	vm.Env.Spawn("migrate", func(p *sim.Proc) { vm.MigrateVCPU(p, 1, 0) })
 	vm.Env.Run()
 	_, mean := vm.VCPUs.Migrations()
 	t.AddNote("mobility: one live vCPU migration costs %v; GiantVM cannot consolidate at all", mean)

@@ -167,8 +167,8 @@ func MicroMigration(o Options) *metrics.Table {
 	const rounds = 50
 	vm.Env.Spawn("migrator", func(p *sim.Proc) {
 		for i := 0; i < rounds; i++ {
-			vm.MigrateVCPU(p, 1, 0, 1)
-			vm.MigrateVCPU(p, 1, 1, 0)
+			vm.MigrateVCPU(p, 1, 0)
+			vm.MigrateVCPU(p, 1, 1)
 		}
 	})
 	vm.Env.Run()

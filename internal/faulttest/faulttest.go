@@ -266,7 +266,7 @@ func Run(s Scenario) *Result {
 			env.MarkProgress() // a death declaration is forward motion
 			res.Detected = append(res.Detected, hp.Now()-start)
 			res.DeadAt = append(res.DeadAt, node)
-			vm.RestartOnSurvivors()
+			vm.Restart(vm.AliveNodes())
 			if img != nil {
 				res.Restores = append(res.Restores, checkpoint.Restore(hp, vm, img))
 			}

@@ -106,7 +106,13 @@ func (f *Fleet) handleNodeDown(node int) {
 		f.stats.Restarts++
 		f.log("restart", id, node, -1, lost, -1)
 		if b != nil {
-			b.repinLost(node, target)
+			var onto []int
+			for _, n := range target.Nodes() {
+				for i := 0; i < target[n]; i++ {
+					onto = append(onto, n)
+				}
+			}
+			b.vm.Restart(onto)
 			f.env.Spawn(fmt.Sprintf("fleet-restore-%d", id), func(p *sim.Proc) {
 				checkpoint.Restore(p, b.vm, b.img)
 			})
@@ -166,9 +172,8 @@ func (f *Fleet) handleNodeUp(node int) {
 // become real vCPU migrations, and failure recovery restarts the lost
 // slices from the checkpoint image.
 type binding struct {
-	vm       *hypervisor.VM
-	img      *checkpoint.Image
-	nextPCPU map[int]int
+	vm  *hypervisor.VM
+	img *checkpoint.Image
 }
 
 // Bind attaches a live Aggregate VM to an admitted fleet VM. From here
@@ -188,7 +193,7 @@ func (f *Fleet) Bind(vmID int, live *hypervisor.VM, img *checkpoint.Image) {
 	if img == nil && f.cfg.HeartbeatEvery > 0 {
 		panic(fmt.Sprintf("fleet: VM %d bound without a checkpoint under failure detection", vmID))
 	}
-	rec.bound = &binding{vm: live, img: img, nextPCPU: map[int]int{}}
+	rec.bound = &binding{vm: live, img: img}
 }
 
 // migrate executes one committed move on the live VM: n of its vCPUs
@@ -197,7 +202,7 @@ func (b *binding) migrate(p *sim.Proc, from, to, n int) {
 	moved := 0
 	for id, node := range b.vm.VCPUNodes() {
 		if node == from && moved < n {
-			b.vm.MigrateVCPU(p, id, to, b.takePCPU(to))
+			b.vm.MigrateVCPU(p, id, to)
 			moved++
 		}
 	}
@@ -211,34 +216,4 @@ func (b *binding) markDead(node int) {
 			return
 		}
 	}
-}
-
-// repinLost administratively re-pins the vCPUs stranded on the dead node
-// onto the replacement fragments — the dead host cannot participate in
-// live migration.
-func (b *binding) repinLost(deadNode int, target sched.Placement) {
-	var dsts []int
-	for _, n := range target.Nodes() {
-		for i := 0; i < target[n]; i++ {
-			dsts = append(dsts, n)
-		}
-	}
-	di := 0
-	for id, node := range b.vm.VCPUNodes() {
-		if node != deadNode || di >= len(dsts) {
-			continue
-		}
-		dst := dsts[di]
-		di++
-		pcpus := b.vm.Config().Cluster.Node(dst).PCPUs
-		b.vm.VCPUs.Repin(id, dst, pcpus[b.takePCPU(dst)])
-	}
-}
-
-// takePCPU hands out pCPU indices on a node round-robin.
-func (b *binding) takePCPU(node int) int {
-	k := len(b.vm.Config().Cluster.Node(node).PCPUs)
-	idx := b.nextPCPU[node] % k
-	b.nextPCPU[node]++
-	return idx
 }

@@ -56,8 +56,9 @@ func TestDroppedProbesDeclareNodeDown(t *testing.T) {
 
 // TestBoundVMRestartsOnLenderCrash drives a bound live VM through a
 // lender crash: the fleet declares the slice dead on the live VM and
-// re-pins every vCPU stranded there onto the replacement fragment, then
-// restores memory from the checkpoint.
+// re-pins every vCPU stranded there onto the replacement fragment, each
+// on a core no other vCPU of the VM holds, then restores memory from the
+// checkpoint.
 func TestBoundVMRestartsOnLenderCrash(t *testing.T) {
 	const borrower, lender = 4, 1
 	env := sim.NewEnv()
@@ -124,8 +125,63 @@ func TestBoundVMRestartsOnLenderCrash(t *testing.T) {
 			t.Errorf("stranded vCPU %d sits on node %d, not on the replacement fragment (%v → %v)", id, n, before, after)
 		}
 	}
+	holder := map[*sim.PS]int{}
+	for id := range nodes {
+		pcpu := vm.VCPUs.VCPU(id).PCPU()
+		if other, ok := holder[pcpu]; ok {
+			t.Errorf("vCPUs %d and %d share a pCPU of node %d after the restart", other, id, nodes[id])
+		}
+		holder[pcpu] = id
+	}
 	if st := f.Stats(); st.Restarts != 1 {
 		t.Errorf("restarts %d, want 1", st.Restarts)
+	}
+	f.Verify()
+}
+
+// TestBoundVMConsolidatesOntoFreeCores: a bound VM pinned at its nodes'
+// low cores, a 2+2 gang on nodes 0 and 1, is consolidated onto node 0
+// once VM 1 departs from there (MinNodes consolidates on departure). The two vCPUs that migrate in take cores
+// of their own, not pCPUs 0 and 1 that the VM's node-0 vCPUs hold.
+func TestBoundVMConsolidatesOntoFreeCores(t *testing.T) {
+	const borrower = 4
+	env := sim.NewEnv()
+	defer env.Close()
+	c := cluster.NewDefault(env, 3)
+	f := New(env, ClusterConfig(c, sched.MinNodes))
+	f.Submit([]Request{
+		{ID: 1, VCPUs: 6, MemBytes: 6 * gig, Arrival: 0, Duration: 2 * sim.Second},
+		{ID: 2, VCPUs: 6, MemBytes: 6 * gig, Arrival: 1},
+		{ID: 3, VCPUs: 6, MemBytes: 6 * gig, Arrival: 2},
+		{ID: borrower, VCPUs: 4, MemBytes: 2 * gig, Arrival: 3},
+	})
+	var vm *hypervisor.VM
+	env.At(sim.Second, func() {
+		pl := f.PlacementOf(borrower)
+		if pl[0] != 2 || pl[1] != 2 {
+			t.Fatalf("borrower placed %v, want a 2+2 gang on nodes 0 and 1", pl)
+		}
+		var pins []hypervisor.Pin
+		for _, n := range []int{0, 1} {
+			for i := 0; i < pl[n]; i++ {
+				pins = append(pins, hypervisor.Pin{Node: n, PCPU: i})
+			}
+		}
+		vm = hypervisor.New(hypervisor.FragVisorConfig(c, pins, 2*gig))
+		f.Bind(borrower, vm, nil)
+	})
+	env.RunUntil(5 * sim.Second)
+
+	if !vm.Consolidated() || vm.VCPUNodes()[0] != 0 {
+		t.Fatalf("live vCPUs on %v (fleet placement %v), want all on node 0", vm.VCPUNodes(), f.PlacementOf(borrower))
+	}
+	holder := map[*sim.PS]int{}
+	for id := 0; id < vm.NVCPU(); id++ {
+		pcpu := vm.VCPUs.VCPU(id).PCPU()
+		if other, ok := holder[pcpu]; ok {
+			t.Errorf("vCPUs %d and %d share a pCPU of node 0 after consolidation", other, id)
+		}
+		holder[pcpu] = id
 	}
 	f.Verify()
 }

@@ -39,7 +39,7 @@ func TestNoMobilityPanics(t *testing.T) {
 				t.Error("GiantVM migration did not panic")
 			}
 		}()
-		vm.MigrateVCPU(p, 1, 0, 1)
+		vm.MigrateVCPU(p, 1, 0)
 	})
 	env.Run()
 }

@@ -121,22 +121,20 @@ func (vm *VM) StopHeartbeat() {
 	}
 }
 
-// RestartOnSurvivors re-pins every vCPU hosted by dead slices onto the
-// surviving nodes round-robin (administratively — the dead host cannot
-// participate in live migration), returning how many vCPUs moved. Combine
+// Restart re-pins every vCPU hosted by a dead slice, in vCPU order, the
+// k-th onto node onto[k%len(onto)] and there onto the core freePCPU
+// picks (administratively: the dead host cannot take part in live
+// migration), and returns how many vCPUs moved. Recovery passes the
+// survivors (AliveNodes) or the fleet's replacement fragment. Combine
 // with checkpoint.Restore to rebuild their memory image.
-func (vm *VM) RestartOnSurvivors() int {
-	survivors := vm.AliveNodes()
+func (vm *VM) Restart(onto []int) int {
 	moved := 0
-	next := make(map[int]int)
 	for i := 0; i < vm.VCPUs.N(); i++ {
 		if vm.Alive(vm.VCPUs.NodeOf(i)) {
 			continue
 		}
-		dst := survivors[moved%len(survivors)]
-		pcpus := vm.cfg.Cluster.Node(dst).PCPUs
-		vm.VCPUs.Repin(i, dst, pcpus[next[dst]%len(pcpus)])
-		next[dst]++
+		dst := onto[moved%len(onto)]
+		vm.VCPUs.Repin(i, dst, vm.freePCPU(i, dst))
 		moved++
 	}
 	vm.ctr.Inc("recover.vcpus_moved", int64(moved))

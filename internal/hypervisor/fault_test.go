@@ -2,6 +2,7 @@ package hypervisor
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -89,5 +90,58 @@ func TestLateProbeIsAMiss(t *testing.T) {
 	misses, declared := detectorRun(t, sched)
 	if misses != 1 || len(declared) != 0 {
 		t.Errorf("%d misses, declared %v; want 1 miss and no declaration", misses, declared)
+	}
+}
+
+// pcpuIndex returns the index, on its node, of the pCPU vCPU id is pinned to.
+func pcpuIndex(vm *VM, id int) int {
+	v := vm.VCPUs.VCPU(id)
+	return slices.Index(vm.cfg.Cluster.Node(v.Node()).PCPUs, v.PCPU())
+}
+
+// TestRestartGivesEachVCPUItsOwnCore: lender 1 of a VM with two vCPUs on
+// each of nodes 0, 1 and 2 crashes, and recovery restarts its vCPUs on
+// the survivors. Each lands on a core no other vCPU of the VM holds, not
+// on pCPU 0 beside the survivor already running there.
+func TestRestartGivesEachVCPUItsOwnCore(t *testing.T) {
+	c := newCluster(3)
+	defer c.Env.Close()
+	inj := fault.New(c)
+	vm := New(FragVisorConfig(c, SpreadPlacement([]int{0, 1, 2}, 6), 1<<30))
+	var sched fault.Schedule
+	sched.Add(fault.Event{At: sim.Millisecond, Kind: fault.CrashNode, Node: 1})
+	moved := 0
+	c.Env.Spawn("driver", func(p *sim.Proc) {
+		vm.Boot(p)
+		vm.StartHeartbeat(func(*sim.Proc, int) {
+			moved = vm.Restart(vm.AliveNodes())
+			vm.StopHeartbeat()
+		})
+		inj.Apply(sched.Shifted(p.Now()))
+	})
+	c.Env.Run()
+	if moved != 2 || vm.Alive(1) {
+		t.Fatalf("restart moved %d vCPUs, node 1 alive %v; want 2 moved off a dead node 1", moved, vm.Alive(1))
+	}
+	if got := vm.Counters().Get("recover.vcpus_moved"); got != 2 {
+		t.Errorf("recover.vcpus_moved = %d, want 2", got)
+	}
+	holder := map[*sim.PS]int{}
+	for id := 0; id < vm.NVCPU(); id++ {
+		v := vm.VCPUs.VCPU(id)
+		if v.Node() == 1 {
+			t.Errorf("vCPU %d is still on the dead node", id)
+		}
+		if other, ok := holder[v.PCPU()]; ok {
+			t.Errorf("vCPUs %d and %d share pCPU %d of node %d", other, id, pcpuIndex(vm, id), v.Node())
+		}
+		holder[v.PCPU()] = id
+	}
+	// vCPU 1 goes to node 0 and vCPU 4 to node 2, each onto pCPU 2:
+	// pCPUs 0 and 1 there hold the survivors.
+	for _, id := range []int{1, 4} {
+		if k := pcpuIndex(vm, id); k != 2 {
+			t.Errorf("restarted vCPU %d on pCPU %d of node %d, want pCPU 2", id, k, vm.VCPUs.NodeOf(id))
+		}
 	}
 }

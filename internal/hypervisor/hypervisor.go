@@ -21,6 +21,7 @@ package hypervisor
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/dsm"
@@ -257,14 +258,29 @@ func (vm *VM) Run(vcpuID int, name string, fn func(*vcpu.Ctx)) *sim.Proc {
 	})
 }
 
-// MigrateVCPU live-migrates a vCPU to the given node and pCPU index,
-// returning the migration latency. It panics for profiles without
-// mobility (GiantVM).
-func (vm *VM) MigrateVCPU(p *sim.Proc, vcpuID, node, pcpuIdx int) sim.Time {
+// MigrateVCPU live-migrates a vCPU to the given node, onto the core
+// freePCPU picks there, returning the migration latency. It panics for
+// profiles without mobility (GiantVM).
+func (vm *VM) MigrateVCPU(p *sim.Proc, vcpuID, node int) sim.Time {
 	if !vm.cfg.Mobility {
 		panic("hypervisor: this profile does not implement vCPU migration")
 	}
-	return vm.VCPUs.Migrate(p, vcpuID, node, vm.cfg.Cluster.Node(node).PCPUs[pcpuIdx])
+	return vm.VCPUs.Migrate(p, vcpuID, node, vm.freePCPU(vcpuID, node))
+}
+
+// freePCPU is the one rule that places a vCPU after boot, for migration
+// and restart alike: the pCPU on node holding the fewest of the VM's
+// other vCPUs, the lowest index on a tie. So a vCPU gets a core of its
+// own while the node has one. It sees only this VM's vCPUs.
+func (vm *VM) freePCPU(vcpuID, node int) *sim.PS {
+	pcpus := vm.cfg.Cluster.Node(node).PCPUs
+	holders := make([]int, len(pcpus))
+	for i := 0; i < vm.VCPUs.N(); i++ {
+		if v := vm.VCPUs.VCPU(i); i != vcpuID && v.Node() == node {
+			holders[slices.Index(pcpus, v.PCPU())]++
+		}
+	}
+	return pcpus[slices.Index(holders, slices.Min(holders))]
 }
 
 // VCPUNodes returns the node currently hosting each vCPU.

@@ -98,7 +98,7 @@ func TestMigrateAndConsolidate(t *testing.T) {
 	c := newCluster(2)
 	vm := New(FragVisorConfig(c, SpreadPlacement([]int{0, 1}, 2), 1<<30))
 	c.Env.Spawn("orchestrator", func(p *sim.Proc) {
-		if d := vm.MigrateVCPU(p, 1, 0, 1); d <= 0 {
+		if d := vm.MigrateVCPU(p, 1, 0); d <= 0 {
 			t.Errorf("migration latency = %v", d)
 		}
 	})
@@ -108,6 +108,39 @@ func TestMigrateAndConsolidate(t *testing.T) {
 	}
 	if nodes := vm.VCPUNodes(); nodes[1] != 0 {
 		t.Fatalf("vCPU1 on node %d", nodes[1])
+	}
+}
+
+// TestMigrateTakesTheLowestFreeCore: the VM picks a migrating vCPU's
+// core. vCPUs 1, 2 and 3 of a VM spread over four nodes move onto node
+// 0, whose pCPU 0 vCPU 0 holds, and take pCPUs 1, 2 and 3. vCPU 1 then
+// leaves and comes back, and takes pCPU 1 again: the lowest core left
+// free, not the next one in turn.
+func TestMigrateTakesTheLowestFreeCore(t *testing.T) {
+	c := newCluster(4)
+	defer c.Env.Close()
+	vm := New(FragVisorConfig(c, SpreadPlacement([]int{0, 1, 2, 3}, 4), 1<<30))
+	var back, home int
+	c.Env.Spawn("orchestrator", func(p *sim.Proc) {
+		for id := 1; id < 4; id++ {
+			vm.MigrateVCPU(p, id, 0)
+		}
+		vm.MigrateVCPU(p, 1, 1)
+		home = pcpuIndex(vm, 1)
+		vm.MigrateVCPU(p, 1, 0)
+		back = pcpuIndex(vm, 1)
+	})
+	c.Env.Run()
+	if !vm.Consolidated() {
+		t.Fatalf("vCPUs on %v, want all on node 0", vm.VCPUNodes())
+	}
+	for id := 0; id < 4; id++ {
+		if k := pcpuIndex(vm, id); k != id {
+			t.Errorf("vCPU %d on pCPU %d of node 0, want %d", id, k, id)
+		}
+	}
+	if home != 0 || back != 1 {
+		t.Errorf("vCPU 1 took pCPU %d on node 1 and pCPU %d back on node 0, want 0 and 1", home, back)
 	}
 }
 
@@ -122,7 +155,7 @@ func TestMobilityDisabledPanics(t *testing.T) {
 				t.Error("migration without mobility did not panic")
 			}
 		}()
-		vm.MigrateVCPU(p, 1, 0, 1)
+		vm.MigrateVCPU(p, 1, 0)
 	})
 	c.Env.Run()
 }
@@ -280,7 +313,7 @@ func runFaulted(t *testing.T, sched fault.Schedule, early bool, drive func(p *si
 func TestDroppedFrameDoesNotWedgeMigration(t *testing.T) {
 	var sched fault.Schedule
 	sched.Add(fault.Event{Kind: fault.DropMessages, From: 1, To: 2, Count: 1})
-	vm := runFaulted(t, sched, false, func(p *sim.Proc, vm *VM) { vm.MigrateVCPU(p, 1, 2, 1) })
+	vm := runFaulted(t, sched, false, func(p *sim.Proc, vm *VM) { vm.MigrateVCPU(p, 1, 2) })
 	if got := vm.VCPUNodes()[1]; got != 2 {
 		t.Errorf("vCPU 1 is on node %d, want 2", got)
 	}

@@ -82,9 +82,10 @@ func (d *Dist) Stats() DistStats {
 	return st
 }
 
-// quantile returns the p-quantile of sorted samples using the same
-// ceil-rank convention as Summarize.
-func quantile(sorted []float64, p float64) float64 {
+// quantile returns the p-quantile of sorted samples by the ceil rank:
+// the smallest sample with at least a p share of the samples at or below
+// it. Summarize and Dist.Stats both use it.
+func quantile[T any](sorted []T, p float64) T {
 	i := int(math.Ceil(p*float64(len(sorted)))) - 1
 	if i < 0 {
 		i = 0

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 
@@ -136,21 +135,11 @@ func Summarize(samples []sim.Time) Summary {
 	for _, s := range sorted {
 		sum += s
 	}
-	q := func(p float64) sim.Time {
-		i := int(math.Ceil(p*float64(len(sorted)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
 	return Summary{
 		N:    len(sorted),
 		Mean: sum / sim.Time(len(sorted)),
-		P50:  q(0.50),
-		P95:  q(0.95),
+		P50:  quantile(sorted, 0.50),
+		P95:  quantile(sorted, 0.95),
 		Max:  sorted[len(sorted)-1],
 	}
 }

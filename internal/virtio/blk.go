@@ -28,7 +28,6 @@ type BlkDev struct {
 // blkReq is one chunk request sent to the owner.
 type blkReq struct {
 	id    uint64
-	queue int
 	bytes int
 	write bool
 	pages []mem.PageID // guest payload pages (nil under bypass)
@@ -94,7 +93,7 @@ func (bd *BlkDev) chunk(c *vcpu.Ctx, q *queue, n int, write bool) {
 	}
 	// Descriptor on the ring, doorbell over the fabric: the owner drains
 	// the ring FIFO, so duplicated or delayed kicks are harmless.
-	q.pending = append(q.pending, blkReq{id: id, queue: q.id, bytes: n, write: write, pages: pages, node: c.Node()})
+	q.pending = append(q.pending, blkReq{id: id, bytes: n, write: write, pages: pages, node: c.Node()})
 	bd.layer.Send(0, c.Node(), bd.cfg.Owner, bd.svc, "req", size, q.id)
 	c.P.Wait(ev)
 	delete(bd.done, id)

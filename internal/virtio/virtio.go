@@ -226,7 +226,6 @@ func NewNet(env *sim.Env, d *dsm.DSM, layer *msg.Layer, vm *vcpu.Manager, layout
 
 // netTx describes a transmit kick.
 type netTx struct {
-	queue int
 	src   int // sending vCPU
 	dst   int // external destination address
 	bytes int
@@ -252,7 +251,7 @@ func (nd *NetDev) Send(c *vcpu.Ctx, dst, n int) {
 	pages := nd.guestEnqueue(c, q, n)
 	nd.stats.TxPackets++
 	nd.stats.TxBytes += int64(n)
-	q.pending = append(q.pending, netTx{queue: q.id, src: c.ID(), dst: dst, bytes: n, pages: pages})
+	q.pending = append(q.pending, netTx{src: c.ID(), dst: dst, bytes: n, pages: pages})
 	nd.layer.Send(0, c.Node(), nd.cfg.Owner, nd.svc, "tx", nd.kickSize(n), q.id)
 }
 

@@ -302,3 +302,71 @@ func TestOnlyOccupyAndVacateChargeTheBooks(t *testing.T) {
 		t.Errorf("writers found: %v; the scan is not seeing occupy and vacate", writers)
 	}
 }
+
+// TestOnlyTheVMPlacesVCPUs: after boot a vCPU's core is chosen in one
+// place, the hypervisor's freePCPU, for live migration
+// (hypervisor.VM.MigrateVCPU) and for restart after a lender crash
+// (hypervisor.VM.Restart) alike. So no production file outside
+// internal/vcpu, which implements the moves, and internal/hypervisor
+// calls vcpu.Manager's Migrate or Repin: a caller that did would pick a
+// core by its own rule. The scan is syntactic; it is sound because
+// vcpu.Manager declares the module's only methods named Migrate or
+// Repin, which the test checks too. Nested modules (perfbench) are not
+// scanned.
+func TestOnlyTheVMPlacesVCPUs(t *testing.T) {
+	allowed := map[string]bool{"internal/vcpu": true, "internal/hypervisor": true}
+	placer := func(name string) bool { return name == "Migrate" || name == "Repin" }
+	callers := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil && placer(n.Name.Name) {
+					if recv := types.ExprString(n.Recv.List[0].Type); recv != "*Manager" || dir != "internal/vcpu" {
+						t.Errorf("%s: method %s on %s: the scan assumes only vcpu.Manager has Migrate and Repin",
+							fset.Position(n.Pos()), n.Name.Name, recv)
+					}
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && placer(sel.Sel.Name) {
+					callers[dir] = true
+					if !allowed[dir] {
+						t.Errorf("%s calls %s; only the VM (internal/hypervisor) places vCPUs", fset.Position(n.Pos()), sel.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !callers["internal/hypervisor"] {
+		t.Error("internal/hypervisor calls neither Migrate nor Repin: the scan is not seeing calls")
+	}
+}
