@@ -18,3 +18,19 @@ func BenchmarkSoakWorld(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkVerifyReport measures one full invariant scan of the busy
+// world (newBusyFleet): every VM, every placement and the whole lease
+// ledger, with books that balance. It is the cost of each quiescent-point
+// check that finds the event log grown.
+func BenchmarkVerifyReport(b *testing.B) {
+	env, f := newBusyFleet()
+	defer env.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if vs := f.VerifyReport(); len(vs) != 0 {
+			b.Fatalf("busy world violated: %v", vs)
+		}
+	}
+}

@@ -7,7 +7,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/checkpoint"
 	"repro/internal/hypervisor"
@@ -73,15 +72,16 @@ func (f *Fleet) handleNodeDown(node int) {
 	f.stats.NodeFailures++
 	f.log("node-down", -1, -1, node, 0, -1)
 
-	var victims []int
-	for id, rec := range f.vms {
+	// The victims are gathered first, in ID order: a requeue releases
+	// its VM from f.vms.
+	var victims []*vmRec
+	for _, rec := range f.vms {
 		if rec.pl[node] > 0 {
-			victims = append(victims, id)
+			victims = append(victims, rec)
 		}
 	}
-	sort.Ints(victims)
-	for _, id := range victims {
-		rec := f.vms[id]
+	for _, rec := range victims {
+		id := rec.req.ID
 		lost := rec.pl[node]
 		// Bring work accrual current before the placement changes: the
 		// vCPUs lost with the node ran at full membership until now.
@@ -183,7 +183,7 @@ type binding struct {
 // checkpoint the caller took (checkpoint.Take). img may be nil only when
 // the fleet runs no heartbeat.
 func (f *Fleet) Bind(vmID int, live *hypervisor.VM, img *checkpoint.Image) {
-	rec := f.vms[vmID]
+	rec := f.vm(vmID)
 	if rec == nil {
 		panic(fmt.Sprintf("fleet: binding unknown VM %d", vmID))
 	}

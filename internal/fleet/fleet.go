@@ -14,10 +14,11 @@
 //     be satisfied wait in a priority queue (Critical > Standard > Batch)
 //     whose length and waiting times are the backpressure signal.
 //   - Consolidation. Every capacity change (a departure, a reclaim)
-//     replays FragBFF's consolidation pass (sched.ConsolidationMoves)
-//     over the multi-node VMs, and a VM that lands on one node is handed
-//     back to plain best fit. Bind couples a live Aggregate VM to its
-//     fleet VM, and each planned move then executes on it.
+//     replays FragBFF's consolidation pass (sched.Planner, the planner
+//     behind sched.ConsolidationMoves) over the multi-node VMs, and a
+//     VM that lands on one node is handed back to plain best fit. Bind
+//     couples a live Aggregate VM to its fleet VM, and each planned
+//     move then executes on it.
 //   - Borrow leases. Every non-home fragment of an Aggregate VM is a
 //     first-class lease of the lender node's capacity. The lender can
 //     reclaim: under ReclaimConsolidate the borrower's vCPUs migrate to
@@ -43,6 +44,7 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -262,9 +264,12 @@ type Fleet struct {
 	freeMem []int64
 	down    []bool
 
-	// vms holds one record per admitted VM; queuedAt keys requests by
-	// when they first waited, until they are admitted.
-	vms      map[int]*vmRec
+	// vms holds one record per admitted VM, in ascending request ID:
+	// commit inserts in place, release deletes, and vm looks one up, so
+	// every pass over the VMs runs in ID order without sorting.
+	// queuedAt keys requests by when they first waited, until they are
+	// admitted.
+	vms      []*vmRec
 	queuedAt map[int]sim.Time
 
 	// leases is the append-only ledger of every lease ever granted;
@@ -287,6 +292,14 @@ type Fleet struct {
 	// changed: nothing to re-check, and a pass that would do nothing.
 	verified int
 	settled  int
+
+	// Buffers the quiescent-point checks and passes reuse, so that a
+	// clean VerifyReport and a consolidation pass that plans no move
+	// allocate nothing: the report's scratch, the consolidation
+	// planner, and the pass's effective-capacity vector.
+	scratch verifyScratch
+	plan    sched.Planner
+	eff     []int
 }
 
 // vmRec is one admitted VM: its request, where it runs, its balloon and
@@ -332,9 +345,9 @@ func New(env *sim.Env, cfg Config) *Fleet {
 		freeCPU:  make([]int, cfg.Nodes),
 		freeMem:  make([]int64, cfg.Nodes),
 		down:     make([]bool, cfg.Nodes),
-		vms:      map[int]*vmRec{},
 		queuedAt: map[int]sim.Time{},
 		settled:  -1,
+		eff:      make([]int, cfg.Nodes),
 	}
 	for i := range f.freeCPU {
 		f.freeCPU[i] = cfg.CPUsPerNode
@@ -345,12 +358,26 @@ func New(env *sim.Env, cfg Config) *Fleet {
 	return f
 }
 
+// vmIndex returns where VM id's record is, or would be inserted, in
+// f.vms, and whether it is there.
+func (f *Fleet) vmIndex(id int) (int, bool) {
+	return slices.BinarySearchFunc(f.vms, id, func(rec *vmRec, id int) int { return cmp.Compare(rec.req.ID, id) })
+}
+
+// vm returns admitted VM id's record, or nil.
+func (f *Fleet) vm(id int) *vmRec {
+	if i, ok := f.vmIndex(id); ok {
+		return f.vms[i]
+	}
+	return nil
+}
+
 // FreeCPU returns a copy of the per-node free-vCPU vector.
 func (f *Fleet) FreeCPU() []int { return append([]int(nil), f.freeCPU...) }
 
 // PlacementOf returns a copy of a VM's current placement (nil if absent).
 func (f *Fleet) PlacementOf(vmID int) sched.Placement {
-	rec := f.vms[vmID]
+	rec := f.vm(vmID)
 	if rec == nil {
 		return nil
 	}
@@ -448,12 +475,10 @@ func (f *Fleet) Submit(reqs []Request) {
 		if r.MemBytes < 0 {
 			panic(fmt.Sprintf("fleet: request %d has negative memory", r.ID))
 		}
-		// Reject requests no empty fleet could gang-place.
-		empty := make([]int, f.cfg.Nodes)
-		for i := range empty {
-			empty[i] = f.effCap(f.cfg.CPUsPerNode, f.cfg.MemPerNode, r.memPerCPU())
-		}
-		if _, ok := sched.FragPlacement(empty, r.VCPUs, f.cfg.Policy, nil, nil); !ok {
+		// Reject requests no empty fleet could gang-place: without a
+		// distance oracle, fragments gang-place a request exactly when
+		// their sum covers it.
+		if f.cfg.Nodes*f.effCap(f.cfg.CPUsPerNode, f.cfg.MemPerNode, r.memPerCPU()) < r.VCPUs {
 			panic(fmt.Sprintf("fleet: request %d (%d vCPUs, %d B) is unsatisfiable even on an empty fleet", r.ID, r.VCPUs, r.MemBytes))
 		}
 		f.env.DeferAt(r.Arrival, func() { f.arrive(r) })
@@ -548,7 +573,8 @@ func (f *Fleet) tryAdmit(r Request) bool {
 
 // commit applies a gang placement atomically and schedules the departure.
 func (f *Fleet) commit(r Request, pl sched.Placement, kind string) {
-	if f.vms[r.ID] != nil {
+	i, dup := f.vmIndex(r.ID)
+	if dup {
 		panic(fmt.Sprintf("fleet: VM %d admitted twice", r.ID))
 	}
 	now := f.env.Now()
@@ -556,7 +582,7 @@ func (f *Fleet) commit(r Request, pl sched.Placement, kind string) {
 	for _, n := range pl.Nodes() {
 		f.occupy(rec, n, pl[n])
 	}
-	f.vms[r.ID] = rec
+	f.vms = slices.Insert(f.vms, i, rec)
 	if qa, ok := f.queuedAt[r.ID]; ok {
 		f.waits = append(f.waits, now-qa)
 		delete(f.queuedAt, r.ID)
@@ -596,7 +622,7 @@ func (f *Fleet) depart(vmID int) {
 // running VM down, so their departures contribute exactly 1.0; resized
 // VMs stretch their work out and contribute > 1.0.
 func (f *Fleet) finishStats(vmID int) {
-	rec := f.vms[vmID]
+	rec := f.vm(vmID)
 	if rec == nil || rec.req.Duration <= 0 {
 		return
 	}
@@ -607,14 +633,15 @@ func (f *Fleet) finishStats(vmID int) {
 
 // release frees every resource a VM holds and drops its leases.
 func (f *Fleet) release(vmID int) {
-	rec := f.vms[vmID]
-	if rec == nil {
+	i, ok := f.vmIndex(vmID)
+	if !ok {
 		panic(fmt.Sprintf("fleet: release of unknown VM %d", vmID))
 	}
+	rec := f.vms[i]
 	for _, n := range rec.pl.Nodes() {
 		f.vacate(rec, n, rec.pl[n])
 	}
-	delete(f.vms, vmID)
+	f.vms = slices.Delete(f.vms, i, i+1)
 	if rec.timer != nil {
 		rec.timer.Cancel()
 	}
@@ -660,28 +687,23 @@ func (f *Fleet) drainQueue() {
 // multi-node VM, bounded by each VM's memory headroom: the free vector
 // handed to the pure planner is the memory-capped effective capacity, so
 // a move never lands where the moved vCPUs' memory share cannot follow.
+// VMs are visited in ID order. The pass admits and releases no VM, and a
+// VM's moves change only its own placement, so it walks f.vms directly.
+// It allocates only the work it returns.
 func (f *Fleet) consolidateAll() []liveMove {
-	var ids []int
-	for id, rec := range f.vms {
-		if len(rec.pl) > 1 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
 	var work []liveMove
-	var eff []int // one buffer for the pass: ConsolidationMoves copies it
-	if len(ids) > 0 {
-		eff = make([]int, f.cfg.Nodes)
-	}
-	for _, id := range ids {
-		rec := f.vms[id]
-		f.fillEffective(eff, rec.req.memPerCPU())
-		moves := sched.ConsolidationMoves(eff, f.cfg.CPUsPerNode, rec.pl, f.cfg.Policy, f.cfg.Distance)
+	for _, rec := range f.vms {
+		if len(rec.pl) < 2 {
+			continue
+		}
+		// The planner copies eff, so one buffer serves the whole pass.
+		f.fillEffective(f.eff, rec.req.memPerCPU())
+		moves := f.plan.Moves(f.eff, f.cfg.CPUsPerNode, rec.pl, f.cfg.Policy, f.cfg.Distance)
 		for _, m := range moves {
 			if !f.moveAccounting(rec, m.From, m.To, m.N) {
 				break
 			}
-			work = append(work, liveMove{id, m.From, m.To, m.N})
+			work = append(work, liveMove{rec.req.ID, m.From, m.To, m.N})
 		}
 		f.settle(rec)
 	}
@@ -763,7 +785,7 @@ func (f *Fleet) runLive(work []liveMove) {
 // bindingOf returns a VM's live binding, or nil when the VM is unbound
 // or gone.
 func (f *Fleet) bindingOf(vmID int) *binding {
-	if rec := f.vms[vmID]; rec != nil {
+	if rec := f.vm(vmID); rec != nil {
 		return rec.bound
 	}
 	return nil

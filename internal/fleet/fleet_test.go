@@ -149,6 +149,38 @@ func TestInvalidConfigPanics(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnsatisfiable: Submit refuses a request no empty
+// fleet could gang-place, whether CPUs or memory run out first, and
+// accepts one that fills the empty fleet exactly.
+func TestSubmitRejectsUnsatisfiable(t *testing.T) {
+	cfg := Config{Nodes: 2, CPUsPerNode: 4, MemPerNode: 8 * gig, Policy: sched.MinFrag}
+	for _, c := range []struct {
+		name string
+		req  Request
+		ok   bool
+	}{
+		{"too-many-cpus", Request{ID: 1, VCPUs: 9, MemBytes: gig}, false},
+		{"too-much-memory", Request{ID: 1, VCPUs: 5, MemBytes: 20 * gig}, false},
+		{"exact-cpus", Request{ID: 1, VCPUs: 8, MemBytes: 16 * gig}, true},
+		// 4 GiB per vCPU: memory holds two vCPUs per node.
+		{"exact-memory", Request{ID: 1, VCPUs: 4, MemBytes: 16 * gig}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env, f := newFleet(t, cfg)
+			defer func() {
+				if r := recover(); (r == nil) != c.ok {
+					t.Fatalf("Submit(%+v) panicked with %v, want accepted %v", c.req, r, c.ok)
+				}
+			}()
+			f.Submit([]Request{c.req})
+			env.Run()
+			if f.Stats().Admitted != 1 {
+				t.Fatalf("an exact fit was not admitted: %+v", f.Stats())
+			}
+		})
+	}
+}
+
 func TestMemoryConstrainedPlacement(t *testing.T) {
 	// Plenty of CPUs but memory forces fragmentation: an 8-vCPU/8-GiB
 	// request cannot fit one node's 4 GiB.

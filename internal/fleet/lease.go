@@ -200,7 +200,7 @@ func (f *Fleet) Reclaim(node int) {
 // that a borrower bound to a live Aggregate VM is consolidated under
 // ReclaimResize, since it cannot shrink its vCPU set in place.
 func (f *Fleet) reclaimAs(l *Lease) ReclaimPolicy {
-	if f.cfg.Reclaim == ReclaimResize && f.vms[l.VM].bound != nil {
+	if f.cfg.Reclaim == ReclaimResize && f.vm(l.VM).bound != nil {
 		return ReclaimConsolidate
 	}
 	return f.cfg.Reclaim
@@ -255,7 +255,7 @@ func (f *Fleet) retryReclaims() []liveMove {
 // VM's existing slices, then onto any other capacity (which may grant new
 // leases). All-or-nothing; reports whether it happened.
 func (f *Fleet) relocate(vmID, src int) ([]liveMove, bool) {
-	rec := f.vms[vmID]
+	rec := f.vm(vmID)
 	eff := f.effective(rec.req.memPerCPU())
 	eff[src] = 0
 	target, ok := f.placeFragment(eff, rec.pl, src, rec.pl[src])
@@ -342,7 +342,7 @@ func (f *Fleet) reclaimFits(node int) bool {
 		if eff == nil {
 			cpu, mem, eff = slices.Clone(f.freeCPU), slices.Clone(f.freeMem), make([]int, f.cfg.Nodes)
 		}
-		rec := f.vms[l.VM]
+		rec := f.vm(l.VM)
 		mpc := rec.req.memPerCPU()
 		for i := range eff {
 			eff[i] = 0
@@ -365,7 +365,7 @@ func (f *Fleet) reclaimFits(node int) bool {
 // evictVM kills a borrower: the baseline behavior the paper argues
 // against. Its resources return to the lenders; it is not re-queued.
 func (f *Fleet) evictVM(vmID int) {
-	rec := f.vms[vmID]
+	rec := f.vm(vmID)
 	if rec == nil {
 		return
 	}

@@ -62,7 +62,7 @@ func booksPrint(f *Fleet, fp []int64) []int64 {
 	ids := sortedVMs(f.vms)
 	fp = append(fp, int64(len(ids)))
 	for _, id := range ids {
-		rec := f.vms[id]
+		rec := f.vm(id)
 		fp = append(fp, int64(id), int64(rec.req.VCPUs), rec.req.MemBytes,
 			int64(rec.home), rec.ballooned, int64(len(rec.pl)))
 		for n := range f.freeCPU {

@@ -11,7 +11,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -71,7 +70,7 @@ func (f *Fleet) rearmDeparture(rec *vmRec) {
 // VM shrinks. Never defers and never fails — that immediacy is the
 // policy's selling point; the slowdown is its price.
 func (f *Fleet) balloonLease(l *Lease) {
-	rec, node := f.vms[l.VM], l.Node
+	rec, node := f.vm(l.VM), l.Node
 	k := rec.pl[node]
 	if k == 0 {
 		return
@@ -111,20 +110,16 @@ func (rec *vmRec) deflate(k int64) {
 // slices before new lenders (new fragments get leases as usual). Runs
 // from maintain and the rebalance tick — never from Reclaim itself, so
 // reclaimed capacity is not handed straight back to the VM it was just
-// taken from.
+// taken from. VMs are visited in ID order; deflating one admits and
+// releases no VM and touches no other VM's balloon.
 func (f *Fleet) deflateAll() {
 	if f.cfg.Reclaim != ReclaimResize {
 		return
 	}
-	var ids []int
-	for id, rec := range f.vms {
+	for _, rec := range f.vms {
 		if rec.ballooned > 0 {
-			ids = append(ids, id)
+			f.deflateVM(rec)
 		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		f.deflateVM(f.vms[id])
 	}
 }
 

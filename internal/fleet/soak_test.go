@@ -31,6 +31,72 @@ func newSoak(seed int64, vms int) (*sim.Env, *Fleet) {
 	return env, f
 }
 
+// busyNodes, busyVMs and busyAt size newBusyFleet.
+const (
+	busyNodes = 32
+	busyVMs   = 64
+	busyAt    = 45 * sim.Second
+)
+
+// newBusyFleet builds a 32-node auto-reclaim fleet with one wave of 64
+// seeded arrivals and an owner reclaim every second, and runs it to
+// 45 s: 41 VMs run, 4 of them gangs, over a ledger of 14 leases, 6 of
+// them outstanding. It is the busy world the allocation tests and
+// BenchmarkVerifyReport scan.
+func newBusyFleet() (*sim.Env, *Fleet) {
+	env := sim.NewEnv()
+	f := New(env, Config{
+		Nodes: busyNodes, CPUsPerNode: 8, MemPerNode: 32 * gig,
+		Policy: sched.MinFrag, AutoReclaim: true,
+		RebalanceEvery: 2 * sim.Millisecond,
+		Horizon:        soakWindow,
+	})
+	rng := rand.New(rand.NewSource(1))
+	f.Submit(GenerateBurst(rng, busyVMs, soakWindow, 2*gig))
+	for at := sim.Second / 2; at < soakWindow; at += sim.Second {
+		node := rng.Intn(busyNodes)
+		env.DeferAt(at, func() { f.Reclaim(node) })
+	}
+	env.RunUntil(busyAt)
+	return env, f
+}
+
+// gangs counts the fleet's multi-node VMs.
+func gangs(f *Fleet) int {
+	n := 0
+	for _, rec := range f.vms {
+		if len(rec.pl) > 1 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestConsolidationPassAllocatesNothing: a consolidation pass over gangs
+// that plans no move allocates nothing — the planner, its free vector and
+// the VM walk all reuse the fleet's buffers. The busy world's last tick
+// has just found its books settled, so a pass now plans nothing.
+func TestConsolidationPassAllocatesNothing(t *testing.T) {
+	env, f := newBusyFleet()
+	defer env.Close()
+	if f.settled != len(f.events) || gangs(f) < 2 {
+		t.Fatalf("fixture: settled %d of %d logged events, %d gangs; want settled with >= 2 gangs",
+			f.settled, len(f.events), gangs(f))
+	}
+	logged := len(f.events)
+	allocs := testing.AllocsPerRun(100, func() {
+		if work := f.consolidateAll(); len(work) != 0 {
+			t.Fatalf("a settled pass planned %v", work)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a consolidation pass over %d gangs allocated %v times", gangs(f), allocs)
+	}
+	if len(f.events) != logged {
+		t.Errorf("a settled pass logged %d events", len(f.events)-logged)
+	}
+}
+
 // TestSoakSteadyHeap is the control plane's steady-state memory gate:
 // admission, leases, reclaims, rebalance ticks and departures of the
 // seed-42 soak must not grow the live heap with virtual time. Every tick
@@ -119,8 +185,8 @@ func TestSettledTickAllocatesNothing(t *testing.T) {
 		{ID: 4, VCPUs: 2, MemBytes: gig, Arrival: 2},
 	})
 	env.RunUntil(10 * sim.Millisecond)
-	if len(f.vms[3].pl) != 2 || len(f.waiting) != 1 {
-		t.Fatalf("fixture: VM 3 placed %v, %d waiting; want a 2-node gang and one waiting", f.vms[3].pl, len(f.waiting))
+	if len(f.vm(3).pl) != 2 || len(f.waiting) != 1 {
+		t.Fatalf("fixture: VM 3 placed %v, %d waiting; want a 2-node gang and one waiting", f.vm(3).pl, len(f.waiting))
 	}
 	logged, ticks := len(f.events), env.Scheduled()
 	allocs := testing.AllocsPerRun(5, func() { env.RunUntil(env.Now() + sim.Second) })

@@ -8,7 +8,6 @@
 package fleet
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -68,36 +67,35 @@ func (vs *violations) add(class ViolationClass, node, vm, lease int, format stri
 // VerifyReport checks every control-plane invariant and returns all
 // violations found, in deterministic order (node-major books first,
 // then balloon accounting, then the lease ledger, then borrowed
-// fragments in VM and node order). An empty slice means the books
-// balance. It never panics and never mutates the fleet.
+// fragments in VM and node order). An empty result (nil) means the
+// books balance. It never panics and never mutates the books; it
+// reuses its own scratch, so one fleet's reports are not concurrent.
+// A clean report allocates nothing, and a report with violations is
+// the caller's: it shares no memory with the scratch.
 func (f *Fleet) VerifyReport() []Violation {
 	var vs violations
-	// One walk over each VM's placement gathers everything the checks
-	// read from it: the node books, the VM's resident vCPUs, and its
-	// fragments off the home node, kept in borrowed for the lease check
-	// at the end.
-	scans := make([]vmScan, 0, len(f.vms))
-	for id, rec := range f.vms {
-		scans = append(scans, vmScan{id: id, rec: rec})
-	}
-	slices.SortFunc(scans, func(a, b vmScan) int { return cmp.Compare(a.id, b.id) })
-	usedCPU := make([]int, f.cfg.Nodes)
-	usedMem := make([]int64, f.cfg.Nodes)
-	borrowed := make([]int, 0, len(f.live))
-	for i := range scans {
-		s := &scans[i]
-		mpc := s.rec.req.memPerCPU()
-		s.lo = len(borrowed)
-		for n, c := range s.rec.pl {
+	sc := &f.scratch
+	sc.reset(f.cfg.Nodes)
+	// One walk over each VM's placement, in ID order, gathers everything
+	// the checks read from it: the node books, the VM's resident vCPUs,
+	// and its fragments off the home node, kept in borrowed for the
+	// lease check at the end.
+	usedCPU, usedMem, borrowed := sc.usedCPU, sc.usedMem, sc.borrowed
+	for _, rec := range f.vms {
+		s := vmScan{lo: len(borrowed)}
+		mpc := rec.req.memPerCPU()
+		for n, c := range rec.pl {
 			usedCPU[n] += c
 			usedMem[n] += int64(c) * mpc
 			s.resident += int64(c)
-			if n != s.rec.home {
+			if n != rec.home {
 				borrowed = append(borrowed, n)
 			}
 		}
 		s.hi = len(borrowed)
+		sc.scans = append(sc.scans, s)
 	}
+	sc.borrowed = borrowed
 	for n := 0; n < f.cfg.Nodes; n++ {
 		if f.down[n] {
 			if usedCPU[n] != 0 {
@@ -117,9 +115,9 @@ func (f *Fleet) VerifyReport() []Violation {
 	// Balloon conservation: every VM's balloon lies in [0, provisioned],
 	// and its resident vCPUs plus its ballooned vCPUs equal its
 	// provisioned size, bit-exactly.
-	for _, s := range scans {
-		id, rec := s.id, s.rec
-		prov := int64(rec.req.VCPUs)
+	for i, s := range sc.scans {
+		rec := f.vms[i]
+		id, prov := rec.req.ID, int64(rec.req.VCPUs)
 		switch {
 		case rec.ballooned < 0 || rec.ballooned > prov:
 			vs.add(VBalloonBooks, -1, id, -1, "VM %d balloon out of range: ballooned %d not in [0, %d]",
@@ -133,8 +131,7 @@ func (f *Fleet) VerifyReport() []Violation {
 	// none anywhere else. The scan walks the whole ledger, not the
 	// outstanding-lease list, so it is an oracle for that list too: the
 	// list must hold exactly the unreleased leases, in grant order.
-	type key struct{ vm, node int }
-	active := map[key]*Lease{}
+	active := sc.active
 	outstanding, indexed := 0, true
 	for _, l := range f.leases {
 		if l.State == LeaseReleased {
@@ -145,13 +142,13 @@ func (f *Fleet) VerifyReport() []Violation {
 			vs.add(VLeaseIndex, l.Node, l.VM, l.ID, "outstanding lease %d is not entry %d of the live list", l.ID, outstanding)
 		}
 		outstanding++
-		k := key{l.VM, l.Node}
+		k := leaseKey{l.VM, l.Node}
 		if active[k] != nil {
 			vs.add(VLeaseDoubleBook, l.Node, l.VM, l.ID, "leases %d and %d double-book VM %d on node %d",
 				active[k].ID, l.ID, l.VM, l.Node)
 		}
 		active[k] = l
-		rec := f.vms[l.VM]
+		rec := f.vm(l.VM)
 		if rec == nil || rec.pl[l.Node] == 0 || rec.home == l.Node {
 			vs.add(VLeaseNoFragment, l.Node, l.VM, l.ID, "lease %d covers no fragment (VM %d node %d)", l.ID, l.VM, l.Node)
 			continue
@@ -165,13 +162,13 @@ func (f *Fleet) VerifyReport() []Violation {
 		vs.add(VLeaseIndex, l.Node, l.VM, l.ID, "live list holds %d leases, the ledger %d outstanding; lease %d is extra",
 			len(f.live), outstanding, l.ID)
 	}
-	for _, s := range scans {
+	for i, s := range sc.scans {
 		// Report in node order.
-		nodes := borrowed[s.lo:s.hi]
+		id, nodes := f.vms[i].req.ID, borrowed[s.lo:s.hi]
 		slices.Sort(nodes)
 		for _, n := range nodes {
-			if active[key{s.id, n}] == nil {
-				vs.add(VFragmentNoLease, n, s.id, -1, "fragment of VM %d on node %d has no lease", s.id, n)
+			if active[leaseKey{id, n}] == nil {
+				vs.add(VFragmentNoLease, n, id, -1, "fragment of VM %d on node %d has no lease", id, n)
 			}
 		}
 	}
@@ -180,12 +177,40 @@ func (f *Fleet) VerifyReport() []Violation {
 
 // vmScan is one VM as VerifyReport's single walk over its placement
 // saw it: its resident vCPUs, and borrowed[lo:hi] as its off-home
-// nodes.
+// nodes. Scan i is of f.vms[i].
 type vmScan struct {
-	id       int
-	rec      *vmRec
 	resident int64
 	lo, hi   int
+}
+
+// leaseKey names the fragment a lease covers: a VM on a node.
+type leaseKey struct{ vm, node int }
+
+// verifyScratch is VerifyReport's working memory, kept by the fleet so
+// that a report allocates only the violations it returns: the per-node
+// used books, the per-VM scans, the borrowed nodes they index, and the
+// active leases by fragment.
+type verifyScratch struct {
+	usedCPU  []int
+	usedMem  []int64
+	scans    []vmScan
+	borrowed []int
+	active   map[leaseKey]*Lease
+}
+
+// reset empties the scratch for a report over nodes nodes.
+func (sc *verifyScratch) reset(nodes int) {
+	if len(sc.usedCPU) != nodes {
+		sc.usedCPU, sc.usedMem = make([]int, nodes), make([]int64, nodes)
+	}
+	clear(sc.usedCPU)
+	clear(sc.usedMem)
+	sc.scans = sc.scans[:0]
+	sc.borrowed = sc.borrowed[:0]
+	if sc.active == nil {
+		sc.active = map[leaseKey]*Lease{}
+	}
+	clear(sc.active)
 }
 
 // verify is the fleet's quiescent-point check: Verify, memoized on the

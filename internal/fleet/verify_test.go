@@ -82,7 +82,7 @@ func TestViolationBalloonBooks(t *testing.T) {
 		f := gangFleet(t)
 		// Inflate behind the fleet's back: the balloon stays in range
 		// but resident+ballooned no longer matches provisioned.
-		f.vms[3].inflate(1)
+		f.vm(3).inflate(1)
 		v := wantOnly(t, f, VBalloonBooks)
 		if v.VM != 3 || !strings.Contains(v.Msg, "books broken") {
 			t.Fatalf("violation = %+v, want VM 3 books broken", v)
@@ -90,7 +90,7 @@ func TestViolationBalloonBooks(t *testing.T) {
 	})
 	t.Run("out-of-range", func(t *testing.T) {
 		f := gangFleet(t)
-		f.vms[3].ballooned = -1
+		f.vm(3).ballooned = -1
 		v := wantOnly(t, f, VBalloonBooks)
 		if v.VM != 3 || !strings.Contains(v.Msg, "out of range") {
 			t.Fatalf("violation = %+v, want VM 3 out of range", v)
@@ -107,20 +107,20 @@ func TestBalloonOverInflatePanics(t *testing.T) {
 			t.Fatal("inflating past provisioned should panic")
 		}
 	}()
-	f.vms[3].inflate(3)
+	f.vm(3).inflate(3)
 }
 
 // TestBalloonOverDeflatePanics: deflating returns at most what the
 // balloon holds.
 func TestBalloonOverDeflatePanics(t *testing.T) {
 	f := gangFleet(t)
-	f.vms[3].inflate(1)
+	f.vm(3).inflate(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("deflating past ballooned should panic")
 		}
 	}()
-	f.vms[3].deflate(2)
+	f.vm(3).deflate(2)
 }
 
 func TestViolationLeaseDoubleBook(t *testing.T) {
@@ -245,6 +245,126 @@ func TestVerifyReportMultiple(t *testing.T) {
 	}
 }
 
+// TestVerifyReportAllocatesNothing: a clean report on the busy world
+// allocates nothing — its scans, used books, borrowed nodes and active
+// lease set are the fleet's reused scratch — and returns nil.
+func TestVerifyReportAllocatesNothing(t *testing.T) {
+	env, f := newBusyFleet()
+	defer env.Close()
+	if len(f.vms) < 40 || len(f.live) == 0 || gangs(f) == 0 {
+		t.Fatalf("fixture: %d VMs, %d gangs, %d outstanding leases; want a busy world", len(f.vms), gangs(f), len(f.live))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if vs := f.VerifyReport(); vs != nil {
+			t.Fatalf("busy world reported %v, want nil", vs)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a clean report over %d VMs and %d leases allocated %v times", len(f.vms), len(f.leases), allocs)
+	}
+}
+
+// TestReportsDoNotShareScratch: a report with violations is the
+// caller's. Reports taken from two corrupted copies in a row, and two
+// reports from one copy whose corruption changed between them, leave
+// each earlier report as it was.
+func TestReportsDoNotShareScratch(t *testing.T) {
+	env, f := newBusyFleet()
+	defer env.Close()
+	corrupt := func(name string, c *Fleet, k int) {
+		t.Helper()
+		for _, corr := range corruptions {
+			if corr.name == name && corr.apply(c, k) {
+				return
+			}
+		}
+		t.Fatalf("corruption %s did not apply", name)
+	}
+	// report takes c's report and holds it to the reference.
+	report := func(c *Fleet) []Violation {
+		t.Helper()
+		vs := c.VerifyReport()
+		if want := verifyReportRef(c); len(vs) == 0 || !slices.Equal(vs, want) {
+			t.Fatalf("report %v, want the reference's %v (and at least one)", vs, want)
+		}
+		return vs
+	}
+	a, b := cloneBooks(f), cloneBooks(f)
+	corrupt("multiple", a, 0)
+	corrupt("fragment-no-lease", b, 1)
+	first := report(a)
+	kept := slices.Clone(first)
+	second := report(b)
+	corrupt("balloon-range", a, 2)
+	third := report(a)
+	if slices.Equal(first, second) || len(third) <= len(first) {
+		t.Fatalf("fixture: reports %v, %v and %v; want the copies to differ and the third to grow the first", first, second, third)
+	}
+	if !slices.Equal(first, kept) {
+		t.Errorf("later reports changed an earlier one:\n%v\nwas\n%v", first, kept)
+	}
+}
+
+// TestVMsStayInIDOrder: VM 1 queues behind VMs 20–22, is admitted after
+// gang 5, and still comes first wherever the fleet walks its VMs: in
+// f.vms, in a report (held to the reference, which sorts IDs itself),
+// and in a consolidation pass, which moves VM 1 before VM 5.
+func TestVMsStayInIDOrder(t *testing.T) {
+	env, f := newFleet(t, Config{Nodes: 3, CPUsPerNode: 4, MemPerNode: 8 * gig, Policy: sched.MinNodes})
+	f.Submit([]Request{
+		{ID: 20, VCPUs: 3, MemBytes: gig, Duration: 10 * sim.Second},
+		{ID: 21, VCPUs: 3, MemBytes: gig, Duration: 100 * sim.Second},
+		{ID: 22, VCPUs: 3, MemBytes: gig, Duration: 20 * sim.Second},
+		{ID: 1, VCPUs: 4, MemBytes: gig, Arrival: 1, Duration: 100 * sim.Second}, // waits
+		{ID: 5, VCPUs: 2, MemBytes: gig, Arrival: 2, Duration: 100 * sim.Second}, // gang {0:1, 1:1}
+	})
+	ids := func() []int {
+		var out []int
+		for _, rec := range f.vms {
+			out = append(out, rec.req.ID)
+		}
+		return out
+	}
+	// VM 20's departure admits VM 1 as the gang {0:3, 2:1}.
+	env.RunUntil(15 * sim.Second)
+	if got := ids(); !slices.Equal(got, []int{1, 5, 21, 22}) || len(f.vm(1).pl) != 2 || len(f.vm(5).pl) != 2 {
+		t.Fatalf("fixture: VMs %v, VM 1 on %v, VM 5 on %v; want 1, 5, 21, 22 with two gangs",
+			got, f.PlacementOf(1), f.PlacementOf(5))
+	}
+	c := cloneBooks(f)
+	for _, rec := range c.vms {
+		rec.ballooned = -1
+	}
+	c.live = c.live[:0]
+	for _, l := range c.leases {
+		l.State = LeaseReleased
+	}
+	got, want := c.VerifyReport(), verifyReportRef(c)
+	var vms []int
+	for _, v := range got {
+		if v.Class == VFragmentNoLease {
+			vms = append(vms, v.VM)
+		}
+	}
+	if !slices.Equal(got, want) || !slices.Equal(vms, []int{1, 5}) {
+		t.Fatalf("report\n%v\nwant the reference's\n%v\nwith unleased fragments of VMs 1 then 5, got %v", got, want, vms)
+	}
+	// VM 22's departure frees node 2: VM 1 consolidates onto it, which
+	// frees node 0 for VM 5.
+	logged := len(f.events)
+	env.RunUntil(25 * sim.Second)
+	var moved []int
+	for _, e := range f.events[logged:] {
+		if e.Kind == "migrate" {
+			moved = append(moved, e.VM)
+		}
+	}
+	if !slices.Equal(moved, []int{1, 5}) {
+		t.Fatalf("the pass migrated VMs %v, want 1 then 5; log %+v", moved, f.events[logged:])
+	}
+	f.Verify()
+}
+
 // verifyReportRef is VerifyReport as it was before the scan walked each
 // placement once: it walks every placement three times (books,
 // residentCPU, fragments) and looks each VM up three times. Kept as the
@@ -281,7 +401,7 @@ func verifyReportRef(f *Fleet) []Violation {
 	// provisioned size, bit-exactly.
 	ids := sortedVMs(f.vms)
 	for _, id := range ids {
-		rec := f.vms[id]
+		rec := f.vm(id)
 		prov, resident := int64(rec.req.VCPUs), rec.residentCPU()
 		switch {
 		case rec.ballooned < 0 || rec.ballooned > prov:
@@ -314,7 +434,7 @@ func verifyReportRef(f *Fleet) []Violation {
 				active[k].ID, l.ID, l.VM, l.Node)
 		}
 		active[k] = l
-		rec := f.vms[l.VM]
+		rec := f.vm(l.VM)
 		if rec == nil || rec.pl[l.Node] == 0 || rec.home == l.Node {
 			vs.add(VLeaseNoFragment, l.Node, l.VM, l.ID, "lease %d covers no fragment (VM %d node %d)", l.ID, l.VM, l.Node)
 			continue
@@ -331,7 +451,7 @@ func verifyReportRef(f *Fleet) []Violation {
 	var one [1]int
 	for _, id := range ids {
 		// Report in node order; a single-node placement needs no sort.
-		rec := f.vms[id]
+		rec := f.vm(id)
 		pl, nodes := rec.pl, one[:0]
 		if len(pl) > 1 {
 			nodes = pl.Nodes()
@@ -350,10 +470,10 @@ func verifyReportRef(f *Fleet) []Violation {
 }
 
 // sortedVMs returns the admitted VMs' ids in ascending order.
-func sortedVMs(vms map[int]*vmRec) []int {
+func sortedVMs(vms []*vmRec) []int {
 	ids := make([]int, 0, len(vms))
-	for id := range vms {
-		ids = append(ids, id)
+	for _, rec := range vms {
+		ids = append(ids, rec.req.ID)
 	}
 	sort.Ints(ids)
 	return ids
@@ -367,12 +487,12 @@ func cloneBooks(f *Fleet) *Fleet {
 		freeCPU: slices.Clone(f.freeCPU),
 		freeMem: slices.Clone(f.freeMem),
 		down:    slices.Clone(f.down),
-		vms:     make(map[int]*vmRec, len(f.vms)),
+		vms:     make([]*vmRec, 0, len(f.vms)),
 	}
-	for id, rec := range f.vms {
+	for _, rec := range f.vms {
 		r := *rec
 		r.pl = maps.Clone(rec.pl)
-		c.vms[id] = &r
+		c.vms = append(c.vms, &r)
 	}
 	copies := make(map[*Lease]*Lease, len(f.leases))
 	for _, l := range f.leases {
@@ -399,8 +519,8 @@ type corruption struct {
 func pickVM(c *Fleet, k int, ok func(*vmRec) bool) *vmRec {
 	var recs []*vmRec
 	for _, id := range sortedVMs(c.vms) {
-		if ok(c.vms[id]) {
-			recs = append(recs, c.vms[id])
+		if ok(c.vm(id)) {
+			recs = append(recs, c.vm(id))
 		}
 	}
 	if len(recs) == 0 {

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// budgetPlacement is the fixed consolidation case the alloc budgets pin:
+// budgetPlacement is the fixed consolidation case the alloc budget pins:
 // a 4-fragment Aggregate VM on 8-CPU nodes. Each budget case pairs it
 // with a free vector: "moves" has free capacity on the VM's own slices
 // and elsewhere, "idle" has every node full, so the planner only copies
@@ -15,41 +15,48 @@ var budgetPlacement = Placement{1: 2, 3: 3, 5: 1, 7: 4}
 
 const budgetCap = 8
 
-// budgetCases bound the allocations of one pair of ConsolidationMoves
-// calls (MinFrag, then MinNodes). Each call allocates its slot buffer
-// and its free-vector-plus-destinations buffer; the rest is the growth
-// of the returned move list.
+// budgetCases bound the allocations of one pair of plans (MinFrag, then
+// MinNodes). On a reused Planner the pair allocates nothing. On fresh
+// planners (ConsolidationMoves) each call allocates its slot buffer and
+// its free-vector-plus-destinations buffer, and the rest, at most fresh
+// in all, is the growth of the returned move list.
 var budgetCases = []struct {
-	name   string
-	free   []int
-	budget int
+	name  string
+	free  []int
+	fresh int
 }{
 	{"moves", []int{0, 2, 1, 3, 0, 4, 0, 1}, 9},
 	{"idle", make([]int, 8), 4},
 }
 
-func planBothPolicies(free []int) {
-	ConsolidationMoves(free, budgetCap, budgetPlacement, MinFrag, nil)
-	ConsolidationMoves(free, budgetCap, budgetPlacement, MinNodes, nil)
+// planBothPolicies plans the budget placement on p under MinFrag, then
+// MinNodes: what a fleet's consolidation pass does per VM, on the
+// planner it holds.
+func planBothPolicies(p *Planner, free []int) {
+	p.Moves(free, budgetCap, budgetPlacement, MinFrag, nil)
+	p.Moves(free, budgetCap, budgetPlacement, MinNodes, nil)
 }
 
 // BenchmarkConsolidationMoves plans each budget case under both
-// policies per op: the per-VM cost of every consolidation pass.
+// policies per op, on one reused Planner: the per-VM cost of every
+// consolidation pass.
 func BenchmarkConsolidationMoves(b *testing.B) {
 	for _, c := range budgetCases {
 		b.Run(c.name, func(b *testing.B) {
+			var p Planner
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				planBothPolicies(c.free)
+				planBothPolicies(&p, c.free)
 			}
 		})
 	}
 }
 
 // TestConsolidationAllocBudget pins the planner's allocations on the
-// budget cases, so a regression to per-source map walks and sorts
-// fails a test. The "moves" case must really plan moves, and the same
-// ones as the reference.
+// budget cases: once a Planner's slot, free-vector and move buffers have
+// grown, a pair of plans allocates nothing, moves or no moves, and a
+// pair of fresh plans stays within its budget. The "moves" case must
+// really plan moves, and the same ones as the reference.
 func TestConsolidationAllocBudget(t *testing.T) {
 	moving := budgetCases[0].free
 	for _, pol := range []Policy{MinFrag, MinNodes} {
@@ -59,8 +66,16 @@ func TestConsolidationAllocBudget(t *testing.T) {
 		}
 	}
 	for _, c := range budgetCases {
-		if allocs := testing.AllocsPerRun(1000, func() { planBothPolicies(c.free) }); allocs > float64(c.budget) {
-			t.Errorf("%s: a pair of consolidation plans allocates %v objects, budget %d", c.name, allocs, c.budget)
+		var p Planner
+		if allocs := testing.AllocsPerRun(1000, func() { planBothPolicies(&p, c.free) }); allocs != 0 {
+			t.Errorf("%s: a pair of plans on a reused planner allocates %v objects, want 0", c.name, allocs)
+		}
+		fresh := func() {
+			ConsolidationMoves(c.free, budgetCap, budgetPlacement, MinFrag, nil)
+			ConsolidationMoves(c.free, budgetCap, budgetPlacement, MinNodes, nil)
+		}
+		if allocs := testing.AllocsPerRun(1000, fresh); allocs > float64(c.fresh) {
+			t.Errorf("%s: a pair of fresh plans allocates %v objects, budget %d", c.name, allocs, c.fresh)
 		}
 	}
 }

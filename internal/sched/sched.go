@@ -176,7 +176,28 @@ type Move struct {
 // transfer, then DSM re-warming) is cheapest within the rack. The
 // distance key ranks strictly after the policy's capacity keys and is
 // skipped when dist == nil.
+//
+// It plans on a fresh Planner, so the moves are the caller's; a caller
+// that plans repeatedly holds a Planner and calls its Moves instead.
 func ConsolidationMoves(free []int, cap int, placement Placement, pol Policy, dist DistanceFunc) []Move {
+	var p Planner
+	return p.Moves(free, cap, placement, pol, dist)
+}
+
+// Planner is the consolidation planner. It keeps its slot, free-vector
+// and move buffers between calls, so once they have grown to the
+// largest placement and cluster it has planned for, planning allocates
+// nothing. The zero value is ready to use; a Planner is not safe for
+// concurrent use.
+type Planner struct {
+	slots []slot
+	ints  []int
+	moves []Move
+}
+
+// Moves is ConsolidationMoves on p's buffers. The returned moves are
+// valid until the next call.
+func (p *Planner) Moves(free []int, cap int, placement Placement, pol Policy, dist DistanceFunc) []Move {
 	// The placement is copied once into slots, one per slice, sorted by
 	// node; the second half of the same buffer holds each round's
 	// source order.
@@ -185,16 +206,16 @@ func ConsolidationMoves(free []int, cap int, placement Placement, pol Policy, di
 	// order holds without re-sorting. The free-vector copy and the
 	// destination list (indices into pl) share one buffer too.
 	k := len(placement)
-	buf := make([]slot, 2*k)
-	pl, order := buf[:0:k], buf[k:k]
+	p.slots = resize(p.slots, 2*k)
+	pl, order := p.slots[:0:k], p.slots[k:k]
 	for n, c := range placement {
 		pl = append(pl, slot{n, c})
 	}
 	slices.SortFunc(pl, func(a, b slot) int { return cmp.Compare(a.node, b.node) })
-	ibuf := make([]int, len(free)+k)
-	n := copy(ibuf, free)
-	free, dsts := ibuf[:n:n], ibuf[n:n]
-	var moves []Move
+	p.ints = resize(p.ints, len(free)+k)
+	n := copy(p.ints, free)
+	free, dsts := p.ints[:n:n], p.ints[n:n]
+	moves := p.moves[:0]
 	for changed := true; changed; {
 		changed = false
 		// Try to empty the smallest slice into peers.
@@ -273,7 +294,17 @@ func ConsolidationMoves(free []int, cap int, placement Placement, pol Policy, di
 			}
 		}
 	}
+	p.moves = moves
 	return moves
+}
+
+// resize returns buf with length n, reallocating only when its capacity
+// is short; the contents are not kept.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // slot is one slice of a placement: vCPUs on a node.

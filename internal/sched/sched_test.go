@@ -3,6 +3,7 @@ package sched
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -217,10 +218,12 @@ func consolidationMovesRef(free []int, cap int, placement Placement, pol Policy,
 // TestConsolidationMovesMatchesReference: the slice planner returns
 // exactly the reference's moves on seeded random cases — free vectors of
 // 1–9 nodes, placements of 1–6 fragments, both policies, with no
-// topology and with a tree distance.
+// topology and with a tree distance — both on a fresh planner
+// (ConsolidationMoves) and on one Planner reused across every case.
 func TestConsolidationMovesMatchesReference(t *testing.T) {
 	const cases = 12000
 	rng := rand.New(rand.NewSource(21))
+	var p Planner
 	moved := 0
 	for c := 0; c < cases; c++ {
 		cap := 1 + rng.Intn(12)
@@ -247,6 +250,10 @@ func TestConsolidationMovesMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d (free %v, cap %d, placement %v, %v, tree %v): moves %v, reference %v",
 				c, free, cap, pl, pol, dist != nil, got, want)
+		}
+		if reused := p.Moves(free, cap, pl, pol, dist); !slices.Equal(reused, want) {
+			t.Fatalf("case %d (free %v, cap %d, placement %v, %v, tree %v): reused planner's moves %v, reference %v",
+				c, free, cap, pl, pol, dist != nil, reused, want)
 		}
 		if len(want) > 0 {
 			moved++
