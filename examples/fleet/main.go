@@ -11,7 +11,6 @@ package main
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
@@ -54,9 +53,9 @@ func main() {
 		fmt.Printf("t=%-9v gang-admitted: placement %v, %d active lease(s)\n",
 			env.Now(), pl, activeLeases(f))
 		var pins []hypervisor.Pin
-		for _, n := range []int{0, 1} {
-			for i := 0; i < pl[n]; i++ {
-				pins = append(pins, hypervisor.Pin{Node: n, PCPU: 7 - i})
+		for _, fr := range pl {
+			for i := 0; i < fr.CPUs; i++ {
+				pins = append(pins, hypervisor.Pin{Node: fr.Node, PCPU: 7 - i})
 			}
 		}
 		// Node 2 joins as a memory-only slice (§4): it hosts no vCPUs yet,
@@ -118,23 +117,11 @@ func activeLeases(f *fleet.Fleet) int {
 	return n
 }
 
-// vcpuSpread renders a live VM's vCPU-per-node counts, sorted by node.
-func vcpuSpread(vm *hypervisor.VM) string {
-	counts := map[int]int{}
+// vcpuSpread is a live VM's vCPU-per-node counts, as a placement.
+func vcpuSpread(vm *hypervisor.VM) sched.Placement {
+	var pl sched.Placement
 	for _, node := range vm.VCPUNodes() {
-		counts[node]++
+		pl.Add(node, 1)
 	}
-	var nodes []int
-	for n := range counts {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	out := ""
-	for _, n := range nodes {
-		if out != "" {
-			out += " "
-		}
-		out += fmt.Sprintf("n%d:%d", n, counts[n])
-	}
-	return out
+	return pl
 }

@@ -79,9 +79,9 @@ func Fig14(o Options) *metrics.Table {
 			panic("experiments: target VM was not placed at t=155")
 		}
 		var pins []hypervisor.Pin
-		for _, n := range pl.Nodes() {
-			for i := 0; i < pl[n]; i++ {
-				pins = append(pins, hypervisor.Pin{Node: n, PCPU: 11 - i})
+		for _, fr := range pl {
+			for i := 0; i < fr.CPUs; i++ {
+				pins = append(pins, hypervisor.Pin{Node: fr.Node, PCPU: 11 - i})
 			}
 		}
 		vm = hypervisor.New(hypervisor.FragVisorConfig(clus, pins, guestMem))
@@ -98,7 +98,7 @@ func Fig14(o Options) *metrics.Table {
 		w := w
 		env.DeferAt(sim.Time(w+1)*per-1, func() {
 			if pl := f.PlacementOf(targetID); pl != nil {
-				placementLog[w] = placementString(pl)
+				placementLog[w] = pl.String()
 			} else {
 				placementLog[w] = "-"
 			}
@@ -138,18 +138,6 @@ func Fig14(o Options) *metrics.Table {
 		t.AddNote("request latency: n=%d mean=%v p95=%v — lowest while consolidated", st.N, st.Mean, st.P95)
 	}
 	return t
-}
-
-// placementString renders a placement as node:count pairs, sorted.
-func placementString(pl sched.Placement) string {
-	out := ""
-	for _, n := range pl.Nodes() {
-		if out != "" {
-			out += " "
-		}
-		out += fmt.Sprintf("n%d:%d", n, pl[n])
-	}
-	return out
 }
 
 // runWebService starts a LEMP-style service on the VM (dispatcher on

@@ -67,8 +67,7 @@ func FleetTopo(o Options) *metrics.Table {
 	blindPl, _ := fleetTopoPlan(o, nil)
 	awarePl, awareSt := fleetTopoPlan(o, spec.Distance)
 	t.AddNote("gang placement of the 8-vCPU request over free=[5 0 3 6]: blind fleet -> %s (span %d); topology-aware fleet -> %s (span %d)",
-		placementString(blindPl), blindPl.Span(spec.Distance),
-		placementString(awarePl), awarePl.Span(spec.Distance))
+		blindPl, blindPl.Span(spec.Distance), awarePl, awarePl.Span(spec.Distance))
 	t.AddNote("topology-aware fleet gang accounting: %d rack-local, %d cross-spine (of %d gangs)",
 		awareSt.LocalGangs, awareSt.CrossGangs, awareSt.Gangs)
 	t.AddNote("the oversubscribed spine makes the cross-rack loop measurably slower; the distance oracle keeps gangs off it at zero capacity cost")

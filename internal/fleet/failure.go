@@ -76,19 +76,19 @@ func (f *Fleet) handleNodeDown(node int) {
 	// its VM from f.vms.
 	var victims []*vmRec
 	for _, rec := range f.vms {
-		if rec.pl[node] > 0 {
+		if rec.pl.CPUs(node) > 0 {
 			victims = append(victims, rec)
 		}
 	}
 	for _, rec := range victims {
 		id := rec.req.ID
-		lost := rec.pl[node]
+		lost := rec.pl.CPUs(node)
 		// Bring work accrual current before the placement changes: the
 		// vCPUs lost with the node ran at full membership until now.
 		f.accrueWork(rec)
 		// The fragment is gone with the node; keep the dead node's books
 		// whole so capacity is intact when it heals.
-		delete(rec.pl, node)
+		rec.pl.Add(node, -lost)
 		f.vacate(rec, node, lost)
 
 		b := rec.bound
@@ -107,9 +107,9 @@ func (f *Fleet) handleNodeDown(node int) {
 		f.log("restart", id, node, -1, lost, -1)
 		if b != nil {
 			var onto []int
-			for _, n := range target.Nodes() {
-				for i := 0; i < target[n]; i++ {
-					onto = append(onto, n)
+			for _, fr := range target {
+				for i := 0; i < fr.CPUs; i++ {
+					onto = append(onto, fr.Node)
 				}
 			}
 			b.vm.Restart(onto)
@@ -123,15 +123,15 @@ func (f *Fleet) handleNodeDown(node int) {
 
 // replaceLost gang-places a lost fragment's k vCPUs on surviving
 // capacity, committing it into the VM's placement. It returns the
-// replacement fragment map.
+// replacement fragments.
 func (f *Fleet) replaceLost(rec *vmRec, deadNode, k int) (sched.Placement, bool) {
 	target, ok := f.placeFragment(f.effective(rec.req.memPerCPU()), rec.pl, deadNode, k)
 	if !ok {
 		return nil, false
 	}
-	for _, dst := range target.Nodes() {
-		f.occupy(rec, dst, target[dst])
-		rec.pl[dst] += target[dst]
+	for _, fr := range target {
+		f.occupy(rec, fr.Node, fr.CPUs)
+		rec.pl.Add(fr.Node, fr.CPUs)
 	}
 	f.syncLeases(rec)
 	return target, true

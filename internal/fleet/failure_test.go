@@ -82,12 +82,12 @@ func TestBoundVMRestartsOnLenderCrash(t *testing.T) {
 	var before sched.Placement
 	env.At(sim.Second, func() {
 		before = f.PlacementOf(borrower)
-		if before[0] != 2 || before[lender] != 2 {
+		if before.CPUs(0) != 2 || before.CPUs(lender) != 2 {
 			t.Fatalf("borrower placed %v, want a 2+2 gang on nodes 0 and 1", before)
 		}
 		var pins []hypervisor.Pin
 		for _, n := range []int{0, lender} {
-			for i := 0; i < before[n]; i++ {
+			for i := 0; i < before.CPUs(n); i++ {
 				pins = append(pins, hypervisor.Pin{Node: n, PCPU: 7 - i})
 			}
 		}
@@ -115,13 +115,13 @@ func TestBoundVMRestartsOnLenderCrash(t *testing.T) {
 		t.Error("the crashed lender's slice is still alive on the live VM")
 	}
 	after := f.PlacementOf(borrower)
-	if after[lender] != 0 || len(stranded) != before[lender] {
+	if after.CPUs(lender) != 0 || len(stranded) != before.CPUs(lender) {
 		t.Fatalf("placement %v after the crash, %d stranded vCPUs, want none on node %d and %d stranded",
-			after, len(stranded), lender, before[lender])
+			after, len(stranded), lender, before.CPUs(lender))
 	}
 	nodes := vm.VCPUNodes()
 	for _, id := range stranded {
-		if n := nodes[id]; after[n] <= before[n] {
+		if n := nodes[id]; after.CPUs(n) <= before.CPUs(n) {
 			t.Errorf("stranded vCPU %d sits on node %d, not on the replacement fragment (%v → %v)", id, n, before, after)
 		}
 	}
@@ -158,12 +158,12 @@ func TestBoundVMConsolidatesOntoFreeCores(t *testing.T) {
 	var vm *hypervisor.VM
 	env.At(sim.Second, func() {
 		pl := f.PlacementOf(borrower)
-		if pl[0] != 2 || pl[1] != 2 {
+		if pl.CPUs(0) != 2 || pl.CPUs(1) != 2 {
 			t.Fatalf("borrower placed %v, want a 2+2 gang on nodes 0 and 1", pl)
 		}
 		var pins []hypervisor.Pin
 		for _, n := range []int{0, 1} {
-			for i := 0; i < pl[n]; i++ {
+			for i := 0; i < pl.CPUs(n); i++ {
 				pins = append(pins, hypervisor.Pin{Node: n, PCPU: i})
 			}
 		}

@@ -14,9 +14,9 @@
 //     be satisfied wait in a priority queue (Critical > Standard > Batch)
 //     whose length and waiting times are the backpressure signal.
 //   - Consolidation. Every capacity change (a departure, a reclaim)
-//     replays FragBFF's consolidation pass (sched.Planner, the planner
-//     behind sched.ConsolidationMoves) over the multi-node VMs, and a
-//     VM that lands on one node is handed back to plain best fit. Bind
+//     replays FragBFF's consolidation pass (sched.Planner) over the
+//     multi-node VMs, and a VM that lands on one node is handed back to
+//     plain best fit. Bind
 //     couples a live Aggregate VM to its fleet VM, and each planned
 //     move then executes on it.
 //   - Borrow leases. Every non-home fragment of an Aggregate VM is a
@@ -40,7 +40,7 @@
 // seed) triple replays bit-identically, including the event log, which
 // tests compare across runs. Every placement decision is one of
 // internal/sched's pure functions (BestFit, FragPlacement,
-// ConsolidationMoves) applied to the fleet's books.
+// Planner.Moves) applied to the fleet's books.
 package fleet
 
 import (
@@ -381,11 +381,7 @@ func (f *Fleet) PlacementOf(vmID int) sched.Placement {
 	if rec == nil {
 		return nil
 	}
-	out := make(sched.Placement, len(rec.pl))
-	for n, c := range rec.pl {
-		out[n] = c
-	}
-	return out
+	return slices.Clone(rec.pl)
 }
 
 // Events returns the decision log.
@@ -558,7 +554,7 @@ func queuedBefore(a, b Request) bool {
 func (f *Fleet) tryAdmit(r Request) bool {
 	eff := f.effective(r.memPerCPU())
 	if node, ok := sched.BestFit(eff, r.VCPUs, f.cfg.Distance, nil); ok {
-		f.commit(r, sched.Placement{node: r.VCPUs}, "admit")
+		f.commit(r, sched.Placement{{Node: node, CPUs: r.VCPUs}}, "admit")
 		return true
 	}
 	if pl, ok := sched.FragPlacement(eff, r.VCPUs, f.cfg.Policy, f.cfg.Distance, nil); ok {
@@ -579,8 +575,8 @@ func (f *Fleet) commit(r Request, pl sched.Placement, kind string) {
 	}
 	now := f.env.Now()
 	rec := &vmRec{req: r, pl: pl, home: homeOf(pl), startAt: now, lastAccrue: now}
-	for _, n := range pl.Nodes() {
-		f.occupy(rec, n, pl[n])
+	for _, fr := range pl {
+		f.occupy(rec, fr.Node, fr.CPUs)
 	}
 	f.vms = slices.Insert(f.vms, i, rec)
 	if qa, ok := f.queuedAt[r.ID]; ok {
@@ -591,7 +587,7 @@ func (f *Fleet) commit(r Request, pl sched.Placement, kind string) {
 	f.stats.Admitted++
 	if len(pl) == 1 {
 		f.stats.SingleNode++
-		f.log(kind, r.ID, -1, pl.Nodes()[0], r.VCPUs, -1)
+		f.log(kind, r.ID, -1, pl[0].Node, r.VCPUs, -1)
 	} else {
 		f.stats.Gangs++
 		if pl.Span(f.cfg.Distance) <= 2 {
@@ -638,8 +634,8 @@ func (f *Fleet) release(vmID int) {
 		panic(fmt.Sprintf("fleet: release of unknown VM %d", vmID))
 	}
 	rec := f.vms[i]
-	for _, n := range rec.pl.Nodes() {
-		f.vacate(rec, n, rec.pl[n])
+	for _, fr := range rec.pl {
+		f.vacate(rec, fr.Node, fr.CPUs)
 	}
 	f.vms = slices.Delete(f.vms, i, i+1)
 	if rec.timer != nil {
@@ -716,7 +712,7 @@ func (f *Fleet) settle(rec *vmRec) {
 	f.syncLeases(rec)
 	if len(rec.pl) == 1 {
 		f.stats.Handbacks++
-		f.log("handback", rec.req.ID, -1, rec.pl.Nodes()[0], 0, -1)
+		f.log("handback", rec.req.ID, -1, rec.pl[0].Node, 0, -1)
 	}
 }
 
@@ -724,17 +720,13 @@ func (f *Fleet) settle(rec *vmRec) {
 // control plane's books. It refuses moves the current state no longer
 // supports and reports whether it applied.
 func (f *Fleet) moveAccounting(rec *vmRec, from, to, n int) bool {
-	pl := rec.pl
-	if pl[from] < n || !f.fits(rec, to, n) {
+	if rec.pl.CPUs(from) < n || !f.fits(rec, to, n) {
 		return false
 	}
 	f.occupy(rec, to, n)
 	f.vacate(rec, from, n)
-	pl[from] -= n
-	pl[to] += n
-	if pl[from] == 0 {
-		delete(pl, from)
-	}
+	rec.pl.Add(from, -n)
+	rec.pl.Add(to, n)
 	f.stats.Migrations += n
 	f.log("migrate", rec.req.ID, from, to, n, -1)
 	return true
@@ -838,9 +830,9 @@ func (f *Fleet) every(period sim.Time, tick func()) {
 // on ties. Every other fragment is borrowed capacity under a lease.
 func homeOf(pl sched.Placement) int {
 	best, bestC := -1, -1
-	for _, n := range pl.Nodes() {
-		if pl[n] > bestC {
-			best, bestC = n, pl[n]
+	for _, fr := range pl {
+		if fr.CPUs > bestC {
+			best, bestC = fr.Node, fr.CPUs
 		}
 	}
 	return best

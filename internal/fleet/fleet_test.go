@@ -28,7 +28,7 @@ func TestSingleNodeAdmission(t *testing.T) {
 	f.Submit([]Request{{ID: 1, VCPUs: 4, MemBytes: 8 * gig, Arrival: 0, Duration: sim.Second}})
 	env.RunUntil(1)
 	pl := f.PlacementOf(1)
-	if len(pl) != 1 || pl[0] != 4 {
+	if len(pl) != 1 || pl.CPUs(0) != 4 {
 		t.Fatalf("placement = %v, want 4 vCPUs on node 0", pl)
 	}
 	if got := f.Stats().SingleNode; got != 1 {
@@ -47,7 +47,7 @@ func TestGangPlacementGrantsLeases(t *testing.T) {
 	})
 	env.RunUntil(2)
 	pl := f.PlacementOf(3)
-	if len(pl) != 2 || pl[0] != 1 || pl[1] != 1 {
+	if len(pl) != 2 || pl.CPUs(0) != 1 || pl.CPUs(1) != 1 {
 		t.Fatalf("placement of VM3 = %v, want 1+1", pl)
 	}
 	if f.Stats().Gangs != 1 {
@@ -64,6 +64,44 @@ func TestGangPlacementGrantsLeases(t *testing.T) {
 		t.Fatalf("active leases = %+v, want one for VM3 on node 1", active)
 	}
 	f.Verify()
+}
+
+// TestPlacementOfIsACopy: the placement PlacementOf returns is the
+// caller's. Writing its fragments and adding to it leave the fleet's
+// placement, its free books, its leases and its report as they were.
+func TestPlacementOfIsACopy(t *testing.T) {
+	env, f := newFleet(t, Config{Nodes: 3, CPUsPerNode: 4, MemPerNode: 8 * gig, Policy: sched.MinNodes})
+	f.Submit([]Request{
+		{ID: 1, VCPUs: 3, MemBytes: gig, Arrival: 0},
+		{ID: 2, VCPUs: 3, MemBytes: gig, Arrival: 0},
+		{ID: 3, VCPUs: 4, MemBytes: gig, Arrival: 0},
+		{ID: 4, VCPUs: 2, MemBytes: gig, Arrival: 1}, // gang 1+1 on nodes 0 and 1
+	})
+	env.RunUntil(2)
+	want := sched.Placement{{Node: 0, CPUs: 1}, {Node: 1, CPUs: 1}}
+	if got := f.PlacementOf(4); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fixture: VM 4 placed %v, want %v", got, want)
+	}
+	free, leases := f.FreeCPU(), f.Leases()
+
+	pl := f.PlacementOf(4)
+	pl[0].CPUs += 2
+	pl[1].Node = 2
+	pl.Add(1, 1)
+	pl.Add(0, -3)
+
+	if got := f.vm(4).pl; !reflect.DeepEqual(got, want) {
+		t.Errorf("the fleet's placement became %v after its copy was written, want %v", got, want)
+	}
+	if got := f.PlacementOf(4); !reflect.DeepEqual(got, want) {
+		t.Errorf("PlacementOf = %v after its copy was written, want %v", got, want)
+	}
+	if !reflect.DeepEqual(f.FreeCPU(), free) || !reflect.DeepEqual(f.Leases(), leases) {
+		t.Errorf("books moved: free %v leases %+v, want free %v leases %+v", f.FreeCPU(), f.Leases(), free, leases)
+	}
+	if vs := f.VerifyReport(); len(vs) > 0 {
+		t.Errorf("VerifyReport after writing a copy: %v", vs)
+	}
 }
 
 func TestConsolidationOnDeparture(t *testing.T) {
@@ -188,7 +226,7 @@ func TestMemoryConstrainedPlacement(t *testing.T) {
 	f.Submit([]Request{{ID: 1, VCPUs: 8, MemBytes: 8 * gig, Arrival: 0, Duration: sim.Second}})
 	env.RunUntil(1)
 	pl := f.PlacementOf(1)
-	if len(pl) != 2 || pl[0] != 4 || pl[1] != 4 {
+	if len(pl) != 2 || pl.CPUs(0) != 4 || pl.CPUs(1) != 4 {
 		t.Fatalf("placement = %v, want 4+4 forced by memory", pl)
 	}
 	f.Verify()
@@ -282,7 +320,7 @@ func TestReclaimConsolidatesNotEvicts(t *testing.T) {
 
 	// Consolidation: the borrower survives, its node-1 fragment moved by
 	// migration, zero evictions.
-	if pl := cons.PlacementOf(4); pl == nil || pl[1] != 0 {
+	if pl := cons.PlacementOf(4); pl == nil || pl.CPUs(1) != 0 {
 		t.Fatalf("consolidate: borrower placement = %v, want alive and off node 1", cons.PlacementOf(4))
 	}
 	if got := cons.Stats().Evictions; got != 0 {
@@ -355,7 +393,7 @@ func TestAdmissionReclaimRelocatesBorrowers(t *testing.T) {
 	if len(admit) != 1 || admit[0].To != 2 {
 		t.Errorf("VM 7 admissions = %+v, want one on node 2", admit)
 	}
-	if pl := f.PlacementOf(5); pl[2] != 0 || pl[3] != 1 {
+	if pl := f.PlacementOf(5); pl.CPUs(2) != 0 || pl.CPUs(3) != 1 {
 		t.Errorf("VM 5 placement = %v, want its node-2 fragment on node 3", pl)
 	}
 	if st := f.Stats(); st.Reclaims != 1 || st.Evictions != 0 {
@@ -411,7 +449,7 @@ func TestNodeFailureRestartsFragments(t *testing.T) {
 	}
 	// Every fragment that was on node 1 must have moved or requeued.
 	for id := 1; id <= 4; id++ {
-		if pl := f.PlacementOf(id); pl != nil && pl[1] > 0 {
+		if pl := f.PlacementOf(id); pl != nil && pl.CPUs(1) > 0 {
 			t.Fatalf("VM %d still places on crashed node: %v", id, pl)
 		}
 	}
@@ -494,7 +532,7 @@ func TestLinkCutNodeDownAndRejoin(t *testing.T) {
 	}
 	// The healed node is back in service: the VM that could only fit
 	// with node 1's capacity must be running on it.
-	if pl := f.PlacementOf(3); pl == nil || pl[1] == 0 {
+	if pl := f.PlacementOf(3); pl == nil || pl.CPUs(1) == 0 {
 		t.Fatalf("post-heal VM not placed on the rejoined node: %v", pl)
 	}
 	f.Verify()

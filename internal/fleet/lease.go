@@ -78,7 +78,7 @@ func (f *Fleet) Leases() []Lease {
 // every other fragment exactly one.
 func (f *Fleet) syncLeases(rec *vmRec) {
 	pl, vmID, mpc := rec.pl, rec.req.ID, rec.req.memPerCPU()
-	if pl[rec.home] == 0 {
+	if pl.CPUs(rec.home) == 0 {
 		rec.home = homeOf(pl)
 	}
 	h := rec.home
@@ -90,12 +90,13 @@ func (f *Fleet) syncLeases(rec *vmRec) {
 		if l.VM != vmID {
 			continue
 		}
-		if pl[l.Node] == 0 || l.Node == h {
+		c := pl.CPUs(l.Node)
+		if c == 0 || l.Node == h {
 			stale = append(stale, l)
 			continue
 		}
-		l.CPUs = pl[l.Node]
-		l.MemBytes = int64(pl[l.Node]) * mpc
+		l.CPUs = c
+		l.MemBytes = int64(c) * mpc
 		covered++
 	}
 	for _, l := range stale {
@@ -104,7 +105,8 @@ func (f *Fleet) syncLeases(rec *vmRec) {
 	if covered == len(pl)-1 {
 		return // every non-home fragment has its lease
 	}
-	for _, n := range pl.Nodes() {
+	for _, fr := range pl {
+		n := fr.Node
 		if n == h || f.leaseOn(vmID, n) != nil {
 			continue
 		}
@@ -112,8 +114,8 @@ func (f *Fleet) syncLeases(rec *vmRec) {
 			ID:       f.nextLease,
 			VM:       vmID,
 			Node:     n,
-			CPUs:     pl[n],
-			MemBytes: int64(pl[n]) * mpc,
+			CPUs:     fr.CPUs,
+			MemBytes: int64(fr.CPUs) * mpc,
 			State:    LeaseActive,
 			Granted:  f.env.Now(),
 		}
@@ -258,16 +260,16 @@ func (f *Fleet) relocate(vmID, src int) ([]liveMove, bool) {
 	rec := f.vm(vmID)
 	eff := f.effective(rec.req.memPerCPU())
 	eff[src] = 0
-	target, ok := f.placeFragment(eff, rec.pl, src, rec.pl[src])
+	target, ok := f.placeFragment(eff, rec.pl, src, rec.pl.CPUs(src))
 	if !ok {
 		return nil, false
 	}
 	var work []liveMove
-	for _, dst := range target.Nodes() {
-		if !f.moveAccounting(rec, src, dst, target[dst]) {
+	for _, fr := range target {
+		if !f.moveAccounting(rec, src, fr.Node, fr.CPUs) {
 			panic(fmt.Sprintf("fleet: planned relocation of VM %d from node %d went stale", vmID, src))
 		}
-		work = append(work, liveMove{vmID, src, dst, target[dst]})
+		work = append(work, liveMove{vmID, src, fr.Node, fr.CPUs})
 	}
 	f.settle(rec)
 	return work, true
@@ -281,8 +283,8 @@ func (f *Fleet) relocate(vmID, src int) ([]liveMove, bool) {
 func (f *Fleet) placeFragment(eff []int, pl sched.Placement, src, k int) (sched.Placement, bool) {
 	own := make([]int, len(eff))
 	var near []int
-	for _, n := range pl.Nodes() {
-		if n != src {
+	for _, fr := range pl {
+		if n := fr.Node; n != src {
 			own[n] = eff[n]
 			near = append(near, n)
 		}
@@ -320,7 +322,7 @@ func (f *Fleet) reclaimFor(r Request) bool {
 			}
 			work = append(work, mv...)
 		}
-		f.commit(r, sched.Placement{n: r.VCPUs}, "admit")
+		f.commit(r, sched.Placement{{Node: n, CPUs: r.VCPUs}}, "admit")
 		f.runLive(work)
 		return true
 	}
@@ -350,13 +352,13 @@ func (f *Fleet) reclaimFits(node int) bool {
 				eff[i] = f.effCap(cpu[i], mem[i], mpc)
 			}
 		}
-		target, ok := f.placeFragment(eff, rec.pl, node, rec.pl[node])
+		target, ok := f.placeFragment(eff, rec.pl, node, rec.pl.CPUs(node))
 		if !ok {
 			return false
 		}
-		for _, dst := range target.Nodes() {
-			cpu[dst] -= target[dst]
-			mem[dst] -= int64(target[dst]) * mpc
+		for _, fr := range target {
+			cpu[fr.Node] -= fr.CPUs
+			mem[fr.Node] -= int64(fr.CPUs) * mpc
 		}
 	}
 	return true

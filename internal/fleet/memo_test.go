@@ -65,10 +65,8 @@ func booksPrint(f *Fleet, fp []int64) []int64 {
 		rec := f.vm(id)
 		fp = append(fp, int64(id), int64(rec.req.VCPUs), rec.req.MemBytes,
 			int64(rec.home), rec.ballooned, int64(len(rec.pl)))
-		for n := range f.freeCPU {
-			if c, ok := rec.pl[n]; ok {
-				fp = append(fp, int64(n), int64(c))
-			}
+		for _, fr := range rec.pl {
+			fp = append(fp, int64(fr.Node), int64(fr.CPUs))
 		}
 	}
 	fp = append(fp, int64(len(f.waiting)))

@@ -152,7 +152,8 @@ func TestQuickSchedPlacementsFitCapacity(t *testing.T) {
 			return true
 		}
 		sum := 0
-		for n, c := range pl {
+		for _, fr := range pl {
+			n, c := fr.Node, fr.CPUs
 			if c <= 0 || c > free[n] {
 				t.Errorf("FragPlacement(%v, %d) overbooks node %d: %d", free, k, n, c)
 				return false

@@ -18,8 +18,8 @@ import (
 // residentCPU returns a VM's currently placed vCPUs.
 func (rec *vmRec) residentCPU() int64 {
 	var resident int64
-	for _, c := range rec.pl {
-		resident += int64(c)
+	for _, fr := range rec.pl {
+		resident += int64(fr.CPUs)
 	}
 	return resident
 }
@@ -71,13 +71,13 @@ func (f *Fleet) rearmDeparture(rec *vmRec) {
 // policy's selling point; the slowdown is its price.
 func (f *Fleet) balloonLease(l *Lease) {
 	rec, node := f.vm(l.VM), l.Node
-	k := rec.pl[node]
+	k := rec.pl.CPUs(node)
 	if k == 0 {
 		return
 	}
 	f.accrueWork(rec)
 	f.vacate(rec, node, k)
-	delete(rec.pl, node)
+	rec.pl.Add(node, -k)
 	rec.inflate(int64(k))
 	f.stats.Inflations++
 	f.stats.InflatedVCPUs += k
@@ -133,16 +133,15 @@ func (f *Fleet) deflateVM(rec *vmRec) {
 	for _, e := range eff {
 		room += int64(e)
 	}
-	pl := rec.pl
 	for k := min(rec.ballooned, room); k > 0; k-- {
-		target, ok := f.placeFragment(eff, pl, -1, int(k))
+		target, ok := f.placeFragment(eff, rec.pl, -1, int(k))
 		if !ok {
 			continue
 		}
 		f.accrueWork(rec)
-		for _, dst := range target.Nodes() {
-			f.occupy(rec, dst, target[dst])
-			pl[dst] += target[dst]
+		for _, fr := range target {
+			f.occupy(rec, fr.Node, fr.CPUs)
+			rec.pl.Add(fr.Node, fr.CPUs)
 		}
 		rec.deflate(k)
 		f.stats.Deflations++

@@ -167,7 +167,7 @@ func TestAdmissionReclaimConsolidatesBoundBorrowerUnderResize(t *testing.T) {
 	})
 	var vm *hypervisor.VM
 	env.DeferAt(5, func() {
-		if pl := f.PlacementOf(5); pl[1] != 1 || pl[2] != 1 {
+		if pl := f.PlacementOf(5); pl.CPUs(1) != 1 || pl.CPUs(2) != 1 {
 			t.Fatalf("VM 5 placed %v, want a 1+1 gang on nodes 1 and 2", pl)
 		}
 		hcfg := hypervisor.FragVisorConfig(c, []hypervisor.Pin{{Node: 1, PCPU: 7}, {Node: 2, PCPU: 7}}, 2*gig)
@@ -178,10 +178,10 @@ func TestAdmissionReclaimConsolidatesBoundBorrowerUnderResize(t *testing.T) {
 	env.RunUntil(sim.Second)
 	f.Verify()
 
-	if pl := f.PlacementOf(7); len(pl) != 1 || pl[2] != 1 {
+	if pl := f.PlacementOf(7); len(pl) != 1 || pl.CPUs(2) != 1 {
 		t.Fatalf("VM 7 placed %v, want admitted on node 2", pl)
 	}
-	if pl := f.PlacementOf(5); pl[2] != 0 || pl[3] != 1 {
+	if pl := f.PlacementOf(5); pl.CPUs(2) != 0 || pl.CPUs(3) != 1 {
 		t.Errorf("VM 5 placement = %v, want its node-2 fragment on node 3", pl)
 	}
 	if got := vm.VCPUNodes(); got[1] != 3 {

@@ -7,10 +7,7 @@
 // verify, the same check memoized on the event log.
 package fleet
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // ViolationClass names one conservation invariant of the fleet control
 // plane. The classes partition every panic Verify used to raise.
@@ -84,7 +81,8 @@ func (f *Fleet) VerifyReport() []Violation {
 	for _, rec := range f.vms {
 		s := vmScan{lo: len(borrowed)}
 		mpc := rec.req.memPerCPU()
-		for n, c := range rec.pl {
+		for _, fr := range rec.pl {
+			n, c := fr.Node, fr.CPUs
 			usedCPU[n] += c
 			usedMem[n] += int64(c) * mpc
 			s.resident += int64(c)
@@ -149,12 +147,12 @@ func (f *Fleet) VerifyReport() []Violation {
 		}
 		active[k] = l
 		rec := f.vm(l.VM)
-		if rec == nil || rec.pl[l.Node] == 0 || rec.home == l.Node {
+		if rec == nil || rec.pl.CPUs(l.Node) == 0 || rec.home == l.Node {
 			vs.add(VLeaseNoFragment, l.Node, l.VM, l.ID, "lease %d covers no fragment (VM %d node %d)", l.ID, l.VM, l.Node)
 			continue
 		}
-		if l.CPUs != rec.pl[l.Node] {
-			vs.add(VLeaseCPUMismatch, l.Node, l.VM, l.ID, "lease %d books %d vCPUs, fragment has %d", l.ID, l.CPUs, rec.pl[l.Node])
+		if c := rec.pl.CPUs(l.Node); l.CPUs != c {
+			vs.add(VLeaseCPUMismatch, l.Node, l.VM, l.ID, "lease %d books %d vCPUs, fragment has %d", l.ID, l.CPUs, c)
 		}
 	}
 	if indexed && outstanding != len(f.live) {
@@ -163,10 +161,9 @@ func (f *Fleet) VerifyReport() []Violation {
 			len(f.live), outstanding, l.ID)
 	}
 	for i, s := range sc.scans {
-		// Report in node order.
-		id, nodes := f.vms[i].req.ID, borrowed[s.lo:s.hi]
-		slices.Sort(nodes)
-		for _, n := range nodes {
+		// Placements are in node order, so the report is too.
+		id := f.vms[i].req.ID
+		for _, n := range borrowed[s.lo:s.hi] {
 			if active[leaseKey{id, n}] == nil {
 				vs.add(VFragmentNoLease, n, id, -1, "fragment of VM %d on node %d has no lease", id, n)
 			}

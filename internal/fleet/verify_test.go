@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -366,16 +365,25 @@ func TestVMsStayInIDOrder(t *testing.T) {
 }
 
 // verifyReportRef is VerifyReport as it was before the scan walked each
-// placement once: it walks every placement three times (books,
-// residentCPU, fragments) and looks each VM up three times. Kept as the
-// oracle TestVerifyReportMatchesReference holds the single walk to.
+// placement once: it copies every placement into a map, walks each one
+// three times (books, residentCPU, fragments) and looks each VM up three
+// times. Kept as the oracle TestVerifyReportMatchesReference holds the
+// single walk to.
 func verifyReportRef(f *Fleet) []Violation {
 	var vs violations
 	usedCPU := make([]int, f.cfg.Nodes)
 	usedMem := make([]int64, f.cfg.Nodes)
+	pls := map[int]map[int]int{}
+	for _, rec := range f.vms {
+		pl := map[int]int{}
+		for _, fr := range rec.pl {
+			pl[fr.Node] = fr.CPUs
+		}
+		pls[rec.req.ID] = pl
+	}
 	for _, rec := range f.vms {
 		mpc := rec.req.memPerCPU()
-		for n, c := range rec.pl {
+		for n, c := range pls[rec.req.ID] {
 			usedCPU[n] += c
 			usedMem[n] += int64(c) * mpc
 		}
@@ -434,13 +442,13 @@ func verifyReportRef(f *Fleet) []Violation {
 				active[k].ID, l.ID, l.VM, l.Node)
 		}
 		active[k] = l
-		rec := f.vm(l.VM)
-		if rec == nil || rec.pl[l.Node] == 0 || rec.home == l.Node {
+		rec, pl := f.vm(l.VM), pls[l.VM]
+		if rec == nil || pl[l.Node] == 0 || rec.home == l.Node {
 			vs.add(VLeaseNoFragment, l.Node, l.VM, l.ID, "lease %d covers no fragment (VM %d node %d)", l.ID, l.VM, l.Node)
 			continue
 		}
-		if l.CPUs != rec.pl[l.Node] {
-			vs.add(VLeaseCPUMismatch, l.Node, l.VM, l.ID, "lease %d books %d vCPUs, fragment has %d", l.ID, l.CPUs, rec.pl[l.Node])
+		if l.CPUs != pl[l.Node] {
+			vs.add(VLeaseCPUMismatch, l.Node, l.VM, l.ID, "lease %d books %d vCPUs, fragment has %d", l.ID, l.CPUs, pl[l.Node])
 		}
 	}
 	if indexed && outstanding != len(f.live) {
@@ -448,18 +456,14 @@ func verifyReportRef(f *Fleet) []Violation {
 		vs.add(VLeaseIndex, l.Node, l.VM, l.ID, "live list holds %d leases, the ledger %d outstanding; lease %d is extra",
 			len(f.live), outstanding, l.ID)
 	}
-	var one [1]int
 	for _, id := range ids {
-		// Report in node order; a single-node placement needs no sort.
+		// Report in node order.
 		rec := f.vm(id)
-		pl, nodes := rec.pl, one[:0]
-		if len(pl) > 1 {
-			nodes = pl.Nodes()
-		} else {
-			for n := range pl {
-				nodes = append(nodes, n)
-			}
+		var nodes []int
+		for n := range pls[id] {
+			nodes = append(nodes, n)
 		}
+		sort.Ints(nodes)
 		for _, n := range nodes {
 			if n != rec.home && active[key{id, n}] == nil {
 				vs.add(VFragmentNoLease, n, id, -1, "fragment of VM %d on node %d has no lease", id, n)
@@ -491,7 +495,7 @@ func cloneBooks(f *Fleet) *Fleet {
 	}
 	for _, rec := range f.vms {
 		r := *rec
-		r.pl = maps.Clone(rec.pl)
+		r.pl = slices.Clone(rec.pl)
 		c.vms = append(c.vms, &r)
 	}
 	copies := make(map[*Lease]*Lease, len(f.leases))

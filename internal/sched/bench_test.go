@@ -11,15 +11,15 @@ import (
 // and elsewhere, "idle" has every node full, so the planner only copies
 // its inputs and finds no destination — most VMs on most rebalance
 // ticks look like that.
-var budgetPlacement = Placement{1: 2, 3: 3, 5: 1, 7: 4}
+var budgetPlacement = Placement{{1, 2}, {3, 3}, {5, 1}, {7, 4}}
 
 const budgetCap = 8
 
 // budgetCases bound the allocations of one pair of plans (MinFrag, then
-// MinNodes). On a reused Planner the pair allocates nothing. On fresh
-// planners (ConsolidationMoves) each call allocates its slot buffer and
-// its free-vector-plus-destinations buffer, and the rest, at most fresh
-// in all, is the growth of the returned move list.
+// MinNodes). On a reused Planner the pair allocates nothing. On zero
+// Planners each call allocates its fragment buffer and its
+// free-vector-plus-destinations buffer, and the rest, at most fresh in
+// all, is the growth of the returned move list.
 var budgetCases = []struct {
 	name  string
 	free  []int
@@ -53,14 +53,15 @@ func BenchmarkConsolidationMoves(b *testing.B) {
 }
 
 // TestConsolidationAllocBudget pins the planner's allocations on the
-// budget cases: once a Planner's slot, free-vector and move buffers have
+// budget cases: once a Planner's fragment, free-vector and move buffers have
 // grown, a pair of plans allocates nothing, moves or no moves, and a
 // pair of fresh plans stays within its budget. The "moves" case must
 // really plan moves, and the same ones as the reference.
 func TestConsolidationAllocBudget(t *testing.T) {
 	moving := budgetCases[0].free
 	for _, pol := range []Policy{MinFrag, MinNodes} {
-		got := ConsolidationMoves(moving, budgetCap, budgetPlacement, pol, nil)
+		var p Planner
+		got := p.Moves(moving, budgetCap, budgetPlacement, pol, nil)
 		if want := consolidationMovesRef(moving, budgetCap, budgetPlacement, pol, nil); len(got) == 0 || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v: moves %v, want the reference's %v (and at least one)", pol, got, want)
 		}
@@ -71,8 +72,9 @@ func TestConsolidationAllocBudget(t *testing.T) {
 			t.Errorf("%s: a pair of plans on a reused planner allocates %v objects, want 0", c.name, allocs)
 		}
 		fresh := func() {
-			ConsolidationMoves(c.free, budgetCap, budgetPlacement, MinFrag, nil)
-			ConsolidationMoves(c.free, budgetCap, budgetPlacement, MinNodes, nil)
+			var mf, mn Planner
+			mf.Moves(c.free, budgetCap, budgetPlacement, MinFrag, nil)
+			mn.Moves(c.free, budgetCap, budgetPlacement, MinNodes, nil)
 		}
 		if allocs := testing.AllocsPerRun(1000, fresh); allocs > float64(c.fresh) {
 			t.Errorf("%s: a pair of fresh plans allocates %v objects, budget %d", c.name, allocs, c.fresh)

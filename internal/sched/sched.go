@@ -12,7 +12,7 @@
 //     first) or MinFrag (consume the smallest fragments first, minimizing
 //     overall cluster fragmentation). If even the fragments do not
 //     suffice, the caller delays the request.
-//   - Whenever capacity frees up, ConsolidationMoves plans vCPU migrations
+//   - Whenever capacity frees up, Planner.Moves plans vCPU migrations
 //     between an Aggregate VM's slices when that either empties a slice
 //     (fewer nodes) or completely fills a fragment (less fragmentation).
 //   - An Aggregate VM that ends up on a single node is handed back to
@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // Policy selects FragBFF's placement/consolidation objective.
@@ -56,17 +57,61 @@ func (p Policy) String() string {
 	}
 }
 
-// Placement maps node id to the number of the VM's vCPUs hosted there.
-type Placement map[int]int
+// Fragment is one slice of a placement: CPUs of the VM's vCPUs on Node.
+type Fragment struct{ Node, CPUs int }
 
-// Nodes returns the placement's node ids, sorted.
-func (pl Placement) Nodes() []int {
-	out := make([]int, 0, len(pl))
-	for n := range pl {
-		out = append(out, n)
+// Placement is where a VM's vCPUs run: its fragments in ascending node
+// order, none empty. A VM spans a few nodes of many, so lookups binary
+// search the fragments. Outside this package Add is the only writer,
+// and it keeps both properties.
+type Placement []Fragment
+
+// find returns where node's fragment is, or would be inserted, and
+// whether it is there.
+func (pl Placement) find(node int) (int, bool) {
+	return slices.BinarySearchFunc(pl, node, func(f Fragment, n int) int { return cmp.Compare(f.Node, n) })
+}
+
+// CPUs returns the vCPUs the placement hosts on node, 0 when none.
+func (pl Placement) CPUs(node int) int {
+	if i, ok := pl.find(node); ok {
+		return pl[i].CPUs
 	}
-	sort.Ints(out)
-	return out
+	return 0
+}
+
+// Add changes the vCPUs on node by delta: it inserts the node's
+// fragment, adjusts it, or drops it when it reaches 0. It panics when
+// the node would host fewer than 0.
+func (pl *Placement) Add(node, delta int) {
+	i, ok := pl.find(node)
+	c := delta
+	if ok {
+		c += (*pl)[i].CPUs
+	}
+	switch {
+	case c < 0:
+		panic(fmt.Sprintf("sched: node %d would host %d vCPUs", node, c))
+	case ok && c == 0:
+		*pl = slices.Delete(*pl, i, i+1)
+	case ok:
+		(*pl)[i].CPUs = c
+	case c > 0:
+		*pl = slices.Insert(*pl, i, Fragment{node, c})
+	}
+}
+
+// String renders the placement as node:count pairs in node order:
+// "n0:2 n1:2".
+func (pl Placement) String() string {
+	var b strings.Builder
+	for i, f := range pl {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "n%d:%d", f.Node, f.CPUs)
+	}
+	return b.String()
 }
 
 // BestFit returns the index into free whose capacity fits the request most
@@ -130,7 +175,7 @@ func FragPlacement(free []int, need int, pol Policy, dist DistanceFunc, near []i
 		})
 	}
 	chosen := append([]int(nil), near...)
-	pl := Placement{}
+	var pl Placement
 	for need > 0 {
 		// Pick the policy-earliest fragment among those closest to the
 		// chosen set; the first pick with no anchors scores everything 0
@@ -152,7 +197,7 @@ func FragPlacement(free []int, need int, pol Policy, dist DistanceFunc, near []i
 		if take > need {
 			take = need
 		}
-		pl[f.node] = take
+		pl.Add(f.node, take)
 		need -= take
 		chosen = append(chosen, f.node)
 		frags[pick].free = 0
@@ -165,11 +210,10 @@ type Move struct {
 	From, To, N int
 }
 
-// ConsolidationMoves plans the FragBFF consolidation pass for one
-// multi-node placement: the ordered vCPU moves to issue given the
-// cluster's free-capacity vector and per-node capacity, including the
-// MinFrag fragmentation veto (the paper's t=222 decision). The inputs are
-// not mutated.
+// Planner plans the FragBFF consolidation pass for one multi-node
+// placement: the ordered vCPU moves to issue given the cluster's
+// free-capacity vector and per-node capacity, including the MinFrag
+// fragmentation veto (the paper's t=222 decision).
 //
 // When several destinations are otherwise equally attractive, vCPUs
 // migrate to the node nearest their source — migration traffic (state
@@ -177,41 +221,28 @@ type Move struct {
 // distance key ranks strictly after the policy's capacity keys and is
 // skipped when dist == nil.
 //
-// It plans on a fresh Planner, so the moves are the caller's; a caller
-// that plans repeatedly holds a Planner and calls its Moves instead.
-func ConsolidationMoves(free []int, cap int, placement Placement, pol Policy, dist DistanceFunc) []Move {
-	var p Planner
-	return p.Moves(free, cap, placement, pol, dist)
-}
-
-// Planner is the consolidation planner. It keeps its slot, free-vector
-// and move buffers between calls, so once they have grown to the
-// largest placement and cluster it has planned for, planning allocates
-// nothing. The zero value is ready to use; a Planner is not safe for
-// concurrent use.
+// A Planner keeps its fragment, free-vector and move buffers between
+// calls, so once they have grown to the largest placement and cluster
+// it has planned for, planning allocates nothing. The zero value is
+// ready to use; a Planner is not safe for concurrent use.
 type Planner struct {
-	slots []slot
+	frags []Fragment
 	ints  []int
 	moves []Move
 }
 
-// Moves is ConsolidationMoves on p's buffers. The returned moves are
-// valid until the next call.
+// Moves plans the consolidation pass for placement. The inputs are not
+// mutated; the returned moves are valid until the next call.
 func (p *Planner) Moves(free []int, cap int, placement Placement, pol Policy, dist DistanceFunc) []Move {
-	// The placement is copied once into slots, one per slice, sorted by
-	// node; the second half of the same buffer holds each round's
-	// source order.
-	// Within one call the node set only shrinks — every destination is
-	// an existing slice and only an emptied source leaves — so node
-	// order holds without re-sorting. The free-vector copy and the
+	// The placement's fragments, already in node order, are copied into
+	// the first half of the fragment buffer; the second half holds each
+	// round's source order. Within one call the node set only shrinks —
+	// every destination is an existing slice and only an emptied source
+	// leaves — so node order holds. The free-vector copy and the
 	// destination list (indices into pl) share one buffer too.
 	k := len(placement)
-	p.slots = resize(p.slots, 2*k)
-	pl, order := p.slots[:0:k], p.slots[k:k]
-	for n, c := range placement {
-		pl = append(pl, slot{n, c})
-	}
-	slices.SortFunc(pl, func(a, b slot) int { return cmp.Compare(a.node, b.node) })
+	p.frags = resize(p.frags, 2*k)
+	pl, order := Placement(append(p.frags[:0:k], placement...)), p.frags[k:k]
 	p.ints = resize(p.ints, len(free)+k)
 	n := copy(p.ints, free)
 	free, dsts := p.ints[:n:n], p.ints[n:n]
@@ -220,57 +251,58 @@ func (p *Planner) Moves(free []int, cap int, placement Placement, pol Policy, di
 		changed = false
 		// Try to empty the smallest slice into peers.
 		order = append(order[:0], pl...)
-		slices.SortFunc(order, func(a, b slot) int {
-			if a.cpus != b.cpus {
-				return cmp.Compare(a.cpus, b.cpus)
+		slices.SortFunc(order, func(a, b Fragment) int {
+			if a.CPUs != b.CPUs {
+				return cmp.Compare(a.CPUs, b.CPUs)
 			}
-			return cmp.Compare(a.node, b.node)
+			return cmp.Compare(a.Node, b.Node)
 		})
 		for _, s := range order {
 			if len(pl) == 1 {
 				break
 			}
-			src, si := s.node, slotOf(pl, s.node)
+			src := s.Node
+			si, _ := pl.find(src) // present: only sources already visited leave
 			// Destinations: peers with free capacity. Prefer filling
 			// tighter fragments (MinFrag) or the fullest slice
 			// (MinNodes), then the nearest node.
 			dsts = dsts[:0]
 			for i, d := range pl {
-				if i != si && free[d.node] > 0 {
+				if i != si && free[d.Node] > 0 {
 					dsts = append(dsts, i)
 				}
 			}
 			slices.SortFunc(dsts, func(i, j int) int {
 				a, b := pl[i], pl[j]
 				if pol == MinFrag {
-					if free[a.node] != free[b.node] {
-						return cmp.Compare(free[a.node], free[b.node])
+					if free[a.Node] != free[b.Node] {
+						return cmp.Compare(free[a.Node], free[b.Node])
 					}
 				} else {
-					if a.cpus != b.cpus {
-						return cmp.Compare(b.cpus, a.cpus)
+					if a.CPUs != b.CPUs {
+						return cmp.Compare(b.CPUs, a.CPUs)
 					}
 				}
 				if dist != nil {
-					if da, db := dist(src, a.node), dist(src, b.node); da != db {
+					if da, db := dist(src, a.Node), dist(src, b.Node); da != db {
 						return cmp.Compare(da, db)
 					}
 				}
-				return cmp.Compare(a.node, b.node)
+				return cmp.Compare(a.Node, b.Node)
 			})
 			for _, di := range dsts {
-				dst := pl[di].node
-				move := min(pl[si].cpus, free[dst])
+				dst := pl[di].Node
+				move := min(pl[si].CPUs, free[dst])
 				if move == 0 {
 					continue
 				}
-				empties := move == pl[si].cpus
+				empties := move == pl[si].CPUs
 				// Partial moves are allowed under MinFrag when they
 				// fill the destination fragment completely, but only
 				// from a smaller slice into an equal-or-bigger one:
 				// that strictly increases the placement's sum of
 				// squares, so consolidation cannot oscillate.
-				fills := move == free[dst] && pl[di].cpus >= pl[si].cpus
+				fills := move == free[dst] && pl[di].CPUs >= pl[si].CPUs
 				if !empties && !(pol == MinFrag && fills) {
 					continue
 				}
@@ -283,11 +315,11 @@ func (p *Planner) Moves(free []int, cap int, placement Placement, pol Policy, di
 				}
 				free[dst] -= move
 				free[src] += move
-				pl[si].cpus -= move
-				pl[di].cpus += move
+				pl[si].CPUs -= move
+				pl[di].CPUs += move
 				moves = append(moves, Move{From: src, To: dst, N: move})
 				changed = true
-				if pl[si].cpus == 0 {
+				if pl[si].CPUs == 0 {
 					pl = slices.Delete(pl, si, si+1)
 					break
 				}
@@ -305,20 +337,6 @@ func resize[T any](buf []T, n int) []T {
 		return make([]T, n)
 	}
 	return buf[:n]
-}
-
-// slot is one slice of a placement: vCPUs on a node.
-type slot struct{ node, cpus int }
-
-// slotOf returns the index of node's slot in node-sorted slots; the
-// node must be present.
-func slotOf(pl []slot, node int) int {
-	for i, s := range pl {
-		if s.node == node {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("sched: node %d has no slice", node))
 }
 
 // FragCount returns the number of partially-free entries of the

@@ -24,7 +24,7 @@ func TestFragmentedPlacement(t *testing.T) {
 		t.Fatalf("BestFit placed on node %d despite no node fitting", n)
 	}
 	pl, ok := FragPlacement(free, 2, MinNodes, nil, nil)
-	if !ok || !reflect.DeepEqual(pl, Placement{0: 1, 1: 1}) {
+	if !ok || !reflect.DeepEqual(pl, Placement{{0, 1}, {1, 1}}) {
 		t.Fatalf("placement = %v (ok=%v), want 1+1 across nodes", pl, ok)
 	}
 }
@@ -48,11 +48,12 @@ func TestMinFragFillsFragmentsPartially(t *testing.T) {
 	// is impossible, but MinFrag still moves one vCPU to fill the
 	// fragment completely; MinNodes only moves when a slice empties.
 	free := []int{1, 0, 0, 0}
-	pl := Placement{0: 2, 1: 2}
-	if got := ConsolidationMoves(free, 12, pl, MinFrag, nil); !reflect.DeepEqual(got, []Move{{From: 1, To: 0, N: 1}}) {
+	pl := Placement{{0, 2}, {1, 2}}
+	var p Planner
+	if got := p.Moves(free, 12, pl, MinFrag, nil); !reflect.DeepEqual(got, []Move{{From: 1, To: 0, N: 1}}) {
 		t.Fatalf("MinFrag moves = %v, want one vCPU 1->0", got)
 	}
-	if got := ConsolidationMoves(free, 12, pl, MinNodes, nil); len(got) != 0 {
+	if got := p.Moves(free, 12, pl, MinNodes, nil); len(got) != 0 {
 		t.Fatalf("MinNodes moves = %v, want none", got)
 	}
 }
@@ -68,17 +69,18 @@ func TestSchedulerNeverOvercommits(t *testing.T) {
 		pol := Policy(rng.Intn(2))
 		nodes := 2 + rng.Intn(6)
 		free := make([]int, nodes)
-		pl := Placement{}
+		var pl Placement
 		total := 0
 		for n := range free {
 			free[n] = rng.Intn(cap + 1)
 			if c := rng.Intn(cap - free[n] + 1); c > 0 && rng.Intn(2) == 0 {
-				pl[n] = c
+				pl.Add(n, c)
 				total += c
 			}
 		}
-		for _, m := range ConsolidationMoves(free, cap, pl, pol, nil) {
-			if m.N <= 0 || pl[m.From] < m.N || free[m.To] < m.N || pl[m.To] == 0 {
+		var p Planner
+		for _, m := range p.Moves(free, cap, pl, pol, nil) {
+			if m.N <= 0 || pl.CPUs(m.From) < m.N || free[m.To] < m.N || pl.CPUs(m.To) == 0 {
 				t.Errorf("seed %d: move %+v invalid against free %v placement %v", seed, m, free, pl)
 				return false
 			}
@@ -88,15 +90,12 @@ func TestSchedulerNeverOvercommits(t *testing.T) {
 			}
 			free[m.To] -= m.N
 			free[m.From] += m.N
-			pl[m.From] -= m.N
-			pl[m.To] += m.N
-			if pl[m.From] == 0 {
-				delete(pl, m.From)
-			}
+			pl.Add(m.From, -m.N)
+			pl.Add(m.To, m.N)
 		}
 		sum := 0
-		for _, c := range pl {
-			sum += c
+		for _, f := range pl {
+			sum += f.CPUs
 		}
 		return sum == total
 	}
@@ -114,7 +113,7 @@ func TestPoliciesDiffer(t *testing.T) {
 	if !ok1 || !ok2 {
 		t.Fatalf("placements failed: MinNodes ok=%v MinFrag ok=%v", ok1, ok2)
 	}
-	if !reflect.DeepEqual(mn, Placement{0: 1, 1: 1, 2: 2}) || !reflect.DeepEqual(mf, Placement{0: 1, 1: 1, 2: 1, 3: 1}) {
+	if !reflect.DeepEqual(mn, Placement{{0, 1}, {1, 1}, {2, 2}}) || !reflect.DeepEqual(mf, Placement{{0, 1}, {1, 1}, {2, 1}, {3, 1}}) {
 		t.Fatalf("MinNodes %v, MinFrag %v", mn, mf)
 	}
 	if len(mn) >= len(mf) {
@@ -122,19 +121,20 @@ func TestPoliciesDiffer(t *testing.T) {
 	}
 }
 
-// consolidationMovesRef is the map-based ConsolidationMoves the slice
-// planner replaced, kept verbatim as the equivalence oracle: it re-sorts
-// the placement's nodes from the map for every source slice.
+// consolidationMovesRef is the map-based planner the slice planner
+// replaced, kept verbatim as the equivalence oracle: it copies the
+// placement into a map and re-sorts the map's nodes for every source
+// slice.
 func consolidationMovesRef(free []int, cap int, placement Placement, pol Policy, dist DistanceFunc) []Move {
 	free = append([]int(nil), free...)
-	pl := make(Placement, len(placement))
-	for n, c := range placement {
-		pl[n] = c
+	pl := make(map[int]int, len(placement))
+	for _, f := range placement {
+		pl[f.Node] = f.CPUs
 	}
 	var moves []Move
 	for changed := true; changed; {
 		changed = false
-		nodes := pl.Nodes()
+		nodes := sortedNodes(pl)
 		// Try to empty the smallest slice into peers.
 		sort.Slice(nodes, func(i, j int) bool {
 			if pl[nodes[i]] != pl[nodes[j]] {
@@ -150,7 +150,7 @@ func consolidationMovesRef(free []int, cap int, placement Placement, pol Policy,
 			// tighter fragments (MinFrag) or the fullest slice
 			// (MinNodes), then the nearest node.
 			var dsts []int
-			for _, d := range pl.Nodes() {
+			for _, d := range sortedNodes(pl) {
 				if d != src && free[d] > 0 {
 					dsts = append(dsts, d)
 				}
@@ -215,11 +215,21 @@ func consolidationMovesRef(free []int, cap int, placement Placement, pol Policy,
 	return moves
 }
 
+// sortedNodes returns a map placement's nodes in ascending order.
+func sortedNodes(pl map[int]int) []int {
+	out := make([]int, 0, len(pl))
+	for n := range pl {
+		out = append(out, n)
+	}
+	sort.Ints(out)
+	return out
+}
+
 // TestConsolidationMovesMatchesReference: the slice planner returns
 // exactly the reference's moves on seeded random cases — free vectors of
 // 1–9 nodes, placements of 1–6 fragments, both policies, with no
-// topology and with a tree distance — both on a fresh planner
-// (ConsolidationMoves) and on one Planner reused across every case.
+// topology and with a tree distance — both on a zero Planner and on one
+// Planner reused across every case.
 func TestConsolidationMovesMatchesReference(t *testing.T) {
 	const cases = 12000
 	rng := rand.New(rand.NewSource(21))
@@ -230,13 +240,13 @@ func TestConsolidationMovesMatchesReference(t *testing.T) {
 		nodes := 1 + rng.Intn(9)
 		frags := 1 + rng.Intn(min(nodes, 6))
 		free := make([]int, nodes)
-		pl := Placement{}
+		var pl Placement
 		for _, n := range rng.Perm(nodes)[:frags] {
-			pl[n] = 1 + rng.Intn(cap)
-			free[n] = rng.Intn(cap - pl[n] + 1)
+			pl.Add(n, 1+rng.Intn(cap))
+			free[n] = rng.Intn(cap - pl.CPUs(n) + 1)
 		}
 		for n := range free {
-			if _, ok := pl[n]; !ok {
+			if pl.CPUs(n) == 0 {
 				free[n] = rng.Intn(cap + 1)
 			}
 		}
@@ -246,7 +256,8 @@ func TestConsolidationMovesMatchesReference(t *testing.T) {
 			dist = treeDist
 		}
 		want := consolidationMovesRef(free, cap, pl, pol, dist)
-		got := ConsolidationMoves(free, cap, pl, pol, dist)
+		var fresh Planner
+		got := fresh.Moves(free, cap, pl, pol, dist)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d (free %v, cap %d, placement %v, %v, tree %v): moves %v, reference %v",
 				c, free, cap, pl, pol, dist != nil, got, want)

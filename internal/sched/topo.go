@@ -1,5 +1,5 @@
 // Topology-aware placement: the network-distance term BestFit,
-// FragPlacement and ConsolidationMoves consult. The term only ever breaks
+// FragPlacement and Planner.Moves consult. The term only ever breaks
 // ties the capacity policy leaves open, so with a nil oracle the decisions
 // are purely capacity-driven and flat-cluster decision logs (Fig 14, the
 // fleet event log) stay byte-identical.
@@ -34,11 +34,10 @@ func (pl Placement) Span(dist DistanceFunc) int {
 	if dist == nil {
 		return 0
 	}
-	nodes := pl.Nodes()
 	max := 0
-	for i, a := range nodes {
-		for _, b := range nodes[i+1:] {
-			if d := dist(a, b); d > max {
+	for i, a := range pl {
+		for _, b := range pl[i+1:] {
+			if d := dist(a.Node, b.Node); d > max {
 				max = d
 			}
 		}

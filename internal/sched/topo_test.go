@@ -52,8 +52,9 @@ func TestTopoNilDistEquivalence(t *testing.T) {
 				return false
 			}
 			if ok1 {
-				m1 := ConsolidationMoves(free, 8, p1, pol, nil)
-				m2 := ConsolidationMoves(free, 8, p2, pol, uniform)
+				var q1, q2 Planner
+				m1 := q1.Moves(free, 8, p1, pol, nil)
+				m2 := q2.Moves(free, 8, p2, pol, uniform)
 				if !reflect.DeepEqual(m1, m2) {
 					return false
 				}
@@ -86,13 +87,13 @@ func TestFragPlacementLocality(t *testing.T) {
 	// Blind MinNodes takes the two biggest fragments: {0:3, 2:2}.
 	free := []int{3, 2, 3, 0}
 	blind, ok := FragPlacement(free, 5, MinNodes, nil, nil)
-	if !ok || !reflect.DeepEqual(blind, Placement{0: 3, 2: 2}) {
+	if !ok || !reflect.DeepEqual(blind, Placement{{0, 3}, {2, 2}}) {
 		t.Fatalf("blind placement = %v (ok=%v)", blind, ok)
 	}
 	// Topology-aware: after the policy-first pick (node 0), node 1 at
 	// distance 2 beats node 2 at distance 4 despite its smaller fragment.
 	aware, ok := FragPlacement(free, 5, MinNodes, treeDist, nil)
-	if !ok || !reflect.DeepEqual(aware, Placement{0: 3, 1: 2}) {
+	if !ok || !reflect.DeepEqual(aware, Placement{{0, 3}, {1, 2}}) {
 		t.Fatalf("aware placement = %v (ok=%v)", aware, ok)
 	}
 	if blind.Span(treeDist) != 4 || aware.Span(treeDist) != 2 {
@@ -102,8 +103,8 @@ func TestFragPlacementLocality(t *testing.T) {
 	// An anchor seeds the chosen set: borrowing for a gang living on
 	// node 3 clusters the new fragment in node 3's rack.
 	pl, ok := FragPlacement([]int{2, 0, 2, 0}, 2, MinNodes, treeDist, []int{3})
-	if !ok || !reflect.DeepEqual(pl, Placement{2: 2}) {
-		t.Fatalf("anchored placement = %v (ok=%v), want {2:2}", pl, ok)
+	if !ok || !reflect.DeepEqual(pl, Placement{{2, 2}}) {
+		t.Fatalf("anchored placement = %v (ok=%v), want n2:2", pl, ok)
 	}
 }
 
@@ -112,28 +113,29 @@ func TestConsolidationMovesLocality(t *testing.T) {
 	// occupancy, so MinNodes leaves the choice open). Blind takes the
 	// lower index; the oracle redirects the migration within the rack.
 	free := []int{4, 2, 2, 3}
-	placement := Placement{1: 2, 2: 2, 3: 1}
-	blind := ConsolidationMoves(free, 4, placement, MinNodes, nil)
+	placement := Placement{{1, 2}, {2, 2}, {3, 1}}
+	var p Planner
+	blind := p.Moves(free, 4, placement, MinNodes, nil)
 	if len(blind) == 0 || blind[0] != (Move{From: 3, To: 1, N: 1}) {
 		t.Fatalf("blind moves = %v, want first move 3->1", blind)
 	}
-	aware := ConsolidationMoves(free, 4, placement, MinNodes, treeDist)
+	aware := p.Moves(free, 4, placement, MinNodes, treeDist)
 	if len(aware) == 0 || aware[0] != (Move{From: 3, To: 2, N: 1}) {
 		t.Fatalf("aware moves = %v, want first move 3->2 (rack-local)", aware)
 	}
 }
 
 func TestPlacementSpan(t *testing.T) {
-	if s := (Placement{0: 2}).Span(treeDist); s != 0 {
+	if s := (Placement{{0, 2}}).Span(treeDist); s != 0 {
 		t.Errorf("single-node span = %d", s)
 	}
-	if s := (Placement{0: 1, 1: 1}).Span(treeDist); s != 2 {
+	if s := (Placement{{0, 1}, {1, 1}}).Span(treeDist); s != 2 {
 		t.Errorf("rack-local span = %d", s)
 	}
-	if s := (Placement{0: 1, 1: 1, 3: 1}).Span(treeDist); s != 4 {
+	if s := (Placement{{0, 1}, {1, 1}, {3, 1}}).Span(treeDist); s != 4 {
 		t.Errorf("cross-spine span = %d", s)
 	}
-	if s := (Placement{0: 1, 3: 1}).Span(nil); s != 0 {
+	if s := (Placement{{0, 1}, {3, 1}}).Span(nil); s != 0 {
 		t.Errorf("nil-oracle span = %d, want 0", s)
 	}
 }

@@ -2,11 +2,14 @@ package repro
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -300,6 +303,105 @@ func TestOnlyOccupyAndVacateChargeTheBooks(t *testing.T) {
 	}
 	if writers["occupy"] == 0 || writers["vacate"] == 0 {
 		t.Errorf("writers found: %v; the scan is not seeing occupy and vacate", writers)
+	}
+}
+
+// TestOnlySchedWritesPlacements: a sched.Placement is a node-sorted
+// list of non-empty fragments, and CPUs and Add rely on that. Add keeps
+// it, so no production file outside internal/sched assigns to a
+// fragment of a placement (x[i] = …, x[i].CPUs += …, x[i].Node = …,
+// x[i].CPUs++) or takes one's address: every other writer goes through
+// Add. The scan is typed: each package's files are type-checked
+// against its dependencies' export data from go list, and an element
+// counts when its slice holds sched.Fragment. Nested modules
+// (perfbench) are not scanned.
+func TestOnlySchedWritesPlacements(t *testing.T) {
+	const schedPath = "repro/internal/sched"
+	out, err := exec.Command("go", "list", "-deps", "-export",
+		"-f", "{{.ImportPath}}\t{{.Export}}\t{{.Module}}\t{{.Dir}}\t{{join .GoFiles \" \"}}", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	type pkg struct {
+		path, dir string
+		files     []string
+	}
+	var pkgs []pkg
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Split(line, "\t")
+		exports[f[0]] = f[1]
+		if f[2] == "repro" {
+			pkgs = append(pkgs, pkg{f[0], f[3], strings.Fields(f[4])})
+		}
+	}
+	fset := token.NewFileSet()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})}
+	writes := map[string]int{}
+	for _, p := range pkgs {
+		var parsed []*ast.File
+		for _, name := range p.files {
+			f, err := parser.ParseFile(fset, filepath.Join(p.dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parsed = append(parsed, f)
+		}
+		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+		if _, err := conf.Check(p.path, fset, parsed, info); err != nil {
+			t.Fatalf("type-checking %s: %v", p.path, err)
+		}
+		// fragment reports whether e is x[i], or a field of it, with x a
+		// slice of sched.Fragment.
+		fragment := func(e ast.Expr) bool {
+			for {
+				sel, ok := e.(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				e = sel.X
+			}
+			ix, ok := e.(*ast.IndexExpr)
+			if !ok {
+				return false
+			}
+			s, ok := info.TypeOf(ix.X).Underlying().(*types.Slice)
+			if !ok {
+				return false
+			}
+			named, ok := s.Elem().(*types.Named)
+			return ok && named.Obj().Name() == "Fragment" && named.Obj().Pkg().Path() == schedPath
+		}
+		for _, f := range parsed {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var targets []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					targets = n.Lhs
+				case *ast.IncDecStmt:
+					targets = []ast.Expr{n.X}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						targets = []ast.Expr{n.X}
+					}
+				}
+				for _, e := range targets {
+					if !fragment(e) {
+						continue
+					}
+					writes[p.path]++
+					if p.path != schedPath {
+						t.Errorf("%s writes a placement's fragment; only internal/sched may (use Placement.Add)", fset.Position(e.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	}
+	if writes[schedPath] == 0 {
+		t.Errorf("no fragment writes found in %s: the scan is not seeing them", schedPath)
 	}
 }
 
