@@ -33,22 +33,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fragsim:", err)
 		os.Exit(1)
 	}
-	var tb *fragvisor.Testbed
 	var vm *fragvisor.VM
 	switch *profile {
 	case "fragvisor":
-		tb = fragvisor.NewTestbed(*vcpus)
-		vm = tb.NewFragVisorVM(*vcpus, *mem)
+		vm = fragvisor.NewTestbed(*vcpus).NewFragVisorVM(*vcpus, *mem)
 	case "giantvm":
-		tb = fragvisor.NewTestbed(*vcpus)
-		vm = tb.NewGiantVM(*vcpus, *mem)
+		vm = fragvisor.NewTestbed(*vcpus).NewGiantVM(*vcpus, *mem)
 	case "overcommit":
-		tb = fragvisor.NewTestbed(1)
-		vm = tb.NewOvercommitVM(*vcpus, 1, *mem)
+		vm = fragvisor.NewOvercommitVM(*vcpus, 1, *mem)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profile)
 		os.Exit(1)
 	}
+	defer vm.Env.Close()
 
 	switch {
 	case *wl == "serverless":

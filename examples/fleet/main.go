@@ -52,15 +52,15 @@ func main() {
 		pl := f.PlacementOf(borrowerID)
 		fmt.Printf("t=%-9v gang-admitted: placement %v, %d active lease(s)\n",
 			env.Now(), pl, activeLeases(f))
-		var pins []hypervisor.Pin
+		var nodes []int
 		for _, fr := range pl {
-			for i := 0; i < fr.CPUs; i++ {
-				pins = append(pins, hypervisor.Pin{Node: fr.Node, PCPU: 7 - i})
+			for range fr.CPUs {
+				nodes = append(nodes, fr.Node)
 			}
 		}
 		// Node 2 joins as a memory-only slice (§4): it hosts no vCPUs yet,
 		// but consolidation may migrate some there later.
-		hcfg := hypervisor.FragVisorConfig(clus, pins, 2*gig)
+		hcfg := hypervisor.FragVisorConfig(clus, nodes, 2*gig)
 		hcfg.MemoryNodes = []int{2}
 		vm = hypervisor.New(hcfg)
 		env.Spawn("bind", func(p *sim.Proc) {

@@ -24,7 +24,7 @@ func main() {
 		frag := fragvisor.RunLEMP(
 			fragvisor.NewTestbed(4).NewFragVisorVM(4, 16<<30), processing, 40)
 		oc := fragvisor.RunLEMP(
-			fragvisor.NewTestbed(1).NewOvercommitVM(4, 1, 16<<30), processing, 40)
+			fragvisor.NewOvercommitVM(4, 1, 16<<30), processing, 40)
 		fmt.Printf("%-12v %7.2f req/s  %7.2f req/s  %.2fx\n",
 			processing, frag.Throughput, oc.Throughput, frag.Throughput/oc.Throughput)
 	}

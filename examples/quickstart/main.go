@@ -32,7 +32,8 @@ func main() {
 
 	// Compare with the alternative the paper argues against:
 	// overcommitting all four vCPUs onto a single spare core.
-	oc := fragvisor.NewTestbed(1).NewOvercommitVM(4, 1, 8<<30)
+	oc := fragvisor.NewOvercommitVM(4, 1, 8<<30)
+	defer oc.Env.Close()
 	ocElapsed := fragvisor.RunNPB(oc, "EP", 0.1)
 	fmt.Printf("EP x4 overcommitted on 1 pCPU: %v (%.1fx slower)\n",
 		ocElapsed, float64(ocElapsed)/float64(elapsed))

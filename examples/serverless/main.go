@@ -19,7 +19,7 @@ func main() {
 	}
 	frag := fragvisor.RunServerless(fragvisor.NewTestbed(4).NewFragVisorVM(4, 16<<30), scale)
 	giant := fragvisor.RunServerless(fragvisor.NewTestbed(4).NewGiantVM(4, 16<<30), scale)
-	oc := fragvisor.RunServerless(fragvisor.NewTestbed(1).NewOvercommitVM(4, 1, 16<<30), scale)
+	oc := fragvisor.RunServerless(fragvisor.NewOvercommitVM(4, 1, 16<<30), scale)
 
 	fmt.Println("4 parallel lambda invocations (one per vCPU):")
 	show("fragvisor", frag)

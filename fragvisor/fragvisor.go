@@ -11,7 +11,8 @@
 //     FragVisor (kernel DSM + contextual optimization, multiqueue +
 //     DSM-bypass virtio, optimized NUMA-aware guest, vCPU mobility),
 //     GiantVM (the prior-art distributed hypervisor baseline), and
-//     Overcommit (a single-node VM time-sharing k pCPUs).
+//     Overcommit (a single-node VM time-sharing the k cores of its
+//     own one-node testbed).
 //   - The paper's workloads (NPB, LEMP, OpenLambda, DSM microbenchmarks),
 //     distributed checkpoint/restart, and the experiment runners that
 //     regenerate every evaluation figure, including Fig 14's FragBFF
@@ -46,8 +47,6 @@ import (
 type (
 	// VM is a running virtual machine (Aggregate or single-node).
 	VM = hypervisor.VM
-	// Pin places one vCPU on a node and pCPU.
-	Pin = hypervisor.Pin
 	// Ctx is the execution context workload programs receive.
 	Ctx = vcpu.Ctx
 	// Proc is a simulated process.
@@ -106,10 +105,13 @@ func (tb *Testbed) NewGiantVM(nVCPU int, memBytes int64) *VM {
 	return giantvm.New(tb.Cluster, nodes, nVCPU, memBytes)
 }
 
-// NewOvercommitVM creates a single-node VM with nVCPU vCPUs packed onto k
-// pCPUs of node 0 — the overcommitment baseline.
-func (tb *Testbed) NewOvercommitVM(nVCPU, k int, memBytes int64) *VM {
-	return overcommit.New(tb.Cluster, 0, k, nVCPU, memBytes)
+// NewOvercommitVM creates the overcommitment baseline on a testbed of its
+// own: one node with k cores, time-shared by nVCPU vCPUs. Close it with
+// vm.Env.Close().
+func NewOvercommitVM(nVCPU, k int, memBytes int64) *VM {
+	p := cluster.DefaultParams()
+	p.CoresPerNode = k
+	return overcommit.New(cluster.New(sim.NewEnv(), 1, p), 0, nVCPU, memBytes)
 }
 
 // Run drives the simulation until no events remain.

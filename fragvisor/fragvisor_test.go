@@ -19,16 +19,13 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestProfilesDiffer(t *testing.T) {
-	npb := func(tb *fragvisor.Testbed, vm *fragvisor.VM) fragvisor.Time {
-		defer tb.Close()
+	npb := func(vm *fragvisor.VM) fragvisor.Time {
+		defer vm.Env.Close()
 		return fragvisor.RunNPB(vm, "IS", 0.02)
 	}
-	tb := fragvisor.NewTestbed(4)
-	frag := npb(tb, tb.NewFragVisorVM(4, 8<<30))
-	tb = fragvisor.NewTestbed(4)
-	giant := npb(tb, tb.NewGiantVM(4, 8<<30))
-	tb = fragvisor.NewTestbed(1)
-	oc := npb(tb, tb.NewOvercommitVM(4, 1, 8<<30))
+	frag := npb(fragvisor.NewTestbed(4).NewFragVisorVM(4, 8<<30))
+	giant := npb(fragvisor.NewTestbed(4).NewGiantVM(4, 8<<30))
+	oc := npb(fragvisor.NewOvercommitVM(4, 1, 8<<30))
 	if !(frag < giant && giant < oc) {
 		t.Fatalf("ordering wrong: frag=%v giant=%v overcommit=%v", frag, giant, oc)
 	}

@@ -90,7 +90,7 @@ func TestCheckpointVsSingleNodeOverheadSmall(t *testing.T) {
 	single := func() sim.Time {
 		env := sim.NewEnv()
 		c := cluster.NewDefault(env, 1)
-		vm := overcommit.New(c, 0, 3, 3, 8<<30)
+		vm := overcommit.New(c, 0, 3, 8<<30)
 		fillVM(vm, dataset/3)
 		var img *Image
 		env.Spawn("ckpt", func(p *sim.Proc) { img = Take(p, vm, 0) })

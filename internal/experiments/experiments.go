@@ -167,11 +167,14 @@ func newGiantVM(o Options, n int) *hypervisor.VM {
 	return giantvm.New(c, nodes, n, guestMem)
 }
 
-// newOvercommitVM builds a single-node VM with nVCPU vCPUs on k pCPUs.
+// newOvercommitVM builds a single-node VM with nVCPU vCPUs on a node
+// with k cores.
 func newOvercommitVM(o Options, nVCPU, k int) *hypervisor.VM {
 	env := o.newEnv(fmt.Sprintf("overcommit/%dvcpu-%dpcpu", nVCPU, k))
-	c := o.observe("overcommit", o.newCluster(env, 1))
-	return overcommit.New(c, 0, k, nVCPU, guestMem)
+	p := o.params()
+	p.CoresPerNode = k
+	c := o.observe("overcommit", cluster.New(env, 1, p))
+	return overcommit.New(c, 0, nVCPU, guestMem)
 }
 
 // newSingleMachineVM builds a non-overcommitted single-node VM: n vCPUs on
@@ -179,7 +182,7 @@ func newOvercommitVM(o Options, nVCPU, k int) *hypervisor.VM {
 func newSingleMachineVM(o Options, n int) *hypervisor.VM {
 	env := o.newEnv(fmt.Sprintf("single-machine/%dvcpu", n))
 	c := o.observe("single-machine", o.newCluster(env, 1))
-	return overcommit.New(c, 0, n, n, guestMem)
+	return overcommit.New(c, 0, n, guestMem)
 }
 
 // Runner produces one figure's table.

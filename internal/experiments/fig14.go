@@ -71,20 +71,19 @@ func Fig14(o Options) *metrics.Table {
 
 	// Materialize, bind and serve the target VM just after the fleet
 	// places it: from then on every committed move of its vCPUs is a
-	// live migration. Its pins take high pCPU indices, so the synthetic
-	// fillers conceptually occupy the low ones.
+	// live migration.
 	env.DeferAt(ts(156), func() {
 		pl := f.PlacementOf(targetID)
 		if pl == nil {
 			panic("experiments: target VM was not placed at t=155")
 		}
-		var pins []hypervisor.Pin
+		var nodes []int
 		for _, fr := range pl {
-			for i := 0; i < fr.CPUs; i++ {
-				pins = append(pins, hypervisor.Pin{Node: fr.Node, PCPU: 11 - i})
+			for range fr.CPUs {
+				nodes = append(nodes, fr.Node)
 			}
 		}
-		vm = hypervisor.New(hypervisor.FragVisorConfig(clus, pins, guestMem))
+		vm = hypervisor.New(hypervisor.FragVisorConfig(clus, nodes, guestMem))
 		f.Bind(targetID, vm, nil)
 		runWebService(vm, end, &latencies, &latTimes)
 	})

@@ -107,21 +107,16 @@ func staticServe(vm *hypervisor.VM, serverVCPU, respSize, requests int) float64 
 	client := vm.Net.NewClient(cluster.ClientID)
 	issued := 0
 	var end sim.Time
-	var done []*sim.Event
 	for conn := 0; conn < 10; conn++ {
-		p := env.Spawn("ab", func(p *sim.Proc) {
+		env.Spawn("ab", func(p *sim.Proc) {
 			for issued < requests {
 				issued++
 				client.Send(p, serverVCPU, 500)
 				client.Recv(p)
 			}
+			end = p.Now()
 		})
-		done = append(done, p.Done())
 	}
-	env.Spawn("ab-join", func(p *sim.Proc) {
-		p.WaitAll(done...)
-		end = p.Now()
-	})
 	env.Run()
 	return float64(requests) / end.Seconds()
 }

@@ -85,13 +85,7 @@ func TestBoundVMRestartsOnLenderCrash(t *testing.T) {
 		if before.CPUs(0) != 2 || before.CPUs(lender) != 2 {
 			t.Fatalf("borrower placed %v, want a 2+2 gang on nodes 0 and 1", before)
 		}
-		var pins []hypervisor.Pin
-		for _, n := range []int{0, lender} {
-			for i := 0; i < before.CPUs(n); i++ {
-				pins = append(pins, hypervisor.Pin{Node: n, PCPU: 7 - i})
-			}
-		}
-		hcfg := hypervisor.FragVisorConfig(c, pins, 2*gig)
+		hcfg := hypervisor.FragVisorConfig(c, []int{0, 0, lender, lender}, 2*gig)
 		hcfg.MemoryNodes = []int{2}
 		vm = hypervisor.New(hcfg)
 		env.Spawn("bind", func(p *sim.Proc) {
@@ -139,10 +133,11 @@ func TestBoundVMRestartsOnLenderCrash(t *testing.T) {
 	f.Verify()
 }
 
-// TestBoundVMConsolidatesOntoFreeCores: a bound VM pinned at its nodes'
-// low cores, a 2+2 gang on nodes 0 and 1, is consolidated onto node 0
-// once VM 1 departs from there (MinNodes consolidates on departure). The two vCPUs that migrate in take cores
-// of their own, not pCPUs 0 and 1 that the VM's node-0 vCPUs hold.
+// TestBoundVMConsolidatesOntoFreeCores: a bound VM, a 2+2 gang on nodes
+// 0 and 1 booted onto each node's pCPUs 0 and 1, is consolidated onto
+// node 0 once VM 1 departs from there (MinNodes consolidates on
+// departure). The two vCPUs that migrate in take cores of their own, not
+// pCPUs 0 and 1 that the VM's node-0 vCPUs hold.
 func TestBoundVMConsolidatesOntoFreeCores(t *testing.T) {
 	const borrower = 4
 	env := sim.NewEnv()
@@ -161,13 +156,7 @@ func TestBoundVMConsolidatesOntoFreeCores(t *testing.T) {
 		if pl.CPUs(0) != 2 || pl.CPUs(1) != 2 {
 			t.Fatalf("borrower placed %v, want a 2+2 gang on nodes 0 and 1", pl)
 		}
-		var pins []hypervisor.Pin
-		for _, n := range []int{0, 1} {
-			for i := 0; i < pl.CPUs(n); i++ {
-				pins = append(pins, hypervisor.Pin{Node: n, PCPU: i})
-			}
-		}
-		vm = hypervisor.New(hypervisor.FragVisorConfig(c, pins, 2*gig))
+		vm = hypervisor.New(hypervisor.FragVisorConfig(c, []int{0, 0, 1, 1}, 2*gig))
 		f.Bind(borrower, vm, nil)
 	})
 	env.RunUntil(5 * sim.Second)

@@ -170,7 +170,7 @@ func TestAdmissionReclaimConsolidatesBoundBorrowerUnderResize(t *testing.T) {
 		if pl := f.PlacementOf(5); pl.CPUs(1) != 1 || pl.CPUs(2) != 1 {
 			t.Fatalf("VM 5 placed %v, want a 1+1 gang on nodes 1 and 2", pl)
 		}
-		hcfg := hypervisor.FragVisorConfig(c, []hypervisor.Pin{{Node: 1, PCPU: 7}, {Node: 2, PCPU: 7}}, 2*gig)
+		hcfg := hypervisor.FragVisorConfig(c, []int{1, 2}, 2*gig)
 		hcfg.MemoryNodes = []int{3}
 		vm = hypervisor.New(hcfg)
 		f.Bind(5, vm, nil)

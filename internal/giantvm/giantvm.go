@@ -28,7 +28,7 @@ import (
 )
 
 // Config returns the GiantVM profile for the given placement.
-func Config(c *cluster.Cluster, placement []hypervisor.Pin, memBytes int64) hypervisor.Config {
+func Config(c *cluster.Cluster, placement []int, memBytes int64) hypervisor.Config {
 	return hypervisor.Config{
 		Cluster:    c,
 		Placement:  placement,

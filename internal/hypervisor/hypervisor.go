@@ -5,9 +5,11 @@
 // for pseudo-physical memory, the distributed vCPU manager (IPI routing,
 // live migration), the guest kernel model, and delegated virtio devices.
 //
-// The first slice in a VM's placement is the bootstrap slice: it owns the
-// DSM directory, backs guest memory, and hosts the physical devices. All
-// other slices are companions; after boot every slice is a peer.
+// A VM's placement names the node of each vCPU; the first is the
+// bootstrap slice: it owns the DSM directory, backs guest memory, and
+// hosts the physical devices. All other slices are companions; after boot
+// every slice is a peer. The VM alone picks the core each vCPU runs on,
+// by one rule (freePCPU) at boot, on migration and on restart.
 // Consolidation — migrating vCPUs onto fewer nodes as resources free up —
 // is the mobility feature that distinguishes a resource-borrowing
 // hypervisor from earlier distributed VMs, and is exercised by FragBFF
@@ -16,7 +18,8 @@
 // Baselines are expressed as configuration profiles of the same machinery:
 // GiantVM (user-space DSM, no multiqueue, no DSM-bypass, vanilla guest, no
 // mobility) and single-node overcommitment (all vCPUs time-sharing the
-// pCPUs of one host, no DSM traffic). See packages giantvm and overcommit.
+// k cores of one host, no DSM traffic). See packages giantvm and
+// overcommit.
 package hypervisor
 
 import (
@@ -35,17 +38,11 @@ import (
 	"repro/internal/virtio"
 )
 
-// Pin places one vCPU: the hosting node and the pCPU index on that node.
-type Pin struct {
-	Node int
-	PCPU int
-}
-
 // Config assembles an Aggregate VM. Use FragVisorConfig, or the giantvm /
 // overcommit packages, for the standard profiles.
 type Config struct {
 	Cluster   *cluster.Cluster
-	Placement []Pin // one entry per vCPU; Placement[0]'s node is the bootstrap slice
+	Placement []int // the node of each vCPU; Placement[0] is the bootstrap slice
 	MemBytes  int64 // guest RAM (bounds the guest heap)
 	// MemoryNodes lists additional nodes contributing *memory-only* VM
 	// slices (§4: a slice may consist of just RAM). They join the DSM
@@ -72,7 +69,7 @@ type Config struct {
 // hosts the physical NIC and SSD. The profile has no fault setting: a VM
 // on a cluster with a fault injector (fault.New) is wired for faults
 // through its fabric.
-func FragVisorConfig(c *cluster.Cluster, placement []Pin, memBytes int64) Config {
+func FragVisorConfig(c *cluster.Cluster, placement []int, memBytes int64) Config {
 	return Config{
 		Cluster:    c,
 		Placement:  placement,
@@ -87,33 +84,17 @@ func FragVisorConfig(c *cluster.Cluster, placement []Pin, memBytes int64) Config
 	}
 }
 
-// SpreadPlacement pins vCPU i on node nodes[i%len(nodes)], each on its own
-// pCPU — the distributed placement used throughout the evaluation.
-func SpreadPlacement(nodes []int, nVCPU int) []Pin {
+// SpreadPlacement places vCPU i on node nodes[i%len(nodes)] — the
+// distributed placement used throughout the evaluation.
+func SpreadPlacement(nodes []int, nVCPU int) []int {
 	if len(nodes) == 0 || nVCPU <= 0 {
 		panic("hypervisor: SpreadPlacement needs nodes and vCPUs")
 	}
-	pins := make([]Pin, nVCPU)
-	next := make(map[int]int)
-	for i := 0; i < nVCPU; i++ {
-		n := nodes[i%len(nodes)]
-		pins[i] = Pin{Node: n, PCPU: next[n]}
-		next[n]++
+	placement := make([]int, nVCPU)
+	for i := range placement {
+		placement[i] = nodes[i%len(nodes)]
 	}
-	return pins
-}
-
-// PackedPlacement pins nVCPU vCPUs onto k pCPUs of a single node —
-// the overcommitment baseline.
-func PackedPlacement(node, k, nVCPU int) []Pin {
-	if k <= 0 || nVCPU <= 0 {
-		panic("hypervisor: PackedPlacement needs positive counts")
-	}
-	pins := make([]Pin, nVCPU)
-	for i := range pins {
-		pins[i] = Pin{Node: node, PCPU: i % k}
-	}
-	return pins
+	return placement
 }
 
 // VM is a running Aggregate VM.
@@ -151,10 +132,10 @@ func New(cfg Config) *VM {
 	// slices follow the compute slices.
 	seen := map[int]bool{}
 	var nodes []int
-	for _, pin := range cfg.Placement {
-		if !seen[pin.Node] {
-			seen[pin.Node] = true
-			nodes = append(nodes, pin.Node)
+	for _, n := range cfg.Placement {
+		if !seen[n] {
+			seen[n] = true
+			nodes = append(nodes, n)
 		}
 	}
 	for _, n := range cfg.MemoryNodes {
@@ -168,13 +149,10 @@ func New(cfg Config) *VM {
 		ctr: metrics.NewCounters(), tr: trace.FromEnv(env)}
 	vm.DSM = dsm.New(env, layer, nodes, cfg.DSM)
 
-	placement := make([]int, len(cfg.Placement))
-	pcpus := make([]*sim.PS, len(cfg.Placement))
-	for i, pin := range cfg.Placement {
-		placement[i] = pin.Node
-		pcpus[i] = cfg.Cluster.Node(pin.Node).PCPUs[pin.PCPU]
+	vm.VCPUs = vcpu.NewManager(env, layer, nodes, cfg.Placement, cfg.VCPU)
+	for i, n := range cfg.Placement {
+		vm.VCPUs.Repin(i, n, vm.freePCPU(i, n))
 	}
-	vm.VCPUs = vcpu.NewManager(env, layer, nodes, placement, pcpus, cfg.VCPU)
 	vm.Kernel = guest.New(env, vm.DSM, vm.Layout, vm.VCPUs, len(cfg.Placement),
 		cfg.MemBytes, cfg.Guest)
 
@@ -268,15 +246,17 @@ func (vm *VM) MigrateVCPU(p *sim.Proc, vcpuID, node int) sim.Time {
 	return vm.VCPUs.Migrate(p, vcpuID, node, vm.freePCPU(vcpuID, node))
 }
 
-// freePCPU is the one rule that places a vCPU after boot, for migration
-// and restart alike: the pCPU on node holding the fewest of the VM's
+// freePCPU is the one rule that places a vCPU, at boot, on migration
+// and on restart alike: the pCPU on node holding the fewest of the VM's
 // other vCPUs, the lowest index on a tie. So a vCPU gets a core of its
-// own while the node has one. It sees only this VM's vCPUs.
+// own while the node has one, and vCPUs share cores round-robin once it
+// has none. New pins the vCPUs in ID order, so a vCPU not placed yet
+// (no pCPU) holds nothing. It sees only this VM's vCPUs.
 func (vm *VM) freePCPU(vcpuID, node int) *sim.PS {
 	pcpus := vm.cfg.Cluster.Node(node).PCPUs
 	holders := make([]int, len(pcpus))
 	for i := 0; i < vm.VCPUs.N(); i++ {
-		if v := vm.VCPUs.VCPU(i); i != vcpuID && v.Node() == node {
+		if v := vm.VCPUs.VCPU(i); i != vcpuID && v.Node() == node && v.PCPU() != nil {
 			holders[slices.Index(pcpus, v.PCPU())]++
 		}
 	}

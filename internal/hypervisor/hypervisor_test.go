@@ -2,6 +2,7 @@ package hypervisor
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -16,21 +17,26 @@ func newCluster(n int) *cluster.Cluster {
 }
 
 func TestSpreadPlacement(t *testing.T) {
-	pins := SpreadPlacement([]int{0, 1, 2}, 4)
-	want := []Pin{{0, 0}, {1, 0}, {2, 0}, {0, 1}}
-	for i, w := range want {
-		if pins[i] != w {
-			t.Errorf("pins[%d] = %+v, want %+v", i, pins[i], w)
-		}
+	if got, want := SpreadPlacement([]int{0, 1, 2}, 4), []int{0, 1, 2, 0}; !slices.Equal(got, want) {
+		t.Errorf("SpreadPlacement = %v, want %v", got, want)
 	}
 }
 
-func TestPackedPlacement(t *testing.T) {
-	pins := PackedPlacement(2, 2, 4)
-	want := []Pin{{2, 0}, {2, 1}, {2, 0}, {2, 1}}
-	for i, w := range want {
-		if pins[i] != w {
-			t.Errorf("pins[%d] = %+v, want %+v", i, pins[i], w)
+// TestBootTakesCoresInIDOrder: the placement names nodes only, and New
+// pins the vCPUs in ID order by the rule that places every later move.
+// On 2-core nodes, placement [1 0 1 1] puts vCPUs 0 and 2 on node 1's
+// pCPUs 0 and 1, vCPU 1 on node 0's pCPU 0, and vCPU 3 past node 1's
+// core count, back on its pCPU 0.
+func TestBootTakesCoresInIDOrder(t *testing.T) {
+	c := cluster.New(sim.NewEnv(), 2, cluster.Params{CoresPerNode: 2, RAMBytes: 32 << 30})
+	defer c.Env.Close()
+	vm := New(FragVisorConfig(c, []int{1, 0, 1, 1}, 1<<30))
+	if got, want := vm.VCPUNodes(), []int{1, 0, 1, 1}; !slices.Equal(got, want) {
+		t.Errorf("vCPUs on nodes %v, want %v", got, want)
+	}
+	for id, want := range []int{0, 0, 1, 0} {
+		if k := pcpuIndex(vm, id); k != want {
+			t.Errorf("vCPU %d on pCPU %d of node %d, want %d", id, k, vm.VCPUs.NodeOf(id), want)
 		}
 	}
 }
@@ -164,10 +170,9 @@ func TestInvalidConfigsPanic(t *testing.T) {
 	c := newCluster(1)
 	for name, fn := range map[string]func(){
 		"no placement": func() { New(Config{Cluster: c, MemBytes: 1}) },
-		"no memory":    func() { New(Config{Cluster: c, Placement: []Pin{{0, 0}}}) },
-		"no cluster":   func() { New(Config{Placement: []Pin{{0, 0}}, MemBytes: 1}) },
+		"no memory":    func() { New(Config{Cluster: c, Placement: []int{0}}) },
+		"no cluster":   func() { New(Config{Placement: []int{0}, MemBytes: 1}) },
 		"bad spread":   func() { SpreadPlacement(nil, 2) },
-		"bad packed":   func() { PackedPlacement(0, 0, 2) },
 	} {
 		func() {
 			defer func() {

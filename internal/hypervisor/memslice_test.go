@@ -14,7 +14,7 @@ import (
 // second node that contributes no vCPUs.
 func TestMemoryOnlySlice(t *testing.T) {
 	c := newCluster(2)
-	cfg := FragVisorConfig(c, []Pin{{Node: 0, PCPU: 0}}, 64<<20)
+	cfg := FragVisorConfig(c, []int{0}, 64<<20)
 	cfg.MemoryNodes = []int{1}
 	vm := New(cfg)
 	if nodes := vm.Nodes(); len(nodes) != 2 {
@@ -51,7 +51,7 @@ func TestMemoryOnlySlice(t *testing.T) {
 // handling.
 func TestMemoryOnlySliceExhaustion(t *testing.T) {
 	c := newCluster(2)
-	cfg := FragVisorConfig(c, []Pin{{Node: 0, PCPU: 0}}, 8<<20)
+	cfg := FragVisorConfig(c, []int{0}, 8<<20)
 	cfg.MemoryNodes = []int{1}
 	vm := New(cfg)
 	vm.Run(0, "alloc", func(ctx *vcpu.Ctx) {

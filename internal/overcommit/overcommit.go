@@ -6,7 +6,8 @@
 // all the vCPUs it asked for, but they time-share k physical cores. There
 // is no DSM, no delegation, and no fabric traffic — just processor
 // sharing. The paper normalizes most results against this baseline with
-// k = 1, 2, and 3.
+// k = 1, 2, and 3. k is hardware: the VM runs on a node with k cores, and
+// the hypervisor's one core-picking rule shares them round-robin.
 package overcommit
 
 import (
@@ -18,13 +19,13 @@ import (
 	"repro/internal/vcpu"
 )
 
-// Config returns a single-node VM with nVCPU vCPUs packed onto k pCPUs of
-// the given node. The guest is the same optimized kernel FragVisor uses,
-// so the comparison isolates distribution, not guest patches.
-func Config(c *cluster.Cluster, node, k, nVCPU int, memBytes int64) hypervisor.Config {
+// Config returns a single-node VM with nVCPU vCPUs packed onto the cores
+// of the given node. The guest is the same optimized kernel FragVisor
+// uses, so the comparison isolates distribution, not guest patches.
+func Config(c *cluster.Cluster, node, nVCPU int, memBytes int64) hypervisor.Config {
 	return hypervisor.Config{
 		Cluster:    c,
-		Placement:  hypervisor.PackedPlacement(node, k, nVCPU),
+		Placement:  hypervisor.SpreadPlacement([]int{node}, nVCPU),
 		MemBytes:   memBytes,
 		Guest:      guest.OptimizedConfig(),
 		DSM:        dsm.DefaultParams(),
@@ -36,7 +37,7 @@ func Config(c *cluster.Cluster, node, k, nVCPU int, memBytes int64) hypervisor.C
 	}
 }
 
-// New assembles an overcommitted VM: nVCPU vCPUs on k pCPUs of one node.
-func New(c *cluster.Cluster, node, k, nVCPU int, memBytes int64) *hypervisor.VM {
-	return hypervisor.New(Config(c, node, k, nVCPU, memBytes))
+// New assembles an overcommitted VM: nVCPU vCPUs on the cores of one node.
+func New(c *cluster.Cluster, node, nVCPU int, memBytes int64) *hypervisor.VM {
+	return hypervisor.New(Config(c, node, nVCPU, memBytes))
 }

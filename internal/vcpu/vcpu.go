@@ -89,7 +89,8 @@ func (v *VCPU) ID() int { return v.id }
 // Node returns the node currently hosting the vCPU.
 func (v *VCPU) Node() int { return v.node }
 
-// PCPU returns the physical CPU the vCPU is pinned to.
+// PCPU returns the physical CPU the vCPU is pinned to (nil before its
+// first Repin).
 func (v *VCPU) PCPU() *sim.PS { return v.pcpu }
 
 // Manager is the distributed vCPU service of one Aggregate VM. Construct
@@ -107,13 +108,13 @@ type Manager struct {
 	tr            *trace.Tracer
 }
 
-// NewManager creates the vCPU set. placement[i] is the node hosting vCPU i;
-// pcpus[i] is the pCPU it is pinned to (several vCPUs may share one pCPU —
-// that is overcommitment). nodes lists every slice of the VM for location
-// broadcasts.
-func NewManager(env *sim.Env, layer *msg.Layer, nodes []int, placement []int, pcpus []*sim.PS, p Params) *Manager {
-	if len(placement) == 0 || len(placement) != len(pcpus) {
-		panic("vcpu: placement and pcpus must be equal-length and non-empty")
+// NewManager creates the vCPU set. placement[i] is the node hosting vCPU
+// i; nodes lists every slice of the VM for location broadcasts. No vCPU
+// has a pCPU yet: the caller pins each with Repin before it runs
+// (several vCPUs may share one pCPU — that is overcommitment).
+func NewManager(env *sim.Env, layer *msg.Layer, nodes []int, placement []int, p Params) *Manager {
+	if len(placement) == 0 {
+		panic("vcpu: placement must be non-empty")
 	}
 	m := &Manager{
 		env:     env,
@@ -124,7 +125,7 @@ func NewManager(env *sim.Env, layer *msg.Layer, nodes []int, placement []int, pc
 		tr:      trace.FromEnv(env),
 	}
 	for i := range placement {
-		m.vcpus = append(m.vcpus, &VCPU{id: i, node: placement[i], pcpu: pcpus[i]})
+		m.vcpus = append(m.vcpus, &VCPU{id: i, node: placement[i]})
 	}
 	for _, n := range nodes {
 		m.service.Handle(n, m.handle)
@@ -232,9 +233,10 @@ func (m *Manager) Migrate(p *sim.Proc, vcpuID, destNode int, destPCPU *sim.PS) s
 }
 
 // Repin administratively moves a vCPU to a node and pCPU with no protocol
-// traffic or cost. It is the restart path: after a slice crash, vCPUs it
-// hosted are rebuilt from checkpoint state on surviving nodes, and the dead
-// node cannot participate in the live-migration handshake.
+// traffic or cost. It is the boot and restart path: at boot each vCPU
+// takes its first pCPU, and after a slice crash the vCPUs it hosted are
+// rebuilt from checkpoint state on surviving nodes, where the dead node
+// cannot participate in the live-migration handshake.
 func (m *Manager) Repin(vcpuID, node int, pcpu *sim.PS) {
 	if pcpu == nil {
 		panic("vcpu: Repin needs a destination pCPU")

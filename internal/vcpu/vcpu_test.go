@@ -14,14 +14,14 @@ func newTestManager(n int) (*sim.Env, *cluster.Cluster, *Manager) {
 	c := cluster.NewDefault(env, n)
 	layer := msg.NewLayer(env, c.Fabric)
 	nodes := make([]int, n)
-	placement := make([]int, n)
-	pcpus := make([]*sim.PS, n)
-	for i := 0; i < n; i++ {
+	for i := range nodes {
 		nodes[i] = i
-		placement[i] = i
-		pcpus[i] = c.Node(i).PCPUs[0]
 	}
-	return env, c, NewManager(env, layer, nodes, placement, pcpus, DefaultParams())
+	m := NewManager(env, layer, nodes, nodes, DefaultParams())
+	for i := range nodes {
+		m.Repin(i, i, c.Node(i).PCPUs[0])
+	}
+	return env, c, m
 }
 
 func TestLocalIPICheap(t *testing.T) {
@@ -135,7 +135,9 @@ func TestOvercommitSharesPCPU(t *testing.T) {
 	c := cluster.NewDefault(env, 1)
 	layer := msg.NewLayer(env, c.Fabric)
 	pcpu := c.Node(0).PCPUs[0]
-	m := NewManager(env, layer, []int{0}, []int{0, 0}, []*sim.PS{pcpu, pcpu}, DefaultParams())
+	m := NewManager(env, layer, []int{0}, []int{0, 0}, DefaultParams())
+	m.Repin(0, 0, pcpu)
+	m.Repin(1, 0, pcpu)
 	var done [2]sim.Time
 	for i := 0; i < 2; i++ {
 		i := i

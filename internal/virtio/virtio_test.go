@@ -26,15 +26,14 @@ func newHarness(nNodes int) *harness {
 	c := cluster.NewDefault(env, nNodes)
 	layer := msg.NewLayer(env, c.Fabric)
 	nodes := make([]int, nNodes)
-	placement := make([]int, nNodes)
-	pcpus := make([]*sim.PS, nNodes)
-	for i := 0; i < nNodes; i++ {
+	for i := range nodes {
 		nodes[i] = i
-		placement[i] = i
-		pcpus[i] = c.Node(i).PCPUs[0]
 	}
 	d := dsm.New(env, layer, nodes, dsm.DefaultParams())
-	vm := vcpu.NewManager(env, layer, nodes, placement, pcpus, vcpu.DefaultParams())
+	vm := vcpu.NewManager(env, layer, nodes, nodes, vcpu.DefaultParams())
+	for i := range nodes {
+		vm.Repin(i, i, c.Node(i).PCPUs[0])
+	}
 	return &harness{env: env, c: c, layer: layer, d: d, vm: vm, layout: &mem.Layout{}}
 }
 

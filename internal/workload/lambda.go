@@ -67,10 +67,8 @@ func RunOpenLambda(vm *hypervisor.VM, scale float64) LambdaResult {
 	extract := make([]sim.Time, n)
 	detect := make([]sim.Time, n)
 	total := make([]sim.Time, n)
-	var done []*sim.Event
 	for i := 0; i < n; i++ {
-		i := i
-		p := vm.Run(i, fmt.Sprintf("ol-worker-%d", i), func(ctx *vcpu.Ctx) {
+		vm.Run(i, fmt.Sprintf("ol-worker-%d", i), func(ctx *vcpu.Ctx) {
 			// Wait for the client's trigger.
 			vm.Net.Recv(ctx)
 			start := ctx.P.Now()
@@ -109,7 +107,6 @@ func RunOpenLambda(vm *hypervisor.VM, scale float64) LambdaResult {
 			// Report the face count to the client.
 			vm.Net.Send(ctx, lambdaClientAddr, 64)
 		})
-		done = append(done, p.Done())
 	}
 
 	// The client triggers all functions in parallel and collects results.

@@ -127,10 +127,9 @@ func RunLEMP(vm *hypervisor.VM, cfg LEMPConfig) LEMPResult {
 	issued := 0
 	completed := 0
 	var latencySum sim.Time
-	start := env.Now()
-	var done []*sim.Event
+	start, end := env.Now(), sim.Time(0)
 	for conn := 0; conn < lempConcurrency; conn++ {
-		p := env.Spawn(fmt.Sprintf("ab-conn-%d", conn), func(p *sim.Proc) {
+		env.Spawn(fmt.Sprintf("ab-conn-%d", conn), func(p *sim.Proc) {
 			for issued < cfg.Requests {
 				issued++
 				sent := p.Now()
@@ -139,14 +138,9 @@ func RunLEMP(vm *hypervisor.VM, cfg LEMPConfig) LEMPResult {
 				latencySum += p.Now() - sent
 				completed++
 			}
+			end = p.Now()
 		})
-		done = append(done, p.Done())
 	}
-	var end sim.Time
-	env.Spawn("ab-join", func(p *sim.Proc) {
-		p.WaitAll(done...)
-		end = p.Now()
-	})
 	env.Run()
 
 	elapsed := end - start

@@ -70,24 +70,17 @@ func SharingLoop(vm *hypervisor.VM, mode SharingMode, iters int) sim.Time {
 			panic(fmt.Sprintf("workload: bad sharing mode %d", mode))
 		}
 	}
-	start := vm.Env.Now()
-	done := make([]*sim.Event, n)
+	start, end := vm.Env.Now(), sim.Time(0)
 	for i := 0; i < n; i++ {
-		i := i
-		p := vm.Run(i, fmt.Sprintf("sharing-loop-%d", i), func(ctx *vcpu.Ctx) {
+		vm.Run(i, fmt.Sprintf("sharing-loop-%d", i), func(ctx *vcpu.Ctx) {
 			for it := 0; it < iters; it++ {
 				vm.DSM.Touch(ctx.P, ctx.Node(), pages[i], false)
 				vm.DSM.Touch(ctx.P, ctx.Node(), pages[i], true)
 				ctx.Compute(200 * sim.Nanosecond) // loop body
 			}
+			end = ctx.P.Now()
 		})
-		done[i] = p.Done()
 	}
-	var end sim.Time
-	vm.Env.Spawn("sharing-loop-join", func(p *sim.Proc) {
-		p.WaitAll(done...)
-		end = p.Now()
-	})
 	vm.Env.Run()
 	return end - start
 }

@@ -86,19 +86,13 @@ func (b NPB) RunInstance(vm *hypervisor.VM, ctx *vcpu.Ctx, scale float64) {
 // parallel — the paper's multi-process NPB setup — and returns the wall
 // time until the last instance finishes.
 func RunMultiProcess(vm *hypervisor.VM, b NPB, scale float64) sim.Time {
-	start := vm.Env.Now()
-	var done []*sim.Event
+	start, end := vm.Env.Now(), sim.Time(0)
 	for i := 0; i < vm.NVCPU(); i++ {
-		p := vm.Run(i, fmt.Sprintf("npb-%s-%d", b.Name, i), func(ctx *vcpu.Ctx) {
+		vm.Run(i, fmt.Sprintf("npb-%s-%d", b.Name, i), func(ctx *vcpu.Ctx) {
 			b.RunInstance(vm, ctx, scale)
+			end = ctx.P.Now()
 		})
-		done = append(done, p.Done())
 	}
-	var end sim.Time
-	vm.Env.Spawn("npb-join", func(p *sim.Proc) {
-		p.WaitAll(done...)
-		end = p.Now()
-	})
 	vm.Env.Run()
 	return end - start
 }
@@ -136,12 +130,10 @@ func RunOMP(vm *hypervisor.VM, b OMP, scale float64, seed int64) sim.Time {
 	}
 	shared := microRegion(vm, b.SharedPages)
 	total := sim.Time(float64(b.Compute) * scale)
-	start := vm.Env.Now()
-	var done []*sim.Event
+	start, end := vm.Env.Now(), sim.Time(0)
 	for i := 0; i < vm.NVCPU(); i++ {
-		i := i
 		rng := rand.New(rand.NewSource(seed + int64(i)))
-		p := vm.Run(i, fmt.Sprintf("omp-%s-%d", b.Name, i), func(ctx *vcpu.Ctx) {
+		vm.Run(i, fmt.Sprintf("omp-%s-%d", b.Name, i), func(ctx *vcpu.Ctx) {
 			computed := sim.Time(0)
 			carry := 0.0
 			for computed < total {
@@ -158,14 +150,9 @@ func RunOMP(vm *hypervisor.VM, b OMP, scale float64, seed int64) sim.Time {
 					vm.DSM.Touch(ctx.P, ctx.Node(), pg, write)
 				}
 			}
+			end = ctx.P.Now()
 		})
-		done = append(done, p.Done())
 	}
-	var end sim.Time
-	vm.Env.Spawn("omp-join", func(p *sim.Proc) {
-		p.WaitAll(done...)
-		end = p.Now()
-	})
 	vm.Env.Run()
 	return end - start
 }

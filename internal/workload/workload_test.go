@@ -21,11 +21,11 @@ func fragVM(nVCPU int) *hypervisor.VM {
 	return hypervisor.New(hypervisor.FragVisorConfig(c, hypervisor.SpreadPlacement(nodes, nVCPU), 4<<30))
 }
 
-// ocVM builds an overcommitted VM: nVCPU vCPUs on k pCPUs of one node.
+// ocVM builds an overcommitted VM: nVCPU vCPUs on a node with k cores.
 func ocVM(nVCPU, k int) *hypervisor.VM {
-	env := sim.NewEnv()
-	c := cluster.NewDefault(env, 1)
-	return overcommit.New(c, 0, k, nVCPU, 4<<30)
+	p := cluster.DefaultParams()
+	p.CoresPerNode = k
+	return overcommit.New(cluster.New(sim.NewEnv(), 1, p), 0, nVCPU, 4<<30)
 }
 
 // gVM builds a GiantVM distributed VM with one vCPU per node.
@@ -101,6 +101,19 @@ func TestNPBSuiteLookup(t *testing.T) {
 		}
 	}()
 	ByName("ZZ")
+}
+
+// TestRunMultiProcessSpawnsOneProcPerVCPU: the instances time
+// themselves, so a run spawns its NVCPU workers and no join proc.
+func TestRunMultiProcessSpawnsOneProcPerVCPU(t *testing.T) {
+	vm := fragVM(4)
+	defer vm.Env.Close()
+	if RunMultiProcess(vm, ByName("EP"), 0.01) <= 0 {
+		t.Fatal("EP took no time")
+	}
+	if got := vm.Env.Spawned(); got != vm.NVCPU() {
+		t.Errorf("RunMultiProcess spawned %d procs, want %d", got, vm.NVCPU())
+	}
 }
 
 func TestNPBEPScalesNearLinearly(t *testing.T) {

@@ -405,20 +405,24 @@ func TestOnlySchedWritesPlacements(t *testing.T) {
 	}
 }
 
-// TestOnlyTheVMPlacesVCPUs: after boot a vCPU's core is chosen in one
-// place, the hypervisor's freePCPU, for live migration
-// (hypervisor.VM.MigrateVCPU) and for restart after a lender crash
-// (hypervisor.VM.Restart) alike. So no production file outside
-// internal/vcpu, which implements the moves, and internal/hypervisor
-// calls vcpu.Manager's Migrate or Repin: a caller that did would pick a
-// core by its own rule. The scan is syntactic; it is sound because
-// vcpu.Manager declares the module's only methods named Migrate or
-// Repin, which the test checks too. Nested modules (perfbench) are not
-// scanned.
+// TestOnlyTheVMPlacesVCPUs: every core a vCPU takes is chosen in one
+// place, the hypervisor's freePCPU, at boot (hypervisor.New), for live
+// migration (hypervisor.VM.MigrateVCPU) and for restart after a lender
+// crash (hypervisor.VM.Restart) alike; a placement names nodes only. So
+// no production file outside internal/vcpu, which implements the moves,
+// and internal/hypervisor calls vcpu.Manager's Migrate or Repin, only
+// internal/hypervisor calls vcpu.NewManager, and no production file
+// outside internal/cluster and internal/hypervisor reads a node's PCPUs
+// other than to range over all of them (as the fault injector does): a
+// caller that did would pick a core by its own rule. The scan is
+// syntactic; it is sound because vcpu.Manager declares the module's only
+// methods named Migrate or Repin, internal/vcpu its only function named
+// NewManager and cluster.Node its only field named PCPUs, which the test
+// checks too. Nested modules (perfbench) are not scanned.
 func TestOnlyTheVMPlacesVCPUs(t *testing.T) {
 	allowed := map[string]bool{"internal/vcpu": true, "internal/hypervisor": true}
 	placer := func(name string) bool { return name == "Migrate" || name == "Repin" }
-	callers := map[string]bool{}
+	callers, builders, rangers := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -444,6 +448,7 @@ func TestOnlyTheVMPlacesVCPUs(t *testing.T) {
 			return err
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
+		ranged := map[ast.Expr]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
@@ -453,11 +458,41 @@ func TestOnlyTheVMPlacesVCPUs(t *testing.T) {
 							fset.Position(n.Pos()), n.Name.Name, recv)
 					}
 				}
+				if n.Recv == nil && n.Name.Name == "NewManager" && dir != "internal/vcpu" {
+					t.Errorf("%s: func NewManager: the scan assumes only internal/vcpu has one", fset.Position(n.Pos()))
+				}
+			case *ast.Field:
+				for _, name := range n.Names {
+					if name.Name == "PCPUs" && dir != "internal/cluster" {
+						t.Errorf("%s: field PCPUs: the scan assumes only cluster.Node has one", fset.Position(n.Pos()))
+					}
+				}
+			case *ast.RangeStmt:
+				ranged[n.X] = true
+			case *ast.SelectorExpr:
+				if n.Sel.Name != "PCPUs" || dir == "internal/cluster" || dir == "internal/hypervisor" {
+					break
+				}
+				if ranged[n] {
+					rangers[dir] = true
+				} else {
+					t.Errorf("%s reads a node's PCPUs other than to range over them; only the VM (internal/hypervisor) picks a core", fset.Position(n.Pos()))
+				}
 			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && placer(sel.Sel.Name) {
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				if placer(sel.Sel.Name) {
 					callers[dir] = true
 					if !allowed[dir] {
 						t.Errorf("%s calls %s; only the VM (internal/hypervisor) places vCPUs", fset.Position(n.Pos()), sel.Sel.Name)
+					}
+				}
+				if sel.Sel.Name == "NewManager" {
+					builders[dir] = true
+					if dir != "internal/hypervisor" {
+						t.Errorf("%s calls NewManager; only the VM (internal/hypervisor) builds its vCPUs", fset.Position(n.Pos()))
 					}
 				}
 			}
@@ -470,5 +505,11 @@ func TestOnlyTheVMPlacesVCPUs(t *testing.T) {
 	}
 	if !callers["internal/hypervisor"] {
 		t.Error("internal/hypervisor calls neither Migrate nor Repin: the scan is not seeing calls")
+	}
+	if !builders["internal/hypervisor"] {
+		t.Error("internal/hypervisor does not call NewManager: the scan is not seeing calls")
+	}
+	if !rangers["internal/fault"] {
+		t.Error("internal/fault does not range over a node's PCPUs: the scan is not seeing reads")
 	}
 }
