@@ -7,6 +7,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/hypervisor"
@@ -113,9 +114,7 @@ func (f *Fleet) handleNodeDown(node int) {
 				}
 			}
 			b.vm.Restart(onto)
-			f.env.Spawn(fmt.Sprintf("fleet-restore-%d", id), func(p *sim.Proc) {
-				checkpoint.Restore(p, b.vm, b.img)
-			})
+			f.queueLive(id, func(p *sim.Proc) { checkpoint.Restore(p, b.vm, b.img) })
 		}
 	}
 	f.maintain()
@@ -125,7 +124,7 @@ func (f *Fleet) handleNodeDown(node int) {
 // capacity, committing it into the VM's placement. It returns the
 // replacement fragments.
 func (f *Fleet) replaceLost(rec *vmRec, deadNode, k int) (sched.Placement, bool) {
-	target, ok := f.placeFragment(f.effective(rec.req.memPerCPU()), rec.pl, deadNode, k)
+	target, ok := f.placeFragment(f.effective(rec.req.memPerCPU()), rec, deadNode, k)
 	if !ok {
 		return nil, false
 	}
@@ -210,10 +209,7 @@ func (b *binding) migrate(p *sim.Proc, from, to, n int) {
 
 // markDead declares the slice failed on the live VM (idempotent).
 func (b *binding) markDead(node int) {
-	for _, n := range b.vm.Nodes() {
-		if n == node && b.vm.Alive(node) {
-			b.vm.MarkDead(node)
-			return
-		}
+	if slices.Contains(b.vm.Nodes(), node) {
+		b.vm.MarkDead(node)
 	}
 }

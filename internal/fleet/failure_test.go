@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -130,6 +131,7 @@ func TestBoundVMRestartsOnLenderCrash(t *testing.T) {
 	if st := f.Stats(); st.Restarts != 1 {
 		t.Errorf("restarts %d, want 1", st.Restarts)
 	}
+	checkLiveMatchesBooks(t, f, borrower, vm)
 	f.Verify()
 }
 
@@ -172,5 +174,101 @@ func TestBoundVMConsolidatesOntoFreeCores(t *testing.T) {
 		}
 		holder[pcpu] = id
 	}
+	checkLiveMatchesBooks(t, f, borrower, vm)
 	f.Verify()
+}
+
+// TestQueuedMovesRunInCommitOrder: two reclaims in one callback commit
+// two moves of one bound VM, the second taking the vCPUs the first
+// brings in. A 10-vCPU VM is placed n0:8 n1:2 on four 8-core nodes, with
+// a memory slice on every node. Reclaim(1) moves its node-1 fragment on
+// to another lender, and Reclaim(2) moves it back off node 2. Run side
+// by side, the second move would look for the vCPUs on node 2 before
+// the first had brought them there; run in commit order, the live vCPUs
+// end where the books do.
+func TestQueuedMovesRunInCommitOrder(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	c := cluster.NewDefault(env, 4)
+	f := New(env, ClusterConfig(c, sched.MinFrag))
+	f.Submit([]Request{{ID: 1, VCPUs: 10, MemBytes: 4 * gig, Arrival: 0}})
+	var vm *hypervisor.VM
+	env.At(sim.Millisecond, func() {
+		vm = bindPlaced(t, c, f, 1, "n0:8 n1:2", []int{0, 1, 2, 3})
+	})
+	env.At(2*sim.Millisecond, func() {
+		f.Reclaim(1)
+		f.Reclaim(2)
+	})
+	env.RunUntil(sim.Second)
+
+	if st := f.Stats(); st.Reclaims != 2 || st.ReclaimsDeferred != 0 {
+		t.Errorf("reclaims %d, deferred %d, want 2 and 0", st.Reclaims, st.ReclaimsDeferred)
+	}
+	checkLiveMatchesBooks(t, f, 1, vm)
+	f.Verify()
+}
+
+// TestBoundVMMovesOnlyOntoItsSlices: a bound VM's vCPUs can run only
+// where it has a live slice, so a reclaim that finds no room on its
+// slices defers rather than spilling onto another node. The VM is placed
+// n0:8 n1:2 on three 8-core nodes and has slices on nodes 0 and 1 only;
+// node 2 is free, but the reclaim of node 1 must wait.
+func TestBoundVMMovesOnlyOntoItsSlices(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	c := cluster.NewDefault(env, 3)
+	f := New(env, ClusterConfig(c, sched.MinFrag))
+	f.Submit([]Request{{ID: 1, VCPUs: 10, MemBytes: 4 * gig, Arrival: 0}})
+	var vm *hypervisor.VM
+	env.At(sim.Millisecond, func() {
+		vm = bindPlaced(t, c, f, 1, "n0:8 n1:2", nil)
+	})
+	env.At(2*sim.Millisecond, func() { f.Reclaim(1) })
+	env.RunUntil(sim.Second)
+
+	if st := f.Stats(); st.ReclaimsDeferred != 1 || st.Reclaims != 0 {
+		t.Errorf("reclaims %d, deferred %d, want 0 and 1", st.Reclaims, st.ReclaimsDeferred)
+	}
+	if pl := f.PlacementOf(1).String(); pl != "n0:8 n1:2" {
+		t.Errorf("placement %s after a deferred reclaim, want n0:8 n1:2", pl)
+	}
+	checkLiveMatchesBooks(t, f, 1, vm)
+	f.Verify()
+}
+
+// bindPlaced checks that fleet VM id is placed as want, then builds a
+// live Aggregate VM with its vCPUs on that placement and memory slices
+// on memNodes as well, and binds it without a checkpoint.
+func bindPlaced(t *testing.T, c *cluster.Cluster, f *Fleet, id int, want string, memNodes []int) *hypervisor.VM {
+	t.Helper()
+	pl := f.PlacementOf(id)
+	if pl.String() != want {
+		t.Fatalf("VM %d placed %s, want %s", id, pl, want)
+	}
+	var nodes []int
+	for _, fr := range pl {
+		for i := 0; i < fr.CPUs; i++ {
+			nodes = append(nodes, fr.Node)
+		}
+	}
+	hcfg := hypervisor.FragVisorConfig(c, nodes, gig)
+	hcfg.MemoryNodes = memNodes
+	vm := hypervisor.New(hcfg)
+	f.Bind(id, vm, nil)
+	return vm
+}
+
+// checkLiveMatchesBooks fails the test unless the live VM runs as many
+// vCPUs on each node as the fleet's books place there for VM id: the
+// data plane carried out every move the books committed, and no other.
+func checkLiveMatchesBooks(t *testing.T, f *Fleet, id int, vm *hypervisor.VM) {
+	t.Helper()
+	var live sched.Placement
+	for _, n := range vm.VCPUNodes() {
+		live.Add(n, 1)
+	}
+	if pl := f.PlacementOf(id); !slices.Equal(live, pl) {
+		t.Errorf("VM %d: live vCPUs on %s, the books place it on %s", id, live, pl)
+	}
 }

@@ -16,9 +16,10 @@
 //   - Consolidation. Every capacity change (a departure, a reclaim)
 //     replays FragBFF's consolidation pass (sched.Planner) over the
 //     multi-node VMs, and a VM that lands on one node is handed back to
-//     plain best fit. Bind
-//     couples a live Aggregate VM to its fleet VM, and each planned
-//     move then executes on it.
+//     plain best fit. Bind couples a live Aggregate VM to its fleet VM:
+//     each committed move of a bound VM queues its live migration, onto
+//     the VM's own live slices only, and one fleet-live proc runs the
+//     queue in commit order.
 //   - Borrow leases. Every non-home fragment of an Aggregate VM is a
 //     first-class lease of the lender node's capacity. The lender can
 //     reclaim: under ReclaimConsolidate the borrower's vCPUs migrate to
@@ -33,8 +34,8 @@
 //   - Failure handling. A heartbeat tick probes every node over the
 //     cluster fabric; when a node stops answering, fragments hosted there
 //     are re-placed on survivors, and VMs bound to a live Aggregate VM
-//     are restarted from their checkpoint image (internal/checkpoint) on
-//     the new slices.
+//     are restarted on their surviving slices, with a checkpoint restore
+//     (internal/checkpoint) queued behind their earlier moves.
 //
 // Everything runs on the deterministic DES core: the same (config, trace,
 // seed) triple replays bit-identically, including the event log, which
@@ -246,12 +247,6 @@ func (s Stats) MeanSlowdown() float64 {
 	return s.SlowdownSum / float64(s.TimedFinishes)
 }
 
-// liveMove is deferred data-plane work: a vCPU migration the accounting
-// already committed, to be executed on a bound live VM.
-type liveMove struct {
-	vm, from, to, n int
-}
-
 // Fleet is the long-running control plane. Construct with New.
 type Fleet struct {
 	env *sim.Env
@@ -300,6 +295,12 @@ type Fleet struct {
 	scratch verifyScratch
 	plan    sched.Planner
 	eff     []int
+
+	// jobs is the data-plane queue: the committed changes to bound VMs
+	// not yet carried out on their live VMs, in commit order. A job
+	// leaves it only once done, so the fleet-live proc runs exactly
+	// while it is non-empty.
+	jobs []liveJob
 }
 
 // vmRec is one admitted VM: its request, where it runs, its balloon and
@@ -443,7 +444,8 @@ func (f *Fleet) Snapshot() Snapshot {
 // Bind is the one write the pass reads that logs nothing: it sets a
 // record's bound. That is sound only because a new binding narrows what
 // a pass may do — reclaimAs turns a bound borrower's balloon, which
-// always succeeds, into a relocation, which needs room — so a pass that
+// always succeeds, into a relocation, which needs room, and
+// placeFragment offers a bound VM only its live slices — so a pass that
 // found nothing to do before a Bind finds nothing after it. A write that
 // could widen the pass's options must log.
 func (f *Fleet) log(kind string, vm, from, to, n, lease int) {
@@ -663,10 +665,9 @@ func (f *Fleet) release(vmID int) {
 // just-reclaimed capacity is never instantly re-borrowed.
 func (f *Fleet) maintain() {
 	f.drainQueue()
-	work := f.retryReclaims()
+	f.retryReclaims()
 	f.deflateAll()
-	work = append(work, f.consolidateAll()...)
-	f.runLive(work)
+	f.consolidateAll()
 }
 
 func (f *Fleet) drainQueue() {
@@ -685,9 +686,10 @@ func (f *Fleet) drainQueue() {
 // a move never lands where the moved vCPUs' memory share cannot follow.
 // VMs are visited in ID order. The pass admits and releases no VM, and a
 // VM's moves change only its own placement, so it walks f.vms directly.
-// It allocates only the work it returns.
-func (f *Fleet) consolidateAll() []liveMove {
-	var work []liveMove
+// It returns how many moves it committed, and a pass that commits none
+// allocates nothing.
+func (f *Fleet) consolidateAll() int {
+	moved := 0
 	for _, rec := range f.vms {
 		if len(rec.pl) < 2 {
 			continue
@@ -699,11 +701,11 @@ func (f *Fleet) consolidateAll() []liveMove {
 			if !f.moveAccounting(rec, m.From, m.To, m.N) {
 				break
 			}
-			work = append(work, liveMove{rec.req.ID, m.From, m.To, m.N})
+			moved++
 		}
 		f.settle(rec)
 	}
-	return work
+	return moved
 }
 
 // settle re-syncs a VM's leases after its placement changed and, when
@@ -717,8 +719,9 @@ func (f *Fleet) settle(rec *vmRec) {
 }
 
 // moveAccounting commits one vCPU move (CPU and memory share) in the
-// control plane's books. It refuses moves the current state no longer
-// supports and reports whether it applied.
+// control plane's books and, for a bound VM, queues the live migration.
+// It refuses moves the current state no longer supports and reports
+// whether it applied.
 func (f *Fleet) moveAccounting(rec *vmRec, from, to, n int) bool {
 	if rec.pl.CPUs(from) < n || !f.fits(rec, to, n) {
 		return false
@@ -729,6 +732,9 @@ func (f *Fleet) moveAccounting(rec *vmRec, from, to, n int) bool {
 	rec.pl.Add(to, n)
 	f.stats.Migrations += n
 	f.log("migrate", rec.req.ID, from, to, n, -1)
+	if b := rec.bound; b != nil {
+		f.queueLive(rec.req.ID, func(p *sim.Proc) { b.migrate(p, from, to, n) })
+	}
 	return true
 }
 
@@ -757,30 +763,33 @@ func (f *Fleet) vacate(rec *vmRec, n, c int) {
 	f.freeMem[n] += int64(c) * rec.req.memPerCPU()
 }
 
-// runLive executes the committed moves of bound VMs on their live
-// Aggregate VMs in a fleet process; the control plane's books are
-// already up to date, the data plane converges at real migration
-// latency.
-func (f *Fleet) runLive(work []liveMove) {
-	if !slices.ContainsFunc(work, func(w liveMove) bool { return f.bindingOf(w.vm) != nil }) {
-		return
-	}
-	f.env.Spawn("fleet-live", func(p *sim.Proc) {
-		for _, w := range work {
-			if b := f.bindingOf(w.vm); b != nil {
-				b.migrate(p, w.from, w.to, w.n)
-			}
-		}
-	})
+// liveJob is one committed change to bound VM vm, for the fleet-live
+// proc to carry out on the live VM.
+type liveJob struct {
+	vm  int
+	run func(*sim.Proc)
 }
 
-// bindingOf returns a VM's live binding, or nil when the VM is unbound
-// or gone.
-func (f *Fleet) bindingOf(vmID int) *binding {
-	if rec := f.vm(vmID); rec != nil {
-		return rec.bound
+// queueLive appends a job to the data-plane queue and, when the queue
+// was empty, spawns the fleet-live proc to run it. The books are
+// already up to date; the live VM converges at real migration latency.
+func (f *Fleet) queueLive(vm int, run func(*sim.Proc)) {
+	f.jobs = append(f.jobs, liveJob{vm, run})
+	if len(f.jobs) == 1 {
+		f.env.Spawn("fleet-live", f.runJobs)
 	}
-	return nil
+}
+
+// runJobs is the fleet-live proc: it runs the queued jobs one at a time
+// in commit order, jobs queued meanwhile included, and ends when the
+// queue is empty. A job whose VM has left the fleet is skipped.
+func (f *Fleet) runJobs(p *sim.Proc) {
+	for len(f.jobs) > 0 {
+		if j := f.jobs[0]; f.vm(j.vm) != nil {
+			j.run(p)
+		}
+		f.jobs = slices.Delete(f.jobs, 0, 1)
+	}
 }
 
 // armRebalance schedules the periodic defragmentation tick. The pass is
@@ -797,12 +806,10 @@ func (f *Fleet) armRebalance() {
 		if n == f.settled {
 			return
 		}
-		work := f.consolidateAll()
-		if len(work) > 0 {
+		if moved := f.consolidateAll(); moved > 0 {
 			f.stats.Rebalances++
-			f.log("rebalance", -1, -1, -1, len(work), -1)
+			f.log("rebalance", -1, -1, -1, moved, -1)
 		}
-		f.runLive(work)
 		f.drainQueue()
 		f.deflateAll()
 		f.verify()

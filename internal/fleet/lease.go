@@ -181,20 +181,15 @@ func (f *Fleet) Reclaim(node int) {
 		panic(fmt.Sprintf("fleet: reclaim of node %d out of range", node))
 	}
 	f.log("reclaim", -1, -1, node, 0, -1)
-	var work []liveMove
 	for _, l := range f.activeLeasesOn(node) {
-		mv, ok := f.reclaimLease(l)
-		if !ok {
+		if !f.reclaimLease(l) {
 			l.State = LeaseReclaiming
 			f.stats.ReclaimsDeferred++
 			f.log("reclaim-defer", l.VM, -1, node, l.CPUs, l.ID)
-			continue
 		}
-		work = append(work, mv...)
 	}
 	f.drainQueue()
-	work = append(work, f.consolidateAll()...)
-	f.runLive(work)
+	f.consolidateAll()
 	f.verify()
 }
 
@@ -213,77 +208,78 @@ func (f *Fleet) reclaimAs(l *Lease) ReclaimPolicy {
 // returns false, having changed nothing, only when a relocation finds no
 // room. A balloon or relocation counts a reclaim and logs reclaim-done;
 // an eviction counts as an eviction only.
-func (f *Fleet) reclaimLease(l *Lease) ([]liveMove, bool) {
-	var work []liveMove
+func (f *Fleet) reclaimLease(l *Lease) bool {
 	switch f.reclaimAs(l) {
 	case ReclaimEvict:
 		f.evictVM(l.VM)
-		return nil, true
+		return true
 	case ReclaimResize:
 		f.balloonLease(l)
 	case ReclaimConsolidate:
-		mv, ok := f.relocate(l.VM, l.Node)
-		if !ok {
-			return nil, false
+		if !f.relocate(l.VM, l.Node) {
+			return false
 		}
-		work = mv
 	}
 	f.stats.Reclaims++
 	f.log("reclaim-done", l.VM, l.Node, -1, 0, l.ID)
-	return work, true
+	return true
 }
 
 // retryReclaims re-attempts every lease stuck in LeaseReclaiming, in
 // grant order. The stuck set is taken first: relocating a fragment
 // releases only that fragment's lease, and what it grants is active,
 // never stuck.
-func (f *Fleet) retryReclaims() []liveMove {
+func (f *Fleet) retryReclaims() {
 	var stuck []*Lease
 	for _, l := range f.live {
 		if l.State == LeaseReclaiming {
 			stuck = append(stuck, l)
 		}
 	}
-	var work []liveMove
 	for _, l := range stuck {
-		if mv, ok := f.reclaimLease(l); ok {
-			work = append(work, mv...)
-		}
+		f.reclaimLease(l)
 	}
-	return work
 }
 
 // relocate moves a VM's whole fragment off the src node: first into the
 // VM's existing slices, then onto any other capacity (which may grant new
 // leases). All-or-nothing; reports whether it happened.
-func (f *Fleet) relocate(vmID, src int) ([]liveMove, bool) {
+func (f *Fleet) relocate(vmID, src int) bool {
 	rec := f.vm(vmID)
 	eff := f.effective(rec.req.memPerCPU())
 	eff[src] = 0
-	target, ok := f.placeFragment(eff, rec.pl, src, rec.pl.CPUs(src))
+	target, ok := f.placeFragment(eff, rec, src, rec.pl.CPUs(src))
 	if !ok {
-		return nil, false
+		return false
 	}
-	var work []liveMove
 	for _, fr := range target {
 		if !f.moveAccounting(rec, src, fr.Node, fr.CPUs) {
 			panic(fmt.Sprintf("fleet: planned relocation of VM %d from node %d went stale", vmID, src))
 		}
-		work = append(work, liveMove{vmID, src, fr.Node, fr.CPUs})
 	}
 	f.settle(rec)
-	return work, true
+	return true
 }
 
-// placeFragment gang-places k vCPUs given an effective-capacity vector,
-// preferring the VM's existing slice nodes (consolidation) before
-// spilling onto new lenders. With a topology oracle, the spill anchors on
-// the VM's surviving slices so new borrow sets cluster around the gang
-// instead of scattering across the spine.
-func (f *Fleet) placeFragment(eff []int, pl sched.Placement, src, k int) (sched.Placement, bool) {
+// placeFragment gang-places k of a VM's vCPUs given an
+// effective-capacity vector, preferring the VM's existing slice nodes
+// (consolidation) before spilling onto new lenders. With a topology
+// oracle, the spill anchors on the VM's surviving slices so new borrow
+// sets cluster around the gang instead of scattering across the spine.
+// A bound VM's vCPUs can run only on its live slices, so for one it
+// first zeroes eff on every other node.
+func (f *Fleet) placeFragment(eff []int, rec *vmRec, src, k int) (sched.Placement, bool) {
+	if b := rec.bound; b != nil {
+		nodes := b.vm.Nodes()
+		for n := range eff {
+			if !slices.Contains(nodes, n) || !b.vm.Alive(n) {
+				eff[n] = 0
+			}
+		}
+	}
 	own := make([]int, len(eff))
 	var near []int
-	for _, fr := range pl {
+	for _, fr := range rec.pl {
 		if n := fr.Node; n != src {
 			own[n] = eff[n]
 			near = append(near, n)
@@ -314,16 +310,12 @@ func (f *Fleet) reclaimFor(r Request) bool {
 			continue
 		}
 		f.log("reclaim", r.ID, -1, n, r.VCPUs, -1)
-		var work []liveMove
 		for _, l := range f.activeLeasesOn(n) {
-			mv, ok := f.reclaimLease(l)
-			if !ok {
+			if !f.reclaimLease(l) {
 				panic(fmt.Sprintf("fleet: planned reclaim of node %d went stale", n))
 			}
-			work = append(work, mv...)
 		}
 		f.commit(r, sched.Placement{{Node: n, CPUs: r.VCPUs}}, "admit")
-		f.runLive(work)
 		return true
 	}
 	return false
@@ -352,7 +344,7 @@ func (f *Fleet) reclaimFits(node int) bool {
 				eff[i] = f.effCap(cpu[i], mem[i], mpc)
 			}
 		}
-		target, ok := f.placeFragment(eff, rec.pl, node, rec.pl.CPUs(node))
+		target, ok := f.placeFragment(eff, rec, node, rec.pl.CPUs(node))
 		if !ok {
 			return false
 		}

@@ -138,7 +138,7 @@ func watchMemo(t *testing.T, env *sim.Env, f *Fleet, end sim.Time) *memoCounts {
 			work := f.consolidateAll()
 			f.drainQueue()
 			f.deflateAll()
-			if len(f.events) != n || len(work) > 0 {
+			if len(f.events) != n || work > 0 {
 				t.Errorf("t=%v: a skipped tick pass would have logged %v and moved %v",
 					env.Now(), f.events[n:], work)
 				return

@@ -134,7 +134,7 @@ func (f *Fleet) deflateVM(rec *vmRec) {
 		room += int64(e)
 	}
 	for k := min(rec.ballooned, room); k > 0; k-- {
-		target, ok := f.placeFragment(eff, rec.pl, -1, int(k))
+		target, ok := f.placeFragment(eff, rec, -1, int(k))
 		if !ok {
 			continue
 		}

@@ -190,4 +190,5 @@ func TestAdmissionReclaimConsolidatesBoundBorrowerUnderResize(t *testing.T) {
 	if st := f.Stats(); st.Reclaims != 1 || st.Inflations != 0 || st.Evictions != 0 {
 		t.Errorf("reclaims %d inflations %d evictions %d, want 1, 0 and 0", st.Reclaims, st.Inflations, st.Evictions)
 	}
+	checkLiveMatchesBooks(t, f, 5, vm)
 }

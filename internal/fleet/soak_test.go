@@ -85,8 +85,8 @@ func TestConsolidationPassAllocatesNothing(t *testing.T) {
 	}
 	logged := len(f.events)
 	allocs := testing.AllocsPerRun(100, func() {
-		if work := f.consolidateAll(); len(work) != 0 {
-			t.Fatalf("a settled pass planned %v", work)
+		if work := f.consolidateAll(); work != 0 {
+			t.Fatalf("a settled pass planned %v moves", work)
 		}
 	})
 	if allocs != 0 {

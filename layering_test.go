@@ -513,3 +513,39 @@ func TestOnlyTheVMPlacesVCPUs(t *testing.T) {
 		t.Error("internal/fault does not range over a node's PCPUs: the scan is not seeing reads")
 	}
 }
+
+// TestOneFleetProcDrivesBoundVMs: every committed change to a bound VM —
+// a live vCPU migration or a checkpoint restore — is a job on the
+// fleet's one queue, run in commit order by the one fleet-live proc. Two
+// procs driving one live VM side by side would each look for vCPUs the
+// other has not moved yet, and the live VM would drift from the books.
+// So internal/fleet's production files call Spawn exactly once, in the
+// queue.
+func TestOneFleetProcDrivesBoundVMs(t *testing.T) {
+	fset := token.NewFileSet()
+	paths, err := filepath.Glob("internal/fleet/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spawns []string
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Spawn" {
+					spawns = append(spawns, fset.Position(call.Pos()).String())
+				}
+			}
+			return true
+		})
+	}
+	if len(spawns) != 1 {
+		t.Errorf("internal/fleet spawns procs at %v; want exactly one Spawn, the fleet-live queue's", spawns)
+	}
+}
