@@ -4,10 +4,10 @@ import "testing"
 
 // BenchmarkSoakWorld measures one whole soak world per op — the seed-42,
 // 8-VM world TestSoakSteadyHeap samples, run until its departures drain:
-// admission, leases, reclaims, the consolidation passes and verify scans
-// each change to the books triggers, and ~30k rebalance ticks, nearly
-// all of which find the books settled and skip their pass. It is the
-// fleet control plane's unit cost.
+// admission, leases, reclaims, and the consolidation passes, verify
+// scans and rebalance ticks each change to the books triggers; a
+// settled fleet schedules no tick. It is the fleet control plane's unit
+// cost.
 func BenchmarkSoakWorld(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

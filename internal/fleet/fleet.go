@@ -29,8 +29,9 @@
 //   - Background rebalancing. An optional periodic tick runs the same
 //     consolidation pass over the whole fleet to shrink fragmentation,
 //     then admits and re-inflates into what it freed. The pass reads no
-//     clock or RNG, so once a pass changes nothing the tick skips until
-//     the books change again.
+//     clock or RNG, so once a pass changes nothing the tick sleeps: it
+//     schedules nothing until the books change, then wakes on its own
+//     grid of period instants.
 //   - Failure handling. A heartbeat tick probes every node over the
 //     cluster fabric; when a node stops answering, fragments hosted there
 //     are re-placed on survivors, and VMs bound to a live Aggregate VM
@@ -168,14 +169,18 @@ type Config struct {
 	AutoReclaim bool
 	// RebalanceEvery runs the consolidation pass periodically as well
 	// (0 = only on capacity changes, FragBFF's behavior and Fig 14's
-	// setting). A tick whose books have not changed since a pass that
-	// changed nothing does no work; it stays scheduled all the same.
+	// setting). Passes run only at New's time plus a whole number of
+	// periods. After a pass that changed nothing the tick is not
+	// scheduled again until the books change; it then runs at the
+	// first such instant that is not in the past.
 	RebalanceEvery sim.Time
 	// HeartbeatEvery is the period of the failure detector's probe
 	// rounds over Fabric (0 = no failure detection).
 	HeartbeatEvery sim.Time
 	// Horizon stops periodic ticks from rescheduling past this time so
 	// the event queue can drain (0 = tick for as long as the world runs).
+	// With Horizon 0 a settled fleet without a heartbeat schedules
+	// nothing, so Env.Run returns once the rest of the world is done.
 	Horizon sim.Time
 	// Fabric is the cluster fabric the heartbeat probes nodes over;
 	// ClusterConfig fills it in, and HeartbeatEvery needs it. Probes are
@@ -288,6 +293,14 @@ type Fleet struct {
 	verified int
 	settled  int
 
+	// lastTick is the instant of the last rebalance tick that ran (New's
+	// time before one), so the tick's grid is lastTick plus whole
+	// periods. nextTick is the instant of the armed tick, 0 while the
+	// tick sleeps; log wakes it. tick is the tick's callback, built once.
+	lastTick sim.Time
+	nextTick sim.Time
+	tick     func()
+
 	// Buffers the quiescent-point checks and passes reuse, so that a
 	// clean VerifyReport and a consolidation pass that plans no move
 	// allocate nothing: the report's scratch, the consolidation
@@ -348,6 +361,7 @@ func New(env *sim.Env, cfg Config) *Fleet {
 		down:     make([]bool, cfg.Nodes),
 		queuedAt: map[int]sim.Time{},
 		settled:  -1,
+		lastTick: env.Now(),
 		eff:      make([]int, cfg.Nodes),
 	}
 	for i := range f.freeCPU {
@@ -435,11 +449,12 @@ func (f *Fleet) Snapshot() Snapshot {
 	return s
 }
 
-// log appends one Event to the decision log. Every write to the books
-// (free vectors, down, the waiting queue, the lease ledger, and the
-// placement, home and balloon of a VM's record) must append an Event in
-// the same step: verify skips its scan, and the rebalance tick its
-// pass, while the log length is unchanged.
+// log appends one Event to the decision log and wakes a sleeping
+// rebalance tick. Every write to the books (free vectors, down, the
+// waiting queue, the lease ledger, and the placement, home and balloon
+// of a VM's record) must append an Event in the same step: verify skips
+// its scan while the log length is unchanged, and the rebalance tick
+// sleeps until log wakes it.
 //
 // Bind is the one write the pass reads that logs nothing: it sets a
 // record's bound. That is sound only because a new binding narrows what
@@ -450,6 +465,9 @@ func (f *Fleet) Snapshot() Snapshot {
 // could widen the pass's options must log.
 func (f *Fleet) log(kind string, vm, from, to, n, lease int) {
 	f.events = append(f.events, Event{T: f.env.Now(), Kind: kind, VM: vm, From: from, To: to, N: n, Lease: lease})
+	if f.nextTick == 0 && f.tick != nil {
+		f.armTick()
+	}
 	if f.tr != nil {
 		node := to
 		if node < 0 {
@@ -792,31 +810,54 @@ func (f *Fleet) runJobs(p *sim.Proc) {
 	}
 }
 
-// armRebalance schedules the periodic defragmentation tick. The pass is
-// a pure function of the books, so after a pass that logged nothing
-// every later one is a no-op until the log grows: the tick skips it
-// while the log still has the settled length. The timer stays armed, so
-// the event count and every output are what a full pass would leave.
+// armRebalance starts the periodic defragmentation tick, first one
+// period from now.
 func (f *Fleet) armRebalance() {
 	if f.cfg.RebalanceEvery <= 0 {
 		return
 	}
-	f.every(f.cfg.RebalanceEvery, func() {
-		n := len(f.events)
-		if n == f.settled {
-			return
-		}
-		if moved := f.consolidateAll(); moved > 0 {
-			f.stats.Rebalances++
-			f.log("rebalance", -1, -1, -1, moved, -1)
-		}
-		f.drainQueue()
-		f.deflateAll()
-		f.verify()
-		if len(f.events) == n {
-			f.settled = n
-		}
-	})
+	f.tick = f.rebalanceTick
+	f.armTick()
+}
+
+// rebalanceTick runs the consolidation pass, then admits and re-inflates
+// into what it freed. The pass is a pure function of the books, so once
+// it logs nothing every later one would too until the log grows: the
+// tick then sleeps, and log wakes it. Otherwise it runs again one period
+// later. The tick stays armed during its pass, so the pass's own
+// entries do not wake it.
+func (f *Fleet) rebalanceTick() {
+	f.lastTick = f.env.Now()
+	n := len(f.events)
+	if moved := f.consolidateAll(); moved > 0 {
+		f.stats.Rebalances++
+		f.log("rebalance", -1, -1, -1, moved, -1)
+	}
+	f.drainQueue()
+	f.deflateAll()
+	f.verify()
+	f.nextTick = 0
+	if len(f.events) == n {
+		f.settled = n
+		return
+	}
+	f.armTick()
+}
+
+// armTick arms the tick at the first instant of its grid that is not
+// before now and later than the last tick that ran, unless that passes
+// the horizon. So a write in the instant a tick ran waits one period.
+func (f *Fleet) armTick() {
+	p := f.cfg.RebalanceEvery
+	at := f.lastTick + p
+	if now := f.env.Now(); at < now {
+		at += (now - at + p - 1) / p * p
+	}
+	if f.cfg.Horizon > 0 && at > f.cfg.Horizon {
+		return
+	}
+	f.nextTick = at
+	f.env.DeferAt(at, f.tick)
 }
 
 // every runs tick each period, first one period from now, and stops

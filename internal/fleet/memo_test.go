@@ -89,20 +89,23 @@ func booksPrint(f *Fleet, fp []int64) []int64 {
 type memoCounts struct {
 	still    int // samples whose log had not grown since the previous one
 	memoHits int // log lengths at which verify would skip, scanned by (b)
-	settled  int // log lengths at which the tick would skip, replayed by (c)
+	settled  int // log lengths at which the tick sleeps, replayed by (c)
+	armed    int // samples with the books changed since, checked by (d)
 }
 
 // watchMemo samples the fleet every memoEvery of virtual time up to end
 // and checks, at every sample, the premises verify's memo and the
-// rebalance tick's settled skip rest on:
+// rebalance tick's sleep rest on:
 //
 //	(a) when the log has not grown since the previous sample, the books
 //	    are unchanged;
 //	(b) when verify would skip (verified == len(events)), the full scan
 //	    finds nothing;
-//	(c) when the rebalance tick would skip (settled == len(events)), its
+//	(c) when the rebalance tick sleeps (settled == len(events)), its
 //	    pass (consolidateAll, drainQueue, deflateAll) logs nothing, plans
-//	    no live move and leaves the books as they were.
+//	    no live move and leaves the books as they were;
+//	(d) otherwise a tick is armed, now or later, unless the next instant
+//	    of its grid passes the horizon.
 func watchMemo(t *testing.T, env *sim.Env, f *Fleet, end sim.Time) *memoCounts {
 	t.Helper()
 	c := &memoCounts{}
@@ -148,6 +151,14 @@ func watchMemo(t *testing.T, env *sim.Env, f *Fleet, end sim.Time) *memoCounts {
 				return
 			}
 		}
+		if open := f.cfg.Horizon == 0 || env.Now()+f.cfg.RebalanceEvery <= f.cfg.Horizon; f.settled != n && open {
+			c.armed++
+			if f.nextTick < env.Now() {
+				t.Errorf("t=%v: the books changed at log length %d after the pass settled at %d, but no tick is armed",
+					env.Now(), n, f.settled)
+				return
+			}
+		}
 		if env.Now()+memoEvery <= end {
 			env.After(memoEvery, sample)
 		}
@@ -175,16 +186,17 @@ func quietDeflates(evs []Event) int {
 // requireExercised fails a world whose samples never hit a premise.
 func requireExercised(t *testing.T, c *memoCounts) {
 	t.Helper()
-	if c.still == 0 || c.memoHits == 0 || c.settled == 0 {
+	if c.still == 0 || c.memoHits == 0 || c.settled == 0 || c.armed == 0 {
 		t.Fatalf("premises not exercised: %+v", *c)
 	}
 	t.Logf("%+v", *c)
 }
 
-// TestVerifyMemoIsSound proves verify's memo and the tick's settled skip
-// are sound: an unchanged event log means unchanged books (every write to
+// TestVerifyMemoIsSound proves verify's memo and the tick's sleep are
+// sound: an unchanged event log means unchanged books (every write to
 // the books logs an Event), books the memo would not re-scan scan clean,
-// and a tick pass the skip leaves out would have done nothing. It samples
+// a tick pass the sleep leaves out would have done nothing, and books
+// changed since the tick settled have a tick armed. It samples
 // three kinds of world: the fleet soak, small auto-reclaim fleets under
 // each reclaim policy with random owner reclaims, and a heartbeat fleet
 // whose node crashes and heals.

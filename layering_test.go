@@ -549,3 +549,97 @@ func TestOneFleetProcDrivesBoundVMs(t *testing.T) {
 		t.Errorf("internal/fleet spawns procs at %v; want exactly one Spawn, the fleet-live queue's", spawns)
 	}
 }
+
+// TestDeterministicSources: every output is a pure function of its
+// seed only because nothing in the simulation reads a source the seed
+// does not fix. So no production file of this module (nested modules
+// such as perfbench are not scanned):
+//   - starts a goroutine outside internal/sweep, which runs whole worlds
+//     in parallel (procs are coroutines of the DES, and a goroutine
+//     anywhere else would race its clock);
+//   - reads the wall clock (time.Now, Since or Until) outside
+//     internal/leakcheck, whose deadline bounds a test's goroutine wait;
+//   - calls a package-level math/rand function other than New and
+//     NewSource, which build a seeded generator; every other one draws
+//     from the global source.
+//
+// The scan is syntactic: a package reference is an identifier named
+// after the file's import that no declaration in the file resolves.
+func TestDeterministicSources(t *testing.T) {
+	randOK := map[string]bool{"New": true, "NewSource": true, "Rand": true, "Source": true, "Source64": true, "Zipf": true}
+	clock := map[string]bool{"Now": true, "Since": true, "Until": true}
+	seen := map[string]int{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		names := map[string]string{} // local name -> import path
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			names[name] = p
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				seen["go"]++
+				if dir != "internal/sweep" {
+					t.Errorf("%s starts a goroutine; only internal/sweep may", fset.Position(n.Pos()))
+				}
+			case *ast.SelectorExpr:
+				id, ok := n.X.(*ast.Ident)
+				if !ok || id.Obj != nil {
+					return true
+				}
+				switch names[id.Name] {
+				case "time":
+					if clock[n.Sel.Name] {
+						seen["time"]++
+						if dir != "internal/leakcheck" {
+							t.Errorf("%s reads the wall clock (time.%s); only internal/leakcheck may", fset.Position(n.Pos()), n.Sel.Name)
+						}
+					}
+				case "math/rand":
+					seen["rand"]++
+					if !randOK[n.Sel.Name] {
+						t.Errorf("%s calls rand.%s, which draws from the global source; use a seeded rand.New", fset.Position(n.Pos()), n.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, what := range []string{"go", "time", "rand"} {
+		if seen[what] == 0 {
+			t.Errorf("the scan saw no %s reference: it is not seeing the sources", what)
+		}
+	}
+}
